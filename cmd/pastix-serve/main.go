@@ -1,11 +1,12 @@
 // Command pastix-serve runs the solver-as-a-service HTTP daemon
 // (internal/service): a pattern-keyed analysis cache, a factor handle store,
-// a multi-RHS solve batcher and admission control behind a JSON API.
+// a work-conserving multi-RHS solve batcher and admission control behind a
+// JSON API.
 //
 //	pastix-serve -addr :8416 -procs 4
 //
 // With -smoke it instead starts itself on a random loopback port, drives a
-// full analyze → analyze(cached) → factorize → batched-solve round trip
+// full analyze → analyze(cached) → factorize → concurrent-solve round trip
 // against a generated Poisson problem, scrapes /metrics, then runs a durable
 // persist → restart → solve leg (the replayed handle must solve bitwise
 // identically), exiting non-zero on any failure — the self-contained serving
@@ -36,7 +37,6 @@ func main() {
 		runtimeName = flag.String("runtime", "auto", "factorization runtime: auto, seq, mpsim, shared or dynamic (work-stealing)")
 		cacheSize   = flag.Int("cache-size", 0, "analysis cache entries (0 = default)")
 		maxFactors  = flag.Int("max-factors", 0, "live factor handles (0 = default)")
-		batchWindow = flag.Duration("batch-window", 0, "multi-RHS coalescing window (0 = default 2ms)")
 		maxBatch    = flag.Int("max-batch", 0, "right-hand sides per batch (0 = default)")
 		queueDepth  = flag.Int("queue-depth", 0, "admission queue depth (0 = default)")
 		workers     = flag.Int("workers", 0, "concurrent requests (0 = default)")
@@ -46,7 +46,7 @@ func main() {
 		refineTol   = flag.Float64("refine-tol", 0, "backward-error target for refinement of degraded solves (0 = default 1e-10)")
 		maxBody     = flag.Int64("max-body", 0, "request body cap in bytes; oversized bodies get a structured 413 (0 = default 64 MiB)")
 		dataDir     = flag.String("data-dir", "", "durable store directory; factorize acks only after the journal fsync, and a restart replays it (empty = in-memory only)")
-		snapEvery   = flag.Int("snapshot-every", 0, "WAL records between snapshot compactions (0 = default 64)")
+		snapEvery   = flag.Int("snapshot-every", 0, "WAL records between snapshot compactions (0 = default 256)")
 		idemTTL     = flag.Duration("idem-ttl", 0, "idempotency record lifetime (0 = default 1h)")
 		noExport    = flag.Bool("no-factor-export", false, "refuse /v1/replicate factor exports (peers must re-factorize instead)")
 		smoke       = flag.Bool("smoke", false, "run the end-to-end serving smoke test and exit")
@@ -66,7 +66,6 @@ func main() {
 		},
 		CacheSize:       *cacheSize,
 		MaxFactors:      *maxFactors,
-		BatchWindow:     *batchWindow,
 		MaxBatch:        *maxBatch,
 		QueueDepth:      *queueDepth,
 		Workers:         *workers,

@@ -44,13 +44,9 @@ type smokeSolveResp struct {
 }
 
 // runSmoke boots the service on a random loopback port and drives the full
-// serving loop against itself: analysis caching, factorization, coalesced
-// multi-RHS solves, and the metrics exposition.
+// serving loop against itself: analysis caching, factorization, concurrent
+// solves checked bit for bit against solo solves, and the metrics exposition.
 func runSmoke(cfg service.Config) error {
-	// A wide window so the concurrent smoke solves reliably coalesce.
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = 250 * time.Millisecond
-	}
 	s, err := service.New(cfg)
 	if err != nil {
 		return err
@@ -103,9 +99,19 @@ func runSmoke(cfg service.Config) error {
 	fmt.Println("serve-smoke: factorized, handle", fr.Handle)
 
 	// Concurrent solves with scaled right-hand sides: A(c·x) = c·b, so each
-	// column has a known solution. They should ride one coalesced batch.
+	// column has a known solution. How many share a batch depends on timing;
+	// whichever batch a solve rides, its bits must equal the same solve made
+	// alone, which the solo re-solves below check.
 	const k = 4
 	n := a.N
+	bs := make([][]float64, k)
+	for i := range bs {
+		bs[i] = make([]float64, n)
+		for j := range bs[i] {
+			bs[i][j] = float64(i+1) * b[j]
+		}
+	}
+	xs := make([][]float64, k)
 	solErr := make([]error, k)
 	batched := make([]int, k)
 	var wg sync.WaitGroup
@@ -114,16 +120,12 @@ func runSmoke(cfg service.Config) error {
 		go func(i int) {
 			defer wg.Done()
 			c := float64(i + 1)
-			bi := make([]float64, n)
-			for j := range bi {
-				bi[j] = c * b[j]
-			}
 			var sr smokeSolveResp
-			if err := smokePost(base+"/v1/solve", smokeSolveReq{Handle: fr.Handle, B: bi}, &sr); err != nil {
+			if err := smokePost(base+"/v1/solve", smokeSolveReq{Handle: fr.Handle, B: bs[i]}, &sr); err != nil {
 				solErr[i] = fmt.Errorf("solve %d: %w", i, err)
 				return
 			}
-			batched[i] = sr.Batched
+			xs[i], batched[i] = sr.X, sr.Batched
 			for j := range sr.X {
 				if math.Abs(sr.X[j]-c*xTrue[j]) > 1e-8 {
 					solErr[i] = fmt.Errorf("solve %d: x[%d] = %v, want %v", i, j, sr.X[j], c*xTrue[j])
@@ -138,16 +140,23 @@ func runSmoke(cfg service.Config) error {
 			return err
 		}
 	}
-	maxBatched := 0
-	for _, v := range batched {
-		if v > maxBatched {
-			maxBatched = v
+	fmt.Printf("serve-smoke: %d concurrent solves verified, batch sizes %v\n", k, batched)
+	for i := range bs {
+		var sr smokeSolveResp
+		if err := smokePost(base+"/v1/solve", smokeSolveReq{Handle: fr.Handle, B: bs[i]}, &sr); err != nil {
+			return fmt.Errorf("solo solve %d: %w", i, err)
+		}
+		if len(sr.X) != len(xs[i]) {
+			return fmt.Errorf("solo solve %d: %d values, concurrent solve %d", i, len(sr.X), len(xs[i]))
+		}
+		for j := range sr.X {
+			if sr.X[j] != xs[i][j] {
+				return fmt.Errorf("solve %d: x[%d] = %x in a batch of %d, %x alone — not bit-identical",
+					i, j, xs[i][j], batched[i], sr.X[j])
+			}
 		}
 	}
-	fmt.Printf("serve-smoke: %d solves verified, batch sizes %v\n", k, batched)
-	if maxBatched < 2 {
-		return fmt.Errorf("batcher did not coalesce: batch sizes %v", batched)
-	}
+	fmt.Println("serve-smoke: every concurrent answer bit-identical to its solo solve")
 
 	// Scrape /metrics and assert the cache hits were counted.
 	resp, err := http.Get(base + "/metrics")

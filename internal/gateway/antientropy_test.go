@@ -56,7 +56,6 @@ func liveReplicas(g *Gateway, handle string) int {
 func TestAntiEntropyRestoresReplication(t *testing.T) {
 	nodes := []*node{startNode(t, svcConfig()), startNode(t, svcConfig()), startNode(t, svcConfig())}
 	g, ts := startGateway(t, nodes, repairConfig)
-	waitRoutable(t, g, 3)
 
 	a, mm := testMatrix(t)
 	_, b := gen.RHSForSolution(a)
@@ -109,7 +108,6 @@ func TestAntiEntropyRefactorizeFallback(t *testing.T) {
 		nodes = append(nodes, startNode(t, cfg))
 	}
 	g, ts := startGateway(t, nodes, repairConfig)
-	waitRoutable(t, g, 3)
 
 	a, mm := testMatrix(t)
 	_, b := gen.RHSForSolution(a)
@@ -149,7 +147,6 @@ func TestAntiEntropyDurableRestartKeepsReplica(t *testing.T) {
 		nodes = append(nodes, startNode(t, cfg))
 	}
 	g, ts := startGateway(t, nodes, repairConfig)
-	waitRoutable(t, g, 2)
 
 	a, mm := testMatrix(t)
 	_, b := gen.RHSForSolution(a)
@@ -204,7 +201,6 @@ func TestAwaitShardWakeup(t *testing.T) {
 		repairConfig(cfg)
 		cfg.QueueWait = 20 * time.Second
 	})
-	waitRoutable(t, g, 1)
 	n.down.Store(true)
 	waitRoutable(t, g, 0)
 

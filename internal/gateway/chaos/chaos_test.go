@@ -22,10 +22,9 @@ import (
 
 func svcConfig() service.Config {
 	return service.Config{
-		Solver:      pastix.Options{Processors: 2},
-		BatchWindow: 2 * time.Millisecond,
-		Workers:     4,
-		QueueDepth:  32,
+		Solver:     pastix.Options{Processors: 2},
+		Workers:    4,
+		QueueDepth: 32,
 	}
 }
 

@@ -210,7 +210,8 @@ type Gateway struct {
 	repairs, replicasDropped, refactorizes atomic.Int64
 }
 
-// New validates cfg, starts the active prober and returns a ready Gateway.
+// New validates cfg, probes every backend once, starts the active prober and
+// returns a ready Gateway.
 func New(cfg Config) (*Gateway, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -230,6 +231,19 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	g.cancel = cancel
+	// The first probe round runs before New returns, against every backend at
+	// once and each bounded by ProbeTimeout, so a request issued right away
+	// sees the whole ring's health rather than a partly probed ring on which
+	// a factorize would commit to fewer than R replicas.
+	var probes sync.WaitGroup
+	for _, b := range g.backends {
+		probes.Add(1)
+		go func(b *backendHealth) {
+			defer probes.Done()
+			g.probe(ctx, b)
+		}(b)
+	}
+	probes.Wait()
 	g.wg.Add(1)
 	go g.prober(ctx)
 	if cfg.RepairInterval > 0 {

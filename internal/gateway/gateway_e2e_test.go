@@ -32,13 +32,24 @@ func postRawJSON(url string, body any) (int, map[string]json.RawMessage, error) 
 	return resp.StatusCode, out, nil
 }
 
+// gatedWriter runs gate before the response status goes out, which lets a
+// test hold a handler at its final write.
+type gatedWriter struct {
+	http.ResponseWriter
+	gate func()
+}
+
+func (w *gatedWriter) WriteHeader(code int) {
+	w.gate()
+	w.ResponseWriter.WriteHeader(code)
+}
+
 // Full round trip through the gateway: analyze, replicated factorize, a solve
 // that is bit-identical to a fault-free single-node run, release fanned out
 // to every replica.
 func TestGatewayEndToEnd(t *testing.T) {
 	nodes := []*node{startNode(t, svcConfig()), startNode(t, svcConfig())}
-	g, ts := startGateway(t, nodes, nil)
-	waitRoutable(t, g, 2)
+	_, ts := startGateway(t, nodes, nil)
 
 	a, mm := testMatrix(t)
 	_, b := gen.RHSForSolution(a)
@@ -123,7 +134,6 @@ func TestGatewayFailoverKilledPrimary(t *testing.T) {
 	// cannot learn about the kill from probes — the solve itself must
 	// discover it and fail over.
 	g, ts := startGateway(t, nodes, func(c *Config) { c.ProbeInterval = time.Hour })
-	waitRoutable(t, g, 2)
 
 	a, mm := testMatrix(t)
 	_, b := gen.RHSForSolution(a)
@@ -156,7 +166,6 @@ func TestGatewayFailoverKilledPrimary(t *testing.T) {
 func TestGatewayStaleHandleFailover(t *testing.T) {
 	nodes := []*node{startNode(t, svcConfig()), startNode(t, svcConfig())}
 	g, ts := startGateway(t, nodes, nil)
-	waitRoutable(t, g, 2)
 
 	a, mm := testMatrix(t)
 	_, b := gen.RHSForSolution(a)
@@ -192,8 +201,7 @@ func TestGatewayStaleHandleFailover(t *testing.T) {
 // committed but whose response was lost replays instead of factoring again.
 func TestGatewayIdempotentFactorizeRetry(t *testing.T) {
 	nodes := []*node{startNode(t, svcConfig()), startNode(t, svcConfig())}
-	g, ts := startGateway(t, nodes, nil)
-	waitRoutable(t, g, 2)
+	_, ts := startGateway(t, nodes, nil)
 
 	a, mm := testMatrix(t)
 	_, b := gen.RHSForSolution(a)
@@ -266,7 +274,6 @@ func TestGatewayDegradedQueue(t *testing.T) {
 		c.QueueWait = 700 * time.Millisecond
 		c.RetryAfter = 50 * time.Millisecond
 	})
-	waitRoutable(t, g, 1)
 	_, mm := testMatrix(t)
 
 	n0.down.Store(true)
@@ -330,7 +337,6 @@ func TestGatewayHedgedSolve(t *testing.T) {
 	g, ts := startGateway(t, nodes, func(c *Config) {
 		c.HedgeDelay = 40 * time.Millisecond
 	})
-	waitRoutable(t, g, 2)
 
 	a, mm := testMatrix(t)
 	_, b := gen.RHSForSolution(a)
@@ -366,11 +372,10 @@ func TestGatewayHedgedSolve(t *testing.T) {
 // parked riders, and new traffic re-routes to the replica.
 func TestGatewayDrainVsBatchTwoNodes(t *testing.T) {
 	cfg := svcConfig()
-	cfg.BatchWindow = 250 * time.Millisecond
 	cfg.MaxBatch = 8
+	cfg.Workers = 1
 	nodes := []*node{startNode(t, cfg), startNode(t, cfg)}
 	g, ts := startGateway(t, nodes, nil)
-	waitRoutable(t, g, 2)
 
 	a, mm := testMatrix(t)
 	st, fr := postJSON(t, ts.URL+"/v1/factorize", map[string]any{"matrix_market": mm})
@@ -380,7 +385,27 @@ func TestGatewayDrainVsBatchTwoNodes(t *testing.T) {
 	handle := field[string](t, fr, "handle")
 	pb := field[int](t, fr, "primary_backend")
 
-	// k riders enter the primary's batch window...
+	// Hold the primary's only worker slot: an analyze sent straight to it
+	// blocks in writing its response, which the service does before it
+	// frees the slot.
+	hold, held := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
+	nodes[pb].intercept.Store(func(w http.ResponseWriter, r *http.Request, h http.Handler) bool {
+		if r.URL.Path != "/v1/analyze" {
+			return false
+		}
+		h.ServeHTTP(&gatedWriter{ResponseWriter: w, gate: func() { close(held); <-hold }}, r)
+		return true
+	})
+	go postRawJSON(nodes[pb].ts.URL+"/v1/analyze", map[string]any{"matrix_market": mm})
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the analyze never took the primary's worker slot")
+	}
+
+	// k riders reach the primary and park behind the held slot...
 	const k = 4
 	bs := make([][]float64, k)
 	wants := make([][]float64, k)
@@ -397,18 +422,28 @@ func TestGatewayDrainVsBatchTwoNodes(t *testing.T) {
 		err error
 	}
 	results := make(chan result, k)
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		answered atomic.Int64
+	)
 	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			st, out, err := postRawJSON(ts.URL+"/v1/solve", map[string]any{"handle": handle, "b": bs[i]})
 			results <- result{st, out, err}
+			answered.Add(1)
 		}(i)
 	}
-	// ...and the primary starts draining mid-window.
-	time.Sleep(80 * time.Millisecond)
+	// Every rider is either parked on the primary, holding a queue slot
+	// beside the analyze, or already answered by the replica...
+	waitFor(t, 10*time.Second, "riders parked on the primary", func() bool {
+		parked := nodes[pb].readyState().QueueDepth - 1
+		return parked >= 1 && parked+int(answered.Load()) == k
+	})
+	// ...when the primary starts draining under them.
 	nodes[pb].svc.Load().(*service.Server).BeginDrain()
+	release()
 	wg.Wait()
 	close(results)
 
@@ -474,7 +509,6 @@ func TestGatewayErrorShapes(t *testing.T) {
 		c.QueueWait = 100 * time.Millisecond
 		c.MaxBodyBytes = 16 << 10
 	})
-	waitRoutable(t, g, 1)
 
 	st, er := postJSON(t, ts.URL+"/v1/analyze", map[string]any{"matrix_market": "not a matrix"})
 	if st != http.StatusBadRequest || field[string](t, er, "code") != "bad_request" {

@@ -36,10 +36,9 @@ type node struct {
 
 func svcConfig() service.Config {
 	return service.Config{
-		Solver:      pastix.Options{Processors: 2},
-		BatchWindow: 2 * time.Millisecond,
-		Workers:     4,
-		QueueDepth:  32,
+		Solver:     pastix.Options{Processors: 2},
+		Workers:    4,
+		QueueDepth: 32,
 	}
 }
 
@@ -94,6 +93,12 @@ func (n *node) restart() {
 
 func (n *node) liveFactors() int {
 	n.t.Helper()
+	return n.readyState().LiveFactors
+}
+
+// readyState reads the node's /readyz body.
+func (n *node) readyState() service.ReadyState {
+	n.t.Helper()
 	resp, err := http.Get(n.ts.URL + "/readyz")
 	if err != nil {
 		n.t.Fatal(err)
@@ -103,7 +108,7 @@ func (n *node) liveFactors() int {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		n.t.Fatal(err)
 	}
-	return st.LiveFactors
+	return st
 }
 
 func startGateway(t *testing.T, nodes []*node, mutate func(*Config)) (*Gateway, *httptest.Server) {

@@ -241,9 +241,10 @@ func (g *Gateway) probe(ctx context.Context, b *backendHealth) {
 	}
 }
 
-// prober loops active probes over all backends until ctx ends. After each
-// round it wakes requests parked in awaitShard if any backend flipped from
-// unroutable to routable — the only event that can unblock them.
+// prober repeats the active probe round every ProbeInterval until ctx ends
+// (New ran the first). After each round it wakes requests parked in
+// awaitShard if any backend flipped from unroutable to routable — the only
+// event that can unblock them.
 func (g *Gateway) prober(ctx context.Context) {
 	defer g.wg.Done()
 	tick := time.NewTicker(g.cfg.ProbeInterval)
@@ -262,7 +263,6 @@ func (g *Gateway) prober(ctx context.Context) {
 			g.wakeParked()
 		}
 	}
-	probeRound()
 	for {
 		select {
 		case <-ctx.Done():

@@ -3,31 +3,35 @@ package service
 import (
 	"context"
 	"sync"
-	"time"
 
 	"github.com/pastix-go/pastix"
 )
 
 // batcher coalesces concurrent solve requests against one factor into
-// blocked multi-RHS panel solves: the first request in an empty batch arms a
-// window timer; companions arriving within the window join the panel, and
-// the batch flushes on the timer or as soon as maxBatch right-hand sides
-// have gathered. The panel runs once through SolveOpts, whose level-set
-// engine makes every panel column bit-identical to a sequential single-RHS
-// solve of it, so riding a batch never changes a client's answer — it only
-// amortizes the solve's synchronization latency and gives the packed kernels
-// BLAS-3 shape.
+// blocked multi-RHS panel solves with work-conserving ("group commit")
+// dispatch: a request arriving while no partial batch is in flight starts at
+// once as a batch of one; requests arriving while a batch runs gather in
+// pending and, the moment that batch returns, run together as the next
+// panel. A pending batch that reaches maxBatch right-hand sides dispatches
+// immediately, concurrently with the running one. No request waits on an
+// idle handle: the batch size follows the load, growing exactly while the
+// previous panel is busy. The panel runs once through SolveOpts, whose
+// level-set engine makes every panel column bit-identical to a sequential
+// single-RHS solve of it, so riding a batch never changes a client's answer —
+// it only amortizes the solve's synchronization latency and gives the packed
+// kernels BLAS-3 shape.
 type batcher struct {
-	window   time.Duration
 	maxBatch int
 
-	// run executes one flushed batch: solve the n×len(reqs) panel assembled
-	// from the requests and deliver each column (or the error) to its waiter.
+	// run executes one batch: solve the n×len(reqs) panel assembled from the
+	// requests and deliver each column (or the error) to its waiter.
 	run func(reqs []*solveReq)
 
 	mu      sync.Mutex
 	pending []*solveReq
-	timer   *time.Timer
+	// inFlight is set while a partial batch runs; at most one does per
+	// handle. Full batches run outside it.
+	inFlight bool
 }
 
 // solveReq is one client right-hand side waiting to ride a batch.
@@ -52,8 +56,8 @@ type solveRes struct {
 	refineIters   int
 }
 
-func newBatcher(window time.Duration, maxBatch int, run func([]*solveReq)) *batcher {
-	return &batcher{window: window, maxBatch: maxBatch, run: run}
+func newBatcher(maxBatch int, run func([]*solveReq)) *batcher {
+	return &batcher{maxBatch: maxBatch, run: run}
 }
 
 // submit queues req and returns its result channel. The channel receives
@@ -64,39 +68,34 @@ func (t *batcher) submit(req *solveReq) <-chan solveRes {
 	t.pending = append(t.pending, req)
 	switch {
 	case len(t.pending) >= t.maxBatch:
-		// Full: flush now, cancelling the armed window.
-		if t.timer != nil {
-			t.timer.Stop()
-			t.timer = nil
-		}
+		// Full: dispatch now, alongside the partial batch in flight.
 		batch := t.pending
 		t.pending = nil
 		t.mu.Unlock()
 		go t.run(batch)
-		return req.res
-	case len(t.pending) == 1 && t.window > 0:
-		// First in: arm the window.
-		t.timer = time.AfterFunc(t.window, t.flush)
-	case t.window <= 0:
-		// Coalescing disabled: every request is its own batch.
+	case !t.inFlight:
+		// Idle handle: start at once as the in-flight partial batch.
 		batch := t.pending
 		t.pending = nil
+		t.inFlight = true
 		t.mu.Unlock()
-		go t.run(batch)
-		return req.res
+		go t.drain(batch)
+	default:
+		// A partial batch is running: ride the next one.
+		t.mu.Unlock()
 	}
-	t.mu.Unlock()
 	return req.res
 }
 
-// flush runs the pending batch when the window expires.
-func (t *batcher) flush() {
-	t.mu.Lock()
-	batch := t.pending
-	t.pending = nil
-	t.timer = nil
-	t.mu.Unlock()
-	if len(batch) > 0 {
+// drain runs the in-flight partial batch, then whatever gathered in pending
+// meanwhile as the next panel, until a batch returns to an empty pending.
+func (t *batcher) drain(batch []*solveReq) {
+	for len(batch) > 0 {
 		t.run(batch)
+		t.mu.Lock()
+		batch = t.pending
+		t.pending = nil
+		t.inFlight = len(batch) > 0
+		t.mu.Unlock()
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/pastix-go/pastix"
 	"github.com/pastix-go/pastix/internal/gen"
@@ -182,11 +181,10 @@ func TestServerBLRValidation(t *testing.T) {
 // library-level compressed solve bit for bit.
 func TestServerBLRBatchedSolves(t *testing.T) {
 	s, err := New(Config{
-		Solver:      pastix.Options{Processors: 3},
-		BatchWindow: 200 * time.Millisecond,
-		MaxBatch:    4,
-		Workers:     4,
-		QueueDepth:  16,
+		Solver:     pastix.Options{Processors: 3},
+		MaxBatch:   4,
+		Workers:    4,
+		QueueDepth: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,10 @@
 //     exactly one ordering/symbolic/scheduling pass and later requests reuse
 //     it (the amortization PaStiX's analysis/factorization split exists for);
 //   - a factor handle store, so clients factorize once and solve many times;
-//   - a multi-RHS batcher that coalesces concurrent solve requests against
-//     one factor into a single blocked panel solve (BLAS-3 shape) and
-//     demultiplexes the bit-identical per-column results;
+//   - a work-conserving multi-RHS batcher: a solve against an idle factor
+//     runs at once, and solves arriving while it runs coalesce into the next
+//     blocked panel solve (BLAS-3 shape), whose bit-identical per-column
+//     results are demultiplexed;
 //   - admission control: a bounded queue ahead of a worker pool, 429-style
 //     shedding on overflow, and per-request deadlines flowing into the
 //     context-aware pastix API.
@@ -43,19 +44,16 @@ type Config struct {
 	// MaxFactors bounds the live factor handles (default 64); factorize
 	// requests beyond it are rejected until handles are released.
 	MaxFactors int
-	// BatchWindow is how long the first solve request against a factor waits
-	// for companions before the batch is flushed (default 2ms; set MaxBatch
-	// to 1 to disable coalescing entirely).
-	BatchWindow time.Duration
-	// MaxBatch flushes a batch early once this many right-hand sides have
-	// coalesced (default 32).
+	// MaxBatch caps a batch: once this many right-hand sides have queued
+	// behind a running batch they dispatch at once, concurrently with it
+	// (default 32; 1 disables coalescing).
 	MaxBatch int
 	// QueueDepth bounds the admitted-but-unfinished requests; beyond it
 	// requests are shed with 429 (default 64).
 	QueueDepth int
 	// Workers bounds the concurrently executing phases — analyses,
 	// factorizations and batched panel solves (default GOMAXPROCS, capped at
-	// 8). Solve requests parked on the batching window hold only queue slots,
+	// 8). Solve requests queued behind a running batch hold only queue slots,
 	// so coalescing works even with a single worker.
 	Workers int
 	// DefaultDeadline applies to requests that carry no deadline_ms of their
@@ -96,8 +94,8 @@ type Config struct {
 }
 
 // Validate checks the configuration, rejecting service-nonsensical
-// combinations: negative sizes, windows or deadlines, and invalid embedded
-// solver options. Errors match ErrBadConfig (and pastix.ErrBadOptions when
+// combinations: negative sizes or durations, and invalid embedded solver
+// options. Errors match ErrBadConfig (and pastix.ErrBadOptions when
 // the solver options are at fault).
 func (c Config) Validate() error {
 	if err := c.Solver.Validate(); err != nil {
@@ -108,9 +106,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxFactors < 0 {
 		return fmt.Errorf("%w: MaxFactors %d is negative", ErrBadConfig, c.MaxFactors)
-	}
-	if c.BatchWindow < 0 {
-		return fmt.Errorf("%w: BatchWindow %v is negative", ErrBadConfig, c.BatchWindow)
 	}
 	if c.MaxBatch < 0 {
 		return fmt.Errorf("%w: MaxBatch %d is negative", ErrBadConfig, c.MaxBatch)
@@ -146,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFactors == 0 {
 		c.MaxFactors = 64
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 32

@@ -15,7 +15,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"negative cache", Config{CacheSize: -1}},
 		{"negative factors", Config{MaxFactors: -2}},
-		{"negative window", Config{BatchWindow: -time.Millisecond}},
 		{"negative batch", Config{MaxBatch: -1}},
 		{"negative queue", Config{QueueDepth: -3}},
 		{"negative workers", Config{Workers: -1}},
@@ -53,8 +52,7 @@ func TestConfigZeroValueValid(t *testing.T) {
 	}
 	d := Config{}.withDefaults()
 	if d.CacheSize <= 0 || d.MaxFactors <= 0 || d.MaxBatch <= 0 ||
-		d.QueueDepth <= 0 || d.Workers <= 0 ||
-		d.BatchWindow <= 0 || d.DefaultDeadline <= 0 {
+		d.QueueDepth <= 0 || d.Workers <= 0 || d.DefaultDeadline <= 0 {
 		t.Fatalf("withDefaults left a zero field: %+v", d)
 	}
 }

@@ -138,7 +138,7 @@ func (s *Server) restoreFactorRecord(fr *store.FactorRecord) error {
 		return err
 	}
 	e := &factorEntry{fingerprint: fr.Fingerprint, n: a.N, an: an, f: f, src: a, idemKey: fr.IdemKey, durable: true}
-	e.batch = newBatcher(s.cfg.BatchWindow, s.cfg.MaxBatch, func(reqs []*solveReq) { s.runBatch(e, reqs) })
+	e.batch = newBatcher(s.cfg.MaxBatch, func(reqs []*solveReq) { s.runBatch(e, reqs) })
 	if err := s.store.PutRestored(e, fr.Handle); err != nil {
 		return err
 	}
@@ -342,7 +342,7 @@ func (s *Server) handleReplicateImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := &factorEntry{fingerprint: rec.Fingerprint, n: a.N, an: an, f: f, src: a, idemKey: idemKey}
-	e.batch = newBatcher(s.cfg.BatchWindow, s.cfg.MaxBatch, func(reqs []*solveReq) { s.runBatch(e, reqs) })
+	e.batch = newBatcher(s.cfg.MaxBatch, func(reqs []*solveReq) { s.runBatch(e, reqs) })
 	handle, err := s.store.Put(e)
 	if err != nil {
 		s.writeErr(w, err)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -163,11 +164,11 @@ func TestServerRobustFallback(t *testing.T) {
 
 // Graceful shutdown: BeginDrain flips /readyz to 503 (while /healthz stays a
 // 200 liveness signal) and sheds new requests with 503, while a solve already
-// parked in the batch window completes and Drain returns once it has.
+// parked behind the busy worker pool completes and Drain returns once it has.
 func TestServerDrain(t *testing.T) {
 	s, err := New(Config{
-		Solver:      pastix.Options{Processors: 2},
-		BatchWindow: 200 * time.Millisecond,
+		Solver:  pastix.Options{Processors: 2},
+		Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,19 +184,26 @@ func TestServerDrain(t *testing.T) {
 		t.Fatalf("factorize status %d", st)
 	}
 
-	// Park a solve in the coalescing window, then start draining under it.
+	e, err := s.store.Get(fr.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Park a solve: the test holds the only worker slot, so the solve's batch
+	// waits for it in flight. Then start draining under it.
 	_, b := gen.RHSForSolution(a)
 	var (
 		wg     sync.WaitGroup
 		status int
 		sr     solveResponse
 	)
+	s.active <- struct{}{}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		status = postJSON(t, ts.URL+"/v1/solve", solveRequest{Handle: fr.Handle, B: b}, &sr)
 	}()
-	time.Sleep(50 * time.Millisecond)
+	waitParked(t, e.batch, 0)
 	s.BeginDrain()
 
 	resp, err := http.Get(ts.URL + "/readyz")
@@ -224,6 +232,14 @@ func TestServerDrain(t *testing.T) {
 		t.Fatalf("new request during drain: status %d, want 503", st)
 	}
 
+	// Drain waits for the parked solve, which cannot run while the worker
+	// slot is held.
+	short, cancelShort := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancelShort()
+	if err := s.Drain(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain with a parked solve returned %v, want a deadline error", err)
+	}
+	<-s.active
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {

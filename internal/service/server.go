@@ -189,8 +189,8 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 
 // admitQueue reserves only a bounded-queue slot, no worker slot. Solve
 // requests use it: their compute runs inside the shared batch (which takes
-// its own worker slot in runBatch), so a waiter parked on the batching
-// window must not pin a worker — that would serialize the very requests the
+// its own worker slot in runBatch), so a waiter queued behind a running
+// batch must not pin a worker — that would serialize the very requests the
 // batcher exists to coalesce whenever Workers < batch size.
 func (s *Server) admitQueue() (release func(), err error) {
 	if s.draining.Load() {
@@ -501,7 +501,7 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := &factorEntry{fingerprint: fp, n: a.N, an: an, f: f, src: a, idemKey: req.IdempotencyKey}
-	e.batch = newBatcher(s.cfg.BatchWindow, s.cfg.MaxBatch, func(reqs []*solveReq) { s.runBatch(e, reqs) })
+	e.batch = newBatcher(s.cfg.MaxBatch, func(reqs []*solveReq) { s.runBatch(e, reqs) })
 	handle, err := s.store.Put(e)
 	if err != nil {
 		s.writeErr(w, err)
@@ -682,9 +682,13 @@ func (s *Server) runBatch(e *factorEntry, reqs []*solveReq) {
 	s.metrics.BatchedRHS.Add(int64(k))
 	s.metrics.BatchSize.Observe(float64(k))
 	n := e.n
-	panel := make([]float64, n*k)
-	for i, r := range reqs {
-		copy(panel[i*n:(i+1)*n], r.b)
+	// A batch of one solves its rider's own vector: SolveOpts only reads b.
+	panel := reqs[0].b
+	if k > 1 {
+		panel = make([]float64, n*k)
+		for i, r := range reqs {
+			copy(panel[i*n:(i+1)*n], r.b)
+		}
 	}
 	// The batch outlives any single waiter's cancellation (a cancelled waiter
 	// just discards its column); its deadline is the latest deadline across
@@ -727,8 +731,9 @@ func (s *Server) runBatch(e *factorEntry, reqs []*solveReq) {
 			r.res <- solveRes{err: err}
 			continue
 		}
-		x := make([]float64, n)
-		copy(x, xs[i*n:(i+1)*n])
+		// Each rider owns its column of the fresh result panel (all of it at
+		// k == 1); the capacity cap keeps neighbouring columns apart.
+		x := xs[i*n : (i+1)*n : (i+1)*n]
 		res := solveRes{x: x, batched: k, plan: plan}
 		if degraded {
 			// The factor was perturbed by static pivoting: repair each column

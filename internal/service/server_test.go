@@ -7,10 +7,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/pastix-go/pastix"
 	"github.com/pastix-go/pastix/internal/gen"
@@ -45,17 +46,16 @@ func postJSON(t *testing.T, url string, body, into any) (status int) {
 }
 
 // End-to-end over real HTTP: analyze twice (second is a cache hit),
-// factorize against the cached analysis, fire k concurrent solves that ride
-// the batcher, and check every returned column is bit-identical to an
-// independent SolveParallel call against the same factor — the PR's
-// acceptance criterion.
+// factorize against the cached analysis, park k concurrent solves behind a
+// busy worker pool so they coalesce, and check every returned column is
+// bit-identical to an independent SolveParallel call against the same
+// factor.
 func TestServerEndToEnd(t *testing.T) {
 	s, err := New(Config{
-		Solver:      pastix.Options{Processors: 3},
-		BatchWindow: 300 * time.Millisecond,
-		MaxBatch:    8,
-		Workers:     8,
-		QueueDepth:  32,
+		Solver:     pastix.Options{Processors: 3},
+		MaxBatch:   8,
+		Workers:    1,
+		QueueDepth: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +102,9 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal("empty factor handle")
 	}
 
-	// k concurrent solves against one handle; the 300ms window should coalesce
-	// them into one panel.
+	// k concurrent solves against one handle. The test holds the only worker
+	// slot, so the first solve's batch waits for it in flight while the other
+	// k-1 queue behind it; freeing the slot runs them as one panel.
 	const k = 4
 	n := a.N
 	bs := make([][]float64, k)
@@ -113,9 +114,14 @@ func TestServerEndToEnd(t *testing.T) {
 			bs[i][j] = math.Cos(float64(1+j*(i+2))) + float64(i)
 		}
 	}
+	e, err := s.store.Get(fr.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
 	xs := make([][]float64, k)
 	batched := make([]int, k)
 	var wg sync.WaitGroup
+	s.active <- struct{}{}
 	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -129,24 +135,17 @@ func TestServerEndToEnd(t *testing.T) {
 			batched[i] = sr.Batched
 		}(i)
 	}
+	waitParked(t, e.batch, k-1)
+	<-s.active
 	wg.Wait()
 
-	maxBatched := 0
-	for _, b := range batched {
-		if b > maxBatched {
-			maxBatched = b
-		}
-	}
-	if maxBatched < 2 {
-		t.Fatalf("no coalescing observed: batch sizes %v", batched)
+	sort.Ints(batched)
+	if want := []int{1, k - 1, k - 1, k - 1}; !reflect.DeepEqual(batched, want) {
+		t.Fatalf("batch sizes %v, want %v: the parked solves did not coalesce", batched, want)
 	}
 
 	// Bit-identity: each batched column must equal an independent
 	// single-RHS SolveParallel against the very same analysis and factor.
-	e, err := s.store.Get(fr.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < k; i++ {
 		want, err := e.an.SolveParallel(e.f, bs[i])
 		if err != nil {

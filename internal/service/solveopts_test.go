@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"github.com/pastix-go/pastix"
 	"github.com/pastix-go/pastix/internal/gen"
@@ -15,11 +14,10 @@ import (
 func newSolveOptsServer(t *testing.T, opts pastix.Options) (*Server, *httptest.Server, string, *pastix.Matrix) {
 	t.Helper()
 	s, err := New(Config{
-		Solver:      opts,
-		BatchWindow: time.Millisecond,
-		MaxBatch:    8,
-		Workers:     4,
-		QueueDepth:  32,
+		Solver:     opts,
+		MaxBatch:   8,
+		Workers:    4,
+		QueueDepth: 32,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -354,6 +354,11 @@ func SolveLevelCtx(ctx context.Context, pl *SolvePlan, f *Factors, b []float64, 
 	if opts.Stats != nil {
 		opts.Stats.Executed = append([]int64(nil), r.executed...)
 	}
+	if nrhs == 1 {
+		// One column's cell-major layout is the identity (see packRHS): the
+		// engine's x is the answer.
+		return r.x, nil
+	}
 	out := make([]float64, n*nrhs)
 	unpackRHS(sym, r.x, out, nrhs)
 	return out, nil
@@ -380,10 +385,6 @@ func packRHS(sym *symbolic.Symbol, b, y []float64, nrhs int) {
 
 // unpackRHS is the inverse of packRHS.
 func unpackRHS(sym *symbolic.Symbol, y, out []float64, nrhs int) {
-	if nrhs == 1 {
-		copy(out, y)
-		return
-	}
 	n := sym.N
 	for k := range sym.CB {
 		cb := &sym.CB[k]

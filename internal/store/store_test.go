@@ -397,3 +397,37 @@ func TestUnmarshalRejectsTruncatedTransfer(t *testing.T) {
 		t.Fatalf("flipped transfer: want ErrCorruptLog, got %v", err)
 	}
 }
+
+// A failed directory fsync after the snapshot rename must not truncate the
+// WAL: the rename may not be durable yet, so the WAL can be the only durable
+// copy of its records.
+func TestSnapshotDirSyncFailureKeepsWAL(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, Options{SnapshotEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.dirSync = func(string) error { return errors.New("injected directory fsync failure") }
+	for i := 0; i < 3; i++ {
+		if err := s.AppendFactor(factorRecord(fmt.Sprintf("f-%06d-sync", i+1), "", densePayload())); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if st := s.Stats(); st.Snapshots != 0 || st.WALRecords != 3 {
+		t.Fatalf("compaction went ahead despite the failed directory sync: %+v", st)
+	}
+	s.Close()
+	// A crash now may lose the rename that was never made durable: the WAL
+	// alone must recover every acknowledged record.
+	if err := os.Remove(filepath.Join(dir, snapName)); err != nil {
+		t.Fatal(err)
+	}
+	s2, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if len(rec.Factors) != 3 {
+		t.Fatalf("recovered %d factors from the WAL, want 3", len(rec.Factors))
+	}
+}

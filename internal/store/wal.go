@@ -77,6 +77,10 @@ type Store struct {
 	crashed    bool
 	writes     int // injector counter
 
+	// dirSync makes a rename inside dir durable; tests substitute a
+	// failing one.
+	dirSync func(dir string) error
+
 	factors  map[string]walEntry // handle → encoded FactorRecord
 	analyses map[string]walEntry // fingerprint → encoded AnalysisRecord
 }
@@ -103,6 +107,7 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 	s := &Store{
 		dir:      dir,
 		opts:     opts,
+		dirSync:  fsyncDir,
 		factors:  make(map[string]walEntry),
 		analyses: make(map[string]walEntry),
 	}
@@ -424,7 +429,12 @@ func (s *Store) snapshotLocked() error {
 	if err := os.Rename(tmp, filepath.Join(s.dir, snapName)); err != nil {
 		return err
 	}
-	s.syncDir()
+	if err := s.syncDir(); err != nil {
+		// The rename may not be durable, so the WAL can still be the only
+		// durable copy of its records: keep it. The next append retries
+		// the compaction.
+		return fmt.Errorf("store: syncing %s after the snapshot rename: %w", s.dir, err)
+	}
 	// The snapshot is durable; the WAL prefix is now stale and can go.
 	if err := s.wal.Truncate(0); err != nil {
 		return err
@@ -442,14 +452,24 @@ func (s *Store) snapshotLocked() error {
 }
 
 // syncDir makes the rename itself durable.
-func (s *Store) syncDir() {
+func (s *Store) syncDir() error {
 	if s.opts.NoSync {
-		return
+		return nil
 	}
-	if d, err := os.Open(s.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+	return s.dirSync(s.dir)
+}
+
+// fsyncDir fsyncs the directory dir.
+func fsyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // Stats is a point-in-time observability sample.
