@@ -22,8 +22,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Tier-2: the whole suite under the race detector. The shared-memory
-# runtime (FactorizeShared/SolveShared) and the mpsim message runtime are
-# concurrency-heavy; the stress tests are written to be meaningful here.
+# runtimes (FactorizeShared/FactorizeDynamic), the level-set solve engine and
+# the mpsim message runtime are concurrency-heavy; the stress tests are
+# written to be meaningful here.
 # -short keeps the stress loops at a size the detector finishes quickly;
 # drop it for the full soak.
 race:
@@ -62,14 +63,16 @@ dynstress:
 		-run 'RuntimeConformance|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors' \
 		./internal/solver
 
-# Solve-path stress soak: the solve DAG projection and level-set engine
-# suites, the packed panel kernels, the cross-runtime solve conformance
-# table (every generator × every factorization runtime × static/dynamic
-# level dispatch × 1/32 RHS, bitwise), the public SolveOpts wrapper
-# equivalence, and the serving options path — all under the race detector.
+# Solve-path stress soak: the solve DAG projection and hybrid-step suites,
+# the level-set engine suites, the packed panel kernels, the cross-runtime
+# solve conformance table (every generator × every factorization runtime ×
+# static/dynamic/one-worker level dispatch × 1/32 RHS, bitwise), the public
+# SolveOpts wrapper equivalence, and the serving options and P=1 batch
+# paths — all under the race detector.
 solvestress:
+	$(GO) test -race -timeout 300s -run 'SolveDAG|HybridSteps' ./internal/sched
 	$(GO) test -race -timeout 300s \
-		-run 'SolveDAG|SolvePlan|LevelSolve|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions' \
+		-run 'SolvePlan|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1' \
 		./internal/solver ./internal/blas ./internal/service .
 
 # HA-serving stress soak: the sharded gateway suites under the race

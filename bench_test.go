@@ -17,6 +17,7 @@ package pastix
 // wall-clock costs of producing them.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -192,6 +193,7 @@ func BenchmarkSolveVariants(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	n := an.A.N
 	rhs := make([]float64, n)
 	for i := range rhs {
@@ -204,7 +206,7 @@ func BenchmarkSolveVariants(b *testing.B) {
 	})
 	b.Run("Parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := solver.SolvePar(an.Sched, f, rhs); err != nil {
+			if _, err := solver.SolveParManyOpts(ctx, an.Sched, f, rhs, 1, solver.SolveOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -214,9 +216,14 @@ func BenchmarkSolveVariants(b *testing.B) {
 	for i := range panel {
 		panel[i] = 1
 	}
+	// The engine SolveOpts runs for SolveOptions{NRHS: 8, Runtime:
+	// RuntimeSequential}: the level-set solve at one worker.
+	seqPlan := an.SolvePlanFor(1)
 	b.Run("Many8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = f.SolveMany(panel, nrhs)
+			if _, err := solver.SolveLevelCtx(ctx, seqPlan, f, panel, solver.LevelOptions{NRHS: nrhs}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // Fault injection through the public surface: Analyze with a FaultPlan, then
-// Factorize and SolveParallel must recover from drops, duplicates, delays and
+// Factorize and SolveOpts must recover from drops, duplicates, delays and
 // a scheduled worker crash, and still produce a correct solution.
 func TestPublicChaosRoundTrip(t *testing.T) {
 	a := gen.Laplacian2D(12, 12)
@@ -32,10 +32,11 @@ func TestPublicChaosRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, b := gen.RHSForSolution(a)
-	got, err := an.SolveParallel(f, b)
+	res, err := an.SolveOpts(context.Background(), f, b, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.X
 	for i := range x {
 		if math.Abs(got[i]-x[i]) > 1e-9 {
 			t.Fatalf("x[%d]=%g want %g", i, got[i], x[i])
@@ -48,11 +49,8 @@ func TestPublicChaosOptionErrors(t *testing.T) {
 	if _, err := Analyze(a, Options{Processors: 2, Faults: &FaultPlan{Drop: 1.5}}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("invalid plan not rejected as ErrBadOptions: %v", err)
 	}
-	if _, err := Analyze(a, Options{Processors: 2, SharedMemory: true, Faults: &FaultPlan{Drop: 0.1}}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("SharedMemory+Faults not rejected as ErrBadOptions: %v", err)
-	}
-	// An inactive plan is fine alongside SharedMemory.
-	if _, err := Analyze(a, Options{Processors: 2, SharedMemory: true, Faults: &FaultPlan{}}); err != nil {
+	// An inactive plan is fine alongside a shared-memory runtime.
+	if _, err := Analyze(a, Options{Processors: 2, Runtime: RuntimeShared, Faults: &FaultPlan{}}); err != nil {
 		t.Fatal(err)
 	}
 	// Chaos interplay with the work-stealing runtime: faults are a

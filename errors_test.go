@@ -1,6 +1,7 @@
 package pastix_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestErrShapeAndFactorMismatch(t *testing.T) {
 	if _, err := an2.Solve(f, make([]float64, 3)); !errors.Is(err, pastix.ErrFactorMismatch) {
 		t.Fatalf("foreign factor: got %v, want ErrFactorMismatch", err)
 	}
-	if _, err := an2.SolveParallel(f, make([]float64, 3)); !errors.Is(err, pastix.ErrFactorMismatch) {
+	if _, err := an2.SolveOpts(context.Background(), f, make([]float64, 3), pastix.SolveOptions{}); !errors.Is(err, pastix.ErrFactorMismatch) {
 		t.Fatalf("foreign factor (parallel): got %v, want ErrFactorMismatch", err)
 	}
 }

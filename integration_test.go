@@ -6,6 +6,7 @@ package pastix
 // "downstream user" path exercised wholesale.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -49,10 +50,12 @@ func TestIntegrationFullSuite(t *testing.T) {
 				}
 			}
 			// Parallel solve agrees.
-			xp, err := an.SolveParallel(f, b)
+			ctx := context.Background()
+			rp, err := an.SolveOpts(ctx, f, b, SolveOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			xp := rp.X
 			for i := range x {
 				if math.Abs(xp[i]-x[i]) > 1e-10*(1+math.Abs(x[i])) {
 					t.Fatalf("parallel solve differs at %d", i)
@@ -61,10 +64,11 @@ func TestIntegrationFullSuite(t *testing.T) {
 			// Refinement cannot hurt: the adaptive loop must hand back a
 			// monotonically non-increasing backward-error trajectory and a
 			// residual no worse than the plain solve's.
-			xr, rs, err := an.SolveRefinedStats(f, b)
+			rr, err := an.SolveOpts(ctx, f, b, SolveOptions{Runtime: RuntimeSequential, Refine: &RefineOptions{}})
 			if err != nil {
 				t.Fatal(err)
 			}
+			xr, rs := rr.X, rr.Refine
 			for i := 1; i < len(rs.Trajectory); i++ {
 				if rs.Trajectory[i] > rs.Trajectory[i-1] {
 					t.Fatalf("refinement trajectory not monotone: %v", rs.Trajectory)
@@ -76,22 +80,19 @@ func TestIntegrationFullSuite(t *testing.T) {
 			if !rs.Converged {
 				t.Fatalf("refinement did not converge on an SPD problem: %+v", rs)
 			}
-			// Block solve with 3 right-hand sides.
+			// Block solve with 3 right-hand sides: every column carries the
+			// single-RHS solve's bits.
 			n := a.N
 			panel := make([]float64, n*3)
 			copy(panel, b)
 			copy(panel[n:], b)
 			copy(panel[2*n:], b)
-			xs, err := an.SolveMany(f, panel, 3)
+			rs3, err := an.SolveOpts(ctx, f, panel, SolveOptions{NRHS: 3, Runtime: RuntimeSequential})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for r := 0; r < 3; r++ {
-				for i := 0; i < n; i++ {
-					if math.Abs(xs[i+r*n]-x[i]) > 1e-10*(1+math.Abs(x[i])) {
-						t.Fatalf("rhs %d differs at %d", r, i)
-					}
-				}
+				bitwiseSame(t, "panel column", rs3.X[r*n:(r+1)*n], x)
 			}
 		})
 	}

@@ -132,9 +132,11 @@ func TestChaosNodeKillSoak(t *testing.T) {
 		for j := range bs[i] {
 			bs[i][j] = float64(1+(i*31+j*7)%13) - 6.0
 		}
-		if refs[i], err = an.SolveParallel(fFree, bs[i]); err != nil {
+		res, err := an.SolveOpts(context.Background(), fFree, bs[i], pastix.SolveOptions{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		refs[i] = res.X
 	}
 
 	for _, seed := range seeds {
@@ -310,9 +312,11 @@ func TestChaosDurableNodeKillSoak(t *testing.T) {
 		for j := range bs[i] {
 			bs[i][j] = float64(1+(i*17+j*5)%11) - 5.0
 		}
-		if refs[i], err = an.SolveParallel(fFree, bs[i]); err != nil {
+		res, err := an.SolveOpts(context.Background(), fFree, bs[i], pastix.SolveOptions{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		refs[i] = res.X
 	}
 
 	for _, seed := range seeds {

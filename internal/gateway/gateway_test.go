@@ -232,11 +232,11 @@ func referenceSolve(t *testing.T, a *pastix.Matrix, b []float64) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := an.SolveParallel(f, b)
+	res, err := an.SolveOpts(context.Background(), f, b, pastix.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x
+	return res.X
 }
 
 func bitIdentical(t *testing.T, got, want []float64, what string) {

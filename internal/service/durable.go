@@ -311,11 +311,17 @@ func (s *Server) handleReplicateImport(w http.ResponseWriter, r *http.Request) {
 	if idemKey == "" {
 		idemKey = "replicate-" + rec.Fingerprint + "-" + rec.Handle
 	}
-	if resp, ok := s.idem.get(idemKey); ok {
-		resp.IdempotentReplay = true
-		s.writeJSON(w, http.StatusOK, resp)
+	prev, replay, err := s.idem.claim(r.Context(), idemKey)
+	if err != nil {
+		s.writeErr(w, err)
 		return
 	}
+	if replay {
+		prev.IdempotentReplay = true
+		s.writeJSON(w, http.StatusOK, prev)
+		return
+	}
+	defer s.idem.unclaim(idemKey)
 	ctx, cancel := s.reqContext(r, 0)
 	defer cancel()
 	release, err := s.admit(ctx)

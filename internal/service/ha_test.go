@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -181,4 +182,56 @@ func TestIdemStoreEviction(t *testing.T) {
 	if _, ok := st.get("k2"); ok {
 		t.Fatal("dropHandle left the entry behind")
 	}
+}
+
+// Concurrent duplicates are single-flight: while one request holds a key, a
+// second waits and then replays the first's response; if the first fails,
+// the waiter takes the claim and runs; a waiter whose context ends gives up.
+func TestIdemStoreClaimSingleFlight(t *testing.T) {
+	st := newIdemStore(8, time.Hour)
+	ctx := context.Background()
+	if _, replay, err := st.claim(ctx, "k"); err != nil || replay {
+		t.Fatalf("first claim: replay %v err %v", replay, err)
+	}
+	type claimed struct {
+		resp   factorizeResponse
+		replay bool
+		err    error
+	}
+	waiter := make(chan claimed, 1)
+	go func() {
+		resp, replay, err := st.claim(ctx, "k")
+		waiter <- claimed{resp, replay, err}
+	}()
+	select {
+	case c := <-waiter:
+		t.Fatalf("duplicate claim returned while the key was held: %+v", c)
+	case <-time.After(20 * time.Millisecond):
+	}
+	st.put("k", "h1", factorizeResponse{Handle: "h1"})
+	st.unclaim("k")
+	if c := <-waiter; c.err != nil || !c.replay || c.resp.Handle != "h1" {
+		t.Fatalf("waiter after commit: %+v, want a replay of h1", c)
+	}
+
+	// A holder that fails hands the claim to the next duplicate.
+	if _, replay, err := st.claim(ctx, "j"); err != nil || replay {
+		t.Fatalf("claim j: replay %v err %v", replay, err)
+	}
+	go func() {
+		resp, replay, err := st.claim(ctx, "j")
+		waiter <- claimed{resp, replay, err}
+	}()
+	st.unclaim("j")
+	if c := <-waiter; c.err != nil || c.replay {
+		t.Fatalf("waiter after a failed holder: %+v, want a fresh claim", c)
+	}
+
+	// The key is still held: a waiter whose context ends returns its error.
+	cctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
+	defer cancel()
+	if _, _, err := st.claim(cctx, "j"); err != context.DeadlineExceeded {
+		t.Fatalf("claim under an expiring context: %v, want DeadlineExceeded", err)
+	}
+	st.unclaim("j")
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -19,18 +20,19 @@ import (
 // checked on get and swept from the FIFO head on put, which keeps both
 // operations O(1) amortized with no background goroutine.
 //
-// Replay is best-effort across concurrent duplicates: two simultaneous
-// first requests with one key may both factorize (no single-flight); the
-// second put wins and later retries replay it. Sequential retries — the
-// gateway's pattern — always replay.
+// Concurrent duplicates are single-flight (claim/unclaim): while one request
+// with a key is running, others with the same key wait for it and then
+// replay its response. A gateway retrying a stalled node, or a repair racing
+// a client's retry, therefore never commits two factors for one key.
 type idemStore struct {
 	mu       sync.Mutex
 	max      int
 	ttl      time.Duration
 	now      func() time.Time // injectable for tests
 	m        map[string]idemEntry
-	byHandle map[string]string // handle → key, for release-time invalidation
-	order    []string          // insertion order, oldest first
+	byHandle map[string]string        // handle → key, for release-time invalidation
+	order    []string                 // insertion order, oldest first
+	inflight map[string]chan struct{} // claimed keys; closed on unclaim
 }
 
 type idemEntry struct {
@@ -45,6 +47,7 @@ func newIdemStore(max int, ttl time.Duration) *idemStore {
 		now:      time.Now,
 		m:        make(map[string]idemEntry),
 		byHandle: make(map[string]string),
+		inflight: make(map[string]chan struct{}),
 	}
 }
 
@@ -52,6 +55,47 @@ func newIdemStore(max int, ttl time.Duration) *idemStore {
 func (s *idemStore) get(key string) (factorizeResponse, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.getLocked(key)
+}
+
+// claim returns the remembered response for key (replay true) when there is
+// one. Otherwise it makes the caller the key's only in-flight request,
+// first waiting for any request that holds the key, and the caller must
+// unclaim the key after it has stored its response or failed. It returns
+// ctx.Err() if ctx ends while waiting.
+func (s *idemStore) claim(ctx context.Context, key string) (resp factorizeResponse, replay bool, err error) {
+	for {
+		s.mu.Lock()
+		if prev, ok := s.getLocked(key); ok {
+			s.mu.Unlock()
+			return prev, true, nil
+		}
+		busy, held := s.inflight[key]
+		if !held {
+			s.inflight[key] = make(chan struct{})
+			s.mu.Unlock()
+			return factorizeResponse{}, false, nil
+		}
+		s.mu.Unlock()
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return factorizeResponse{}, false, ctx.Err()
+		}
+	}
+}
+
+// unclaim ends the caller's claim on key and wakes the requests waiting on it.
+func (s *idemStore) unclaim(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if busy, held := s.inflight[key]; held {
+		close(busy)
+		delete(s.inflight, key)
+	}
+}
+
+func (s *idemStore) getLocked(key string) (factorizeResponse, bool) {
 	e, ok := s.m[key]
 	if !ok {
 		return factorizeResponse{}, false

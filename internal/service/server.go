@@ -428,11 +428,17 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, err)
 			return
 		}
-		if resp, ok := s.idem.get(req.IdempotencyKey); ok {
-			resp.IdempotentReplay = true
-			s.writeJSON(w, http.StatusOK, resp)
+		prev, replay, err := s.idem.claim(r.Context(), req.IdempotencyKey)
+		if err != nil {
+			s.writeErr(w, err)
 			return
 		}
+		if replay {
+			prev.IdempotentReplay = true
+			s.writeJSON(w, http.StatusOK, prev)
+			return
+		}
+		defer s.idem.unclaim(req.IdempotencyKey)
 	}
 	ctx, cancel := s.reqContext(r, req.DeadlineMS)
 	defer cancel()

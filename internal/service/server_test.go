@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -48,8 +49,8 @@ func postJSON(t *testing.T, url string, body, into any) (status int) {
 // End-to-end over real HTTP: analyze twice (second is a cache hit),
 // factorize against the cached analysis, park k concurrent solves behind a
 // busy worker pool so they coalesce, and check every returned column is
-// bit-identical to an independent SolveParallel call against the same
-// factor.
+// bit-identical to an independent single-RHS SolveOpts call against the
+// same factor.
 func TestServerEndToEnd(t *testing.T) {
 	s, err := New(Config{
 		Solver:     pastix.Options{Processors: 3},
@@ -102,9 +103,8 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal("empty factor handle")
 	}
 
-	// k concurrent solves against one handle. The test holds the only worker
-	// slot, so the first solve's batch waits for it in flight while the other
-	// k-1 queue behind it; freeing the slot runs them as one panel.
+	// k concurrent solves against one handle, coalesced behind a held worker
+	// slot.
 	const k = 4
 	n := a.N
 	bs := make([][]float64, k)
@@ -118,45 +118,22 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := make([][]float64, k)
-	batched := make([]int, k)
-	var wg sync.WaitGroup
-	s.active <- struct{}{}
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var sr solveResponse
-			if st := postJSON(t, ts.URL+"/v1/solve", solveRequest{Handle: fr.Handle, B: bs[i]}, &sr); st != http.StatusOK {
-				t.Errorf("solve %d status %d", i, st)
-				return
-			}
-			xs[i] = sr.X
-			batched[i] = sr.Batched
-		}(i)
-	}
-	waitParked(t, e.batch, k-1)
-	<-s.active
-	wg.Wait()
-
-	sort.Ints(batched)
-	if want := []int{1, k - 1, k - 1, k - 1}; !reflect.DeepEqual(batched, want) {
-		t.Fatalf("batch sizes %v, want %v: the parked solves did not coalesce", batched, want)
-	}
+	xs := solveParked(t, s, ts.URL, fr.Handle, bs)
 
 	// Bit-identity: each batched column must equal an independent
-	// single-RHS SolveParallel against the very same analysis and factor.
+	// single-RHS SolveOpts against the very same analysis and factor.
 	for i := 0; i < k; i++ {
-		want, err := e.an.SolveParallel(e.f, bs[i])
+		res, err := e.an.SolveOpts(context.Background(), e.f, bs[i], pastix.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := res.X
 		if len(xs[i]) != n {
 			t.Fatalf("solve %d returned %d values, want %d", i, len(xs[i]), n)
 		}
 		for j := range want {
 			if xs[i][j] != want[j] {
-				t.Fatalf("solve %d: x[%d] = %v, independent SolveParallel = %v (not bit-identical)",
+				t.Fatalf("solve %d: x[%d] = %v, independent SolveOpts = %v (not bit-identical)",
 					i, j, xs[i][j], want[j])
 			}
 		}
@@ -192,6 +169,103 @@ func TestServerEndToEnd(t *testing.T) {
 	if st := postJSON(t, ts.URL+"/v1/solve", solveRequest{Handle: fr.Handle, B: bs[0]}, nil); st != http.StatusNotFound {
 		t.Fatalf("solve after release: status %d, want 404", st)
 	}
+}
+
+// At Processors 1 a coalesced batch runs on the sequential engine. Each
+// rider must still get the bits a solo Analysis.Solve returns: three solves
+// parked behind a held worker slot coalesce into one panel, and every column
+// is compared bit for bit with the single-RHS reference.
+func TestServerBatchP1BitIdentical(t *testing.T) {
+	s, err := New(Config{
+		Solver:     pastix.Options{Processors: 1},
+		MaxBatch:   8,
+		Workers:    1,
+		QueueDepth: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	a := gen.Laplacian3D(6, 6, 6)
+	var fr factorizeResponse
+	if st := postJSON(t, ts.URL+"/v1/factorize", matrixRequest{MatrixMarket: mmString(t, a)}, &fr); st != http.StatusOK {
+		t.Fatalf("factorize status %d", st)
+	}
+	e, err := s.store.Get(fr.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const k = 4
+	n := a.N
+	bs := make([][]float64, k)
+	for i := range bs {
+		bs[i] = make([]float64, n)
+		for j := range bs[i] {
+			bs[i][j] = math.Sin(float64(1+j*(i+3))) + float64(i)
+		}
+	}
+	xs := solveParked(t, s, ts.URL, fr.Handle, bs)
+	for i := 0; i < k; i++ {
+		want, err := e.an.Solve(e.f, bs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(xs[i]) != n {
+			t.Fatalf("solve %d returned %d values, want %d", i, len(xs[i]), n)
+		}
+		for j := range want {
+			if xs[i][j] != want[j] {
+				t.Fatalf("solve %d: x[%d] = %x, solo Solve = %x (not bit-identical)", i, j, xs[i][j], want[j])
+			}
+		}
+	}
+}
+
+// solveParked posts one solve per right-hand side against handle while the
+// test holds the only worker slot: the first solve's batch waits for the
+// slot in flight while the rest queue behind it, so freeing the slot runs
+// them as one panel. It asserts that coalescing and returns each answer.
+func solveParked(t *testing.T, s *Server, url, handle string, bs [][]float64) [][]float64 {
+	t.Helper()
+	e, err := s.store.Get(handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(bs)
+	xs := make([][]float64, k)
+	batched := make([]int, k)
+	var wg sync.WaitGroup
+	s.active <- struct{}{}
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var sr solveResponse
+			if st := postJSON(t, url+"/v1/solve", solveRequest{Handle: handle, B: bs[i]}, &sr); st != http.StatusOK {
+				t.Errorf("solve %d status %d", i, st)
+				return
+			}
+			xs[i] = sr.X
+			batched[i] = sr.Batched
+		}(i)
+	}
+	waitParked(t, e.batch, k-1)
+	<-s.active
+	wg.Wait()
+
+	sort.Ints(batched)
+	want := []int{1}
+	for i := 1; i < k; i++ {
+		want = append(want, k-1)
+	}
+	if !reflect.DeepEqual(batched, want) {
+		t.Fatalf("batch sizes %v, want %v: the parked solves did not coalesce", batched, want)
+	}
+	return xs
 }
 
 func readAll(t *testing.T, resp *http.Response) string {

@@ -176,9 +176,9 @@ func (an *Analysis) Factorize() (*Factors, error) {
 	return an.FactorizeOpts(ParOptions{})
 }
 
-// FactorizeOpts is Factorize with an explicit runtime selection: the
-// message-passing fan-in/fan-both runtime (default, sequential for P == 1)
-// or the zero-copy shared-memory runtime (popts.SharedMemory).
+// FactorizeOpts is Factorize with an explicit runtime selection
+// (popts.Runtime): by default the message-passing fan-in/fan-both runtime,
+// sequential for P == 1.
 func (an *Analysis) FactorizeOpts(popts ParOptions) (*Factors, error) {
 	return an.FactorizeOptsCtx(context.Background(), popts)
 }
@@ -200,8 +200,6 @@ func (an *Analysis) FactorizeMatrixOptsCtx(ctx context.Context, pa *sparse.SymMa
 	rt := popts.Runtime
 	if rt == RuntimeAuto {
 		switch {
-		case popts.SharedMemory:
-			rt = RuntimeShared
 		// Fault injection forces the message-passing runtime even at P == 1
 		// so crash/stall schedules have a worker to act on; tracing forces it
 		// so every schedule task gets an event.

@@ -65,7 +65,7 @@ func TestChaosSoakFactorSolve(t *testing.T) {
 	for i := range b {
 		b[i] = 1 + float64(i%7)
 	}
-	refX, err := SolvePar(an.Sched, ref, b)
+	refX, err := SolveParManyOpts(context.Background(), an.Sched, ref, b, 1, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestChaosSoakFactorSolve(t *testing.T) {
 			t.Fatalf("seed %d: factorization under chaos failed: %v", seed, err)
 		}
 		bitwiseEqualFactors(t, ref, f, seed)
-		x, err := SolveParOpts(context.Background(), an.Sched, f, b, SolveOptions{Faults: chaosPlan(seed)})
+		x, err := SolveParManyOpts(context.Background(), an.Sched, f, b, 1, SolveOptions{Faults: chaosPlan(seed)})
 		if err != nil {
 			t.Fatalf("seed %d: solve under chaos failed: %v", seed, err)
 		}
@@ -182,13 +182,15 @@ func TestChaosFaultBudget(t *testing.T) {
 	}
 }
 
-// SharedMemory and fault injection are mutually exclusive.
+// The shared-memory runtimes and fault injection are mutually exclusive.
 func TestChaosRejectsSharedMemory(t *testing.T) {
 	a := laplacian2D(6, 6)
 	an := analyzeFor(t, a, 2)
 	plan := &faults.Plan{Drop: 0.1}
-	if _, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{SharedMemory: true, Faults: plan}); err == nil {
-		t.Fatal("SharedMemory+Faults accepted")
+	for _, rt := range []Runtime{RuntimeShared, RuntimeDynamic} {
+		if _, err := an.FactorizeOpts(ParOptions{Runtime: rt, Faults: plan}); err == nil {
+			t.Fatalf("%v+Faults accepted", rt)
+		}
 	}
 }
 
@@ -210,11 +212,11 @@ func TestFaultFreeBitwiseDeterministic(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%5) - 2
 	}
-	x1, err := SolvePar(an.Sched, f1, b)
+	x1, err := SolveParManyOpts(context.Background(), an.Sched, f1, b, 1, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := SolvePar(an.Sched, f2, b)
+	x2, err := SolveParManyOpts(context.Background(), an.Sched, f2, b, 1, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

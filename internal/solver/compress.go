@@ -194,57 +194,3 @@ func (f *Factors) solveCompressed(b []float64) []float64 {
 	}
 	return x
 }
-
-// solveManyCompressed is Factors.SolveMany on the compressed form.
-func (f *Factors) solveManyCompressed(b []float64, nrhs int) []float64 {
-	sym := f.Sym
-	n := sym.N
-	x := append([]float64(nil), b...)
-	// Forward: L·Y = B.
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		cell := &f.lrCells[k]
-		xk := x[cb.Cols[0]:]
-		blas.TrsmLeftLowerUnit(w, nrhs, cell.diag, w, xk, n)
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			rows := blk.Rows()
-			if lb := cell.lr[bi]; lb != nil {
-				blas.LRGemmNN(rows, w, lb.Rank, nrhs, lb.U, lb.V, xk, n, x[blk.FirstRow:], n)
-			} else {
-				blas.GemmNN(rows, nrhs, w, cell.dense[cell.off[bi]:], rows, xk, n, x[blk.FirstRow:], n)
-			}
-		}
-	}
-	// Diagonal (reciprocal-multiply, matching the dense SolveMany).
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		diag := f.lrCells[k].diag
-		w := cb.Width()
-		for j := 0; j < w; j++ {
-			inv := 1 / diag[j+j*w]
-			for r := 0; r < nrhs; r++ {
-				x[cb.Cols[0]+j+r*n] *= inv
-			}
-		}
-	}
-	// Backward: Lᵀ·X = Z.
-	for k := len(sym.CB) - 1; k >= 0; k-- {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		cell := &f.lrCells[k]
-		xk := x[cb.Cols[0]:]
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			rows := blk.Rows()
-			if lb := cell.lr[bi]; lb != nil {
-				blas.LRGemmTN(rows, w, lb.Rank, nrhs, lb.U, lb.V, x[blk.FirstRow:], n, xk, n)
-			} else {
-				blas.GemmTN(w, nrhs, rows, cell.dense[cell.off[bi]:], rows, x[blk.FirstRow:], n, xk, n)
-			}
-		}
-		blas.TrsmLeftLTransUnit(w, nrhs, cell.diag, w, xk, n)
-	}
-	return x
-}

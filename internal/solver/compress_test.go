@@ -147,17 +147,13 @@ func TestCompressedRefineRecovers(t *testing.T) {
 	}
 }
 
-// TestCompressedRejectsDenseOnlyRuntimes: the message-passing and shared
-// schedule-driven solves read the dense arrays and must refuse a compressed
-// factor with ErrCompressed.
+// TestCompressedRejectsDenseOnlyRuntimes: the message-passing solve reads
+// the dense arrays and must refuse a compressed factor with ErrCompressed.
 func TestCompressedRejectsDenseOnlyRuntimes(t *testing.T) {
 	an, f, pb, _ := compressFixture(t, 2)
 	f.Compress(lowrank.Options{Tol: 1e-8, MinBlockSize: 8})
 	if _, err := SolveParManyOpts(context.Background(), an.Sched, f, pb, 1, SolveOptions{}); !errors.Is(err, ErrCompressed) {
 		t.Errorf("SolveParManyOpts err = %v, want ErrCompressed", err)
-	}
-	if _, err := SolveShared(an.Sched, f, pb); !errors.Is(err, ErrCompressed) {
-		t.Errorf("SolveShared err = %v, want ErrCompressed", err)
 	}
 }
 

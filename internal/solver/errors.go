@@ -26,9 +26,9 @@ var (
 	// The concrete error is a *PivotExhaustedError.
 	ErrPivotExhausted = errors.New("solver: static pivoting exhausted retries without an accurate factorization")
 	// ErrCompressed reports that an operation which reads the dense factor
-	// arrays (the message-passing solve runtime, the schedule-driven shared
-	// solve) was handed a BLR-compressed factor. Compressed factors solve
-	// through Factors.Solve/SolveMany and the level-set engine.
+	// arrays (the message-passing solve runtime) was handed a BLR-compressed
+	// factor. Compressed factors solve through Factors.Solve and the level-set
+	// engine.
 	ErrCompressed = errors.New("solver: operation requires dense factors (factor is BLR-compressed)")
 )
 

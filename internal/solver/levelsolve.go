@@ -307,9 +307,8 @@ type LevelOptions struct {
 // SolveLevelCtx runs the level-set solve engine on the plan: forward sweep,
 // diagonal scaling and backward sweep over packed panels, with one barrier
 // per hybrid step. Each column of the result is bitwise-identical to the
-// sequential Factors.Solve of that column (note: Factors.SolveMany scales
-// the diagonal by reciprocal-multiply and so differs in the last bits; this
-// engine keeps the single-RHS division semantics for every column).
+// sequential Factors.Solve of that column: every column keeps the single-RHS
+// division semantics, however wide the panel.
 // Cancelling ctx aborts at the next step boundary on every worker and
 // returns ctx.Err().
 func SolveLevelCtx(ctx context.Context, pl *SolvePlan, f *Factors, b []float64, opts LevelOptions) ([]float64, error) {

@@ -56,8 +56,7 @@ func TestSolveLevelBitwiseSeq(t *testing.T) {
 
 // TestSolveLevelPanelColumns checks the multi-RHS path: every column of a
 // level-set panel solve must be bitwise-identical to the sequential
-// single-RHS solve of that column (stronger than Factors.SolveMany, whose
-// reciprocal-scaled diagonal differs in the last bits).
+// single-RHS solve of that column.
 func TestSolveLevelPanelColumns(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
 	n := len(pb)

@@ -26,9 +26,8 @@ const (
 // ParOptions tunes the parallel factorization runtime.
 type ParOptions struct {
 	// Runtime selects the execution engine (see the Runtime constants).
-	// RuntimeAuto (the zero value) keeps the historical dispatch: shared
-	// memory when SharedMemory is set, sequential at P == 1 without tracing
-	// or faults, message-passing otherwise.
+	// RuntimeAuto (the zero value) keeps the historical dispatch: sequential
+	// at P == 1 without tracing or faults, message-passing otherwise.
 	Runtime Runtime
 	// MaxAUBBytes bounds the memory a processor may hold in aggregation
 	// buffers. When the bound is exceeded, the largest AUB is sent with
@@ -37,11 +36,6 @@ type ParOptions struct {
 	// sent with partial aggregation to free memory space; this is close to
 	// the Fan-Both scheme"). Zero means unbounded (pure fan-in).
 	MaxAUBBytes int64
-	// SharedMemory selects the zero-copy shared-memory runtime
-	// (FactorizeShared): the same static schedule executed with direct
-	// in-place aggregation instead of message copies. No messages are sent,
-	// so MaxAUBBytes is ignored and CommStats comes back empty.
-	SharedMemory bool
 	// Trace attaches an execution recorder: per-task execution intervals,
 	// message sends/receives and AUB spills are recorded into it. Nil (the
 	// default) disables tracing; every record site is behind a nil check so
@@ -49,9 +43,9 @@ type ParOptions struct {
 	Trace *trace.Recorder
 	// Faults injects deterministic message and worker faults (internal/faults)
 	// and arms the mpsim reliability layer that recovers from them. Nil or an
-	// inactive plan leaves the fault-free fast path untouched. Incompatible
-	// with SharedMemory (there are no messages to corrupt and no isolated
-	// workers to crash there).
+	// inactive plan leaves the fault-free fast path untouched. Only the
+	// message-passing runtime accepts it (the shared-memory runtimes have no
+	// messages to corrupt and no isolated workers to crash).
 	Faults *faults.Plan
 	// Pivot enables static pivoting: pivots below τ = Epsilon·‖A‖_max are
 	// substituted instead of aborting, and the factor carries a
@@ -179,13 +173,6 @@ func FactorizeParStats(a *sparse.SymMatrix, sch *sched.Schedule, popts ParOption
 func FactorizeParStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Schedule, popts ParOptions) (*Factors, CommStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, CommStats{}, err
-	}
-	if popts.SharedMemory {
-		if popts.Faults.Active() {
-			return nil, CommStats{}, fmt.Errorf("solver: fault injection requires the message-passing runtime, not SharedMemory")
-		}
-		f, err := FactorizeSharedCtx(ctx, a, sch, popts.Trace, popts.Pivot)
-		return f, CommStats{}, err
 	}
 	sym := sch.Sym()
 	P := sch.P

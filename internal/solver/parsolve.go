@@ -129,23 +129,6 @@ func newSolvePlan(sch *sched.Schedule) *solvePlan {
 	return pl
 }
 
-// SolvePar solves A·x = b (permuted ordering) on sch.P goroutine processors
-// using the factorization's data distribution. f must be the (gathered)
-// factor of the matrix the schedule was built for. The result matches the
-// sequential Solve to rounding.
-func SolvePar(sch *sched.Schedule, f *Factors, b []float64) ([]float64, error) {
-	return SolveParCtx(context.Background(), sch, f, b, nil)
-}
-
-// SolveParCtx is SolvePar under a context and an optional trace recorder.
-// Cancelling ctx closes the communicator so blocked receivers unwind;
-// ctx.Err() is returned once every worker has finished. With a recorder
-// attached, each processor records its forward and backward sweeps as phase
-// events alongside the message sends/receives.
-func SolveParCtx(ctx context.Context, sch *sched.Schedule, f *Factors, b []float64, rec *trace.Recorder) ([]float64, error) {
-	return SolveParOpts(ctx, sch, f, b, SolveOptions{Trace: rec})
-}
-
 // SolveOptions tunes the parallel triangular solve runtime.
 type SolveOptions struct {
 	// Trace attaches an execution recorder (see ParOptions.Trace).
@@ -155,20 +138,14 @@ type SolveOptions struct {
 	Faults *faults.Plan
 }
 
-// SolveParOpts is SolveParCtx with runtime options, including fault
-// injection.
-func SolveParOpts(ctx context.Context, sch *sched.Schedule, f *Factors, b []float64, sopts SolveOptions) ([]float64, error) {
-	return SolveParManyOpts(ctx, sch, f, b, 1, sopts)
-}
-
 // SolveParManyOpts solves A·X = B for nrhs right-hand sides at once on the
 // parallel message-passing runtime: b is an n×nrhs column-major panel in the
 // permuted ordering, and both sweeps run over whole panels — one message per
 // solution segment carrying nrhs columns instead of nrhs separate sweeps.
 // The per-column arithmetic (kernel loop order and the canonical source-sorted
 // application of remote contributions) is exactly that of the single-RHS
-// solve, so column r of the result is bit-identical to SolveParOpts on
-// column r of b.
+// solve, so column r of the result is bit-identical to a one-column
+// SolveParManyOpts call on column r of b.
 func SolveParManyOpts(ctx context.Context, sch *sched.Schedule, f *Factors, b []float64, nrhs int, sopts SolveOptions) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

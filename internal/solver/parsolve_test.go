@@ -23,7 +23,7 @@ func TestSolveParMatchesSequential(t *testing.T) {
 			pb[newI] = b[old]
 		}
 		want := f.Solve(pb)
-		got, err := SolvePar(an.Sched, f, pb)
+		got, err := SolveParManyOpts(context.Background(), an.Sched, f, pb, 1, SolveOptions{})
 		if err != nil {
 			t.Fatalf("P=%d: %v", P, err)
 		}
@@ -51,7 +51,7 @@ func TestSolveParOnGeneratedProblems(t *testing.T) {
 		for newI, old := range an.Perm {
 			pb[newI] = b[old]
 		}
-		px, err := SolvePar(an.Sched, f, pb)
+		px, err := SolveParManyOpts(context.Background(), an.Sched, f, pb, 1, SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -76,7 +76,7 @@ func TestSolveParSingleProc(t *testing.T) {
 		pb[newI] = b[old]
 	}
 	want := f.Solve(pb)
-	got, err := SolvePar(an.Sched, f, pb)
+	got, err := SolveParManyOpts(context.Background(), an.Sched, f, pb, 1, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSolveParBadRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolvePar(an.Sched, f, make([]float64, 5)); err == nil {
+	if _, err := SolveParManyOpts(context.Background(), an.Sched, f, make([]float64, 5), 1, SolveOptions{}); err == nil {
 		t.Fatal("expected rhs-length error")
 	}
 }
@@ -123,7 +123,7 @@ func TestSolveParManyBitIdenticalToSingle(t *testing.T) {
 			t.Fatalf("P=%d: panel solve: %v", P, err)
 		}
 		for r := 0; r < nrhs; r++ {
-			want, err := SolvePar(an.Sched, f, panel[r*n:(r+1)*n])
+			want, err := SolveParManyOpts(context.Background(), an.Sched, f, panel[r*n:(r+1)*n], 1, SolveOptions{})
 			if err != nil {
 				t.Fatalf("P=%d rhs %d: %v", P, r, err)
 			}

@@ -14,9 +14,8 @@ import "fmt"
 type Runtime int8
 
 const (
-	// RuntimeAuto preserves the historical dispatch: shared-memory when
-	// ParOptions.SharedMemory is set, plain sequential at P == 1 without
-	// tracing or faults, message-passing otherwise.
+	// RuntimeAuto preserves the historical dispatch: plain sequential at
+	// P == 1 without tracing or faults, message-passing otherwise.
 	RuntimeAuto Runtime = iota
 	// RuntimeSequential is the right-looking reference (FactorizeSeq).
 	RuntimeSequential

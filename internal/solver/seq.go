@@ -171,53 +171,3 @@ func (f *Factors) Refine(a *sparse.SymMatrix, b, x []float64) []float64 {
 	}
 	return out
 }
-
-// SolveMany solves A·X = B for nrhs right-hand sides at once. b is an
-// n×nrhs column-major panel (leading dimension n); the solution panel is
-// returned in the same layout. Block kernels give the solve BLAS3 shape.
-func (f *Factors) SolveMany(b []float64, nrhs int) []float64 {
-	if f.lrCells != nil {
-		return f.solveManyCompressed(b, nrhs)
-	}
-	sym := f.Sym
-	n := sym.N
-	x := append([]float64(nil), b...)
-	// Forward: L·Y = B.
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		ld := f.LD[k]
-		xk := x[cb.Cols[0]:]
-		blas.TrsmLeftLowerUnit(w, nrhs, f.Data[k], ld, xk, n)
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			blas.GemmNN(blk.Rows(), nrhs, w,
-				f.Data[k][f.BlockOff[k][bi]:], ld, xk, n, x[blk.FirstRow:], n)
-		}
-	}
-	// Diagonal.
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		ld := f.LD[k]
-		for j := 0; j < cb.Width(); j++ {
-			inv := 1 / f.Data[k][j+j*ld]
-			for r := 0; r < nrhs; r++ {
-				x[cb.Cols[0]+j+r*n] *= inv
-			}
-		}
-	}
-	// Backward: Lᵀ·X = Z.
-	for k := len(sym.CB) - 1; k >= 0; k-- {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		ld := f.LD[k]
-		xk := x[cb.Cols[0]:]
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			blas.GemmTN(w, nrhs, blk.Rows(),
-				f.Data[k][f.BlockOff[k][bi]:], ld, x[blk.FirstRow:], n, xk, n)
-		}
-		blas.TrsmLeftLTransUnit(w, nrhs, f.Data[k], ld, xk, n)
-	}
-	return x
-}

@@ -1,13 +1,13 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/pastix-go/pastix/internal/gen"
-	"github.com/pastix-go/pastix/internal/sched"
 	"github.com/pastix-go/pastix/internal/sparse"
 )
 
@@ -88,17 +88,22 @@ func TestSharedMetamorphicEquality(t *testing.T) {
 				factorsClose(t, ref, par, 1e-11)
 				factorsClose(t, ref, sh, 1e-11)
 
-				// Solve residuals: sequential, message-passing and shared
+				// Solve residuals: sequential, message-passing and level-set
 				// solves on the shared factor all recover x_ref.
 				x, b := gen.RHSForSolution(tc.a)
 				pb := make([]float64, len(b))
 				for newI, old := range an.Perm {
 					pb[newI] = b[old]
 				}
+				ctx := context.Background()
 				for mode, px := range map[string][]float64{
-					"seq":    sh.Solve(pb),
-					"shared": mustSolve(t, SolveShared, an.Sched, sh, pb),
-					"mpsim":  mustSolve(t, SolvePar, an.Sched, sh, pb),
+					"seq": sh.Solve(pb),
+					"level": mustSolve(t, func() ([]float64, error) {
+						return SolveLevelCtx(ctx, an.SolvePlanFor(P), sh, pb, LevelOptions{})
+					}),
+					"mpsim": mustSolve(t, func() ([]float64, error) {
+						return SolveParManyOpts(ctx, an.Sched, sh, pb, 1, SolveOptions{})
+					}),
 				} {
 					maxErr := 0.0
 					for newI, old := range an.Perm {
@@ -118,16 +123,17 @@ func TestSharedMetamorphicEquality(t *testing.T) {
 	}
 }
 
-func mustSolve(t *testing.T, solve func(*sched.Schedule, *Factors, []float64) ([]float64, error), sch *sched.Schedule, f *Factors, b []float64) []float64 {
+func mustSolve(t *testing.T, solve func() ([]float64, error)) []float64 {
 	t.Helper()
-	x, err := solve(sch, f, b)
+	x, err := solve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return x
 }
 
-// TestSharedViaParOptions covers the ParOptions.SharedMemory dispatch.
+// TestSharedViaParOptions covers the ParOptions.Runtime dispatch to the
+// shared-memory runtime.
 func TestSharedViaParOptions(t *testing.T) {
 	a := laplacian2D(18, 18)
 	an := analyzeFor(t, a, 4)
@@ -135,19 +141,16 @@ func TestSharedViaParOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := FactorizeParStats(an.A, an.Sched, ParOptions{SharedMemory: true})
+	got, err := an.FactorizeOpts(ParOptions{Runtime: RuntimeShared})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stats.Messages != 0 || stats.Bytes != 0 {
-		t.Fatalf("shared runtime reported traffic: %+v", stats)
 	}
 	factorsClose(t, ref, got, 1e-11)
-	got2, err := an.FactorizeOpts(ParOptions{SharedMemory: true})
+	direct, err := FactorizeShared(an.A, an.Sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factorsClose(t, ref, got2, 1e-11)
+	bitwiseEqualFactors(t, direct, got, -1)
 }
 
 // TestSharedExercises2DTasks makes sure the corpus is not dodging the 2D
@@ -220,7 +223,7 @@ func TestSharedStress(t *testing.T) {
 			t.Fatalf("iter %d P=%d: %v", it, pr.an.Sched.P, err)
 		}
 		factorsClose(t, ref, f, 1e-11)
-		got, err := SolveShared(pr.an.Sched, f, pr.pb)
+		got, err := SolveLevelCtx(context.Background(), pr.an.SolvePlanFor(pr.an.Sched.P), f, pr.pb, LevelOptions{})
 		if err != nil {
 			t.Fatalf("iter %d P=%d solve: %v", it, pr.an.Sched.P, err)
 		}

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -32,13 +33,13 @@ func solveConformanceCorpus() []solveConformanceCase {
 // TestSolveConformanceTable is the cross-runtime solve conformance table of
 // the solve-path engine: every generator family × factors from the
 // sequential, shared and dynamic runtimes × the level-set engine (static
-// and dynamic dispatch) vs the legacy sweeps × 1 and 32 right-hand sides.
+// and dynamic dispatch at 4 workers, and the one-worker sequential panel
+// path) vs the message-passing panel sweep × 1 and 32 right-hand sides.
 //
 // The level-set legs assert BITWISE equality against the sequential
-// Factors.Solve of each column — the engine's core contract. The legacy
-// shared sweep accumulates contributions in arrival order under a lock, so
-// it is only equal to rounding; its legs assert a tolerance, which is
-// exactly why the level-set engine replaces it as the default.
+// Factors.Solve of each column — the engine's core contract. The
+// message-passing sweep applies remote contributions in its own canonical
+// order, so it is only equal to rounding; its legs assert a tolerance.
 func TestSolveConformanceTable(t *testing.T) {
 	const nrhsWide = 32
 	for _, tc := range solveConformanceCorpus() {
@@ -68,6 +69,17 @@ func TestSolveConformanceTable(t *testing.T) {
 					refs[r] = f.Solve(col)
 				}
 				pl := an.SolvePlanFor(4)
+				bitwiseCols := func(leg string, x []float64, nrhs int) {
+					t.Helper()
+					for r := 0; r < nrhs; r++ {
+						for i := 0; i < n; i++ {
+							if x[i+r*n] != refs[r][i] {
+								t.Fatalf("%v %s nrhs=%d col %d: x[%d] = %x, seq %x (not bit-identical)",
+									rt, leg, nrhs, r, i, x[i+r*n], refs[r][i])
+							}
+						}
+					}
+				}
 
 				for _, dyn := range []bool{false, true} {
 					for _, nrhs := range []int{1, nrhsWide} {
@@ -76,38 +88,34 @@ func TestSolveConformanceTable(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%v level dyn=%v nrhs=%d: %v", rt, dyn, nrhs, err)
 						}
-						for r := 0; r < nrhs; r++ {
-							for i := 0; i < n; i++ {
-								if x[i+r*n] != refs[r][i] {
-									t.Fatalf("%v level dyn=%v nrhs=%d col %d: x[%d] = %x, seq %x (not bit-identical)",
-										rt, dyn, nrhs, r, i, x[i+r*n], refs[r][i])
-								}
-							}
-						}
+						bitwiseCols(fmt.Sprintf("level dyn=%v", dyn), x, nrhs)
 					}
 				}
 
-				// Legacy shared sweep (single RHS) — rounding-level agreement.
-				xs, err := SolveShared(an.Sched, f, pb)
+				// Sequential panel: the one-worker engine SolveOpts runs for
+				// RuntimeSequential with NRHS > 1.
+				xq, err := SolveLevelCtx(context.Background(), an.SolvePlanFor(1), f, panel,
+					LevelOptions{NRHS: nrhsWide})
 				if err != nil {
-					t.Fatalf("%v legacy shared: %v", rt, err)
+					t.Fatalf("%v sequential panel: %v", rt, err)
 				}
-				legacyClose(t, tc.name+"/legacy-shared", xs, refs[0])
+				bitwiseCols("sequential panel", xq, nrhsWide)
 
-				// Legacy panel sweep (mpsim data distribution) — rounding-level.
+				// Message-passing panel sweep (mpsim data distribution) —
+				// rounding-level.
 				xm, err := SolveParManyOpts(context.Background(), an.Sched, f, panel, nrhsWide, SolveOptions{})
 				if err != nil {
-					t.Fatalf("%v legacy panel: %v", rt, err)
+					t.Fatalf("%v mpsim panel: %v", rt, err)
 				}
 				for r := 0; r < nrhsWide; r++ {
-					legacyClose(t, tc.name+"/legacy-panel", xm[r*n:(r+1)*n], refs[r])
+					roundingClose(t, tc.name+"/mpsim-panel", xm[r*n:(r+1)*n], refs[r])
 				}
 			}
 		})
 	}
 }
 
-func legacyClose(t *testing.T, name string, got, want []float64) {
+func roundingClose(t *testing.T, name string, got, want []float64) {
 	t.Helper()
 	scale := 0.0
 	for _, v := range want {

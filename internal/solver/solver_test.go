@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -328,6 +329,9 @@ func TestScheduleReuseAcrossValues(t *testing.T) {
 var _ = etree.AmalgamateOptions{} // keep import for future options in tests
 var _ = sched.Options{}
 
+// TestSolveManyMatchesSingleSolves: a panel on the one-worker level-set
+// engine (the sequential multi-RHS path) carries, column by column, the bits
+// of the single-RHS reference solve.
 func TestSolveManyMatchesSingleSolves(t *testing.T) {
 	a := laplacian2D(13, 13)
 	an := analyzeFor(t, a, 1)
@@ -341,12 +345,15 @@ func TestSolveManyMatchesSingleSolves(t *testing.T) {
 	for i := range b {
 		b[i] = float64((i*7)%11) - 5
 	}
-	got := f.SolveMany(b, nrhs)
+	got, err := SolveLevelCtx(context.Background(), an.SolvePlanFor(1), f, b, LevelOptions{NRHS: nrhs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < nrhs; r++ {
 		want := f.Solve(b[r*n : (r+1)*n])
 		for i := 0; i < n; i++ {
-			if math.Abs(got[i+r*n]-want[i]) > 1e-11*(1+math.Abs(want[i])) {
-				t.Fatalf("rhs %d: x[%d]=%g want %g", r, i, got[i+r*n], want[i])
+			if got[i+r*n] != want[i] {
+				t.Fatalf("rhs %d: x[%d] = %x, want %x (not bit-identical)", r, i, got[i+r*n], want[i])
 			}
 		}
 	}

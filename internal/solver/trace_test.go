@@ -18,16 +18,13 @@ import (
 // of the recorded task durations.
 func TestTraceCoversSchedule(t *testing.T) {
 	a := gen.Laplacian3D(8, 8, 8)
-	for _, shared := range []bool{false, true} {
-		name := "mpsim"
-		if shared {
-			name = "shared"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, rt := range []Runtime{RuntimeMPSim, RuntimeShared} {
+		shared := rt == RuntimeShared
+		t.Run(rt.String(), func(t *testing.T) {
 			an := analyzeFor(t, a, 4)
 			rec := trace.New(4, 0)
-			_, _, err := FactorizeParStatsCtx(context.Background(), an.A, an.Sched,
-				ParOptions{SharedMemory: shared, Trace: rec})
+			_, err := an.FactorizeMatrixOptsCtx(context.Background(), an.A,
+				ParOptions{Runtime: rt, Trace: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,10 +105,10 @@ func TestFactorizeCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	base := runtime.NumGoroutine()
-	for _, shared := range []bool{false, true} {
-		_, _, err := FactorizeParStatsCtx(ctx, an.A, an.Sched, ParOptions{SharedMemory: shared})
+	for _, rt := range []Runtime{RuntimeMPSim, RuntimeShared} {
+		_, err := an.FactorizeMatrixOptsCtx(ctx, an.A, ParOptions{Runtime: rt})
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("shared=%v: got %v, want context.Canceled", shared, err)
+			t.Fatalf("%v: got %v, want context.Canceled", rt, err)
 		}
 	}
 	waitGoroutines(t, base)
@@ -123,7 +120,7 @@ func TestFactorizeCtxPreCancelled(t *testing.T) {
 // goroutines unwound either way.
 func TestFactorizeCtxCancelMidRun(t *testing.T) {
 	a := gen.Laplacian3D(10, 10, 10)
-	for _, shared := range []bool{false, true} {
+	for _, rt := range []Runtime{RuntimeMPSim, RuntimeShared} {
 		an := analyzeFor(t, a, 4)
 		base := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
@@ -131,16 +128,16 @@ func TestFactorizeCtxCancelMidRun(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 			cancel()
 		}()
-		_, _, err := FactorizeParStatsCtx(ctx, an.A, an.Sched, ParOptions{SharedMemory: shared})
+		_, err := an.FactorizeMatrixOptsCtx(ctx, an.A, ParOptions{Runtime: rt})
 		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("shared=%v: got %v, want nil or context.Canceled", shared, err)
+			t.Fatalf("%v: got %v, want nil or context.Canceled", rt, err)
 		}
 		cancel()
 		waitGoroutines(t, base+1) // +1 tolerates the exiting cancel goroutine
 	}
 }
 
-// TestSolveCtxPreCancelled covers both parallel solve runtimes.
+// TestSolveCtxPreCancelled covers both parallel solve engines.
 func TestSolveCtxPreCancelled(t *testing.T) {
 	a := laplacian2D(15, 15)
 	an := analyzeFor(t, a, 4)
@@ -154,11 +151,11 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveParCtx(ctx, an.Sched, f, b, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveParCtx: got %v, want context.Canceled", err)
+	if _, err := SolveParManyOpts(ctx, an.Sched, f, b, 1, SolveOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveParManyOpts: got %v, want context.Canceled", err)
 	}
-	if _, err := SolveSharedCtx(ctx, an.Sched, f, b, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveSharedCtx: got %v, want context.Canceled", err)
+	if _, err := SolveLevelCtx(ctx, an.SolvePlanFor(4), f, b, LevelOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveLevelCtx: got %v, want context.Canceled", err)
 	}
 }
 
@@ -175,13 +172,13 @@ func TestTracedSolvePhases(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	for _, shared := range []bool{false, true} {
+	for _, level := range []bool{false, true} {
 		rec := trace.New(4, 0)
 		var serr error
-		if shared {
-			_, serr = SolveSharedCtx(context.Background(), an.Sched, f, b, rec)
+		if level {
+			_, serr = SolveLevelCtx(context.Background(), an.SolvePlanFor(4), f, b, LevelOptions{Trace: rec})
 		} else {
-			_, serr = SolveParCtx(context.Background(), an.Sched, f, b, rec)
+			_, serr = SolveParManyOpts(context.Background(), an.Sched, f, b, 1, SolveOptions{Trace: rec})
 		}
 		if serr != nil {
 			t.Fatal(serr)
@@ -193,7 +190,7 @@ func TestTracedSolvePhases(t *testing.T) {
 			}
 		}
 		if phases != 2*4 {
-			t.Fatalf("shared=%v: got %d phase events, want %d (fwd+bwd per proc)", shared, phases, 2*4)
+			t.Fatalf("level=%v: got %d phase events, want %d (fwd+bwd per proc)", level, phases, 2*4)
 		}
 	}
 }

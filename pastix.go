@@ -89,20 +89,20 @@ const (
 	OrderNatural
 )
 
-// Runtime selects the engine executing the numerical factorization (and
-// SolveParallel). All runtimes consume the same analysis and static
-// schedule. RuntimeSequential, RuntimeShared and RuntimeDynamic produce
-// BITWISE identical factors, solves and perturbation reports (contributions
-// are applied in the canonical sequential order); RuntimeMPSim aggregates
-// contributions into AUBs — the paper's central mechanism — so it matches
-// the others to rounding (~1e-11) and is deterministic run to run, but not
-// bit-equal.
+// Runtime selects the engine executing the numerical factorization (and,
+// through SolveOptions.Runtime, the solve). All runtimes consume the same
+// analysis and static schedule. RuntimeSequential, RuntimeShared and
+// RuntimeDynamic produce BITWISE identical factors, solves and perturbation
+// reports (contributions are applied in the canonical sequential order);
+// RuntimeMPSim aggregates contributions into AUBs — the paper's central
+// mechanism — so it matches the others to rounding (~1e-11) and is
+// deterministic run to run, but not bit-equal.
 type Runtime = solver.Runtime
 
 const (
 	// RuntimeAuto (the default) preserves the historical dispatch:
-	// shared-memory when Options.SharedMemory is set, sequential at
-	// Processors == 1 without tracing or faults, message-passing otherwise.
+	// sequential at Processors == 1 without tracing or faults,
+	// message-passing otherwise.
 	RuntimeAuto = solver.RuntimeAuto
 	// RuntimeSequential is the right-looking sequential reference.
 	RuntimeSequential = solver.RuntimeSequential
@@ -157,17 +157,6 @@ type Options struct {
 	// cost model instead of using the deterministic SP2-like profile. Use it
 	// when wall-clock parallel speed matters more than reproducibility.
 	CalibrateMachine bool
-	// SharedMemory executes the factorization (and SolveParallel) with the
-	// zero-copy shared-memory runtime: the same static schedule, but direct
-	// in-place aggregation into one shared factor instead of message copies
-	// between goroutine processors. Faster on a real SMP host; the default
-	// message-passing runtime remains the paper-faithful baseline. The
-	// factor produced is identical to rounding either way.
-	//
-	// Deprecated: SharedMemory true is equivalent to Runtime: RuntimeShared,
-	// which also admits the other engines. Setting both to conflicting
-	// values fails Validate.
-	SharedMemory bool
 	// Runtime selects the factorization engine: RuntimeAuto (default),
 	// RuntimeSequential, RuntimeMPSim, RuntimeShared or RuntimeDynamic. An
 	// active fault plan requires the message-passing runtime (RuntimeAuto or
@@ -177,7 +166,7 @@ type Options struct {
 	// Faults injects deterministic message and worker faults into the
 	// message-passing runtime and arms its reliability layer (see FaultPlan).
 	// Nil or an inactive plan leaves the fault-free fast path untouched. An
-	// active plan is incompatible with SharedMemory.
+	// active plan requires the message-passing runtime (see Runtime).
 	Faults *FaultPlan
 	// StaticPivot enables static pivoting in the numerical factorization:
 	// a diagonal pivot with |d| < Epsilon·‖A‖_max is replaced by
@@ -190,7 +179,7 @@ type Options struct {
 	StaticPivot StaticPivotOptions
 	// RefineTol is the componentwise backward-error target
 	// ‖Ax−b‖∞/(‖A‖∞‖x‖∞+‖b‖∞) of adaptive iterative refinement
-	// (SolveRefinedStats, RefineSolution, FactorizeRobust). 0 selects the
+	// (SolveOptions.Refine, RefineSolution, FactorizeRobust). 0 selects the
 	// default 1e-10.
 	RefineTol float64
 	// BLR enables block low-rank factor compression: every factor the
@@ -252,15 +241,9 @@ func (o Options) Validate() error {
 	if !o.Runtime.Valid() {
 		return fmt.Errorf("%w: unknown runtime %d", ErrBadOptions, o.Runtime)
 	}
-	if o.SharedMemory && o.Runtime != RuntimeAuto && o.Runtime != RuntimeShared {
-		return fmt.Errorf("%w: SharedMemory conflicts with Runtime %v", ErrBadOptions, o.Runtime)
-	}
 	if o.Faults != nil {
 		if err := o.Faults.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadOptions, err)
-		}
-		if o.SharedMemory && o.Faults.Active() {
-			return fmt.Errorf("%w: fault injection requires the message-passing runtime, not SharedMemory", ErrBadOptions)
 		}
 		if o.Faults.Active() && o.Runtime != RuntimeAuto && o.Runtime != RuntimeMPSim {
 			return fmt.Errorf("%w: fault injection requires the message-passing runtime, not %v", ErrBadOptions, o.Runtime)
@@ -397,11 +380,7 @@ func AnalyzeContext(ctx context.Context, a *Matrix, opts Options) (*Analysis, er
 	if err != nil {
 		return nil, err
 	}
-	rt := opts.Runtime
-	if rt == RuntimeAuto && opts.SharedMemory {
-		rt = RuntimeShared
-	}
-	an := &Analysis{inner: inner, runtime: rt, pivot: opts.StaticPivot, refineTol: opts.RefineTol, blr: opts.BLR}
+	an := &Analysis{inner: inner, runtime: opts.Runtime, pivot: opts.StaticPivot, refineTol: opts.RefineTol, blr: opts.BLR}
 	if opts.Faults.Active() {
 		an.faults = opts.Faults
 	}
@@ -429,10 +408,9 @@ func SchurComplement(a *Matrix, schurVars []int, opts Options) ([]float64, []int
 	return s, san.SchurVars, nil
 }
 
-// Factorize computes the numerical LDLᵀ factorization: sequentially on one
-// processor, or with the schedule-driven parallel runtime — message-passing
-// fan-in by default, the zero-copy shared-memory runtime when the analysis
-// was built with Options.SharedMemory.
+// Factorize computes the numerical LDLᵀ factorization on the engine
+// Options.Runtime selects: by default sequentially on one processor and
+// with the message-passing fan-in runtime otherwise.
 func (an *Analysis) Factorize() (*Factor, error) {
 	return an.FactorizeContext(context.Background())
 }
@@ -454,53 +432,6 @@ func (an *Analysis) FactorizeContext(ctx context.Context) (*Factor, error) {
 // parallel solve engine is measured against.
 func (an *Analysis) Solve(f *Factor, b []float64) ([]float64, error) {
 	res, err := an.SolveOpts(context.Background(), f, b, SolveOptions{Runtime: RuntimeSequential})
-	if err != nil {
-		return nil, err
-	}
-	return res.X, nil
-}
-
-// SolveParallel solves A·x = b with the parallel block triangular solves.
-// Since the solve-path redesign it is SolveOpts with default options: the
-// level-set engine (bitwise-identical to Solve) on the shared-memory data
-// layout, the message-passing sweep for analyses pinned to RuntimeMPSim or
-// running fault injection.
-//
-// Deprecated: use SolveOpts, which also exposes multiple right-hand sides,
-// refinement and tracing through one call.
-func (an *Analysis) SolveParallel(f *Factor, b []float64) ([]float64, error) {
-	return an.SolveParallelContext(context.Background(), f, b)
-}
-
-// SolveParallelContext is SolveParallel under a context: cancelling ctx
-// aborts both sweeps, unwinding every worker goroutine before returning
-// ctx.Err().
-//
-// Deprecated: use SolveOpts.
-func (an *Analysis) SolveParallelContext(ctx context.Context, f *Factor, b []float64) ([]float64, error) {
-	res, err := an.solveOpts(ctx, f, b, SolveOptions{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.X, nil
-}
-
-// SolveMany solves A·X = B for nrhs right-hand sides at once (b is an
-// n×nrhs column-major panel in the original ordering; the solution panel is
-// returned in the same layout). It is SolveOpts with the sequential panel
-// kernels pinned.
-//
-// Deprecated: use SolveOpts with SolveOptions.NRHS, which defaults to the
-// parallel level-set engine.
-func (an *Analysis) SolveMany(f *Factor, b []float64, nrhs int) ([]float64, error) {
-	n := an.inner.A.N
-	if f == nil || f.an != an.inner {
-		return nil, ErrFactorMismatch
-	}
-	if nrhs <= 0 || len(b) != n*nrhs {
-		return nil, fmt.Errorf("pastix: rhs panel must be n×nrhs = %d×%d: %w", n, nrhs, ErrShape)
-	}
-	res, err := an.SolveOpts(context.Background(), f, b, SolveOptions{NRHS: nrhs, Runtime: RuntimeSequential})
 	if err != nil {
 		return nil, err
 	}
@@ -554,80 +485,11 @@ func (an *Analysis) permuteSamePattern(a *Matrix) (*sparse.SymMatrix, error) {
 	return pa, nil
 }
 
-// SolveParallelMany solves A·X = B for nrhs right-hand sides in ONE panel
-// sweep of the parallel block triangular solves, so a server coalescing
-// concurrent single-RHS requests into a panel pays the solve's
-// synchronization latency once instead of nrhs times. b is an n×nrhs
-// column-major panel in the original ordering. Since the solve-path redesign
-// the panel runs on the engine SolveOpts resolves (the level-set engine by
-// default, each column bit-identical to Solve); pin RuntimeMPSim for the
-// historical message-passing panel sweep.
-//
-// Deprecated: use SolveOpts with SolveOptions.NRHS.
-func (an *Analysis) SolveParallelMany(f *Factor, b []float64, nrhs int) ([]float64, error) {
-	return an.SolveParallelManyContext(context.Background(), f, b, nrhs)
-}
-
-// SolveParallelManyContext is SolveParallelMany under a context: cancelling
-// ctx aborts both sweeps, unwinding every worker goroutine before returning
-// ctx.Err().
-//
-// Deprecated: use SolveOpts with SolveOptions.NRHS.
-func (an *Analysis) SolveParallelManyContext(ctx context.Context, f *Factor, b []float64, nrhs int) ([]float64, error) {
-	n := an.inner.A.N
-	if f == nil || f.an != an.inner {
-		return nil, ErrFactorMismatch
-	}
-	if nrhs <= 0 || len(b) != n*nrhs {
-		return nil, fmt.Errorf("pastix: rhs panel must be n×nrhs = %d×%d: %w", n, nrhs, ErrShape)
-	}
-	res, err := an.solveOpts(ctx, f, b, SolveOptions{NRHS: nrhs}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.X, nil
-}
-
-// SolveRefined solves A·x = b and applies up to iters steps of iterative
-// refinement, stopping early on convergence or stagnation.
-//
-// Deprecated: SolveRefined discards the convergence information and takes a
-// bare iteration count. Use SolveOpts with SolveOptions.Refine, which
-// iterates adaptively until the backward-error target is met or stagnates
-// and reports the full trajectory. This wrapper remains as that call capped
-// at iters sweeps.
-func (an *Analysis) SolveRefined(f *Factor, b []float64, iters int) ([]float64, error) {
-	if iters <= 0 {
-		return an.Solve(f, b)
-	}
-	res, err := an.SolveOpts(context.Background(), f, b,
-		SolveOptions{Runtime: RuntimeSequential, Refine: &RefineOptions{MaxIter: iters}})
-	if err != nil {
-		return nil, err
-	}
-	return res.X, nil
-}
-
-// SolveRefinedStats solves A·x = b and applies adaptive iterative
-// refinement: correction sweeps run until the componentwise backward error
-// ‖Ax−b‖∞/(‖A‖∞‖x‖∞+‖b‖∞) meets Options.RefineTol (default 1e-10) or
-// stagnates. The returned RefineStats carries the sweep count and the
-// non-increasing backward-error trajectory.
-//
-// Deprecated: use SolveOpts with SolveOptions.Refine.
-func (an *Analysis) SolveRefinedStats(f *Factor, b []float64) ([]float64, RefineStats, error) {
-	res, err := an.SolveOpts(context.Background(), f, b,
-		SolveOptions{Runtime: RuntimeSequential, Refine: &RefineOptions{}})
-	if err != nil {
-		return nil, RefineStats{}, err
-	}
-	return res.X, *res.Refine, nil
-}
-
 // RefineSolution applies adaptive iterative refinement to an existing
 // solution x of A·x = b (both in the original ordering), improving it in
 // place of a fresh solve — the repair step degraded-mode serving runs on
-// solutions of perturbed factors. Semantics match SolveRefinedStats.
+// solutions of perturbed factors. Semantics match SolveOptions.Refine with
+// its default tolerance and sweep cap.
 func (an *Analysis) RefineSolution(f *Factor, b, x []float64) ([]float64, RefineStats, error) {
 	if f == nil || f.an != an.inner {
 		return nil, RefineStats{}, ErrFactorMismatch

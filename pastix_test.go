@@ -2,7 +2,9 @@ package pastix
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -35,12 +37,12 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 // TestPublicAPISharedMemoryRoundTrip exercises the zero-copy shared-memory
-// runtime through the public surface: Options.SharedMemory must route both
-// Factorize and SolveParallel to it, with the same answers as the default
-// message-passing runtime.
+// runtime through the public surface: Runtime: RuntimeShared must route both
+// Factorize and the default SolveOpts to it, with the same answers as the
+// default message-passing runtime.
 func TestPublicAPISharedMemoryRoundTrip(t *testing.T) {
 	a := gen.Laplacian2D(14, 14)
-	an, err := Analyze(a, Options{Processors: 4, BlockSize: 16, Ratio2D: 2, SharedMemory: true})
+	an, err := Analyze(a, Options{Processors: 4, BlockSize: 16, Ratio2D: 2, Runtime: RuntimeShared})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +52,14 @@ func TestPublicAPISharedMemoryRoundTrip(t *testing.T) {
 	}
 	x, b := gen.RHSForSolution(a)
 	for name, solve := range map[string]func(*Factor, []float64) ([]float64, error){
-		"Solve":         an.Solve,
-		"SolveParallel": an.SolveParallel,
+		"Solve": an.Solve,
+		"SolveOpts": func(f *Factor, b []float64) ([]float64, error) {
+			res, err := an.SolveOpts(context.Background(), f, b, SolveOptions{})
+			if err != nil {
+				return nil, err
+			}
+			return res.X, nil
+		},
 	} {
 		got, err := solve(f, b)
 		if err != nil {
@@ -83,10 +91,11 @@ func TestPublicAPIDynamicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, b := gen.RHSForSolution(a)
-	got, err := an.SolveParallel(f, b)
+	res, err := an.SolveOpts(context.Background(), f, b, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.X
 	for i := range x {
 		if math.Abs(got[i]-x[i]) > 1e-9 {
 			t.Fatalf("x[%d]=%g want %g", i, got[i], x[i])
@@ -105,10 +114,11 @@ func TestPublicAPIDynamicRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotS, err := anS.SolveParallel(fS, b)
+	resS, err := anS.SolveOpts(context.Background(), fS, b, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotS := resS.X
 	for i := range gotS {
 		if got[i] != gotS[i] {
 			t.Fatalf("x[%d] = %x dynamic vs %x shared (not bit-identical)", i, got[i], gotS[i])
@@ -136,14 +146,10 @@ func TestParseRuntime(t *testing.T) {
 	if _, err := ParseRuntime("gpu"); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("ParseRuntime(gpu) = %v, want ErrBadOptions", err)
 	}
-	// SharedMemory conflicts with a non-shared explicit runtime.
+	// Analyze rejects a runtime outside the enumeration.
 	a := gen.Laplacian2D(8, 8)
-	if _, err := Analyze(a, Options{Processors: 2, SharedMemory: true, Runtime: RuntimeMPSim}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("SharedMemory+RuntimeMPSim not rejected: %v", err)
-	}
-	// ...but agrees with RuntimeShared.
-	if _, err := Analyze(a, Options{Processors: 2, SharedMemory: true, Runtime: RuntimeShared}); err != nil {
-		t.Fatal(err)
+	if _, err := Analyze(a, Options{Processors: 2, Runtime: Runtime(99)}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("unknown runtime not rejected: %v", err)
 	}
 }
 
@@ -251,19 +257,22 @@ func TestSolveParallelAndRefined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := an.SolveParallel(f, b)
+	rp, err := an.SolveOpts(context.Background(), f, b, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	par := rp.X
 	for i := range seq {
 		if math.Abs(seq[i]-par[i]) > 1e-11*(1+math.Abs(seq[i])) {
 			t.Fatalf("parallel solve differs at %d", i)
 		}
 	}
-	ref, err := an.SolveRefined(f, b, 3)
+	rr, err := an.SolveOpts(context.Background(), f, b,
+		SolveOptions{Runtime: RuntimeSequential, Refine: &RefineOptions{MaxIter: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := rr.X
 	for i := range x {
 		if math.Abs(ref[i]-x[i]) > 1e-10 {
 			t.Fatalf("refined solve off at %d", i)
@@ -342,7 +351,9 @@ func TestSolveManyPublic(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%13) - 6
 	}
-	got, err := an.SolveMany(f, b, nrhs)
+	ctx := context.Background()
+	seq := SolveOptions{NRHS: nrhs, Runtime: RuntimeSequential}
+	res, err := an.SolveOpts(ctx, f, b, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,17 +362,13 @@ func TestSolveManyPublic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if math.Abs(got[i+r*n]-want[i]) > 1e-11*(1+math.Abs(want[i])) {
-				t.Fatalf("rhs %d x[%d]", r, i)
-			}
-		}
+		bitwiseSame(t, fmt.Sprintf("rhs %d", r), res.X[r*n:(r+1)*n], want)
 	}
-	if _, err := an.SolveMany(f, b, 0); err == nil {
-		t.Fatal("nrhs=0 must error")
+	if _, err := an.SolveOpts(ctx, f, b, SolveOptions{NRHS: -1, Runtime: RuntimeSequential}); !errors.Is(err, ErrShape) {
+		t.Fatalf("nrhs=-1: got %v, want ErrShape", err)
 	}
-	if _, err := an.SolveMany(f, b[:n], nrhs); err == nil {
-		t.Fatal("short panel must error")
+	if _, err := an.SolveOpts(ctx, f, b[:n], seq); !errors.Is(err, ErrShape) {
+		t.Fatalf("short panel: got %v, want ErrShape", err)
 	}
 }
 

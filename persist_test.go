@@ -1,6 +1,7 @@
 package pastix
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestPersistRoundTripDense(t *testing.T) {
 		}
 	}
 	// Refinement binds to the restored matrix values too.
-	if _, _, err := an2.SolveRefinedStats(f2, b); err != nil {
+	if _, err := an2.SolveOpts(context.Background(), f2, b, SolveOptions{Refine: &RefineOptions{}}); err != nil {
 		t.Fatalf("refined solve on restored factor: %v", err)
 	}
 }
@@ -79,7 +80,7 @@ func TestPersistRoundTripBLR(t *testing.T) {
 		t.Fatal("payload lost the compressed form")
 	}
 	_, b := gen.RHSForSolution(a)
-	want, err := an.SolveParallel(f, b)
+	want, err := an.SolveOpts(context.Background(), f, b, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +98,11 @@ func TestPersistRoundTripBLR(t *testing.T) {
 	if st, st2 := f.CompressionStats(), f2.CompressionStats(); st2 == nil || st2.CompressedBytes != st.CompressedBytes {
 		t.Fatalf("compression stats diverged: %+v vs %+v", st2, st)
 	}
-	got, err := an2.SolveParallel(f2, b)
+	got, err := an2.SolveOpts(context.Background(), f2, b, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("x[%d]: restored solve %x differs from original %x", i, got[i], want[i])
-		}
-	}
+	bitwiseSame(t, "restored solve", got.X, want.X)
 }
 
 // TestRestoreFactorRejects pins the failure modes: wrong pattern, wrong

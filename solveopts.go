@@ -18,8 +18,8 @@ type RefineOptions struct {
 	MaxIter int
 }
 
-// SolveOptions configures SolveOpts, the unified solve entry point every
-// other Solve* variant is a wrapper over.
+// SolveOptions configures SolveOpts, the unified solve entry point that Solve
+// and SolveParallelTraced wrap.
 type SolveOptions struct {
 	// NRHS is the number of right-hand sides: b is an n×NRHS column-major
 	// panel in the original ordering. 0 means 1.
@@ -28,21 +28,19 @@ type SolveOptions struct {
 	// analysis runtime, and when that is also Auto picks sequential on one
 	// processor (untraced) and the level-set engine otherwise.
 	//
-	//   - RuntimeSequential: the reference kernels (Factors.Solve, or the
-	//     blocked panel kernels for NRHS > 1).
+	//   - RuntimeSequential: the reference kernel (Factors.Solve) for one
+	//     right-hand side; a panel (NRHS > 1) runs the level-set engine on
+	//     one worker.
 	//   - RuntimeShared: the level-set engine with the static cost-balanced
 	//     partition of each level.
 	//   - RuntimeDynamic: the level-set engine with dynamic (atomic-fetch)
 	//     cell dispatch inside each level.
 	//   - RuntimeMPSim: the paper-faithful message-passing panel sweep.
 	//
-	// Both level-set dispatch modes and the sequential single-RHS path return
-	// bitwise-identical solutions (contributions are pulled in the canonical
-	// sequential order); RuntimeMPSim matches to rounding. For NRHS > 1 the
-	// sequential panel kernels scale by reciprocal pivots, so they differ
-	// from the level-set engine in the last bits (the level-set engine is
-	// per-column bit-identical to the single-RHS sequential solve, which is
-	// the stronger contract).
+	// Every engine but RuntimeMPSim returns, for each column of the panel,
+	// the bits the single-RHS sequential solve returns for that column
+	// (contributions are pulled in the canonical sequential order);
+	// RuntimeMPSim matches to rounding.
 	Runtime Runtime
 	// Refine, when non-nil, applies adaptive iterative refinement to every
 	// solution column and reports the aggregated RefineStats in the result.
@@ -177,7 +175,10 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 		if nrhs == 1 {
 			px = f.inner.Solve(pb)
 		} else {
-			px = f.inner.SolveMany(pb, nrhs)
+			// A panel runs on the level-set engine at one worker, which is
+			// per-column bitwise equal to the single-RHS reference.
+			px, err = solver.SolveLevelCtx(ctx, an.inner.SolvePlanFor(1), f.inner, pb,
+				solver.LevelOptions{NRHS: nrhs})
 		}
 	case RuntimeMPSim:
 		px, err = solver.SolveParManyOpts(ctx, sch, f.inner, pb, nrhs,

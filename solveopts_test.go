@@ -36,11 +36,11 @@ func bitwiseSame(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestSolveOptsWrapperEquivalence is the API-consolidation contract: every
-// deprecated Solve* wrapper returns outputs bit-identical to the SolveOpts
-// call it now delegates to, on analyses configured for each runtime.
+// TestSolveOptsWrapperEquivalence is the API-consolidation contract: the
+// wrappers Solve and (untraced) SolveParallelTraced return outputs
+// bit-identical to the SolveOpts call they delegate to, on analyses
+// configured for each runtime.
 func TestSolveOptsWrapperEquivalence(t *testing.T) {
-	const nrhs = 4
 	ctx := context.Background()
 	for _, cfg := range []struct {
 		name string
@@ -54,14 +54,6 @@ func TestSolveOptsWrapperEquivalence(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			an, f, b := solveOptsFixture(t, cfg.opts)
-			n := len(b)
-			panel := make([]float64, n*nrhs)
-			for r := 0; r < nrhs; r++ {
-				for i := 0; i < n; i++ {
-					panel[i+r*n] = b[i] * float64(r+1)
-				}
-			}
-
 			x1, err := an.Solve(f, b)
 			if err != nil {
 				t.Fatal(err)
@@ -72,59 +64,15 @@ func TestSolveOptsWrapperEquivalence(t *testing.T) {
 			}
 			bitwiseSame(t, "Solve", x1, r1.X)
 
-			x2, err := an.SolveMany(f, panel, nrhs)
+			x2, err := an.SolveParallelTraced(ctx, f, b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := an.SolveOpts(ctx, f, panel, SolveOptions{NRHS: nrhs, Runtime: RuntimeSequential})
+			r2, err := an.SolveOpts(ctx, f, b, SolveOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			bitwiseSame(t, "SolveMany", x2, r2.X)
-
-			x3, err := an.SolveParallel(f, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r3, err := an.SolveOpts(ctx, f, b, SolveOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseSame(t, "SolveParallel", x3, r3.X)
-
-			x4, err := an.SolveParallelMany(f, panel, nrhs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r4, err := an.SolveOpts(ctx, f, panel, SolveOptions{NRHS: nrhs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseSame(t, "SolveParallelMany", x4, r4.X)
-
-			x5, st5, err := an.SolveRefinedStats(f, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r5, err := an.SolveOpts(ctx, f, b, SolveOptions{Runtime: RuntimeSequential, Refine: &RefineOptions{}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseSame(t, "SolveRefinedStats", x5, r5.X)
-			if r5.Refine == nil || r5.Refine.Iterations != st5.Iterations ||
-				r5.Refine.BackwardError != st5.BackwardError || r5.Refine.Converged != st5.Converged {
-				t.Fatalf("refine stats diverge: wrapper %+v, SolveOpts %+v", st5, r5.Refine)
-			}
-
-			x6, err := an.SolveRefined(f, b, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r6, err := an.SolveOpts(ctx, f, b, SolveOptions{Runtime: RuntimeSequential, Refine: &RefineOptions{MaxIter: 2}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseSame(t, "SolveRefined", x6, r6.X)
+			bitwiseSame(t, "SolveParallelTraced", x2, r2.X)
 		})
 	}
 }

@@ -72,9 +72,10 @@ func (an *Analysis) factorizeTraced(ctx context.Context, pa *Matrix, topts Trace
 		&Trace{rec: rec, sch: sch, free: an.runtime == RuntimeDynamic}, nil
 }
 
-// SolveParallelTraced is SolveParallelContext recording the solve's phase
-// and message events into tr (typically the trace of the factorization the
-// factor came from), so one trace file can show the whole run.
+// SolveParallelTraced is SolveOpts with default options recording the
+// solve's phase and message events into tr (typically the trace of the
+// factorization the factor came from), so one trace file can show the whole
+// run.
 func (an *Analysis) SolveParallelTraced(ctx context.Context, f *Factor, b []float64, tr *Trace) ([]float64, error) {
 	var rec *trace.Recorder
 	if tr != nil {

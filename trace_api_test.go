@@ -19,13 +19,12 @@ import (
 // summary — under both runtimes.
 func TestFactorizeTracedEndToEnd(t *testing.T) {
 	a := gen.Laplacian3D(8, 8, 8)
-	for _, shared := range []bool{false, true} {
-		name := "mpsim"
-		if shared {
-			name = "shared"
-		}
-		t.Run(name, func(t *testing.T) {
-			an, err := pastix.Analyze(a, pastix.Options{Processors: 4, SharedMemory: shared})
+	for _, rt := range []struct {
+		name    string
+		runtime pastix.Runtime
+	}{{"mpsim", pastix.RuntimeAuto}, {"shared", pastix.RuntimeShared}} {
+		t.Run(rt.name, func(t *testing.T) {
+			an, err := pastix.Analyze(a, pastix.Options{Processors: 4, Runtime: rt.runtime})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +44,7 @@ func TestFactorizeTracedEndToEnd(t *testing.T) {
 			if sum.Processors != 4 || sum.MeasuredMakespan <= 0 || sum.TimeScale <= 0 {
 				t.Fatalf("implausible summary: %+v", sum)
 			}
-			if shared && sum.Messages != 0 {
+			if rt.runtime == pastix.RuntimeShared && sum.Messages != 0 {
 				t.Fatalf("shared runtime reported %d messages", sum.Messages)
 			}
 
@@ -109,8 +108,8 @@ func TestFactorizeTracedEndToEnd(t *testing.T) {
 // cancelled context without leaking worker goroutines.
 func TestFactorizeContextCancelled(t *testing.T) {
 	a := gen.Laplacian3D(8, 8, 8)
-	for _, shared := range []bool{false, true} {
-		an, err := pastix.Analyze(a, pastix.Options{Processors: 4, SharedMemory: shared})
+	for _, rt := range []pastix.Runtime{pastix.RuntimeAuto, pastix.RuntimeShared} {
+		an, err := pastix.Analyze(a, pastix.Options{Processors: 4, Runtime: rt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,14 +117,14 @@ func TestFactorizeContextCancelled(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		if _, err := an.FactorizeContext(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shared=%v: got %v, want context.Canceled", shared, err)
+			t.Fatalf("%v: got %v, want context.Canceled", rt, err)
 		}
 		f, err := an.Factorize()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := an.SolveParallelContext(ctx, f, make([]float64, a.N)); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shared=%v solve: got %v, want context.Canceled", shared, err)
+		if _, err := an.SolveOpts(ctx, f, make([]float64, a.N), pastix.SolveOptions{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v solve: got %v, want context.Canceled", rt, err)
 		}
 		deadline := time.Now().Add(2 * time.Second)
 		for runtime.NumGoroutine() > base {
