@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress fuzz serve-smoke ci
+.PHONY: all build test race bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress kernels fuzz serve-smoke ci
 
 all: ci
 
@@ -106,17 +106,32 @@ durastress:
 	$(GO) test -race -timeout 300s -run 'AntiEntropy|AwaitShard' ./internal/gateway
 	$(GO) test -race -timeout 600s -short -run 'ChaosDurable' ./internal/gateway/chaos
 
+# Dense-kernel paths: the blas, solver and root suites (with the bitwise
+# conformance tables and the P=1 served batch) once on the scalar Go kernels
+# (purego tag) and once built for GOAMD64=v3. The AVX2 kernels match the
+# scalar ones bit for bit only while the compiler keeps the scalar multiply
+# and add separate; at v3 it may use FMA, so the v3 run guards that the
+# in-binary SIMD-vs-scalar checks still hold there.
+kernels:
+	$(GO) test -tags purego ./internal/blas ./internal/solver .
+	$(GO) test -tags purego -run 'ServerBatchP1BitIdentical' ./internal/service
+	GOAMD64=v3 $(GO) test ./internal/blas ./internal/solver .
+	GOAMD64=v3 $(GO) test -run 'ServerBatchP1BitIdentical' ./internal/service
+
 # Short coverage-guided fuzz pass over the sparse-matrix invariants, the
 # file parsers, the task-DAG executor, the low-rank compressor's
-# accuracy/admission contract, and the durable store's recovery path
-# (arbitrary journal bytes must never panic or resurrect corrupt records;
-# 10s each keeps CI bounded; raise -fuzztime for a real hunt).
+# accuracy/admission contract, the durable store's recovery path
+# (arbitrary journal bytes must never panic or resurrect corrupt records),
+# and the AVX2 dense kernels against their scalar references (bitwise on
+# arbitrary shapes, signed zeros, infinities and NaN; 10s each keeps CI
+# bounded; raise -fuzztime for a real hunt).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCSR -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzScheduleDAG -fuzztime 10s ./internal/dynsched
 	$(GO) test -run '^$$' -fuzz FuzzLRCompress -fuzztime 10s ./internal/lowrank
 	$(GO) test -run '^$$' -fuzz 'FuzzStoreRecover$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz 'FuzzStoreRecoverSnapshot$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzDenseKernels -fuzztime 10s ./internal/blas
 
 check: build vet test race
 
@@ -129,6 +144,7 @@ serve-smoke:
 
 # The CI entry point (and default target): build, vet+gofmt, tests, race,
 # the chaos, numerical-stress, dynamic-runtime, solve-path, HA-serving,
-# block-low-rank and durability soaks, a short fuzz pass, then the serving
-# smoke test (which ends with a persist → restart → solve round trip).
-ci: build vet test race chaos numstress dynstress solvestress hastress blrstress durastress fuzz serve-smoke
+# block-low-rank and durability soaks, both dense-kernel paths, a short
+# fuzz pass, then the serving smoke test (which ends with a persist →
+# restart → solve round trip).
+ci: build vet test race chaos numstress dynstress solvestress hastress blrstress durastress kernels fuzz serve-smoke

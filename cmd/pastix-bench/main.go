@@ -86,6 +86,7 @@ func main() {
 	if *dense {
 		fmt.Printf("== §3 dense kernel comparison (n=%d) ==\n", *denseN)
 		r := bench.DenseKernels(*denseN)
+		fmt.Printf("kernel path   : %s   GemmNDT %.2f Gflop/s\n", r.Kernels, r.GemmNDTGflops)
 		fmt.Printf("host measured : LLT %.3fs   LDLT %.3fs   ratio %.2f\n", r.LLT, r.LDLT, r.RatioHost)
 		fmt.Printf("SP2 modelled  : LLT %.3fs   LDLT %.3fs   ratio %.2f (paper@1024: 1.07s / 1.27s = 1.19)\n",
 			r.SP2LLT, r.SP2LDLT, r.RatioSP2)

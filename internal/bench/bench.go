@@ -180,12 +180,15 @@ func FormatTable2(rows []Table2Row) string {
 
 // DenseKernelResult reproduces the paper's §3 micro-comparison: the time of
 // a dense n×n LLᵀ vs LDLᵀ factorization (measured on this host, plus the
-// SP2-modelled times for reference).
+// SP2-modelled times for reference), with the rate of the LDLᵀ update
+// kernel the factorization spends most of its time in.
 type DenseKernelResult struct {
 	N                   int
 	LLT, LDLT           float64 // measured seconds on this host
 	SP2LLT, SP2LDLT     float64 // modelled seconds on the Power2SC profile
 	RatioHost, RatioSP2 float64
+	Kernels             string  // blas.KernelPath(): "avx2" or "scalar"
+	GemmNDTGflops       float64 // blas.GemmNDT at n×n×n on this host
 }
 
 // DenseKernels measures the dense kernel comparison at order n.
@@ -219,6 +222,16 @@ func DenseKernels(n int) DenseKernelResult {
 	res.SP2LLT = res.SP2LDLT / mach.CholRatio()
 	res.RatioHost = res.LDLT / res.LLT
 	res.RatioSP2 = res.SP2LDLT / res.SP2LLT
+	res.Kernels = blas.KernelPath()
+	b, c, d := make([]float64, n*n), make([]float64, n*n), make([]float64, n)
+	for i := range b {
+		b[i] = 1 / float64(1+i%7)
+	}
+	for i := range d {
+		d[i] = 1
+	}
+	res.GemmNDTGflops = 2 * float64(n) * float64(n) * float64(n) /
+		timeOf(func() { blas.GemmNDT(n, n, n, a, n, d, b, n, c, n) }) / 1e9
 	return res
 }
 

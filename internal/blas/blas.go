@@ -7,11 +7,26 @@
 // observation that the LLᵀ kernel outperforms the LDLᵀ kernel (1.07 s vs
 // 1.27 s on a 1024² dense matrix on one Power2SC node) is reproduced here:
 // the LDLᵀ path performs the extra diagonal-scaling work.
+//
+// On amd64 CPUs with AVX2 the hot solve and update kernels (GemvN, GemvT,
+// TrsvLowerUnit, TrsmRightLTransUnit, GemmNDT, SyrkLowerNDT and the packed
+// and panel forms built on them) run in assembly that gives exactly the
+// bits of the scalar Go code kept beside it; the purego build tag forces
+// the scalar code everywhere. KernelPath reports which one runs.
 package blas
 
 import (
 	"math"
 )
+
+// KernelPath names the dense kernels this process runs: "avx2", or
+// "scalar" on a CPU without AVX2, off amd64, or under the purego tag.
+func KernelPath() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "scalar"
+}
 
 // At returns the (i,j) element of the column-major matrix a with leading
 // dimension ld. Intended for tests and debugging.
@@ -39,8 +54,25 @@ func GemmNT(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64
 // GemmNDT computes C -= A·diag(d)·Bᵀ, with A m×k (lda), d length k,
 // B n×k (ldb), C m×n (ldc). This is the LDLᵀ fan-in contribution kernel
 // (the extra diag(d) pass is what makes LDLᵀ slower than LLᵀ, as in the
-// paper's ESSL comparison).
+// paper's ESSL comparison). C is updated element by element as
+// c_ij = (a_il·(−s)) + c_ij for l ascending, s = d_l·b_jl, skipping every
+// (j, l) with s == 0.
 func GemmNDT(m, n, k int, a []float64, lda int, d []float64, b []float64, ldb int, c []float64, ldc int) {
+	if useAVX2 {
+		gemmNDTAVX2(m, n, k, a, lda, d, b, ldb, c, ldc)
+		return
+	}
+	gemmNDTGo(m, n, k, a, lda, d, b, ldb, c, ldc)
+}
+
+// GemmNDTAuto is GemmNDT, which blocks for the cache itself; the name is
+// kept for existing callers.
+func GemmNDTAuto(m, n, k int, a []float64, lda int, d []float64, b []float64, ldb int, c []float64, ldc int) {
+	GemmNDT(m, n, k, a, lda, d, b, ldb, c, ldc)
+}
+
+// gemmNDTGo is the scalar GemmNDT, the reference the AVX2 kernel matches.
+func gemmNDTGo(m, n, k int, a []float64, lda int, d []float64, b []float64, ldb int, c []float64, ldc int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
@@ -88,8 +120,18 @@ func SyrkLowerNT(m, k int, a []float64, lda int, c []float64, ldc int) {
 	}
 }
 
-// SyrkLowerNDT computes the lower triangle of C -= A·diag(d)·Aᵀ.
+// SyrkLowerNDT computes the lower triangle of C -= A·diag(d)·Aᵀ, with the
+// per-element operation order of GemmNDT.
 func SyrkLowerNDT(m, k int, a []float64, lda int, d []float64, c []float64, ldc int) {
+	if useAVX2 {
+		syrkLowerNDTAVX2(m, k, a, lda, d, c, ldc)
+		return
+	}
+	syrkLowerNDTGo(m, k, a, lda, d, c, ldc)
+}
+
+// syrkLowerNDTGo is the scalar SyrkLowerNDT.
+func syrkLowerNDTGo(m, k int, a []float64, lda int, d []float64, c []float64, ldc int) {
 	for j := 0; j < m; j++ {
 		cj := c[j*ldc : j*ldc+m]
 		for l := 0; l < k; l++ {
@@ -194,8 +236,18 @@ func LDLTStatic(n int, a []float64, ld int, tau float64) ([]Perturb, error) {
 // unit-lower-triangular (the strictly lower triangle of l is used; unit
 // diagonal assumed) and B is m×n column-major (ldb). On return b holds X.
 // This computes the off-diagonal blocks of an LDLᵀ factorization:
-// X_j = (B_j - Σ_{k<j} X_k · L_jk).
+// X_j = (B_j - Σ_{k<j} X_k · L_jk), the terms taken in ascending k as
+// GemvN takes its columns.
 func TrsmRightLTransUnit(m, n int, l []float64, ldl int, b []float64, ldb int) {
+	if useAVX2 {
+		trsmRightLTransUnitAVX2(m, n, l, ldl, b, ldb)
+		return
+	}
+	trsmRightLTransUnitGo(m, n, l, ldl, b, ldb)
+}
+
+// trsmRightLTransUnitGo is the scalar TrsmRightLTransUnit.
+func trsmRightLTransUnitGo(m, n int, l []float64, ldl int, b []float64, ldb int) {
 	for j := 0; j < n; j++ {
 		bj := b[j*ldb : j*ldb+m]
 		for k := 0; k < j; k++ {
@@ -243,6 +295,15 @@ func ScaleColumns(m, n int, b []float64, ldb int, d []float64) {
 
 // TrsvLowerUnit solves L·x = b in place for one rhs, unit lower L (n×n, ld).
 func TrsvLowerUnit(n int, l []float64, ld int, x []float64) {
+	if useAVX2 {
+		trsvLowerUnitAVX2(n, l, ld, x)
+		return
+	}
+	trsvLowerUnitGo(n, l, ld, x)
+}
+
+// trsvLowerUnitGo is the scalar TrsvLowerUnit.
+func trsvLowerUnitGo(n int, l []float64, ld int, x []float64) {
 	for j := 0; j < n; j++ {
 		xj := x[j]
 		if xj == 0 {
@@ -294,8 +355,19 @@ func TrsvLowerTrans(n int, l []float64, ld int, x []float64) {
 	}
 }
 
-// GemvN computes y -= A·x with A m×n (lda) column-major.
+// GemvN computes y -= A·x with A m×n (lda) column-major: y_i becomes
+// (a_ij·(−x_j)) + y_i for j ascending, skipping every x_j == 0.
 func GemvN(m, n int, a []float64, lda int, x, y []float64) {
+	if useAVX2 {
+		gemvNAVX2(m, n, a, lda, x, y)
+		return
+	}
+	gemvNGo(m, n, a, lda, x, y)
+}
+
+// gemvNGo is the scalar GemvN.
+func gemvNGo(m, n int, a []float64, lda int, x, y []float64) {
+	y = y[:m]
 	for j := 0; j < n; j++ {
 		xj := x[j]
 		if xj == 0 {
@@ -306,8 +378,17 @@ func GemvN(m, n int, a []float64, lda int, x, y []float64) {
 }
 
 // GemvT computes y -= Aᵀ·x with A m×n (lda) column-major, x length m,
-// y length n.
+// y length n: y_j -= s_j, with s_j summed from 0 in ascending row order.
 func GemvT(m, n int, a []float64, lda int, x, y []float64) {
+	if useAVX2 {
+		gemvTAVX2(m, n, a, lda, x, y)
+		return
+	}
+	gemvTGo(m, n, a, lda, x, y)
+}
+
+// gemvTGo is the scalar GemvT.
+func gemvTGo(m, n int, a []float64, lda int, x, y []float64) {
 	for j := 0; j < n; j++ {
 		col := a[j*lda : j*lda+m]
 		s := 0.0

@@ -19,32 +19,18 @@ func TrsmLeftLTransUnit(n, nrhs int, l []float64, ldl int, b []float64, ldb int)
 	}
 }
 
-// GemmNN computes C -= A·B with A m×k (lda), B k×n (ldb), C m×n (ldc).
+// GemmNN computes C -= A·B with A m×k (lda), B k×n (ldb), C m×n (ldc), one
+// GemvN per column.
 func GemmNN(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	for j := 0; j < n; j++ {
-		cj := c[j*ldc : j*ldc+m]
-		bj := b[j*ldb : j*ldb+k]
-		for l := 0; l < k; l++ {
-			if bj[l] == 0 {
-				continue
-			}
-			axpy(-bj[l], a[l*lda:l*lda+m], cj)
-		}
+		GemvN(m, k, a, lda, b[j*ldb:j*ldb+k], c[j*ldc:j*ldc+m])
 	}
 }
 
-// GemmTN computes C -= Aᵀ·B with A k×m (lda), B k×n (ldb), C m×n (ldc).
+// GemmTN computes C -= Aᵀ·B with A k×m (lda), B k×n (ldb), C m×n (ldc), one
+// GemvT per column.
 func GemmTN(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	for j := 0; j < n; j++ {
-		cj := c[j*ldc : j*ldc+m]
-		bj := b[j*ldb : j*ldb+k]
-		for i := 0; i < m; i++ {
-			ai := a[i*lda : i*lda+k]
-			s := 0.0
-			for l := 0; l < k; l++ {
-				s += ai[l] * bj[l]
-			}
-			cj[i] -= s
-		}
+		GemvT(k, m, a, lda, b[j*ldb:j*ldb+k], c[j*ldc:j*ldc+m])
 	}
 }

@@ -1,14 +1,11 @@
 package blas
 
-// Packed panel kernels for the solve phase: variants of the Gemv/Gemm/Trsv
-// solve kernels whose matrix operand is stored contiguously (leading
-// dimension == row count), as produced by PackPanel. Packing the factor's
-// solve operands per level turns the strided per-supernode gathers of the
-// sweeps into linear streams; the kernels themselves keep EXACTLY the
-// floating-point operation order of their strided counterparts — including
-// the xj == 0 skips, which cannot be dropped without risking a −0/+0 sign
-// flip on cancelled entries — so a packed sweep is bitwise-identical to a
-// strided one.
+// Packed panel kernels for the solve phase: the Gemv/Gemm/Trsv solve
+// kernels on a matrix operand stored contiguously (leading dimension ==
+// row count), as produced by PackPanel. Packing the factor's solve operands
+// per level turns the strided per-supernode gathers of the sweeps into
+// linear streams; each packed kernel is its strided counterpart at
+// lda == m, so a packed sweep is bitwise-identical to a strided one.
 
 // PackPanel copies the m×n column-major panel src (leading dimension lds)
 // into dst as a contiguous m×n panel (leading dimension m). dst must have
@@ -19,92 +16,34 @@ func PackPanel(m, n int, src []float64, lds int, dst []float64) {
 	}
 }
 
-// GemvNPacked computes y -= A·x with A m×n packed (lda == m). Bitwise-equal
-// to GemvN(m, n, a, m, x, y).
-func GemvNPacked(m, n int, a, x, y []float64) {
-	y = y[:m]
-	for j := 0; j < n; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		axpy(-xj, a[j*m:j*m+m], y)
-	}
-}
+// GemvNPacked computes y -= A·x with A m×n packed (lda == m).
+func GemvNPacked(m, n int, a, x, y []float64) { GemvN(m, n, a, m, x, y[:m]) }
 
 // GemvTPacked computes y -= Aᵀ·x with A m×n packed, x length m, y length n.
-// Bitwise-equal to GemvT(m, n, a, m, x, y).
-func GemvTPacked(m, n int, a, x, y []float64) {
-	x = x[:m]
-	for j := 0; j < n; j++ {
-		col := a[j*m : j*m+m]
-		s := 0.0
-		for i, ci := range col {
-			s += ci * x[i]
-		}
-		y[j] -= s
-	}
-}
+func GemvTPacked(m, n int, a, x, y []float64) { GemvT(m, n, a, m, x, y) }
 
 // GemmNNPacked computes C -= A·B with A m×k packed, B k×n (ldb), C m×n
-// (ldc). Each column is bitwise-equal to a GemvNPacked of that column.
+// (ldc), one GemvNPacked per column.
 func GemmNNPacked(m, n, k int, a []float64, b []float64, ldb int, c []float64, ldc int) {
 	for j := 0; j < n; j++ {
-		cj := c[j*ldc : j*ldc+m]
-		bj := b[j*ldb : j*ldb+k]
-		for l, blj := range bj {
-			if blj == 0 {
-				continue
-			}
-			axpy(-blj, a[l*m:l*m+m], cj)
-		}
+		GemvNPacked(m, k, a, b[j*ldb:j*ldb+k], c[j*ldc:j*ldc+m])
 	}
 }
 
 // GemmTNPacked computes C -= Aᵀ·B with A k×m packed, B k×n (ldb), C m×n
-// (ldc). Each column is bitwise-equal to a GemvTPacked of that column.
+// (ldc), one GemvTPacked per column.
 func GemmTNPacked(m, n, k int, a []float64, b []float64, ldb int, c []float64, ldc int) {
 	for j := 0; j < n; j++ {
-		cj := c[j*ldc : j*ldc+m]
-		bj := b[j*ldb : j*ldb+k]
-		for i := 0; i < m; i++ {
-			ai := a[i*k : i*k+k]
-			s := 0.0
-			for l, al := range ai {
-				s += al * bj[l]
-			}
-			cj[i] -= s
-		}
+		GemvTPacked(k, m, a, b[j*ldb:j*ldb+k], c[j*ldc:j*ldc+m])
 	}
 }
 
 // TrsvLowerUnitPacked solves L·x = b in place, unit lower L n×n packed.
-// Bitwise-equal to TrsvLowerUnit(n, l, n, x).
-func TrsvLowerUnitPacked(n int, l, x []float64) {
-	for j := 0; j < n; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		col := l[j*n : j*n+n]
-		for i := j + 1; i < n; i++ {
-			x[i] -= col[i] * xj
-		}
-	}
-}
+func TrsvLowerUnitPacked(n int, l, x []float64) { TrsvLowerUnit(n, l, n, x) }
 
 // TrsvLowerTransUnitPacked solves Lᵀ·x = b in place, unit lower L n×n
-// packed. Bitwise-equal to TrsvLowerTransUnit(n, l, n, x).
-func TrsvLowerTransUnitPacked(n int, l, x []float64) {
-	for j := n - 1; j >= 0; j-- {
-		s := x[j]
-		col := l[j*n : j*n+n]
-		for i := j + 1; i < n; i++ {
-			s -= col[i] * x[i]
-		}
-		x[j] = s
-	}
-}
+// packed.
+func TrsvLowerTransUnitPacked(n int, l, x []float64) { TrsvLowerTransUnit(n, l, n, x) }
 
 // TrsmLowerUnitPacked solves L·X = B in place for an n×nrhs panel B with
 // leading dimension n (a packed RHS panel), one TrsvLowerUnitPacked per

@@ -1,22 +1,20 @@
 package blas
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // randPanel fills an m×n strided panel (lda) with deterministic values,
-// injecting exact zeros so the kernels' skip branches are exercised: the
-// packed kernels must keep those skips to stay bitwise-equal.
+// injecting exact zeros of both signs so the kernels' skip branches and
+// signed-zero results are exercised: the packed kernels must keep those
+// skips to stay bitwise-equal.
 func randPanel(rng *rand.Rand, m, n, lda int) []float64 {
 	a := make([]float64, lda*n)
 	for j := 0; j < n; j++ {
 		for i := 0; i < m; i++ {
-			v := rng.NormFloat64()
-			if rng.Intn(5) == 0 {
-				v = 0
-			}
-			a[i+j*lda] = v
+			a[i+j*lda] = randEntry(rng, 5)
 		}
 	}
 	return a
@@ -25,19 +23,37 @@ func randPanel(rng *rand.Rand, m, n, lda int) []float64 {
 func randVec(rng *rand.Rand, n int) []float64 {
 	x := make([]float64, n)
 	for i := range x {
-		x[i] = rng.NormFloat64()
-		if rng.Intn(6) == 0 {
-			x[i] = 0
-		}
+		x[i] = randEntry(rng, 6)
 	}
 	return x
 }
 
+// randEntry is a normal deviate, or with probability 1/zeroEvery a zero
+// whose sign is random.
+func randEntry(rng *rand.Rand, zeroEvery int) float64 {
+	if rng.Intn(zeroEvery) == 0 {
+		if rng.Intn(2) == 0 {
+			return math.Copysign(0, -1)
+		}
+		return 0
+	}
+	return rng.NormFloat64()
+}
+
+// bitwiseEqual fails unless got and want hold the same bit patterns, so a
+// −0 against +0 is a mismatch. The one exception is NaN: any NaN matches
+// any NaN, because which operand's payload and sign a NaN result carries
+// follows the operand order the compiler picks for the scalar code, which
+// Go leaves open (coverage instrumentation alone changes it).
 func bitwiseEqual(t *testing.T, name string, got, want []float64) {
 	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", name, len(got), len(want))
+	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: elem %d = %x, want %x (not bit-identical)", name, i, got[i], want[i])
+		g, w := math.Float64bits(got[i]), math.Float64bits(want[i])
+		if g != w && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s: elem %d = %x (%#016x), want %x (%#016x) (not bit-identical)", name, i, got[i], g, want[i], w)
 		}
 	}
 }

@@ -868,7 +868,7 @@ func (st *procState) routePair(k, s, t int, ws []float64, lda int, wt []float64,
 	if s == t {
 		blas.SyrkLowerNDT(rs, w, ws, lda, invd, dst, ldc)
 	} else {
-		blas.GemmNDTAuto(rs, rt, w, ws, lda, invd, wt, ldb, dst, ldc)
+		blas.GemmNDT(rs, rt, w, ws, lda, invd, wt, ldb, dst, ldc)
 	}
 	if dtask.Proc == st.p {
 		return -1, nil

@@ -59,7 +59,7 @@ func applyCellUpdates(f *Factors, k int, invd []float64) error {
 			if s == t {
 				blas.SyrkLowerNDT(rs, w, ws, ld, invd, dst, ldf)
 			} else {
-				blas.GemmNDTAuto(rs, rt, w, ws, ld, invd, wt, ld, dst, ldf)
+				blas.GemmNDT(rs, rt, w, ws, ld, invd, wt, ld, dst, ldf)
 			}
 		}
 	}

@@ -424,7 +424,7 @@ func (sr *sharedRun) applyPending(id int) error {
 		if s == t {
 			blas.SyrkLowerNDT(bs.Rows(), w, ws, ld, sr.invd[k], dst, ldc)
 		} else {
-			blas.GemmNDTAuto(bs.Rows(), bt.Rows(), w, ws, ld, sr.invd[k], wt, ld, dst, ldc)
+			blas.GemmNDT(bs.Rows(), bt.Rows(), w, ws, ld, sr.invd[k], wt, ld, dst, ldc)
 		}
 	}
 	return nil
