@@ -122,8 +122,9 @@ kernels:
 # file parsers, the task-DAG executor, the low-rank compressor's
 # accuracy/admission contract, the durable store's recovery path
 # (arbitrary journal bytes must never panic or resurrect corrupt records),
-# and the AVX2 dense kernels against their scalar references (bitwise on
-# arbitrary shapes, signed zeros, infinities and NaN; 10s each keeps CI
+# the AVX2 dense kernels against their scalar references (bitwise on
+# arbitrary shapes, signed zeros, infinities and NaN), and the solve request
+# decoder against encoding/json (same verdict, same b bits; 10s each keeps CI
 # bounded; raise -fuzztime for a real hunt).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCSR -fuzztime 10s ./internal/sparse
@@ -132,13 +133,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzStoreRecover$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz 'FuzzStoreRecoverSnapshot$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDenseKernels -fuzztime 10s ./internal/blas
+	$(GO) test -run '^$$' -fuzz FuzzSolveRequestDecode -fuzztime 10s ./internal/service
 
 check: build vet test race
 
 # Serving smoke test: boot pastix-serve on a random loopback port and drive
 # analyze → analyze (asserting a cache hit) → factorize → coalesced batched
-# solves against a generated Poisson problem end to end, then scrape
-# /metrics. Self-contained (no curl); exits non-zero on any failure.
+# solves against a generated Poisson problem end to end, send one solve body
+# through each request decode path (compact, and re-encoded with whitespace
+# and E exponents) asserting bit-identical answers, then scrape /metrics.
+# Self-contained (no curl); exits non-zero on any failure.
 serve-smoke:
 	$(GO) run ./cmd/pastix-serve -smoke
 

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -157,6 +158,9 @@ func runSmoke(cfg service.Config) error {
 		}
 	}
 	fmt.Println("serve-smoke: every concurrent answer bit-identical to its solo solve")
+	if err := smokeDecodePaths(base, fr.Handle, bs[0]); err != nil {
+		return err
+	}
 
 	// Scrape /metrics and assert the cache hits were counted.
 	resp, err := http.Get(base + "/metrics")
@@ -266,11 +270,57 @@ func smokeDurable(cfg service.Config, mm string, b []float64) error {
 	return nil
 }
 
+// smokeDecodePaths sends one right-hand side twice: in the compact form
+// json.Marshal writes, which the service parses in a single pass, and
+// re-encoded with whitespace and upper-case exponents, which takes its
+// encoding/json fallback. The two solutions must be bit-identical.
+func smokeDecodePaths(base, handle string, b []float64) error {
+	canonical, err := json.Marshal(smokeSolveReq{Handle: handle, B: b})
+	if err != nil {
+		return err
+	}
+	quoted, err := json.Marshal(handle)
+	if err != nil {
+		return err
+	}
+	var loose bytes.Buffer
+	loose.WriteString("{\n  \"b\": [")
+	for i, v := range b {
+		if i > 0 {
+			loose.WriteString(", ")
+		}
+		loose.WriteString(strconv.FormatFloat(v, 'E', -1, 64))
+	}
+	fmt.Fprintf(&loose, "],\n  \"handle\": %s\n}\n", quoted)
+	var fast, slow smokeSolveResp
+	if err := smokePostRaw(base+"/v1/solve", canonical, &fast); err != nil {
+		return fmt.Errorf("canonical solve: %w", err)
+	}
+	if err := smokePostRaw(base+"/v1/solve", loose.Bytes(), &slow); err != nil {
+		return fmt.Errorf("re-encoded solve: %w", err)
+	}
+	if len(fast.X) != len(b) || len(slow.X) != len(b) {
+		return fmt.Errorf("decode paths: %d and %d values, want %d", len(fast.X), len(slow.X), len(b))
+	}
+	for j := range fast.X {
+		if math.Float64bits(fast.X[j]) != math.Float64bits(slow.X[j]) {
+			return fmt.Errorf("decode paths: x[%d] = %x from the canonical body, %x from the re-encoded one",
+				j, fast.X[j], slow.X[j])
+		}
+	}
+	fmt.Println("serve-smoke: canonical and re-encoded request bodies solve bit-identically")
+	return nil
+}
+
 func smokePost(url string, body, into any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
+	return smokePostRaw(url, buf, into)
+}
+
+func smokePostRaw(url string, buf []byte, into any) error {
 	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		return err

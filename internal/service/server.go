@@ -603,7 +603,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			plan := res.plan
 			resp.Plan = &plan
 		}
-		s.writeJSON(w, http.StatusOK, resp)
+		s.writeSolve(w, &resp)
 	case <-ctx.Done():
 		s.writeErr(w, ctx.Err())
 	}
@@ -678,7 +678,7 @@ func (s *Server) solveDirect(w http.ResponseWriter, ctx context.Context, e *fact
 			s.metrics.RefineIterations.Add(int64(res.Refine.Iterations))
 		}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeSolve(w, &resp)
 }
 
 // runBatch executes one coalesced panel solve and demultiplexes the columns.
@@ -881,8 +881,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 	// MaxBytesReader cuts the connection off at the configured cap, so an
 	// oversized (or unbounded) body is a structured 413, not an OOM vector.
+	// The body is read whole before decoding, so bytes trailing the JSON
+	// value are seen and rejected. A declared length sizes the buffer only up
+	// to the pool cap: a client announcing a huge body must send it to make
+	// the server hold it.
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(into); err != nil {
+	wb := getWireBuf()
+	defer wb.release()
+	hint := min(r.ContentLength, s.cfg.MaxBodyBytes, maxPooledWire)
+	var err error
+	if wb.b, err = readBody(body, wb.b[:0], hint); err == nil {
+		err = unmarshalBody(wb.b, into)
+	}
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
@@ -911,10 +922,15 @@ func (s *Server) decodeMatrix(w http.ResponseWriter, r *http.Request, req *matri
 	return a, true
 }
 
+// writeJSON encodes body before committing the status, so a value JSON
+// cannot carry becomes a 500 rather than a 200 with an empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	data, err := json.Marshal(body)
+	if err != nil {
+		s.writeErr(w, fmt.Errorf("encoding response: %w", err))
+		return
+	}
+	writeBody(w, status, append(data, '\n'))
 }
 
 // writeErr maps service and solver errors to HTTP statuses. Numerical
@@ -947,6 +963,9 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, errNonFinite):
+		status = http.StatusUnprocessableEntity
+		resp.Code = "non_finite"
 	case errors.As(err, &px):
 		status = http.StatusUnprocessableEntity
 		resp.Code = "pivot_exhausted"

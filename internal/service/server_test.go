@@ -369,3 +369,113 @@ func TestServerDeadline(t *testing.T) {
 		t.Fatalf("status %d, want 504", st)
 	}
 }
+
+// A solve whose solution overflows is a structured 422 "non_finite", on the
+// batched and the direct path alike, not a 200 with an empty body; a finite
+// solve carries its Content-Length. Any other value JSON cannot carry is a 500.
+func TestServerNonFiniteSolution(t *testing.T) {
+	s, err := New(Config{Solver: pastix.Options{Processors: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// n = 512: the response outgrows net/http's buffer, which used to send
+	// it chunked.
+	a := gen.Laplacian3D(8, 8, 8)
+	var fr factorizeResponse
+	if st := postJSON(t, ts.URL+"/v1/factorize", matrixRequest{MatrixMarket: mmString(t, a)}, &fr); st != http.StatusOK {
+		t.Fatalf("factorize status %d", st)
+	}
+	b := make([]float64, a.N)
+	for i := range b {
+		b[i] = 1
+	}
+	buf, err := json.Marshal(solveRequest{Handle: fr.Handle, B: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("finite solve: status %d, Content-Length %d for %d bytes, transfer encoding %v",
+			resp.StatusCode, resp.ContentLength, len(body), resp.TransferEncoding)
+	}
+
+	for i := range b {
+		b[i] = 1.7e308
+	}
+	for _, req := range []solveRequest{
+		{Handle: fr.Handle, B: b},
+		{Handle: fr.Handle, B: b, Options: &solveRequestOptions{NRHS: 1}},
+	} {
+		var er errorResponse
+		if st := postJSON(t, ts.URL+"/v1/solve", req, &er); st != http.StatusUnprocessableEntity || er.Code != "non_finite" {
+			t.Fatalf("overflowing solve (options %v): status %d code %q, want 422 non_finite", req.Options, st, er.Code)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	s.writeJSON(rec, http.StatusOK, analyzeResponse{PredictedTime: math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("unencodable response: status %d, want 500", rec.Code)
+	}
+}
+
+// Every endpoint decodes the whole body: bytes other than whitespace after
+// the JSON value are a 400, where a streaming decoder used to ignore them.
+func TestServerRejectsTrailingBytes(t *testing.T) {
+	s, err := New(Config{Solver: pastix.Options{Processors: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	a := gen.Laplacian3D(3, 3, 3)
+	mm := mmString(t, a)
+	var fr factorizeResponse
+	if st := postJSON(t, ts.URL+"/v1/factorize", matrixRequest{MatrixMarket: mm}, &fr); st != http.StatusOK {
+		t.Fatalf("factorize status %d", st)
+	}
+	post := func(path string, body any, tail string) int {
+		t.Helper()
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(string(buf)+tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	solve := solveRequest{Handle: fr.Handle, B: make([]float64, a.N)}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/analyze", matrixRequest{MatrixMarket: mm}},
+		{"/v1/factorize", matrixRequest{MatrixMarket: mm}},
+		{"/v1/solve", solve},
+		{"/v1/solve", solveRequest{Handle: fr.Handle, B: solve.B, Options: &solveRequestOptions{NRHS: 1}}},
+		{"/v1/stat", statRequest{Handle: fr.Handle}},
+		{"/v1/replicate", replicateRequest{Handle: fr.Handle}},
+		{"/v1/release", releaseRequest{Handle: fr.Handle}},
+	} {
+		if st := post(c.path, c.body, " junk"); st != http.StatusBadRequest {
+			t.Errorf("%s with trailing bytes: status %d, want 400", c.path, st)
+		}
+	}
+	if st := post("/v1/solve", solve, " \r\n\t"); st != http.StatusOK {
+		t.Errorf("solve with trailing whitespace: status %d, want 200", st)
+	}
+}
