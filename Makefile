@@ -64,14 +64,16 @@ dynstress:
 		./internal/solver
 
 # Solve-path stress soak: the solve DAG projection and hybrid-step suites,
-# the level-set engine suites, the packed panel kernels, the cross-runtime
-# solve conformance table (every generator × every factorization runtime ×
-# static/dynamic/one-worker level dispatch × 1/32 RHS, bitwise), the public
-# SolveOpts wrapper equivalence, and the serving options and P=1 batch
-# paths — all under the race detector.
+# the level-set engine suites (split chain cells, mid-chain cancellation and
+# the spinning step barrier among them), the packed panel kernels, the
+# cross-runtime solve conformance table (every generator × every
+# factorization runtime × static/dynamic/one-worker level dispatch × 1/32
+# RHS, bitwise), the public SolveOpts wrapper equivalence, and the serving
+# options and P=1 batch paths — all under the race detector, three times
+# over so the spin barrier's interleavings repeat.
 solvestress:
 	$(GO) test -race -timeout 300s -run 'SolveDAG|HybridSteps' ./internal/sched
-	$(GO) test -race -timeout 300s \
+	$(GO) test -race -timeout 300s -count=3 \
 		-run 'SolvePlan|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1' \
 		./internal/solver ./internal/blas ./internal/service .
 

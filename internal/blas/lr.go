@@ -14,11 +14,16 @@ package blas
 // LRGemvN computes y -= (U·Vᵀ)·x: the forward-solve application of a
 // compressed block. U is m×r packed, V is n×r packed, x length n, y length
 // m. The temporary t = Vᵀ·x is formed first, then y -= U·t.
-func LRGemvN(m, n, r int, u, v, x, y []float64) {
-	if r == 0 {
+func LRGemvN(m, n, r int, u, v, x, y []float64) { LRGemvNRows(m, n, r, 0, m, u, v, x, y) }
+
+// LRGemvNRows is LRGemvN restricted to rows [lo, hi) of y (y still has
+// length m). Every t_k is formed over the whole of x, so each updated row
+// gets exactly the bits LRGemvN gives it.
+func LRGemvNRows(m, n, r, lo, hi int, u, v, x, y []float64) {
+	if r == 0 || lo >= hi {
 		return
 	}
-	y = y[:m]
+	y = y[lo:hi]
 	for k := 0; k < r; k++ {
 		vk := v[k*n : k*n+n]
 		var t float64
@@ -28,17 +33,21 @@ func LRGemvN(m, n, r int, u, v, x, y []float64) {
 		if t == 0 {
 			continue
 		}
-		axpy(-t, u[k*m:k*m+m], y)
+		axpy(-t, u[k*m+lo:k*m+hi], y)
 	}
 }
 
 // LRGemvT computes y -= (U·Vᵀ)ᵀ·x = V·(Uᵀ·x): the backward-solve
 // application. x length m, y length n.
-func LRGemvT(m, n, r int, u, v, x, y []float64) {
-	if r == 0 {
+func LRGemvT(m, n, r int, u, v, x, y []float64) { LRGemvTCols(m, n, r, 0, n, u, v, x, y) }
+
+// LRGemvTCols is LRGemvT restricted to entries [lo, hi) of y (y still has
+// length n), with the same per-entry bits.
+func LRGemvTCols(m, n, r, lo, hi int, u, v, x, y []float64) {
+	if r == 0 || lo >= hi {
 		return
 	}
-	y = y[:n]
+	y = y[lo:hi]
 	for k := 0; k < r; k++ {
 		uk := u[k*m : k*m+m]
 		var t float64
@@ -48,25 +57,7 @@ func LRGemvT(m, n, r int, u, v, x, y []float64) {
 		if t == 0 {
 			continue
 		}
-		axpy(-t, v[k*n:k*n+n], y)
-	}
-}
-
-// LRGemmNN computes C -= (U·Vᵀ)·B for a panel of nrhs right-hand sides:
-// U m×r, V n×r (packed), B n×nrhs (ldb), C m×nrhs (ldc). Each column is the
-// LRGemvN of that column, so panel and per-column applications agree
-// bitwise.
-func LRGemmNN(m, n, r, nrhs int, u, v, b []float64, ldb int, c []float64, ldc int) {
-	for col := 0; col < nrhs; col++ {
-		LRGemvN(m, n, r, u, v, b[col*ldb:col*ldb+n], c[col*ldc:col*ldc+m])
-	}
-}
-
-// LRGemmTN computes C -= V·(Uᵀ·B) for a panel: B m×nrhs (ldb), C n×nrhs
-// (ldc). Column-by-column LRGemvT.
-func LRGemmTN(m, n, r, nrhs int, u, v, b []float64, ldb int, c []float64, ldc int) {
-	for col := 0; col < nrhs; col++ {
-		LRGemvT(m, n, r, u, v, b[col*ldb:col*ldb+m], c[col*ldc:col*ldc+n])
+		axpy(-t, v[k*n+lo:k*n+hi], y)
 	}
 }
 

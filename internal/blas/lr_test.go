@@ -78,56 +78,6 @@ func TestLRGemv(t *testing.T) {
 	}
 }
 
-// TestLRGemmPanel checks the multi-rhs forms column-by-column against the
-// single-rhs kernels (the two must agree bitwise) and against the dense
-// panel kernels numerically.
-func TestLRGemmPanel(t *testing.T) {
-	m, n, r, nrhs := 26, 31, 4, 7
-	ldb, ldc := n+3, m+2
-	s := uint64(23)
-	u, v := lrFill(m*r, &s), lrFill(n*r, &s)
-	dense := lrDense(m, n, r, u, v)
-
-	b := lrFill(ldb*nrhs, &s)
-	c0 := lrFill(ldc*nrhs, &s)
-	cLR := append([]float64(nil), c0...)
-	cCol := append([]float64(nil), c0...)
-	cRef := append([]float64(nil), c0...)
-
-	LRGemmNN(m, n, r, nrhs, u, v, b, ldb, cLR, ldc)
-	for col := 0; col < nrhs; col++ {
-		LRGemvN(m, n, r, u, v, b[col*ldb:col*ldb+n], cCol[col*ldc:col*ldc+m])
-	}
-	for i := range cLR {
-		if cLR[i] != cCol[i] {
-			t.Fatalf("LRGemmNN not bitwise-equal to per-column LRGemvN at %d", i)
-		}
-	}
-	GemmNN(m, nrhs, n, dense, m, b, ldb, cRef, ldc)
-	if d := lrMaxDiff(cLR, cRef); d > 1e-12 {
-		t.Errorf("LRGemmNN vs dense GemmNN: max diff %g", d)
-	}
-
-	bt := lrFill(ldc*nrhs, &s) // m-length columns, reuse ldc stride
-	ct0 := lrFill(ldb*nrhs, &s)
-	ctLR := append([]float64(nil), ct0...)
-	ctCol := append([]float64(nil), ct0...)
-	ctRef := append([]float64(nil), ct0...)
-	LRGemmTN(m, n, r, nrhs, u, v, bt, ldc, ctLR, ldb)
-	for col := 0; col < nrhs; col++ {
-		LRGemvT(m, n, r, u, v, bt[col*ldc:col*ldc+m], ctCol[col*ldb:col*ldb+n])
-	}
-	for i := range ctLR {
-		if ctLR[i] != ctCol[i] {
-			t.Fatalf("LRGemmTN not bitwise-equal to per-column LRGemvT at %d", i)
-		}
-	}
-	GemmTN(n, nrhs, m, dense, m, bt, ldc, ctRef, ldb)
-	if d := lrMaxDiff(ctLR, ctRef); d > 1e-12 {
-		t.Errorf("LRGemmTN vs dense GemmTN: max diff %g", d)
-	}
-}
-
 // TestGemmLRDense checks C -= (U·Vᵀ)·B against materialise-then-GemmNN.
 func TestGemmLRDense(t *testing.T) {
 	m, n, k, r := 22, 17, 30, 6
@@ -215,6 +165,47 @@ func TestLRKernelsRankZero(t *testing.T) {
 	for i := range y {
 		if y[i] != want[i] {
 			t.Fatalf("rank-0 kernel modified output at %d", i)
+		}
+	}
+}
+
+// TestLRGemvRanges checks the row- and column-range forms: over every split
+// of the output into two ranges, the updated entries are bit-identical to
+// the whole-range kernel and the entries outside the range are untouched.
+func TestLRGemvRanges(t *testing.T) {
+	m, n, r := 13, 9, 3
+	s := uint64(31)
+	u, v := lrFill(m*r, &s), lrFill(n*r, &s)
+	xn, xt := lrFill(n, &s), lrFill(m, &s)
+	y0, yt0 := lrFill(m, &s), lrFill(n, &s)
+	whole := append([]float64(nil), y0...)
+	LRGemvN(m, n, r, u, v, xn, whole)
+	wholeT := append([]float64(nil), yt0...)
+	LRGemvT(m, n, r, u, v, xt, wholeT)
+	check := func(name string, lo, hi int, got, ref, orig []float64) {
+		t.Helper()
+		for i := range got {
+			want := orig[i]
+			if i >= lo && i < hi {
+				want = ref[i]
+			}
+			if got[i] != want {
+				t.Fatalf("%s [%d,%d): entry %d = %x, want %x", name, lo, hi, i, got[i], want)
+			}
+		}
+	}
+	for cut := 0; cut <= m; cut++ {
+		for _, rg := range [][2]int{{0, cut}, {cut, m}} {
+			y := append([]float64(nil), y0...)
+			LRGemvNRows(m, n, r, rg[0], rg[1], u, v, xn, y)
+			check("LRGemvNRows", rg[0], rg[1], y, whole, y0)
+		}
+	}
+	for cut := 0; cut <= n; cut++ {
+		for _, rg := range [][2]int{{0, cut}, {cut, n}} {
+			y := append([]float64(nil), yt0...)
+			LRGemvTCols(m, n, r, rg[0], rg[1], u, v, xt, y)
+			check("LRGemvTCols", rg[0], rg[1], y, wholeT, yt0)
 		}
 	}
 }

@@ -22,22 +22,6 @@ func GemvNPacked(m, n int, a, x, y []float64) { GemvN(m, n, a, m, x, y[:m]) }
 // GemvTPacked computes y -= Aᵀ·x with A m×n packed, x length m, y length n.
 func GemvTPacked(m, n int, a, x, y []float64) { GemvT(m, n, a, m, x, y) }
 
-// GemmNNPacked computes C -= A·B with A m×k packed, B k×n (ldb), C m×n
-// (ldc), one GemvNPacked per column.
-func GemmNNPacked(m, n, k int, a []float64, b []float64, ldb int, c []float64, ldc int) {
-	for j := 0; j < n; j++ {
-		GemvNPacked(m, k, a, b[j*ldb:j*ldb+k], c[j*ldc:j*ldc+m])
-	}
-}
-
-// GemmTNPacked computes C -= Aᵀ·B with A k×m packed, B k×n (ldb), C m×n
-// (ldc), one GemvTPacked per column.
-func GemmTNPacked(m, n, k int, a []float64, b []float64, ldb int, c []float64, ldc int) {
-	for j := 0; j < n; j++ {
-		GemvTPacked(k, m, a, b[j*ldb:j*ldb+k], c[j*ldc:j*ldc+m])
-	}
-}
-
 // TrsvLowerUnitPacked solves L·x = b in place, unit lower L n×n packed.
 func TrsvLowerUnitPacked(n int, l, x []float64) { TrsvLowerUnit(n, l, n, x) }
 

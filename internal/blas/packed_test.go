@@ -59,7 +59,9 @@ func bitwiseEqual(t *testing.T, name string, got, want []float64) {
 }
 
 // TestPackedKernelsBitwise proves every packed kernel bitwise-equal to its
-// strided counterpart over random shapes, including empty dimensions.
+// strided counterpart over random shapes, including empty dimensions, and
+// that GemvN on a row range or GemvT on a column range of a packed panel
+// gives each entry in the range the bits of the whole call.
 func TestPackedKernelsBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][2]int{{1, 1}, {3, 2}, {8, 8}, {17, 5}, {5, 17}, {32, 1}, {1, 32}, {0, 4}, {4, 0}}
@@ -91,28 +93,41 @@ func TestPackedKernelsBitwise(t *testing.T) {
 		GemvTPacked(m, n, pa, xv, z2)
 		bitwiseEqual(t, "GemvTPacked", z2, z1)
 
-		// Gemm variants: A m×k packed vs strided, B/C stay strided panels.
-		k, nrhs := n, 6
-		ldb, ldc := k+2, m+1
-		b := randPanel(rng, k, nrhs, ldb)
-		c1 := randPanel(rng, m, nrhs, ldc)
-		c2 := append([]float64(nil), c1...)
-		GemmNN(m, nrhs, k, a, lda, b, ldb, c1, ldc)
-		GemmNNPacked(m, nrhs, k, pa, b, ldb, c2, ldc)
-		bitwiseEqual(t, "GemmNNPacked", c2, c1)
-
-		// Transposed: A is k×m here, reuse pa as (n rows × m cols) by
-		// swapping roles — repack a fresh k×m panel instead for clarity.
-		ldat := k + 3
-		at := randPanel(rng, k, m, ldat)
-		pat := make([]float64, k*m)
-		PackPanel(k, m, at, ldat, pat)
-		bt := randPanel(rng, k, nrhs, ldb)
-		d1 := randPanel(rng, m, nrhs, ldc)
-		d2 := append([]float64(nil), d1...)
-		GemmTN(m, nrhs, k, at, ldat, bt, ldb, d1, ldc)
-		GemmTNPacked(m, nrhs, k, pat, bt, ldb, d2, ldc)
-		bitwiseEqual(t, "GemmTNPacked", d2, d1)
+		// Row and column ranges of the packed panel, as the solve engine
+		// calls them to split a cell across workers: every entry in the range
+		// gets the bits of the whole call, and nothing outside it changes.
+		check := func(name string, lo, hi int, got, whole, orig []float64) {
+			t.Helper()
+			for i := range got {
+				want := orig[i]
+				if i >= lo && i < hi {
+					want = whole[i]
+				}
+				if got[i] != want {
+					t.Fatalf("%s [%d,%d) of %dx%d: entry %d = %x, want %x", name, lo, hi, m, n, i, got[i], want)
+				}
+			}
+		}
+		for lo := 0; lo <= m; lo++ {
+			for hi := lo; hi <= m; hi++ {
+				y0 := randVec(rng, m)
+				whole := append([]float64(nil), y0...)
+				GemvNPacked(m, n, pa, x, whole)
+				part := append([]float64(nil), y0...)
+				GemvN(hi-lo, n, pa[min(lo, len(pa)):], m, x, part[lo:hi])
+				check("GemvN rows", lo, hi, part, whole, y0)
+			}
+		}
+		for lo := 0; lo <= n; lo++ {
+			for hi := lo; hi <= n; hi++ {
+				z0 := randVec(rng, n)
+				whole := append([]float64(nil), z0...)
+				GemvTPacked(m, n, pa, xv, whole)
+				part := append([]float64(nil), z0...)
+				GemvT(m, hi-lo, pa[lo*m:], m, xv, part[lo:hi])
+				check("GemvT columns", lo, hi, part, whole, z0)
+			}
+		}
 	}
 }
 

@@ -272,6 +272,7 @@ func appendSolveResponse(b []byte, resp *solveResponse) ([]byte, error) {
 		b = appendJSONInt(append(b, `,"parallel_steps":`...), p.ParallelSteps)
 		b = appendJSONInt(append(b, `,"chain_steps":`...), p.ChainSteps)
 		b = appendJSONInt(append(b, `,"chain_cells":`...), p.ChainCells)
+		b = appendJSONInt(append(b, `,"split_cells":`...), p.SplitCells)
 		b = appendJSONInt(append(b, `,"max_level_width":`...), p.MaxLevelWidth)
 		b = appendJSONInt(append(b, `,"cutoff":`...), p.Cutoff)
 		b = append(b, '}')

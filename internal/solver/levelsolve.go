@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +34,14 @@ import (
 // sweep is symmetric (each cell folds its own blocks' dot products in block
 // order). The packed kernels replicate the strided kernels' operation order
 // exactly, so packing does not perturb results either.
+//
+// A split chain cell keeps the argument per element: GemvN gives each
+// destination row its updates in ascending source-column order, and GemvT
+// sums each column over the rows in ascending order, whatever row or column
+// range they are called on. So dividing a cell's rows (forward) or columns
+// (backward) among workers, each applying every contribution to its own
+// range in canonical order, leaves every element's operation sequence as it
+// was.
 
 // solveIn is one incoming forward contribution of a destination cell: block
 // bi of source cell src lands at rows [off, off+rows) of the destination's
@@ -46,8 +55,10 @@ type solveIn struct {
 
 // SolvePlan is a reusable schedule for the level-set solve engine on a fixed
 // worker count: the hybrid steps, a cost-balanced contiguous partition of
-// each parallel step, and the per-cell pull lists. Plans are immutable and
-// cached per (Analysis, workers) — see Analysis.SolvePlanFor.
+// each parallel step, the per-cell pull lists, and the chain cells whose
+// rows (forward) and columns (backward) are split across the workers. Plans
+// are immutable and cached per (Analysis, workers) — see
+// Analysis.SolvePlanFor.
 type SolvePlan struct {
 	sym     *symbolic.Symbol
 	dag     *sched.SolveDAG
@@ -57,10 +68,21 @@ type SolvePlan struct {
 	cost    []int64
 	workers int
 	cutoff  int
+
+	// rowCut[k] is nil for a cell one worker runs whole, and for a split
+	// chain cell the workers+1 bounds of each worker's forward destination
+	// rows, balanced by pull volume.
+	rowCut     [][]int32
+	splitCells int
+	// makespan is the plan's predicted time in cost units, barriers and
+	// worker start-up included.
+	makespan int64
 }
 
 // PlanStats summarizes a SolvePlan for reporting (the service returns it
-// from /v1/factorize and /v1/solve).
+// from /v1/factorize and /v1/solve). Workers is the number of workers the
+// engine runs the plan on; SplitCells counts the chain cells every worker
+// takes part in.
 type PlanStats struct {
 	Workers       int `json:"workers"`
 	Cells         int `json:"cells"`
@@ -68,6 +90,7 @@ type PlanStats struct {
 	ParallelSteps int `json:"parallel_steps"`
 	ChainSteps    int `json:"chain_steps"`
 	ChainCells    int `json:"chain_cells"`
+	SplitCells    int `json:"split_cells"`
 	MaxLevelWidth int `json:"max_level_width"`
 	Cutoff        int `json:"cutoff"`
 }
@@ -78,6 +101,7 @@ func (pl *SolvePlan) Stats() PlanStats {
 		Workers:       pl.workers,
 		Cells:         pl.sym.NumCB(),
 		Levels:        pl.dag.Depth(),
+		SplitCells:    pl.splitCells,
 		MaxLevelWidth: pl.dag.MaxWidth,
 		Cutoff:        pl.cutoff,
 	}
@@ -92,13 +116,32 @@ func (pl *SolvePlan) Stats() PlanStats {
 	return st
 }
 
-// Workers returns the worker count the plan was built for.
+// Workers returns the worker count the plan runs on.
 func (pl *SolvePlan) Workers() int { return pl.workers }
+
+// Cost model charges, in the units of the per-cell cost proxy (one unit
+// takes about 0.4–0.9 ns on the 2-core x86-64 host the charges were measured
+// on, AVX2 kernels).
+const (
+	// barrierCharge is one barrier as the engine pays it: the generation
+	// swap itself (about 0.3 µs, BenchmarkSolveBarrier) plus the skew and
+	// cache-line traffic around it. Fitted to one- against two-worker engine
+	// times on 3-D Poisson 8³–24³: about 3.5 µs a barrier.
+	barrierCharge = 4000
+	// spawnCharge is taking one more worker for a solve. Alone on the
+	// machine that costs a few µs (BenchmarkSolveSpawn), but where other
+	// goroutines share the cores the extra worker has to wait for one: two
+	// callers solving Poisson 12³ over HTTP on 2 cores spent 0.45 ms per
+	// solve in the engine on two workers against 0.35 ms on one, about 160k
+	// units over the two-worker makespan predicted without this charge.
+	spawnCharge = 160000
+)
 
 // BuildSolvePlan builds a level-set solve plan: hybrid steps from the DAG
 // (cutoff <= 0 selects sched.DefaultSolveCutoff), per-cell pull lists in
-// canonical order, and a cost-balanced contiguous partition of every
-// parallel step across the workers.
+// canonical order, a cost-balanced contiguous partition of every parallel
+// step across the workers, and the split of every chain cell that the cost
+// model predicts runs faster across the workers than on one.
 func BuildSolvePlan(sym *symbolic.Symbol, dag *sched.SolveDAG, workers, cutoff int) *SolvePlan {
 	if workers < 1 {
 		workers = 1
@@ -133,16 +176,94 @@ func BuildSolvePlan(sym *symbolic.Symbol, dag *sched.SolveDAG, workers, cutoff i
 		c += int64(cb.RowsBelow()) * w
 		cost[k] = c
 	}
-	parts := make([][][]int32, len(steps))
+	pl := &SolvePlan{
+		sym: sym, dag: dag, steps: steps, ins: ins, cost: cost,
+		workers: workers, cutoff: cutoff,
+		parts:  make([][][]int32, len(steps)),
+		rowCut: make([][]int32, ncb),
+	}
+	// The predicted makespan: every step ends in a barrier per sweep (the
+	// last backward one is the join), every split cell adds two per sweep.
+	span := int64(2*len(steps)-1) * barrierCharge
 	for si, st := range steps {
 		if st.Parallel {
-			parts[si] = splitByCost(st.Cells, cost, workers)
+			pl.parts[si] = splitByCost(st.Cells, cost, workers)
+			var worst int64
+			for _, part := range pl.parts[si] {
+				var c int64
+				for _, k := range part {
+					c += cost[k]
+				}
+				worst = max(worst, c)
+			}
+			span += worst
+			continue
+		}
+		for _, k := range st.Cells {
+			span += pl.splitChainCell(int(k))
 		}
 	}
-	return &SolvePlan{
-		sym: sym, dag: dag, steps: steps, parts: parts, ins: ins,
-		cost: cost, workers: workers, cutoff: cutoff,
+	if workers > 1 {
+		span += int64(workers-1) * spawnCharge
 	}
+	pl.makespan = span
+	return pl
+}
+
+// splitChainCell decides whether chain cell k runs across the workers and
+// returns its predicted time. Split, the forward pulls divide by destination
+// row (balanced by each row's pull volume), the backward dots by column
+// (every column costs the same), and worker 0 alone runs both triangular
+// solves, between two barriers per sweep.
+func (pl *SolvePlan) splitChainCell(k int) int64 {
+	if pl.workers == 1 {
+		return pl.cost[k]
+	}
+	cb := &pl.sym.CB[k]
+	w := cb.Width()
+	cut, worst := pl.pullCut(k)
+	cols := int64((w + pl.workers - 1) / pl.workers)
+	split := worst + cols*int64(cb.RowsBelow()) + int64(w*w+16) + 4*barrierCharge
+	if split >= pl.cost[k] {
+		return pl.cost[k]
+	}
+	pl.rowCut[k] = cut
+	pl.splitCells++
+	return split
+}
+
+// pullCut splits cell k's rows into one contiguous range per worker, balanced
+// by pull volume (a row's volume is the summed width of the sources that
+// update it), and returns the workers+1 bounds and the largest share.
+func (pl *SolvePlan) pullCut(k int) ([]int32, int64) {
+	w := pl.sym.CB[k].Width()
+	pre := make([]int64, w+1) // per-row volume deltas, then prefix sums
+	for _, in := range pl.ins[k] {
+		sw := int64(pl.sym.CB[in.src].Width())
+		pre[in.off] += sw
+		pre[in.off+in.rows] -= sw
+	}
+	var row, total int64
+	for i := 0; i < w; i++ {
+		row += pre[i]
+		pre[i] = total
+		total += row
+	}
+	pre[w] = total
+	cut := make([]int32, pl.workers+1)
+	var worst int64
+	for p, i := 1, 0; p <= pl.workers; p++ {
+		target := total * int64(p) / int64(pl.workers)
+		for i < w && pre[i+1] <= target {
+			i++
+		}
+		if p == pl.workers {
+			i = w
+		}
+		cut[p] = int32(i)
+		worst = max(worst, pre[i]-pre[cut[p-1]])
+	}
+	return cut, worst
 }
 
 // splitByCost partitions cells into at most `workers` contiguous runs of
@@ -257,9 +378,9 @@ func (an *Analysis) SolveDAG() *sched.SolveDAG {
 	return an.solveDAG
 }
 
-// SolvePlanFor returns the cached level-set solve plan for the given worker
-// count, building it on first request. Plans are immutable; the cache is a
-// sync.Map keyed by worker count.
+// SolvePlanFor returns the cached level-set solve plan for exactly the given
+// worker count, building it on first request. Plans are immutable; the cache
+// is a sync.Map keyed by worker count.
 func (an *Analysis) SolvePlanFor(workers int) *SolvePlan {
 	if workers < 1 {
 		workers = 1
@@ -272,18 +393,30 @@ func (an *Analysis) SolvePlanFor(workers int) *SolvePlan {
 	return v.(*SolvePlan)
 }
 
-// PrepareSolve eagerly builds the solve plan for the schedule's worker count
-// and packs the factor's solve panels, so a serving layer can pay the whole
-// solve-planning cost at factorize time instead of on the first request.
+// SolvePlan returns the plan solves of this analysis run: the plan for the
+// schedule's processor count when its predicted makespan beats one worker's,
+// else the one-worker plan (small problems, where the barriers and the extra
+// goroutines cost more than the parallel cells save).
+func (an *Analysis) SolvePlan() *SolvePlan {
+	one := an.SolvePlanFor(1)
+	if pl := an.SolvePlanFor(an.Sched.P); pl.makespan < one.makespan {
+		return pl
+	}
+	return one
+}
+
+// PrepareSolve eagerly builds the solve plan and packs the factor's solve
+// panels, so a serving layer can pay the whole solve-planning cost at
+// factorize time instead of on the first request.
 func (an *Analysis) PrepareSolve(f *Factors) PlanStats {
-	pl := an.SolvePlanFor(an.Sched.P)
+	pl := an.SolvePlan()
 	f.solvePackFor(pl.dag)
 	return pl.Stats()
 }
 
 // LevelStats carries per-worker observability of one level-set solve:
-// Executed[p] counts the parallel-step cells worker p ran (chain cells run
-// on worker 0 and are not counted).
+// Executed[p] counts the parallel-step cells worker p ran. Chain cells are
+// not counted, split ones included.
 type LevelStats struct {
 	Executed []int64
 }
@@ -297,8 +430,8 @@ type LevelOptions struct {
 	// fetch cells as they free up) instead of the static cost-balanced
 	// partition. Both are bitwise-identical to sequential.
 	Dynamic bool
-	// Trace records each worker's forward and backward sweep as phase
-	// events (nil disables tracing).
+	// Trace records each worker's forward and backward sweep, and every
+	// wait in a step barrier, as phase events (nil disables tracing).
 	Trace *trace.Recorder
 	// Stats, when non-nil, receives per-worker execution counts.
 	Stats *LevelStats
@@ -306,11 +439,12 @@ type LevelOptions struct {
 
 // SolveLevelCtx runs the level-set solve engine on the plan: forward sweep,
 // diagonal scaling and backward sweep over packed panels, with one barrier
-// per hybrid step. Each column of the result is bitwise-identical to the
+// per hybrid step and two per split chain cell. Worker 0 runs on the calling
+// goroutine. Each column of the result is bitwise-identical to the
 // sequential Factors.Solve of that column: every column keeps the single-RHS
 // division semantics, however wide the panel.
-// Cancelling ctx aborts at the next step boundary on every worker and
-// returns ctx.Err().
+// Cancelling ctx aborts at the next barrier on every worker and returns
+// ctx.Err().
 func SolveLevelCtx(ctx context.Context, pl *SolvePlan, f *Factors, b []float64, opts LevelOptions) ([]float64, error) {
 	nrhs := opts.NRHS
 	if nrhs <= 0 {
@@ -335,18 +469,31 @@ func SolveLevelCtx(ctx context.Context, pl *SolvePlan, f *Factors, b []float64, 
 		fcursors: make([]atomic.Int64, len(pl.steps)),
 		bcursors: make([]atomic.Int64, len(pl.steps)),
 		executed: make([]int64, pl.workers),
-		bar:      newStepBarrier(pl.workers),
+		bar:      spinBarrier{n: int32(pl.workers)},
+	}
+	if ctx.Done() != nil {
+		r.check = r.checkCtx
 	}
 	packRHS(sym, b, r.y, nrhs)
 	var wg sync.WaitGroup
-	for p := 0; p < pl.workers; p++ {
-		wg.Add(1)
+	wg.Add(pl.workers - 1)
+	for p := 1; p < pl.workers; p++ {
 		go func(p int) {
 			defer wg.Done()
 			r.worker(p)
 		}(p)
 	}
+	if pl.workers > 1 {
+		// Yield once, so the worker just started does not sit in this
+		// processor's run-next slot, which an idle processor does not take
+		// at once (it started about 60 µs late on a 24³ solve).
+		runtime.Gosched()
+	}
+	r.worker(0)
 	wg.Wait()
+	if r.err != nil {
+		return nil, r.err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -409,61 +556,77 @@ type levelRun struct {
 	fcursors []atomic.Int64 // per-step dynamic fetch cursors, forward
 	bcursors []atomic.Int64 // and backward (separate: no reset races)
 	executed []int64        // per worker; each worker touches only its own slot
-	bar      *stepBarrier
-	failed   atomic.Bool
+
+	bar spinBarrier
+	// check is r.checkCtx, run by the last worker into each barrier (nil
+	// for a context that is never done).
+	check func()
+	// stop is the verdict of the last check: written only by the last
+	// worker into a barrier, before it releases the others, and read by
+	// every worker right after that barrier, so all of them read the same
+	// value and leave together. err is the context error behind it.
+	stop atomic.Bool
+	err  error
+}
+
+// checkCtx stops the run when the context is done.
+func (r *levelRun) checkCtx() {
+	if err := r.ctx.Err(); err != nil {
+		r.err = err
+		r.stop.Store(true)
+	}
+}
+
+// sync waits at the barrier and reports whether the run goes on. Every
+// worker makes the identical sequence of sync calls, fixed by the plan, so
+// the barrier generations line up and a stop verdict unwinds all workers at
+// the same barrier.
+func (r *levelRun) sync(p int) bool {
+	if r.rec == nil {
+		r.bar.wait(r.check)
+	} else {
+		start := r.rec.Now()
+		r.bar.wait(r.check)
+		r.rec.Phase(p, trace.PhaseBarrier, start, r.rec.Now())
+	}
+	return !r.stop.Load()
 }
 
 // worker runs both sweeps in lockstep with the other workers: one barrier
 // per hybrid step, the backward sweep walking steps (and chain cells) in
-// reverse. Every worker executes the identical barrier sequence, so
-// cancellation (checked at step boundaries) unwinds all of them uniformly.
+// reverse. The last backward step needs no barrier: the caller joins the
+// workers instead.
 func (r *levelRun) worker(p int) {
 	var start time.Duration
 	if r.rec != nil {
 		start = r.rec.Now()
 	}
-	for si := range r.pl.steps {
-		r.step(p, si, true)
-		r.bar.wait()
+	steps := r.pl.steps
+	for si := range steps {
+		if !r.step(p, si, true) || !r.sync(p) {
+			return
+		}
 	}
 	if r.rec != nil {
 		r.rec.Phase(p, trace.PhaseForward, start, r.rec.Now())
 		start = r.rec.Now()
 	}
-	for si := len(r.pl.steps) - 1; si >= 0; si-- {
-		r.step(p, si, false)
-		r.bar.wait()
+	for si := len(steps) - 1; si >= 0; si-- {
+		if !r.step(p, si, false) || (si > 0 && !r.sync(p)) {
+			return
+		}
 	}
 	if r.rec != nil {
 		r.rec.Phase(p, trace.PhaseBackward, start, r.rec.Now())
 	}
 }
 
-func (r *levelRun) step(p, si int, fwd bool) {
-	if r.failed.Load() {
-		return
-	}
-	if r.ctx.Err() != nil {
-		r.failed.Store(true)
-		return
-	}
+// step runs worker p's share of step si and reports whether the run goes on
+// (a chain step holds barriers of its own).
+func (r *levelRun) step(p, si int, fwd bool) bool {
 	st := &r.pl.steps[si]
 	if !st.Parallel {
-		// Chain step: worker 0 runs the collapsed narrow levels sequentially
-		// (forward in level order, backward in reverse).
-		if p != 0 {
-			return
-		}
-		if fwd {
-			for _, c := range st.Cells {
-				r.forwardCell(int(c))
-			}
-		} else {
-			for i := len(st.Cells) - 1; i >= 0; i-- {
-				r.backwardCell(int(st.Cells[i]))
-			}
-		}
-		return
+		return r.chain(p, st.Cells, fwd)
 	}
 	if r.dynamic {
 		cur := &r.fcursors[si]
@@ -474,70 +637,134 @@ func (r *levelRun) step(p, si int, fwd bool) {
 		for {
 			i := cur.Add(1) - 1
 			if i >= limit {
-				return
+				return true
 			}
-			if fwd {
-				r.forwardCell(int(st.Cells[i]))
-			} else {
-				r.backwardCell(int(st.Cells[i]))
-			}
+			r.cell(int(st.Cells[i]), fwd)
 			r.executed[p]++
 		}
 	}
 	for _, c := range r.pl.parts[si][p] {
-		if fwd {
-			r.forwardCell(int(c))
-		} else {
-			r.backwardCell(int(c))
-		}
+		r.cell(int(c), fwd)
 		r.executed[p]++
+	}
+	return true
+}
+
+// cell runs one whole cell of a sweep on the calling worker.
+func (r *levelRun) cell(k int, fwd bool) {
+	w := r.pl.sym.CB[k].Width()
+	if fwd {
+		r.pull(k, 0, w)
+		r.trsvForward(k)
+	} else {
+		r.dots(k, 0, w)
+		r.trsvBackward(k)
 	}
 }
 
-// forwardCell completes cell fc's forward solve: pull every incoming
-// contribution in canonical (source, block) order into the b-initialized
-// segment, then the unit-lower triangular solve — all on packed operands.
-func (r *levelRun) forwardCell(fc int) {
+// chain runs a chain step: the collapsed narrow levels in order (reverse
+// order backward). Worker 0 runs the unsplit cells alone. A split cell
+// takes every worker: a barrier so worker 0's earlier cells are visible
+// (none is needed for the first cell, which follows the step barrier), each
+// worker's share of the pulls or dots, a barrier, then worker 0's
+// triangular solve — which the next split cell's first barrier, or the step
+// barrier, publishes.
+func (r *levelRun) chain(p int, cells []int32, fwd bool) bool {
+	nw := r.pl.workers
+	for i := range cells {
+		k := int(cells[i])
+		if !fwd {
+			k = int(cells[len(cells)-1-i])
+		}
+		cut := r.pl.rowCut[k]
+		if cut == nil {
+			if p == 0 {
+				r.cell(k, fwd)
+			}
+			continue
+		}
+		if i > 0 && !r.sync(p) {
+			return false
+		}
+		if fwd {
+			r.pull(k, int(cut[p]), int(cut[p+1]))
+		} else {
+			w := r.pl.sym.CB[k].Width()
+			r.dots(k, p*w/nw, (p+1)*w/nw)
+		}
+		if !r.sync(p) {
+			return false
+		}
+		if p == 0 {
+			if fwd {
+				r.trsvForward(k)
+			} else {
+				r.trsvBackward(k)
+			}
+		}
+	}
+	return true
+}
+
+// pull applies cell fc's incoming contributions to rows [lo, hi) of its
+// segment, in canonical (source, block) order, one right-hand side at a
+// time. GemvN gives each row the same operation sequence whatever row range
+// it is called on, so a row's bits do not depend on the split.
+func (r *levelRun) pull(fc, lo, hi int) {
 	sym := r.pl.sym
 	cb := &sym.CB[fc]
 	w := cb.Width()
 	nr := r.nrhs
-	base := cb.Cols[0] * nr
-	yf := r.y[base : base+w*nr]
+	yf := r.y[cb.Cols[0]*nr:]
 	for _, in := range r.pl.ins[fc] {
+		off, rows := int(in.off), int(in.rows)
+		a0, a1 := max(lo, off), min(hi, off+rows)
+		if a0 >= a1 {
+			continue
+		}
 		scb := &sym.CB[in.src]
 		sw := scb.Width()
 		ys := r.y[scb.Cols[0]*nr:]
-		rows := int(in.rows)
+		var lb *lowrank.LRBlock
 		if r.pk.lr != nil {
-			if lb := r.pk.lr[in.src][in.bi]; lb != nil {
-				if nr == 1 {
-					blas.LRGemvN(rows, sw, lb.Rank, lb.U, lb.V, ys[:sw], yf[in.off:int(in.off)+rows])
-				} else {
-					blas.LRGemmNN(rows, sw, lb.Rank, nr, lb.U, lb.V, ys[:sw*nr], sw, yf[in.off:], w)
-				}
+			lb = r.pk.lr[in.src][in.bi]
+		}
+		for c := 0; c < nr; c++ {
+			xs := ys[c*sw : c*sw+sw]
+			yd := yf[c*w+off : c*w+off+rows]
+			if lb != nil {
+				blas.LRGemvNRows(rows, sw, lb.Rank, a0-off, a1-off, lb.U, lb.V, xs, yd)
 				continue
 			}
+			a := r.pk.blk[in.src][int(r.pk.off[in.src][in.bi])+a0-off:]
+			blas.GemvN(a1-a0, sw, a, rows, xs, yd[a0-off:a1-off])
 		}
-		a := r.pk.blk[in.src][r.pk.off[in.src][in.bi]:]
-		if nr == 1 {
-			blas.GemvNPacked(rows, sw, a, ys[:sw], yf[in.off:int(in.off)+rows])
-		} else {
-			blas.GemmNNPacked(rows, nr, sw, a, ys[:sw*nr], sw, yf[in.off:], w)
-		}
-	}
-	if nr == 1 {
-		blas.TrsvLowerUnitPacked(w, r.pk.diag[fc], yf)
-	} else {
-		blas.TrsmLowerUnitPacked(w, nr, r.pk.diag[fc], yf)
 	}
 }
 
-// backwardCell completes cell kc's backward solve: diagonal division (the
-// sequential single-RHS semantics, per column), the dot products of kc's own
-// blocks in block order against the already-final facing segments, then the
-// transposed triangular solve.
-func (r *levelRun) backwardCell(kc int) {
+// trsvForward finishes cell fc's forward solve: the unit-lower triangular
+// solve of its pulled segment.
+func (r *levelRun) trsvForward(fc int) {
+	cb := &r.pl.sym.CB[fc]
+	w := cb.Width()
+	yf := r.y[cb.Cols[0]*r.nrhs:]
+	if r.nrhs == 1 {
+		blas.TrsvLowerUnitPacked(w, r.pk.diag[fc], yf[:w])
+	} else {
+		blas.TrsmLowerUnitPacked(w, r.nrhs, r.pk.diag[fc], yf)
+	}
+}
+
+// dots starts cell kc's backward solve on columns [lo, hi) of its segment:
+// the diagonal division (the sequential single-RHS semantics, per column),
+// then the dot products of kc's own blocks in block order against the
+// already-final facing segments. GemvT sums each column over the rows in
+// ascending order whatever column range it is called on, so a column's bits
+// do not depend on the split.
+func (r *levelRun) dots(kc, lo, hi int) {
+	if lo >= hi {
+		return
+	}
 	sym := r.pl.sym
 	cb := &sym.CB[kc]
 	w := cb.Width()
@@ -547,7 +774,7 @@ func (r *levelRun) backwardCell(kc int) {
 	yk := r.y[base : base+w*nr]
 	diag := r.pk.diag[kc]
 	for c := 0; c < nr; c++ {
-		for j := 0; j < w; j++ {
+		for j := lo; j < hi; j++ {
 			xk[c*w+j] = yk[c*w+j] / diag[j+j*w]
 		}
 	}
@@ -558,59 +785,68 @@ func (r *levelRun) backwardCell(kc int) {
 		off := blk.FirstRow - fcb.Cols[0]
 		rows := blk.Rows()
 		xf := r.x[fcb.Cols[0]*nr:]
+		var lb *lowrank.LRBlock
 		if r.pk.lr != nil {
-			if lb := r.pk.lr[kc][bi]; lb != nil {
-				if nr == 1 {
-					blas.LRGemvT(rows, w, lb.Rank, lb.U, lb.V, xf[off:off+rows], xk)
-				} else {
-					blas.LRGemmTN(rows, w, lb.Rank, nr, lb.U, lb.V, xf[off:], fw, xk, w)
-				}
+			lb = r.pk.lr[kc][bi]
+		}
+		for c := 0; c < nr; c++ {
+			xs := xf[c*fw+off : c*fw+off+rows]
+			if lb != nil {
+				blas.LRGemvTCols(rows, w, lb.Rank, lo, hi, lb.U, lb.V, xs, xk[c*w:c*w+w])
 				continue
 			}
-		}
-		a := r.pk.blk[kc][r.pk.off[kc][bi]:]
-		if nr == 1 {
-			blas.GemvTPacked(rows, w, a, xf[off:off+rows], xk)
-		} else {
-			blas.GemmTNPacked(w, nr, rows, a, xf[off:], fw, xk, w)
+			a := r.pk.blk[kc][int(r.pk.off[kc][bi])+lo*rows:]
+			blas.GemvT(rows, hi-lo, a, rows, xs, xk[c*w+lo:c*w+hi])
 		}
 	}
-	if nr == 1 {
-		blas.TrsvLowerTransUnitPacked(w, diag, xk)
+}
+
+// trsvBackward finishes cell kc's backward solve: the transposed unit
+// triangular solve.
+func (r *levelRun) trsvBackward(kc int) {
+	cb := &r.pl.sym.CB[kc]
+	w := cb.Width()
+	xk := r.x[cb.Cols[0]*r.nrhs:]
+	if r.nrhs == 1 {
+		blas.TrsvLowerTransUnitPacked(w, r.pk.diag[kc], xk[:w])
 	} else {
-		blas.TrsmLTransUnitPacked(w, nr, diag, xk)
+		blas.TrsmLTransUnitPacked(w, r.nrhs, r.pk.diag[kc], xk)
 	}
 }
 
-// stepBarrier is a reusable generation barrier for the engine's lockstep
-// steps.
-type stepBarrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   uint64
+// barrierSpin is how many times a barrier waiter polls before it starts
+// yielding its thread on every poll.
+const barrierSpin = 256
+
+// spinBarrier is a reusable generation barrier that never parks: a waiter
+// polls the generation and, after barrierSpin polls, yields with
+// runtime.Gosched on every further poll, so it never sleeps in the OS (a
+// park and a wake-up cost more than a whole solve step) and still lets a
+// worker without a thread of its own run when there are more workers than
+// GOMAXPROCS.
+type spinBarrier struct {
+	n     int32
+	count atomic.Int32
+	gen   atomic.Uint32
 }
 
-func newStepBarrier(n int) *stepBarrier {
-	b := &stepBarrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *stepBarrier) wait() {
-	b.mu.Lock()
-	g := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
+// wait returns once all n workers have called it for the current
+// generation. The last to arrive runs last (if non-nil) before it releases
+// the others, so whatever last writes is visible to every worker after
+// wait.
+func (b *spinBarrier) wait(last func()) {
+	g := b.gen.Load()
+	if b.count.Add(1) == b.n {
+		if last != nil {
+			last()
+		}
+		b.count.Store(0)
+		b.gen.Store(g + 1)
 		return
 	}
-	for g == b.gen {
-		b.cond.Wait()
+	for i := 0; b.gen.Load() == g; i++ {
+		if i >= barrierSpin {
+			runtime.Gosched()
+		}
 	}
-	b.mu.Unlock()
 }

@@ -3,10 +3,15 @@ package solver
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/pastix-go/pastix/internal/gen"
+	"github.com/pastix-go/pastix/internal/lowrank"
 	"github.com/pastix-go/pastix/internal/trace"
 )
 
@@ -123,8 +128,8 @@ func TestSolvePlanCached(t *testing.T) {
 func TestPrepareSolvePacksOnce(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
 	st := an.PrepareSolve(f)
-	if st.Workers != an.Sched.P {
-		t.Fatalf("PrepareSolve stats for %d workers, schedule has %d", st.Workers, an.Sched.P)
+	if want := an.SolvePlan().Stats(); st != want {
+		t.Fatalf("PrepareSolve stats %+v, want those of the plan solves run %+v", st, want)
 	}
 	warm := f.pack
 	if warm == nil {
@@ -162,7 +167,8 @@ func TestSolveLevelCancelled(t *testing.T) {
 }
 
 // TestSolveLevelTraced checks the engine records one forward and one
-// backward phase per worker into an attached recorder.
+// backward phase per worker into an attached recorder, plus its waits in
+// the step barriers.
 func TestSolveLevelTraced(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
 	pl := an.SolvePlanFor(4)
@@ -170,8 +176,24 @@ func TestSolveLevelTraced(t *testing.T) {
 	if _, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.KindCount(trace.KindPhase); got != 8 {
-		t.Fatalf("recorded %d phase events, want 8 (fwd+bwd × 4 workers)", got)
+	phases := map[int8]int{}
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindPhase {
+			phases[e.Aux]++
+		}
+	}
+	if got := phases[trace.PhaseForward] + phases[trace.PhaseBackward]; got != 8 {
+		t.Fatalf("recorded %d forward/backward phase events, want 8 (fwd+bwd × 4 workers)", got)
+	}
+	if phases[trace.PhaseBarrier] == 0 {
+		t.Fatal("no barrier-wait events recorded")
+	}
+	var chrome strings.Builder
+	if err := rec.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(chrome.String(), `"solve-barrier-wait"`) {
+		t.Fatal("Chrome trace names no solve-barrier-wait event")
 	}
 }
 
@@ -277,6 +299,228 @@ func TestSolveLevelAllRuntimeFactors(t *testing.T) {
 	}
 }
 
+// forceSplit returns a copy of pl with every chain cell split across the
+// workers, so the split path runs whatever the cost model would choose.
+func forceSplit(pl *SolvePlan) *SolvePlan {
+	cp := *pl
+	cp.rowCut = make([][]int32, len(pl.rowCut))
+	cp.splitCells = 0
+	for _, st := range cp.steps {
+		if st.Parallel {
+			continue
+		}
+		for _, k := range st.Cells {
+			cp.rowCut[k], _ = cp.pullCut(int(k))
+			cp.splitCells++
+		}
+	}
+	return &cp
+}
+
+// TestSolveLevelSplitChain is the bitwise table of the split chain: every
+// chain cell run across 2, 3 and 4 workers (some narrower than the worker
+// count, so some row and column ranges are empty), one and three
+// right-hand sides, static and dynamic dispatch, dense and BLR-compressed
+// factors. Every column must equal the per-column Factors.Solve bit for bit.
+func TestSolveLevelSplitChain(t *testing.T) {
+	an, dense, pb, _ := compressFixture(t, 4)
+	blr, err := an.FactorizeMatrixOptsCtx(context.Background(), an.A, ParOptions{Runtime: RuntimeShared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blr.Compress(lowrank.Options{Tol: 1e-8, MinBlockSize: 8})
+	n := len(pb)
+	const maxRHS = 3
+	panel := make([]float64, n*maxRHS)
+	for c := 0; c < maxRHS; c++ {
+		for i := range pb {
+			panel[c*n+i] = pb[i] / float64(c+1)
+		}
+	}
+	for _, fc := range []struct {
+		name string
+		f    *Factors
+	}{{"dense", dense}, {"blr", blr}} {
+		refs := make([][]float64, maxRHS)
+		for c := range refs {
+			refs[c] = fc.f.Solve(append([]float64(nil), panel[c*n:(c+1)*n]...))
+		}
+		for _, workers := range []int{2, 3, 4} {
+			// The default cutoff mixes parallel steps and a chain; a huge one
+			// chains every level, narrow leaves included.
+			for _, cutoff := range []int{0, 1 << 20} {
+				pl := forceSplit(BuildSolvePlan(an.Sym, an.SolveDAG(), workers, cutoff))
+				if pl.Stats().SplitCells == 0 {
+					t.Fatalf("workers=%d cutoff=%d: no chain cell to split", workers, cutoff)
+				}
+				for _, nrhs := range []int{1, maxRHS} {
+					for _, dyn := range []bool{false, true} {
+						x, err := SolveLevelCtx(context.Background(), pl, fc.f, panel[:n*nrhs],
+							LevelOptions{NRHS: nrhs, Dynamic: dyn})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for c := 0; c < nrhs; c++ {
+							for i, want := range refs[c] {
+								if got := x[c*n+i]; got != want {
+									t.Fatalf("%s workers=%d cutoff=%d nrhs=%d dyn=%v: col %d x[%d] = %x, seq %x",
+										fc.name, workers, cutoff, nrhs, dyn, c, i, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// The table must reach the cases it is for: a split cell narrower than
+	// four workers, and a split cell the BLR factor touches through a
+	// low-rank block.
+	narrow, lowRank := false, false
+	pl := forceSplit(BuildSolvePlan(an.Sym, an.SolveDAG(), 4, 1<<20))
+	for k, cut := range pl.rowCut {
+		if cut == nil {
+			continue
+		}
+		narrow = narrow || an.Sym.CB[k].Width() < 4
+		for _, lb := range blr.pack.lr[k] {
+			lowRank = lowRank || lb != nil
+		}
+	}
+	if !narrow || !lowRank {
+		t.Fatalf("fixture lost a case: narrow split cell %v, low-rank split cell %v", narrow, lowRank)
+	}
+}
+
+// flipCtx is a context whose Err turns to context.Canceled after a given
+// number of calls, so a test can cancel at an exact barrier.
+type flipCtx struct {
+	context.Context
+	after int64
+	calls atomic.Int64
+	done  chan struct{}
+}
+
+func (c *flipCtx) Done() <-chan struct{} { return c.done }
+
+func (c *flipCtx) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveLevelCancelMidChain cancels at every barrier of solves whose
+// chain cells are split, so most cancellations land inside a chain step
+// between a cell's two barriers. Every call must return context.Canceled
+// promptly: a worker that stopped early would leave the others spinning in a
+// barrier forever.
+func TestSolveLevelCancelMidChain(t *testing.T) {
+	an, f, pb := levelFixture(t, 4)
+	for _, workers := range []int{2, 3, 4} {
+		pl := forceSplit(BuildSolvePlan(an.Sym, an.SolveDAG(), workers, 1<<20))
+		// One check before the workers start, one per barrier and one after
+		// they join. A step ends in a barrier per sweep (bar the last); in
+		// each sweep a split chain cell adds two, except that the first cell
+		// of a step needs none before it.
+		barriers := 2*len(pl.steps) - 1
+		for _, st := range pl.steps {
+			if !st.Parallel {
+				barriers += 2 * (2*len(st.Cells) - 1)
+			}
+		}
+		for after := int64(1); after <= int64(barriers)+1; after++ {
+			ctx := &flipCtx{Context: context.Background(), after: after, done: make(chan struct{})}
+			done := make(chan error, 1)
+			go func() {
+				_, err := SolveLevelCtx(ctx, pl, f, pb, LevelOptions{})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != context.Canceled {
+					t.Fatalf("workers=%d cancel after %d checks: err = %v", workers, after, err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("workers=%d cancel after %d checks: solve hung", workers, after)
+			}
+		}
+	}
+}
+
+// TestSolveLevelSpinBarrier checks the step barrier on its own: a lone
+// worker passes straight through, and four workers on two threads go
+// through many generations in a row without one of them running ahead and
+// without livelock; the last arrival's hook runs once per generation,
+// before any worker leaves.
+func TestSolveLevelSpinBarrier(t *testing.T) {
+	one := spinBarrier{n: 1}
+	hooks := 0
+	for i := 0; i < 1000; i++ {
+		one.wait(func() { hooks++ })
+	}
+	if hooks != 1000 {
+		t.Fatalf("lone worker: hook ran %d times, want 1000", hooks)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const workers, gens = 4, 2000
+	bar := spinBarrier{n: workers}
+	var arrived [gens]atomic.Int32
+	var hooked [gens]int32
+	errs := make(chan error, workers)
+	for p := 0; p < workers; p++ {
+		go func() {
+			for g := 0; g < gens; g++ {
+				arrived[g].Add(1)
+				bar.wait(func() { hooked[g]++ })
+				if a := arrived[g].Load(); a != workers {
+					errs <- fmt.Errorf("generation %d: left with %d of %d arrived", g, a, workers)
+					return
+				}
+				if hooked[g] != 1 {
+					errs <- fmt.Errorf("generation %d: hook ran %d times", g, hooked[g])
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	timeout := time.After(60 * time.Second)
+	for p := 0; p < workers; p++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatal("barrier livelocked")
+		}
+	}
+}
+
+// TestSolvePlanChoosesWorkers pins the worker-count choice on the two
+// benchmark problems at two processors: the 24³ Poisson plan runs on both
+// workers with its chain split, the 12³ one on a single worker.
+func TestSolvePlanChoosesWorkers(t *testing.T) {
+	for _, c := range []struct{ n, workers int }{{12, 1}, {24, 2}} {
+		an, err := Analyze(gen.Laplacian3D(c.n, c.n, c.n), Options{P: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := an.SolvePlan().Stats()
+		if st.Workers != c.workers {
+			t.Fatalf("Poisson %d³: plan on %d workers, want %d (%+v)", c.n, st.Workers, c.workers, st)
+		}
+		if c.workers > 1 && st.SplitCells == 0 {
+			t.Fatalf("Poisson %d³: no chain cell split (%+v)", c.n, st)
+		}
+		if c.workers == 1 && st.ParallelSteps+st.SplitCells != 0 {
+			t.Fatalf("Poisson %d³: one-worker plan has parallel work (%+v)", c.n, st)
+		}
+	}
+}
+
 func ExampleSolveLevelCtx() {
 	a := gen.Laplacian2D(8, 8)
 	an, err := Analyze(a, Options{P: 2})
@@ -305,4 +549,37 @@ func ExampleSolveLevelCtx() {
 	}
 	fmt.Println("bitwise equal to sequential:", same)
 	// Output: bitwise equal to sequential: true
+}
+
+// BenchmarkSolveBarrier times one spinBarrier generation with two workers
+// (ns/op is per barrier): the engine's per-barrier charge.
+func BenchmarkSolveBarrier(b *testing.B) {
+	bar := spinBarrier{n: 2}
+	done := make(chan struct{})
+	go func() {
+		for i := 0; i < b.N; i++ {
+			bar.wait(nil)
+		}
+		close(done)
+	}()
+	for i := 0; i < b.N; i++ {
+		bar.wait(nil)
+	}
+	<-done
+}
+
+// BenchmarkSolveSpawn times starting one extra worker goroutine, meeting it
+// at a barrier and joining it: the per-worker start-up charge of a solve.
+func BenchmarkSolveSpawn(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		bar := spinBarrier{n: 2}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bar.wait(nil)
+		}()
+		bar.wait(nil)
+		wg.Wait()
+	}
 }

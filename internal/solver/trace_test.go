@@ -185,7 +185,7 @@ func TestTracedSolvePhases(t *testing.T) {
 		}
 		var phases int
 		for _, e := range rec.Events() {
-			if e.Kind == trace.KindPhase {
+			if e.Kind == trace.KindPhase && (e.Aux == trace.PhaseForward || e.Aux == trace.PhaseBackward) {
 				phases++
 			}
 		}

@@ -85,10 +85,13 @@ const (
 	PhaseScale
 	PhaseForward
 	PhaseBackward
+	// PhaseBarrier is the time a level-set solve worker spent blocked in a
+	// step barrier.
+	PhaseBarrier
 )
 
 // phaseNames maps Phase* ids to display names.
-var phaseNames = [...]string{"assemble", "scale", "solve-forward", "solve-backward"}
+var phaseNames = [...]string{"assemble", "scale", "solve-forward", "solve-backward", "solve-barrier-wait"}
 
 // Event is one recorded observation. All times are monotonic durations since
 // the recorder's epoch.

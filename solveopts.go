@@ -54,9 +54,11 @@ type SolveOptions struct {
 	Trace *TraceOptions
 }
 
-// PlanStats summarises the solve schedule the level-set engine ran: cell and
-// level counts, how many levels ran as parallel steps vs were collapsed into
-// sequential chains by the hybrid cutoff, and the widest level.
+// PlanStats summarises the solve schedule the level-set engine ran: the
+// workers it ran on (one when the cost model predicts the others do not pay),
+// cell and level counts, how many levels ran as parallel steps vs were
+// collapsed into chains by the hybrid cutoff, how many chain cells were
+// split across the workers, and the widest level.
 type PlanStats = solver.PlanStats
 
 // SolveResult is the outcome of SolveOpts.
@@ -184,7 +186,7 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 		px, err = solver.SolveParManyOpts(ctx, sch, f.inner, pb, nrhs,
 			solver.SolveOptions{Trace: rec, Faults: an.faults})
 	case RuntimeShared, RuntimeDynamic:
-		pl := an.inner.SolvePlanFor(sch.P)
+		pl := an.inner.SolvePlan()
 		px, err = solver.SolveLevelCtx(ctx, pl, f.inner, pb,
 			solver.LevelOptions{NRHS: nrhs, Dynamic: rt == RuntimeDynamic, Trace: rec})
 		res.Plan = pl.Stats()
