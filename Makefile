@@ -50,7 +50,7 @@ chaos:
 # refinement convergence.
 numstress:
 	$(GO) test -race -timeout 300s -run 'NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine|Pivot' \
-		./internal/solver ./internal/gen ./internal/blas .
+		./internal/solver ./internal/blas .
 
 # Dynamic-runtime stress soak: the work-stealing executor's unit and
 # steal-storm suites plus the cross-runtime conformance tests (every
@@ -94,7 +94,7 @@ hastress:
 # serving path — all under the race detector.
 blrstress:
 	$(GO) test -race -timeout 300s ./internal/lowrank
-	$(GO) test -race -timeout 300s -run 'LRGemv|LRGemm|GemmLR|GemmDenseLR|TrsmRightLTransUnitLR|LRKernels' ./internal/blas
+	$(GO) test -race -timeout 300s -run 'LRGemv|GemmLR|GemmDenseLR|TrsmRightLTransUnitLR|LRKernels' ./internal/blas
 	$(GO) test -race -timeout 300s -run 'TestCompress|TestBLR|ServerBLR' ./internal/solver ./internal/service .
 
 # Durability stress soak: the WAL/snapshot store under the race detector —

@@ -262,9 +262,13 @@ func BenchmarkFanInVsFanOut(b *testing.B) {
 	})
 }
 
-func BenchmarkComplexFactorization(b *testing.B) {
+// BenchmarkFactorizeComplex times the complex symmetric factorization: the
+// sequential reference against the real one on the same THREAD analysis
+// (complex LDLᵀ costs ≈4× the real flops per entry), then the public
+// FactorizeComplex on its default runtime at P = 2 and 4 on a 120×120
+// complex Laplacian.
+func BenchmarkFactorizeComplex(b *testing.B) {
 	skipIfShort(b)
-	// Complex symmetric LDLᵀ costs ≈4× the real flops per entry; compare.
 	prob, err := gen.Generate("THREAD", benchScale)
 	if err != nil {
 		b.Fatal(err)
@@ -295,11 +299,44 @@ func BenchmarkComplexFactorization(b *testing.B) {
 	})
 	b.Run("Complex", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := solver.FactorizeZSeq(paz, an.Sym); err != nil {
+			if _, err := an.FactorizeComplexCtx(context.Background(), paz, solver.ParOptions{Runtime: solver.RuntimeSequential}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+	lap := complexLaplacian(120)
+	for _, p := range []int{2, 4} {
+		zan, err := AnalyzeComplex(lap, Options{Processors: p})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("Laplacian120/P%d", p), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := zan.FactorizeComplex(lap); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// complexLaplacian is the 5-point Laplacian on an n×n grid with a complex
+// diagonal shift, a complex symmetric diagonally dominant matrix.
+func complexLaplacian(n int) *ZMatrix {
+	zb := NewZBuilder(n * n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			v := i + j*n
+			zb.Add(v, v, complex(4.5, 1))
+			if i+1 < n {
+				zb.Add(v, v+1, complex(-1, 0.1))
+			}
+			if j+1 < n {
+				zb.Add(v, v+n, complex(-1, -0.1))
+			}
+		}
+	}
+	return zb.Build()
 }
 
 // BenchmarkSharedVsMpsim times the executed factorization of a 3D Poisson

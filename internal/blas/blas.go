@@ -13,11 +13,64 @@
 // and panel forms built on them) run in assembly that gives exactly the
 // bits of the scalar Go code kept beside it; the purego build tag forces
 // the scalar code everywhere. KernelPath reports which one runs.
+//
+// The scalar references are generic over Scalar, so the complex symmetric
+// factorization (plain transposes, no conjugation: A = L·D·Lᵀ with complex
+// L and D) runs the same code on complex128. Kernels gathers the entry
+// points a factorization calls for one scalar type.
 package blas
 
 import (
 	"math"
 )
+
+// Scalar is the element type of a factorization: real symmetric or complex
+// symmetric (not Hermitian).
+type Scalar interface{ float64 | complex128 }
+
+// Kernels is the dense kernel set a factorization of scalar type T calls.
+// The float64 table holds the exported entry points, AVX2 dispatch
+// included; the complex128 table holds the generic scalar references.
+type Kernels[T Scalar] struct {
+	// LDLT factors a diagonal block with static-pivot threshold tau (see
+	// LDLTStatic).
+	LDLT                func(n int, a []T, ld int, tau float64) ([]Perturb, error)
+	TrsmRightLTransUnit func(m, n int, l []T, ldl int, b []T, ldb int)
+	GemmNDT             func(m, n, k int, a []T, lda int, d []T, b []T, ldb int, c []T, ldc int)
+	SyrkLowerNDT        func(m, k int, a []T, lda int, d []T, c []T, ldc int)
+	TrsvLowerUnit       func(n int, l []T, ld int, x []T)
+	GemvN               func(m, n int, a []T, lda int, x, y []T)
+	GemvT               func(m, n int, a []T, lda int, x, y []T)
+}
+
+var (
+	realKernels = &Kernels[float64]{
+		LDLT:                LDLTStatic[float64],
+		TrsmRightLTransUnit: TrsmRightLTransUnit,
+		GemmNDT:             GemmNDT,
+		SyrkLowerNDT:        SyrkLowerNDT,
+		TrsvLowerUnit:       TrsvLowerUnit,
+		GemvN:               GemvN,
+		GemvT:               GemvT,
+	}
+	complexKernels = &Kernels[complex128]{
+		LDLT:                LDLTStatic[complex128],
+		TrsmRightLTransUnit: trsmRightLTransUnitGo[complex128],
+		GemmNDT:             gemmNDTGo[complex128],
+		SyrkLowerNDT:        syrkLowerNDTGo[complex128],
+		TrsvLowerUnit:       trsvLowerUnitGo[complex128],
+		GemvN:               gemvNGo[complex128],
+		GemvT:               gemvTGo[complex128],
+	}
+)
+
+// KernelsOf returns the kernel table of scalar type T.
+func KernelsOf[T Scalar]() *Kernels[T] {
+	if k, ok := any(realKernels).(*Kernels[T]); ok {
+		return k
+	}
+	return any(complexKernels).(*Kernels[T])
+}
 
 // KernelPath names the dense kernels this process runs: "avx2", or
 // "scalar" on a CPU without AVX2, off amd64, or under the purego tag.
@@ -33,22 +86,9 @@ func KernelPath() string {
 func At(a []float64, ld, i, j int) float64 { return a[i+j*ld] }
 
 // GemmNT computes C -= A·Bᵀ, with A m×k (lda), B n×k (ldb), C m×n (ldc),
-// all column-major. This is the solver's main update kernel shape.
+// all column-major: the LLᵀ form of GemmNDT.
 func GemmNT(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if m == 0 || n == 0 || k == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		cj := c[j*ldc : j*ldc+m]
-		for l := 0; l < k; l++ {
-			blj := b[j+l*ldb]
-			if blj == 0 {
-				continue
-			}
-			al := a[l*lda : l*lda+m]
-			axpy(-blj, al, cj)
-		}
-	}
+	gemmNDTGo(m, n, k, a, lda, nil, b, ldb, c, ldc)
 }
 
 // GemmNDT computes C -= A·diag(d)·Bᵀ, with A m×k (lda), d length k,
@@ -72,14 +112,18 @@ func GemmNDTAuto(m, n, k int, a []float64, lda int, d []float64, b []float64, ld
 }
 
 // gemmNDTGo is the scalar GemmNDT, the reference the AVX2 kernel matches.
-func gemmNDTGo(m, n, k int, a []float64, lda int, d []float64, b []float64, ldb int, c []float64, ldc int) {
+// A nil d stands for the identity.
+func gemmNDTGo[T Scalar](m, n, k int, a []T, lda int, d []T, b []T, ldb int, c []T, ldc int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
 	for j := 0; j < n; j++ {
 		cj := c[j*ldc : j*ldc+m]
 		for l := 0; l < k; l++ {
-			s := d[l] * b[j+l*ldb]
+			s := b[j+l*ldb]
+			if d != nil {
+				s = d[l] * s
+			}
 			if s == 0 {
 				continue
 			}
@@ -90,7 +134,7 @@ func gemmNDTGo(m, n, k int, a []float64, lda int, d []float64, b []float64, ldb 
 }
 
 // axpy computes y += alpha*x over equal-length slices, unrolled by 4.
-func axpy(alpha float64, x, y []float64) {
+func axpy[T Scalar](alpha T, x, y []T) {
 	n := len(y)
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -107,17 +151,7 @@ func axpy(alpha float64, x, y []float64) {
 // SyrkLowerNT computes the lower triangle of C -= A·Aᵀ, with A m×k (lda) and
 // C m×m (ldc); only C's lower triangle (including diagonal) is referenced.
 func SyrkLowerNT(m, k int, a []float64, lda int, c []float64, ldc int) {
-	for j := 0; j < m; j++ {
-		cj := c[j*ldc : j*ldc+m]
-		for l := 0; l < k; l++ {
-			ajl := a[j+l*lda]
-			if ajl == 0 {
-				continue
-			}
-			al := a[l*lda : l*lda+m]
-			axpy(-ajl, al[j:], cj[j:])
-		}
-	}
+	syrkLowerNDTGo(m, k, a, lda, nil, c, ldc)
 }
 
 // SyrkLowerNDT computes the lower triangle of C -= A·diag(d)·Aᵀ, with the
@@ -130,12 +164,16 @@ func SyrkLowerNDT(m, k int, a []float64, lda int, d []float64, c []float64, ldc 
 	syrkLowerNDTGo(m, k, a, lda, d, c, ldc)
 }
 
-// syrkLowerNDTGo is the scalar SyrkLowerNDT.
-func syrkLowerNDTGo(m, k int, a []float64, lda int, d []float64, c []float64, ldc int) {
+// syrkLowerNDTGo is the scalar SyrkLowerNDT. A nil d stands for the
+// identity.
+func syrkLowerNDTGo[T Scalar](m, k int, a []T, lda int, d []T, c []T, ldc int) {
 	for j := 0; j < m; j++ {
 		cj := c[j*ldc : j*ldc+m]
 		for l := 0; l < k; l++ {
-			s := d[l] * a[j+l*lda]
+			s := a[j+l*lda]
+			if d != nil {
+				s = d[l] * s
+			}
 			if s == 0 {
 				continue
 			}
@@ -175,8 +213,9 @@ func Cholesky(n int, a []float64, ld int) error {
 // LDLT factors the n×n symmetric matrix A (lower triangle, column-major,
 // ld) in place into L·D·Lᵀ without pivoting: on return the strictly lower
 // triangle holds the unit-lower L (unit diagonal implicit) and the diagonal
-// holds D. It returns an error on a zero pivot.
-func LDLT(n int, a []float64, ld int) error {
+// holds D. It returns an error on a zero or NaN pivot; a complex pivot with
+// NaN in either part counts as NaN.
+func LDLT[T Scalar](n int, a []T, ld int) error {
 	_, err := LDLTStatic(n, a, ld, 0)
 	return err
 }
@@ -190,28 +229,29 @@ type Perturb struct {
 	Used     float64
 }
 
-// LDLTStatic is LDLT with static pivoting: a pivot with |d_k| < tau is
+// LDLTStatic is LDLT with static pivoting: a real pivot with |d_k| < tau is
 // replaced by sign(d_k)·tau (an exact zero gets +tau) and the substitution is
 // recorded, so the factorization always completes on finite input. With
 // tau <= 0 the arithmetic is bit-identical to LDLT, including the zero-pivot
-// error. A NaN pivot is never perturbable and always errors.
-func LDLTStatic(n int, a []float64, ld int, tau float64) ([]Perturb, error) {
+// error. A NaN pivot is never perturbable and always errors. Complex pivots
+// are never perturbed: tau applies to float64 only.
+func LDLTStatic[T Scalar](n int, a []T, ld int, tau float64) ([]Perturb, error) {
 	var perts []Perturb
 	for k := 0; k < n; k++ {
 		dk := a[k+k*ld]
-		if math.IsNaN(dk) {
-			return nil, &PivotError{Kernel: "ldlt", Index: k, Value: dk}
+		if dk != dk {
+			return nil, &PivotError{Kernel: "ldlt", Index: k, Value: realPart(dk)}
 		}
-		if tau > 0 && math.Abs(dk) < tau {
-			used := tau
-			if math.Signbit(dk) {
-				used = -tau
+		if tau > 0 {
+			if r, ok := any(dk).(float64); ok && math.Abs(r) < tau {
+				used := math.Copysign(tau, r)
+				perts = append(perts, Perturb{Index: k, Original: r, Used: used})
+				dk = any(used).(T)
+				a[k+k*ld] = dk
 			}
-			a[k+k*ld] = used
-			perts = append(perts, Perturb{Index: k, Original: dk, Used: used})
-			dk = used
-		} else if dk == 0 {
-			return nil, &PivotError{Kernel: "ldlt", Index: k, Value: dk}
+		}
+		if dk == 0 {
+			return nil, &PivotError{Kernel: "ldlt", Index: k, Value: realPart(dk)}
 		}
 		col := a[k*ld : k*ld+n]
 		inv := 1 / dk
@@ -232,6 +272,14 @@ func LDLTStatic(n int, a []float64, ld int, tau float64) ([]Perturb, error) {
 	return perts, nil
 }
 
+// realPart returns x, or its real part when x is complex.
+func realPart[T Scalar](x T) float64 {
+	if c, ok := any(x).(complex128); ok {
+		return real(c)
+	}
+	return any(x).(float64)
+}
+
 // TrsmRightLTransUnit solves X · Lᵀ = B in place for X, where L is n×n
 // unit-lower-triangular (the strictly lower triangle of l is used; unit
 // diagonal assumed) and B is m×n column-major (ldb). On return b holds X.
@@ -247,7 +295,7 @@ func TrsmRightLTransUnit(m, n int, l []float64, ldl int, b []float64, ldb int) {
 }
 
 // trsmRightLTransUnitGo is the scalar TrsmRightLTransUnit.
-func trsmRightLTransUnitGo(m, n int, l []float64, ldl int, b []float64, ldb int) {
+func trsmRightLTransUnitGo[T Scalar](m, n int, l []T, ldl int, b []T, ldb int) {
 	for j := 0; j < n; j++ {
 		bj := b[j*ldb : j*ldb+m]
 		for k := 0; k < j; k++ {
@@ -281,7 +329,7 @@ func TrsmRightLTrans(m, n int, l []float64, ldl int, b []float64, ldb int) {
 
 // ScaleColumns divides column j of the m×n matrix B (ldb) by d[j]. Used to
 // turn W = L·D into L after a TRSM in the LDLᵀ path.
-func ScaleColumns(m, n int, b []float64, ldb int, d []float64) {
+func ScaleColumns[T Scalar](m, n int, b []T, ldb int, d []T) {
 	for j := 0; j < n; j++ {
 		inv := 1 / d[j]
 		bj := b[j*ldb : j*ldb+m]
@@ -303,7 +351,7 @@ func TrsvLowerUnit(n int, l []float64, ld int, x []float64) {
 }
 
 // trsvLowerUnitGo is the scalar TrsvLowerUnit.
-func trsvLowerUnitGo(n int, l []float64, ld int, x []float64) {
+func trsvLowerUnitGo[T Scalar](n int, l []T, ld int, x []T) {
 	for j := 0; j < n; j++ {
 		xj := x[j]
 		if xj == 0 {
@@ -332,7 +380,7 @@ func TrsvLower(n int, l []float64, ld int, x []float64) {
 }
 
 // TrsvLowerTransUnit solves Lᵀ·x = b in place, unit lower L.
-func TrsvLowerTransUnit(n int, l []float64, ld int, x []float64) {
+func TrsvLowerTransUnit[T Scalar](n int, l []T, ld int, x []T) {
 	for j := n - 1; j >= 0; j-- {
 		s := x[j]
 		col := l[j*ld : j*ld+n]
@@ -366,7 +414,7 @@ func GemvN(m, n int, a []float64, lda int, x, y []float64) {
 }
 
 // gemvNGo is the scalar GemvN.
-func gemvNGo(m, n int, a []float64, lda int, x, y []float64) {
+func gemvNGo[T Scalar](m, n int, a []T, lda int, x, y []T) {
 	y = y[:m]
 	for j := 0; j < n; j++ {
 		xj := x[j]
@@ -388,10 +436,10 @@ func GemvT(m, n int, a []float64, lda int, x, y []float64) {
 }
 
 // gemvTGo is the scalar GemvT.
-func gemvTGo(m, n int, a []float64, lda int, x, y []float64) {
+func gemvTGo[T Scalar](m, n int, a []T, lda int, x, y []T) {
 	for j := 0; j < n; j++ {
 		col := a[j*lda : j*lda+m]
-		s := 0.0
+		var s T
 		for i := 0; i < m; i++ {
 			s += col[i] * x[i]
 		}

@@ -7,9 +7,9 @@ import "fmt"
 // Cholesky — non-positive. Callers translate Index into global matrix
 // coordinates; errors.As is the intended access path.
 type PivotError struct {
-	Kernel string  // "ldlt", "zldlt" or "cholesky"
+	Kernel string  // "ldlt" or "cholesky"
 	Index  int     // pivot index within the factored block
-	Value  float64 // offending pivot (real part for the complex kernel)
+	Value  float64 // offending pivot (its real part when complex)
 }
 
 func (e *PivotError) Error() string {

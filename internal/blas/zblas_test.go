@@ -1,11 +1,15 @@
 package blas
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// zk is the complex kernel table the factorization core calls.
+var zk = KernelsOf[complex128]()
 
 func zRandMat(rng *rand.Rand, m, n, ld int) []complex128 {
 	a := make([]complex128, ld*n)
@@ -63,7 +67,7 @@ func TestZGemmNDTAgainstNaive(t *testing.T) {
 				want[i+j*m] -= s
 			}
 		}
-		ZGemmNDT(m, n, k, a, m, d, b, n, c, m)
+		zk.GemmNDT(m, n, k, a, m, d, b, n, c, m)
 		if diff := zMaxDiff(c, want); diff > 1e-12 {
 			t.Fatalf("trial %d: diff %g", trial, diff)
 		}
@@ -89,7 +93,7 @@ func TestZSyrkLowerNDT(t *testing.T) {
 			want[i+j*m] -= s
 		}
 	}
-	ZSyrkLowerNDT(m, k, a, m, d, c, m)
+	zk.SyrkLowerNDT(m, k, a, m, d, c, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j <= i; j++ {
 			if cmplx.Abs(c[i+j*m]-want[i+j*m]) > 1e-12 {
@@ -105,7 +109,7 @@ func TestZLDLTReconstruct(t *testing.T) {
 		n := 1 + rng.Intn(20)
 		a := zRandSymDominant(rng, n, n)
 		orig := append([]complex128(nil), a...)
-		if err := ZLDLT(n, a, n); err != nil {
+		if err := LDLT(n, a, n); err != nil {
 			t.Fatal(err)
 		}
 		lval := func(i, k int) complex128 {
@@ -128,10 +132,14 @@ func TestZLDLTReconstruct(t *testing.T) {
 	}
 }
 
+// A zero pivot, and a pivot with NaN in either part (cmplx.IsNaN is false
+// when the other part is infinite), must error.
 func TestZLDLTZeroPivot(t *testing.T) {
-	a := []complex128{0, 1, 1, 2} // A[0][0] = 0
-	if err := ZLDLT(2, a, 2); err == nil {
-		t.Fatal("expected zero-pivot error")
+	for _, p := range []complex128{0, complex(math.Inf(1), math.NaN()), complex(math.NaN(), math.Inf(-1))} {
+		a := []complex128{p, 1, 1, 2}
+		if err := LDLT(2, a, 2); err == nil {
+			t.Fatalf("pivot %v: expected pivot error", p)
+		}
 	}
 }
 
@@ -156,7 +164,7 @@ func TestZTrsmRightLTransUnit(t *testing.T) {
 			b[i+j*m] = s
 		}
 	}
-	ZTrsmRightLTransUnit(m, n, l, n, b, m)
+	zk.TrsmRightLTransUnit(m, n, l, n, b, m)
 	if d := zMaxDiff(b, x); d > 1e-10 {
 		t.Fatalf("diff %g", d)
 	}
@@ -179,14 +187,14 @@ func TestQuickZSolveRoundTrip(t *testing.T) {
 			}
 			b[i] = s
 		}
-		if err := ZLDLT(n, a, n); err != nil {
+		if err := LDLT(n, a, n); err != nil {
 			return false
 		}
-		ZTrsvLowerUnit(n, a, n, b)
+		zk.TrsvLowerUnit(n, a, n, b)
 		for i := 0; i < n; i++ {
 			b[i] /= a[i+i*n]
 		}
-		ZTrsvLowerTransUnit(n, a, n, b)
+		TrsvLowerTransUnit(n, a, n, b)
 		for i := range x {
 			if cmplx.Abs(b[i]-x[i]) > 1e-7*(1+cmplx.Abs(x[i])) {
 				return false
@@ -218,7 +226,7 @@ func TestZGemv(t *testing.T) {
 			want[i] -= a[i+j*m] * x[j]
 		}
 	}
-	ZGemvN(m, n, a, m, x, y)
+	zk.GemvN(m, n, a, m, x, y)
 	if d := zMaxDiff(y, want); d > 1e-12 {
 		t.Fatalf("ZGemvN diff %g", d)
 	}
@@ -231,7 +239,7 @@ func TestZGemv(t *testing.T) {
 		}
 		wantN[j] -= s
 	}
-	ZGemvT(m, n, a, m, xm, yn)
+	zk.GemvT(m, n, a, m, xm, yn)
 	if d := zMaxDiff(yn, wantN); d > 1e-12 {
 		t.Fatalf("ZGemvT diff %g", d)
 	}
@@ -239,7 +247,7 @@ func TestZGemv(t *testing.T) {
 
 func TestZScaleColumns(t *testing.T) {
 	b := []complex128{2, 4, 6i, 9i}
-	ZScaleColumns(2, 2, b, 2, []complex128{2, 3i})
+	ScaleColumns(2, 2, b, 2, []complex128{2, 3i})
 	want := []complex128{1, 2, 2, 3}
 	if zMaxDiff(b, want) > 1e-15 {
 		t.Fatalf("%v", b)

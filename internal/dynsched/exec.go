@@ -116,6 +116,11 @@ func Run(ctx context.Context, d *sched.DAG, workers int, exec ExecFunc) (Stats, 
 	r.abortMu.Lock()
 	err := r.abortErr
 	r.abortMu.Unlock()
+	if err == nil {
+		// The watcher aborts asynchronously: a cancellation it had no time
+		// to act on before the last task finished still fails the run.
+		err = ctx.Err()
+	}
 	if err == nil && r.pending.Load() != 0 {
 		err = fmt.Errorf("dynsched: %d tasks never became ready", r.pending.Load())
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/cost"
 	"github.com/pastix-go/pastix/internal/etree"
 	"github.com/pastix-go/pastix/internal/graph"
@@ -197,6 +198,28 @@ func (an *Analysis) FactorizeOptsCtx(ctx context.Context, popts ParOptions) (*Fa
 // pass serves every matrix sharing the pattern. The caller is responsible
 // for pa actually having the analysed pattern.
 func (an *Analysis) FactorizeMatrixOptsCtx(ctx context.Context, pa *sparse.SymMatrix, popts ParOptions) (*Factors, error) {
+	tau, normMax := pivotThreshold(popts.Pivot, pa)
+	f, perts, err := factorizeOn(ctx, an, pa, popts, tau)
+	if err != nil {
+		return nil, err
+	}
+	return realFactors(f, popts.Pivot, normMax, perts), nil
+}
+
+// FactorizeComplexCtx is FactorizeMatrixOptsCtx for a complex symmetric
+// matrix paz: the same runtimes, dispatch, tracing and fault injection on
+// complex128 storage. Static pivoting has no complex path and is rejected.
+func (an *Analysis) FactorizeComplexCtx(ctx context.Context, paz *sparse.ZSymMatrix, popts ParOptions) (*ZFactors, error) {
+	if popts.Pivot.Enabled() {
+		return nil, fmt.Errorf("solver: static pivoting has no complex path")
+	}
+	f, _, err := factorizeOn(ctx, an, paz, popts, 0)
+	return f, err
+}
+
+// factorizeOn runs the runtime popts selects for either scalar type, with
+// static-pivot threshold tau (0 disables pivoting).
+func factorizeOn[T blas.Scalar](ctx context.Context, an *Analysis, a symMatrix[T], popts ParOptions, tau float64) (*Storage[T], []Perturbation, error) {
 	rt := popts.Runtime
 	if rt == RuntimeAuto {
 		switch {
@@ -210,26 +233,27 @@ func (an *Analysis) FactorizeMatrixOptsCtx(ctx context.Context, pa *sparse.SymMa
 		}
 	}
 	if rt != RuntimeMPSim && popts.Faults.Active() {
-		return nil, fmt.Errorf("solver: fault injection requires the message-passing runtime, not %v", rt)
+		return nil, nil, fmt.Errorf("solver: fault injection requires the message-passing runtime, not %v", rt)
 	}
 	switch rt {
 	case RuntimeSequential:
 		if popts.Trace != nil {
-			return nil, fmt.Errorf("solver: tracing requires a parallel runtime, not %v", rt)
+			return nil, nil, fmt.Errorf("solver: tracing requires a parallel runtime, not %v", rt)
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return FactorizeSeqPivot(pa, an.Sym, popts.Pivot)
+		return factorizeSeq(a, an.Sym, tau)
 	case RuntimeShared:
-		return FactorizeSharedCtx(ctx, pa, an.Sched, popts.Trace, popts.Pivot)
+		return factorizeShared(ctx, a, an.Sched, popts.Trace, tau)
 	case RuntimeDynamic:
-		return FactorizeDynamicCtx(ctx, pa, an.Sched, popts.Trace, popts.Pivot)
+		f, perts, _, err := factorizeDynamic(ctx, a, an.Sched, popts.Trace, tau)
+		return f, perts, err
 	case RuntimeMPSim:
-		f, _, err := FactorizeParStatsCtx(ctx, pa, an.Sched, popts)
-		return f, err
+		f, perts, _, err := factorizePar(ctx, a, an.Sched, popts, tau)
+		return f, perts, err
 	}
-	return nil, fmt.Errorf("solver: unknown runtime %v", popts.Runtime)
+	return nil, nil, fmt.Errorf("solver: unknown runtime %v", popts.Runtime)
 }
 
 // SolveOriginal solves A·x = b in the ORIGINAL ordering: b is permuted in,

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/faults"
 	"github.com/pastix-go/pastix/internal/gen"
 	"github.com/pastix-go/pastix/internal/sparse"
@@ -61,7 +62,9 @@ func factorizeRT(t *testing.T, an *Analysis, rt Runtime, sp StaticPivot, traced 
 // reflect.DeepEqual perturbation reports, and return bitwise-equal solve
 // vectors; the message-passing simulator must agree to aggregation rounding
 // (≤1e-11 entrywise on these scales) with an identical report, and must be
-// bitwise-reproducible against itself.
+// bitwise-reproducible against itself. The complex leg holds the same
+// contract on complex128 storage at P = 2 and 4, and a fault-injected
+// complex mpsim run must reproduce the fault-free bits.
 func TestRuntimeConformance(t *testing.T) {
 	for _, tc := range conformanceCorpus() {
 		for _, pivOn := range []bool{false, true} {
@@ -82,7 +85,7 @@ func TestRuntimeConformance(t *testing.T) {
 					for _, traced := range []bool{false, true} {
 						f, _ := factorizeRT(t, an, rt, sp, traced)
 						name := fmt.Sprintf("%v/traced=%v", rt, traced)
-						bitwiseEqualFactorsNamed(t, ref, f, name)
+						bitwiseEqualData(t, ref.Data, f.Data, name)
 						if !reflect.DeepEqual(ref.Pivots, f.Pivots) {
 							t.Fatalf("%s: perturbation report differs:\nseq: %+v\ngot: %+v", name, ref.Pivots, f.Pivots)
 						}
@@ -101,7 +104,7 @@ func TestRuntimeConformance(t *testing.T) {
 					f1, _ := factorizeRT(t, an, RuntimeMPSim, sp, traced)
 					f2, _ := factorizeRT(t, an, RuntimeMPSim, sp, traced)
 					name := fmt.Sprintf("mpsim/traced=%v", traced)
-					bitwiseEqualFactorsNamed(t, f1, f2, name+" (run-to-run)")
+					bitwiseEqualData(t, f1.Data, f2.Data, name+" (run-to-run)")
 					factorsClose(t, ref, f1, 1e-11)
 					if !reflect.DeepEqual(ref.Pivots, f1.Pivots) {
 						t.Fatalf("%s: perturbation report differs from seq", name)
@@ -116,18 +119,40 @@ func TestRuntimeConformance(t *testing.T) {
 			})
 		}
 	}
+	for _, zc := range []struct {
+		name string
+		a    *sparse.ZSymMatrix
+	}{
+		{"complex-laplacian-18x18", zLaplacian(18, 18)},
+		{"complex-helmholtz-18x18", zHelmholtz(18, 18)},
+	} {
+		for _, P := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/P=%d", zc.name, P), func(t *testing.T) {
+				an, paz := zAnalyze(t, zc.a, P)
+				ref := zFactorize(t, an, paz, ParOptions{Runtime: RuntimeSequential})
+				for _, rt := range []Runtime{RuntimeShared, RuntimeDynamic} {
+					bitwiseEqualData(t, ref.Data, zFactorize(t, an, paz, ParOptions{Runtime: rt}).Data, rt.String())
+				}
+				mp := zFactorize(t, an, paz, ParOptions{Runtime: RuntimeMPSim})
+				bitwiseEqualData(t, mp.Data, zFactorize(t, an, paz, ParOptions{Runtime: RuntimeMPSim}).Data, "mpsim (run-to-run)")
+				zFactorsClose(t, ref, mp, 1e-11)
+				faulted := zFactorize(t, an, paz, ParOptions{Runtime: RuntimeMPSim, Faults: chaosPlan(int64(P))})
+				bitwiseEqualData(t, mp.Data, faulted.Data, "mpsim (faulted)")
+			})
+		}
+	}
 }
 
-func bitwiseEqualFactorsNamed(t *testing.T, ref, got *Factors, name string) {
+func bitwiseEqualData[T blas.Scalar](t *testing.T, ref, got [][]T, name string) {
 	t.Helper()
-	for k := range ref.Data {
-		if len(ref.Data[k]) != len(got.Data[k]) {
-			t.Fatalf("%s: cell %d sizes differ (%d vs %d)", name, k, len(ref.Data[k]), len(got.Data[k]))
+	for k := range ref {
+		if len(ref[k]) != len(got[k]) {
+			t.Fatalf("%s: cell %d sizes differ (%d vs %d)", name, k, len(ref[k]), len(got[k]))
 		}
-		for i := range ref.Data[k] {
-			if ref.Data[k][i] != got.Data[k][i] {
+		for i := range ref[k] {
+			if ref[k][i] != got[k][i] {
 				t.Fatalf("%s: cell %d elem %d: %x vs %x (not bit-identical)",
-					name, k, i, got.Data[k][i], ref.Data[k][i])
+					name, k, i, got[k][i], ref[k][i])
 			}
 		}
 	}

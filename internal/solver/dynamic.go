@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 
+	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/dynsched"
 	"github.com/pastix-go/pastix/internal/sched"
 	"github.com/pastix-go/pastix/internal/sparse"
@@ -44,22 +45,32 @@ func FactorizeDynamicCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Sc
 // FactorizeDynamicStatsCtx is FactorizeDynamicCtx also reporting the
 // executor's stats (steal and park counts) for benchmarks and stress tests.
 func FactorizeDynamicStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Schedule, rec *trace.Recorder, sp StaticPivot) (*Factors, dynsched.Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, dynsched.Stats{}, err
-	}
-	sr := newSharedRun(ctx, sch, rec, sp, a)
-	// Assembly reuses the static ownership partition — it is embarrassingly
-	// parallel, so there is nothing for stealing to improve.
-	if err := sr.runPhase(func(p int) error { return sr.assemble(a, p) }); err != nil {
-		return nil, dynsched.Stats{}, err
-	}
-	st, err := dynsched.Run(ctx, sch.DAG(), sch.P, sr.execTask)
+	tau, normMax := pivotThreshold(sp, a)
+	f, perts, st, err := factorizeDynamic(ctx, a, sch, rec, tau)
 	if err != nil {
 		return nil, st, err
 	}
-	if err := sr.runPhase(sr.scale); err != nil {
-		return nil, st, err
+	return realFactors(f, sp, normMax, perts), st, nil
+}
+
+// factorizeDynamic is the work-stealing runtime for either scalar type, with
+// static-pivot threshold tau (0 disables pivoting).
+func factorizeDynamic[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched.Schedule, rec *trace.Recorder, tau float64) (*Storage[T], []Perturbation, dynsched.Stats, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, dynsched.Stats{}, err
 	}
-	sr.finishPivots(sp, a)
-	return sr.f, st, nil
+	sr := newSharedRun[T](ctx, sch, rec, tau)
+	// Assembly reuses the static ownership partition — it is embarrassingly
+	// parallel, so there is nothing for stealing to improve.
+	if err := sr.runPhase(func(p int) error { return sr.assemble(a, p) }); err != nil {
+		return nil, nil, dynsched.Stats{}, err
+	}
+	st, err := dynsched.Run(ctx, sch.DAG(), sch.P, sr.execTask)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	if err := sr.runPhase(sr.scale); err != nil {
+		return nil, nil, st, err
+	}
+	return sr.f, sr.perts, st, nil
 }

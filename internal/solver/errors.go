@@ -114,8 +114,3 @@ func wrapPivot(colStart, k int, err error) error {
 	}
 	return fmt.Errorf("solver: cb %d: %w", k, err)
 }
-
-// pivotError is wrapPivot with the column start looked up from the symbol.
-func (f *Factors) pivotError(k int, err error) error {
-	return wrapPivot(f.Sym.CB[k].Cols[0], k, err)
-}

@@ -93,8 +93,7 @@ func FactorizeFanOut(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, CommSt
 					continue
 				}
 				for s := t; s < len(blocks); s++ {
-					shape := &Factors{Sym: sym, LD: f.LD, BlockOff: f.BlockOff}
-					_, off, err := targetOffset(shape, i, s, t)
+					_, off, err := targetOffset(&f.Storage, i, s, t)
 					if err != nil {
 						return err
 					}

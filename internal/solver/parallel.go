@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"time"
+	"unsafe"
 
 	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/faults"
@@ -100,8 +101,7 @@ func FactorizeParOpts(a *sparse.SymMatrix, sch *sched.Schedule, popts ParOptions
 // one source processor to one destination task.
 type protoKey struct{ sp, dt int }
 
-// protocol holds the value-independent message plan derived from a schedule;
-// the float64 and complex128 runtimes share it.
+// protocol holds the value-independent message plan derived from a schedule.
 type protocol struct {
 	contributors map[protoKey]int // remote AUB edges per (source proc, dst task)
 	nAUBmsgs     []int            // distinct remote source procs per dst task
@@ -171,17 +171,28 @@ func FactorizeParStats(a *sparse.SymMatrix, sch *sched.Schedule, popts ParOption
 // communicator, compute-bound processors observe the cancellation between
 // tasks — and ctx.Err() is returned once every worker has unwound.
 func FactorizeParStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Schedule, popts ParOptions) (*Factors, CommStats, error) {
+	tau, normMax := pivotThreshold(popts.Pivot, a)
+	f, perts, stats, err := factorizePar(ctx, a, sch, popts, tau)
+	if err != nil {
+		return nil, stats, err
+	}
+	return realFactors(f, popts.Pivot, normMax, perts), stats, nil
+}
+
+// factorizePar is the message-passing runtime for either scalar type, with
+// static-pivot threshold tau (0 disables pivoting). It returns the gathered
+// factor and the substitutions of every processor.
+func factorizePar[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched.Schedule, popts ParOptions, tau float64) (*Storage[T], []Perturbation, CommStats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, CommStats{}, err
+		return nil, nil, CommStats{}, err
 	}
 	sym := sch.Sym()
 	P := sch.P
-	tau, normMax := pivotThreshold(popts.Pivot, a)
 	pr := buildProtocol(sch)
 	nAUBmsgs, sendTo, needF, needDiag := pr.nAUBmsgs, pr.sendTo, pr.needF, pr.needDiag
 
-	stores := make([]*Factors, P)
-	states := make([]*procState, P)
+	stores := make([]*Storage[T], P)
+	states := make([]*procState[T], P)
 	peaks := make([]int64, P)
 	comm := mpsim.NewComm(P)
 	if popts.Trace != nil {
@@ -192,7 +203,7 @@ func FactorizeParStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.S
 		var err error
 		inj, err = faults.New(*popts.Faults)
 		if err != nil {
-			return nil, CommStats{}, err
+			return nil, nil, CommStats{}, err
 		}
 		if popts.Trace != nil {
 			inj.SetTrace(popts.Trace)
@@ -220,24 +231,24 @@ func FactorizeParStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.S
 		// re-executing (and re-sending) finished work.
 		st := states[p]
 		if st == nil {
-			st = &procState{
+			st = &procState[T]{
 				p:        p,
 				opts:     popts,
 				sch:      sch,
-				f:        NewFactorsLazy(sym),
+				f:        newStorage[T](sym, false),
 				comm:     comm,
 				ctx:      ctx,
 				done:     ctx.Done(),
 				rec:      popts.Trace,
 				inj:      inj,
 				tau:      tau,
-				aubBuf:   make(map[int]map[int][]float64),
+				aubBuf:   make(map[int]map[int][]T),
 				aubIn:    make(map[int][]aubContrib),
 				aubRem:   make(map[int]int),
 				aubGot:   make(map[int]int),
-				fstore:   make(map[int][]float64),
-				diags:    make(map[int][]float64),
-				invd:     make(map[int][]float64),
+				fstore:   make(map[int][]T),
+				diags:    make(map[int][]T),
+				invd:     make(map[int][]T),
 				nAUBmsgs: nAUBmsgs,
 				sendTo:   sendTo,
 				needF:    needF,
@@ -268,7 +279,7 @@ func FactorizeParStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.S
 	}
 	if runErr != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, stats, cerr
+			return nil, nil, stats, cerr
 		}
 		if errors.Is(runErr, mpsim.ErrFaultBudget) {
 			prog := make([]TaskProgress, P)
@@ -278,14 +289,14 @@ func FactorizeParStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.S
 					prog[p].Done = states[p].next
 				}
 			}
-			return nil, stats, &FaultBudgetError{Progress: prog, Err: runErr}
+			return nil, nil, stats, &FaultBudgetError{Progress: prog, Err: runErr}
 		}
-		return nil, stats, runErr
+		return nil, nil, stats, runErr
 	}
 
-	// --- Gather the distributed factor into one full Factors. ---
-	g := NewFactors(sym)
-	copyCols := func(dst, src []float64, ld, rowLo, rowHi, w int) {
+	// --- Gather the distributed factor into one full storage. ---
+	g := newStorage[T](sym, true)
+	copyCols := func(dst, src []T, ld, rowLo, rowHi, w int) {
 		for j := 0; j < w; j++ {
 			copy(dst[rowLo+j*ld:rowHi+j*ld], src[rowLo+j*ld:rowHi+j*ld])
 		}
@@ -305,28 +316,25 @@ func FactorizeParStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.S
 			copyCols(g.Data[k], stores[bp].Data[k], ld, off, off+sym.CB[k].Blocks[b].Rows(), w)
 		}
 	}
-	if popts.Pivot.Enabled() {
-		// Each diagonal task ran on exactly one processor (replay after a
-		// crash resumes past completed tasks), so concatenating the per-proc
-		// perturbation logs loses nothing and duplicates nothing; buildReport
-		// sorts by column, erasing the processor interleaving.
-		var perts []Perturbation
-		for p := 0; p < P; p++ {
-			if states[p] != nil {
-				perts = append(perts, states[p].perts...)
-			}
+	// Each diagonal task ran on exactly one processor (replay after a crash
+	// resumes past completed tasks), so concatenating the per-proc
+	// perturbation logs loses nothing and duplicates nothing; buildReport
+	// sorts by column, erasing the processor interleaving.
+	var perts []Perturbation
+	for p := 0; p < P; p++ {
+		if states[p] != nil {
+			perts = append(perts, states[p].perts...)
 		}
-		g.Pivots = buildReport(popts.Pivot, normMax, perts, g)
 	}
-	return g, stats, nil
+	return g, perts, stats, nil
 }
 
 // procState is one virtual processor of the factorization.
-type procState struct {
+type procState[T blas.Scalar] struct {
 	p    int
 	opts ParOptions
 	sch  *sched.Schedule
-	f    *Factors
+	f    *Storage[T]
 	comm *mpsim.Comm
 	ctx  context.Context
 	done <-chan struct{}  // ctx.Done(); nil when uncancellable
@@ -352,7 +360,7 @@ type procState struct {
 	// aubBuf holds negated contribution accumulators per destination task,
 	// keyed inside by target region (0 = the diagonal block of the target
 	// cell, b+1 = its off-diagonal block b) — the paper's per-block AUB_jk.
-	aubBuf map[int]map[int][]float64
+	aubBuf map[int]map[int][]T
 	// aubIn buffers received remote AUB payloads per destination task instead
 	// of applying them on arrival: once every expected message is in, they are
 	// applied in canonical order (sorted by source processor, arrival order
@@ -361,11 +369,11 @@ type procState struct {
 	// with delays, duplicates and restarts produces exactly the fault-free
 	// factor.
 	aubIn  map[int][]aubContrib
-	aubRem map[int]int       // dst task -> local contributions still to add
-	aubGot map[int]int       // dst task -> final AUB messages received
-	fstore map[int][]float64 // BDIV task -> received W panel
-	diags  map[int][]float64 // cell -> received (L,D) diagonal block (ld = w)
-	invd   map[int][]float64 // cell -> 1/D cache
+	aubRem map[int]int // dst task -> local contributions still to add
+	aubGot map[int]int // dst task -> final AUB messages received
+	fstore map[int][]T // BDIV task -> received W panel
+	diags  map[int][]T // cell -> received (L,D) diagonal block (ld = w)
+	invd   map[int][]T // cell -> 1/D cache
 
 	nAUBmsgs []int
 	sendTo   [][]int
@@ -375,7 +383,7 @@ type procState struct {
 
 // cancelled is the between-tasks cancellation check: compute-bound
 // processors (never blocked in Recv) observe ctx here.
-func (st *procState) cancelled() error {
+func (st *procState[T]) cancelled() error {
 	if st.done == nil {
 		return nil
 	}
@@ -387,7 +395,7 @@ func (st *procState) cancelled() error {
 	}
 }
 
-func (st *procState) run(a *sparse.SymMatrix) error {
+func (st *procState[T]) run(a symMatrix[T]) error {
 	sym := st.sch.Sym()
 	if !st.assembled {
 		var asmStart time.Duration
@@ -486,7 +494,7 @@ func (st *procState) run(a *sparse.SymMatrix) error {
 
 // waitInputs blocks until every message task id requires has arrived,
 // handling (and applying) messages as they come.
-func (st *procState) waitInputs(id int) error {
+func (st *procState[T]) waitInputs(id int) error {
 	t := &st.sch.Tasks[id]
 	satisfied := func() bool {
 		if st.aubGot[id] < st.nAUBmsgs[id] {
@@ -532,7 +540,7 @@ type aubContrib struct {
 // source (the stable sort keeps a fan-both partial before the final message
 // from the same sender). Called once per task, after all expected final
 // messages have arrived.
-func (st *procState) applyPending(id int) error {
+func (st *procState[T]) applyPending(id int) error {
 	contribs := st.aubIn[id]
 	if len(contribs) == 0 {
 		return nil
@@ -547,12 +555,12 @@ func (st *procState) applyPending(id int) error {
 	return nil
 }
 
-func (st *procState) handle(m mpsim.Message) error {
+func (st *procState[T]) handle(m mpsim.Message) error {
 	switch m.Kind {
 	case msgF:
-		st.fstore[m.Tag] = m.Data
+		st.fstore[m.Tag] = scalars[T](m.Data)
 	case msgDiag:
-		st.diags[m.Tag] = m.Data
+		st.diags[m.Tag] = scalars[T](m.Data)
 	case msgAUB:
 		st.aubIn[m.Tag] = append(st.aubIn[m.Tag], aubContrib{src: m.Src, data: m.Data})
 		st.aubGot[m.Tag]++
@@ -567,9 +575,10 @@ func (st *procState) handle(m mpsim.Message) error {
 }
 
 // packAUB serializes the per-region accumulators of one destination into a
-// single message payload: [nRegions, (regionId, elems)... , payloads...].
+// single message payload: [nRegions, (regionId, elems)... , payloads...],
+// the header in float64 words and each payload as the words of its scalars.
 // Regions are sorted for determinism.
-func packAUB(regions map[int][]float64) []float64 {
+func packAUB[T blas.Scalar](regions map[int][]T) []float64 {
 	ids := make([]int, 0, len(regions))
 	total := 0
 	for id, buf := range regions {
@@ -577,20 +586,44 @@ func packAUB(regions map[int][]float64) []float64 {
 		total += len(buf)
 	}
 	sort.Ints(ids)
-	out := make([]float64, 0, 1+2*len(ids)+total)
-	out = append(out, float64(len(ids)))
-	for _, id := range ids {
-		out = append(out, float64(id), float64(len(regions[id])))
-	}
-	for _, id := range ids {
-		out = append(out, regions[id]...)
+	hdr := 1 + 2*len(ids)
+	out := make([]float64, hdr+total*wordsPer[T]())
+	out[0] = float64(len(ids))
+	payload := scalars[T](out[hdr:])
+	pos := 0
+	for r, id := range ids {
+		out[1+2*r], out[2+2*r] = float64(id), float64(len(regions[id]))
+		pos += copy(payload[pos:], regions[id])
 	}
 	return out
 }
 
+// wordsPer is the number of float64 words in one scalar of type T.
+func wordsPer[T blas.Scalar]() int {
+	var z T
+	return int(unsafe.Sizeof(z)) / 8
+}
+
+// words views s as its float64 words (a complex128 is two: real, imaginary)
+// without copying: message payloads are float64 words whatever the scalar.
+func words[T blas.Scalar](s []T) []float64 {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(&s[0])), len(s)*wordsPer[T]())
+}
+
+// scalars is the inverse view of words.
+func scalars[T blas.Scalar](w []float64) []T {
+	if len(w) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&w[0])), len(w)/wordsPer[T]())
+}
+
 // applyAUB adds a received (negated-sum, region-packed) aggregated update
 // block into the local regions of destination task dt.
-func (st *procState) applyAUB(dt int, buf []float64) error {
+func (st *procState[T]) applyAUB(dt int, buf []float64) error {
 	if len(buf) == 0 {
 		return nil // final message after a fan-both spill drained the buffer
 	}
@@ -602,17 +635,18 @@ func (st *procState) applyAUB(dt int, buf []float64) error {
 	data := st.f.Data[t.Cell]
 	ld := st.f.LD[t.Cell]
 	nr := int(buf[0])
-	if len(buf) < 1+2*nr {
+	if nr < 0 || len(buf) < 1+2*nr {
 		return fmt.Errorf("solver: malformed AUB header for task %d", dt)
 	}
-	pos := 1 + 2*nr
+	payload := scalars[T](buf[1+2*nr:])
+	pos := 0
 	for r := 0; r < nr; r++ {
 		id := int(buf[1+2*r])
 		elems := int(buf[2+2*r])
-		if pos+elems > len(buf) {
+		if pos+elems > len(payload) {
 			return fmt.Errorf("solver: truncated AUB payload for task %d", dt)
 		}
-		seg := buf[pos : pos+elems]
+		seg := payload[pos : pos+elems]
 		pos += elems
 		var off, rows int
 		if id == 0 {
@@ -640,11 +674,11 @@ func (st *procState) applyAUB(dt int, buf []float64) error {
 
 // cellDiagVec returns D of cell k from the local diagonal region or the
 // received diagonal copy.
-func (st *procState) cellDiagVec(k int) []float64 {
+func (st *procState[T]) cellDiagVec(k int) []T {
 	w := st.sch.Sym().CB[k].Width()
 	if fid := st.sch.FactorOf[k]; fid >= 0 && st.sch.Tasks[fid].Proc != st.p {
 		buf := st.diags[k]
-		d := make([]float64, w)
+		d := make([]T, w)
 		for j := 0; j < w; j++ {
 			d[j] = buf[j+j*w]
 		}
@@ -653,39 +687,32 @@ func (st *procState) cellDiagVec(k int) []float64 {
 	return st.f.Diag(k)
 }
 
-func (st *procState) cellInvD(k int) []float64 {
+func (st *procState[T]) cellInvD(k int) []T {
 	if v, ok := st.invd[k]; ok {
 		return v
 	}
-	d := st.cellDiagVec(k)
-	inv := make([]float64, len(d))
-	for i, x := range d {
-		inv[i] = 1 / x
-	}
+	inv := invert(st.cellDiagVec(k))
 	st.invd[k] = inv
 	return inv
 }
 
 // diagRef returns the diagonal block (for TRSM) of cell k: local storage or
 // the received copy, with its leading dimension.
-func (st *procState) diagRef(k int) ([]float64, int) {
+func (st *procState[T]) diagRef(k int) ([]T, int) {
 	if fid := st.sch.FactorOf[k]; fid >= 0 && st.sch.Tasks[fid].Proc != st.p {
 		return st.diags[k], st.sch.Sym().CB[k].Width()
 	}
 	return st.f.Data[k], st.f.LD[k]
 }
 
-func (st *procState) execComp1D(t *sched.Task) error {
+func (st *procState[T]) execComp1D(t *sched.Task) error {
 	k := t.Cell
 	if err := st.factorDiag(k); err != nil {
 		return err
 	}
 	st.f.SolvePanel(k)
 	d := st.f.Diag(k)
-	invd := make([]float64, len(d))
-	for i, v := range d {
-		invd[i] = 1 / v
-	}
+	invd := invert(d)
 	sym := st.sch.Sym()
 	cb := &sym.CB[k]
 	ld := st.f.LD[k]
@@ -711,7 +738,7 @@ func (st *procState) execComp1D(t *sched.Task) error {
 // factorDiag runs the (possibly pivoted) diagonal factorization of cell k,
 // logging any substitutions into the processor's perturbation log and the
 // trace.
-func (st *procState) factorDiag(k int) error {
+func (st *procState[T]) factorDiag(k int) error {
 	ps, err := st.f.FactorDiagStatic(k, st.tau)
 	if err != nil {
 		return err
@@ -725,7 +752,7 @@ func (st *procState) factorDiag(k int) error {
 	return nil
 }
 
-func (st *procState) execFactor(t *sched.Task) error {
+func (st *procState[T]) execFactor(t *sched.Task) error {
 	k := t.Cell
 	if err := st.factorDiag(k); err != nil {
 		return err
@@ -733,18 +760,18 @@ func (st *procState) execFactor(t *sched.Task) error {
 	if dsts := st.sendTo[t.ID]; len(dsts) > 0 {
 		w := st.sch.Sym().CB[k].Width()
 		ld := st.f.LD[k]
-		buf := make([]float64, w*w)
+		buf := make([]T, w*w)
 		for j := 0; j < w; j++ {
 			copy(buf[j*w+j:j*w+w], st.f.Data[k][j*ld+j:j*ld+w])
 		}
 		for _, q := range dsts {
-			st.comm.Send(mpsim.Message{Kind: msgDiag, Src: st.p, Dst: q, Tag: k, Data: buf})
+			st.comm.Send(mpsim.Message{Kind: msgDiag, Src: st.p, Dst: q, Tag: k, Data: words(buf)})
 		}
 	}
 	return nil
 }
 
-func (st *procState) execBDiv(t *sched.Task) error {
+func (st *procState[T]) execBDiv(t *sched.Task) error {
 	k := t.Cell
 	sym := st.sch.Sym()
 	cb := &sym.CB[k]
@@ -752,26 +779,26 @@ func (st *procState) execBDiv(t *sched.Task) error {
 	rb := cb.Blocks[t.S].Rows()
 	l, ldl := st.diagRef(k)
 	off := st.f.BlockOff[k][t.S]
-	blas.TrsmRightLTransUnit(rb, w, l, ldl, st.f.Data[k][off:], st.f.LD[k])
+	blas.KernelsOf[T]().TrsmRightLTransUnit(rb, w, l, ldl, st.f.Data[k][off:], st.f.LD[k])
 	if dsts := st.sendTo[t.ID]; len(dsts) > 0 {
-		buf := make([]float64, rb*w)
+		buf := make([]T, rb*w)
 		for j := 0; j < w; j++ {
 			copy(buf[j*rb:(j+1)*rb], st.f.Data[k][off+j*st.f.LD[k]:off+j*st.f.LD[k]+rb])
 		}
 		for _, q := range dsts {
-			st.comm.Send(mpsim.Message{Kind: msgF, Src: st.p, Dst: q, Tag: t.ID, Data: buf})
+			st.comm.Send(mpsim.Message{Kind: msgF, Src: st.p, Dst: q, Tag: t.ID, Data: words(buf)})
 		}
 	}
 	return nil
 }
 
-func (st *procState) execBMod(t *sched.Task) error {
+func (st *procState[T]) execBMod(t *sched.Task) error {
 	k := t.Cell
 	sym := st.sch.Sym()
 	cb := &sym.CB[k]
 	ldk := st.f.LD[k]
 	ws := st.f.Data[k][st.f.BlockOff[k][t.S]:]
-	var wt []float64
+	var wt []T
 	var ldt int
 	bdivT := st.sch.BDivOf[k][t.T]
 	if st.sch.Tasks[bdivT].Proc == st.p {
@@ -796,7 +823,7 @@ func (st *procState) execBMod(t *sched.Task) error {
 // region or accumulates it (negated) into the AUB for the destination task.
 // It returns the destination task id when the contribution was remote (so
 // the caller can decrement the AUB countdown), -1 otherwise.
-func (st *procState) routePair(k, s, t int, ws []float64, lda int, wt []float64, ldb int, invd []float64) (int, error) {
+func (st *procState[T]) routePair(k, s, t int, ws []T, lda int, wt []T, ldb int, invd []T) (int, error) {
 	sym := st.sch.Sym()
 	cb := &sym.CB[k]
 	w := cb.Width()
@@ -824,7 +851,7 @@ func (st *procState) routePair(k, s, t int, ws []float64, lda int, wt []float64,
 	dtask := &st.sch.Tasks[dt]
 	lc := bt.FirstRow - fcb.Cols[0]
 
-	var dst []float64
+	var dst []T
 	var ldc int
 	if dtask.Proc == st.p {
 		// Direct local subtraction into the owned region, cell coordinates.
@@ -839,8 +866,7 @@ func (st *procState) routePair(k, s, t int, ws []float64, lda int, wt []float64,
 		// (id b+1) — the paper's AUB_jk granularity.
 		region, lr, rows := 0, bs.FirstRow-fcb.Cols[0], fcb.Width()
 		if bs.Facing != fcell {
-			shape := &Factors{Sym: sym, LD: st.f.LD, BlockOff: st.f.BlockOff}
-			b := shape.BlockContaining(fcell, bs.FirstRow, bs.LastRow)
+			b := st.f.BlockContaining(fcell, bs.FirstRow, bs.LastRow)
 			if b < 0 {
 				return -1, fmt.Errorf("solver: AUB rows [%d,%d) not in one block of cb %d", bs.FirstRow, bs.LastRow, fcell)
 			}
@@ -849,14 +875,14 @@ func (st *procState) routePair(k, s, t int, ws []float64, lda int, wt []float64,
 		}
 		regions := st.aubBuf[dt]
 		if regions == nil {
-			regions = make(map[int][]float64)
+			regions = make(map[int][]T)
 			st.aubBuf[dt] = regions
 		}
 		buf := regions[region]
 		if buf == nil {
-			buf = make([]float64, rows*fcb.Width())
+			buf = make([]T, rows*fcb.Width())
 			regions[region] = buf
-			st.aubBytes += int64(len(buf)) * 8
+			st.aubBytes += st.bytes(len(buf))
 			st.spill(dt)
 			if st.aubBytes > st.peakAUB {
 				st.peakAUB = st.aubBytes
@@ -865,10 +891,10 @@ func (st *procState) routePair(k, s, t int, ws []float64, lda int, wt []float64,
 		ldc = rows
 		dst = buf[lr+lc*ldc:]
 	}
-	if s == t {
-		blas.SyrkLowerNDT(rs, w, ws, lda, invd, dst, ldc)
+	if kern := blas.KernelsOf[T](); s == t {
+		kern.SyrkLowerNDT(rs, w, ws, lda, invd, dst, ldc)
 	} else {
-		blas.GemmNDT(rs, rt, w, ws, lda, invd, wt, ldb, dst, ldc)
+		kern.GemmNDT(rs, rt, w, ws, lda, invd, wt, ldb, dst, ldc)
 	}
 	if dtask.Proc == st.p {
 		return -1, nil
@@ -877,7 +903,7 @@ func (st *procState) routePair(k, s, t int, ws []float64, lda int, wt []float64,
 }
 
 // regionsSize returns the accumulated elements of one destination's regions.
-func regionsSize(regions map[int][]float64) int {
+func regionsSize[T blas.Scalar](regions map[int][]T) int {
 	t := 0
 	for _, b := range regions {
 		t += len(b)
@@ -889,7 +915,7 @@ func regionsSize(regions map[int][]float64) int {
 // sends the AUB as soon as it is complete ("if ready, send" in Fig. 1). The
 // final message is sent even when the buffer was already spilled (fan-both):
 // the receiver counts only final messages.
-func (st *procState) flushAUBs(touched map[int]bool) {
+func (st *procState[T]) flushAUBs(touched map[int]bool) {
 	for dt := range touched {
 		st.aubRem[dt]--
 		if st.aubRem[dt] == 0 {
@@ -898,7 +924,7 @@ func (st *procState) flushAUBs(touched map[int]bool) {
 			delete(st.aubRem, dt)
 			var data []float64
 			if len(regions) > 0 {
-				st.aubBytes -= int64(regionsSize(regions)) * 8
+				st.aubBytes -= st.bytes(regionsSize(regions))
 				data = packAUB(regions)
 			}
 			st.comm.Send(mpsim.Message{
@@ -908,10 +934,13 @@ func (st *procState) flushAUBs(touched map[int]bool) {
 	}
 }
 
+// bytes is the memory held by n scalars.
+func (st *procState[T]) bytes(n int) int64 { return int64(n*wordsPer[T]()) * 8 }
+
 // spill enforces the fan-both memory bound: while aggregation buffers exceed
 // MaxAUBBytes, the largest buffer other than keep is sent with partial
 // aggregation and freed.
-func (st *procState) spill(keep int) {
+func (st *procState[T]) spill(keep int) {
 	if st.opts.MaxAUBBytes <= 0 {
 		return
 	}
@@ -930,9 +959,9 @@ func (st *procState) spill(keep int) {
 		}
 		regions := st.aubBuf[victim]
 		delete(st.aubBuf, victim)
-		st.aubBytes -= int64(regionsSize(regions)) * 8
+		st.aubBytes -= st.bytes(regionsSize(regions))
 		if st.rec != nil {
-			st.rec.Spill(st.p, victim, int64(regionsSize(regions))*8)
+			st.rec.Spill(st.p, victim, st.bytes(regionsSize(regions)))
 		}
 		st.comm.Send(mpsim.Message{
 			Kind: msgAUBPartial, Src: st.p, Dst: st.sch.Tasks[victim].Proc, Tag: victim, Data: packAUB(regions),

@@ -101,7 +101,7 @@ func pivotThreshold(sp StaticPivot, a *sparse.SymMatrix) (tau, normMax float64) 
 // perturbations and the finished factor (for the growth diagnostic). The
 // perturbation slice is sorted in place by column so per-processor
 // collection order never leaks into the report.
-func buildReport(sp StaticPivot, normMax float64, perts []Perturbation, f *Factors) *PerturbationReport {
+func buildReport(sp StaticPivot, normMax float64, perts []Perturbation, f *Storage[float64]) *PerturbationReport {
 	sort.Slice(perts, func(i, j int) bool { return perts[i].Column < perts[j].Column })
 	maxD := 0.0
 	for k := range f.Sym.CB {

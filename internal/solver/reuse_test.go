@@ -34,10 +34,7 @@ func TestAnalysisReuseAcrossArithmeticKinds(t *testing.T) {
 
 	// Complex factorization on the same schedule.
 	paz := az.Permute(an.Perm)
-	zf, err := FactorizeZPar(paz, an.Sched)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zf := zFactorize(t, an, paz, ParOptions{Runtime: RuntimeMPSim})
 	xz := make([]complex128, pat.N)
 	for i := range xz {
 		xz[i] = complex(1, float64(i%3))

@@ -190,11 +190,7 @@ func (san *SchurAnalysis) FactorizeSchur() (*Factors, []float64, error) {
 		}
 		f.SolvePanel(k)
 		d := f.Diag(k)
-		invd := make([]float64, len(d))
-		for i, v := range d {
-			invd[i] = 1 / v
-		}
-		if err := applyCellUpdates(f, k, invd); err != nil {
+		if err := applyCellUpdates(&f.Storage, k, invert(d)); err != nil {
 			return nil, nil, err
 		}
 		f.ScalePanel(k, d)

@@ -12,7 +12,7 @@ import (
 // destination cell, the linear offset of the region's top-left corner in
 // that cell's array, and whether the target is the (triangular) diagonal
 // region with s == t.
-func targetOffset(f *Factors, k, s, t int) (cell, offset int, err error) {
+func targetOffset[T blas.Scalar](f *Storage[T], k, s, t int) (cell, offset int, err error) {
 	cb := &f.Sym.CB[k]
 	bt := cb.Blocks[t]
 	bs := cb.Blocks[s]
@@ -36,7 +36,8 @@ func targetOffset(f *Factors, k, s, t int) (cell, offset int, err error) {
 // applyCellUpdates computes all outer-product contributions of cell k
 // (whose panel currently holds W = L·D) and subtracts them from the target
 // cells' arrays in f. invd is 1/D of cell k.
-func applyCellUpdates(f *Factors, k int, invd []float64) error {
+func applyCellUpdates[T blas.Scalar](f *Storage[T], k int, invd []T) error {
+	kern := blas.KernelsOf[T]()
 	cb := &f.Sym.CB[k]
 	w := cb.Width()
 	ld := f.LD[k]
@@ -57,9 +58,9 @@ func applyCellUpdates(f *Factors, k int, invd []float64) error {
 			ldf := f.LD[fcell]
 			ws := data[f.BlockOff[k][s]:]
 			if s == t {
-				blas.SyrkLowerNDT(rs, w, ws, ld, invd, dst, ldf)
+				kern.SyrkLowerNDT(rs, w, ws, ld, invd, dst, ldf)
 			} else {
-				blas.GemmNDT(rs, rt, w, ws, ld, invd, wt, ld, dst, ldf)
+				kern.GemmNDT(rs, rt, w, ws, ld, invd, wt, ld, dst, ldf)
 			}
 		}
 	}
@@ -79,34 +80,47 @@ func FactorizeSeq(a *sparse.SymMatrix, sym *symbolic.Symbol) (*Factors, error) {
 // StaticPivot reproduces FactorizeSeq bit for bit.
 func FactorizeSeqPivot(a *sparse.SymMatrix, sym *symbolic.Symbol, sp StaticPivot) (*Factors, error) {
 	tau, normMax := pivotThreshold(sp, a)
-	f := NewFactors(sym)
+	f, perts, err := factorizeSeq(a, sym, tau)
+	if err != nil {
+		return nil, err
+	}
+	return realFactors(f, sp, normMax, perts), nil
+}
+
+// factorizeSeq is the sequential reference for either scalar type, with
+// static-pivot threshold tau (0 disables pivoting).
+func factorizeSeq[T blas.Scalar](a symMatrix[T], sym *symbolic.Symbol, tau float64) (*Storage[T], []Perturbation, error) {
+	f := newStorage[T](sym, true)
 	for k := range sym.CB {
 		if err := f.AssembleCell(a, k); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	var perts []Perturbation
 	for k := range sym.CB {
 		ps, err := f.FactorDiagStatic(k, tau)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		perts = append(perts, ps...)
 		f.SolvePanel(k)
 		d := f.Diag(k)
-		invd := make([]float64, len(d))
-		for i, v := range d {
-			invd[i] = 1 / v
-		}
-		if err := applyCellUpdates(f, k, invd); err != nil {
-			return nil, err
+		if err := applyCellUpdates(f, k, invert(d)); err != nil {
+			return nil, nil, err
 		}
 		f.ScalePanel(k, d)
 	}
+	return f, perts, nil
+}
+
+// realFactors wraps a finished float64 factorization, attaching the
+// perturbation report when pivoting was enabled.
+func realFactors(s *Storage[float64], sp StaticPivot, normMax float64, perts []Perturbation) *Factors {
+	f := &Factors{Storage: *s}
 	if sp.Enabled() {
-		f.Pivots = buildReport(sp, normMax, perts, f)
+		f.Pivots = buildReport(sp, normMax, perts, s)
 	}
-	return f, nil
+	return f
 }
 
 // Solve solves A·x = b given the factor (L, D): forward substitution with
@@ -116,18 +130,25 @@ func (f *Factors) Solve(b []float64) []float64 {
 	if f.lrCells != nil {
 		return f.solveCompressed(b)
 	}
+	return f.Storage.Solve(b)
+}
+
+// Solve solves A·x = b with the dense factor: the reference the solve
+// engines are measured against.
+func (f *Storage[T]) Solve(b []T) []T {
+	kern := blas.KernelsOf[T]()
 	sym := f.Sym
-	x := append([]float64(nil), b...)
+	x := append([]T(nil), b...)
 	// Forward: L y = b.
 	for k := range sym.CB {
 		cb := &sym.CB[k]
 		w := cb.Width()
 		ld := f.LD[k]
 		xk := x[cb.Cols[0]:cb.Cols[1]]
-		blas.TrsvLowerUnit(w, f.Data[k], ld, xk)
+		kern.TrsvLowerUnit(w, f.Data[k], ld, xk)
 		for bi := range cb.Blocks {
 			blk := &cb.Blocks[bi]
-			blas.GemvN(blk.Rows(), w, f.Data[k][f.BlockOff[k][bi]:], ld,
+			kern.GemvN(blk.Rows(), w, f.Data[k][f.BlockOff[k][bi]:], ld,
 				xk, x[blk.FirstRow:blk.LastRow])
 		}
 	}
@@ -147,7 +168,7 @@ func (f *Factors) Solve(b []float64) []float64 {
 		xk := x[cb.Cols[0]:cb.Cols[1]]
 		for bi := range cb.Blocks {
 			blk := &cb.Blocks[bi]
-			blas.GemvT(blk.Rows(), w, f.Data[k][f.BlockOff[k][bi]:], ld,
+			kern.GemvT(blk.Rows(), w, f.Data[k][f.BlockOff[k][bi]:], ld,
 				x[blk.FirstRow:blk.LastRow], xk)
 		}
 		blas.TrsvLowerTransUnit(w, f.Data[k], ld, xk)

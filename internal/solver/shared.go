@@ -73,12 +73,12 @@ type pendList struct {
 
 // sharedRun is the state shared by all goroutine processors of one
 // FactorizeShared (or FactorizeDynamic) execution.
-type sharedRun struct {
+type sharedRun[T blas.Scalar] struct {
 	sch   *sched.Schedule
-	f     *Factors        // the one shared factor storage (fully allocated)
+	f     *Storage[T]     // the one shared factor storage (fully allocated)
 	gates []taskGate      // per task (static driver only)
 	pend  []pendList      // per task: deferred contributions into its region
-	invd  [][]float64     // per cell: 1/D, published by the FACTOR/COMP1D task
+	invd  [][]T           // per cell: 1/D, published by the FACTOR/COMP1D task
 	rec   *trace.Recorder // nil disables tracing
 	tau   float64         // static-pivot threshold; 0 disables pivoting
 
@@ -94,18 +94,17 @@ type sharedRun struct {
 	abortOnce sync.Once
 }
 
-func (sr *sharedRun) fail() { sr.abortOnce.Do(func() { close(sr.abort) }) }
+func (sr *sharedRun[T]) fail() { sr.abortOnce.Do(func() { close(sr.abort) }) }
 
 // newSharedRun builds the run state common to the static shared-memory
 // driver and the dynamic work-stealing driver.
-func newSharedRun(ctx context.Context, sch *sched.Schedule, rec *trace.Recorder, sp StaticPivot, a *sparse.SymMatrix) *sharedRun {
-	tau, _ := pivotThreshold(sp, a)
+func newSharedRun[T blas.Scalar](ctx context.Context, sch *sched.Schedule, rec *trace.Recorder, tau float64) *sharedRun[T] {
 	sym := sch.Sym()
-	return &sharedRun{
+	return &sharedRun[T]{
 		sch:     sch,
-		f:       NewFactors(sym),
+		f:       newStorage[T](sym, true),
 		pend:    make([]pendList, len(sch.Tasks)),
-		invd:    make([][]float64, sym.NumCB()),
+		invd:    make([][]T, sym.NumCB()),
 		rec:     rec,
 		tau:     tau,
 		ctx:     ctx,
@@ -117,7 +116,7 @@ func newSharedRun(ctx context.Context, sch *sched.Schedule, rec *trace.Recorder,
 // wait blocks until task id's gate opens (all dependencies satisfied), the
 // run aborts, or the context is cancelled. A nil ctxDone channel blocks
 // forever in select, so the uncancellable case costs nothing.
-func (sr *sharedRun) wait(id int) error {
+func (sr *sharedRun[T]) wait(id int) error {
 	if sr.ctxDone != nil {
 		select {
 		case <-sr.ctxDone:
@@ -144,7 +143,7 @@ func (sr *sharedRun) wait(id int) error {
 // decrement to zero closes the successor's ready channel; together with the
 // sequentially consistent atomics this hands the successor a happens-before
 // edge over everything its predecessors wrote.
-func (sr *sharedRun) done(id int) {
+func (sr *sharedRun[T]) done(id int) {
 	for _, e := range sr.sch.Tasks[id].Outs {
 		if sr.gates[e.Dst].remaining.Add(-1) == 0 {
 			close(sr.gates[e.Dst].ready)
@@ -168,10 +167,21 @@ func FactorizeShared(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, error)
 // (none leak). A nil recorder disables tracing at the cost of one pointer
 // comparison per task; the zero StaticPivot disables pivoting.
 func FactorizeSharedCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Schedule, rec *trace.Recorder, sp StaticPivot) (*Factors, error) {
-	if err := ctx.Err(); err != nil {
+	tau, normMax := pivotThreshold(sp, a)
+	f, perts, err := factorizeShared(ctx, a, sch, rec, tau)
+	if err != nil {
 		return nil, err
 	}
-	sr := newSharedRun(ctx, sch, rec, sp, a)
+	return realFactors(f, sp, normMax, perts), nil
+}
+
+// factorizeShared is the static shared-memory runtime for either scalar
+// type, with static-pivot threshold tau (0 disables pivoting).
+func factorizeShared[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched.Schedule, rec *trace.Recorder, tau float64) (*Storage[T], []Perturbation, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	sr := newSharedRun[T](ctx, sch, rec, tau)
 	sr.gates = make([]taskGate, len(sch.Tasks))
 	for i, d := range sch.InDegrees() {
 		sr.gates[i].ready = make(chan struct{})
@@ -185,32 +195,23 @@ func FactorizeSharedCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Sch
 	// ownership as the distributed runtime). The phase barrier orders all
 	// assembly writes before any contribution.
 	if err := sr.runPhase(func(p int) error { return sr.assemble(a, p) }); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Phase 2: execute the K_p task vectors.
 	if err := sr.runPhase(sr.execute); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Phase 3: deferred panel scaling (W = L·D until every deferred reader
 	// has finished; the phase barrier guarantees that).
 	if err := sr.runPhase(sr.scale); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sr.finishPivots(sp, a)
-	return sr.f, nil
-}
-
-// finishPivots attaches the perturbation report after a successful run.
-func (sr *sharedRun) finishPivots(sp StaticPivot, a *sparse.SymMatrix) {
-	if sp.Enabled() {
-		_, normMax := pivotThreshold(sp, a)
-		sr.f.Pivots = buildReport(sp, normMax, sr.perts, sr.f)
-	}
+	return sr.f, sr.perts, nil
 }
 
 // runPhase runs fn on every processor and waits; the phase boundary is a
 // full barrier. The first error wins.
-func (sr *sharedRun) runPhase(fn func(p int) error) error {
+func (sr *sharedRun[T]) runPhase(fn func(p int) error) error {
 	P := sr.sch.P
 	errs := make([]error, P)
 	var wg sync.WaitGroup
@@ -239,7 +240,7 @@ func (sr *sharedRun) runPhase(fn func(p int) error) error {
 	return aborted
 }
 
-func (sr *sharedRun) assemble(a *sparse.SymMatrix, p int) error {
+func (sr *sharedRun[T]) assemble(a symMatrix[T], p int) error {
 	var start time.Duration
 	if sr.rec != nil {
 		start = sr.rec.Now()
@@ -267,7 +268,7 @@ func (sr *sharedRun) assemble(a *sparse.SymMatrix, p int) error {
 
 // execute is the static driver: run this processor's K_p vector in schedule
 // order, waiting on each task's gate.
-func (sr *sharedRun) execute(p int) error {
+func (sr *sharedRun[T]) execute(p int) error {
 	for _, id := range sr.sch.ByProc[p] {
 		if err := sr.wait(id); err != nil {
 			return err
@@ -285,7 +286,7 @@ func (sr *sharedRun) execute(p int) error {
 // work. It is shared by the static shared-memory driver and the dynamic
 // work-stealing driver — the callers differ only in how they decide that the
 // task's dependencies are satisfied.
-func (sr *sharedRun) execTask(p, id int) error {
+func (sr *sharedRun[T]) execTask(p, id int) error {
 	t := &sr.sch.Tasks[id]
 	// Interval starts after the dependency wait so it measures execution
 	// only; idle time is the gap between consecutive task events.
@@ -319,7 +320,7 @@ func (sr *sharedRun) execTask(p, id int) error {
 // scale is phase 3: convert every panel from W = L·D to L. BDIV panels and
 // COMP1D panels alike are deferred here so that deferred contribution
 // readers always see W.
-func (sr *sharedRun) scale(p int) error {
+func (sr *sharedRun[T]) scale(p int) error {
 	var start time.Duration
 	if sr.rec != nil {
 		start = sr.rec.Now()
@@ -345,7 +346,7 @@ func (sr *sharedRun) scale(p int) error {
 
 // destTask returns the task whose region the (s,t) contribution of cell k
 // lands in — the task the contribution descriptor is enqueued on.
-func (sr *sharedRun) destTask(k, s, t int) (int, error) {
+func (sr *sharedRun[T]) destTask(k, s, t int) (int, error) {
 	sym := sr.sch.Sym()
 	cb := &sym.CB[k]
 	bs := &cb.Blocks[s]
@@ -368,7 +369,7 @@ func (sr *sharedRun) destTask(k, s, t int) (int, error) {
 // enqueue defers the (s,t) outer-product contribution of cell k onto its
 // destination task. The source panel and 1/D must already be published; the
 // destination reads them when it activates.
-func (sr *sharedRun) enqueue(k, s, t int) error {
+func (sr *sharedRun[T]) enqueue(k, s, t int) error {
 	dt, err := sr.destTask(k, s, t)
 	if err != nil {
 		return err
@@ -387,7 +388,7 @@ func (sr *sharedRun) enqueue(k, s, t int) error {
 // accumulated bits equal the sequential ones. By the activation protocol all
 // producers have completed, so the list is final and the region is owned
 // exclusively by this task — no locks are held during the kernels.
-func (sr *sharedRun) applyPending(id int) error {
+func (sr *sharedRun[T]) applyPending(id int) error {
 	pl := &sr.pend[id]
 	pl.mu.Lock()
 	refs := pl.refs
@@ -406,6 +407,7 @@ func (sr *sharedRun) applyPending(id int) error {
 		return refs[i].S < refs[j].S
 	})
 	sym := sr.sch.Sym()
+	kern := blas.KernelsOf[T]()
 	for _, r := range refs {
 		k, s, t := int(r.Cell), int(r.S), int(r.T)
 		cb := &sym.CB[k]
@@ -422,9 +424,9 @@ func (sr *sharedRun) applyPending(id int) error {
 		dst := sr.f.Data[fcell][off:]
 		ldc := sr.f.LD[fcell]
 		if s == t {
-			blas.SyrkLowerNDT(bs.Rows(), w, ws, ld, sr.invd[k], dst, ldc)
+			kern.SyrkLowerNDT(bs.Rows(), w, ws, ld, sr.invd[k], dst, ldc)
 		} else {
-			blas.GemmNDT(bs.Rows(), bt.Rows(), w, ws, ld, sr.invd[k], wt, ld, dst, ldc)
+			kern.GemmNDT(bs.Rows(), bt.Rows(), w, ws, ld, sr.invd[k], wt, ld, dst, ldc)
 		}
 	}
 	return nil
@@ -432,7 +434,7 @@ func (sr *sharedRun) applyPending(id int) error {
 
 // factorDiag runs the (possibly pivoted) diagonal factorization of cell k on
 // processor p, logging substitutions into the shared pivot log and the trace.
-func (sr *sharedRun) factorDiag(p, k int) error {
+func (sr *sharedRun[T]) factorDiag(p, k int) error {
 	ps, err := sr.f.FactorDiagStatic(k, sr.tau)
 	if err != nil {
 		return err
@@ -450,7 +452,7 @@ func (sr *sharedRun) factorDiag(p, k int) error {
 	return nil
 }
 
-func (sr *sharedRun) execComp1D(p int, t *sched.Task) error {
+func (sr *sharedRun[T]) execComp1D(p int, t *sched.Task) error {
 	k := t.Cell
 	// applyPending subtracted every contribution into this cell; it is ready
 	// to factor.
@@ -458,14 +460,9 @@ func (sr *sharedRun) execComp1D(p int, t *sched.Task) error {
 		return err
 	}
 	sr.f.SolvePanel(k)
-	d := sr.f.Diag(k)
-	invd := make([]float64, len(d))
-	for i, v := range d {
-		invd[i] = 1 / v
-	}
 	// Publish 1/D: the destinations of this cell's contributions read it when
 	// they activate. The panel stays W = L·D until the scale phase.
-	sr.invd[k] = invd
+	sr.invd[k] = invert(sr.f.Diag(k))
 	cb := &sr.sch.Sym().CB[k]
 	for ti := range cb.Blocks {
 		for si := ti; si < len(cb.Blocks); si++ {
@@ -477,7 +474,7 @@ func (sr *sharedRun) execComp1D(p int, t *sched.Task) error {
 	return nil
 }
 
-func (sr *sharedRun) execFactor(p int, t *sched.Task) error {
+func (sr *sharedRun[T]) execFactor(p int, t *sched.Task) error {
 	k := t.Cell
 	if err := sr.factorDiag(p, k); err != nil {
 		return err
@@ -485,25 +482,20 @@ func (sr *sharedRun) execFactor(p int, t *sched.Task) error {
 	// Publish 1/D for the BMOD tasks of this cell (they observe it through
 	// the FACTOR → BDIV → BMOD activation chain). The diagonal block itself
 	// is read in place by BDIV — no copy is ever taken.
-	d := sr.f.Diag(k)
-	invd := make([]float64, len(d))
-	for i, v := range d {
-		invd[i] = 1 / v
-	}
-	sr.invd[k] = invd
+	sr.invd[k] = invert(sr.f.Diag(k))
 	return nil
 }
 
-func (sr *sharedRun) execBDiv(t *sched.Task) error {
+func (sr *sharedRun[T]) execBDiv(t *sched.Task) error {
 	k := t.Cell
 	cb := &sr.sch.Sym().CB[k]
 	w := cb.Width()
 	off := sr.f.BlockOff[k][t.S]
 	// TRSM against the shared diagonal block, in place on the shared panel.
-	blas.TrsmRightLTransUnit(cb.Blocks[t.S].Rows(), w, sr.f.Data[k], sr.f.LD[k], sr.f.Data[k][off:], sr.f.LD[k])
+	blas.KernelsOf[T]().TrsmRightLTransUnit(cb.Blocks[t.S].Rows(), w, sr.f.Data[k], sr.f.LD[k], sr.f.Data[k][off:], sr.f.LD[k])
 	return nil
 }
 
-func (sr *sharedRun) execBMod(t *sched.Task) error {
+func (sr *sharedRun[T]) execBMod(t *sched.Task) error {
 	return sr.enqueue(t.Cell, t.S, t.T)
 }

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -29,19 +30,60 @@ func zLaplacian(nx, ny int) *sparse.ZSymMatrix {
 	return b.Build()
 }
 
+// zHelmholtz builds an indefinite complex symmetric matrix on a 2D grid:
+// the 5-point Laplacian shifted by −1.5 (so the real part has eigenvalues of
+// both signs) with a small random absorption on the diagonal.
+func zHelmholtz(nx, ny int) *sparse.ZSymMatrix {
+	b := sparse.NewZBuilder(nx * ny)
+	idx := func(i, j int) int { return i + j*nx }
+	rng := rand.New(rand.NewSource(82))
+	for j := 0; j < ny; j++ {
+		for i := 0; i < nx; i++ {
+			v := idx(i, j)
+			b.Add(v, v, complex(4-1.5, 0.05+0.05*rng.Float64()))
+			if i+1 < nx {
+				b.Add(v, idx(i+1, j), -1)
+			}
+			if j+1 < ny {
+				b.Add(v, idx(i, j+1), -1)
+			}
+		}
+	}
+	return b.Build()
+}
+
 func zAnalyze(t *testing.T, az *sparse.ZSymMatrix, P int) (*Analysis, *sparse.ZSymMatrix) {
 	t.Helper()
 	an := analyzeFor(t, az.Pattern(), P)
 	return an, az.Permute(an.Perm)
 }
 
+// zFactorize runs the complex factorization of paz under popts.
+func zFactorize(t *testing.T, an *Analysis, paz *sparse.ZSymMatrix, popts ParOptions) *ZFactors {
+	t.Helper()
+	zf, err := an.FactorizeComplexCtx(context.Background(), paz, popts)
+	if err != nil {
+		t.Fatalf("%v: %v", popts.Runtime, err)
+	}
+	return zf
+}
+
+// zFactorsClose checks the complex factors entrywise to relative tol.
+func zFactorsClose(t *testing.T, ref, got *ZFactors, tol float64) {
+	t.Helper()
+	for k := range ref.Data {
+		for i := range ref.Data[k] {
+			if cmplx.Abs(ref.Data[k][i]-got.Data[k][i]) > tol*(1+cmplx.Abs(ref.Data[k][i])) {
+				t.Fatalf("cell %d elem %d: %v vs %v", k, i, ref.Data[k][i], got.Data[k][i])
+			}
+		}
+	}
+}
+
 func TestZSeqFactorSolve(t *testing.T) {
 	az := zLaplacian(14, 14)
 	an, paz := zAnalyze(t, az, 1)
-	zf, err := FactorizeZSeq(paz, an.Sym)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zf := zFactorize(t, an, paz, ParOptions{Runtime: RuntimeSequential})
 	// Manufactured complex solution.
 	n := az.N
 	x := make([]complex128, n)
@@ -64,10 +106,7 @@ func TestZSeqFactorSolve(t *testing.T) {
 func TestZSeqReconstruction(t *testing.T) {
 	az := zLaplacian(6, 6)
 	an, paz := zAnalyze(t, az, 1)
-	zf, err := FactorizeZSeq(paz, an.Sym)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zf := zFactorize(t, an, paz, ParOptions{Runtime: RuntimeSequential})
 	n := az.N
 	L := make([]complex128, n*n)
 	D := make([]complex128, n)
@@ -107,35 +146,10 @@ func TestZSeqReconstruction(t *testing.T) {
 	}
 }
 
-func TestZParallelMatchesSequential(t *testing.T) {
-	az := zLaplacian(18, 18)
-	for _, P := range []int{2, 4, 8} {
-		an, paz := zAnalyze(t, az, P)
-		ref, err := FactorizeZSeq(paz, an.Sym)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := FactorizeZPar(paz, an.Sched)
-		if err != nil {
-			t.Fatalf("P=%d: %v", P, err)
-		}
-		for k := range ref.Data {
-			for i := range ref.Data[k] {
-				if cmplx.Abs(ref.Data[k][i]-got.Data[k][i]) > 1e-11*(1+cmplx.Abs(ref.Data[k][i])) {
-					t.Fatalf("P=%d cell %d elem %d: %v vs %v", P, k, i, ref.Data[k][i], got.Data[k][i])
-				}
-			}
-		}
-	}
-}
-
 func TestZParallelSolveEndToEnd(t *testing.T) {
 	az := zLaplacian(16, 16)
 	an, paz := zAnalyze(t, az, 4)
-	zf, err := FactorizeZPar(paz, an.Sched)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zf := zFactorize(t, an, paz, ParOptions{Runtime: RuntimeMPSim})
 	n := az.N
 	x := make([]complex128, n)
 	for i := range x {

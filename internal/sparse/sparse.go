@@ -28,6 +28,10 @@ type SymMatrix struct {
 // NNZ returns the number of stored entries (lower triangle incl. diagonal).
 func (a *SymMatrix) NNZ() int { return len(a.RowIdx) }
 
+// CSC returns the compressed-column arrays of the lower triangle, shared
+// with a.
+func (a *SymMatrix) CSC() (colPtr, rowIdx []int, val []float64) { return a.ColPtr, a.RowIdx, a.Val }
+
 // NNZOffDiag returns the number of stored strictly-lower entries, i.e. the
 // NNZ_A metric of the paper (off-diagonal terms of the triangular part).
 func (a *SymMatrix) NNZOffDiag() int { return len(a.RowIdx) - a.N }

@@ -21,6 +21,10 @@ type ZSymMatrix struct {
 // NNZ returns the number of stored entries.
 func (a *ZSymMatrix) NNZ() int { return len(a.RowIdx) }
 
+// CSC returns the compressed-column arrays of the lower triangle, shared
+// with a.
+func (a *ZSymMatrix) CSC() (colPtr, rowIdx []int, val []complex128) { return a.ColPtr, a.RowIdx, a.Val }
+
 // Validate checks the structural invariants (same rules as SymMatrix).
 func (a *ZSymMatrix) Validate() error {
 	if len(a.ColPtr) != a.N+1 || a.ColPtr[0] != 0 || a.ColPtr[a.N] != len(a.RowIdx) || len(a.RowIdx) != len(a.Val) {

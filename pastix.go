@@ -635,20 +635,23 @@ func AnalyzeComplex(az *ZMatrix, opts Options) (*Analysis, error) {
 }
 
 // FactorizeComplex computes the complex symmetric LDLᵀ factorization of az,
-// whose pattern must match the analysed matrix. With more than one processor
-// the schedule-driven parallel fan-in runtime is used.
+// whose pattern must match the analysed matrix, on the engine
+// Options.Runtime selects with the same dispatch as Factorize: by default
+// sequentially on one processor and with the message-passing fan-in runtime
+// otherwise. Options.Faults applies as for Factorize. Static pivoting and
+// BLR compression have no complex path: an analysis configured with either
+// fails with ErrBadOptions.
 func (an *Analysis) FactorizeComplex(az *ZMatrix) (*ZFactor, error) {
 	if az == nil || az.N != an.inner.A.N {
 		return nil, fmt.Errorf("pastix: complex matrix shape mismatch: %w", ErrShape)
 	}
-	paz := az.Permute(an.inner.Perm)
-	var zf *solver.ZFactors
-	var err error
-	if an.inner.Sched.P == 1 {
-		zf, err = solver.FactorizeZSeq(paz, an.inner.Sym)
-	} else {
-		zf, err = solver.FactorizeZPar(paz, an.inner.Sched)
+	if an.pivot.Enabled() {
+		return nil, fmt.Errorf("%w: static pivoting has no complex path", ErrBadOptions)
 	}
+	if an.blr.Enabled() {
+		return nil, fmt.Errorf("%w: BLR compression has no complex path", ErrBadOptions)
+	}
+	zf, err := an.inner.FactorizeComplexCtx(context.Background(), az.Permute(an.inner.Perm), an.parOpts())
 	if err != nil {
 		return nil, err
 	}

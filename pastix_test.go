@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"github.com/pastix-go/pastix/internal/gen"
 )
@@ -332,6 +333,106 @@ func TestComplexPublicAPI(t *testing.T) {
 	}
 	if _, err := an.SolveComplex(zf, make([]complex128, 3)); err == nil {
 		t.Fatal("bad rhs length must error")
+	}
+}
+
+// A complex pivot with NaN in one part and ±Inf in the other is a NaN pivot
+// (cmplx.IsNaN reports false for it): the factorization must fail with the
+// typed zero-pivot error at the global column, on the sequential and the
+// parallel runtime alike. The first pivot of [[x,1],[1,x]] is x under either
+// ordering, so the column is 0.
+func TestComplexNaNPivot(t *testing.T) {
+	for _, x := range []complex128{complex(math.Inf(1), math.NaN()), complex(math.NaN(), math.Inf(-1))} {
+		zb := NewZBuilder(2)
+		zb.Add(0, 0, x)
+		zb.Add(1, 1, x)
+		zb.Add(1, 0, 1)
+		az := zb.Build()
+		for _, p := range []int{1, 3} {
+			an, err := AnalyzeComplex(az, Options{Processors: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = an.FactorizeComplex(az)
+			if !errors.Is(err, ErrNotSPD) {
+				t.Fatalf("pivot %v P=%d: got %v, want ErrNotSPD", x, p, err)
+			}
+			var zp *ZeroPivotError
+			if !errors.As(err, &zp) || zp.Column != 0 {
+				t.Fatalf("pivot %v P=%d: got %v, want *ZeroPivotError at column 0", x, p, err)
+			}
+		}
+	}
+}
+
+// FactorizeComplex runs Factorize's dispatch: Options.Runtime selects the
+// engine (shared and dynamic reproduce the sequential bits, auto at P > 1 is
+// the message-passing runtime), Options.Faults reaches that runtime's
+// reliability layer, and the options without a complex path fail with
+// ErrBadOptions.
+func TestFactorizeComplexOptions(t *testing.T) {
+	az := complexLaplacian(12)
+	factor := func(o Options) (*ZFactor, error) {
+		o.Processors, o.BlockSize, o.Ratio2D = 2, 8, 2
+		an, err := AnalyzeComplex(az, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return an.FactorizeComplex(az)
+	}
+	same := func(a, b *ZFactor) bool {
+		for k := range a.inner.Data {
+			for i := range a.inner.Data[k] {
+				if a.inner.Data[k][i] != b.inner.Data[k][i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	seq, err := factor(Options{Runtime: RuntimeSequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := factor(Options{Runtime: RuntimeMPSim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same(seq, mp) {
+		t.Fatal("fixture cannot tell the runtimes apart: mpsim reproduces the sequential bits")
+	}
+	hopeless := &FaultPlan{Seed: 2, Drop: 0.999}
+	hopeless.Reliability.RTO = 100 * time.Microsecond
+	hopeless.Reliability.MaxRTO = 200 * time.Microsecond
+	hopeless.Reliability.RetryLimit = 2
+	hopeless.Reliability.Tick = 50 * time.Microsecond
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want *ZFactor // bits the factor must reproduce
+		err  error
+	}{
+		{"auto", Options{}, mp, nil},
+		{"shared", Options{Runtime: RuntimeShared}, seq, nil},
+		{"dynamic", Options{Runtime: RuntimeDynamic}, seq, nil},
+		{"faults", Options{Faults: &FaultPlan{Seed: 3, Drop: 0.1, Dup: 0.1, CrashAtStep: map[int]int{1: 1}}}, mp, nil},
+		{"faults-budget", Options{Faults: hopeless}, nil, ErrFaultBudget},
+		{"static-pivot", Options{StaticPivot: StaticPivotOptions{Epsilon: 1e-10}}, nil, ErrBadOptions},
+		{"blr", Options{BLR: BLROptions{Tol: 1e-8}}, nil, ErrBadOptions},
+	} {
+		zf, err := factor(tc.opts)
+		if tc.err != nil {
+			if !errors.Is(err, tc.err) {
+				t.Fatalf("%s: got %v, want %v", tc.name, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !same(zf, tc.want) {
+			t.Fatalf("%s: factor bits differ from the expected runtime's", tc.name)
+		}
 	}
 }
 
