@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress kernels fuzz serve-smoke ci
+.PHONY: all build test race bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress soak-selectors kernels fuzz serve-smoke ci
 
 all: ci
 
@@ -36,21 +36,44 @@ race-full:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
+# The soaks' -run selectors and the packages each runs on, named once so a
+# soak and soak-selectors read the same values.
+CHAOS_RUN := Chaos|Fault|Reliab|Retry|Restart|Stall|Boundary
+CHAOS_PKGS := ./internal/mpsim ./internal/faults ./internal/solver .
+NUMSTRESS_RUN := NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine|Pivot
+NUMSTRESS_PKGS := ./internal/solver ./internal/blas .
+DYNSTRESS_RUN := RuntimeConformance|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors
+DYNSTRESS_PKGS := ./internal/solver
+SOLVEDAG_RUN := SolveDAG|HybridSteps
+SOLVEDAG_PKGS := ./internal/sched
+SOLVESTRESS_RUN := SolvePlan|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1
+SOLVESTRESS_PKGS := ./internal/solver ./internal/blas ./internal/service .
+HASERVICE_RUN := Readyz|BodyLimit|Idempotent|Drain
+HASERVICE_PKGS := ./internal/service
+BLRKERNELS_RUN := LRGemv|GemmLR|GemmDenseLR|TrsmRightLTransUnitLR|LRKernels
+BLRKERNELS_PKGS := ./internal/blas
+BLRSTRESS_RUN := TestCompress|TestBLR|ServerBLR
+BLRSTRESS_PKGS := ./internal/solver ./internal/service .
+DURASERVICE_RUN := Durable|Replicate|Recovering|IdemStore
+DURASERVICE_PKGS := ./internal/service
+DURAGATEWAY_RUN := AntiEntropy|AwaitShard
+DURAGATEWAY_PKGS := ./internal/gateway
+DURACHAOS_RUN := ChaosDurable
+DURACHAOS_PKGS := ./internal/gateway/chaos
+
 # Chaos soak: the fault-injection suites under the race detector — the
 # reliability layer in mpsim, the injector itself, the multi-seed
 # factor/solve soak (bit-identical to fault-free), and the public-API
 # chaos round trips.
 chaos:
-	$(GO) test -race -timeout 300s -run 'Chaos|Fault|Reliab|Retry|Restart|Stall|Boundary' \
-		./internal/mpsim ./internal/faults ./internal/solver .
+	$(GO) test -race -timeout 300s -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 
 # Numerical stress soak: the static-pivoting and refinement suites under the
 # race detector — graded-pivot matrices across all three runtimes (asserting
 # bitwise-identical perturbation reports), robust ε-escalation, and adaptive
 # refinement convergence.
 numstress:
-	$(GO) test -race -timeout 300s -run 'NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine|Pivot' \
-		./internal/solver ./internal/blas .
+	$(GO) test -race -timeout 300s -run '$(NUMSTRESS_RUN)' $(NUMSTRESS_PKGS)
 
 # Dynamic-runtime stress soak: the work-stealing executor's unit and
 # steal-storm suites plus the cross-runtime conformance tests (every
@@ -59,9 +82,7 @@ numstress:
 # chance to fire.
 dynstress:
 	$(GO) test -race -timeout 300s -count=3 ./internal/dynsched
-	$(GO) test -race -timeout 300s -count=2 \
-		-run 'RuntimeConformance|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors' \
-		./internal/solver
+	$(GO) test -race -timeout 300s -count=2 -run '$(DYNSTRESS_RUN)' $(DYNSTRESS_PKGS)
 
 # Solve-path stress soak: the solve DAG projection and hybrid-step suites,
 # the level-set engine suites (split chain cells, mid-chain cancellation and
@@ -72,10 +93,8 @@ dynstress:
 # options and P=1 batch paths — all under the race detector, three times
 # over so the spin barrier's interleavings repeat.
 solvestress:
-	$(GO) test -race -timeout 300s -run 'SolveDAG|HybridSteps' ./internal/sched
-	$(GO) test -race -timeout 300s -count=3 \
-		-run 'SolvePlan|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1' \
-		./internal/solver ./internal/blas ./internal/service .
+	$(GO) test -race -timeout 300s -run '$(SOLVEDAG_RUN)' $(SOLVEDAG_PKGS)
+	$(GO) test -race -timeout 300s -count=3 -run '$(SOLVESTRESS_RUN)' $(SOLVESTRESS_PKGS)
 
 # HA-serving stress soak: the sharded gateway suites under the race
 # detector — consistent-hash ring and breaker units, the retrying client's
@@ -85,7 +104,7 @@ solvestress:
 # bit-identical to a fault-free single-node run).
 hastress:
 	$(GO) test -race -timeout 600s -count=1 ./internal/gateway/...
-	$(GO) test -race -timeout 300s -run 'Readyz|BodyLimit|Idempotent|Drain' ./internal/service
+	$(GO) test -race -timeout 300s -run '$(HASERVICE_RUN)' $(HASERVICE_PKGS)
 
 # Block low-rank stress soak: the compression kernels and admission logic,
 # the low-rank BLAS panel kernels, the compressed-factor solve conformance
@@ -94,8 +113,8 @@ hastress:
 # serving path — all under the race detector.
 blrstress:
 	$(GO) test -race -timeout 300s ./internal/lowrank
-	$(GO) test -race -timeout 300s -run 'LRGemv|GemmLR|GemmDenseLR|TrsmRightLTransUnitLR|LRKernels' ./internal/blas
-	$(GO) test -race -timeout 300s -run 'TestCompress|TestBLR|ServerBLR' ./internal/solver ./internal/service .
+	$(GO) test -race -timeout 300s -run '$(BLRKERNELS_RUN)' $(BLRKERNELS_PKGS)
+	$(GO) test -race -timeout 300s -run '$(BLRSTRESS_RUN)' $(BLRSTRESS_PKGS)
 
 # Durability stress soak: the WAL/snapshot store under the race detector —
 # codec round trips, torn-tail and bit-flip corruption recovery, the
@@ -104,9 +123,27 @@ blrstress:
 # durable kill→restart→recover chaos soak (-short trims the seed count).
 durastress:
 	$(GO) test -race -timeout 300s ./internal/store
-	$(GO) test -race -timeout 300s -run 'Durable|Replicate|Recovering|IdemStore' ./internal/service
-	$(GO) test -race -timeout 300s -run 'AntiEntropy|AwaitShard' ./internal/gateway
-	$(GO) test -race -timeout 600s -short -run 'ChaosDurable' ./internal/gateway/chaos
+	$(GO) test -race -timeout 300s -run '$(DURASERVICE_RUN)' $(DURASERVICE_PKGS)
+	$(GO) test -race -timeout 300s -run '$(DURAGATEWAY_RUN)' $(DURAGATEWAY_PKGS)
+	$(GO) test -race -timeout 600s -short -run '$(DURACHAOS_RUN)' $(DURACHAOS_PKGS)
+
+# Soak selector check: every top-level alternative of every soak's -run
+# regex must select at least one test in the packages that soak runs on,
+# and every such package at least one test from the whole regex. Prints the
+# count per alternative; a renamed or deleted test otherwise leaves a soak
+# quietly running nothing.
+soak-selectors:
+	@GO=$(GO) ./scripts/soak-selectors.sh chaos '$(CHAOS_RUN)' $(CHAOS_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh numstress '$(NUMSTRESS_RUN)' $(NUMSTRESS_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh dynstress '$(DYNSTRESS_RUN)' $(DYNSTRESS_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh solvestress '$(SOLVEDAG_RUN)' $(SOLVEDAG_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh solvestress '$(SOLVESTRESS_RUN)' $(SOLVESTRESS_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh hastress '$(HASERVICE_RUN)' $(HASERVICE_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh blrstress '$(BLRKERNELS_RUN)' $(BLRKERNELS_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh blrstress '$(BLRSTRESS_RUN)' $(BLRSTRESS_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh durastress '$(DURASERVICE_RUN)' $(DURASERVICE_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh durastress '$(DURAGATEWAY_RUN)' $(DURAGATEWAY_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh durastress '$(DURACHAOS_RUN)' $(DURACHAOS_PKGS)
 
 # Dense-kernel paths: the blas, solver and root suites (with the bitwise
 # conformance tables and the P=1 served batch) once on the scalar Go kernels
@@ -149,8 +186,8 @@ serve-smoke:
 	$(GO) run ./cmd/pastix-serve -smoke
 
 # The CI entry point (and default target): build, vet+gofmt, tests, race,
-# the chaos, numerical-stress, dynamic-runtime, solve-path, HA-serving,
-# block-low-rank and durability soaks, both dense-kernel paths, a short
-# fuzz pass, then the serving smoke test (which ends with a persist →
-# restart → solve round trip).
-ci: build vet test race chaos numstress dynstress solvestress hastress blrstress durastress kernels fuzz serve-smoke
+# the soak selector check, the chaos, numerical-stress, dynamic-runtime,
+# solve-path, HA-serving, block-low-rank and durability soaks, both
+# dense-kernel paths, a short fuzz pass, then the serving smoke test (which
+# ends with a persist → restart → solve round trip).
+ci: build vet test race soak-selectors chaos numstress dynstress solvestress hastress blrstress durastress kernels fuzz serve-smoke

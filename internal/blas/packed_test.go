@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -131,9 +132,9 @@ func TestPackedKernelsBitwise(t *testing.T) {
 	}
 }
 
-// TestPackedTriangularBitwise checks the packed triangular solves against
-// the strided ones on unit-lower systems of several orders, single and
-// multi-RHS.
+// TestPackedTriangularBitwise checks the triangular solves give a packed
+// unit-lower operand (ld == n, as the repacked factor stores its diagonal
+// blocks) the bits of a strided one, single and multi-RHS.
 func TestPackedTriangularBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 5, 16, 33} {
@@ -145,26 +146,39 @@ func TestPackedTriangularBitwise(t *testing.T) {
 		x1 := randVec(rng, n)
 		x2 := append([]float64(nil), x1...)
 		TrsvLowerUnit(n, l, ld, x1)
-		TrsvLowerUnitPacked(n, pl, x2)
-		bitwiseEqual(t, "TrsvLowerUnitPacked", x2, x1)
+		TrsvLowerUnit(n, pl, n, x2)
+		bitwiseEqual(t, "TrsvLowerUnit packed", x2, x1)
 
 		x1 = randVec(rng, n)
 		x2 = append([]float64(nil), x1...)
 		TrsvLowerTransUnit(n, l, ld, x1)
-		TrsvLowerTransUnitPacked(n, pl, x2)
-		bitwiseEqual(t, "TrsvLowerTransUnitPacked", x2, x1)
+		TrsvLowerTransUnit(n, pl, n, x2)
+		bitwiseEqual(t, "TrsvLowerTransUnit packed", x2, x1)
 
+		// A panel: the level-set engine solves it one column at a time, the
+		// message-passing solve whole; both must match the strided panel.
 		nrhs := 5
-		b1 := randPanel(rng, n, nrhs, n) // packed RHS layout: ldb == n
-		b2 := append([]float64(nil), b1...)
-		TrsmLeftLowerUnit(n, nrhs, l, ld, b1, n)
-		TrsmLowerUnitPacked(n, nrhs, pl, b2)
-		bitwiseEqual(t, "TrsmLowerUnitPacked", b2, b1)
-
-		b1 = randPanel(rng, n, nrhs, n)
-		b2 = append([]float64(nil), b1...)
-		TrsmLeftLTransUnit(n, nrhs, l, ld, b1, n)
-		TrsmLTransUnitPacked(n, nrhs, pl, b2)
-		bitwiseEqual(t, "TrsmLTransUnitPacked", b2, b1)
+		for _, trans := range []bool{false, true} {
+			b1 := randPanel(rng, n, nrhs, n) // packed RHS layout: ldb == n
+			b2 := append([]float64(nil), b1...)
+			b3 := append([]float64(nil), b1...)
+			if trans {
+				TrsmLeftLTransUnit(n, nrhs, l, ld, b1, n)
+				TrsmLeftLTransUnit(n, nrhs, pl, n, b2, n)
+			} else {
+				TrsmLeftLowerUnit(n, nrhs, l, ld, b1, n)
+				TrsmLeftLowerUnit(n, nrhs, pl, n, b2, n)
+			}
+			for r := 0; r < nrhs; r++ {
+				if trans {
+					TrsvLowerTransUnit(n, pl, n, b3[r*n:r*n+n])
+				} else {
+					TrsvLowerUnit(n, pl, n, b3[r*n:r*n+n])
+				}
+			}
+			name := fmt.Sprintf("panel trans=%v", trans)
+			bitwiseEqual(t, name+" Trsm packed", b2, b1)
+			bitwiseEqual(t, name+" Trsv packed columns", b3, b1)
+		}
 	}
 }

@@ -486,11 +486,9 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request) {
 			s.metrics.RuntimeBytes.Add(sum.Bytes)
 		}
 	}
-	// Compress before PrepareSolve: the warmed solve pack aliases the
-	// compressed cells zero-copy, whereas compressing afterwards would throw
-	// away a freshly packed dense pack. A factor already compressed by a
-	// server-level Options.BLR passes through idempotently; conflicting server
-	// configuration (mpsim-pinned solver, fault injection) surfaces as a 400.
+	// A factor already compressed by a server-level Options.BLR passes
+	// through idempotently; conflicting server configuration (mpsim-pinned
+	// solver, fault injection) surfaces as a 400.
 	if req.BLR != nil {
 		if _, cerr := f.Compress(pastix.BLROptions{Tol: req.BLR.Tol, MinBlockSize: req.BLR.MinBlockSize}); cerr != nil {
 			s.writeErr(w, cerr)
@@ -498,9 +496,9 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Warm the solve path while we still own the factorize request: the solve
-	// DAG, the level-set plan for the schedule's processors and the packed
-	// solve panels are all built here, so the handle's first solve request
-	// pays none of the one-time cost.
+	// DAG and the level-set plan for the schedule's processors are built
+	// here, so the handle's first solve request pays none of the one-time
+	// cost.
 	plan, err := an.PrepareSolve(f)
 	if err != nil {
 		s.writeErr(w, err)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -168,6 +169,58 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	if st := postJSON(t, ts.URL+"/v1/solve", solveRequest{Handle: fr.Handle, B: bs[0]}, nil); st != http.StatusNotFound {
 		t.Fatalf("solve after release: status %d, want 404", st)
+	}
+}
+
+// TestServerFactorStoreBytesDense: pastix_factor_store_bytes of a dense
+// handle equals the factor values the handle holds, and nothing of the
+// factor's size lives beside them (a solve-layout copy would double the
+// live heap the handle adds).
+func TestServerFactorStoreBytesDense(t *testing.T) {
+	s, err := New(Config{Solver: pastix.Options{Processors: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	mm := mmString(t, gen.Laplacian3D(16, 16, 16))
+	// Analyze first, so the measured window adds only the handle.
+	if st := postJSON(t, ts.URL+"/v1/analyze", matrixRequest{MatrixMarket: mm}, nil); st != http.StatusOK {
+		t.Fatalf("analyze status %d", st)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var fr factorizeResponse
+	if st := postJSON(t, ts.URL+"/v1/factorize", matrixRequest{MatrixMarket: mm}, &fr); st != http.StatusOK {
+		t.Fatalf("factorize status %d", st)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	e, err := s.store.Get(fr.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.f.ExportPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held int64
+	for _, c := range p.Cells {
+		held += 8 * int64(len(c))
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text := readAll(t, resp)
+	if held == 0 || !strings.Contains(text, fmt.Sprintf("pastix_factor_store_bytes %d\n", held)) {
+		t.Fatalf("pastix_factor_store_bytes is not the %d bytes of factor values the handle holds", held)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > held+held/4 {
+		t.Fatalf("the handle added %d live bytes for %d bytes of factor values", grew, held)
 	}
 }
 

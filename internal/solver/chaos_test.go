@@ -37,14 +37,15 @@ func chaosPlan(seed int64) *faults.Plan {
 
 func bitwiseEqualFactors(t *testing.T, ref, got *Factors, seed int64) {
 	t.Helper()
-	for k := range ref.Data {
-		if len(ref.Data[k]) != len(got.Data[k]) {
+	rd, gd := stridedCells(ref), stridedCells(got)
+	for k := range rd {
+		if len(rd[k]) != len(gd[k]) {
 			t.Fatalf("seed %d: cell %d sizes differ", seed, k)
 		}
-		for i := range ref.Data[k] {
-			if ref.Data[k][i] != got.Data[k][i] {
+		for i := range rd[k] {
+			if rd[k][i] != gd[k][i] {
 				t.Fatalf("seed %d: cell %d elem %d: %x vs %x (not bit-identical)",
-					seed, k, i, ref.Data[k][i], got.Data[k][i])
+					seed, k, i, rd[k][i], gd[k][i])
 			}
 		}
 	}

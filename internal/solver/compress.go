@@ -3,31 +3,83 @@ package solver
 import (
 	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/lowrank"
+	"github.com/pastix-go/pastix/internal/symbolic"
 )
 
-// This file is the block low-rank (BLR) compression pass: after a
-// factorization finishes, Compress walks every column block, keeps the
-// diagonal block dense (it carries the unit-lower triangle and D, and its
-// triangular solves do not profit from a low-rank form), and offers each
-// off-diagonal block to the lowrank admission rule. Admitted blocks that
-// compress profitably are stored as U·Vᵀ; everything else is re-packed
-// dense (leading dimension = block rows, no panel padding), and the
-// original strided cell arrays are released. Compression is lossy at the
-// configured tolerance — solves on a compressed factor approximate the
-// dense solve to ~Tol and are paired with iterative refinement to recover
-// accuracy — and is a solve-only format: the message-passing (mpsim)
-// runtime and the schedule-driven shared solve read the dense arrays
-// directly and refuse compressed factors (ErrCompressed).
+// This file is the factor's resident cell form and the block low-rank (BLR)
+// compression pass. Every float64 factorization ends by repacking each
+// strided cell in place into its packed form (repack): the w×w diagonal
+// block, then each off-diagonal block, every part with leading dimension
+// equal to its own row count. That packed form is the only layout a factor
+// has once factorization returns, and every solve path reads it.
+//
+// Compress then walks every column block, keeps the diagonal block dense (it
+// carries the unit-lower triangle and D, and its triangular solves do not
+// profit from a low-rank form), and offers each off-diagonal block to the
+// lowrank admission rule. Admitted blocks that compress profitably are
+// stored as U·Vᵀ; everything else is copied dense, and the packed dense
+// cells are released. Compression is lossy at the configured tolerance —
+// solves on a compressed factor approximate the dense solve to ~Tol and are
+// paired with iterative refinement to recover accuracy — and is a solve-only
+// format: the message-passing (mpsim) solve refuses compressed factors
+// (ErrCompressed).
 
-// lrCell is the compressed storage of one column block: the packed w×w
-// diagonal block, the concatenated packed dense off-diagonal blocks, and
-// per off-diagonal block either an offset into dense (off[bi] >= 0) or the
-// low-rank form (off[bi] < 0, lr[bi] != nil).
+// lrCell is the storage of one column block: the packed w×w diagonal block,
+// the concatenated packed dense off-diagonal blocks, and per off-diagonal
+// block either an offset into dense (off[bi] >= 0) or the low-rank form
+// (off[bi] < 0, lr[bi] != nil). A repacked dense cell has no lr slice, and
+// its diag and dense are the two ends of one array.
 type lrCell struct {
 	diag  []float64
 	dense []float64
 	off   []int32
 	lr    []*lowrank.LRBlock
+}
+
+// lowRank returns the low-rank form of block bi, or nil for a dense block.
+func (c *lrCell) lowRank(bi int) *lowrank.LRBlock {
+	if c.lr == nil {
+		return nil
+	}
+	return c.lr[bi]
+}
+
+// packedCell views data, the packed array of column block cb, as its cell.
+func packedCell(cb *symbolic.ColBlock, data []float64) lrCell {
+	w := cb.Width()
+	off := make([]int32, len(cb.Blocks))
+	pos := 0
+	for bi := range cb.Blocks {
+		off[bi] = int32(pos)
+		pos += cb.Blocks[bi].Rows() * w
+	}
+	return lrCell{diag: data[:w*w], dense: data[w*w:], off: off}
+}
+
+// repack makes the packed cells the factor's only layout: each strided cell
+// is copied into one scratch buffer the size of the largest cell and
+// written back packed. A cell holds exactly as many values either way, so
+// no second copy of the factor is ever live. Data is released.
+func (f *Factors) repack() {
+	size := 0
+	for _, d := range f.Data {
+		size = max(size, len(d))
+	}
+	scratch := make([]float64, size)
+	f.lrCells = make([]lrCell, len(f.Data))
+	for k, data := range f.Data {
+		cb := &f.Sym.CB[k]
+		w, ld := cb.Width(), f.LD[k]
+		src := scratch[:len(data)]
+		copy(src, data)
+		c := packedCell(cb, data)
+		blas.PackPanel(w, w, src, ld, c.diag)
+		for bi := range cb.Blocks {
+			blas.PackPanel(cb.Blocks[bi].Rows(), w, src[f.BlockOff[k][bi]:], ld, c.dense[c.off[bi]:])
+		}
+		f.lrCells[k] = c
+	}
+	f.Data = nil
 }
 
 // CompressionStats is the byte accounting of one compression pass. Bytes
@@ -45,7 +97,7 @@ type CompressionStats struct {
 }
 
 // Compressed reports whether the factor is in BLR-compressed form.
-func (f *Factors) Compressed() bool { return f.lrCells != nil }
+func (f *Factors) Compressed() bool { return f.comp != nil }
 
 // Compression returns the stats of the compression pass, or nil for a dense
 // factor.
@@ -61,12 +113,12 @@ func (f *Factors) Compression() *CompressionStats {
 // the byte accounting. Disabled options (zero Tol) are a no-op; calling
 // Compress on an already-compressed factor returns the existing stats. The
 // pass must not run concurrently with solves on the same factor: it
-// releases the dense arrays and invalidates the packed solve panels.
+// replaces the packed dense cells.
 func (f *Factors) Compress(opts lowrank.Options) CompressionStats {
 	if !opts.Enabled() {
 		return CompressionStats{}
 	}
-	if f.lrCells != nil {
+	if f.comp != nil {
 		return *f.comp
 	}
 	sym := f.Sym
@@ -76,14 +128,11 @@ func (f *Factors) Compress(opts lowrank.Options) CompressionStats {
 	for k := 0; k < ncb; k++ {
 		cb := &sym.CB[k]
 		w := cb.Width()
-		ld := f.LD[k]
-		f.EnsureCell(k)
-		data := f.Data[k]
-		st.DenseBytes += 8 * int64(ld) * int64(w)
+		src := &f.lrCells[k]
+		st.DenseBytes += 8 * int64(len(src.diag)+len(src.dense))
 
 		cell := &cells[k]
-		cell.diag = make([]float64, w*w)
-		blas.PackPanel(w, w, data, ld, cell.diag)
+		cell.diag = append([]float64(nil), src.diag...)
 		nb := len(cb.Blocks)
 		cell.off = make([]int32, nb)
 		cell.lr = make([]*lowrank.LRBlock, nb)
@@ -93,7 +142,7 @@ func (f *Factors) Compress(opts lowrank.Options) CompressionStats {
 		for bi := 0; bi < nb; bi++ {
 			rows := cb.Blocks[bi].Rows()
 			if opts.Admit(rows, w) {
-				if lb := lowrank.Compress(rows, w, data[f.BlockOff[k][bi]:], ld, opts.Tol); lb != nil {
+				if lb := lowrank.Compress(rows, w, src.dense[src.off[bi]:], rows, opts.Tol); lb != nil {
 					cell.lr[bi] = lb
 					cell.off[bi] = -1
 					st.BlocksCompressed++
@@ -106,26 +155,22 @@ func (f *Factors) Compress(opts lowrank.Options) CompressionStats {
 		cell.dense = make([]float64, denseVals)
 		for bi := 0; bi < nb; bi++ {
 			if o := cell.off[bi]; o >= 0 {
-				rows := cb.Blocks[bi].Rows()
-				blas.PackPanel(rows, w, data[f.BlockOff[k][bi]:], ld, cell.dense[o:int(o)+rows*w])
+				n := cb.Blocks[bi].Rows() * w
+				copy(cell.dense[o:int(o)+n], src.dense[src.off[bi]:])
 			}
 		}
-		f.Data[k] = nil // release the strided dense cell
 	}
-	st.CompressedBytes = 8 * f.nnzOf(cells)
+	st.CompressedBytes = 8 * nnzOf(cells)
 	if st.CompressedBytes > 0 {
 		st.Ratio = float64(st.DenseBytes) / float64(st.CompressedBytes)
 	}
 	f.lrCells = cells
 	f.comp = &st
-	f.packMu.Lock()
-	f.pack = nil // next solve re-packs by aliasing the compressed cells
-	f.packMu.Unlock()
 	return st
 }
 
-// nnzOf counts resident values of a compressed cell set.
-func (f *Factors) nnzOf(cells []lrCell) int64 {
+// nnzOf counts the resident values of a cell set.
+func nnzOf(cells []lrCell) int64 {
 	var t int64
 	for k := range cells {
 		c := &cells[k]
@@ -141,56 +186,3 @@ func (f *Factors) nnzOf(cells []lrCell) int64 {
 
 // MemoryBytes reports the resident factor-value bytes in the current form.
 func (f *Factors) MemoryBytes() int64 { return 8 * f.NNZ() }
-
-// solveCompressed is Factors.Solve on the compressed form: the identical
-// three sweeps, with each off-diagonal block applied either from its packed
-// dense copy or through the rank-r LR kernels. Results approximate the
-// dense solve to the compression tolerance.
-func (f *Factors) solveCompressed(b []float64) []float64 {
-	sym := f.Sym
-	x := append([]float64(nil), b...)
-	// Forward: L y = b.
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		cell := &f.lrCells[k]
-		xk := x[cb.Cols[0]:cb.Cols[1]]
-		blas.TrsvLowerUnit(w, cell.diag, w, xk)
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			rows := blk.Rows()
-			if lb := cell.lr[bi]; lb != nil {
-				blas.LRGemvN(rows, w, lb.Rank, lb.U, lb.V, xk, x[blk.FirstRow:blk.LastRow])
-			} else {
-				blas.GemvN(rows, w, cell.dense[cell.off[bi]:], rows, xk, x[blk.FirstRow:blk.LastRow])
-			}
-		}
-	}
-	// Diagonal: z = D⁻¹ y.
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		diag := f.lrCells[k].diag
-		w := cb.Width()
-		for j := 0; j < w; j++ {
-			x[cb.Cols[0]+j] /= diag[j+j*w]
-		}
-	}
-	// Backward: Lᵀ x = z.
-	for k := len(sym.CB) - 1; k >= 0; k-- {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		cell := &f.lrCells[k]
-		xk := x[cb.Cols[0]:cb.Cols[1]]
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			rows := blk.Rows()
-			if lb := cell.lr[bi]; lb != nil {
-				blas.LRGemvT(rows, w, lb.Rank, lb.U, lb.V, x[blk.FirstRow:blk.LastRow], xk)
-			} else {
-				blas.GemvT(rows, w, cell.dense[cell.off[bi]:], rows, x[blk.FirstRow:blk.LastRow], xk)
-			}
-		}
-		blas.TrsvLowerTransUnit(w, cell.diag, w, xk)
-	}
-	return x
-}

@@ -35,6 +35,7 @@ func compressFixture(t *testing.T, P int) (*Analysis, *Factors, []float64, *spar
 func TestCompressReducesMemory(t *testing.T) {
 	_, f, _, _ := compressFixture(t, 4)
 	denseNNZ := f.NNZ()
+	dense := f.lrCells
 	st := f.Compress(lowrank.Options{Tol: 1e-8, MinBlockSize: 8})
 	if !f.Compressed() {
 		t.Fatal("factor not marked compressed")
@@ -54,8 +55,8 @@ func TestCompressReducesMemory(t *testing.T) {
 	if math.Abs(st.Ratio-float64(st.DenseBytes)/float64(st.CompressedBytes)) > 1e-12 {
 		t.Errorf("Ratio %g inconsistent", st.Ratio)
 	}
-	for k := range f.Data {
-		if f.Data[k] != nil {
+	for k := range f.lrCells {
+		if &f.lrCells[k].diag[0] == &dense[k].diag[0] {
 			t.Fatalf("dense cell %d not released", k)
 		}
 	}
@@ -162,12 +163,12 @@ func TestCompressedRejectsDenseOnlyRuntimes(t *testing.T) {
 // without re-compressing.
 func TestCompressDisabledAndIdempotent(t *testing.T) {
 	_, f, _, _ := compressFixture(t, 1)
-	data0 := f.Data[0]
+	diag0 := f.lrCells[0].diag
 	if st := f.Compress(lowrank.Options{}); st != (CompressionStats{}) || f.Compressed() {
 		t.Fatal("disabled options compressed the factor")
 	}
-	if &f.Data[0][0] != &data0[0] {
-		t.Fatal("disabled Compress touched the dense arrays")
+	if &f.lrCells[0].diag[0] != &diag0[0] {
+		t.Fatal("disabled Compress touched the dense cells")
 	}
 	st1 := f.Compress(lowrank.Options{Tol: 1e-8, MinBlockSize: 8})
 	st2 := f.Compress(lowrank.Options{Tol: 1e-4, MinBlockSize: 8})

@@ -21,14 +21,7 @@ func TestFanBothMatchesFanIn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cap=%d: %v", capBytes, err)
 		}
-		for k := range ref.Data {
-			for i := range ref.Data[k] {
-				if math.Abs(ref.Data[k][i]-got.Data[k][i]) > 1e-11*(1+math.Abs(ref.Data[k][i])) {
-					t.Fatalf("cap=%d cell %d elem %d: %g vs %g",
-						capBytes, k, i, ref.Data[k][i], got.Data[k][i])
-				}
-			}
-		}
+		factorsClose(t, ref, got, 1e-11)
 	}
 }
 

@@ -60,10 +60,10 @@ func FactorizeFanOut(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, CommSt
 		}
 	}
 
-	stores := make([]*Factors, P)
+	stores := make([]*Storage[float64], P)
 	comm := mpsim.NewComm(P)
 	runErr := comm.Run(func(p int) error {
-		f := NewFactorsLazy(sym)
+		f := newStorage[float64](sym, false)
 		stores[p] = f
 		got := make(map[int]int)
 		// Assemble owned cells.
@@ -93,7 +93,7 @@ func FactorizeFanOut(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, CommSt
 					continue
 				}
 				for s := t; s < len(blocks); s++ {
-					_, off, err := targetOffset(&f.Storage, i, s, t)
+					_, off, err := targetOffset(f, i, s, t)
 					if err != nil {
 						return err
 					}
@@ -167,9 +167,9 @@ func FactorizeFanOut(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, CommSt
 	if runErr != nil {
 		return nil, stats, runErr
 	}
-	g := NewFactors(sym)
+	g := newStorage[float64](sym, false)
 	for k := 0; k < ncb; k++ {
-		copy(g.Data[k], stores[owner[k]].Data[k])
+		g.Data[k] = stores[owner[k]].Data[k]
 	}
-	return g, stats, nil
+	return realFactors(g, StaticPivot{}, 0, nil), stats, nil
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/pastix-go/pastix/internal/blas"
-	"github.com/pastix-go/pastix/internal/lowrank"
 	"github.com/pastix-go/pastix/internal/sched"
 	"github.com/pastix-go/pastix/internal/symbolic"
 	"github.com/pastix-go/pastix/internal/trace"
@@ -17,10 +16,10 @@ import (
 
 // This file implements the level-set solve engine: triangular solves
 // scheduled by the solve DAG's level sets (sched.SolveDAG) instead of the
-// factorization's proc mapping, over per-factor packed panels
-// (blas/packed.go). The engine is bitwise-identical to the sequential
-// Factors.Solve for ANY worker count, any hybrid cutoff and either dispatch
-// mode, because of a consumer-pull determinism argument:
+// factorization's proc mapping, over the factor's packed cells (compress.go).
+// The engine is bitwise-identical to the sequential Factors.Solve for ANY
+// worker count, any hybrid cutoff and either dispatch mode, because of a
+// consumer-pull determinism argument:
 //
 // The sequential forward sweep updates each destination segment x_f by the
 // contributions of (source cell k, block bi) in ascending (k, bi) order,
@@ -32,8 +31,8 @@ import (
 // no two cells write the same segment. So neither the within-level execution
 // order nor the cell→worker assignment can change a single bit. The backward
 // sweep is symmetric (each cell folds its own blocks' dot products in block
-// order). The packed kernels replicate the strided kernels' operation order
-// exactly, so packing does not perturb results either.
+// order). No kernel's per-element operation order depends on the leading
+// dimension, so reading packed cells does not perturb results either.
 //
 // A split chain cell keeps the argument per element: GemvN gives each
 // destination row its updates in ascending source-column order, and GemvT
@@ -151,7 +150,22 @@ func BuildSolvePlan(sym *symbolic.Symbol, dag *sched.SolveDAG, workers, cutoff i
 	}
 	steps := dag.HybridSteps(workers, cutoff)
 	ncb := sym.NumCB()
+	// The pull lists are carved from one array sized by a counting pass, so
+	// building a plan does not grow a slice per cell.
+	nin := make([]int, ncb+1)
+	for k := range sym.CB {
+		for _, blk := range sym.CB[k].Blocks {
+			nin[blk.Facing+1]++
+		}
+	}
+	for k := 0; k < ncb; k++ {
+		nin[k+1] += nin[k]
+	}
+	all := make([]solveIn, nin[ncb])
 	ins := make([][]solveIn, ncb)
+	for k := range ins {
+		ins[k] = all[nin[k]:nin[k]:nin[k+1]]
+	}
 	for k := 0; k < ncb; k++ {
 		cb := &sym.CB[k]
 		for bi := range cb.Blocks {
@@ -267,8 +281,8 @@ func (pl *SolvePlan) pullCut(k int) ([]int32, int64) {
 }
 
 // splitByCost partitions cells into at most `workers` contiguous runs of
-// near-equal total cost (contiguity keeps each worker streaming through the
-// packed level buffer).
+// near-equal total cost (contiguity keeps each worker on neighbouring cells
+// and right-hand-side segments).
 func splitByCost(cells []int32, cost []int64, workers int) [][]int32 {
 	parts := make([][]int32, workers)
 	var total int64
@@ -294,79 +308,6 @@ func splitByCost(cells []int32, cost []int64, workers int) [][]int32 {
 		rem -= acc
 	}
 	return parts
-}
-
-// solvePack holds contiguous copies of a factor's solve operands, laid out
-// in level order: per cell the w×w diagonal block and the off-diagonal
-// blocks (rows×w each, block bi at off[bi] inside blk[k]). Built once per
-// factor (guarded by Factors.packMu) on first use or by PrepareSolve. For a
-// BLR-compressed factor the pack aliases the compressed cells zero-copy
-// (they are already packed); lr is non-nil and lr[k][bi] != nil marks a
-// low-rank block (off[k][bi] is negative for those).
-type solvePack struct {
-	diag [][]float64
-	blk  [][]float64
-	off  [][]int32
-	lr   [][]*lowrank.LRBlock
-}
-
-// solvePackFor builds (once) and returns the factor's packed solve panels.
-func (f *Factors) solvePackFor(dag *sched.SolveDAG) *solvePack {
-	f.packMu.Lock()
-	defer f.packMu.Unlock()
-	if f.pack != nil {
-		return f.pack
-	}
-	sym := f.Sym
-	ncb := sym.NumCB()
-	pk := &solvePack{
-		diag: make([][]float64, ncb),
-		blk:  make([][]float64, ncb),
-		off:  make([][]int32, ncb),
-	}
-	if f.lrCells != nil {
-		pk.lr = make([][]*lowrank.LRBlock, ncb)
-		for k := 0; k < ncb; k++ {
-			cell := &f.lrCells[k]
-			pk.diag[k] = cell.diag
-			pk.blk[k] = cell.dense
-			pk.off[k] = cell.off
-			pk.lr[k] = cell.lr
-		}
-		f.pack = pk
-		return pk
-	}
-	for _, cells := range dag.Levels {
-		total := 0
-		for _, c := range cells {
-			cb := &sym.CB[c]
-			w := cb.Width()
-			total += w*w + cb.RowsBelow()*w
-		}
-		buf := make([]float64, total)
-		pos := 0
-		for _, c := range cells {
-			k := int(c)
-			cb := &sym.CB[k]
-			w := cb.Width()
-			ld := f.LD[k]
-			f.EnsureCell(k)
-			pk.diag[k] = buf[pos : pos+w*w]
-			blas.PackPanel(w, w, f.Data[k], ld, pk.diag[k])
-			pos += w * w
-			pk.off[k] = make([]int32, len(cb.Blocks))
-			blkStart := pos
-			for bi := range cb.Blocks {
-				rows := cb.Blocks[bi].Rows()
-				pk.off[k][bi] = int32(pos - blkStart)
-				blas.PackPanel(rows, w, f.Data[k][f.BlockOff[k][bi]:], ld, buf[pos:pos+rows*w])
-				pos += rows * w
-			}
-			pk.blk[k] = buf[blkStart:pos]
-		}
-	}
-	f.pack = pk
-	return pk
 }
 
 // SolveDAG returns the analysis's solve DAG, built on first use (internally
@@ -405,13 +346,12 @@ func (an *Analysis) SolvePlan() *SolvePlan {
 	return one
 }
 
-// PrepareSolve eagerly builds the solve plan and packs the factor's solve
-// panels, so a serving layer can pay the whole solve-planning cost at
-// factorize time instead of on the first request.
-func (an *Analysis) PrepareSolve(f *Factors) PlanStats {
-	pl := an.SolvePlan()
-	f.solvePackFor(pl.dag)
-	return pl.Stats()
+// PrepareSolve eagerly builds the solve plan, so a serving layer can pay the
+// whole solve-planning cost at factorize time instead of on the first
+// request. The factor needs no preparation: factorization already left it in
+// the packed layout every solve engine reads.
+func (an *Analysis) PrepareSolve(*Factors) PlanStats {
+	return an.SolvePlan().Stats()
 }
 
 // LevelStats carries per-worker observability of one level-set solve:
@@ -438,9 +378,9 @@ type LevelOptions struct {
 }
 
 // SolveLevelCtx runs the level-set solve engine on the plan: forward sweep,
-// diagonal scaling and backward sweep over packed panels, with one barrier
-// per hybrid step and two per split chain cell. Worker 0 runs on the calling
-// goroutine. Each column of the result is bitwise-identical to the
+// diagonal scaling and backward sweep over the factor's packed cells, with
+// one barrier per hybrid step and two per split chain cell. Worker 0 runs on
+// the calling goroutine. Each column of the result is bitwise-identical to the
 // sequential Factors.Solve of that column: every column keeps the single-RHS
 // division semantics, however wide the panel.
 // Cancelling ctx aborts at the next barrier on every worker and returns
@@ -460,10 +400,9 @@ func SolveLevelCtx(ctx context.Context, pl *SolvePlan, f *Factors, b []float64, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pk := f.solvePackFor(pl.dag)
 	n := sym.N
 	r := &levelRun{
-		pl: pl, pk: pk, nrhs: nrhs, dynamic: opts.Dynamic,
+		pl: pl, cells: f.lrCells, nrhs: nrhs, dynamic: opts.Dynamic,
 		rec: opts.Trace, ctx: ctx,
 		y: make([]float64, n*nrhs), x: make([]float64, n*nrhs),
 		fcursors: make([]atomic.Int64, len(pl.steps)),
@@ -545,7 +484,7 @@ func unpackRHS(sym *symbolic.Symbol, y, out []float64, nrhs int) {
 // levelRun is the per-call state of one level-set solve.
 type levelRun struct {
 	pl      *SolvePlan
-	pk      *solvePack
+	cells   []lrCell
 	nrhs    int
 	dynamic bool
 	rec     *trace.Recorder
@@ -725,10 +664,8 @@ func (r *levelRun) pull(fc, lo, hi int) {
 		scb := &sym.CB[in.src]
 		sw := scb.Width()
 		ys := r.y[scb.Cols[0]*nr:]
-		var lb *lowrank.LRBlock
-		if r.pk.lr != nil {
-			lb = r.pk.lr[in.src][in.bi]
-		}
+		cell := &r.cells[in.src]
+		lb := cell.lowRank(int(in.bi))
 		for c := 0; c < nr; c++ {
 			xs := ys[c*sw : c*sw+sw]
 			yd := yf[c*w+off : c*w+off+rows]
@@ -736,7 +673,7 @@ func (r *levelRun) pull(fc, lo, hi int) {
 				blas.LRGemvNRows(rows, sw, lb.Rank, a0-off, a1-off, lb.U, lb.V, xs, yd)
 				continue
 			}
-			a := r.pk.blk[in.src][int(r.pk.off[in.src][in.bi])+a0-off:]
+			a := cell.dense[int(cell.off[in.bi])+a0-off:]
 			blas.GemvN(a1-a0, sw, a, rows, xs, yd[a0-off:a1-off])
 		}
 	}
@@ -748,10 +685,8 @@ func (r *levelRun) trsvForward(fc int) {
 	cb := &r.pl.sym.CB[fc]
 	w := cb.Width()
 	yf := r.y[cb.Cols[0]*r.nrhs:]
-	if r.nrhs == 1 {
-		blas.TrsvLowerUnitPacked(w, r.pk.diag[fc], yf[:w])
-	} else {
-		blas.TrsmLowerUnitPacked(w, r.nrhs, r.pk.diag[fc], yf)
+	for c := 0; c < r.nrhs; c++ {
+		blas.TrsvLowerUnit(w, r.cells[fc].diag, w, yf[c*w:c*w+w])
 	}
 }
 
@@ -772,7 +707,8 @@ func (r *levelRun) dots(kc, lo, hi int) {
 	base := cb.Cols[0] * nr
 	xk := r.x[base : base+w*nr]
 	yk := r.y[base : base+w*nr]
-	diag := r.pk.diag[kc]
+	cell := &r.cells[kc]
+	diag := cell.diag
 	for c := 0; c < nr; c++ {
 		for j := lo; j < hi; j++ {
 			xk[c*w+j] = yk[c*w+j] / diag[j+j*w]
@@ -785,17 +721,14 @@ func (r *levelRun) dots(kc, lo, hi int) {
 		off := blk.FirstRow - fcb.Cols[0]
 		rows := blk.Rows()
 		xf := r.x[fcb.Cols[0]*nr:]
-		var lb *lowrank.LRBlock
-		if r.pk.lr != nil {
-			lb = r.pk.lr[kc][bi]
-		}
+		lb := cell.lowRank(bi)
 		for c := 0; c < nr; c++ {
 			xs := xf[c*fw+off : c*fw+off+rows]
 			if lb != nil {
 				blas.LRGemvTCols(rows, w, lb.Rank, lo, hi, lb.U, lb.V, xs, xk[c*w:c*w+w])
 				continue
 			}
-			a := r.pk.blk[kc][int(r.pk.off[kc][bi])+lo*rows:]
+			a := cell.dense[int(cell.off[bi])+lo*rows:]
 			blas.GemvT(rows, hi-lo, a, rows, xs, xk[c*w+lo:c*w+hi])
 		}
 	}
@@ -807,10 +740,8 @@ func (r *levelRun) trsvBackward(kc int) {
 	cb := &r.pl.sym.CB[kc]
 	w := cb.Width()
 	xk := r.x[cb.Cols[0]*r.nrhs:]
-	if r.nrhs == 1 {
-		blas.TrsvLowerTransUnitPacked(w, r.pk.diag[kc], xk[:w])
-	} else {
-		blas.TrsmLTransUnitPacked(w, r.nrhs, r.pk.diag[kc], xk)
+	for c := 0; c < r.nrhs; c++ {
+		blas.TrsvLowerTransUnit(w, r.cells[kc].diag, w, xk[c*w:c*w+w])
 	}
 }
 

@@ -123,23 +123,24 @@ func TestSolvePlanCached(t *testing.T) {
 	}
 }
 
-// TestPrepareSolvePacksOnce checks PrepareSolve warms the pack so the first
-// solve does no packing work (same pack pointer observed).
+// TestPrepareSolvePacksOnce checks the factor is packed once, by the
+// factorization: PrepareSolve returns the stats of the plan solves run, and
+// neither it nor a solve builds anything beside the packed cells.
 func TestPrepareSolvePacksOnce(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
+	if f.Data != nil || f.lrCells == nil {
+		t.Fatal("factorization did not repack the factor")
+	}
+	cells, diag0 := &f.lrCells[0], f.lrCells[0].diag
 	st := an.PrepareSolve(f)
 	if want := an.SolvePlan().Stats(); st != want {
 		t.Fatalf("PrepareSolve stats %+v, want those of the plan solves run %+v", st, want)
 	}
-	warm := f.pack
-	if warm == nil {
-		t.Fatal("PrepareSolve did not build the pack")
-	}
 	if _, err := SolveLevelCtx(context.Background(), an.SolvePlanFor(an.Sched.P), f, pb, LevelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if f.pack != warm {
-		t.Fatal("solve rebuilt the pack")
+	if &f.lrCells[0] != cells || &f.lrCells[0].diag[0] != &diag0[0] || f.Data != nil {
+		t.Fatal("PrepareSolve or the solve replaced the packed cells")
 	}
 }
 
@@ -383,7 +384,7 @@ func TestSolveLevelSplitChain(t *testing.T) {
 			continue
 		}
 		narrow = narrow || an.Sym.CB[k].Width() < 4
-		for _, lb := range blr.pack.lr[k] {
+		for _, lb := range blr.lrCells[k].lr {
 			lowRank = lowRank || lb != nil
 		}
 	}

@@ -295,25 +295,29 @@ func factorizePar[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched
 	}
 
 	// --- Gather the distributed factor into one full storage. ---
-	g := newStorage[T](sym, true)
-	copyCols := func(dst, src []T, ld, rowLo, rowHi, w int) {
-		for j := 0; j < w; j++ {
-			copy(dst[rowLo+j*ld:rowHi+j*ld], src[rowLo+j*ld:rowHi+j*ld])
-		}
-	}
+	// Each cell adopts the array of the processor that owns it (1D) or its
+	// diagonal block (2D), and a 2D cell copies in the blocks other
+	// processors own, so the factor is not held twice while it is gathered.
+	g := newStorage[T](sym, false)
 	for k := range sym.CB {
 		w := sym.CB[k].Width()
 		ld := g.LD[k]
 		if id := sch.Comp1DOf[k]; id >= 0 {
-			copy(g.Data[k], stores[sch.Tasks[id].Proc].Data[k])
+			g.Data[k] = stores[sch.Tasks[id].Proc].Data[k]
 			continue
 		}
 		fp := sch.Tasks[sch.FactorOf[k]].Proc
-		copyCols(g.Data[k], stores[fp].Data[k], ld, 0, w, w)
+		g.Data[k] = stores[fp].Data[k]
 		for b := range sym.CB[k].Blocks {
 			bp := sch.Tasks[sch.BDivOf[k][b]].Proc
-			off := g.BlockOff[k][b]
-			copyCols(g.Data[k], stores[bp].Data[k], ld, off, off+sym.CB[k].Blocks[b].Rows(), w)
+			if bp == fp {
+				continue
+			}
+			lo := g.BlockOff[k][b]
+			hi := lo + sym.CB[k].Blocks[b].Rows()
+			for j := 0; j < w; j++ {
+				copy(g.Data[k][lo+j*ld:hi+j*ld], stores[bp].Data[k][lo+j*ld:hi+j*ld])
+			}
 		}
 	}
 	// Each diagonal task ran on exactly one processor (replay after a crash

@@ -17,14 +17,31 @@ import (
 // small and makes a restored factor bitwise-identical to the original by
 // construction: the values are copied, not recomputed.
 
+// CellLayout names the value order of a dense payload's cells. The zero
+// value is no layout, which ImportFactors rejects.
+type CellLayout uint8
+
+const (
+	// LayoutStrided is the factorization's working layout: each cell one
+	// column-major array of LD rows × width columns. Journals written at
+	// store codec version 1 hold it.
+	LayoutStrided CellLayout = 1
+	// LayoutPacked is the solve layout: the w×w diagonal block, then each
+	// off-diagonal block, every part with leading dimension equal to its own
+	// row count.
+	LayoutPacked CellLayout = 2
+)
+
 // FactorPayload is the serializable numerical content of a Factors: exactly
 // one of the dense cells or the BLR-compressed cells, plus the static-pivot
 // report. It carries no shape information beyond what the values imply; the
 // importing side validates every length against its Symbol.
 type FactorPayload struct {
-	// Cells are the dense per-column-block arrays (Data), nil when the factor
-	// is BLR-compressed.
+	// Cells are the dense per-column-block arrays, nil when the factor is
+	// BLR-compressed.
 	Cells [][]float64
+	// Layout is the value order of Cells.
+	Layout CellLayout
 	// LRCells are the compressed per-column-block cells, nil when dense.
 	LRCells []LRCellPayload
 	// Comp is the compression accounting; non-nil exactly when LRCells is.
@@ -53,19 +70,23 @@ func (p *FactorPayload) Compressed() bool { return p.LRCells != nil }
 // only reads the payload to serialize it.
 func (f *Factors) ExportPayload() *FactorPayload {
 	p := &FactorPayload{Pivots: f.Pivots}
-	if f.lrCells != nil {
+	if f.comp != nil {
 		p.LRCells = make([]LRCellPayload, len(f.lrCells))
 		for k := range f.lrCells {
 			c := &f.lrCells[k]
 			p.LRCells[k] = LRCellPayload{Diag: c.diag, Dense: c.dense, Off: c.off, LR: c.lr}
 		}
-		if f.comp != nil {
-			st := *f.comp
-			p.Comp = &st
-		}
+		st := *f.comp
+		p.Comp = &st
 		return p
 	}
-	p.Cells = f.Data
+	p.Cells = make([][]float64, len(f.lrCells))
+	p.Layout = LayoutPacked
+	for k := range f.lrCells {
+		c := &f.lrCells[k]
+		// A repacked cell's diag and dense are the two ends of one array.
+		p.Cells[k] = c.diag[:len(c.diag)+len(c.dense)]
+	}
 	return p
 }
 
@@ -74,7 +95,8 @@ func (f *Factors) ExportPayload() *FactorPayload {
 // different (or corrupted) factorization is rejected instead of producing
 // out-of-bounds solves. The payload's slices are adopted, not copied: the
 // caller (the store codec, which decodes into fresh slices) must not reuse
-// them.
+// them. Strided dense cells are repacked in place; a dense payload with a
+// missing or unknown layout fails with ErrPayloadLayout.
 func ImportFactors(sym *symbolic.Symbol, p *FactorPayload) (*Factors, error) {
 	if sym == nil || p == nil {
 		return nil, fmt.Errorf("solver: import: nil symbol or payload")
@@ -127,10 +149,13 @@ func ImportFactors(sym *symbolic.Symbol, p *FactorPayload) (*Factors, error) {
 			f.comp = &st
 		} else {
 			// Rebuild the accounting so Compression() stays meaningful.
-			st := CompressionStats{CompressedBytes: 8 * f.nnzOf(cells)}
+			st := CompressionStats{CompressedBytes: 8 * nnzOf(cells)}
 			f.comp = &st
 		}
 	default:
+		if p.Layout != LayoutStrided && p.Layout != LayoutPacked {
+			return nil, fmt.Errorf("%w: layout %d", ErrPayloadLayout, p.Layout)
+		}
 		if len(p.Cells) != ncb {
 			return nil, fmt.Errorf("solver: import: %d dense cells, symbol has %d column blocks", len(p.Cells), ncb)
 		}
@@ -140,8 +165,17 @@ func ImportFactors(sym *symbolic.Symbol, p *FactorPayload) (*Factors, error) {
 				return nil, fmt.Errorf("solver: import: cell %d length %d, want %d", k, len(p.Cells[k]), want)
 			}
 		}
-		f.Data = p.Cells
+		if p.Layout == LayoutStrided {
+			f.Data = p.Cells
+			f.repack()
+			break
+		}
+		f.lrCells = make([]lrCell, ncb)
+		for k := range f.lrCells {
+			f.lrCells[k] = packedCell(&sym.CB[k], p.Cells[k])
+		}
 	}
+	f.Data = nil
 	f.Pivots = p.Pivots
 	return f, nil
 }

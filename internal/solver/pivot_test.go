@@ -131,7 +131,7 @@ func TestPerturbationReportAcrossRuntimes(t *testing.T) {
 				if name == "seq" {
 					continue
 				}
-				if !reflect.DeepEqual(fs["seq"].Data, f.Data) {
+				if !reflect.DeepEqual(stridedCells(fs["seq"]), stridedCells(f)) {
 					t.Fatalf("%s factor data differs bitwise from seq", name)
 				}
 			}

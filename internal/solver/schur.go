@@ -173,12 +173,13 @@ func forceTerminalBlock(sn *etree.Supernodes, cut int) *etree.Supernodes {
 }
 
 // FactorizeSchur eliminates the interior unknowns and returns the partial
-// factor plus the dense Schur complement S (ns×ns, column-major, full
-// symmetric storage). The terminal block of the factor is left unfactored.
-func (san *SchurAnalysis) FactorizeSchur() (*Factors, []float64, error) {
+// factor (strided) plus the dense Schur complement S (ns×ns, column-major,
+// full symmetric storage). The terminal block of the factor is left
+// unfactored.
+func (san *SchurAnalysis) FactorizeSchur() (*Storage[float64], []float64, error) {
 	sym := san.Sym
 	ncb := sym.NumCB()
-	f := NewFactors(sym)
+	f := newStorage[float64](sym, true)
 	for k := range sym.CB {
 		if err := f.AssembleCell(san.A, k); err != nil {
 			return nil, nil, err
@@ -190,7 +191,7 @@ func (san *SchurAnalysis) FactorizeSchur() (*Factors, []float64, error) {
 		}
 		f.SolvePanel(k)
 		d := f.Diag(k)
-		if err := applyCellUpdates(&f.Storage, k, invert(d)); err != nil {
+		if err := applyCellUpdates(f, k, invert(d)); err != nil {
 			return nil, nil, err
 		}
 		f.ScalePanel(k, d)

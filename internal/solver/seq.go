@@ -114,27 +114,74 @@ func factorizeSeq[T blas.Scalar](a symMatrix[T], sym *symbolic.Symbol, tau float
 }
 
 // realFactors wraps a finished float64 factorization, attaching the
-// perturbation report when pivoting was enabled.
+// perturbation report when pivoting was enabled, and repacks its cells into
+// the solve layout.
 func realFactors(s *Storage[float64], sp StaticPivot, normMax float64, perts []Perturbation) *Factors {
 	f := &Factors{Storage: *s}
 	if sp.Enabled() {
 		f.Pivots = buildReport(sp, normMax, perts, s)
 	}
+	f.repack()
 	return f
 }
 
 // Solve solves A·x = b given the factor (L, D): forward substitution with
 // the unit-lower block L, diagonal scaling, then backward substitution with
-// Lᵀ. b is not modified; the solution is returned.
+// Lᵀ, each off-diagonal block applied from its packed dense form or through
+// the rank-r LR kernels. This is the reference the solve engines are
+// measured against. b is not modified; the solution is returned.
 func (f *Factors) Solve(b []float64) []float64 {
-	if f.lrCells != nil {
-		return f.solveCompressed(b)
+	sym := f.Sym
+	x := append([]float64(nil), b...)
+	// Forward: L y = b.
+	for k := range sym.CB {
+		cb := &sym.CB[k]
+		w := cb.Width()
+		cell := &f.lrCells[k]
+		xk := x[cb.Cols[0]:cb.Cols[1]]
+		blas.TrsvLowerUnit(w, cell.diag, w, xk)
+		for bi := range cb.Blocks {
+			blk := &cb.Blocks[bi]
+			rows := blk.Rows()
+			if lb := cell.lowRank(bi); lb != nil {
+				blas.LRGemvN(rows, w, lb.Rank, lb.U, lb.V, xk, x[blk.FirstRow:blk.LastRow])
+			} else {
+				blas.GemvN(rows, w, cell.dense[cell.off[bi]:], rows, xk, x[blk.FirstRow:blk.LastRow])
+			}
+		}
 	}
-	return f.Storage.Solve(b)
+	// Diagonal: z = D⁻¹ y.
+	for k := range sym.CB {
+		cb := &sym.CB[k]
+		diag := f.lrCells[k].diag
+		w := cb.Width()
+		for j := 0; j < w; j++ {
+			x[cb.Cols[0]+j] /= diag[j+j*w]
+		}
+	}
+	// Backward: Lᵀ x = z.
+	for k := len(sym.CB) - 1; k >= 0; k-- {
+		cb := &sym.CB[k]
+		w := cb.Width()
+		cell := &f.lrCells[k]
+		xk := x[cb.Cols[0]:cb.Cols[1]]
+		for bi := range cb.Blocks {
+			blk := &cb.Blocks[bi]
+			rows := blk.Rows()
+			if lb := cell.lowRank(bi); lb != nil {
+				blas.LRGemvT(rows, w, lb.Rank, lb.U, lb.V, x[blk.FirstRow:blk.LastRow], xk)
+			} else {
+				blas.GemvT(rows, w, cell.dense[cell.off[bi]:], rows, x[blk.FirstRow:blk.LastRow], xk)
+			}
+		}
+		blas.TrsvLowerTransUnit(w, cell.diag, w, xk)
+	}
+	return x
 }
 
-// Solve solves A·x = b with the dense factor: the reference the solve
-// engines are measured against.
+// Solve solves A·x = b with the strided factor: the complex factor's solve.
+// A float64 factor is repacked when factorization returns and solves
+// through Factors.Solve.
 func (f *Storage[T]) Solve(b []T) []T {
 	kern := blas.KernelsOf[T]()
 	sym := f.Sym

@@ -83,20 +83,21 @@ func TestSeqFactorAgainstDenseLDLT(t *testing.T) {
 		L[i+i*n] = 1
 	}
 	sym := an.Sym
+	data := stridedCells(f)
 	for k := range sym.CB {
 		cb := &sym.CB[k]
 		ld := f.LD[k]
 		for j := 0; j < cb.Width(); j++ {
 			gc := cb.Cols[0] + j
-			D[gc] = f.Data[k][j+j*ld]
+			D[gc] = data[k][j+j*ld]
 			for i := j + 1; i < cb.Width(); i++ {
-				L[(cb.Cols[0]+i)+gc*n] = f.Data[k][i+j*ld]
+				L[(cb.Cols[0]+i)+gc*n] = data[k][i+j*ld]
 			}
 			for bi := range cb.Blocks {
 				blk := &cb.Blocks[bi]
 				off := f.BlockOff[k][bi]
 				for r := 0; r < blk.Rows(); r++ {
-					L[(blk.FirstRow+r)+gc*n] = f.Data[k][off+r+j*ld]
+					L[(blk.FirstRow+r)+gc*n] = data[k][off+r+j*ld]
 				}
 			}
 		}
@@ -118,16 +119,39 @@ func TestSeqFactorAgainstDenseLDLT(t *testing.T) {
 
 func factorsClose(t *testing.T, a, b *Factors, tol float64) {
 	t.Helper()
-	for k := range a.Data {
-		if len(a.Data[k]) != len(b.Data[k]) {
+	ad, bd := stridedCells(a), stridedCells(b)
+	for k := range ad {
+		if len(ad[k]) != len(bd[k]) {
 			t.Fatalf("cell %d sizes differ", k)
 		}
-		for i := range a.Data[k] {
-			if math.Abs(a.Data[k][i]-b.Data[k][i]) > tol*(1+math.Abs(a.Data[k][i])) {
-				t.Fatalf("cell %d elem %d: %g vs %g", k, i, a.Data[k][i], b.Data[k][i])
+		for i := range ad[k] {
+			if math.Abs(ad[k][i]-bd[k][i]) > tol*(1+math.Abs(ad[k][i])) {
+				t.Fatalf("cell %d elem %d: %g vs %g", k, i, ad[k][i], bd[k][i])
 			}
 		}
 	}
+}
+
+// stridedCells unpacks a dense factor's packed cells into the strided layout
+// the runtimes factorize in (LD rows × width per cell), so a test can address
+// values by LocateRow offsets and compare factors in cell, column, row order.
+func stridedCells(f *Factors) [][]float64 {
+	out := make([][]float64, len(f.lrCells))
+	for k := range f.lrCells {
+		c := &f.lrCells[k]
+		cb := &f.Sym.CB[k]
+		w, ld := cb.Width(), f.LD[k]
+		cell := make([]float64, ld*w)
+		for j := 0; j < w; j++ {
+			copy(cell[j*ld:j*ld+w], c.diag[j*w:j*w+w])
+			for bi := range cb.Blocks {
+				rows := cb.Blocks[bi].Rows()
+				copy(cell[f.BlockOff[k][bi]+j*ld:], c.dense[int(c.off[bi])+j*rows:][:rows])
+			}
+		}
+		out[k] = cell
+	}
+	return out
 }
 
 func TestParallelMatchesSequential(t *testing.T) {

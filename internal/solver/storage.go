@@ -7,7 +7,6 @@ package solver
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/symbolic"
@@ -27,7 +26,7 @@ type Storage[T blas.Scalar] struct {
 }
 
 // Factors is the real (float64) factor: its Storage plus the pivoting
-// report, the optional block low-rank form and the solve-engine pack.
+// report and the block low-rank accounting.
 type Factors struct {
 	Storage[float64]
 	// Pivots is the static-pivoting report of the factorization that produced
@@ -36,19 +35,13 @@ type Factors struct {
 	// substitution.
 	Pivots *PerturbationReport
 
-	// lrCells is the block low-rank compressed form (compress.go), built by
-	// Compress as a post-factorization pass. While nil the factor is dense and
-	// Data holds the values; once set, Data is released and every solve path
-	// reads the compressed cells instead. comp carries the byte accounting.
+	// lrCells is the factor's one resident form once factorization returns:
+	// every strided cell repacked in place (repack), or the block low-rank
+	// form Compress builds from those. Data is released either way, and
+	// every solve path reads the cells. comp carries the byte accounting of
+	// a compression pass and is nil for a dense factor.
 	lrCells []lrCell
 	comp    *CompressionStats
-
-	// Packed solve panels for the level-set engine (levelsolve.go), built
-	// lazily once the factor values are final. Guarded by packMu; must not be
-	// warmed before the factorization completes. Compress invalidates the
-	// pack so the next solve re-packs from (aliases) the compressed cells.
-	packMu sync.Mutex
-	pack   *solvePack
 }
 
 // ZFactors is the complex symmetric factor (unit-lower complex L, complex
@@ -215,7 +208,7 @@ func (f *Storage[T]) Diag(k int) []T {
 }
 
 // Diag returns a copy of the diagonal vector D of cell k, read from the
-// compressed cells once the factor is compressed.
+// packed cells once the factorization has finished.
 func (f *Factors) Diag(k int) []float64 {
 	if f.lrCells == nil {
 		return f.Storage.Diag(k)
@@ -242,23 +235,11 @@ func invert[T blas.Scalar](d []T) []T {
 // count their U/V values, not the dense blocks they replaced).
 func (f *Factors) NNZ() int64 {
 	if f.lrCells != nil {
-		var t int64
-		for k := range f.lrCells {
-			c := &f.lrCells[k]
-			t += int64(len(c.diag) + len(c.dense))
-			for _, lb := range c.lr {
-				if lb != nil {
-					t += int64(lb.Values())
-				}
-			}
-		}
-		return t
+		return nnzOf(f.lrCells)
 	}
 	var t int64
 	for k := range f.Data {
-		if f.Data[k] != nil {
-			t += int64(len(f.Data[k]))
-		}
+		t += int64(len(f.Data[k]))
 	}
 	return t
 }

@@ -39,8 +39,11 @@ var ErrCorruptLog = errors.New("store: corrupt log")
 var errTornTail = errors.New("store: torn tail")
 
 const (
-	frameMagic   = 0x50585357 // "PXSW"
-	codecVersion = 1
+	frameMagic = 0x50585357 // "PXSW"
+	// codecVersion is the version frames are written at. Version 2 states
+	// the cell layout of a dense factor payload; version 1 frames, whose
+	// dense cells are all strided, still decode.
+	codecVersion = 2
 	// frameHeader is magic u32 + version u16 + kind u16 + seq u64 + len u32.
 	frameHeader = 20
 	// maxPayload guards length fields before allocation; a WAL record holds
@@ -328,6 +331,7 @@ func encodePayload(e *enc, p *solver.FactorPayload) {
 		}
 	} else {
 		e.u8(formDense)
+		e.u8(uint8(p.Layout))
 		e.u32(uint32(len(p.Cells)))
 		for _, cell := range p.Cells {
 			e.floats(cell)
@@ -351,7 +355,8 @@ func encodePayload(e *enc, p *solver.FactorPayload) {
 	}
 }
 
-func decodePayload(d *dec) *solver.FactorPayload {
+// decodePayload decodes a factor payload written at codec version v.
+func decodePayload(d *dec, v uint16) *solver.FactorPayload {
 	p := &solver.FactorPayload{}
 	switch form := d.u8(); form {
 	case formCompressed:
@@ -392,6 +397,12 @@ func decodePayload(d *dec) *solver.FactorPayload {
 			}
 		}
 	case formDense:
+		p.Layout = solver.LayoutStrided
+		if v > 1 {
+			// Unknown layouts pass through: ImportFactors rejects them
+			// with solver.ErrPayloadLayout.
+			p.Layout = solver.CellLayout(d.u8())
+		}
 		ncells := d.count(1)
 		if d.err != nil {
 			return nil
@@ -444,7 +455,8 @@ func encodeFactorRecord(r *FactorRecord) []byte {
 	return e.b
 }
 
-func decodeFactorRecord(b []byte) (*FactorRecord, error) {
+// decodeFactorRecord decodes a factor record written at codec version v.
+func decodeFactorRecord(b []byte, v uint16) (*FactorRecord, error) {
 	d := &dec{b: b}
 	r := &FactorRecord{
 		Handle:      d.str(),
@@ -452,7 +464,7 @@ func decodeFactorRecord(b []byte) (*FactorRecord, error) {
 		IdemKey:     d.str(),
 	}
 	r.Matrix = decodeMatrix(d)
-	r.Payload = decodePayload(d)
+	r.Payload = decodePayload(d, v)
 	r.Response = d.bytes()
 	if d.err != nil {
 		return nil, d.err
@@ -525,37 +537,37 @@ func appendFrame(dst []byte, kind Kind, seq uint64, payload []byte) []byte {
 // enough bytes for the declared frame: errTornTail, replay stops cleanly)
 // from corruption (bad magic/version/CRC with the full frame present:
 // ErrCorruptLog).
-func readFrame(b []byte, off int) (kind Kind, seq uint64, payload []byte, next int, err error) {
+func readFrame(b []byte, off int) (kind Kind, v uint16, seq uint64, payload []byte, next int, err error) {
 	rest := len(b) - off
 	if rest < frameHeader {
-		return 0, 0, nil, off, errTornTail
+		return 0, 0, 0, nil, off, errTornTail
 	}
 	h := b[off:]
 	if binary.LittleEndian.Uint32(h) != frameMagic {
-		return 0, 0, nil, off, fmt.Errorf("%w: bad frame magic at offset %d", ErrCorruptLog, off)
+		return 0, 0, 0, nil, off, fmt.Errorf("%w: bad frame magic at offset %d", ErrCorruptLog, off)
 	}
-	if v := binary.LittleEndian.Uint16(h[4:]); v != codecVersion {
-		return 0, 0, nil, off, fmt.Errorf("%w: unsupported codec version %d", ErrCorruptLog, v)
+	if v = binary.LittleEndian.Uint16(h[4:]); v < 1 || v > codecVersion {
+		return 0, 0, 0, nil, off, fmt.Errorf("%w: unsupported codec version %d", ErrCorruptLog, v)
 	}
 	kind = Kind(binary.LittleEndian.Uint16(h[6:]))
 	seq = binary.LittleEndian.Uint64(h[8:])
 	plen := int(binary.LittleEndian.Uint32(h[16:]))
 	if plen < 0 || plen > maxPayload {
-		return 0, 0, nil, off, fmt.Errorf("%w: frame payload length %d", ErrCorruptLog, plen)
+		return 0, 0, 0, nil, off, fmt.Errorf("%w: frame payload length %d", ErrCorruptLog, plen)
 	}
 	total := frameHeader + plen + 4
 	if rest < total {
 		// The length field itself may be the flipped bits, but with the tail
 		// missing we cannot tell a torn write from corruption; the safe,
 		// documented choice is the torn-tail verdict (clean prefix recovery).
-		return 0, 0, nil, off, errTornTail
+		return 0, 0, 0, nil, off, errTornTail
 	}
 	want := binary.LittleEndian.Uint32(h[frameHeader+plen:])
 	got := crc32.Checksum(h[:frameHeader+plen], crcTab)
 	if want != got {
-		return 0, 0, nil, off, fmt.Errorf("%w: CRC mismatch at offset %d (record seq %d)", ErrCorruptLog, off, seq)
+		return 0, 0, 0, nil, off, fmt.Errorf("%w: CRC mismatch at offset %d (record seq %d)", ErrCorruptLog, off, seq)
 	}
-	return kind, seq, h[frameHeader : frameHeader+plen], off + total, nil
+	return kind, v, seq, h[frameHeader : frameHeader+plen], off + total, nil
 }
 
 // MarshalFactorRecord seals a factor record into a standalone CRC-checked
@@ -566,7 +578,7 @@ func MarshalFactorRecord(r *FactorRecord) []byte {
 
 // UnmarshalFactorRecord parses a frame produced by MarshalFactorRecord.
 func UnmarshalFactorRecord(b []byte) (*FactorRecord, error) {
-	kind, _, payload, next, err := readFrame(b, 0)
+	kind, v, _, payload, next, err := readFrame(b, 0)
 	if err != nil {
 		if errors.Is(err, errTornTail) {
 			return nil, fmt.Errorf("%w: truncated factor record", ErrCorruptLog)
@@ -579,5 +591,5 @@ func UnmarshalFactorRecord(b []byte) (*FactorRecord, error) {
 	if next != len(b) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after factor record", ErrCorruptLog, len(b)-next)
 	}
-	return decodeFactorRecord(payload)
+	return decodeFactorRecord(payload, v)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,7 +30,8 @@ func testMatrix(n int) *sparse.SymMatrix {
 // validate against a symbol; solver.ImportFactors does that downstream).
 func densePayload() *solver.FactorPayload {
 	return &solver.FactorPayload{
-		Cells: [][]float64{{1, 2.5, -3}, {}, {4.25}},
+		Cells:  [][]float64{{1, 2.5, -3}, {}, {4.25}},
+		Layout: solver.LayoutPacked,
 		Pivots: &solver.PerturbationReport{
 			Epsilon: 1e-8, NormMax: 4, Threshold: 4e-8, PivotGrowth: 1.25,
 			Perturbed: []solver.Perturbation{{Column: 3, Original: 1e-12, Used: 4e-8}},
@@ -75,6 +77,77 @@ func TestFactorRecordRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(in, out) {
 			t.Fatalf("%s: round trip mismatch:\n in=%+v\nout=%+v", name, in, out)
+		}
+	}
+}
+
+// v1DenseFrame seals r as codec version 1 wrote it: a dense payload carries
+// no layout byte (its cells are strided) and the frame header says 1.
+func v1DenseFrame(r *FactorRecord, seq uint64) []byte {
+	e := &enc{}
+	e.str(r.Handle)
+	e.str(r.Fingerprint)
+	e.str(r.IdemKey)
+	encodeMatrix(e, r.Matrix)
+	e.u8(formDense)
+	e.u32(uint32(len(r.Payload.Cells)))
+	for _, c := range r.Payload.Cells {
+		e.floats(c)
+	}
+	e.u8(0) // no pivot report
+	e.bytes(r.Response)
+	b := appendFrame(nil, KindFactor, seq, e.b)
+	binary.LittleEndian.PutUint16(b[4:], 1)
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crcTab))
+	return b
+}
+
+// TestDecodeVersion1DensePayload: a version-1 dense payload decodes as
+// strided, both from the WAL and as a transfer, and keeps decoding so after
+// a snapshot has rewritten it at the current version. Frame versions the
+// codec does not know are corruption.
+func TestDecodeVersion1DensePayload(t *testing.T) {
+	want := factorRecord("f-000001-old1", "", densePayload())
+	want.Payload.Pivots = nil
+	want.Payload.Layout = solver.LayoutStrided
+	frame := v1DenseFrame(want, 1)
+	if got, err := UnmarshalFactorRecord(frame); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("version-1 transfer: err %v, record %+v", err, got)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walName), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, rec, err := Open(dir, Options{SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Factors) != 1 || !reflect.DeepEqual(rec.Factors[0], want) {
+		t.Fatalf("version-1 WAL recovered %+v", rec.Factors)
+	}
+	// One append compacts: the WAL is emptied and the snapshot holds the
+	// old record, re-encoded at the current version.
+	if err := s.AppendRelease("f-000009-none"); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Snapshots != 1 || st.WALBytes != 0 {
+		t.Fatalf("no compaction: %+v", st)
+	}
+	s.Close()
+	s2, rec2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	if len(rec2.Factors) != 1 || !reflect.DeepEqual(rec2.Factors[0], want) {
+		t.Fatalf("after the snapshot rewrite recovered %+v", rec2.Factors)
+	}
+	for _, v := range []uint16{0, codecVersion + 1} {
+		bad := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint16(bad[4:], v)
+		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[:len(bad)-4], crcTab))
+		if _, err := UnmarshalFactorRecord(bad); !errors.Is(err, ErrCorruptLog) {
+			t.Fatalf("frame version %d: err %v, want ErrCorruptLog", v, err)
 		}
 	}
 }

@@ -125,7 +125,7 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 	// Collect the live state in commit order for the caller.
 	rec.Factors = make([]*FactorRecord, 0, len(s.factors))
 	for _, e := range s.factors {
-		fr, err := decodeFactorRecord(e.payload)
+		fr, err := decodeFactorRecord(e.payload, codecVersion)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -175,7 +175,7 @@ func (s *Store) loadSnapshot() (upTo uint64, err error) {
 		return 0, err
 	}
 	off := 0
-	kind, seq, payload, next, err := readFrame(b, off)
+	kind, _, seq, payload, next, err := readFrame(b, off)
 	if err != nil {
 		if errors.Is(err, errTornTail) {
 			return 0, fmt.Errorf("%w: truncated snapshot header", ErrCorruptLog)
@@ -193,7 +193,7 @@ func (s *Store) loadSnapshot() (upTo uint64, err error) {
 	_ = seq
 	off = next
 	for off < len(b) {
-		kind, rseq, payload, next, err := readFrame(b, off)
+		kind, v, rseq, payload, next, err := readFrame(b, off)
 		if err != nil {
 			if errors.Is(err, errTornTail) {
 				return 0, fmt.Errorf("%w: truncated snapshot record at offset %d", ErrCorruptLog, off)
@@ -204,7 +204,7 @@ func (s *Store) loadSnapshot() (upTo uint64, err error) {
 		copy(cp, payload)
 		switch kind {
 		case KindFactor:
-			fr, err := decodeFactorRecord(cp)
+			fr, cp, err := decodeFactorEntry(cp, v)
 			if err != nil {
 				return 0, err
 			}
@@ -223,6 +223,18 @@ func (s *Store) loadSnapshot() (upTo uint64, err error) {
 	return upTo, nil
 }
 
+// decodeFactorEntry decodes a factor record read at codec version v and
+// returns it with its payload bytes at the current version: an older record
+// is re-encoded, so the live state (and every snapshot written from it)
+// holds one encoding.
+func decodeFactorEntry(b []byte, v uint16) (*FactorRecord, []byte, error) {
+	fr, err := decodeFactorRecord(b, v)
+	if err != nil || v == codecVersion {
+		return fr, b, err
+	}
+	return fr, encodeFactorRecord(fr), nil
+}
+
 // replayWAL applies the WAL on top of the snapshot state. Records at or
 // below the snapshot's sequence are skipped (the stale prefix left when a
 // crash hit between snapshot rename and WAL truncation); beyond it the
@@ -239,7 +251,7 @@ func (s *Store) replayWAL(snapUpTo uint64, rec *Recovered) error {
 	off := 0
 	last := snapUpTo
 	for off < len(b) {
-		kind, seq, payload, next, err := readFrame(b, off)
+		kind, v, seq, payload, next, err := readFrame(b, off)
 		if err != nil {
 			if errors.Is(err, errTornTail) {
 				rec.TornTail = true
@@ -260,7 +272,7 @@ func (s *Store) replayWAL(snapUpTo uint64, rec *Recovered) error {
 		copy(cp, payload)
 		switch kind {
 		case KindFactor:
-			fr, err := decodeFactorRecord(cp)
+			fr, cp, err := decodeFactorEntry(cp, v)
 			if err != nil {
 				return err
 			}

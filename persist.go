@@ -16,6 +16,10 @@ import (
 // the payload's cells were shaped by.
 type FactorPayload = solver.FactorPayload
 
+// ErrPayloadLayout reports a dense FactorPayload whose cell layout is
+// missing or unknown; RestoreFactor never infers the layout from lengths.
+var ErrPayloadLayout = solver.ErrPayloadLayout
+
 // ExportPayload lifts the factor's numerical content into a FactorPayload
 // for persistence or transfer. The payload aliases the factor's immutable
 // storage; serialize it before mutating anything.
@@ -31,8 +35,10 @@ func (f *Factor) ExportPayload() (*FactorPayload, error) {
 // verbatim, so solves against the restored factor are bitwise-identical to
 // solves against the original. The matrix must carry the analysed pattern
 // (ErrPatternMismatch otherwise) and the same values the factor was computed
-// from — it binds the refinement path, exactly as in FactorizeValues. The
-// payload's storage form is final: an analysis-level BLR option does NOT
+// from — it binds the refinement path, exactly as in FactorizeValues. Dense
+// cells written in the strided layout are repacked into the solve layout; a
+// dense payload with a missing or unknown layout fails with
+// ErrPayloadLayout. The payload's storage form is final: an analysis-level BLR option does NOT
 // re-compress a restored dense factor, and a compressed payload stays
 // compressed.
 func (an *Analysis) RestoreFactor(a *Matrix, p *FactorPayload) (*Factor, error) {

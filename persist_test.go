@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/pastix-go/pastix/internal/gen"
+	"github.com/pastix-go/pastix/internal/solver"
 )
 
 // TestPersistRoundTripDense is the durability contract for dense factors:
@@ -137,11 +138,20 @@ func TestRestoreFactorRejects(t *testing.T) {
 		t.Error("payload shaped for a different symbol accepted")
 	}
 	// Truncating one cell must be caught by length validation.
-	bad := &FactorPayload{Cells: make([][]float64, len(p.Cells)), Pivots: p.Pivots}
+	bad := &FactorPayload{Cells: make([][]float64, len(p.Cells)), Layout: p.Layout, Pivots: p.Pivots}
 	copy(bad.Cells, p.Cells)
 	bad.Cells[0] = bad.Cells[0][:len(bad.Cells[0])-1]
 	if _, err := an.RestoreFactor(a, bad); err == nil {
 		t.Error("truncated cell accepted")
+	}
+	// A strided and a packed cell have the same length, so a dense payload
+	// that does not state its layout, or states an unknown one, is refused.
+	for _, layout := range []solver.CellLayout{0, solver.LayoutPacked + 1} {
+		q := *p
+		q.Layout = layout
+		if _, err := an.RestoreFactor(a, &q); !errors.Is(err, ErrPayloadLayout) {
+			t.Errorf("layout %d: err = %v, want ErrPayloadLayout", layout, err)
+		}
 	}
 }
 

@@ -143,8 +143,8 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 	if an.faults.Active() && rt != RuntimeMPSim && rt != RuntimeSequential {
 		return nil, fmt.Errorf("%w: fault injection requires the message-passing runtime, not %v", ErrBadOptions, rt)
 	}
-	// The message-passing sweep reads the dense factor arrays, which a BLR
-	// compression pass released.
+	// The message-passing sweep needs every block dense, which a BLR
+	// compression pass gave up.
 	if rt == RuntimeMPSim && f.inner.Compressed() {
 		return nil, fmt.Errorf("%w: the message-passing solve needs dense factors, and this factor is BLR-compressed", ErrBadOptions)
 	}
@@ -234,12 +234,12 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 	return res, nil
 }
 
-// PrepareSolve warms the solve-path caches for factor f: the solve DAG and
-// the level-set plan for the schedule's processor count (both per-analysis),
-// and the packed solve panels of f (per-factor). All of it is built lazily on
-// first use anyway; a serving layer calls this right after factorization so
-// the first request does not pay the one-time cost. Safe concurrently with
-// solves.
+// PrepareSolve warms the solve-path caches of the analysis for factor f: the
+// solve DAG and the level-set plan for the schedule's processor count. Both
+// are built lazily on first use anyway; a serving layer calls this right
+// after factorization so the first request does not pay the one-time cost.
+// The factor itself needs nothing: factorization leaves it in the packed
+// layout every solve engine reads. Safe concurrently with solves.
 func (an *Analysis) PrepareSolve(f *Factor) (PlanStats, error) {
 	if f == nil || f.an != an.inner {
 		return PlanStats{}, ErrFactorMismatch

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/pastix-go/pastix/internal/gen"
@@ -272,4 +273,37 @@ func TestPrepareSolvePublic(t *testing.T) {
 	if _, err := an.PrepareSolve(nil); err != ErrFactorMismatch {
 		t.Fatalf("nil factor: err = %v", err)
 	}
+}
+
+// TestPrepareSolveAllocatesNoFactorCopy guards the factor's single resident
+// copy: warming the solve path and running one default solve must allocate
+// far less than the factor holds. A solve-layout copy of the values beside
+// the factor would be all of MemoryBytes.
+func TestPrepareSolveAllocatesNoFactorCopy(t *testing.T) {
+	a := gen.Laplacian3D(16, 16, 16)
+	an, err := Analyze(a, Options{Processors: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := an.Factorize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b := gen.RHSForSolution(a)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := an.PrepareSolve(f); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := an.SolveOpts(context.Background(), f, b, SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	grew := int64(after.TotalAlloc - before.TotalAlloc)
+	if limit := f.MemoryBytes() / 20; grew >= limit {
+		t.Fatalf("PrepareSolve and one solve allocated %d bytes, want < %d (5%% of the %d-byte factor)",
+			grew, limit, f.MemoryBytes())
+	}
+	t.Logf("allocated %d bytes against a %d-byte factor", grew, f.MemoryBytes())
 }
