@@ -94,7 +94,7 @@ func TestBLROptionsValidation(t *testing.T) {
 // compresses every Factorize* product, solves run on all supported engines,
 // and refinement recovers the backward error.
 func TestBLRFactorizeSolveRefine(t *testing.T) {
-	a := gen.Laplacian3D(9, 9, 9)
+	a := gen.Laplacian3D(10, 10, 10)
 	an, err := Analyze(a, Options{Processors: 4, BLR: BLROptions{Tol: 1e-8, MinBlockSize: 8}})
 	if err != nil {
 		t.Fatal(err)

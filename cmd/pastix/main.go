@@ -132,8 +132,8 @@ func main() {
 		fmt.Printf("phases   : order %.3fs, tree %.3fs, symbolic %.3fs, schedule %.3fs\n",
 			ph[0].Seconds(), ph[1].Seconds(), ph[2].Seconds(), ph[3].Seconds())
 	}
-	fmt.Printf("fill     : NNZ_L=%d (scalar), %d stored (block), OPC=%.3e\n",
-		st.ScalarNNZL, st.BlockNNZL, st.ScalarOPC)
+	fmt.Printf("fill     : NNZ_L=%d (scalar), %d stored (block), OPC=%.3e (scalar), %.3e (block)\n",
+		st.ScalarNNZL, st.BlockNNZL, st.ScalarOPC, st.BlockOPC)
 	fmt.Printf("model    : predicted parallel factorization %.3fs on the scheduling profile\n",
 		st.PredictedTime)
 	if *stats {

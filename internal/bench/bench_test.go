@@ -27,13 +27,17 @@ func TestTable1ShapesAndOrder(t *testing.T) {
 		if r.OPCScotch <= 0 || r.OPCMetis <= 0 {
 			t.Fatalf("%s: OPC missing", r.Name)
 		}
+		// The block structure stores every scalar entry, diagonal included.
+		if r.BlockNNZL < r.NNZLScotch+int64(r.Columns) || r.BlockOPC <= 0 {
+			t.Fatalf("%s: block metrics %d, %g below the scalar ones", r.Name, r.BlockNNZL, r.BlockOPC)
+		}
 		// The two orderings must actually differ (different algorithms).
 		if r.NNZLScotch == r.NNZLMetis && r.OPCScotch == r.OPCMetis {
 			t.Fatalf("%s: Scotch and MeTiS configurations identical", r.Name)
 		}
 	}
 	out := FormatTable1(rows)
-	if !strings.Contains(out, "NNZ_L(Scotch)") || !strings.Contains(out, "B5TUER") {
+	if !strings.Contains(out, "NNZ_L(Scotch)") || !strings.Contains(out, "NNZ_L(block)") || !strings.Contains(out, "B5TUER") {
 		t.Fatal("table 1 formatting broken")
 	}
 }

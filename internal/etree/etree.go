@@ -205,11 +205,14 @@ func Fundamental(parent, cc []int) *Supernodes {
 		}
 	}
 	s := &Supernodes{Ranges: ranges}
-	s.computeParents(parent)
+	s.SetParents(parent)
 	return s
 }
 
-func (s *Supernodes) computeParents(parent []int) {
+// SetParents sets the supernodal tree from the scalar elimination tree
+// parent: a supernode's parent is the supernode holding the parent column
+// of its last column.
+func (s *Supernodes) SetParents(parent []int) {
 	n := 0
 	if len(s.Ranges) > 0 {
 		n = s.Ranges[len(s.Ranges)-1][1]
@@ -232,40 +235,84 @@ type AmalgamateOptions struct {
 	// Disable turns amalgamation off entirely (fundamental supernodes pass
 	// through unchanged).
 	Disable bool
-	// MinWidth: a supernode narrower than this is merged into its parent
-	// whenever the ranges are adjacent (default 4).
-	MinWidth int
-	// FillTol: merge when the estimated extra explicit zeros do not exceed
-	// FillTol × the merged supernode's nonzeros (default 0.05).
-	FillTol float64
 }
 
-func (o AmalgamateOptions) withDefaults() AmalgamateOptions {
-	if o.MinWidth <= 0 {
-		o.MinWidth = 4
+// The relaxed-supernode zero budget of Ashcraft & Grimes (1989), with the
+// constants CHOLMOD ships: a merge whose result is at most relaxAlways
+// columns wide is always taken; a wider one only while the merged
+// supernode's explicit zeros stay below a share of its stored entries that
+// shrinks as it widens — relaxShareNarrow up to relaxNarrow columns,
+// relaxShareMid up to relaxMid, relaxShareWide beyond. Narrow supernodes
+// gain most from merging (a dense kernel call per column costs more than
+// the zeros it streams), wide ones least.
+const (
+	relaxAlways      = 4
+	relaxNarrow      = 16
+	relaxMid         = 48
+	relaxShareNarrow = 0.8
+	relaxShareMid    = 0.1
+	relaxShareWide   = 0.05
+)
+
+// withinZeroBudget reports whether a supernode w columns wide that stores
+// stored entries, zeros of them explicit zeros, fits the relaxed budget.
+func withinZeroBudget(w int, zeros, stored int64) bool {
+	if w <= relaxAlways {
+		return true
 	}
-	if o.FillTol <= 0 {
-		o.FillTol = 0.05
+	share := float64(zeros) / float64(stored)
+	switch {
+	case w <= relaxNarrow:
+		return share < relaxShareNarrow
+	case w <= relaxMid:
+		return share < relaxShareMid
 	}
-	return o
+	return share < relaxShareWide
+}
+
+// storedEntries is the number of entries the block model stores for a
+// supernode w columns wide with rows off-diagonal rows below it: the lower
+// triangle of its dense diagonal block, diagonal included, plus its dense
+// off-diagonal rows.
+func storedEntries(w, rows int) int64 {
+	return int64(w)*int64(w+1)/2 + int64(w)*int64(rows)
 }
 
 // Amalgamate merges supernodes into their parents (when the column ranges
 // are adjacent, which a postordered tree makes common) to reduce the block
 // count at the price of some explicit zeros — the paper's relaxed
-// amalgamation. cc are the scalar column counts; parent is the scalar etree.
-func Amalgamate(s *Supernodes, parent, cc []int, opts AmalgamateOptions) *Supernodes {
+// amalgamation. A merge is taken only while the merged supernode's zeros
+// fit the width-graded budget of withinZeroBudget. cc are the scalar column
+// counts of the postordered matrix.
+func Amalgamate(s *Supernodes, cc []int, opts AmalgamateOptions) *Supernodes {
 	if opts.Disable {
 		return s
 	}
-	opts = opts.withDefaults()
+	out, _ := amalgamate(s, cc)
+	return out
+}
+
+// amalgamate is Amalgamate, also returning the stored entries it tracked
+// for each output supernode.
+//
+// The accounting is exact. A live supernode's off-diagonal row count is its
+// last column's count minus one: every column's etree path runs through the
+// supernode to its last column, so every column's structure below the
+// supernode lies in the last column's. A merge prepends the child's columns
+// and leaves the last column, so it never changes the row count. Its true
+// nonzeros are the sum of its columns' counts, which a merge adds up.
+func amalgamate(s *Supernodes, cc []int) (*Supernodes, []int64) {
 	ns := len(s.Ranges)
 	start := make([]int, ns)
 	end := make([]int, ns)
+	nnz := make([]int64, ns) // true nonzeros, diagonal included
 	alive := make([]bool, ns)
 	rep := make([]int, ns) // representative after merges
 	for k, r := range s.Ranges {
 		start[k], end[k], alive[k], rep[k] = r[0], r[1], true, k
+		for j := r[0]; j < r[1]; j++ {
+			nnz[k] += int64(cc[j])
+		}
 	}
 	find := func(k int) int {
 		for rep[k] != k {
@@ -278,9 +325,6 @@ func Amalgamate(s *Supernodes, parent, cc []int, opts AmalgamateOptions) *Supern
 	// supernode merges into its parent, the child below becomes adjacent to
 	// the merged range.
 	for k := ns - 1; k >= 0; k-- {
-		if !alive[k] {
-			continue
-		}
 		pk := s.Parent[k]
 		if pk == -1 {
 			continue
@@ -289,28 +333,23 @@ func Amalgamate(s *Supernodes, parent, cc []int, opts AmalgamateOptions) *Supern
 		if start[p] != end[k] {
 			continue // not adjacent; merging would break contiguity
 		}
-		ws := end[k] - start[k]
-		wt := end[p] - start[p]
-		rowsS := cc[start[k]] - ws // off-diagonal rows below supernode k
-		rowsT := cc[start[p]] - wt
-		extra := ws * (wt + rowsT - rowsS)
-		if extra < 0 {
-			extra = 0
-		}
-		w := ws + wt
-		mergedNNZ := w*(w+1)/2 + w*rowsT
-		if ws <= opts.MinWidth || float64(extra) <= opts.FillTol*float64(mergedNNZ) {
+		w := end[p] - start[k]
+		st := storedEntries(w, cc[end[p]-1]-1)
+		if withinZeroBudget(w, st-nnz[k]-nnz[p], st) {
 			start[p] = start[k]
+			nnz[p] += nnz[k]
 			alive[k] = false
 			rep[k] = p
 		}
 	}
 	out := &Supernodes{}
+	var entries []int64
 	old2new := make([]int, ns)
 	for k := 0; k < ns; k++ {
 		if alive[k] {
 			old2new[k] = len(out.Ranges)
 			out.Ranges = append(out.Ranges, [2]int{start[k], end[k]})
+			entries = append(entries, storedEntries(end[k]-start[k], cc[end[k]-1]-1))
 		}
 	}
 	out.Parent = make([]int, len(out.Ranges))
@@ -319,19 +358,13 @@ func Amalgamate(s *Supernodes, parent, cc []int, opts AmalgamateOptions) *Supern
 			continue
 		}
 		nk := old2new[k]
-		pk := s.Parent[k]
-		if pk == -1 {
-			out.Parent[nk] = -1
-			continue
-		}
-		p := find(pk)
-		if p == k {
+		if pk := s.Parent[k]; pk == -1 {
 			out.Parent[nk] = -1
 		} else {
-			out.Parent[nk] = old2new[find(p)]
+			out.Parent[nk] = old2new[find(pk)]
 		}
 	}
-	return out
+	return out, entries
 }
 
 // ApplyPostorder maps an elimination forest and column counts through a

@@ -294,36 +294,48 @@ func TestAmalgamateMergesSingletons(t *testing.T) {
 	parent := Build(a)
 	cc := ColCounts(a, parent)
 	s := Fundamental(parent, cc)
-	am := Amalgamate(s, parent, cc, AmalgamateOptions{MinWidth: 8, FillTol: 1})
+	am := Amalgamate(s, cc, AmalgamateOptions{})
 	if err := am.Validate(8); err != nil {
 		t.Fatal(err)
 	}
-	if am.Count() >= s.Count() {
-		t.Fatalf("amalgamation did not reduce supernodes: %d -> %d", s.Count(), am.Count())
-	}
-	// With aggressive settings on the arrow matrix everything collapses into
-	// one supernode (ranges are chain-adjacent).
+	// The arrow's singletons are chain-adjacent to the dense last supernode
+	// and each merge keeps the zero share under the narrow budget, so
+	// everything collapses into one supernode.
 	if am.Count() != 1 {
-		t.Fatalf("want full collapse, got %v", am.Ranges)
+		t.Fatalf("want full collapse of %d supernodes, got %v", s.Count(), am.Ranges)
+	}
+	if got := Amalgamate(s, cc, AmalgamateOptions{Disable: true}); got != s {
+		t.Fatal("Disable changed the partition")
 	}
 }
 
 func TestAmalgamateConservative(t *testing.T) {
-	// With MinWidth 1 and tiny tolerance, the 2D Laplacian partition should
-	// keep most supernodes (little amalgamation).
-	a := laplacian2D(8, 8)
-	parent := Build(a)
-	post := Postorder(parent)
-	p := a.Permute(post)
-	parent = Build(p)
-	cc := ColCounts(p, parent)
-	s := Fundamental(parent, cc)
-	am := Amalgamate(s, parent, cc, AmalgamateOptions{MinWidth: 1, FillTol: 1e-9})
-	if am.Count() > s.Count() {
-		t.Fatal("amalgamation increased supernode count")
-	}
-	if err := am.Validate(p.N); err != nil {
-		t.Fatal(err)
+	// Every supernode the rule leaves wider than relaxAlways fits its
+	// width's zero budget, measured from the scalar column counts.
+	for _, a := range []*sparse.SymMatrix{laplacian2D(8, 8), laplacian2D(40, 40), arrow(30)} {
+		parent := Build(a)
+		p := a.Permute(Postorder(parent))
+		parent = Build(p)
+		cc := ColCounts(p, parent)
+		s := Fundamental(parent, cc)
+		am := Amalgamate(s, cc, AmalgamateOptions{})
+		if err := am.Validate(p.N); err != nil {
+			t.Fatal(err)
+		}
+		if am.Count() > s.Count() {
+			t.Fatal("amalgamation increased supernode count")
+		}
+		for _, r := range am.Ranges {
+			w := r[1] - r[0]
+			var nnz int64
+			for j := r[0]; j < r[1]; j++ {
+				nnz += int64(cc[j])
+			}
+			st := storedEntries(w, cc[r[1]-1]-1)
+			if !withinZeroBudget(w, st-nnz, st) {
+				t.Fatalf("n=%d: supernode %v stores %d entries for %d nonzeros, over its budget", p.N, r, st, nnz)
+			}
+		}
 	}
 }
 

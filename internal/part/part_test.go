@@ -24,7 +24,7 @@ func analyzed(t *testing.T, a *sparse.SymMatrix, bs int) (*etree.Supernodes, *sy
 	parent = etree.Build(pa)
 	cc := etree.ColCounts(pa, parent)
 	sn := etree.Fundamental(parent, cc)
-	sn = etree.Amalgamate(sn, parent, cc, etree.AmalgamateOptions{})
+	sn = etree.Amalgamate(sn, cc, etree.AmalgamateOptions{})
 	sn = SplitRanges(sn, Options{BlockSize: bs})
 	if err := sn.Validate(a.N); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func buildSchedule(t *testing.T, a *sparse.SymMatrix, P, bs int) (*symbolic.Symb
 	parent = etree.Build(pa)
 	cc := etree.ColCounts(pa, parent)
 	sn := etree.Fundamental(parent, cc)
-	sn = etree.Amalgamate(sn, parent, cc, etree.AmalgamateOptions{})
+	sn = etree.Amalgamate(sn, cc, etree.AmalgamateOptions{})
 	sn = part.SplitRanges(sn, part.Options{BlockSize: bs})
 	sym := symbolic.Factor(pa, sn)
 	if err := sym.Validate(); err != nil {

@@ -31,7 +31,7 @@ func TestServerBLRFactorize(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	a := gen.Laplacian3D(9, 9, 9)
+	a := gen.Laplacian3D(10, 10, 10)
 	mm := mmString(t, a)
 
 	var fr factorizeResponse

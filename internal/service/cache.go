@@ -9,14 +9,15 @@ import (
 	"github.com/pastix-go/pastix"
 )
 
-// analysisCache is the pattern-keyed LRU of analyses with single-flight
-// deduplication: concurrent Get calls for one fingerprint run exactly one
-// analysis (the leader); the others (followers) block on its result and
-// count as coalesced. A leader that fails because its own request context
+// analysisCache is the LRU of analyses with single-flight deduplication:
+// concurrent Get calls for one key run exactly one analysis (the leader);
+// the others (followers) block on its result and count as coalesced. A leader that fails because its own request context
 // was cancelled does not poison the followers — the entry is abandoned and
 // one follower promotes itself to leader under its own context. Genuine
 // analysis errors (e.g. an invalid matrix) propagate to every waiter and are
-// not cached.
+// not cached. Fresh analyses are keyed by pattern fingerprint; an analysis
+// rebuilt to restore a persisted factor on its recorded partition is keyed
+// by fingerprint plus partition (restoreKey), so the two never mix.
 type analysisCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -55,6 +56,13 @@ func newAnalysisCache(cap int, m *Metrics,
 // from the cache (or a coalesced in-flight analysis) rather than a fresh
 // pass led by this caller.
 func (c *analysisCache) Get(ctx context.Context, key string, a *pastix.Matrix) (an *pastix.Analysis, hit bool, err error) {
+	return c.GetWith(ctx, key, a, c.analyze)
+}
+
+// GetWith is Get with the analysis pass a leader runs on a miss; a key must
+// always be paired with the same pass.
+func (c *analysisCache) GetWith(ctx context.Context, key string, a *pastix.Matrix,
+	analyze func(ctx context.Context, a *pastix.Matrix) (*pastix.Analysis, error)) (an *pastix.Analysis, hit bool, err error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -87,7 +95,7 @@ func (c *analysisCache) Get(ctx context.Context, key string, a *pastix.Matrix) (
 		c.m.CacheMisses.Inc()
 		c.mu.Unlock()
 
-		e.an, e.err = c.analyze(ctx, a)
+		e.an, e.err = analyze(ctx, a)
 
 		c.mu.Lock()
 		if e.err != nil {

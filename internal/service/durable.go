@@ -3,13 +3,16 @@ package service
 import (
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -27,10 +30,11 @@ import (
 // itself — with an fsync'd WAL append before the handle was acknowledged.
 // Startup replays the journal before admitting requests: analyses are re-run
 // (the deterministic analysis pipeline makes the analysis a pure function of
-// the journaled matrix, so only bytes that cannot be recomputed bitwise are
-// stored), factor payloads are adopted verbatim, and idempotency entries are
-// rebuilt from the journaled responses. A restarted node therefore answers
-// solves against recovered handles bitwise-identically to its previous life.
+// the journaled matrix and the partition each factor payload records, so
+// only bytes that cannot be recomputed bitwise are stored), factor payloads
+// are adopted verbatim, and idempotency entries are rebuilt from the
+// journaled responses. A restarted node therefore answers solves against
+// recovered handles bitwise-identically to its previous life.
 
 // errRecovering reports a request arriving while the startup journal replay
 // is still running (HTTP 503; /readyz says "recovering").
@@ -117,16 +121,52 @@ func (s *Server) WaitRecovered(ctx context.Context) error {
 	}
 }
 
+// restoreAnalysis returns the analysis a persisted factor was computed on,
+// recomputed from its matrix (deterministic). The fresh analysis of the
+// pattern serves when its partition is the one the payload records — the
+// common case of a payload written under the same amalgamation rule and
+// BlockSize. Otherwise (a payload from before partitions were recorded, or
+// one computed under another rule or BlockSize) the analysis is rebuilt on
+// the payload's partition and cached under restoreKey.
+func (s *Server) restoreAnalysis(ctx context.Context, fp string, a *pastix.Matrix, p *pastix.FactorPayload) (*pastix.Analysis, bool, error) {
+	if p.Partition != nil {
+		an, hit, err := s.cache.Get(ctx, fp, a)
+		if err != nil || slices.Equal(an.Partition(), p.Partition) {
+			return an, hit, err
+		}
+	}
+	return s.cache.GetWith(ctx, restoreKey(fp, p.Partition), a, func(ctx context.Context, a *pastix.Matrix) (*pastix.Analysis, error) {
+		return pastix.AnalyzeForRestore(ctx, a, s.cfg.Solver, p)
+	})
+}
+
+// restoreKey is the cache key of an analysis rebuilt on a recorded
+// partition: the fingerprint plus a hash of the boundaries, or "legacy" for
+// a payload that records none. A hash collision cannot restore a factor on
+// the wrong blocks, because RestoreFactor compares the partitions.
+func restoreKey(fp string, bounds []int) string {
+	if bounds == nil {
+		return fp + "/legacy"
+	}
+	h := fnv.New64a()
+	var b [4]byte
+	for _, x := range bounds {
+		binary.LittleEndian.PutUint32(b[:], uint32(x))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%s/%016x", fp, h.Sum64())
+}
+
 // restoreFactorRecord rebuilds one live handle from its journal record. The
-// analysis is recomputed from the journaled matrix (deterministic), the
-// factor payload is adopted verbatim, and the solve path is prewarmed exactly
-// as the original factorize did.
+// analysis is recomputed from the journaled matrix on the payload's
+// partition (restoreAnalysis), the factor payload is adopted verbatim, and
+// the solve path is prewarmed exactly as the original factorize did.
 func (s *Server) restoreFactorRecord(fr *store.FactorRecord) error {
 	a := fr.Matrix
 	if fp := pastix.PatternFingerprint(a); fp != fr.Fingerprint {
 		return fmt.Errorf("journaled fingerprint %q does not match matrix (%q)", fr.Fingerprint, fp)
 	}
-	an, _, err := s.cache.Get(s.baseCtx, fr.Fingerprint, a)
+	an, _, err := s.restoreAnalysis(s.baseCtx, fr.Fingerprint, a, fr.Payload)
 	if err != nil {
 		return err
 	}
@@ -222,9 +262,10 @@ type replicateRequest struct {
 //     with NoFactorExport, which refuses with 403/"export_refused" and pushes
 //     the gateway to its re-factorize fallback;
 //   - application/octet-stream imports such a record: the matrix is
-//     re-analyzed (cache-warmed), the payload adopted verbatim, the solve
-//     path prewarmed, a fresh local handle issued and journaled. Solves
-//     against the imported handle are bitwise-identical to the source node's.
+//     re-analyzed on the payload's partition (cache-warmed), the payload
+//     adopted verbatim, the solve path prewarmed, a fresh local handle
+//     issued and journaled. Solves against the imported handle are
+//     bitwise-identical to the source node's.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
 		s.handleReplicateImport(w, r)
@@ -331,7 +372,7 @@ func (s *Server) handleReplicateImport(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	t0 := time.Now()
-	an, hit, err := s.cache.Get(ctx, rec.Fingerprint, a)
+	an, hit, err := s.restoreAnalysis(ctx, rec.Fingerprint, a, rec.Payload)
 	if err != nil {
 		s.writeErr(w, err)
 		return

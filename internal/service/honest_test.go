@@ -17,11 +17,11 @@ import (
 
 // TestServerBLRCompressedHonest pins what a dense and a BLR handle report
 // about their storage — Compressed(), CompressionStats(), MemoryBytes(),
-// the /v1/factorize, /v1/stat and /v1/replicate import replies — to the
-// values they read before dense factors were repacked into the solve layout
-// (a dense factor now shares the BLR cell form), on the factorizing node, on
-// a replica, and after a journal round trip. The message-passing solve takes
-// the dense handle and refuses the compressed one with ErrBadOptions.
+// the /v1/factorize, /v1/stat and /v1/replicate import replies — to fixed
+// values (a dense factor shares the BLR cell form, so both forms count
+// their packed cells), on the factorizing node, on a replica, and after a
+// journal round trip. The message-passing solve takes the dense handle and
+// refuses the compressed one with ErrBadOptions.
 func TestServerBLRCompressedHonest(t *testing.T) {
 	mm := mmString(t, gen.Laplacian3D(7, 7, 7))
 	for _, tc := range []struct {
@@ -30,10 +30,10 @@ func TestServerBLRCompressedHonest(t *testing.T) {
 		memoryBytes int64
 		comp        *pastix.CompressionStats
 	}{
-		{"dense", nil, 235312, nil},
-		{"blr", &blrRequestOptions{Tol: 1e-6, MinBlockSize: 2}, 234840, &pastix.CompressionStats{
-			DenseBytes: 235312, CompressedBytes: 234840, Ratio: 1.0020098790665986,
-			BlocksCompressed: 3, BlocksTotal: 42,
+		{"dense", nil, 108464, nil},
+		{"blr", &blrRequestOptions{Tol: 1e-6, MinBlockSize: 2}, 107968, &pastix.CompressionStats{
+			DenseBytes: 108464, CompressedBytes: 107968, Ratio: 1.0045939537640782,
+			BlocksCompressed: 11, BlocksTotal: 286,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

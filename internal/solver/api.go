@@ -52,19 +52,30 @@ type Analysis struct {
 
 	// Scalar metrics from the column counts of the permuted matrix (these
 	// are the paper's Table 1 numbers — scalar, not block, fill).
+	// ScalarNNZL counts strictly-lower entries.
 	ScalarNNZL int64
 	ScalarOPC  float64
+	// Block metrics of the partition — what the kernels store and execute:
+	// BlockNNZL counts the stored lower entries, each diagonal block as a
+	// triangle with its diagonal, explicit zeros included (symbolic.Symbol
+	// NNZL and OPC). BlockNNZL − ScalarNNZL − n is the number of stored
+	// zeros.
+	BlockNNZL int64
+	BlockOPC  float64
 
 	// Phase durations of this analysis (ordering, elimination-tree +
 	// supernode work, block symbolic factorization, mapping + scheduling).
 	OrderTime, TreeTime, SymbolicTime, SchedTime time.Duration
 
-	// Solve-scheduling caches (levelsolve.go): the solve DAG is projected
-	// once per analysis and one SolvePlan is cached per worker count. Both
-	// are internally synchronized, so the Analysis remains safe for
-	// concurrent use.
+	// Solve-scheduling caches (levelsolve.go): the solve DAG and the
+	// worker-independent pull lists are built once per analysis (eagerly
+	// by Analyze) and one SolvePlan is cached per worker count. All are
+	// internally synchronized, so the Analysis remains safe for concurrent
+	// use.
 	solveDAGOnce sync.Once
 	solveDAG     *sched.SolveDAG
+	pullsOnce    sync.Once
+	pulls        *solvePulls
 	solvePlans   sync.Map // workers (int) -> *SolvePlan
 }
 
@@ -79,6 +90,19 @@ func Analyze(a *sparse.SymMatrix, opts Options) (*Analysis, error) {
 // (ordering → tree/supernodes → symbolic → mapping/scheduling) — ctx.Err()
 // is returned at the first boundary after cancellation.
 func AnalyzeCtx(ctx context.Context, a *sparse.SymMatrix, opts Options) (*Analysis, error) {
+	return analyze(ctx, a, opts, func(parent, cc []int) (*etree.Supernodes, error) {
+		sn := etree.Amalgamate(etree.Fundamental(parent, cc), cc, opts.Amalgamation)
+		return part.SplitRanges(sn, opts.Part), nil
+	})
+}
+
+// partitioner picks the column-block partition of the postordered matrix
+// from its elimination tree and scalar column counts.
+type partitioner func(parent, cc []int) (*etree.Supernodes, error)
+
+// analyze runs the analysis pipeline with the column-block partition
+// chosen by partition.
+func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, partition partitioner) (*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -109,7 +133,7 @@ func AnalyzeCtx(ctx context.Context, a *sparse.SymMatrix, opts Options) (*Analys
 	}
 
 	// Elimination tree, postorder (composed into the permutation), column
-	// counts, supernodes.
+	// counts, and the column-block partition.
 	parent := etree.Build(pa)
 	post := etree.Postorder(parent)
 	pa = pa.Permute(post)
@@ -123,20 +147,20 @@ func AnalyzeCtx(ctx context.Context, a *sparse.SymMatrix, opts Options) (*Analys
 	}
 	parent = etree.Build(pa)
 	cc := etree.ColCounts(pa, parent)
-	sn := etree.Fundamental(parent, cc)
-	sn = etree.Amalgamate(sn, parent, cc, opts.Amalgamation)
+	sn, err := partition(parent, cc)
+	if err != nil {
+		return nil, err
+	}
+	if err := sn.Validate(a.N); err != nil {
+		return nil, err
+	}
 	tTree := time.Since(tStart)
 	tStart = time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Block repartitioning: split by blocking size, then the block symbolic
-	// factorization on the final partition.
-	sn = part.SplitRanges(sn, opts.Part)
-	if err := sn.Validate(a.N); err != nil {
-		return nil, err
-	}
+	// The block symbolic factorization on the final partition.
 	sym := symbolic.Factor(pa, sn)
 	tSymbolic := time.Since(tStart)
 	tStart = time.Now()
@@ -155,7 +179,7 @@ func AnalyzeCtx(ctx context.Context, a *sparse.SymMatrix, opts Options) (*Analys
 	}
 	tSched := time.Since(tStart)
 
-	return &Analysis{
+	an := &Analysis{
 		A:          pa,
 		Perm:       perm,
 		IPerm:      iperm,
@@ -166,8 +190,21 @@ func AnalyzeCtx(ctx context.Context, a *sparse.SymMatrix, opts Options) (*Analys
 		Machine:    mach,
 		ScalarNNZL: etree.NNZL(cc),
 		ScalarOPC:  etree.OPC(cc),
+		BlockNNZL:  sym.NNZL(),
+		BlockOPC:   sym.OPC(),
 		OrderTime:  tOrder, TreeTime: tTree, SymbolicTime: tSymbolic, SchedTime: tSched,
-	}, nil
+	}
+	// The solve structure every plan shares is part of the analysis, not
+	// of preparing a factor for solves.
+	an.SolveDAG()
+	an.solvePulls()
+	return an, nil
+}
+
+// Partition returns the analysis's column-block boundaries: entry k is the
+// first column of column block k and the last entry is the matrix order.
+func (an *Analysis) Partition() []int {
+	return an.Sym.Partition()
 }
 
 // Factorize computes the numerical factorization: sequentially for P == 1,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,39 +44,94 @@ import (
 // was.
 
 // solveIn is one incoming forward contribution of a destination cell: block
-// bi of source cell src lands at rows [off, off+rows) of the destination's
-// segment. Lists are built in canonical (src, bi) order.
+// bi of source cell src. Its rows in the destination's segment follow from
+// the block. Lists are built in canonical (src, bi) order.
 type solveIn struct {
-	src  int32
-	bi   int32
-	off  int32
-	rows int32
+	src int32
+	bi  int32
 }
+
+// solvePulls is the worker-independent part of every solve plan of one
+// symbolic structure, built once per analysis and shared by its plans:
+// each cell's incoming forward contributions and the per-cell cost the
+// plans balance on.
+type solvePulls struct {
+	ptr  []int32   // cell k's contributions are ins[ptr[k]:ptr[k+1]]
+	ins  []solveIn // in canonical order per destination cell
+	cost []int64   // forward pulls + backward dots + the triangular solves
+	// total is the summed cost: the one-worker plan runs every cell in a
+	// single chain step, so its makespan is total plus one barrier.
+	total int64
+}
+
+// newSolvePulls builds the pull lists and costs of sym.
+func newSolvePulls(sym *symbolic.Symbol) *solvePulls {
+	ncb := sym.NumCB()
+	sp := &solvePulls{ptr: make([]int32, ncb+1), cost: make([]int64, ncb)}
+	for k := range sym.CB {
+		for _, blk := range sym.CB[k].Blocks {
+			sp.ptr[blk.Facing+1]++
+		}
+	}
+	for k := 0; k < ncb; k++ {
+		sp.ptr[k+1] += sp.ptr[k]
+	}
+	sp.ins = make([]solveIn, sp.ptr[ncb])
+	next := slices.Clone(sp.ptr[:ncb]) // per-cell fill cursors
+	for k := range sym.CB {
+		for bi, blk := range sym.CB[k].Blocks {
+			sp.ins[next[blk.Facing]] = solveIn{src: int32(k), bi: int32(bi)}
+			next[blk.Facing]++
+		}
+	}
+	for k := range sym.CB {
+		cb := &sym.CB[k]
+		w := int64(cb.Width())
+		c := w*w + 16
+		for _, in := range sp.in(k) {
+			c += int64(sym.CB[in.src].Blocks[in.bi].Rows()) * int64(sym.CB[in.src].Width())
+		}
+		c += int64(cb.RowsBelow()) * w
+		sp.cost[k] = c
+		sp.total += c
+	}
+	return sp
+}
+
+// in returns cell k's incoming contributions.
+func (sp *solvePulls) in(k int) []solveIn { return sp.ins[sp.ptr[k]:sp.ptr[k+1]] }
 
 // SolvePlan is a reusable schedule for the level-set solve engine on a fixed
 // worker count: the hybrid steps, a cost-balanced contiguous partition of
-// each parallel step, the per-cell pull lists, and the chain cells whose
-// rows (forward) and columns (backward) are split across the workers. Plans
-// are immutable and cached per (Analysis, workers) — see
-// Analysis.SolvePlanFor.
+// each parallel step, and the chain cells whose rows (forward) and columns
+// (backward) are split across the workers. Plans are immutable and cached
+// per (Analysis, workers) — see Analysis.SolvePlanFor.
 type SolvePlan struct {
 	sym     *symbolic.Symbol
 	dag     *sched.SolveDAG
+	pulls   *solvePulls
 	steps   []sched.SolveStep
 	parts   [][][]int32 // per parallel step: worker -> contiguous cell run
-	ins     [][]solveIn
-	cost    []int64
 	workers int
 	cutoff  int
 
-	// rowCut[k] is nil for a cell one worker runs whole, and for a split
-	// chain cell the workers+1 bounds of each worker's forward destination
-	// rows, balanced by pull volume.
+	// rowCut is nil when no chain cell is split. Otherwise rowCut[k] is nil
+	// for a cell one worker runs whole, and for a split chain cell the
+	// workers+1 bounds of each worker's forward destination rows, balanced
+	// by pull volume.
 	rowCut     [][]int32
 	splitCells int
 	// makespan is the plan's predicted time in cost units, barriers and
 	// worker start-up included.
 	makespan int64
+}
+
+// cut returns chain cell k's row bounds, nil when one worker runs it.
+func (pl *SolvePlan) cut(k int) []int32 {
+	if pl.rowCut == nil {
+		return nil
+	}
+	return pl.rowCut[k]
 }
 
 // PlanStats summarizes a SolvePlan for reporting (the service returns it
@@ -142,6 +198,11 @@ const (
 // step across the workers, and the split of every chain cell that the cost
 // model predicts runs faster across the workers than on one.
 func BuildSolvePlan(sym *symbolic.Symbol, dag *sched.SolveDAG, workers, cutoff int) *SolvePlan {
+	return planOn(sym, dag, newSolvePulls(sym), workers, cutoff)
+}
+
+// planOn is BuildSolvePlan on pull lists already built for sym.
+func planOn(sym *symbolic.Symbol, dag *sched.SolveDAG, pulls *solvePulls, workers, cutoff int) *SolvePlan {
 	if workers < 1 {
 		workers = 1
 	}
@@ -149,52 +210,11 @@ func BuildSolvePlan(sym *symbolic.Symbol, dag *sched.SolveDAG, workers, cutoff i
 		cutoff = sched.DefaultSolveCutoff(workers)
 	}
 	steps := dag.HybridSteps(workers, cutoff)
-	ncb := sym.NumCB()
-	// The pull lists are carved from one array sized by a counting pass, so
-	// building a plan does not grow a slice per cell.
-	nin := make([]int, ncb+1)
-	for k := range sym.CB {
-		for _, blk := range sym.CB[k].Blocks {
-			nin[blk.Facing+1]++
-		}
-	}
-	for k := 0; k < ncb; k++ {
-		nin[k+1] += nin[k]
-	}
-	all := make([]solveIn, nin[ncb])
-	ins := make([][]solveIn, ncb)
-	for k := range ins {
-		ins[k] = all[nin[k]:nin[k]:nin[k+1]]
-	}
-	for k := 0; k < ncb; k++ {
-		cb := &sym.CB[k]
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			fcb := &sym.CB[blk.Facing]
-			ins[blk.Facing] = append(ins[blk.Facing], solveIn{
-				src: int32(k), bi: int32(bi),
-				off: int32(blk.FirstRow - fcb.Cols[0]), rows: int32(blk.Rows()),
-			})
-		}
-	}
-	// Per-cell solve cost (forward pulls + backward dots + the triangular
-	// solves), used to balance the contiguous partitions.
-	cost := make([]int64, ncb)
-	for k := 0; k < ncb; k++ {
-		cb := &sym.CB[k]
-		w := int64(cb.Width())
-		c := w*w + 16
-		for _, in := range ins[k] {
-			c += int64(in.rows) * int64(sym.CB[in.src].Width())
-		}
-		c += int64(cb.RowsBelow()) * w
-		cost[k] = c
-	}
+	cost := pulls.cost
 	pl := &SolvePlan{
-		sym: sym, dag: dag, steps: steps, ins: ins, cost: cost,
+		sym: sym, dag: dag, pulls: pulls, steps: steps,
 		workers: workers, cutoff: cutoff,
-		parts:  make([][][]int32, len(steps)),
-		rowCut: make([][]int32, ncb),
+		parts: make([][][]int32, len(steps)),
 	}
 	// The predicted makespan: every step ends in a barrier per sweep (the
 	// last backward one is the join), every split cell adds two per sweep.
@@ -230,16 +250,20 @@ func BuildSolvePlan(sym *symbolic.Symbol, dag *sched.SolveDAG, workers, cutoff i
 // (every column costs the same), and worker 0 alone runs both triangular
 // solves, between two barriers per sweep.
 func (pl *SolvePlan) splitChainCell(k int) int64 {
+	cost := pl.pulls.cost[k]
 	if pl.workers == 1 {
-		return pl.cost[k]
+		return cost
 	}
 	cb := &pl.sym.CB[k]
 	w := cb.Width()
 	cut, worst := pl.pullCut(k)
 	cols := int64((w + pl.workers - 1) / pl.workers)
 	split := worst + cols*int64(cb.RowsBelow()) + int64(w*w+16) + 4*barrierCharge
-	if split >= pl.cost[k] {
-		return pl.cost[k]
+	if split >= cost {
+		return cost
+	}
+	if pl.rowCut == nil {
+		pl.rowCut = make([][]int32, pl.sym.NumCB())
 	}
 	pl.rowCut[k] = cut
 	pl.splitCells++
@@ -250,12 +274,15 @@ func (pl *SolvePlan) splitChainCell(k int) int64 {
 // by pull volume (a row's volume is the summed width of the sources that
 // update it), and returns the workers+1 bounds and the largest share.
 func (pl *SolvePlan) pullCut(k int) ([]int32, int64) {
-	w := pl.sym.CB[k].Width()
+	fcb := &pl.sym.CB[k]
+	w := fcb.Width()
 	pre := make([]int64, w+1) // per-row volume deltas, then prefix sums
-	for _, in := range pl.ins[k] {
-		sw := int64(pl.sym.CB[in.src].Width())
-		pre[in.off] += sw
-		pre[in.off+in.rows] -= sw
+	for _, in := range pl.pulls.in(k) {
+		scb := &pl.sym.CB[in.src]
+		blk := &scb.Blocks[in.bi]
+		sw := int64(scb.Width())
+		pre[blk.FirstRow-fcb.Cols[0]] += sw
+		pre[blk.LastRow-fcb.Cols[0]] -= sw
 	}
 	var row, total int64
 	for i := 0; i < w; i++ {
@@ -319,6 +346,15 @@ func (an *Analysis) SolveDAG() *sched.SolveDAG {
 	return an.solveDAG
 }
 
+// solvePulls returns the pull lists and costs every solve plan of the
+// analysis shares, built on first use.
+func (an *Analysis) solvePulls() *solvePulls {
+	an.pullsOnce.Do(func() {
+		an.pulls = newSolvePulls(an.Sym)
+	})
+	return an.pulls
+}
+
 // SolvePlanFor returns the cached level-set solve plan for exactly the given
 // worker count, building it on first request. Plans are immutable; the cache
 // is a sync.Map keyed by worker count.
@@ -329,7 +365,7 @@ func (an *Analysis) SolvePlanFor(workers int) *SolvePlan {
 	if v, ok := an.solvePlans.Load(workers); ok {
 		return v.(*SolvePlan)
 	}
-	pl := BuildSolvePlan(an.Sym, an.SolveDAG(), workers, 0)
+	pl := planOn(an.Sym, an.SolveDAG(), an.solvePulls(), workers, 0)
 	v, _ := an.solvePlans.LoadOrStore(workers, pl)
 	return v.(*SolvePlan)
 }
@@ -337,13 +373,15 @@ func (an *Analysis) SolvePlanFor(workers int) *SolvePlan {
 // SolvePlan returns the plan solves of this analysis run: the plan for the
 // schedule's processor count when its predicted makespan beats one worker's,
 // else the one-worker plan (small problems, where the barriers and the extra
-// goroutines cost more than the parallel cells save).
+// goroutines cost more than the parallel cells save). One worker runs every
+// cell in a single chain step, so its makespan is known without its plan.
 func (an *Analysis) SolvePlan() *SolvePlan {
-	one := an.SolvePlanFor(1)
-	if pl := an.SolvePlanFor(an.Sched.P); pl.makespan < one.makespan {
-		return pl
+	if an.Sched.P > 1 {
+		if pl := an.SolvePlanFor(an.Sched.P); pl.makespan < an.solvePulls().total+barrierCharge {
+			return pl
+		}
 	}
-	return one
+	return an.SolvePlanFor(1)
 }
 
 // PrepareSolve eagerly builds the solve plan, so a serving layer can pay the
@@ -401,10 +439,11 @@ func SolveLevelCtx(ctx context.Context, pl *SolvePlan, f *Factors, b []float64, 
 		return nil, err
 	}
 	n := sym.N
+	y := make([]float64, n*nrhs)
 	r := &levelRun{
 		pl: pl, cells: f.lrCells, nrhs: nrhs, dynamic: opts.Dynamic,
 		rec: opts.Trace, ctx: ctx,
-		y: make([]float64, n*nrhs), x: make([]float64, n*nrhs),
+		y: y, x: y,
 		fcursors: make([]atomic.Int64, len(pl.steps)),
 		bcursors: make([]atomic.Int64, len(pl.steps)),
 		executed: make([]int64, pl.workers),
@@ -490,7 +529,11 @@ type levelRun struct {
 	rec     *trace.Recorder
 	ctx     context.Context
 
-	y, x []float64 // cell-major RHS panels: forward result, then solution
+	// y and x are one cell-major RHS panel: the forward sweep leaves its
+	// result in it, and the backward sweep overwrites each cell's segment
+	// with the solution in place — a cell reads its own y before writing
+	// its x, and otherwise only the x of the final cells it faces.
+	y, x []float64
 
 	fcursors []atomic.Int64 // per-step dynamic fetch cursors, forward
 	bcursors []atomic.Int64 // and backward (separate: no reset races)
@@ -615,7 +658,7 @@ func (r *levelRun) chain(p int, cells []int32, fwd bool) bool {
 		if !fwd {
 			k = int(cells[len(cells)-1-i])
 		}
-		cut := r.pl.rowCut[k]
+		cut := r.pl.cut(k)
 		if cut == nil {
 			if p == 0 {
 				r.cell(k, fwd)
@@ -655,13 +698,14 @@ func (r *levelRun) pull(fc, lo, hi int) {
 	w := cb.Width()
 	nr := r.nrhs
 	yf := r.y[cb.Cols[0]*nr:]
-	for _, in := range r.pl.ins[fc] {
-		off, rows := int(in.off), int(in.rows)
+	for _, in := range r.pl.pulls.in(fc) {
+		scb := &sym.CB[in.src]
+		blk := &scb.Blocks[in.bi]
+		off, rows := blk.FirstRow-cb.Cols[0], blk.Rows()
 		a0, a1 := max(lo, off), min(hi, off+rows)
 		if a0 >= a1 {
 			continue
 		}
-		scb := &sym.CB[in.src]
 		sw := scb.Width()
 		ys := r.y[scb.Cols[0]*nr:]
 		cell := &r.cells[in.src]

@@ -304,7 +304,7 @@ func TestSolveLevelAllRuntimeFactors(t *testing.T) {
 // workers, so the split path runs whatever the cost model would choose.
 func forceSplit(pl *SolvePlan) *SolvePlan {
 	cp := *pl
-	cp.rowCut = make([][]int32, len(pl.rowCut))
+	cp.rowCut = make([][]int32, pl.sym.NumCB())
 	cp.splitCells = 0
 	for _, st := range cp.steps {
 		if st.Parallel {

@@ -2,20 +2,22 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/pastix-go/pastix/internal/lowrank"
 	"github.com/pastix-go/pastix/internal/symbolic"
 )
 
 // This file is the factor persistence boundary: ExportPayload lifts the
-// numerical content of a Factors — and nothing else — into a FactorPayload
-// the store codec can serialize, and ImportFactors rebuilds a Factors from
-// one against a Symbol. The shape tables (LD, BlockOff) are NOT persisted:
-// they are a pure function of the Symbol (NewFactorsLazy), which itself is a
-// pure function of (pattern, Options) through the deterministic analysis
-// pipeline. Persisting only the numerical payload keeps the on-disk format
-// small and makes a restored factor bitwise-identical to the original by
-// construction: the values are copied, not recomputed.
+// numerical content of a Factors, plus its column-block partition, into a
+// FactorPayload the store codec can serialize, and ImportFactors rebuilds a
+// Factors from one against a Symbol. The block structure is NOT persisted:
+// the Symbol is a pure function of the pattern, the ordering options and
+// the partition (AnalyzeRestoreCtx rebuilds it on the recorded partition),
+// and the shape tables (LD, BlockOff) a pure function of the Symbol
+// (NewFactorsLazy). Persisting only the values and the boundaries keeps the
+// on-disk format small and makes a restored factor bitwise-identical to the
+// original by construction: the values are copied, not recomputed.
 
 // CellLayout names the value order of a dense payload's cells. The zero
 // value is no layout, which ImportFactors rejects.
@@ -34,9 +36,15 @@ const (
 
 // FactorPayload is the serializable numerical content of a Factors: exactly
 // one of the dense cells or the BLR-compressed cells, plus the static-pivot
-// report. It carries no shape information beyond what the values imply; the
-// importing side validates every length against its Symbol.
+// report, and the column-block partition they were computed on. Beyond the
+// partition it carries no shape information; the importing side validates
+// every length against its Symbol.
 type FactorPayload struct {
+	// Partition is the column-block boundaries of the factor's analysis
+	// (Analysis.Partition). It is nil on payloads written before the
+	// partition was recorded; AnalyzeRestoreCtx then falls back to the
+	// amalgamation rule of that time.
+	Partition []int
 	// Cells are the dense per-column-block arrays, nil when the factor is
 	// BLR-compressed.
 	Cells [][]float64
@@ -69,7 +77,7 @@ func (p *FactorPayload) Compressed() bool { return p.LRCells != nil }
 // once factorization (and any compression pass) has finished, and the caller
 // only reads the payload to serialize it.
 func (f *Factors) ExportPayload() *FactorPayload {
-	p := &FactorPayload{Pivots: f.Pivots}
+	p := &FactorPayload{Partition: f.Sym.Partition(), Pivots: f.Pivots}
 	if f.comp != nil {
 		p.LRCells = make([]LRCellPayload, len(f.lrCells))
 		for k := range f.lrCells {
@@ -100,6 +108,9 @@ func (f *Factors) ExportPayload() *FactorPayload {
 func ImportFactors(sym *symbolic.Symbol, p *FactorPayload) (*Factors, error) {
 	if sym == nil || p == nil {
 		return nil, fmt.Errorf("solver: import: nil symbol or payload")
+	}
+	if p.Partition != nil && !slices.Equal(p.Partition, sym.Partition()) {
+		return nil, fmt.Errorf("solver: import: payload partition (%d boundaries) differs from the symbol's (%d column blocks)", len(p.Partition), sym.NumCB())
 	}
 	f := NewFactorsLazy(sym)
 	ncb := sym.NumCB()

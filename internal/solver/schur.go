@@ -104,7 +104,7 @@ func AnalyzeSchur(a *sparse.SymMatrix, schurVars []int, opts Options) (*SchurAna
 	parent = etree.Build(pa)
 	cc := etree.ColCounts(pa, parent)
 	sn := etree.Fundamental(parent, cc)
-	sn = etree.Amalgamate(sn, parent, cc, opts.Amalgamation)
+	sn = etree.Amalgamate(sn, cc, opts.Amalgamation)
 	// Merge all supernodes inside the Schur range into one terminal block,
 	// then split only the interior ones.
 	sn = forceTerminalBlock(sn, n-ns)
@@ -137,6 +137,7 @@ func AnalyzeSchur(a *sparse.SymMatrix, schurVars []int, opts Options) (*SchurAna
 		A: pa, Perm: composed, IPerm: iperm, Snodes: final, Sym: sym,
 		Mapping: mapping, Sched: schedule, Machine: mach,
 		ScalarNNZL: etree.NNZL(cc), ScalarOPC: etree.OPC(cc),
+		BlockNNZL: sym.NNZL(), BlockOPC: sym.OPC(),
 	}
 	ordered := make([]int, ns)
 	copy(ordered, composed[n-ns:])

@@ -40,10 +40,11 @@ var errTornTail = errors.New("store: torn tail")
 
 const (
 	frameMagic = 0x50585357 // "PXSW"
-	// codecVersion is the version frames are written at. Version 2 states
-	// the cell layout of a dense factor payload; version 1 frames, whose
-	// dense cells are all strided, still decode.
-	codecVersion = 2
+	// codecVersion is the version frames are written at. Version 3 records
+	// a factor payload's column-block partition; version 2 states the cell
+	// layout of a dense payload. Older frames still decode: versions 1 and 2
+	// carry no partition, and version 1 dense cells are all strided.
+	codecVersion = 3
 	// frameHeader is magic u32 + version u16 + kind u16 + seq u64 + len u32.
 	frameHeader = 20
 	// maxPayload guards length fields before allocation; a WAL record holds
@@ -129,6 +130,12 @@ func (e *enc) ints(v []int) {
 	e.u32(uint32(len(v)))
 	for _, x := range v {
 		e.u64(uint64(x))
+	}
+}
+func (e *enc) u32s(v []int) {
+	e.u32(uint32(len(v)))
+	for _, x := range v {
+		e.u32(uint32(x))
 	}
 }
 func (e *enc) i32s(v []int32) {
@@ -246,6 +253,24 @@ func (d *dec) ints() []int {
 	}
 	return out
 }
+
+// u32s reads a list written by enc.u32s; an empty list decodes as nil.
+func (d *dec) u32s() []int {
+	n := d.count(4)
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		v := d.u32()
+		if v > math.MaxInt32 {
+			d.fail("int value %d out of range", v)
+			return nil
+		}
+		out[i] = int(v)
+	}
+	return out
+}
 func (d *dec) i32s() []int32 {
 	n := d.count(4)
 	if d.err != nil {
@@ -297,6 +322,8 @@ const (
 )
 
 func encodePayload(e *enc, p *solver.FactorPayload) {
+	// The partition (empty when the payload predates it) heads the payload.
+	e.u32s(p.Partition)
 	if p.Compressed() {
 		e.u8(formCompressed)
 		e.u32(uint32(len(p.LRCells)))
@@ -358,6 +385,9 @@ func encodePayload(e *enc, p *solver.FactorPayload) {
 // decodePayload decodes a factor payload written at codec version v.
 func decodePayload(d *dec, v uint16) *solver.FactorPayload {
 	p := &solver.FactorPayload{}
+	if v >= 3 {
+		p.Partition = d.u32s()
+	}
 	switch form := d.u8(); form {
 	case formCompressed:
 		ncells := d.count(1)

@@ -30,8 +30,9 @@ func testMatrix(n int) *sparse.SymMatrix {
 // validate against a symbol; solver.ImportFactors does that downstream).
 func densePayload() *solver.FactorPayload {
 	return &solver.FactorPayload{
-		Cells:  [][]float64{{1, 2.5, -3}, {}, {4.25}},
-		Layout: solver.LayoutPacked,
+		Partition: []int{0, 2, 3, 7},
+		Cells:     [][]float64{{1, 2.5, -3}, {}, {4.25}},
+		Layout:    solver.LayoutPacked,
 		Pivots: &solver.PerturbationReport{
 			Epsilon: 1e-8, NormMax: 4, Threshold: 4e-8, PivotGrowth: 1.25,
 			Perturbed: []solver.Perturbation{{Column: 3, Original: 1e-12, Used: 4e-8}},
@@ -41,6 +42,7 @@ func densePayload() *solver.FactorPayload {
 
 func lrPayload() *solver.FactorPayload {
 	return &solver.FactorPayload{
+		Partition: []int{0, 2, 5},
 		LRCells: []solver.LRCellPayload{
 			{
 				Diag:  []float64{2, 0.5, 0.5, 3},
@@ -81,15 +83,19 @@ func TestFactorRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// v1DenseFrame seals r as codec version 1 wrote it: a dense payload carries
-// no layout byte (its cells are strided) and the frame header says 1.
-func v1DenseFrame(r *FactorRecord, seq uint64) []byte {
+// oldDenseFrame seals r as codec version v (1 or 2) wrote it: no payload
+// records a partition, and at version 1 a dense payload carries no layout
+// byte either (its cells are strided).
+func oldDenseFrame(r *FactorRecord, seq uint64, v uint16) []byte {
 	e := &enc{}
 	e.str(r.Handle)
 	e.str(r.Fingerprint)
 	e.str(r.IdemKey)
 	encodeMatrix(e, r.Matrix)
 	e.u8(formDense)
+	if v > 1 {
+		e.u8(uint8(r.Payload.Layout))
+	}
 	e.u32(uint32(len(r.Payload.Cells)))
 	for _, c := range r.Payload.Cells {
 		e.floats(c)
@@ -97,9 +103,45 @@ func v1DenseFrame(r *FactorRecord, seq uint64) []byte {
 	e.u8(0) // no pivot report
 	e.bytes(r.Response)
 	b := appendFrame(nil, KindFactor, seq, e.b)
-	binary.LittleEndian.PutUint16(b[4:], 1)
+	binary.LittleEndian.PutUint16(b[4:], v)
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crcTab))
 	return b
+}
+
+// v1DenseFrame seals r as codec version 1 wrote it.
+func v1DenseFrame(r *FactorRecord, seq uint64) []byte { return oldDenseFrame(r, seq, 1) }
+
+// TestDecodeVersion2Payload: a version-2 payload decodes with its layout
+// and no partition, and keeps none after a snapshot has rewritten it at the
+// current version, so restore falls back to the rule of its time.
+func TestDecodeVersion2Payload(t *testing.T) {
+	want := factorRecord("f-000001-old2", "", densePayload())
+	want.Payload.Pivots = nil
+	want.Payload.Partition = nil
+	frame := oldDenseFrame(want, 1, 2)
+	if got, err := UnmarshalFactorRecord(frame); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("version-2 transfer: err %v, record %+v", err, got)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walName), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := Open(dir, Options{SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendRelease("f-000009-none"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	if len(rec.Factors) != 1 || !reflect.DeepEqual(rec.Factors[0], want) {
+		t.Fatalf("after the snapshot rewrite recovered %+v", rec.Factors)
+	}
 }
 
 // TestDecodeVersion1DensePayload: a version-1 dense payload decodes as
@@ -109,6 +151,7 @@ func v1DenseFrame(r *FactorRecord, seq uint64) []byte {
 func TestDecodeVersion1DensePayload(t *testing.T) {
 	want := factorRecord("f-000001-old1", "", densePayload())
 	want.Payload.Pivots = nil
+	want.Payload.Partition = nil
 	want.Payload.Layout = solver.LayoutStrided
 	frame := v1DenseFrame(want, 1)
 	if got, err := UnmarshalFactorRecord(frame); err != nil || !reflect.DeepEqual(got, want) {

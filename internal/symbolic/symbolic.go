@@ -70,6 +70,17 @@ type Symbol struct {
 // NumCB returns the number of column blocks.
 func (s *Symbol) NumCB() int { return len(s.CB) }
 
+// Partition returns the column-block boundaries: entry k is the first
+// column of column block k, and the last entry is N.
+func (s *Symbol) Partition() []int {
+	b := make([]int, len(s.CB)+1)
+	for k := range s.CB {
+		b[k] = s.CB[k].Cols[0]
+	}
+	b[len(s.CB)] = s.N
+	return b
+}
+
 // Facings returns the distinct column blocks faced by the blocks of column
 // block k, ascending — the set BStruct(L_{·k}) of the paper (the column
 // blocks updated by k).

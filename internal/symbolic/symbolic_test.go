@@ -28,7 +28,7 @@ func analyze(t *testing.T, a *sparse.SymMatrix, m order.Method) (*sparse.SymMatr
 	parent = etree.Build(pa)
 	cc := etree.ColCounts(pa, parent)
 	sn := etree.Fundamental(parent, cc)
-	sn = etree.Amalgamate(sn, parent, cc, etree.AmalgamateOptions{})
+	sn = etree.Amalgamate(sn, cc, etree.AmalgamateOptions{})
 	if err := sn.Validate(a.N); err != nil {
 		t.Fatal(err)
 	}

@@ -340,6 +340,14 @@ func Analyze(a *Matrix, opts Options) (*Analysis, error) {
 // sequential CPU-bound passes, so cancellation is observed at phase
 // boundaries and ctx.Err() is returned at the first boundary after it.
 func AnalyzeContext(ctx context.Context, a *Matrix, opts Options) (*Analysis, error) {
+	return analyzeWith(a, opts, func(sopts solver.Options) (*solver.Analysis, error) {
+		return solver.AnalyzeCtx(ctx, a, sopts)
+	})
+}
+
+// analyzeWith validates opts, maps them to the solver's options and wraps
+// the analysis run builds from them.
+func analyzeWith(a *Matrix, opts Options, run func(solver.Options) (*solver.Analysis, error)) (*Analysis, error) {
 	if a == nil {
 		return nil, fmt.Errorf("pastix: nil matrix")
 	}
@@ -365,7 +373,7 @@ func AnalyzeContext(ctx context.Context, a *Matrix, opts Options) (*Analysis, er
 			return nil, err
 		}
 	}
-	inner, err := solver.AnalyzeCtx(ctx, a, solver.Options{
+	inner, err := run(solver.Options{
 		P: opts.Processors,
 		Ordering: order.Options{
 			Method:     m,
@@ -559,7 +567,8 @@ type Stats struct {
 	NNZA         int     // off-diagonal entries of the triangular part of A
 	ScalarNNZL   int64   // strictly-lower nonzeros of L (scalar count)
 	ScalarOPC    float64 // scalar factorization operation count
-	BlockNNZL    int64   // stored factor entries (block model)
+	BlockNNZL    int64   // stored lower factor entries, diagonal and explicit zeros included (block model)
+	BlockOPC     float64 // operations the block kernels execute (block model)
 	ColumnBlocks int     // supernodes after splitting
 	Tasks        int     // static-schedule tasks
 	Cells2D      int     // supernodes with a 2D distribution
@@ -590,7 +599,8 @@ func (an *Analysis) Stats() Stats {
 		NNZA:             an.inner.A.NNZOffDiag(),
 		ScalarNNZL:       an.inner.ScalarNNZL,
 		ScalarOPC:        an.inner.ScalarOPC,
-		BlockNNZL:        an.inner.Sym.NNZL(),
+		BlockNNZL:        an.inner.BlockNNZL,
+		BlockOPC:         an.inner.BlockOPC,
 		ColumnBlocks:     an.inner.Sym.NumCB(),
 		Tasks:            st.NTasks,
 		Cells2D:          st.N2DCells,

@@ -3,6 +3,7 @@ package pastix
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/pastix-go/pastix/internal/gen"
@@ -181,5 +182,60 @@ func TestPersistPivotReport(t *testing.T) {
 	rep2 := f2.Perturbations()
 	if rep2 == nil || len(rep2.Perturbed) != len(rep.Perturbed) || rep2.Threshold != rep.Threshold {
 		t.Fatalf("pivot report lost in round trip: %+v vs %+v", rep2, rep)
+	}
+}
+
+// TestAnalyzeForRestorePartition restores a factor computed at BlockSize 16
+// under the default options: an analysis of today's partition refuses its
+// payload, AnalyzeForRestore rebuilds the recorded partition, and the
+// restored factor solves bit for bit as the original did.
+func TestAnalyzeForRestorePartition(t *testing.T) {
+	a := gen.Laplacian3D(10, 10, 10)
+	an, err := Analyze(a, Options{Processors: 2, BlockSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := an.Factorize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b := gen.RHSForSolution(a)
+	want, err := an.SolveOpts(context.Background(), f, b, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := f.ExportPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(p.Partition, an.Partition()) {
+		t.Fatal("payload does not record its factor's partition")
+	}
+	opts := Options{Processors: 2}
+	fresh, err := Analyze(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.RestoreFactor(a, p); err == nil {
+		t.Fatal("payload restored on another partition")
+	}
+	an2, err := AnalyzeForRestore(context.Background(), a, opts, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := an2.RestoreFactor(a, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := an2.SolveOpts(context.Background(), f2, b, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitwiseSame(t, "restored solve", got.X, want.X)
+	// A partition that does not span the matrix is refused up front.
+	bad := *p
+	bad.Partition = p.Partition[:len(p.Partition)-1]
+	if _, err := AnalyzeForRestore(context.Background(), a, opts, &bad); err == nil {
+		t.Fatal("truncated partition accepted")
 	}
 }
