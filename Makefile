@@ -144,18 +144,22 @@ soak-selectors:
 	@GO=$(GO) ./scripts/soak-selectors.sh durastress '$(DURASERVICE_RUN)' $(DURASERVICE_PKGS)
 	@GO=$(GO) ./scripts/soak-selectors.sh durastress '$(DURAGATEWAY_RUN)' $(DURAGATEWAY_PKGS)
 	@GO=$(GO) ./scripts/soak-selectors.sh durastress '$(DURACHAOS_RUN)' $(DURACHAOS_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh kernels '$(KERNELS_SERVICE_RUN)' ./internal/service
 
 # Dense-kernel paths: the blas, solver and root suites (with the bitwise
 # conformance tables and the P=1 served batch) once on the scalar Go kernels
-# (purego tag) and once built for GOAMD64=v3. The AVX2 kernels match the
-# scalar ones bit for bit only while the compiler keeps the scalar multiply
-# and add separate; at v3 it may use FMA, so the v3 run guards that the
-# in-binary SIMD-vs-scalar checks still hold there.
+# (purego tag) and once built for GOAMD64=v3, plus the version-1 journal
+# fixture, whose recorded answers every build must reproduce bit for bit.
+# The AVX2 kernels match the scalar ones bit for bit only while the compiler
+# keeps the scalar multiply and add separate; at v3 it may use FMA, so the
+# v3 run guards that the in-binary SIMD-vs-scalar checks still hold there.
+KERNELS_SERVICE_RUN := ServerBatchP1BitIdentical|DurableJournalV1Fixture
+
 kernels:
 	$(GO) test -tags purego ./internal/blas ./internal/solver .
-	$(GO) test -tags purego -run 'ServerBatchP1BitIdentical' ./internal/service
+	$(GO) test -tags purego -run '$(KERNELS_SERVICE_RUN)' ./internal/service
 	GOAMD64=v3 $(GO) test ./internal/blas ./internal/solver .
-	GOAMD64=v3 $(GO) test -run 'ServerBatchP1BitIdentical' ./internal/service
+	GOAMD64=v3 $(GO) test -run '$(KERNELS_SERVICE_RUN)' ./internal/service
 
 # Short coverage-guided fuzz pass over the sparse-matrix invariants, the
 # file parsers, the task-DAG executor, the low-rank compressor's

@@ -1,12 +1,10 @@
 package blas
 
-// Packed panel helpers for the solve phase: a matrix operand stored
-// contiguously (leading dimension == row count), as produced by PackPanel.
-// A factor's cells are repacked this way at the end of factorization, which
-// turns the strided per-supernode gathers of the sweeps into linear streams.
-// The strided kernels called at lda == m give every element the operation
-// sequence they give it at any other lda, so a packed sweep is
-// bitwise-identical to a strided one.
+// Packed panel helpers: a matrix operand stored contiguously (leading
+// dimension == row count), as produced by PackPanel. The dense blocks of a
+// BLR-compressed factor are stored this way. The strided kernels called at
+// lda == m give every element the operation sequence they give it at any
+// other lda, so a packed sweep is bitwise-identical to a strided one.
 
 // PackPanel copies the m×n column-major panel src (leading dimension lds)
 // into dst as a contiguous m×n panel (leading dimension m). dst must have

@@ -133,7 +133,7 @@ func TestPackedKernelsBitwise(t *testing.T) {
 }
 
 // TestPackedTriangularBitwise checks the triangular solves give a packed
-// unit-lower operand (ld == n, as the repacked factor stores its diagonal
+// unit-lower operand (ld == n, as a compressed factor stores its diagonal
 // blocks) the bits of a strided one, single and multi-RHS.
 func TestPackedTriangularBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

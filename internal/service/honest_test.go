@@ -18,9 +18,8 @@ import (
 // TestServerBLRCompressedHonest pins what a dense and a BLR handle report
 // about their storage — Compressed(), CompressionStats(), MemoryBytes(),
 // the /v1/factorize, /v1/stat and /v1/replicate import replies — to fixed
-// values (a dense factor shares the BLR cell form, so both forms count
-// their packed cells), on the factorizing node, on a replica, and after a
-// journal round trip. The message-passing solve takes the dense handle and
+// values (each form counts the values it holds), on the factorizing node,
+// on a replica, and after a journal round trip. The message-passing solve takes the dense handle and
 // refuses the compressed one with ErrBadOptions.
 func TestServerBLRCompressedHonest(t *testing.T) {
 	mm := mmString(t, gen.Laplacian3D(7, 7, 7))

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,8 +15,11 @@ import (
 )
 
 // journalFixtureCase is one handle of testdata/v1: its recorded factor
-// accounting, one right-hand side, and the answer each solve engine gave
-// ("auto" is a solve without options) when the journal was written.
+// accounting, one right-hand side, the answer each solve engine gives
+// ("auto" is a solve without options), and in XV1 the answer each gave when
+// the journal was written. The two differ only where the panel-form solve
+// associates the contributions per source cell and per panel, so they agree
+// to rounding; the mpsim solve did not change.
 type journalFixtureCase struct {
 	Name        string               `json:"name"`
 	Handle      string               `json:"handle"`
@@ -23,13 +27,41 @@ type journalFixtureCase struct {
 	MemoryBytes int64                `json:"memory_bytes"`
 	B           []float64            `json:"b"`
 	X           map[string][]float64 `json:"x"`
+	XV1         map[string][]float64 `json:"x_v1"`
+}
+
+// checkRerecorded fails unless every answer in X is within 1e-12 relative
+// (max norm) of the one recorded with the journal, and the mpsim answer is
+// that one bit for bit.
+func checkRerecorded(t *testing.T, c journalFixtureCase) {
+	t.Helper()
+	if len(c.X) != len(c.XV1) {
+		t.Fatalf("%s: %d engines answered, %d recorded with the journal", c.Name, len(c.X), len(c.XV1))
+	}
+	for rt, x := range c.X {
+		v1 := c.XV1[rt]
+		if len(x) != len(v1) {
+			t.Fatalf("%s %s: %d entries, %d recorded with the journal", c.Name, rt, len(x), len(v1))
+		}
+		var diff, norm float64
+		for i := range x {
+			if rt == "mpsim" && x[i] != v1[i] {
+				t.Fatalf("%s mpsim: x[%d] = %x, recorded with the journal %x", c.Name, i, x[i], v1[i])
+			}
+			diff = math.Max(diff, math.Abs(x[i]-v1[i]))
+			norm = math.Max(norm, math.Abs(v1[i]))
+		}
+		if diff > 1e-12*norm {
+			t.Fatalf("%s %s: answer moved %g from the one recorded with the journal (max norm %g)", c.Name, rt, diff, norm)
+		}
+	}
 }
 
 // TestDurableJournalV1Fixture replays testdata/v1/journal, a journal written
 // at store codec version 1 by a server at Processors 2 whose dense factor
 // payloads were the strided cells: one dense factor (Poisson 10×10) and one
 // BLR factor (Poisson 14×14, tol 1e-6, min block 2). Every recovered handle
-// must come back in the packed layout, keep its recorded accounting, and
+// must come back in the strided layout, keep its recorded accounting, and
 // solve bit for bit as recorded, on every engine; and so again after a
 // snapshot has rewritten the old records at the current codec version.
 func TestDurableJournalV1Fixture(t *testing.T) {
@@ -47,6 +79,9 @@ func TestDurableJournalV1Fixture(t *testing.T) {
 	var cases []journalFixtureCase
 	if err := json.Unmarshal(raw, &cases); err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range cases {
+		checkRerecorded(t, c)
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
@@ -73,8 +108,8 @@ func TestDurableJournalV1Fixture(t *testing.T) {
 				t.Fatalf("%s: %s: compressed %v, %d bytes; recorded %v, %d bytes",
 					life, c.Name, e.f.Compressed(), e.f.MemoryBytes(), c.Compressed, c.MemoryBytes)
 			}
-			if p, err := e.f.ExportPayload(); err != nil || !c.Compressed && p.Layout != solver.LayoutPacked {
-				t.Fatalf("%s: %s: dense factor not repacked (err %v)", life, c.Name, err)
+			if p, err := e.f.ExportPayload(); err != nil || !c.Compressed && p.Layout != solver.LayoutStrided {
+				t.Fatalf("%s: %s: dense factor not strided (err %v)", life, c.Name, err)
 			}
 			for rt, want := range c.X {
 				req := solveRequest{Handle: c.Handle, B: c.B}

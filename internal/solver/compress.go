@@ -3,32 +3,25 @@ package solver
 import (
 	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/lowrank"
-	"github.com/pastix-go/pastix/internal/symbolic"
 )
 
-// This file is the factor's resident cell form and the block low-rank (BLR)
-// compression pass. Every float64 factorization ends by repacking each
-// strided cell in place into its packed form (repack): the w×w diagonal
-// block, then each off-diagonal block, every part with leading dimension
-// equal to its own row count. That packed form is the only layout a factor
-// has once factorization returns, and every solve path reads it.
-//
-// Compress then walks every column block, keeps the diagonal block dense (it
-// carries the unit-lower triangle and D, and its triangular solves do not
+// This file is the block low-rank (BLR) compression pass and the cell form
+// it leaves behind. A dense factor keeps the strided cells the
+// factorization wrote (Storage.Data), and every solve path reads them in
+// place. Compress walks every column block, keeps the diagonal block dense
+// (it carries the unit-lower triangle and D, and its triangular solves do not
 // profit from a low-rank form), and offers each off-diagonal block to the
 // lowrank admission rule. Admitted blocks that compress profitably are
-// stored as U·Vᵀ; everything else is copied dense, and the packed dense
-// cells are released. Compression is lossy at the configured tolerance —
-// solves on a compressed factor approximate the dense solve to ~Tol and are
-// paired with iterative refinement to recover accuracy — and is a solve-only
-// format: the message-passing (mpsim) solve refuses compressed factors
-// (ErrCompressed).
+// stored as U·Vᵀ; everything else is copied dense, and the strided cells are
+// released. Compression is lossy at the configured tolerance — solves on a
+// compressed factor approximate the dense solve to ~Tol and are paired with
+// iterative refinement to recover accuracy — and is a solve-only format: the
+// message-passing (mpsim) solve refuses compressed factors (ErrCompressed).
 
-// lrCell is the storage of one column block: the packed w×w diagonal block,
-// the concatenated packed dense off-diagonal blocks, and per off-diagonal
-// block either an offset into dense (off[bi] >= 0) or the low-rank form
-// (off[bi] < 0, lr[bi] != nil). A repacked dense cell has no lr slice, and
-// its diag and dense are the two ends of one array.
+// lrCell is one compressed column block: the packed w×w diagonal block, the
+// concatenated packed dense off-diagonal blocks, and per off-diagonal block
+// either an offset into dense (off[bi] >= 0) or the low-rank form (off[bi] <
+// 0, lr[bi] != nil).
 type lrCell struct {
 	diag  []float64
 	dense []float64
@@ -36,58 +29,53 @@ type lrCell struct {
 	lr    []*lowrank.LRBlock
 }
 
-// lowRank returns the low-rank form of block bi, or nil for a dense block.
-func (c *lrCell) lowRank(bi int) *lowrank.LRBlock {
-	if c.lr == nil {
-		return nil
-	}
-	return c.lr[bi]
+// blrPanels is the solve's view of a compressed factor (see panels): its
+// dense and U·Vᵀ blocks fill the panel rows they cover, block by block.
+type blrPanels struct{ f *Factors }
+
+func (b blrPanels) cellDiag(k int) ([]float64, int) {
+	return b.f.lrCells[k].diag, b.f.Sym.CB[k].Width()
 }
 
-// packedCell views data, the packed array of column block cb, as its cell.
-func packedCell(cb *symbolic.ColBlock, data []float64) lrCell {
+func (b blrPanels) panelN(k, lo, hi int, y, t []float64) {
+	cb := &b.f.Sym.CB[k]
 	w := cb.Width()
-	off := make([]int32, len(cb.Blocks))
-	pos := 0
+	c := &b.f.lrCells[k]
 	for bi := range cb.Blocks {
-		off[bi] = int32(pos)
-		pos += cb.Blocks[bi].Rows() * w
+		r0, rows := b.f.BlockOff[k][bi]-w, cb.Blocks[bi].Rows()
+		a0, a1 := max(lo, r0), min(hi, r0+rows)
+		if a0 >= a1 {
+			continue
+		}
+		if lb := c.lr[bi]; lb != nil {
+			blas.LRGemvNRows(rows, w, lb.Rank, a0-r0, a1-r0, lb.U, lb.V, y, t[r0:r0+rows])
+			continue
+		}
+		blas.GemvN(a1-a0, w, c.dense[int(c.off[bi])+a0-r0:], rows, y, t[a0:a1])
 	}
-	return lrCell{diag: data[:w*w], dense: data[w*w:], off: off}
 }
 
-// repack makes the packed cells the factor's only layout: each strided cell
-// is copied into one scratch buffer the size of the largest cell and
-// written back packed. A cell holds exactly as many values either way, so
-// no second copy of the factor is ever live. Data is released.
-func (f *Factors) repack() {
-	size := 0
-	for _, d := range f.Data {
-		size = max(size, len(d))
-	}
-	scratch := make([]float64, size)
-	f.lrCells = make([]lrCell, len(f.Data))
-	for k, data := range f.Data {
-		cb := &f.Sym.CB[k]
-		w, ld := cb.Width(), f.LD[k]
-		src := scratch[:len(data)]
-		copy(src, data)
-		c := packedCell(cb, data)
-		blas.PackPanel(w, w, src, ld, c.diag)
-		for bi := range cb.Blocks {
-			blas.PackPanel(cb.Blocks[bi].Rows(), w, src[f.BlockOff[k][bi]:], ld, c.dense[c.off[bi]:])
+func (b blrPanels) panelT(k, lo, hi int, g, x []float64) {
+	cb := &b.f.Sym.CB[k]
+	w := cb.Width()
+	c := &b.f.lrCells[k]
+	for bi := range cb.Blocks {
+		r0, rows := b.f.BlockOff[k][bi]-w, cb.Blocks[bi].Rows()
+		gb := g[r0 : r0+rows]
+		if lb := c.lr[bi]; lb != nil {
+			blas.LRGemvTCols(rows, w, lb.Rank, lo, hi, lb.U, lb.V, gb, x)
+			continue
 		}
-		f.lrCells[k] = c
+		blas.GemvT(rows, hi-lo, c.dense[int(c.off[bi])+lo*rows:], rows, gb, x[lo:hi])
 	}
-	f.Data = nil
 }
 
 // CompressionStats is the byte accounting of one compression pass. Bytes
 // count factor values only (8 bytes per float64; index arrays and slice
 // headers are negligible and identical either way). DenseBytes is what the
 // factor occupied before the pass; CompressedBytes is what it occupies
-// after — re-packed dense blocks count at their packed size, so the ratio
-// reflects only genuine low-rank wins.
+// after — dense blocks count at their own size, so the ratio reflects only
+// genuine low-rank wins.
 type CompressionStats struct {
 	DenseBytes       int64   `json:"dense_bytes"`
 	CompressedBytes  int64   `json:"compressed_bytes"`
@@ -113,7 +101,7 @@ func (f *Factors) Compression() *CompressionStats {
 // the byte accounting. Disabled options (zero Tol) are a no-op; calling
 // Compress on an already-compressed factor returns the existing stats. The
 // pass must not run concurrently with solves on the same factor: it
-// replaces the packed dense cells.
+// replaces the strided cells.
 func (f *Factors) Compress(opts lowrank.Options) CompressionStats {
 	if !opts.Enabled() {
 		return CompressionStats{}
@@ -127,12 +115,13 @@ func (f *Factors) Compress(opts lowrank.Options) CompressionStats {
 	st := CompressionStats{}
 	for k := 0; k < ncb; k++ {
 		cb := &sym.CB[k]
-		w := cb.Width()
-		src := &f.lrCells[k]
-		st.DenseBytes += 8 * int64(len(src.diag)+len(src.dense))
+		w, ld := cb.Width(), f.LD[k]
+		data := f.Data[k]
+		st.DenseBytes += 8 * int64(len(data))
 
 		cell := &cells[k]
-		cell.diag = append([]float64(nil), src.diag...)
+		cell.diag = make([]float64, w*w)
+		blas.PackPanel(w, w, data, ld, cell.diag)
 		nb := len(cb.Blocks)
 		cell.off = make([]int32, nb)
 		cell.lr = make([]*lowrank.LRBlock, nb)
@@ -142,7 +131,7 @@ func (f *Factors) Compress(opts lowrank.Options) CompressionStats {
 		for bi := 0; bi < nb; bi++ {
 			rows := cb.Blocks[bi].Rows()
 			if opts.Admit(rows, w) {
-				if lb := lowrank.Compress(rows, w, src.dense[src.off[bi]:], rows, opts.Tol); lb != nil {
+				if lb := lowrank.Compress(rows, w, data[f.BlockOff[k][bi]:], ld, opts.Tol); lb != nil {
 					cell.lr[bi] = lb
 					cell.off[bi] = -1
 					st.BlocksCompressed++
@@ -155,8 +144,7 @@ func (f *Factors) Compress(opts lowrank.Options) CompressionStats {
 		cell.dense = make([]float64, denseVals)
 		for bi := 0; bi < nb; bi++ {
 			if o := cell.off[bi]; o >= 0 {
-				n := cb.Blocks[bi].Rows() * w
-				copy(cell.dense[o:int(o)+n], src.dense[src.off[bi]:])
+				blas.PackPanel(cb.Blocks[bi].Rows(), w, data[f.BlockOff[k][bi]:], ld, cell.dense[o:])
 			}
 		}
 	}
@@ -165,6 +153,7 @@ func (f *Factors) Compress(opts lowrank.Options) CompressionStats {
 		st.Ratio = float64(st.DenseBytes) / float64(st.CompressedBytes)
 	}
 	f.lrCells = cells
+	f.Data = nil
 	f.comp = &st
 	return st
 }

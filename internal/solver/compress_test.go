@@ -35,7 +35,7 @@ func compressFixture(t *testing.T, P int) (*Analysis, *Factors, []float64, *spar
 func TestCompressReducesMemory(t *testing.T) {
 	_, f, _, _ := compressFixture(t, 4)
 	denseNNZ := f.NNZ()
-	dense := f.lrCells
+	dense := f.Data
 	st := f.Compress(lowrank.Options{Tol: 1e-8, MinBlockSize: 8})
 	if !f.Compressed() {
 		t.Fatal("factor not marked compressed")
@@ -55,9 +55,12 @@ func TestCompressReducesMemory(t *testing.T) {
 	if math.Abs(st.Ratio-float64(st.DenseBytes)/float64(st.CompressedBytes)) > 1e-12 {
 		t.Errorf("Ratio %g inconsistent", st.Ratio)
 	}
+	if f.Data != nil {
+		t.Fatal("strided cells not released")
+	}
 	for k := range f.lrCells {
-		if &f.lrCells[k].diag[0] == &dense[k].diag[0] {
-			t.Fatalf("dense cell %d not released", k)
+		if &f.lrCells[k].diag[0] == &dense[k][0] {
+			t.Fatalf("dense cell %d still aliased", k)
 		}
 	}
 	if got := f.Compression(); got == nil || *got != st {
@@ -163,11 +166,11 @@ func TestCompressedRejectsDenseOnlyRuntimes(t *testing.T) {
 // without re-compressing.
 func TestCompressDisabledAndIdempotent(t *testing.T) {
 	_, f, _, _ := compressFixture(t, 1)
-	diag0 := f.lrCells[0].diag
+	cell0 := f.Data[0]
 	if st := f.Compress(lowrank.Options{}); st != (CompressionStats{}) || f.Compressed() {
 		t.Fatal("disabled options compressed the factor")
 	}
-	if &f.lrCells[0].diag[0] != &diag0[0] {
+	if f.Data == nil || &f.Data[0][0] != &cell0[0] {
 		t.Fatal("disabled Compress touched the dense cells")
 	}
 	st1 := f.Compress(lowrank.Options{Tol: 1e-8, MinBlockSize: 8})

@@ -85,7 +85,7 @@ func TestRuntimeConformance(t *testing.T) {
 					for _, traced := range []bool{false, true} {
 						f, _ := factorizeRT(t, an, rt, sp, traced)
 						name := fmt.Sprintf("%v/traced=%v", rt, traced)
-						bitwiseEqualData(t, stridedCells(ref), stridedCells(f), name)
+						bitwiseEqualData(t, ref.Data, f.Data, name)
 						if !reflect.DeepEqual(ref.Pivots, f.Pivots) {
 							t.Fatalf("%s: perturbation report differs:\nseq: %+v\ngot: %+v", name, ref.Pivots, f.Pivots)
 						}
@@ -104,7 +104,7 @@ func TestRuntimeConformance(t *testing.T) {
 					f1, _ := factorizeRT(t, an, RuntimeMPSim, sp, traced)
 					f2, _ := factorizeRT(t, an, RuntimeMPSim, sp, traced)
 					name := fmt.Sprintf("mpsim/traced=%v", traced)
-					bitwiseEqualData(t, stridedCells(f1), stridedCells(f2), name+" (run-to-run)")
+					bitwiseEqualData(t, f1.Data, f2.Data, name+" (run-to-run)")
 					factorsClose(t, ref, f1, 1e-11)
 					if !reflect.DeepEqual(ref.Pivots, f1.Pivots) {
 						t.Fatalf("%s: perturbation report differs from seq", name)

@@ -17,85 +17,132 @@ import (
 
 // This file implements the level-set solve engine: triangular solves
 // scheduled by the solve DAG's level sets (sched.SolveDAG) instead of the
-// factorization's proc mapping, over the factor's packed cells (compress.go).
-// The engine is bitwise-identical to the sequential Factors.Solve for ANY
-// worker count, any hybrid cutoff and either dispatch mode, because of a
-// consumer-pull determinism argument:
+// factorization's proc mapping, over the factor's panel form (panels). Each
+// column block streams its off-diagonal panel once per sweep: forward, one
+// product t_k = −P_k·y_k into the cell's slot of a per-solve contribution
+// buffer; backward, one product x_k −= P_kᵀ·g over the facing x gathered
+// into that same slot. The engine is bitwise-identical to the sequential
+// Factors.Solve for ANY worker count, any hybrid cutoff and either dispatch
+// mode, because of a consumer-pull determinism argument:
 //
-// The sequential forward sweep updates each destination segment x_f by the
-// contributions of (source cell k, block bi) in ascending (k, bi) order,
-// interleaved with updates to other destinations — but per element of x_f
-// the order is exactly ascending (k, bi). Here every destination cell pulls
-// its own incoming contributions, applying them in that same canonical
-// order directly into its b-initialized segment; level sets guarantee every
-// source segment is final before any consumer in a later level reads it, and
-// no two cells write the same segment. So neither the within-level execution
-// order nor the cell→worker assignment can change a single bit. The backward
-// sweep is symmetric (each cell folds its own blocks' dot products in block
-// order). No kernel's per-element operation order depends on the leading
-// dimension, so reading packed cells does not perturb results either.
+// The sequential solve adds each source cell's t into the segments it faces
+// right after computing it, so each element of a destination segment takes
+// its contributions in ascending source order (a source's blocks cover
+// disjoint rows). Here every destination cell pulls its own incoming
+// contributions in that same canonical (source, block) order into its
+// b-initialized segment; level sets guarantee every source's t is final
+// before any consumer in a later level reads it, and no two cells write the
+// same segment or slot. So neither the within-level execution order nor the
+// cell→worker assignment can change a single bit. The backward sweep is
+// symmetric: each cell gathers the already-final facing segments and folds
+// them in with its own panel product. No kernel's per-element operation
+// order depends on the leading dimension, so reading the strided cells in
+// place perturbs nothing either.
 //
-// A split chain cell keeps the argument per element: GemvN gives each
-// destination row its updates in ascending source-column order, and GemvT
-// sums each column over the rows in ascending order, whatever row or column
-// range they are called on. So dividing a cell's rows (forward) or columns
-// (backward) among workers, each applying every contribution to its own
-// range in canonical order, leaves every element's operation sequence as it
-// was.
+// A split chain cell keeps the argument per element: GemvN gives each panel
+// row its updates in ascending column order, and GemvT sums each column over
+// the panel rows in ascending order, whatever row or column range they are
+// called on. So dividing a cell's panel rows (forward) or columns (backward)
+// among workers leaves every element's operation sequence as it was.
 
-// solveIn is one incoming forward contribution of a destination cell: block
-// bi of source cell src. Its rows in the destination's segment follow from
-// the block. Lists are built in canonical (src, bi) order.
+// solveIn is one incoming forward contribution of a destination cell: rows
+// entries of a column of the contribution buffer from t on, added to the
+// solution from row on. Lists are built in canonical (source, block) order.
 type solveIn struct {
-	src int32
-	bi  int32
+	t, row, rows int32
 }
 
 // solvePulls is the worker-independent part of every solve plan of one
 // symbolic structure, built once per analysis and shared by its plans:
-// each cell's incoming forward contributions and the per-cell cost the
-// plans balance on.
+// each cell's incoming forward contributions, its slot in the contribution
+// buffer, and the per-cell cost the plans balance on.
 type solvePulls struct {
 	ptr  []int32   // cell k's contributions are ins[ptr[k]:ptr[k+1]]
 	ins  []solveIn // in canonical order per destination cell
-	cost []int64   // forward pulls + backward dots + the triangular solves
+	tOff []int32   // cell k's slot is rows [tOff[k], tOff[k+1]) of each column
+	// rbMax is the longest panel: the size of a split cell's private
+	// gather buffer.
+	rbMax int
+	cost  []int64 // triangular solves + both panel products + pulls + gather
 	// total is the summed cost: the one-worker plan runs every cell in a
 	// single chain step, so its makespan is total plus one barrier.
 	total int64
+	// bufs holds the idle contribution buffers of every plan of the
+	// structure, at most one per processor: more solves than processors
+	// never all run at once. Unlike a sync.Pool it keeps them across
+	// garbage collections, so a stream of solves allocates none.
+	bufs chan []float64
 }
 
-// newSolvePulls builds the pull lists and costs of sym.
-func newSolvePulls(sym *symbolic.Symbol) *solvePulls {
+// newSolvePulls builds the pull lists, slots and costs of sym, and the
+// first contribution buffer, sized for one right-hand side on up to
+// workers workers.
+func newSolvePulls(sym *symbolic.Symbol, workers int) *solvePulls {
 	ncb := sym.NumCB()
-	sp := &solvePulls{ptr: make([]int32, ncb+1), cost: make([]int64, ncb)}
+	sp := &solvePulls{
+		ptr: make([]int32, ncb+1), tOff: make([]int32, ncb+1), cost: make([]int64, ncb),
+		bufs: make(chan []float64, runtime.GOMAXPROCS(0)),
+	}
 	for k := range sym.CB {
+		w, rb := sym.CB[k].Width(), sym.CB[k].RowsBelow()
+		sp.tOff[k+1] = sp.tOff[k] + int32(rb)
+		sp.rbMax = max(sp.rbMax, rb)
+		sp.cost[k] += int64(w*w + 2*rb*w + rb)
 		for _, blk := range sym.CB[k].Blocks {
 			sp.ptr[blk.Facing+1]++
+			sp.cost[blk.Facing] += int64(blk.Rows())
 		}
 	}
 	for k := 0; k < ncb; k++ {
 		sp.ptr[k+1] += sp.ptr[k]
+		sp.total += sp.cost[k]
 	}
 	sp.ins = make([]solveIn, sp.ptr[ncb])
 	next := slices.Clone(sp.ptr[:ncb]) // per-cell fill cursors
 	for k := range sym.CB {
-		for bi, blk := range sym.CB[k].Blocks {
-			sp.ins[next[blk.Facing]] = solveIn{src: int32(k), bi: int32(bi)}
+		t := sp.tOff[k]
+		for _, blk := range sym.CB[k].Blocks {
+			sp.ins[next[blk.Facing]] = solveIn{t: t, row: int32(blk.FirstRow), rows: int32(blk.Rows())}
 			next[blk.Facing]++
+			t += int32(blk.Rows())
 		}
 	}
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		w := int64(cb.Width())
-		c := w*w + 16
-		for _, in := range sp.in(k) {
-			c += int64(sym.CB[in.src].Blocks[in.bi].Rows()) * int64(sym.CB[in.src].Width())
-		}
-		c += int64(cb.RowsBelow()) * w
-		sp.cost[k] = c
-		sp.total += c
-	}
+	sp.bufs <- make([]float64, sp.bufLen(1, workers))
 	return sp
+}
+
+// bufLen is the length of the contribution buffer of a solve of nrhs
+// right-hand sides on the given workers: every cell's slot per right-hand
+// side, then one private gather buffer per worker for the split chain
+// cells.
+func (sp *solvePulls) bufLen(nrhs, workers int) int {
+	n := int(sp.tOff[len(sp.tOff)-1]) * nrhs
+	if workers > 1 {
+		n += workers * sp.rbMax
+	}
+	return n
+}
+
+// buffer takes an idle contribution buffer of at least n entries, or makes
+// one.
+func (sp *solvePulls) buffer(n int) []float64 {
+	select {
+	case b := <-sp.bufs:
+		if cap(b) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	return make([]float64, n)
+}
+
+// release returns a buffer for the next solve to take, unless enough are
+// idle already.
+func (sp *solvePulls) release(b []float64) {
+	select {
+	case sp.bufs <- b:
+	default:
+	}
 }
 
 // in returns cell k's incoming contributions.
@@ -103,8 +150,8 @@ func (sp *solvePulls) in(k int) []solveIn { return sp.ins[sp.ptr[k]:sp.ptr[k+1]]
 
 // SolvePlan is a reusable schedule for the level-set solve engine on a fixed
 // worker count: the hybrid steps, a cost-balanced contiguous partition of
-// each parallel step, and the chain cells whose rows (forward) and columns
-// (backward) are split across the workers. Plans are immutable and cached
+// each parallel step, and the chain cells whose panel rows (forward) and
+// columns (backward) are split across the workers. Plans are immutable and cached
 // per (Analysis, workers) — see Analysis.SolvePlanFor.
 type SolvePlan struct {
 	sym     *symbolic.Symbol
@@ -115,24 +162,17 @@ type SolvePlan struct {
 	workers int
 	cutoff  int
 
-	// rowCut is nil when no chain cell is split. Otherwise rowCut[k] is nil
-	// for a cell one worker runs whole, and for a split chain cell the
-	// workers+1 bounds of each worker's forward destination rows, balanced
-	// by pull volume.
-	rowCut     [][]int32
+	// split is nil when no chain cell is split, else it marks the chain
+	// cells every worker takes part in.
+	split      []bool
 	splitCells int
 	// makespan is the plan's predicted time in cost units, barriers and
 	// worker start-up included.
 	makespan int64
 }
 
-// cut returns chain cell k's row bounds, nil when one worker runs it.
-func (pl *SolvePlan) cut(k int) []int32 {
-	if pl.rowCut == nil {
-		return nil
-	}
-	return pl.rowCut[k]
-}
+// splits reports whether every worker takes part in chain cell k.
+func (pl *SolvePlan) splits(k int) bool { return pl.split != nil && pl.split[k] }
 
 // PlanStats summarizes a SolvePlan for reporting (the service returns it
 // from /v1/factorize and /v1/solve). Workers is the number of workers the
@@ -198,7 +238,7 @@ const (
 // step across the workers, and the split of every chain cell that the cost
 // model predicts runs faster across the workers than on one.
 func BuildSolvePlan(sym *symbolic.Symbol, dag *sched.SolveDAG, workers, cutoff int) *SolvePlan {
-	return planOn(sym, dag, newSolvePulls(sym), workers, cutoff)
+	return planOn(sym, dag, newSolvePulls(sym, workers), workers, cutoff)
 }
 
 // planOn is BuildSolvePlan on pull lists already built for sym.
@@ -245,67 +285,31 @@ func planOn(sym *symbolic.Symbol, dag *sched.SolveDAG, pulls *solvePulls, worker
 }
 
 // splitChainCell decides whether chain cell k runs across the workers and
-// returns its predicted time. Split, the forward pulls divide by destination
-// row (balanced by each row's pull volume), the backward dots by column
-// (every column costs the same), and worker 0 alone runs both triangular
-// solves, between two barriers per sweep.
+// returns its predicted time. Split, worker 0 alone pulls and runs both
+// triangular solves; the forward panel product divides by panel row and the
+// backward one by column, every worker gathering the whole panel's x for
+// its columns; two barriers per sweep.
 func (pl *SolvePlan) splitChainCell(k int) int64 {
 	cost := pl.pulls.cost[k]
 	if pl.workers == 1 {
 		return cost
 	}
-	cb := &pl.sym.CB[k]
-	w := cb.Width()
-	cut, worst := pl.pullCut(k)
-	cols := int64((w + pl.workers - 1) / pl.workers)
-	split := worst + cols*int64(cb.RowsBelow()) + int64(w*w+16) + 4*barrierCharge
+	nw := int64(pl.workers)
+	w, rb := int64(pl.sym.CB[k].Width()), int64(pl.rows(k))
+	split := cost - 2*rb*w + (rb+nw-1)/nw*w + (w+nw-1)/nw*rb + 4*barrierCharge
 	if split >= cost {
 		return cost
 	}
-	if pl.rowCut == nil {
-		pl.rowCut = make([][]int32, pl.sym.NumCB())
+	if pl.split == nil {
+		pl.split = make([]bool, pl.sym.NumCB())
 	}
-	pl.rowCut[k] = cut
+	pl.split[k] = true
 	pl.splitCells++
 	return split
 }
 
-// pullCut splits cell k's rows into one contiguous range per worker, balanced
-// by pull volume (a row's volume is the summed width of the sources that
-// update it), and returns the workers+1 bounds and the largest share.
-func (pl *SolvePlan) pullCut(k int) ([]int32, int64) {
-	fcb := &pl.sym.CB[k]
-	w := fcb.Width()
-	pre := make([]int64, w+1) // per-row volume deltas, then prefix sums
-	for _, in := range pl.pulls.in(k) {
-		scb := &pl.sym.CB[in.src]
-		blk := &scb.Blocks[in.bi]
-		sw := int64(scb.Width())
-		pre[blk.FirstRow-fcb.Cols[0]] += sw
-		pre[blk.LastRow-fcb.Cols[0]] -= sw
-	}
-	var row, total int64
-	for i := 0; i < w; i++ {
-		row += pre[i]
-		pre[i] = total
-		total += row
-	}
-	pre[w] = total
-	cut := make([]int32, pl.workers+1)
-	var worst int64
-	for p, i := 1, 0; p <= pl.workers; p++ {
-		target := total * int64(p) / int64(pl.workers)
-		for i < w && pre[i+1] <= target {
-			i++
-		}
-		if p == pl.workers {
-			i = w
-		}
-		cut[p] = int32(i)
-		worst = max(worst, pre[i]-pre[cut[p-1]])
-	}
-	return cut, worst
-}
+// rows returns the length of cell k's panel.
+func (pl *SolvePlan) rows(k int) int { return int(pl.pulls.tOff[k+1] - pl.pulls.tOff[k]) }
 
 // splitByCost partitions cells into at most `workers` contiguous runs of
 // near-equal total cost (contiguity keeps each worker on neighbouring cells
@@ -350,7 +354,7 @@ func (an *Analysis) SolveDAG() *sched.SolveDAG {
 // analysis shares, built on first use.
 func (an *Analysis) solvePulls() *solvePulls {
 	an.pullsOnce.Do(func() {
-		an.pulls = newSolvePulls(an.Sym)
+		an.pulls = newSolvePulls(an.Sym, an.Sched.P)
 	})
 	return an.pulls
 }
@@ -386,8 +390,8 @@ func (an *Analysis) SolvePlan() *SolvePlan {
 
 // PrepareSolve eagerly builds the solve plan, so a serving layer can pay the
 // whole solve-planning cost at factorize time instead of on the first
-// request. The factor needs no preparation: factorization already left it in
-// the packed layout every solve engine reads.
+// request. The factor needs no preparation: every solve engine reads the
+// cells the factorization wrote.
 func (an *Analysis) PrepareSolve(*Factors) PlanStats {
 	return an.SolvePlan().Stats()
 }
@@ -416,34 +420,47 @@ type LevelOptions struct {
 }
 
 // SolveLevelCtx runs the level-set solve engine on the plan: forward sweep,
-// diagonal scaling and backward sweep over the factor's packed cells, with
-// one barrier per hybrid step and two per split chain cell. Worker 0 runs on
-// the calling goroutine. Each column of the result is bitwise-identical to the
+// diagonal scaling and backward sweep over the factor's panels, with one
+// barrier per hybrid step and two per split chain cell. Worker 0 runs on the
+// calling goroutine. Each column of the result is bitwise-identical to the
 // sequential Factors.Solve of that column: every column keeps the single-RHS
-// division semantics, however wide the panel.
+// division semantics, however wide the panel. b is not modified.
 // Cancelling ctx aborts at the next barrier on every worker and returns
 // ctx.Err().
 func SolveLevelCtx(ctx context.Context, pl *SolvePlan, f *Factors, b []float64, opts LevelOptions) ([]float64, error) {
+	x := append([]float64(nil), b...)
+	if err := SolveLevelInPlace(ctx, pl, f, x, opts); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveLevelInPlace is SolveLevelCtx on x, the n×NRHS column-major panel of
+// right-hand sides, which it overwrites with the solution. After an error x
+// holds no meaningful values.
+func SolveLevelInPlace(ctx context.Context, pl *SolvePlan, f *Factors, x []float64, opts LevelOptions) error {
 	nrhs := opts.NRHS
 	if nrhs <= 0 {
 		nrhs = 1
 	}
 	sym := pl.sym
 	if f.Sym != sym {
-		return nil, fmt.Errorf("solver: factor was not built from the plan's symbolic structure")
+		return fmt.Errorf("solver: factor was not built from the plan's symbolic structure")
 	}
-	if len(b) != sym.N*nrhs {
-		return nil, fmt.Errorf("solver: rhs panel length %d, want n×nrhs = %d×%d: %w", len(b), sym.N, nrhs, ErrShape)
+	if len(x) != sym.N*nrhs {
+		return fmt.Errorf("solver: rhs panel length %d, want n×nrhs = %d×%d: %w", len(x), sym.N, nrhs, ErrShape)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	n := sym.N
-	y := make([]float64, n*nrhs)
+	sp := pl.pulls
+	nt := int(sp.tOff[len(sp.tOff)-1])
+	buf := sp.buffer(sp.bufLen(nrhs, pl.workers))
+	defer sp.release(buf)
 	r := &levelRun{
-		pl: pl, cells: f.lrCells, nrhs: nrhs, dynamic: opts.Dynamic,
+		pl: pl, panels: f.panels(), nrhs: nrhs, dynamic: opts.Dynamic,
 		rec: opts.Trace, ctx: ctx,
-		y: y, x: y,
+		x: x, n: sym.N, t: buf[:nt*nrhs], nt: nt, gbuf: buf[nt*nrhs:],
 		fcursors: make([]atomic.Int64, len(pl.steps)),
 		bcursors: make([]atomic.Int64, len(pl.steps)),
 		executed: make([]int64, pl.workers),
@@ -452,7 +469,6 @@ func SolveLevelCtx(ctx context.Context, pl *SolvePlan, f *Factors, b []float64, 
 	if ctx.Done() != nil {
 		r.check = r.checkCtx
 	}
-	packRHS(sym, b, r.y, nrhs)
 	var wg sync.WaitGroup
 	wg.Add(pl.workers - 1)
 	for p := 1; p < pl.workers; p++ {
@@ -470,70 +486,39 @@ func SolveLevelCtx(ctx context.Context, pl *SolvePlan, f *Factors, b []float64, 
 	r.worker(0)
 	wg.Wait()
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if opts.Stats != nil {
 		opts.Stats.Executed = append([]int64(nil), r.executed...)
 	}
-	if nrhs == 1 {
-		// One column's cell-major layout is the identity (see packRHS): the
-		// engine's x is the answer.
-		return r.x, nil
-	}
-	out := make([]float64, n*nrhs)
-	unpackRHS(sym, r.x, out, nrhs)
-	return out, nil
-}
-
-// packRHS lays the n×nrhs column-major panel b out as per-cell w×nrhs
-// panels, cell-major (cell k's panel starts at Cols[0]*nrhs). For nrhs == 1
-// the layout is the identity because the cells partition [0, n).
-func packRHS(sym *symbolic.Symbol, b, y []float64, nrhs int) {
-	if nrhs == 1 {
-		copy(y, b)
-		return
-	}
-	n := sym.N
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		base := cb.Cols[0] * nrhs
-		for c := 0; c < nrhs; c++ {
-			copy(y[base+c*w:base+c*w+w], b[cb.Cols[0]+c*n:cb.Cols[1]+c*n])
-		}
-	}
-}
-
-// unpackRHS is the inverse of packRHS.
-func unpackRHS(sym *symbolic.Symbol, y, out []float64, nrhs int) {
-	n := sym.N
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		base := cb.Cols[0] * nrhs
-		for c := 0; c < nrhs; c++ {
-			copy(out[cb.Cols[0]+c*n:cb.Cols[1]+c*n], y[base+c*w:base+c*w+w])
-		}
-	}
+	return nil
 }
 
 // levelRun is the per-call state of one level-set solve.
 type levelRun struct {
 	pl      *SolvePlan
-	cells   []lrCell
+	panels  panels[float64]
 	nrhs    int
 	dynamic bool
 	rec     *trace.Recorder
 	ctx     context.Context
 
-	// y and x are one cell-major RHS panel: the forward sweep leaves its
-	// result in it, and the backward sweep overwrites each cell's segment
-	// with the solution in place — a cell reads its own y before writing
-	// its x, and otherwise only the x of the final cells it faces.
-	y, x []float64
+	// x is the caller's n×nrhs panel: the forward sweep leaves y in it, and
+	// the backward sweep overwrites each cell's segment with the solution
+	// in place — a cell reads its own y before writing its x, and otherwise
+	// only the x of the final cells it faces.
+	x []float64
+	n int
+	// t is the contribution buffer, nt×nrhs: cell k's slot holds t_k =
+	// −P_k·y_k after its forward sweep, and the gathered facing x of its
+	// backward sweep. gbuf is one private gather buffer of pulls.rbMax
+	// entries per worker, for the split chain cells.
+	t    []float64
+	nt   int
+	gbuf []float64
 
 	fcursors []atomic.Int64 // per-step dynamic fetch cursors, forward
 	bcursors []atomic.Int64 // and backward (separate: no reset races)
@@ -634,158 +619,127 @@ func (r *levelRun) step(p, si int, fwd bool) bool {
 
 // cell runs one whole cell of a sweep on the calling worker.
 func (r *levelRun) cell(k int, fwd bool) {
-	w := r.pl.sym.CB[k].Width()
 	if fwd {
-		r.pull(k, 0, w)
-		r.trsvForward(k)
+		r.pullSolve(k)
+		r.product(k, 0, r.pl.rows(k))
 	} else {
-		r.dots(k, 0, w)
+		r.dots(k, 0, r.pl.sym.CB[k].Width(), nil)
 		r.trsvBackward(k)
 	}
 }
 
 // chain runs a chain step: the collapsed narrow levels in order (reverse
 // order backward). Worker 0 runs the unsplit cells alone. A split cell
-// takes every worker: a barrier so worker 0's earlier cells are visible
-// (none is needed for the first cell, which follows the step barrier), each
-// worker's share of the pulls or dots, a barrier, then worker 0's
-// triangular solve — which the next split cell's first barrier, or the step
-// barrier, publishes.
+// takes every worker. Forward: worker 0 pulls and solves, a barrier, each
+// worker's rows of the panel product, then a barrier so worker 0 can read
+// t_k (the step barrier when the cell is the step's last). Backward: a
+// barrier so worker 0's earlier cells are visible (none is needed for the
+// first cell, which follows the step barrier), each worker's columns, a
+// barrier, then worker 0's triangular solve — which the next split cell's
+// first barrier, or the step barrier, publishes.
 func (r *levelRun) chain(p int, cells []int32, fwd bool) bool {
 	nw := r.pl.workers
+	last := len(cells) - 1
 	for i := range cells {
 		k := int(cells[i])
 		if !fwd {
-			k = int(cells[len(cells)-1-i])
+			k = int(cells[last-i])
 		}
-		cut := r.pl.cut(k)
-		if cut == nil {
+		if !r.pl.splits(k) {
 			if p == 0 {
 				r.cell(k, fwd)
+			}
+			continue
+		}
+		if fwd {
+			if p == 0 {
+				r.pullSolve(k)
+			}
+			if !r.sync(p) {
+				return false
+			}
+			rb := r.pl.rows(k)
+			r.product(k, p*rb/nw, (p+1)*rb/nw)
+			if i < last && !r.sync(p) {
+				return false
 			}
 			continue
 		}
 		if i > 0 && !r.sync(p) {
 			return false
 		}
-		if fwd {
-			r.pull(k, int(cut[p]), int(cut[p+1]))
-		} else {
-			w := r.pl.sym.CB[k].Width()
-			r.dots(k, p*w/nw, (p+1)*w/nw)
-		}
+		w, g := r.pl.sym.CB[k].Width(), r.pl.pulls.rbMax
+		r.dots(k, p*w/nw, (p+1)*w/nw, r.gbuf[p*g:(p+1)*g])
 		if !r.sync(p) {
 			return false
 		}
 		if p == 0 {
-			if fwd {
-				r.trsvForward(k)
-			} else {
-				r.trsvBackward(k)
-			}
+			r.trsvBackward(k)
 		}
 	}
 	return true
 }
 
-// pull applies cell fc's incoming contributions to rows [lo, hi) of its
-// segment, in canonical (source, block) order, one right-hand side at a
-// time. GemvN gives each row the same operation sequence whatever row range
-// it is called on, so a row's bits do not depend on the split.
-func (r *levelRun) pull(fc, lo, hi int) {
-	sym := r.pl.sym
-	cb := &sym.CB[fc]
-	w := cb.Width()
-	nr := r.nrhs
-	yf := r.y[cb.Cols[0]*nr:]
-	for _, in := range r.pl.pulls.in(fc) {
-		scb := &sym.CB[in.src]
-		blk := &scb.Blocks[in.bi]
-		off, rows := blk.FirstRow-cb.Cols[0], blk.Rows()
-		a0, a1 := max(lo, off), min(hi, off+rows)
-		if a0 >= a1 {
-			continue
-		}
-		sw := scb.Width()
-		ys := r.y[scb.Cols[0]*nr:]
-		cell := &r.cells[in.src]
-		lb := cell.lowRank(int(in.bi))
-		for c := 0; c < nr; c++ {
-			xs := ys[c*sw : c*sw+sw]
-			yd := yf[c*w+off : c*w+off+rows]
-			if lb != nil {
-				blas.LRGemvNRows(rows, sw, lb.Rank, a0-off, a1-off, lb.U, lb.V, xs, yd)
-				continue
-			}
-			a := cell.dense[int(cell.off[in.bi])+a0-off:]
-			blas.GemvN(a1-a0, sw, a, rows, xs, yd[a0-off:a1-off])
-		}
-	}
-}
-
-// trsvForward finishes cell fc's forward solve: the unit-lower triangular
-// solve of its pulled segment.
-func (r *levelRun) trsvForward(fc int) {
-	cb := &r.pl.sym.CB[fc]
-	w := cb.Width()
-	yf := r.y[cb.Cols[0]*r.nrhs:]
+// pullSolve starts cell k's forward solve: its incoming contributions, in
+// canonical (source, block) order, then the unit-lower triangular solve,
+// one right-hand side at a time.
+func (r *levelRun) pullSolve(k int) {
+	cb := &r.pl.sym.CB[k]
+	d, ld := r.panels.cellDiag(k)
+	ins := r.pl.pulls.in(k)
 	for c := 0; c < r.nrhs; c++ {
-		blas.TrsvLowerUnit(w, r.cells[fc].diag, w, yf[c*w:c*w+w])
+		x, t := r.x[c*r.n:(c+1)*r.n], r.t[c*r.nt:(c+1)*r.nt]
+		for _, in := range ins {
+			addTo(x[in.row:in.row+in.rows], t[in.t:])
+		}
+		blas.TrsvLowerUnit(cb.Width(), d, ld, x[cb.Cols[0]:cb.Cols[1]])
 	}
 }
 
-// dots starts cell kc's backward solve on columns [lo, hi) of its segment:
-// the diagonal division (the sequential single-RHS semantics, per column),
-// then the dot products of kc's own blocks in block order against the
-// already-final facing segments. GemvT sums each column over the rows in
-// ascending order whatever column range it is called on, so a column's bits
-// do not depend on the split.
-func (r *levelRun) dots(kc, lo, hi int) {
+// product finishes panel rows [lo, hi) of cell k's forward solve: t_k =
+// −P_k·y_k into its slot.
+func (r *levelRun) product(k, lo, hi int) {
+	cb := &r.pl.sym.CB[k]
+	t0, t1 := int(r.pl.pulls.tOff[k]), int(r.pl.pulls.tOff[k+1])
+	for c := 0; c < r.nrhs; c++ {
+		tk := r.t[c*r.nt+t0 : c*r.nt+t1]
+		clear(tk[lo:hi])
+		r.panels.panelN(k, lo, hi, r.x[c*r.n+cb.Cols[0]:c*r.n+cb.Cols[1]], tk)
+	}
+}
+
+// dots starts columns [lo, hi) of cell k's backward solve: the diagonal
+// division (the sequential single-RHS semantics, per column), the facing x
+// gathered over the panel's rows into g (nil: the cell's own slot of t),
+// and the panel product.
+func (r *levelRun) dots(k, lo, hi int, g []float64) {
 	if lo >= hi {
 		return
 	}
-	sym := r.pl.sym
-	cb := &sym.CB[kc]
-	w := cb.Width()
-	nr := r.nrhs
-	base := cb.Cols[0] * nr
-	xk := r.x[base : base+w*nr]
-	yk := r.y[base : base+w*nr]
-	cell := &r.cells[kc]
-	diag := cell.diag
-	for c := 0; c < nr; c++ {
+	cb := &r.pl.sym.CB[k]
+	d, ld := r.panels.cellDiag(k)
+	t0, t1 := int(r.pl.pulls.tOff[k]), int(r.pl.pulls.tOff[k+1])
+	for c := 0; c < r.nrhs; c++ {
+		x := r.x[c*r.n : (c+1)*r.n]
+		xk := x[cb.Cols[0]:cb.Cols[1]]
 		for j := lo; j < hi; j++ {
-			xk[c*w+j] = yk[c*w+j] / diag[j+j*w]
+			xk[j] /= d[j+j*ld]
 		}
-	}
-	for bi := range cb.Blocks {
-		blk := &cb.Blocks[bi]
-		fcb := &sym.CB[blk.Facing]
-		fw := fcb.Width()
-		off := blk.FirstRow - fcb.Cols[0]
-		rows := blk.Rows()
-		xf := r.x[fcb.Cols[0]*nr:]
-		lb := cell.lowRank(bi)
-		for c := 0; c < nr; c++ {
-			xs := xf[c*fw+off : c*fw+off+rows]
-			if lb != nil {
-				blas.LRGemvTCols(rows, w, lb.Rank, lo, hi, lb.U, lb.V, xs, xk[c*w:c*w+w])
-				continue
-			}
-			a := cell.dense[int(cell.off[bi])+lo*rows:]
-			blas.GemvT(rows, hi-lo, a, rows, xs, xk[c*w+lo:c*w+hi])
+		gc := g
+		if gc == nil {
+			gc = r.t[c*r.nt+t0 : c*r.nt+t1]
 		}
+		r.panels.panelT(k, lo, hi, gather(cb, x, gc), xk)
 	}
 }
 
-// trsvBackward finishes cell kc's backward solve: the transposed unit
+// trsvBackward finishes cell k's backward solve: the transposed unit
 // triangular solve.
-func (r *levelRun) trsvBackward(kc int) {
-	cb := &r.pl.sym.CB[kc]
-	w := cb.Width()
-	xk := r.x[cb.Cols[0]*r.nrhs:]
+func (r *levelRun) trsvBackward(k int) {
+	cb := &r.pl.sym.CB[k]
+	d, ld := r.panels.cellDiag(k)
 	for c := 0; c < r.nrhs; c++ {
-		blas.TrsvLowerTransUnit(w, r.cells[kc].diag, w, xk[c*w:c*w+w])
+		blas.TrsvLowerTransUnit(cb.Width(), d, ld, r.x[c*r.n+cb.Cols[0]:c*r.n+cb.Cols[1]])
 	}
 }
 

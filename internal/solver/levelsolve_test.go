@@ -123,15 +123,15 @@ func TestSolvePlanCached(t *testing.T) {
 	}
 }
 
-// TestPrepareSolvePacksOnce checks the factor is packed once, by the
-// factorization: PrepareSolve returns the stats of the plan solves run, and
-// neither it nor a solve builds anything beside the packed cells.
+// TestPrepareSolvePacksOnce checks the factor keeps the one layout the
+// factorization wrote: PrepareSolve returns the stats of the plan solves
+// run, and neither it nor a solve builds anything beside the strided cells.
 func TestPrepareSolvePacksOnce(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
-	if f.Data != nil || f.lrCells == nil {
-		t.Fatal("factorization did not repack the factor")
+	if f.Data == nil || f.lrCells != nil {
+		t.Fatal("factorization did not leave the strided cells")
 	}
-	cells, diag0 := &f.lrCells[0], f.lrCells[0].diag
+	data, cell0 := &f.Data[0], f.Data[0]
 	st := an.PrepareSolve(f)
 	if want := an.SolvePlan().Stats(); st != want {
 		t.Fatalf("PrepareSolve stats %+v, want those of the plan solves run %+v", st, want)
@@ -139,8 +139,8 @@ func TestPrepareSolvePacksOnce(t *testing.T) {
 	if _, err := SolveLevelCtx(context.Background(), an.SolvePlanFor(an.Sched.P), f, pb, LevelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if &f.lrCells[0] != cells || &f.lrCells[0].diag[0] != &diag0[0] || f.Data != nil {
-		t.Fatal("PrepareSolve or the solve replaced the packed cells")
+	if &f.Data[0] != data || &f.Data[0][0] != &cell0[0] || f.lrCells != nil {
+		t.Fatal("PrepareSolve or the solve replaced the strided cells")
 	}
 }
 
@@ -304,14 +304,14 @@ func TestSolveLevelAllRuntimeFactors(t *testing.T) {
 // workers, so the split path runs whatever the cost model would choose.
 func forceSplit(pl *SolvePlan) *SolvePlan {
 	cp := *pl
-	cp.rowCut = make([][]int32, pl.sym.NumCB())
+	cp.split = make([]bool, pl.sym.NumCB())
 	cp.splitCells = 0
 	for _, st := range cp.steps {
 		if st.Parallel {
 			continue
 		}
 		for _, k := range st.Cells {
-			cp.rowCut[k], _ = cp.pullCut(int(k))
+			cp.split[k] = true
 			cp.splitCells++
 		}
 	}
@@ -379,8 +379,8 @@ func TestSolveLevelSplitChain(t *testing.T) {
 	// low-rank block.
 	narrow, lowRank := false, false
 	pl := forceSplit(BuildSolvePlan(an.Sym, an.SolveDAG(), 4, 1<<20))
-	for k, cut := range pl.rowCut {
-		if cut == nil {
+	for k, split := range pl.split {
+		if !split {
 			continue
 		}
 		narrow = narrow || an.Sym.CB[k].Width() < 4
@@ -422,8 +422,9 @@ func TestSolveLevelCancelMidChain(t *testing.T) {
 		pl := forceSplit(BuildSolvePlan(an.Sym, an.SolveDAG(), workers, 1<<20))
 		// One check before the workers start, one per barrier and one after
 		// they join. A step ends in a barrier per sweep (bar the last); in
-		// each sweep a split chain cell adds two, except that the first cell
-		// of a step needs none before it.
+		// each sweep a split chain cell adds two, except that the last cell
+		// of a step needs none after its forward product and the first none
+		// before its backward one.
 		barriers := 2*len(pl.steps) - 1
 		for _, st := range pl.steps {
 			if !st.Parallel {
@@ -582,5 +583,53 @@ func BenchmarkSolveSpawn(b *testing.B) {
 		}()
 		bar.wait(nil)
 		wg.Wait()
+	}
+}
+
+// BenchmarkSolveEngine times the level-set engine at one and two workers
+// and the sequential Factors.Solve on 3-D Poisson 12³ and 24³ analyzed at
+// P=2, one right-hand side, and reports the factor bytes streamed per
+// second (a solve reads every factor value once per sweep). Run it on two
+// trees, alternating, to A/B a solve change:
+//
+//	go test -run '^$' -bench SolveEngine -count 5 ./internal/solver
+func BenchmarkSolveEngine(b *testing.B) {
+	for _, n := range []int{12, 24} {
+		a := gen.Laplacian3D(n, n, n)
+		an, err := Analyze(a, Options{P: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := an.Factorize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, rhs := gen.RHSForSolution(a)
+		pb := make([]float64, len(rhs))
+		for newI, old := range an.Perm {
+			pb[newI] = rhs[old]
+		}
+		streamed := 2 * float64(f.MemoryBytes())
+		run := func(name string, solve func() error) {
+			b.Run(fmt.Sprintf("poisson%d/%s", n, name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := solve(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(streamed*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+		}
+		for _, workers := range []int{1, 2} {
+			pl := an.SolvePlanFor(workers)
+			run(fmt.Sprintf("engine-%dw", workers), func() error {
+				_, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{})
+				return err
+			})
+		}
+		run("seq", func() error {
+			f.Solve(pb)
+			return nil
+		})
 	}
 }

@@ -357,7 +357,7 @@ func (w *solveWorker) forward(b []float64) error {
 		}
 		cb := &sym.CB[k]
 		wdt := cb.Width()
-		c := &w.f.lrCells[k]
+		data, ld := w.f.Data[k], w.f.LD[k]
 		if pl.diagOwner[k] == w.p {
 			for w.got[k] < pl.fwdMsgs[k] {
 				m, err := w.comm.Recv(w.p)
@@ -383,7 +383,7 @@ func (w *solveWorker) forward(b []float64) error {
 					yk[i] -= data[i]
 				}
 			})
-			blas.TrsmLeftLowerUnit(wdt, w.nrhs, c.diag, wdt, yk, wdt)
+			blas.TrsmLeftLowerUnit(wdt, w.nrhs, data, ld, yk, wdt)
 			w.y[k] = yk
 			for _, q := range pl.ySendTo[k] {
 				w.comm.Send(mpsim.Message{Kind: msgYSeg, Src: w.p, Dst: q, Tag: k, Data: yk})
@@ -416,7 +416,7 @@ func (w *solveWorker) forward(b []float64) error {
 			off := blk.FirstRow - fcb.Cols[0]
 			br := blk.Rows()
 			tmp := make([]float64, br*w.nrhs)
-			blas.GemmNN(br, w.nrhs, wdt, c.dense[c.off[bi]:], br, w.y[k], wdt, tmp, br)
+			blas.GemmNN(br, w.nrhs, wdt, data[w.f.BlockOff[k][bi]:], ld, w.y[k], wdt, tmp, br)
 			for r := 0; r < w.nrhs; r++ {
 				seg := acc[off+r*fw : off+r*fw+br]
 				ts := tmp[r*br : (r+1)*br]
@@ -466,7 +466,7 @@ func (w *solveWorker) backward(x []float64) error {
 		}
 		cb := &sym.CB[k]
 		wdt := cb.Width()
-		c := &w.f.lrCells[k]
+		data, ld := w.f.Data[k], w.f.LD[k]
 		// Owned blocks of cell k compute L_bᵀ·x_f into k's accumulator.
 		for bi, blk := range cb.Blocks {
 			if pl.blockOwn[k][bi] != w.p {
@@ -488,7 +488,7 @@ func (w *solveWorker) backward(x []float64) error {
 				w.bwdAcc[k] = acc
 			}
 			off := blk.FirstRow - sym.CB[f].Cols[0]
-			blas.GemmTN(wdt, w.nrhs, blk.Rows(), c.dense[c.off[bi]:], blk.Rows(),
+			blas.GemmTN(wdt, w.nrhs, blk.Rows(), data[w.f.BlockOff[k][bi]:], ld,
 				w.xs[f][off:], sym.CB[f].Width(), acc, wdt)
 			// GemmTN computes acc -= L_bᵀ·X, which is exactly the sign needed.
 			w.bwdRem[k]--
@@ -516,7 +516,7 @@ func (w *solveWorker) backward(x []float64) error {
 		yk := w.y[k]
 		for r := 0; r < w.nrhs; r++ {
 			for j := 0; j < wdt; j++ {
-				xk[r*wdt+j] = yk[r*wdt+j] / c.diag[j+j*wdt]
+				xk[r*wdt+j] = yk[r*wdt+j] / data[j+j*ld]
 			}
 		}
 		if acc := w.bwdAcc[k]; acc != nil {
@@ -530,7 +530,7 @@ func (w *solveWorker) backward(x []float64) error {
 				xk[i] += data[i]
 			}
 		})
-		blas.TrsmLeftLTransUnit(wdt, w.nrhs, c.diag, wdt, xk, wdt)
+		blas.TrsmLeftLTransUnit(wdt, w.nrhs, data, ld, xk, wdt)
 		w.xs[k] = xk
 		for r := 0; r < w.nrhs; r++ {
 			copy(x[cb.Cols[0]+r*w.n:cb.Cols[1]+r*w.n], xk[r*wdt:(r+1)*wdt])

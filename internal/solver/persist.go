@@ -24,13 +24,14 @@ import (
 type CellLayout uint8
 
 const (
-	// LayoutStrided is the factorization's working layout: each cell one
-	// column-major array of LD rows × width columns. Journals written at
-	// store codec version 1 hold it.
+	// LayoutStrided is the factor's layout: each cell one column-major
+	// array of LD rows × width columns. ExportPayload writes it, and so did
+	// every server at store codec version 1.
 	LayoutStrided CellLayout = 1
-	// LayoutPacked is the solve layout: the w×w diagonal block, then each
-	// off-diagonal block, every part with leading dimension equal to its own
-	// row count.
+	// LayoutPacked is the former solve layout, which payloads written at
+	// store codec versions 2 and 3 may hold: the w×w diagonal block, then
+	// each off-diagonal block, every part with leading dimension equal to
+	// its own row count. ImportFactors unpacks it.
 	LayoutPacked CellLayout = 2
 )
 
@@ -88,13 +89,8 @@ func (f *Factors) ExportPayload() *FactorPayload {
 		p.Comp = &st
 		return p
 	}
-	p.Cells = make([][]float64, len(f.lrCells))
-	p.Layout = LayoutPacked
-	for k := range f.lrCells {
-		c := &f.lrCells[k]
-		// A repacked cell's diag and dense are the two ends of one array.
-		p.Cells[k] = c.diag[:len(c.diag)+len(c.dense)]
-	}
+	p.Cells = f.Data
+	p.Layout = LayoutStrided
 	return p
 }
 
@@ -103,7 +99,7 @@ func (f *Factors) ExportPayload() *FactorPayload {
 // different (or corrupted) factorization is rejected instead of producing
 // out-of-bounds solves. The payload's slices are adopted, not copied: the
 // caller (the store codec, which decodes into fresh slices) must not reuse
-// them. Strided dense cells are repacked in place; a dense payload with a
+// them. Packed dense cells are unpacked in place; a dense payload with a
 // missing or unknown layout fails with ErrPayloadLayout.
 func ImportFactors(sym *symbolic.Symbol, p *FactorPayload) (*Factors, error) {
 	if sym == nil || p == nil {
@@ -155,6 +151,7 @@ func ImportFactors(sym *symbolic.Symbol, p *FactorPayload) (*Factors, error) {
 			cells[k] = lrCell{diag: pc.Diag, dense: pc.Dense, off: pc.Off, lr: pc.LR}
 		}
 		f.lrCells = cells
+		f.Data = nil
 		if p.Comp != nil {
 			st := *p.Comp
 			f.comp = &st
@@ -176,17 +173,41 @@ func ImportFactors(sym *symbolic.Symbol, p *FactorPayload) (*Factors, error) {
 				return nil, fmt.Errorf("solver: import: cell %d length %d, want %d", k, len(p.Cells[k]), want)
 			}
 		}
-		if p.Layout == LayoutStrided {
-			f.Data = p.Cells
-			f.repack()
-			break
+		if p.Layout == LayoutPacked {
+			unpack(f, p.Cells)
 		}
-		f.lrCells = make([]lrCell, ncb)
-		for k := range f.lrCells {
-			f.lrCells[k] = packedCell(&sym.CB[k], p.Cells[k])
-		}
+		f.Data = p.Cells
 	}
-	f.Data = nil
 	f.Pivots = p.Pivots
 	return f, nil
+}
+
+// unpack rewrites each packed cell of f's shape in place into the strided
+// layout: a cell is copied into one scratch buffer the size of the largest
+// cell and written back strided. Both layouts hold a cell's values in the
+// same number of entries, so no second copy of the factor is ever live.
+func unpack(f *Factors, cells [][]float64) {
+	size := 0
+	for _, c := range cells {
+		size = max(size, len(c))
+	}
+	scratch := make([]float64, size)
+	for k, data := range cells {
+		cb := &f.Sym.CB[k]
+		w, ld := cb.Width(), f.LD[k]
+		src := scratch[:len(data)]
+		copy(src, data)
+		for j := 0; j < w; j++ {
+			copy(data[j*ld:j*ld+w], src[j*w:j*w+w])
+		}
+		pos := w * w
+		for bi := range cb.Blocks {
+			rows := cb.Blocks[bi].Rows()
+			off := f.BlockOff[k][bi]
+			for j := 0; j < w; j++ {
+				copy(data[off+j*ld:off+j*ld+rows], src[pos+j*rows:pos+j*rows+rows])
+			}
+			pos += rows * w
+		}
+	}
 }

@@ -131,7 +131,7 @@ func TestPerturbationReportAcrossRuntimes(t *testing.T) {
 				if name == "seq" {
 					continue
 				}
-				if !reflect.DeepEqual(stridedCells(fs["seq"]), stridedCells(f)) {
+				if !reflect.DeepEqual(fs["seq"].Data, f.Data) {
 					t.Fatalf("%s factor data differs bitwise from seq", name)
 				}
 			}

@@ -114,113 +114,94 @@ func factorizeSeq[T blas.Scalar](a symMatrix[T], sym *symbolic.Symbol, tau float
 }
 
 // realFactors wraps a finished float64 factorization, attaching the
-// perturbation report when pivoting was enabled, and repacks its cells into
-// the solve layout.
+// perturbation report when pivoting was enabled.
 func realFactors(s *Storage[float64], sp StaticPivot, normMax float64, perts []Perturbation) *Factors {
 	f := &Factors{Storage: *s}
 	if sp.Enabled() {
 		f.Pivots = buildReport(sp, normMax, perts, s)
 	}
-	f.repack()
 	return f
 }
 
-// Solve solves A·x = b given the factor (L, D): forward substitution with
-// the unit-lower block L, diagonal scaling, then backward substitution with
-// Lᵀ, each off-diagonal block applied from its packed dense form or through
-// the rank-r LR kernels. This is the reference the solve engines are
-// measured against. b is not modified; the solution is returned.
+// Solve solves A·x = b given the factor (L, D), reading each column block
+// as its panel form (see panels): the strided cells of a dense factor, or
+// the dense and U·Vᵀ blocks of a compressed one. This is the reference the
+// solve engines are measured against. b is not modified; the solution is
+// returned.
 func (f *Factors) Solve(b []float64) []float64 {
-	sym := f.Sym
 	x := append([]float64(nil), b...)
-	// Forward: L y = b.
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		cell := &f.lrCells[k]
-		xk := x[cb.Cols[0]:cb.Cols[1]]
-		blas.TrsvLowerUnit(w, cell.diag, w, xk)
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			rows := blk.Rows()
-			if lb := cell.lowRank(bi); lb != nil {
-				blas.LRGemvN(rows, w, lb.Rank, lb.U, lb.V, xk, x[blk.FirstRow:blk.LastRow])
-			} else {
-				blas.GemvN(rows, w, cell.dense[cell.off[bi]:], rows, xk, x[blk.FirstRow:blk.LastRow])
-			}
-		}
-	}
-	// Diagonal: z = D⁻¹ y.
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		diag := f.lrCells[k].diag
-		w := cb.Width()
-		for j := 0; j < w; j++ {
-			x[cb.Cols[0]+j] /= diag[j+j*w]
-		}
-	}
-	// Backward: Lᵀ x = z.
-	for k := len(sym.CB) - 1; k >= 0; k-- {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		cell := &f.lrCells[k]
-		xk := x[cb.Cols[0]:cb.Cols[1]]
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			rows := blk.Rows()
-			if lb := cell.lowRank(bi); lb != nil {
-				blas.LRGemvT(rows, w, lb.Rank, lb.U, lb.V, x[blk.FirstRow:blk.LastRow], xk)
-			} else {
-				blas.GemvT(rows, w, cell.dense[cell.off[bi]:], rows, x[blk.FirstRow:blk.LastRow], xk)
-			}
-		}
-		blas.TrsvLowerTransUnit(w, cell.diag, w, xk)
-	}
+	solvePanels(f.Sym, f.panels(), x)
 	return x
 }
 
-// Solve solves A·x = b with the strided factor: the complex factor's solve.
-// A float64 factor is repacked when factorization returns and solves
-// through Factors.Solve.
+// Solve solves A·x = b with the strided factor: the same panel-form
+// reference as Factors.Solve, for either scalar type.
 func (f *Storage[T]) Solve(b []T) []T {
-	kern := blas.KernelsOf[T]()
-	sym := f.Sym
 	x := append([]T(nil), b...)
-	// Forward: L y = b.
+	solvePanels(f.Sym, panels[T](f), x)
+	return x
+}
+
+// solvePanels overwrites x, holding b, with the solution of A·x = b, one
+// column block k at a time. Forward: L_kk y_k = x_k, then one product of
+// the whole off-diagonal panel, t = −P_k·y_k, whose rows are added to the
+// segments they face (x_i + t_i). Diagonal and backward: x_k = D_k⁻¹ y_k,
+// the facing x gathered over the panel's rows into g, one product
+// x_k −= P_kᵀ·g, then L_kkᵀ x_k = x_k. Every element thus takes its
+// contributions one source cell at a time in ascending order, and each
+// backward column one sum over its whole panel: the sequence the level-set
+// engine repeats, whatever the schedule.
+func solvePanels[T blas.Scalar](sym *symbolic.Symbol, p panels[T], x []T) {
+	kern := blas.KernelsOf[T]()
+	rbMax := 0
+	for k := range sym.CB {
+		rbMax = max(rbMax, sym.CB[k].RowsBelow())
+	}
+	t := make([]T, rbMax)
 	for k := range sym.CB {
 		cb := &sym.CB[k]
-		w := cb.Width()
-		ld := f.LD[k]
+		w, rb := cb.Width(), cb.RowsBelow()
 		xk := x[cb.Cols[0]:cb.Cols[1]]
-		kern.TrsvLowerUnit(w, f.Data[k], ld, xk)
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			kern.GemvN(blk.Rows(), w, f.Data[k][f.BlockOff[k][bi]:], ld,
-				xk, x[blk.FirstRow:blk.LastRow])
+		d, ld := p.cellDiag(k)
+		kern.TrsvLowerUnit(w, d, ld, xk)
+		tk := t[:rb]
+		clear(tk)
+		p.panelN(k, 0, rb, xk, tk)
+		for _, blk := range cb.Blocks {
+			addTo(x[blk.FirstRow:blk.LastRow], tk)
+			tk = tk[blk.Rows():]
 		}
 	}
-	// Diagonal: z = D⁻¹ y.
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		ld := f.LD[k]
-		for j := 0; j < cb.Width(); j++ {
-			x[cb.Cols[0]+j] /= f.Data[k][j+j*ld]
-		}
-	}
-	// Backward: Lᵀ x = z.
 	for k := len(sym.CB) - 1; k >= 0; k-- {
 		cb := &sym.CB[k]
 		w := cb.Width()
-		ld := f.LD[k]
 		xk := x[cb.Cols[0]:cb.Cols[1]]
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			kern.GemvT(blk.Rows(), w, f.Data[k][f.BlockOff[k][bi]:], ld,
-				x[blk.FirstRow:blk.LastRow], xk)
+		d, ld := p.cellDiag(k)
+		for j := range xk {
+			xk[j] /= d[j+j*ld]
 		}
-		blas.TrsvLowerTransUnit(w, f.Data[k], ld, xk)
+		g := gather(cb, x, t)
+		p.panelT(k, 0, w, g, xk)
+		blas.TrsvLowerTransUnit(w, d, ld, xk)
 	}
-	return x
+}
+
+// addTo adds the first len(y) entries of t into y: y_i + t_i.
+func addTo[T blas.Scalar](y, t []T) {
+	t = t[:len(y)]
+	for i := range y {
+		y[i] += t[i]
+	}
+}
+
+// gather copies the entries of x that cell cb's panel rows face into the
+// front of g, in panel-row order, and returns them.
+func gather[T blas.Scalar](cb *symbolic.ColBlock, x, g []T) []T {
+	n := 0
+	for _, blk := range cb.Blocks {
+		n += copy(g[n:], x[blk.FirstRow:blk.LastRow])
+	}
+	return g[:n]
 }
 
 // Refine performs one step of iterative refinement of x for A·x = b and

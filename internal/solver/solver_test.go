@@ -83,7 +83,7 @@ func TestSeqFactorAgainstDenseLDLT(t *testing.T) {
 		L[i+i*n] = 1
 	}
 	sym := an.Sym
-	data := stridedCells(f)
+	data := f.Data
 	for k := range sym.CB {
 		cb := &sym.CB[k]
 		ld := f.LD[k]
@@ -119,7 +119,7 @@ func TestSeqFactorAgainstDenseLDLT(t *testing.T) {
 
 func factorsClose(t *testing.T, a, b *Factors, tol float64) {
 	t.Helper()
-	ad, bd := stridedCells(a), stridedCells(b)
+	ad, bd := a.Data, b.Data
 	for k := range ad {
 		if len(ad[k]) != len(bd[k]) {
 			t.Fatalf("cell %d sizes differ", k)
@@ -130,28 +130,6 @@ func factorsClose(t *testing.T, a, b *Factors, tol float64) {
 			}
 		}
 	}
-}
-
-// stridedCells unpacks a dense factor's packed cells into the strided layout
-// the runtimes factorize in (LD rows × width per cell), so a test can address
-// values by LocateRow offsets and compare factors in cell, column, row order.
-func stridedCells(f *Factors) [][]float64 {
-	out := make([][]float64, len(f.lrCells))
-	for k := range f.lrCells {
-		c := &f.lrCells[k]
-		cb := &f.Sym.CB[k]
-		w, ld := cb.Width(), f.LD[k]
-		cell := make([]float64, ld*w)
-		for j := 0; j < w; j++ {
-			copy(cell[j*ld:j*ld+w], c.diag[j*w:j*w+w])
-			for bi := range cb.Blocks {
-				rows := cb.Blocks[bi].Rows()
-				copy(cell[f.BlockOff[k][bi]+j*ld:], c.dense[int(c.off[bi])+j*rows:][:rows])
-			}
-		}
-		out[k] = cell
-	}
-	return out
 }
 
 func TestParallelMatchesSequential(t *testing.T) {

@@ -35,11 +35,10 @@ type Factors struct {
 	// substitution.
 	Pivots *PerturbationReport
 
-	// lrCells is the factor's one resident form once factorization returns:
-	// every strided cell repacked in place (repack), or the block low-rank
-	// form Compress builds from those. Data is released either way, and
-	// every solve path reads the cells. comp carries the byte accounting of
-	// a compression pass and is nil for a dense factor.
+	// lrCells is the block low-rank form Compress builds from the strided
+	// cells, which it releases (Data is nil then); nil for a dense factor.
+	// comp carries the byte accounting of a compression pass and is nil for
+	// a dense factor.
 	lrCells []lrCell
 	comp    *CompressionStats
 }
@@ -207,19 +206,49 @@ func (f *Storage[T]) Diag(k int) []T {
 	return d
 }
 
-// Diag returns a copy of the diagonal vector D of cell k, read from the
-// packed cells once the factorization has finished.
-func (f *Factors) Diag(k int) []float64 {
-	if f.lrCells == nil {
-		return f.Storage.Diag(k)
+// panels is how the triangular solves read a factor, one column block k at
+// a time (the paper's COMP1D unit): its w×w diagonal block (unit-lower L
+// and D) and the panel P_k of its RowsBelow off-diagonal rows, in block
+// order. A dense factor serves both in place from its strided cells; a
+// compressed one block by block (blrPanels).
+type panels[T blas.Scalar] interface {
+	// cellDiag returns cell k's diagonal block and its leading dimension.
+	cellDiag(k int) ([]T, int)
+	// panelN computes t[i] -= (P_k·y)_i for the panel rows i in [lo, hi).
+	panelN(k, lo, hi int, y, t []T)
+	// panelT computes x[j] -= (P_kᵀ·g)_j for the columns j in [lo, hi).
+	panelT(k, lo, hi int, g, x []T)
+}
+
+func (f *Storage[T]) cellDiag(k int) ([]T, int) { return f.Data[k], f.LD[k] }
+
+// panelN is one GemvN over panel rows [lo, hi) of the strided cell.
+func (f *Storage[T]) panelN(k, lo, hi int, y, t []T) {
+	if lo >= hi {
+		return
 	}
 	w := f.Sym.CB[k].Width()
-	d := make([]float64, w)
-	diag := f.lrCells[k].diag
-	for j := 0; j < w; j++ {
-		d[j] = diag[j+j*w]
+	blas.KernelsOf[T]().GemvN(hi-lo, w, f.Data[k][w+lo:], f.LD[k], y, t[lo:hi])
+}
+
+// panelT is one GemvT over columns [lo, hi) of the strided panel: one sum
+// per column over every panel row.
+func (f *Storage[T]) panelT(k, lo, hi int, g, x []T) {
+	ld := f.LD[k]
+	w := f.Sym.CB[k].Width()
+	if lo >= hi || ld == w {
+		return
 	}
-	return d
+	blas.KernelsOf[T]().GemvT(ld-w, hi-lo, f.Data[k][w+lo*ld:], ld, g, x[lo:hi])
+}
+
+// panels returns the factor's panel form: the strided cells, or the
+// compressed ones after Compress.
+func (f *Factors) panels() panels[float64] {
+	if f.lrCells != nil {
+		return blrPanels{f}
+	}
+	return &f.Storage
 }
 
 // invert returns the elementwise reciprocals 1/d.

@@ -60,7 +60,7 @@ func (an *Analysis) Partition() []int { return an.inner.Partition() }
 // partition is rejected. The matrix must carry the analysed pattern
 // (ErrPatternMismatch otherwise) and the same values the factor was computed
 // from — it binds the refinement path, exactly as in FactorizeValues. Dense
-// cells written in the strided layout are repacked into the solve layout; a
+// cells written in the packed layout are unpacked into the strided one; a
 // dense payload with a missing or unknown layout fails with
 // ErrPayloadLayout. The payload's storage form is final: an analysis-level BLR option does NOT
 // re-compress a restored dense factor, and a compressed payload stays

@@ -167,7 +167,12 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 		}
 	}
 
-	var px []float64
+	// The level-set engine solves in place; refinement needs pb kept as the
+	// right-hand side.
+	px := pb
+	if opts.Refine != nil {
+		px = append([]float64(nil), pb...)
+	}
 	var err error
 	switch rt {
 	case RuntimeSequential:
@@ -179,7 +184,7 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 		} else {
 			// A panel runs on the level-set engine at one worker, which is
 			// per-column bitwise equal to the single-RHS reference.
-			px, err = solver.SolveLevelCtx(ctx, an.inner.SolvePlanFor(1), f.inner, pb,
+			err = solver.SolveLevelInPlace(ctx, an.inner.SolvePlanFor(1), f.inner, px,
 				solver.LevelOptions{NRHS: nrhs})
 		}
 	case RuntimeMPSim:
@@ -187,7 +192,7 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 			solver.SolveOptions{Trace: rec, Faults: an.faults})
 	case RuntimeShared, RuntimeDynamic:
 		pl := an.inner.SolvePlan()
-		px, err = solver.SolveLevelCtx(ctx, pl, f.inner, pb,
+		err = solver.SolveLevelInPlace(ctx, pl, f.inner, px,
 			solver.LevelOptions{NRHS: nrhs, Dynamic: rt == RuntimeDynamic, Trace: rec})
 		res.Plan = pl.Stats()
 	default:
@@ -238,8 +243,8 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 // solve DAG and the level-set plan for the schedule's processor count. Both
 // are built lazily on first use anyway; a serving layer calls this right
 // after factorization so the first request does not pay the one-time cost.
-// The factor itself needs nothing: factorization leaves it in the packed
-// layout every solve engine reads. Safe concurrently with solves.
+// The factor itself needs nothing: every solve engine reads the cells
+// factorization wrote. Safe concurrently with solves.
 func (an *Analysis) PrepareSolve(f *Factor) (PlanStats, error) {
 	if f == nil || f.an != an.inner {
 		return PlanStats{}, ErrFactorMismatch
