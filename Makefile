@@ -162,7 +162,8 @@ kernels:
 	GOAMD64=v3 $(GO) test -run '$(KERNELS_SERVICE_RUN)' ./internal/service
 
 # Short coverage-guided fuzz pass over the sparse-matrix invariants, the
-# file parsers, the task-DAG executor, the low-rank compressor's
+# triplet Builder and the Halo-AMD ordering against their map-based
+# references (same bits, same pivots), the task-DAG executor, the low-rank compressor's
 # accuracy/admission contract, the durable store's recovery path
 # (arbitrary journal bytes must never panic or resurrect corrupt records),
 # the AVX2 dense kernels against their scalar references (bitwise on
@@ -171,6 +172,8 @@ kernels:
 # bounded; raise -fuzztime for a real hunt).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCSR -fuzztime 10s ./internal/sparse
+	$(GO) test -run '^$$' -fuzz FuzzBuilder -fuzztime 10s ./internal/sparse
+	$(GO) test -run '^$$' -fuzz FuzzHaloAMD -fuzztime 10s ./internal/order
 	$(GO) test -run '^$$' -fuzz FuzzScheduleDAG -fuzztime 10s ./internal/dynsched
 	$(GO) test -run '^$$' -fuzz FuzzLRCompress -fuzztime 10s ./internal/lowrank
 	$(GO) test -run '^$$' -fuzz 'FuzzStoreRecover$$' -fuzztime 10s ./internal/store

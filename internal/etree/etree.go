@@ -16,23 +16,43 @@ import (
 // is the parent column of j, or -1 for roots. Liu's algorithm with path
 // compression.
 func Build(a *sparse.SymMatrix) []int {
-	n := a.N
+	// Liu's algorithm needs, for each row i, the set {j < i : a_ij != 0},
+	// in any order, processed after all rows < i: the row view of the
+	// lower triangle.
+	rowPtr, rowIdx := lowerRows(a)
+	return buildTree(rowPtr, rowIdx, nil, nil)
+}
+
+// BuildPermuted computes the elimination tree of P·A·Pᵀ (perm[new] = old,
+// iperm its inverse) from the adjacency structure of A — the graph.Graph
+// CSR arrays ptr/adj, both triangles, no diagonal — without forming the
+// permuted matrix.
+func BuildPermuted(ptr, adj, perm, iperm []int) []int {
+	return buildTree(ptr, adj, perm, iperm)
+}
+
+// buildTree runs Liu's algorithm over the rows of a pattern: row i of the
+// (permuted) matrix holds the columns iperm[c] for c in
+// idx[ptr[perm[i]]:ptr[perm[i]+1]]; nil perm and iperm mean the identity.
+// Entries at or above the diagonal are skipped, and the order within a row
+// does not matter.
+func buildTree(ptr, idx, perm, iperm []int) []int {
+	n := len(ptr) - 1
 	parent := make([]int, n)
 	ancestor := make([]int, n)
 	for i := range parent {
 		parent[i] = -1
 		ancestor[i] = -1
 	}
-	// Iterate entries (i,j), j<i, in row order: from lower CSC, entry (i,j)
-	// is seen when scanning column j; we need them grouped by i. Walk columns
-	// and process each strictly-lower entry against row index i directly —
-	// Liu's algorithm only needs, for each i, the set {j < i : a_ij != 0},
-	// in any order, processed after all rows < i. Scanning i ascending and
-	// using a row-wise view achieves that; build the row view on the fly.
-	rowPtr, rowIdx := lowerRows(a)
 	for i := 0; i < n; i++ {
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			j := rowIdx[p] // j < i
+		v := i
+		if perm != nil {
+			v = perm[i]
+		}
+		for _, j := range idx[ptr[v]:ptr[v+1]] {
+			if iperm != nil {
+				j = iperm[j]
+			}
 			for j != -1 && j < i {
 				next := ancestor[j]
 				ancestor[j] = i
@@ -122,27 +142,90 @@ func Postorder(parent []int) []int {
 }
 
 // ColCounts computes, for each column j, the number of nonzeros of L in
-// column j including the diagonal, by the row-subtree marking algorithm
-// (O(|L|) time).
+// column j including the diagonal.
 func ColCounts(a *sparse.SymMatrix, parent []int) []int {
-	n := a.N
-	cc := make([]int, n)
-	mark := make([]int, n)
-	for j := range cc {
-		cc[j] = 1 // diagonal
-		mark[j] = -1
+	return colCounts(a.ColPtr, a.RowIdx, nil, nil, parent, Postorder(parent))
+}
+
+// ColCountsPermuted is ColCounts for P·A·Pᵀ given A's adjacency structure,
+// as in BuildPermuted; parent is the elimination tree of P·A·Pᵀ and post a
+// postorder of it.
+func ColCountsPermuted(ptr, adj, perm, iperm, parent, post []int) []int {
+	return colCounts(ptr, adj, perm, iperm, parent, post)
+}
+
+// colCounts is the column-count algorithm of Gilbert, Ng & Peyton (as in
+// CSparse's cs_counts), in O(|A|·α(n)) time: it finds the row-subtree
+// leaves of the skeleton matrix and sums their contributions up the tree,
+// instead of walking every row subtree (O(|L|)). Column j of the pattern
+// holds the rows iperm[r] for r in idx[ptr[perm[j]]:ptr[perm[j]+1]] (nil
+// perm and iperm mean the identity); entries on or above the diagonal are
+// ignored, and the order within a column does not matter.
+func colCounts(ptr, idx, perm, iperm, parent, post []int) []int {
+	n := len(parent)
+	w := make([]int, 4*n)
+	ancestor, maxfirst, prevleaf, first := w[:n], w[n:2*n], w[2*n:3*n], w[3*n:]
+	for k := range w {
+		w[k] = -1
 	}
-	rowPtr, rowIdx := lowerRows(a)
-	for i := 0; i < n; i++ {
-		mark[i] = i
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			for k := rowIdx[p]; k != -1 && k < i && mark[k] != i; k = parent[k] {
-				cc[k]++ // row i appears in column k of L
-				mark[k] = i
-			}
+	delta := make([]int, n) // becomes the column counts
+	for k, j := range post {
+		if first[j] == -1 {
+			delta[j] = 1 // j is a leaf of the tree
+		}
+		for ; j != -1 && first[j] == -1; j = parent[j] {
+			first[j] = k
 		}
 	}
-	return cc
+	for i := range ancestor {
+		ancestor[i] = i
+	}
+	for _, j := range post {
+		if parent[j] != -1 {
+			delta[parent[j]]-- // j is not a root
+		}
+		c := j
+		if perm != nil {
+			c = perm[j]
+		}
+		for _, i := range idx[ptr[c]:ptr[c+1]] {
+			if iperm != nil {
+				i = iperm[i]
+			}
+			// Is j a leaf of row i's subtree (is a_ij in the skeleton)?
+			if i <= j || first[j] <= maxfirst[i] {
+				continue
+			}
+			maxfirst[i] = first[j]
+			jprev := prevleaf[i]
+			prevleaf[i] = j
+			delta[j]++
+			if jprev == -1 {
+				continue // j is the subtree's first leaf
+			}
+			// A later leaf: its least common ancestor with the previous
+			// leaf (with path compression) already counted row i.
+			q := jprev
+			for q != ancestor[q] {
+				q = ancestor[q]
+			}
+			for s := jprev; s != q; {
+				sp := ancestor[s]
+				ancestor[s] = q
+				s = sp
+			}
+			delta[q]--
+		}
+		if parent[j] != -1 {
+			ancestor[j] = parent[j]
+		}
+	}
+	for j := 0; j < n; j++ { // children precede their parents
+		if parent[j] != -1 {
+			delta[parent[j]] += delta[j]
+		}
+	}
+	return delta
 }
 
 // NNZL returns the number of strictly-lower nonzeros of L given the column

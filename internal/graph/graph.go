@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -141,11 +142,48 @@ func (g *Graph) HasEdge(u, v int) bool {
 // visit order and the level (distance) of each visited vertex; level is -1
 // for unvisited vertices.
 func (g *Graph) BFS(root int, mask []int, maskVal int) (order []int, level []int) {
-	level = make([]int, g.N)
+	return new(Traversal).BFS(g, root, mask, maskVal)
+}
+
+// PseudoPeripheral finds a vertex of (approximately) maximal eccentricity in
+// the component of start, restricted to mask/maskVal, using the standard
+// Gibbs-Poole-Stockmeyer iteration. It returns that vertex and the number of
+// BFS levels rooted there.
+func (g *Graph) PseudoPeripheral(start int, mask []int, maskVal int) (v int, height int) {
+	v, height, _, _ = new(Traversal).PseudoPeripheral(g, start, mask, maskVal)
+	return v, height
+}
+
+// Components labels connected components restricted to mask/maskVal over the
+// given vertex set (nil = all vertices). It returns the component id of each
+// vertex (-1 for vertices outside the mask) and the number of components.
+func (g *Graph) Components(verts []int, mask []int, maskVal int) (comp []int, ncomp int) {
+	return new(Traversal).Components(g, verts, mask, maskVal)
+}
+
+// Traversal is breadth-first search storage that repeated searches reuse —
+// nested dissection runs several per level. The slices a search
+// returns alias it and stay valid until the next search.
+type Traversal struct {
+	order, level [2][]int // two BFS buffers, so PseudoPeripheral keeps its best
+	cur          int
+}
+
+// resize returns x with length n, reusing its storage when large enough.
+func resize(x []int, n int) []int {
+	if cap(x) < n {
+		return make([]int, n)
+	}
+	return x[:n]
+}
+
+// BFS is Graph.BFS on the traversal's storage.
+func (t *Traversal) BFS(g *Graph, root int, mask []int, maskVal int) (order []int, level []int) {
+	level = resize(t.level[t.cur], g.N)
 	for i := range level {
 		level[i] = -1
 	}
-	order = make([]int, 0, g.N)
+	order = resize(t.order[t.cur], g.N)[:0]
 	level[root] = 0
 	order = append(order, root)
 	for head := 0; head < len(order); head++ {
@@ -161,16 +199,15 @@ func (g *Graph) BFS(root int, mask []int, maskVal int) (order []int, level []int
 			order = append(order, u)
 		}
 	}
+	t.order[t.cur], t.level[t.cur] = order, level
 	return order, level
 }
 
-// PseudoPeripheral finds a vertex of (approximately) maximal eccentricity in
-// the component of start, restricted to mask/maskVal, using the standard
-// Gibbs-Poole-Stockmeyer iteration. It returns that vertex and the number of
-// BFS levels rooted there.
-func (g *Graph) PseudoPeripheral(start int, mask []int, maskVal int) (v int, height int) {
+// PseudoPeripheral is Graph.PseudoPeripheral on the traversal's storage; it
+// also returns the BFS order and levels rooted at the vertex found.
+func (t *Traversal) PseudoPeripheral(g *Graph, start int, mask []int, maskVal int) (v, height int, order, level []int) {
 	v = start
-	order, level := g.BFS(v, mask, maskVal)
+	order, level = t.BFS(g, v, mask, maskVal)
 	height = level[order[len(order)-1]]
 	for iter := 0; iter < 8; iter++ {
 		// Pick a minimum-degree vertex in the last level.
@@ -181,36 +218,29 @@ func (g *Graph) PseudoPeripheral(start int, mask []int, maskVal int) (v int, hei
 				best = order[i]
 			}
 		}
-		o2, l2 := g.BFS(best, mask, maskVal)
+		t.cur ^= 1
+		o2, l2 := t.BFS(g, best, mask, maskVal)
 		h2 := l2[o2[len(o2)-1]]
 		if h2 <= height {
+			t.cur ^= 1
 			break
 		}
 		v, height, order, level = best, h2, o2, l2
 	}
-	return v, height
+	return v, height, order, level
 }
 
-// Components labels connected components restricted to mask/maskVal over the
-// given vertex set (nil = all vertices). It returns the component id of each
-// vertex (-1 for vertices outside the mask) and the number of components.
-func (g *Graph) Components(verts []int, mask []int, maskVal int) (comp []int, ncomp int) {
-	comp = make([]int, g.N)
+// Components is Graph.Components on the traversal's storage.
+func (t *Traversal) Components(g *Graph, verts []int, mask []int, maskVal int) (comp []int, ncomp int) {
+	comp = resize(t.level[t.cur], g.N)
 	for i := range comp {
 		comp[i] = -1
 	}
 	inSet := func(v int) bool { return mask == nil || mask[v] == maskVal }
-	scan := verts
-	if scan == nil {
-		scan = make([]int, g.N)
-		for i := range scan {
-			scan[i] = i
-		}
-	}
-	queue := make([]int, 0, g.N)
-	for _, s := range scan {
+	queue := resize(t.order[t.cur], g.N)[:0]
+	visit := func(s int) {
 		if !inSet(s) || comp[s] >= 0 {
-			continue
+			return
 		}
 		comp[s] = ncomp
 		queue = append(queue[:0], s)
@@ -225,6 +255,16 @@ func (g *Graph) Components(verts []int, mask []int, maskVal int) (comp []int, nc
 		}
 		ncomp++
 	}
+	if verts == nil {
+		for s := 0; s < g.N; s++ {
+			visit(s)
+		}
+	} else {
+		for _, s := range verts {
+			visit(s)
+		}
+	}
+	t.order[t.cur], t.level[t.cur] = queue, comp
 	return comp, ncomp
 }
 
@@ -232,30 +272,9 @@ func (g *Graph) Components(verts []int, mask []int, maskVal int) (comp []int, nc
 // and local→global vertex numbering (which is just a copy of verts, sorted).
 // Vertex weights are inherited.
 func (g *Graph) Subgraph(verts []int) (*Graph, []int) {
-	loc2glob := append([]int(nil), verts...)
-	sort.Ints(loc2glob)
-	glob2loc := make(map[int]int, len(loc2glob))
-	for i, v := range loc2glob {
-		glob2loc[v] = i
-	}
-	sub := &Graph{N: len(loc2glob), Ptr: make([]int, len(loc2glob)+1)}
-	var adj []int
-	for i, v := range loc2glob {
-		for _, u := range g.Neighbors(v) {
-			if lu, ok := glob2loc[u]; ok {
-				adj = append(adj, lu)
-			}
-		}
-		sub.Ptr[i+1] = len(adj)
-	}
-	sub.Adj = adj
-	if g.VWgt != nil {
-		sub.VWgt = make([]int, sub.N)
-		for i, v := range loc2glob {
-			sub.VWgt[i] = g.VWgt[v]
-		}
-	}
-	return sub, loc2glob
+	sorted := append([]int(nil), verts...)
+	sort.Ints(sorted)
+	return NewExtractor(g).Subgraph(sorted)
 }
 
 // HaloSubgraph materializes the graph induced by verts plus its distance-1
@@ -264,43 +283,96 @@ func (g *Graph) Subgraph(verts []int) (*Graph, []int) {
 // locals [nInner, N) are halo vertices. Interior vertices come first, each
 // group sorted by global index.
 func (g *Graph) HaloSubgraph(verts []int) (sub *Graph, loc2glob []int, nInner int) {
-	inner := make(map[int]bool, len(verts))
-	for _, v := range verts {
-		inner[v] = true
+	sorted := append([]int(nil), verts...)
+	sort.Ints(sorted)
+	return NewExtractor(g).HaloSubgraph(sorted)
+}
+
+// Extractor materializes induced subgraphs of one graph into storage it
+// reuses from call to call. A global→local index array, reset after each
+// extraction, replaces a per-call hash map. The graph and numbering a call
+// returns alias the extractor and stay valid until its next call.
+type Extractor struct {
+	g   *Graph
+	loc []int // global → local index; -1 outside the current extraction
+	l2g []int
+	wgt []int
+	sub Graph
+}
+
+// NewExtractor returns an extractor over g.
+func NewExtractor(g *Graph) *Extractor {
+	loc := make([]int, g.N)
+	for i := range loc {
+		loc[i] = -1
 	}
-	haloSet := make(map[int]bool)
+	return &Extractor{g: g, loc: loc}
+}
+
+// Subgraph is Graph.Subgraph for verts already sorted ascending; the
+// numbering it returns is verts itself.
+func (x *Extractor) Subgraph(verts []int) (*Graph, []int) {
+	for i, v := range verts {
+		x.loc[v] = i
+	}
+	sub := x.build(verts, len(verts))
+	for _, v := range verts {
+		x.loc[v] = -1
+	}
+	return sub, verts
+}
+
+// HaloSubgraph is Graph.HaloSubgraph for verts already sorted ascending.
+func (x *Extractor) HaloSubgraph(verts []int) (sub *Graph, loc2glob []int, nInner int) {
+	g := x.g
+	nInner = len(verts)
+	l2g := append(x.l2g[:0], verts...)
+	for i, v := range verts {
+		x.loc[v] = i
+	}
 	for _, v := range verts {
 		for _, u := range g.Neighbors(v) {
-			if !inner[u] {
-				haloSet[u] = true
+			if x.loc[u] == -1 {
+				x.loc[u] = nInner // provisional: numbered once sorted
+				l2g = append(l2g, u)
 			}
 		}
 	}
-	innerSorted := append([]int(nil), verts...)
-	sort.Ints(innerSorted)
-	halo := make([]int, 0, len(haloSet))
-	for v := range haloSet {
-		halo = append(halo, v)
+	slices.Sort(l2g[nInner:])
+	for i := nInner; i < len(l2g); i++ {
+		x.loc[l2g[i]] = i
 	}
-	sort.Ints(halo)
-	loc2glob = append(innerSorted, halo...)
-	nInner = len(innerSorted)
-	glob2loc := make(map[int]int, len(loc2glob))
-	for i, v := range loc2glob {
-		glob2loc[v] = i
+	x.l2g = l2g
+	sub = x.build(l2g, nInner)
+	for _, v := range l2g {
+		x.loc[v] = -1
 	}
-	sub = &Graph{N: len(loc2glob), Ptr: make([]int, len(loc2glob)+1)}
-	var adj []int
-	for i, v := range loc2glob {
+	return sub, l2g, nInner
+}
+
+// build assembles the subgraph on the numbering l2g (with x.loc holding its
+// inverse). Locals from nInner on are halo: edges between two of them are
+// irrelevant to the halo degrees of interior vertices and are dropped.
+func (x *Extractor) build(l2g []int, nInner int) *Graph {
+	g := x.g
+	n := len(l2g)
+	sub := &x.sub
+	sub.N = n
+	sub.Ptr = resize(sub.Ptr, n+1)
+	sub.Ptr[0] = 0
+	bound := 0
+	for _, v := range l2g {
+		bound += g.Ptr[v+1] - g.Ptr[v]
+	}
+	if cap(sub.Adj) < bound {
+		sub.Adj = make([]int, 0, bound)
+	}
+	adj := sub.Adj[:0]
+	for i, v := range l2g {
 		isHalo := i >= nInner
 		for _, u := range g.Neighbors(v) {
-			lu, ok := glob2loc[u]
-			if !ok {
-				continue
-			}
-			// Halo-halo edges are irrelevant to halo degrees of interior
-			// vertices; keep only edges with at least one interior endpoint.
-			if isHalo && lu >= nInner {
+			lu := x.loc[u]
+			if lu < 0 || (isHalo && lu >= nInner) {
 				continue
 			}
 			adj = append(adj, lu)
@@ -308,13 +380,15 @@ func (g *Graph) HaloSubgraph(verts []int) (sub *Graph, loc2glob []int, nInner in
 		sub.Ptr[i+1] = len(adj)
 	}
 	sub.Adj = adj
+	sub.VWgt = nil
 	if g.VWgt != nil {
-		sub.VWgt = make([]int, sub.N)
-		for i, v := range loc2glob {
-			sub.VWgt[i] = g.VWgt[v]
+		x.wgt = resize(x.wgt, n)
+		for i, v := range l2g {
+			x.wgt[i] = g.VWgt[v]
 		}
+		sub.VWgt = x.wgt
 	}
-	return sub, loc2glob, nInner
+	return sub
 }
 
 // Compress builds the compressed (quotient) graph in which each part —

@@ -102,11 +102,11 @@ func quickSortByWeight(g *graph.Graph, order []int) {
 }
 
 // multilevelSeparator computes a vertex separator of the connected graph g
-// by recursive coarsening. Returns (partA, partB, separator); empty parts
-// signal the caller to fall back to a leaf ordering.
-func multilevelSeparator(g *graph.Graph, refinePasses int) (a, b, sep []int) {
+// by recursive coarsening, as side labels (see sepWork); nil signals the
+// caller to fall back to a leaf ordering.
+func (w *sepWork) multilevelSeparator(g *graph.Graph, refinePasses int) []int {
 	if g.N <= multilevelCoarseThreshold {
-		return levelSeparator(g, refinePasses)
+		return w.levelSeparator(g, refinePasses)
 	}
 	match := matchVertices(g)
 	// Build the coarse map: one coarse vertex per matched pair / singleton.
@@ -127,25 +127,20 @@ func multilevelSeparator(g *graph.Graph, refinePasses int) (a, b, sep []int) {
 	}
 	if nc >= g.N {
 		// Matching made no progress (e.g. edgeless graph); single-level cut.
-		return levelSeparator(g, refinePasses)
+		return w.levelSeparator(g, refinePasses)
 	}
 	cg := g.Compress(cmap, nc)
-	ca, cb, csep := multilevelSeparator(cg, refinePasses)
-	if len(ca) == 0 || len(cb) == 0 {
-		return levelSeparator(g, refinePasses)
+	cside := w.multilevelSeparator(cg, refinePasses)
+	var count [3]int
+	for _, sd := range cside {
+		count[sd]++
 	}
-	// Project the coarse partition back to the fine graph.
+	if count[0] == 0 || count[1] == 0 {
+		return w.levelSeparator(g, refinePasses)
+	}
+	// Project the coarse partition back to the fine graph (cside may be the
+	// scratch side storage, so the fine labels get their own).
 	side := make([]int, g.N)
-	cside := make([]int, nc)
-	for _, v := range ca {
-		cside[v] = 0
-	}
-	for _, v := range cb {
-		cside[v] = 1
-	}
-	for _, v := range csep {
-		cside[v] = 2
-	}
 	for v := 0; v < g.N; v++ {
 		side[v] = cside[cmap[v]]
 	}
@@ -153,5 +148,5 @@ func multilevelSeparator(g *graph.Graph, refinePasses int) (a, b, sep []int) {
 	// this level.
 	thinSeparator(g, side)
 	refineSeparator(g, side, refinePasses)
-	return collectSides(g, side)
+	return side
 }

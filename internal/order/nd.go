@@ -2,7 +2,6 @@ package order
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/pastix-go/pastix/internal/graph"
 )
@@ -151,7 +150,7 @@ func Compute(g *graph.Graph, opts Options) *Ordering {
 		for v := range all {
 			all[v] = v
 		}
-		nd := &dissector{g: g, opts: opts, out: o}
+		nd := &dissector{g: g, opts: opts, out: o, x: graph.NewExtractor(g)}
 		nd.dissect(all)
 	default:
 		panic("order: unknown method")
@@ -184,15 +183,25 @@ func expandOrdering(c *Ordering, groups [][]int, n int) *Ordering {
 	return o
 }
 
+// dissector runs the nested dissection. Its extractor, separator
+// scratch and AMD workspace are reused from level to level and leaf to leaf;
+// each is done with before the dissection recurses, so one copy serves the whole
+// dissection.
 type dissector struct {
 	g    *graph.Graph
 	opts Options
 	out  *Ordering
+	x    *graph.Extractor
+	sw   sepWork
+	amd  amdWork
+	tmp  []int
 }
 
-// dissect orders the vertices `verts` (global ids) of the dissector's graph,
-// appending to the output permutation and supernode list. Subparts come
-// first, the separator last, so separators are eliminated after both halves.
+// dissect orders the vertices `verts` (global ids, ascending) of the
+// dissector's graph, appending to the output permutation and supernode
+// list. Subparts come first, the separator last, so separators are
+// eliminated after both halves. verts is reordered in place: the parts are
+// carved out of it, each kept ascending.
 func (d *dissector) dissect(verts []int) {
 	if len(verts) == 0 {
 		return
@@ -201,80 +210,103 @@ func (d *dissector) dissect(verts []int) {
 		d.leaf(verts)
 		return
 	}
-	sub, l2g := d.g.Subgraph(verts)
+	sub, _ := d.x.Subgraph(verts)
 
 	// Disconnected subgraphs dissect each component independently.
-	comp, ncomp := sub.Components(nil, nil, 0)
+	comp, ncomp := d.sw.trav.Components(sub, nil, nil, 0)
 	if ncomp > 1 {
-		groups := make([][]int, ncomp)
-		for lv, c := range comp {
-			groups[c] = append(groups[c], l2g[lv])
+		// Group verts by component (stably, so each group stays ascending),
+		// components in order of their lowest vertex.
+		bounds := make([]int, ncomp+1)
+		for _, c := range comp {
+			bounds[c+1]++
 		}
-		for _, grp := range groups {
-			d.dissect(grp)
+		for c := 0; c < ncomp; c++ {
+			bounds[c+1] += bounds[c]
+		}
+		d.regroup(verts, comp, append([]int(nil), bounds[:ncomp]...))
+		for c := 0; c < ncomp; c++ {
+			d.dissect(verts[bounds[c]:bounds[c+1]])
 		}
 		return
 	}
 
-	var a, b, sep []int
+	var side []int
 	switch {
 	case d.opts.Method == MetisLike:
-		a, b, sep = vertexCoverSeparator(sub)
+		side = d.sw.vertexCoverSeparator(sub)
 	case d.opts.Multilevel:
-		a, b, sep = multilevelSeparator(sub, d.opts.RefinePasses)
+		side = d.sw.multilevelSeparator(sub, d.opts.RefinePasses)
 	default:
-		a, b, sep = levelSeparator(sub, d.opts.RefinePasses)
+		side = d.sw.levelSeparator(sub, d.opts.RefinePasses)
 	}
-	if len(a) == 0 || len(b) == 0 {
+	var count [3]int
+	for _, sd := range side {
+		count[sd]++
+	}
+	if count[0] == 0 || count[1] == 0 {
 		// No useful split (e.g. near-clique): order the whole thing as a leaf.
 		d.leaf(verts)
 		return
 	}
-	toGlobal := func(ls []int) []int {
-		out := make([]int, len(ls))
-		for i, lv := range ls {
-			out[i] = l2g[lv]
-		}
-		return out
+	// Lay verts out as [A | B | separator], each part ascending.
+	na, nb := count[0], count[1]
+	d.regroup(verts, side, []int{0, na, na + nb})
+	d.dissect(verts[:na])
+	d.dissect(verts[na : na+nb])
+	if sep := verts[na+nb:]; len(sep) > 0 {
+		d.out.Perm = append(d.out.Perm, sep...)
+		d.out.SupernodeSizes = append(d.out.SupernodeSizes, len(sep))
 	}
-	d.dissect(toGlobal(a))
-	d.dissect(toGlobal(b))
-	if len(sep) > 0 {
-		gsep := toGlobal(sep)
-		sort.Ints(gsep) // deterministic intra-separator order
-		d.out.Perm = append(d.out.Perm, gsep...)
-		d.out.SupernodeSizes = append(d.out.SupernodeSizes, len(gsep))
+}
+
+// regroup reorders verts stably by label — label[i] is the group of
+// verts[i], next[c] where group c starts — so each group stays ascending.
+func (d *dissector) regroup(verts, label, next []int) {
+	d.tmp = grow(d.tmp, len(verts))
+	for i, c := range label {
+		d.tmp[next[c]] = verts[i]
+		next[c]++
 	}
+	copy(verts, d.tmp)
 }
 
 // leaf orders a small subgraph with (Halo-)AMD and emits its supervariables
 // as supernodes.
 func (d *dissector) leaf(verts []int) {
-	var res *AMDResult
+	var sub *graph.Graph
 	var l2g []int
+	nInner := len(verts)
 	if d.opts.Method == ScotchLike && !d.opts.NoHalo {
-		var sub *graph.Graph
-		var nInner int
-		sub, l2g, nInner = d.g.HaloSubgraph(verts)
-		res = HaloAMD(sub, nInner)
+		sub, l2g, nInner = d.x.HaloSubgraph(verts)
 	} else {
-		var sub *graph.Graph
-		sub, l2g = d.g.Subgraph(verts)
-		res = AMD(sub)
+		sub, l2g = d.x.Subgraph(verts)
 	}
-	for _, lv := range res.Order {
+	d.amd.run(sub, nInner)
+	for _, lv := range d.amd.order {
 		d.out.Perm = append(d.out.Perm, l2g[lv])
 	}
-	d.out.SupernodeSizes = append(d.out.SupernodeSizes, res.Supernodes...)
+	d.out.SupernodeSizes = append(d.out.SupernodeSizes, d.amd.snodes...)
 }
 
-// levelSeparator bisects a connected graph with a level-set separator rooted
-// at a pseudo-peripheral vertex, thins it, and applies bounded FM-style
-// refinement. Returns (partA, partB, separator) as local vertex lists.
-func levelSeparator(g *graph.Graph, refinePasses int) (a, b, sep []int) {
-	root, _ := g.PseudoPeripheral(0, nil, 0)
-	order, level := g.BFS(root, nil, 0)
-	_ = order
+// sepWork is the scratch the separators reuse across dissection levels.
+// A separator returns side labels per local vertex — 0 for part A, 1 for
+// part B, 2 for the separator — in storage that stays valid until the next
+// separator call, or nil when the graph has no useful split.
+type sepWork struct {
+	trav   graph.Traversal
+	side   []int
+	wLevel []int
+	cutDeg []int
+	inSep  []bool
+}
+
+// bisectLevels picks the level-set split of a connected graph: rooted at a
+// pseudo-peripheral vertex, it returns the BFS levels and the level bestL
+// where the prefix weight is closest to half the total, or bestL == 0 when
+// the graph is a single level (complete graph).
+func (w *sepWork) bisectLevels(g *graph.Graph) (level []int, bestL int) {
+	_, _, _, level = w.trav.PseudoPeripheral(g, 0, nil, 0)
 	maxLevel := 0
 	for _, l := range level {
 		if l > maxLevel {
@@ -282,11 +314,13 @@ func levelSeparator(g *graph.Graph, refinePasses int) (a, b, sep []int) {
 		}
 	}
 	if maxLevel == 0 {
-		return nil, nil, nil // complete graph: caller falls back to leaf
+		return nil, 0
 	}
 	// Weight per level; pick the split level where the prefix is closest to
 	// half the total.
-	wLevel := make([]int, maxLevel+1)
+	w.wLevel = grow(w.wLevel, maxLevel+1)
+	wLevel := w.wLevel
+	clear(wLevel)
 	total := 0
 	for v := 0; v < g.N; v++ {
 		wLevel[level[v]] += g.Weight(v)
@@ -309,8 +343,20 @@ func levelSeparator(g *graph.Graph, refinePasses int) (a, b, sep []int) {
 			bestDiff, bestL = diff, l+1
 		}
 	}
+	return level, bestL
+}
+
+// levelSeparator bisects a connected graph with a level-set separator rooted
+// at a pseudo-peripheral vertex, thins it, and applies bounded FM-style
+// refinement.
+func (w *sepWork) levelSeparator(g *graph.Graph, refinePasses int) []int {
+	level, bestL := w.bisectLevels(g)
+	if bestL == 0 {
+		return nil // complete graph: caller falls back to leaf
+	}
 	// side: 0 = A (levels < bestL), 1 = B (levels > bestL), 2 = separator.
-	side := make([]int, g.N)
+	w.side = grow(w.side, g.N)
+	side := w.side
 	for v := 0; v < g.N; v++ {
 		switch {
 		case level[v] < bestL:
@@ -323,7 +369,7 @@ func levelSeparator(g *graph.Graph, refinePasses int) (a, b, sep []int) {
 	}
 	thinSeparator(g, side)
 	refineSeparator(g, side, refinePasses)
-	return collectSides(g, side)
+	return side
 }
 
 // thinSeparator moves separator vertices that touch only one side into that
@@ -445,42 +491,13 @@ func refineSeparator(g *graph.Graph, side []int, passes int) {
 // vertexCoverSeparator (MetisLike) computes the level bisection and then
 // covers the cut edges greedily by degree, taking cover vertices as the
 // separator.
-func vertexCoverSeparator(g *graph.Graph) (a, b, sep []int) {
-	root, _ := g.PseudoPeripheral(0, nil, 0)
-	_, level := g.BFS(root, nil, 0)
-	maxLevel := 0
-	for _, l := range level {
-		if l > maxLevel {
-			maxLevel = l
-		}
+func (w *sepWork) vertexCoverSeparator(g *graph.Graph) []int {
+	level, bestL := w.bisectLevels(g)
+	if bestL == 0 {
+		return nil
 	}
-	if maxLevel == 0 {
-		return nil, nil, nil
-	}
-	wLevel := make([]int, maxLevel+1)
-	total := 0
-	for v := 0; v < g.N; v++ {
-		wLevel[level[v]] += g.Weight(v)
-		total += g.Weight(v)
-	}
-	bestL, bestDiff := 1, total
-	prefix := 0
-	// Keep at least one level on each side so neither part is empty.
-	lastSplit := maxLevel - 1
-	if lastSplit < 1 {
-		lastSplit = 1
-	}
-	for l := 0; l < lastSplit; l++ {
-		prefix += wLevel[l]
-		diff := prefix - (total - prefix)
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff < bestDiff {
-			bestDiff, bestL = diff, l+1
-		}
-	}
-	side := make([]int, g.N) // 0=A,1=B
+	w.side = grow(w.side, g.N)
+	side := w.side // 0=A,1=B
 	for v := 0; v < g.N; v++ {
 		if level[v] < bestL {
 			side[v] = 0
@@ -490,15 +507,19 @@ func vertexCoverSeparator(g *graph.Graph) (a, b, sep []int) {
 	}
 	// Greedy vertex cover of the cut: repeatedly take the endpoint covering
 	// the most uncovered cut edges.
-	cutDeg := make([]int, g.N)
+	w.cutDeg = grow(w.cutDeg, g.N)
+	cutDeg := w.cutDeg
 	for v := 0; v < g.N; v++ {
+		cutDeg[v] = 0
 		for _, u := range g.Neighbors(v) {
 			if side[u] != side[v] {
 				cutDeg[v]++
 			}
 		}
 	}
-	inSep := make([]bool, g.N)
+	w.inSep = grow(w.inSep, g.N)
+	inSep := w.inSep
+	clear(inSep)
 	for {
 		best, bestD := -1, 0
 		for v := 0; v < g.N; v++ {
@@ -522,19 +543,5 @@ func vertexCoverSeparator(g *graph.Graph) (a, b, sep []int) {
 			side[v] = 2
 		}
 	}
-	return collectSides(g, side)
-}
-
-func collectSides(g *graph.Graph, side []int) (a, b, sep []int) {
-	for v := 0; v < g.N; v++ {
-		switch side[v] {
-		case 0:
-			a = append(a, v)
-		case 1:
-			b = append(b, v)
-		default:
-			sep = append(sep, v)
-		}
-	}
-	return
+	return side
 }

@@ -263,3 +263,32 @@ func TestAMDRandomGraphsValid(t *testing.T) {
 		checkPermutation(t, res.Order, n)
 	}
 }
+
+// levelSeparator, vertexCoverSeparator and multilevelSeparator run the
+// dissector's separators on fresh scratch and return the two parts and the
+// separator as ascending local vertex lists.
+func levelSeparator(g *graph.Graph, passes int) (a, b, sep []int) {
+	return collectSides(new(sepWork).levelSeparator(g, passes))
+}
+
+func vertexCoverSeparator(g *graph.Graph) (a, b, sep []int) {
+	return collectSides(new(sepWork).vertexCoverSeparator(g))
+}
+
+func multilevelSeparator(g *graph.Graph, passes int) (a, b, sep []int) {
+	return collectSides(new(sepWork).multilevelSeparator(g, passes))
+}
+
+func collectSides(side []int) (a, b, sep []int) {
+	for v, s := range side {
+		switch s {
+		case 0:
+			a = append(a, v)
+		case 1:
+			b = append(b, v)
+		default:
+			sep = append(sep, v)
+		}
+	}
+	return
+}

@@ -8,8 +8,8 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/pastix-go/pastix/internal/cost"
@@ -109,7 +109,9 @@ type Schedule struct {
 	Comp1DOf []int
 	FactorOf []int
 	BDivOf   [][]int // [cell][blockIdx]
-	bmodOf   map[[3]int]int
+	// bmodBase[k] is the id of BMOD(0,0) of 2D cell k (-1 for 1D cells);
+	// the cell's BMOD tasks follow it in (T, S ≥ T) order.
+	bmodBase []int
 
 	sym  *symbolic.Symbol
 	mach *cost.Machine
@@ -120,10 +122,20 @@ func (s *Schedule) Sym() *symbolic.Symbol { return s.sym }
 
 // BModOf returns the BMOD task id for (cell, s, t), or -1.
 func (s *Schedule) BModOf(cell, sIdx, tIdx int) int {
-	if id, ok := s.bmodOf[[3]int{cell, sIdx, tIdx}]; ok {
-		return id
+	if cell < 0 || cell >= len(s.bmodBase) || s.bmodBase[cell] < 0 {
+		return -1
 	}
-	return -1
+	nb := len(s.BDivOf[cell])
+	if tIdx < 0 || sIdx < tIdx || sIdx >= nb {
+		return -1
+	}
+	return s.bmodBase[cell] + bmodIndex(nb, sIdx, tIdx)
+}
+
+// bmodIndex is the position of BMOD(S,T) among a cell's nb(nb+1)/2 BMOD
+// tasks, created T-major: (0,0), (1,0), …, (nb-1,0), (1,1), ….
+func bmodIndex(nb, sIdx, tIdx int) int {
+	return tIdx*nb - tIdx*(tIdx-1)/2 + sIdx - tIdx
 }
 
 // InDegrees returns, for every task, the number of incoming dependency
@@ -162,12 +174,21 @@ func Build(sym *symbolic.Symbol, mapping *part.Mapping, mach *cost.Machine, opts
 		Comp1DOf: make([]int, ncb),
 		FactorOf: make([]int, ncb),
 		BDivOf:   make([][]int, ncb),
-		bmodOf:   make(map[[3]int]int),
+		bmodBase: make([]int, ncb),
 		sym:      sym,
 		mach:     mach,
 	}
 
 	// --- Create tasks. ---
+	ntask := 0
+	for k := 0; k < ncb; k++ {
+		if nb := len(sym.CB[k].Blocks); mapping.Is2D[k] {
+			ntask += 1 + nb + nb*(nb+1)/2
+		} else {
+			ntask++
+		}
+	}
+	s.Tasks = make([]Task, 0, ntask)
 	newTask := func(tt TaskType, cell, sIdx, tIdx int) int {
 		id := len(s.Tasks)
 		s.Tasks = append(s.Tasks, Task{
@@ -179,6 +200,7 @@ func Build(sym *symbolic.Symbol, mapping *part.Mapping, mach *cost.Machine, opts
 	for k := 0; k < ncb; k++ {
 		nb := len(sym.CB[k].Blocks)
 		s.BDivOf[k] = make([]int, nb)
+		s.bmodBase[k] = -1
 		if !mapping.Is2D[k] {
 			s.Comp1DOf[k] = newTask(Comp1D, k, -1, -1)
 			s.FactorOf[k] = -1
@@ -192,11 +214,11 @@ func Build(sym *symbolic.Symbol, mapping *part.Mapping, mach *cost.Machine, opts
 		for b := 0; b < nb; b++ {
 			s.BDivOf[k][b] = newTask(BDiv, k, b, -1)
 		}
+		s.bmodBase[k] = len(s.Tasks)
 		for t := 0; t < nb; t++ {
 			for sb := t; sb < nb; sb++ {
 				id := newTask(BMod, k, sb, t)
 				s.Tasks[id].pinned = true
-				s.bmodOf[[3]int{k, sb, t}] = id
 			}
 		}
 	}
@@ -214,8 +236,15 @@ func Build(sym *symbolic.Symbol, mapping *part.Mapping, mach *cost.Machine, opts
 	}
 
 	// --- Edges. ---
+	// Collected flat, then grouped by source into one backing array (each
+	// source's edges in the order they were added).
+	type srcEdge struct {
+		src int
+		e   Edge
+	}
+	var edges []srcEdge
 	addEdge := func(src, dst int, kind EdgeKind, elems int) {
-		s.Tasks[src].Outs = append(s.Tasks[src].Outs, Edge{Dst: dst, Kind: kind, Elems: elems})
+		edges = append(edges, srcEdge{src, Edge{Dst: dst, Kind: kind, Elems: elems}})
 		s.Tasks[dst].deps++
 	}
 	// contributionTarget returns the task receiving the (sBlk,tBlk)
@@ -249,22 +278,34 @@ func Build(sym *symbolic.Symbol, mapping *part.Mapping, mach *cost.Machine, opts
 		return rs * rt
 	}
 
-	type aggKey struct{ src, dst int }
-	agg := make(map[aggKey]int) // compressed COMP1D→dst AUB elems
+	// A COMP1D source aggregates its contributions per destination into
+	// one AUB edge each: aggElems accumulates them (indexed by destination
+	// task), dsts lists the destinations touched, emitted ascending.
+	aggElems := make([]int, len(s.Tasks))
+	var dsts []int
 	for k := 0; k < ncb; k++ {
 		blocks := sym.CB[k].Blocks
 		nb := len(blocks)
 		w := sym.CB[k].Width()
 		if s.Comp1DOf[k] >= 0 {
 			src := s.Comp1DOf[k]
+			dsts = dsts[:0]
 			for t := 0; t < nb; t++ {
 				for sb := t; sb < nb; sb++ {
 					dst, err := contributionTarget(k, sb, t)
 					if err != nil {
 						return nil, err
 					}
-					agg[aggKey{src, dst}] += contribElems(k, sb, t)
+					if aggElems[dst] == 0 { // contributions are never empty
+						dsts = append(dsts, dst)
+					}
+					aggElems[dst] += contribElems(k, sb, t)
 				}
+			}
+			slices.Sort(dsts)
+			for _, dst := range dsts {
+				addEdge(src, dst, EdgeAUB, aggElems[dst])
+				aggElems[dst] = 0
 			}
 			continue
 		}
@@ -276,7 +317,7 @@ func Build(sym *symbolic.Symbol, mapping *part.Mapping, mach *cost.Machine, opts
 		}
 		for t := 0; t < nb; t++ {
 			for sb := t; sb < nb; sb++ {
-				bm := s.bmodOf[[3]int{k, sb, t}]
+				bm := s.bmodBase[k] + bmodIndex(nb, sb, t)
 				addEdge(s.BDivOf[k][sb], bm, EdgePin, 0)
 				if sb != t {
 					addEdge(s.BDivOf[k][t], bm, EdgeF, blocks[t].Rows()*w)
@@ -289,8 +330,23 @@ func Build(sym *symbolic.Symbol, mapping *part.Mapping, mach *cost.Machine, opts
 			}
 		}
 	}
-	for key, elems := range agg {
-		addEdge(key.src, key.dst, EdgeAUB, elems)
+	start := make([]int, len(s.Tasks)+1)
+	for _, se := range edges {
+		start[se.src+1]++
+	}
+	for i := range s.Tasks {
+		start[i+1] += start[i]
+	}
+	all := make([]Edge, len(edges))
+	fill := append([]int(nil), start[:len(s.Tasks)]...)
+	for _, se := range edges {
+		all[fill[se.src]] = se.e
+		fill[se.src]++
+	}
+	for i := range s.Tasks {
+		if start[i] < start[i+1] {
+			s.Tasks[i].Outs = all[start[i]:start[i+1]:start[i+1]]
+		}
 	}
 
 	// --- Execution-time model per task (kernel + aggregation work). ---
@@ -354,24 +410,51 @@ type readyItem struct {
 }
 type readyHeap []readyItem
 
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	if h[i].depth != h[j].depth {
-		return h[i].depth > h[j].depth
+func (a readyItem) less(b readyItem) bool {
+	if a.depth != b.depth {
+		return a.depth > b.depth
 	}
-	if h[i].cell != h[j].cell {
-		return h[i].cell < h[j].cell
+	if a.cell != b.cell {
+		return a.cell < b.cell
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)   { *h = append(*h, x.(readyItem)) }
-func (h *readyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *readyHeap) push(it readyItem) {
+	q := append(*h, it)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].less(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+func (h *readyHeap) pop() readyItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].less(q[c]) {
+			c++
+		}
+		if !q[c].less(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }
 
 // mapTasks runs the greedy mapping simulation.
@@ -381,11 +464,23 @@ func (s *Schedule) mapTasks(opts Options) error {
 	heaps := make([]readyHeap, P)
 	s.ByProc = make([][]int, P)
 
-	// Incoming AUB edges per destination, for arrival computation.
-	incoming := make([][]Edge, len(s.Tasks)) // reversed edges (src stored in Dst field)
+	// Incoming edges per destination, for arrival computation: reversed
+	// edges (src stored in the Dst field) of task d at in[inPtr[d]:inPtr[d+1]].
+	inPtr := make([]int, len(s.Tasks)+1)
 	for i := range s.Tasks {
 		for _, e := range s.Tasks[i].Outs {
-			incoming[e.Dst] = append(incoming[e.Dst], Edge{Dst: i, Kind: e.Kind, Elems: e.Elems})
+			inPtr[e.Dst+1]++
+		}
+	}
+	for d := range s.Tasks {
+		inPtr[d+1] += inPtr[d]
+	}
+	in := make([]Edge, inPtr[len(s.Tasks)])
+	fill := append([]int(nil), inPtr[:len(s.Tasks)]...)
+	for i := range s.Tasks {
+		for _, e := range s.Tasks[i].Outs {
+			in[fill[e.Dst]] = Edge{Dst: i, Kind: e.Kind, Elems: e.Elems}
+			fill[e.Dst]++
 		}
 	}
 
@@ -402,7 +497,7 @@ func (s *Schedule) mapTasks(opts Options) error {
 			lo, hi = p, p+1
 		}
 		for p := lo; p < hi; p++ {
-			heap.Push(&heaps[p], readyItem{t.depth, t.Cell, id})
+			heaps[p].push(readyItem{t.depth, t.Cell, id})
 		}
 	}
 	for i := range s.Tasks {
@@ -420,13 +515,13 @@ func (s *Schedule) mapTasks(opts Options) error {
 		var bestItem readyItem
 		for p := 0; p < P; p++ {
 			for len(heaps[p]) > 0 && s.Tasks[heaps[p][0].id].Proc >= 0 {
-				heap.Pop(&heaps[p]) // stale: already mapped via another heap
+				heaps[p].pop() // stale: already mapped via another heap
 			}
 			if len(heaps[p]) == 0 {
 				continue
 			}
 			it := heaps[p][0]
-			if best == -1 || (readyHeap{it, bestItem}).Less(0, 1) {
+			if best == -1 || it.less(bestItem) {
 				best, bestItem = it.id, it
 			}
 		}
@@ -447,11 +542,11 @@ func (s *Schedule) mapTasks(opts Options) error {
 		bestProc, bestEnd, bestStart := -1, 0.0, 0.0
 		for q := lo; q < hi; q++ {
 			arrival := 0.0
-			for _, in := range incoming[best] {
-				src := &s.Tasks[in.Dst]
+			for _, e := range in[inPtr[best]:inPtr[best+1]] {
+				src := &s.Tasks[e.Dst]
 				at := src.End
-				if src.Proc != q && in.Kind != EdgePin {
-					at += s.mach.SendTimeBetween(src.Proc, q, in.Elems*8)
+				if src.Proc != q && e.Kind != EdgePin {
+					at += s.mach.SendTimeBetween(src.Proc, q, e.Elems*8)
 				}
 				if at > arrival {
 					arrival = at

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"github.com/pastix-go/pastix/internal/cost"
@@ -196,16 +198,36 @@ func TestTaskTypeString(t *testing.T) {
 	}
 }
 
+// TestDeterministicSchedule builds each schedule twice and requires the
+// same mapping, the same edge lists in the same order (the dynamic and
+// shared runtimes release successors in Outs order) and the same makespan
+// bits.
 func TestDeterministicSchedule(t *testing.T) {
-	a := testMatrix(t, "SHIP001", 0.04)
-	_, s1 := buildSchedule(t, a, 4, 24)
-	_, s2 := buildSchedule(t, a, 4, 24)
-	if len(s1.Tasks) != len(s2.Tasks) {
-		t.Fatal("task counts differ")
+	cases := []struct {
+		name string
+		a    *sparse.SymMatrix
+		P    int
+	}{
+		{"SHIP001", testMatrix(t, "SHIP001", 0.04), 4},
+		{"poisson12", gen.Laplacian3D(12, 12, 12), 2},
+		{"MT1", testMatrix(t, "MT1", 0.25), 4},
 	}
-	for i := range s1.Tasks {
-		if s1.Tasks[i].Proc != s2.Tasks[i].Proc || s1.Tasks[i].Rank != s2.Tasks[i].Rank {
-			t.Fatalf("schedule not deterministic at task %d", i)
+	for _, c := range cases {
+		_, s1 := buildSchedule(t, c.a, c.P, 24)
+		_, s2 := buildSchedule(t, c.a, c.P, 24)
+		if len(s1.Tasks) != len(s2.Tasks) {
+			t.Fatalf("%s: task counts differ", c.name)
+		}
+		for i := range s1.Tasks {
+			if s1.Tasks[i].Proc != s2.Tasks[i].Proc || s1.Tasks[i].Rank != s2.Tasks[i].Rank {
+				t.Fatalf("%s: schedule not deterministic at task %d", c.name, i)
+			}
+			if !reflect.DeepEqual(s1.Tasks[i].Outs, s2.Tasks[i].Outs) {
+				t.Fatalf("%s: edges of task %d differ between builds", c.name, i)
+			}
+		}
+		if math.Float64bits(s1.Makespan) != math.Float64bits(s2.Makespan) {
+			t.Fatalf("%s: makespan %v vs %v", c.name, s1.Makespan, s2.Makespan)
 		}
 	}
 }

@@ -125,7 +125,6 @@ func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, partition p
 	if err := o.Validate(a.N); err != nil {
 		return nil, err
 	}
-	pa := a.Permute(o.Perm)
 	tOrder := time.Since(tStart)
 	tStart = time.Now()
 	if err := ctx.Err(); err != nil {
@@ -134,19 +133,7 @@ func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, partition p
 
 	// Elimination tree, postorder (composed into the permutation), column
 	// counts, and the column-block partition.
-	parent := etree.Build(pa)
-	post := etree.Postorder(parent)
-	pa = pa.Permute(post)
-	perm := make([]int, a.N)
-	for r, v := range post {
-		perm[r] = o.Perm[v]
-	}
-	iperm := make([]int, a.N)
-	for newI, old := range perm {
-		iperm[old] = newI
-	}
-	parent = etree.Build(pa)
-	cc := etree.ColCounts(pa, parent)
+	pa, perm, iperm, parent, cc := postordered(a, ptr, adj, o.Perm, o.IPerm)
 	sn, err := partition(parent, cc)
 	if err != nil {
 		return nil, err
@@ -199,6 +186,27 @@ func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, partition p
 	an.SolveDAG()
 	an.solvePulls()
 	return an, nil
+}
+
+// postordered composes the fill-reducing ordering perm (perm[new] = old,
+// iperm its inverse) of a — whose adjacency structure is ptr/adj — with a
+// postorder of its elimination tree. The tree and the scalar column counts
+// are read off the adjacency graph, and the postorder relabels both: it is
+// an equivalent ordering, with the same tree and the same counts. The
+// matrix is permuted once, into the composed ordering; the tree and counts
+// are returned in its labels.
+func postordered(a *sparse.SymMatrix, ptr, adj, perm, iperm []int) (pa *sparse.SymMatrix, composed, icomposed, parent, cc []int) {
+	parent = etree.BuildPermuted(ptr, adj, perm, iperm)
+	post := etree.Postorder(parent)
+	cc = etree.ColCountsPermuted(ptr, adj, perm, iperm, parent, post)
+	parent, cc = etree.ApplyPostorder(parent, cc, post)
+	composed = make([]int, a.N)
+	icomposed = make([]int, a.N)
+	for r, v := range post {
+		composed[r] = perm[v]
+		icomposed[composed[r]] = r
+	}
+	return a.Permute(composed), composed, icomposed, parent, cc
 }
 
 // Partition returns the analysis's column-block boundaries: entry k is the

@@ -78,21 +78,14 @@ func AnalyzeSchur(a *sparse.SymMatrix, schurVars []int, opts Options) (*SchurAna
 	sort.Ints(schurSorted)
 	perm = append(perm, schurSorted...)
 
-	pa := a.Permute(perm)
-	parent := etree.Build(pa)
-	post := etree.Postorder(parent)
-	// The terminal Schur columns form a path at the top of the etree; the
-	// postorder keeps them last (they are ancestors of everything they
-	// touch). Compose permutations as in Analyze.
-	pa = pa.Permute(post)
-	composed := make([]int, n)
-	for r, v := range post {
-		composed[r] = perm[v]
-	}
 	iperm := make([]int, n)
-	for newI, old := range composed {
+	for newI, old := range perm {
 		iperm[old] = newI
 	}
+	// The terminal Schur columns form a path at the top of the etree; the
+	// postorder keeps them last (they are ancestors of everything they
+	// touch).
+	pa, composed, iperm, parent, cc := postordered(a, ptr, adj, perm, iperm)
 	// Verify the Schur unknowns stayed last (they must: every interior
 	// column is eliminated before them or unrelated).
 	for r := n - ns; r < n; r++ {
@@ -101,8 +94,6 @@ func AnalyzeSchur(a *sparse.SymMatrix, schurVars []int, opts Options) (*SchurAna
 		}
 	}
 
-	parent = etree.Build(pa)
-	cc := etree.ColCounts(pa, parent)
 	sn := etree.Fundamental(parent, cc)
 	sn = etree.Amalgamate(sn, cc, opts.Amalgamation)
 	// Merge all supernodes inside the Schur range into one terminal block,

@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -104,5 +106,44 @@ func FuzzCSR(f *testing.F) {
 			x[i] = 1
 		}
 		a.MatVec(x, y)
+	})
+}
+
+// FuzzBuilder checks the counting-sort Builder against the map-based
+// reference: random triplets in both triangles, with duplicates, signed
+// zeros and non-finite values, must give the same ColPtr and RowIdx and the
+// same Val bits.
+func FuzzBuilder(f *testing.F) {
+	f.Add([]byte{4, 0, 0, 1, 1, 0, 2, 0, 1, 3, 3, 3, 4, 2, 1, 5, 1, 2, 6})
+	f.Add([]byte{1, 0, 0, 0})
+	f.Add([]byte{9, 8, 0, 255, 0, 8, 7, 8, 0, 128, 3, 3, 130})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%24
+		got, want := NewBuilder(n), newRefBuilder(n)
+		specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN(), 1e-300, -2.5}
+		for k := 1; k+2 < len(data); k += 3 {
+			i, j := int(data[k])%n, int(data[k+1])%n
+			v := float64(int(data[k+2])-128) / 7
+			if data[k+2]%16 == 0 {
+				v = specials[int(data[k+2]/16)%len(specials)]
+			}
+			got.Add(i, j, v)
+			want.Add(i, j, v)
+		}
+		a, r := got.Build(), want.Build()
+		if !slices.Equal(a.ColPtr, r.ColPtr) || !slices.Equal(a.RowIdx, r.RowIdx) {
+			t.Fatalf("structure %v %v, reference %v %v", a.ColPtr, a.RowIdx, r.ColPtr, r.RowIdx)
+		}
+		for p := range r.Val {
+			if math.Float64bits(a.Val[p]) != math.Float64bits(r.Val[p]) {
+				t.Fatalf("Val[%d] = %v, reference %v", p, a.Val[p], r.Val[p])
+			}
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

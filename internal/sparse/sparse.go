@@ -207,96 +207,52 @@ func (a *SymMatrix) Dense() []float64 {
 // AdjacencyCSR returns the adjacency structure of A (pattern of the full
 // matrix minus the diagonal) as CSR arrays suitable for graph.FromCSR.
 func (a *SymMatrix) AdjacencyCSR() (ptr, adj []int) {
-	deg := make([]int, a.N)
-	for j := 0; j < a.N; j++ {
-		for p := a.ColPtr[j] + 1; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			deg[i]++
-			deg[j]++
-		}
-	}
 	ptr = make([]int, a.N+1)
-	for v := 0; v < a.N; v++ {
-		ptr[v+1] = ptr[v] + deg[v]
+	for j := 0; j < a.N; j++ {
+		for p := a.ColPtr[j] + 1; p < a.ColPtr[j+1]; p++ {
+			ptr[a.RowIdx[p]+1]++
+			ptr[j+1]++
+		}
 	}
+	for v := 0; v < a.N; v++ {
+		ptr[v+1] += ptr[v]
+	}
+	// ptr[v] serves as row v's fill cursor and ends at the start of row
+	// v+1; shifting it back restores the starts.
 	adj = make([]int, ptr[a.N])
-	next := append([]int(nil), ptr[:a.N]...)
 	for j := 0; j < a.N; j++ {
 		for p := a.ColPtr[j] + 1; p < a.ColPtr[j+1]; p++ {
 			i := a.RowIdx[p]
-			adj[next[i]] = j
-			adj[next[j]] = i
-			next[i]++
-			next[j]++
+			adj[ptr[i]] = j
+			adj[ptr[j]] = i
+			ptr[i]++
+			ptr[j]++
 		}
 	}
-	// Rows built in increasing column order of the source sweep are already
-	// sorted for the j side, but the i side interleaves; sort each row.
-	for v := 0; v < a.N; v++ {
-		sort.Ints(adj[ptr[v]:ptr[v+1]])
-	}
+	copy(ptr[1:], ptr[:a.N])
+	ptr[0] = 0
+	// Row v receives the columns j < v while the sweep is left of v, then
+	// column v's own rows, ascending: every row comes out sorted.
 	return ptr, adj
 }
 
 // Permute returns P A Pᵀ where perm is the new ordering: perm[new] = old
 // (i.e. row/column `old` of A becomes row/column `new` of the result).
 func (a *SymMatrix) Permute(perm []int) *SymMatrix {
-	n := a.N
-	if len(perm) != n {
-		panic("sparse: permutation length mismatch")
-	}
-	inv := make([]int, n) // inv[old] = new
-	for newI, old := range perm {
-		inv[old] = newI
-	}
-	type ent struct {
-		row int
-		val float64
-	}
-	cols := make([][]ent, n)
-	for j := 0; j < n; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			ni, nj := inv[i], inv[j]
-			if ni < nj {
-				ni, nj = nj, ni
-			}
-			cols[nj] = append(cols[nj], ent{ni, a.Val[p]})
-		}
-	}
-	b := &SymMatrix{N: n, ColPtr: make([]int, n+1)}
-	for j := 0; j < n; j++ {
-		sort.Slice(cols[j], func(x, y int) bool { return cols[j][x].row < cols[j][y].row })
-		b.ColPtr[j+1] = b.ColPtr[j] + len(cols[j])
-	}
-	b.RowIdx = make([]int, b.ColPtr[n])
-	b.Val = make([]float64, b.ColPtr[n])
-	for j := 0; j < n; j++ {
-		p := b.ColPtr[j]
-		for _, e := range cols[j] {
-			b.RowIdx[p] = e.row
-			b.Val[p] = e.val
-			p++
-		}
-	}
-	return b
+	colPtr, rowIdx, val := permute(a.N, a.ColPtr, a.RowIdx, a.Val, perm)
+	return &SymMatrix{N: a.N, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 }
 
 // Builder assembles a symmetric matrix from (i,j,v) triplets. Duplicate
-// entries are summed; entries may be given in either triangle.
+// entries are summed in the order they were added; entries may be given in
+// either triangle.
 type Builder struct {
-	n    int
-	cols []map[int]float64
+	n  int
+	ts []triplet[float64]
 }
 
 // NewBuilder creates a Builder for an n×n symmetric matrix.
-func NewBuilder(n int) *Builder {
-	b := &Builder{n: n, cols: make([]map[int]float64, n)}
-	for j := range b.cols {
-		b.cols[j] = make(map[int]float64)
-	}
-	return b
-}
+func NewBuilder(n int) *Builder { return &Builder{n: n} }
 
 // Add accumulates v into A[i][j] (and by symmetry A[j][i]).
 func (b *Builder) Add(i, j int, v float64) {
@@ -306,35 +262,14 @@ func (b *Builder) Add(i, j int, v float64) {
 	if i < j {
 		i, j = j, i
 	}
-	b.cols[j][i] += v
+	b.ts = append(b.ts, triplet[float64]{i, j, v})
 }
 
 // Build finalizes the matrix, inserting explicit zero diagonal entries where
 // missing so the Validate invariant holds.
 func (b *Builder) Build() *SymMatrix {
-	a := &SymMatrix{N: b.n, ColPtr: make([]int, b.n+1)}
-	for j := 0; j < b.n; j++ {
-		if _, ok := b.cols[j][j]; !ok {
-			b.cols[j][j] = 0
-		}
-		a.ColPtr[j+1] = a.ColPtr[j] + len(b.cols[j])
-	}
-	a.RowIdx = make([]int, a.ColPtr[b.n])
-	a.Val = make([]float64, a.ColPtr[b.n])
-	for j := 0; j < b.n; j++ {
-		rows := make([]int, 0, len(b.cols[j]))
-		for i := range b.cols[j] {
-			rows = append(rows, i)
-		}
-		sort.Ints(rows)
-		p := a.ColPtr[j]
-		for _, i := range rows {
-			a.RowIdx[p] = i
-			a.Val[p] = b.cols[j][i]
-			p++
-		}
-	}
-	return a
+	colPtr, rowIdx, val := assemble(b.n, b.ts)
+	return &SymMatrix{N: b.n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 }
 
 // Residual returns ‖Ax − b‖∞ / (‖A‖₁‖x‖∞ + ‖b‖∞), the standard scaled

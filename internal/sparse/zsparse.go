@@ -106,57 +106,18 @@ func (a *ZSymMatrix) MatVec(x, y []complex128) {
 
 // Permute returns P·A·Pᵀ with perm[new] = old.
 func (a *ZSymMatrix) Permute(perm []int) *ZSymMatrix {
-	n := a.N
-	inv := make([]int, n)
-	for newI, old := range perm {
-		inv[old] = newI
-	}
-	type ent struct {
-		row int
-		val complex128
-	}
-	cols := make([][]ent, n)
-	for j := 0; j < n; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			ni, nj := inv[a.RowIdx[p]], inv[j]
-			if ni < nj {
-				ni, nj = nj, ni
-			}
-			cols[nj] = append(cols[nj], ent{ni, a.Val[p]})
-		}
-	}
-	b := &ZSymMatrix{N: n, ColPtr: make([]int, n+1)}
-	for j := 0; j < n; j++ {
-		sort.Slice(cols[j], func(x, y int) bool { return cols[j][x].row < cols[j][y].row })
-		b.ColPtr[j+1] = b.ColPtr[j] + len(cols[j])
-	}
-	b.RowIdx = make([]int, b.ColPtr[n])
-	b.Val = make([]complex128, b.ColPtr[n])
-	for j := 0; j < n; j++ {
-		p := b.ColPtr[j]
-		for _, e := range cols[j] {
-			b.RowIdx[p] = e.row
-			b.Val[p] = e.val
-			p++
-		}
-	}
-	return b
+	colPtr, rowIdx, val := permute(a.N, a.ColPtr, a.RowIdx, a.Val, perm)
+	return &ZSymMatrix{N: a.N, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 }
 
 // ZBuilder assembles a ZSymMatrix from triplets.
 type ZBuilder struct {
-	n    int
-	cols []map[int]complex128
+	n  int
+	ts []triplet[complex128]
 }
 
 // NewZBuilder creates a builder for an n×n complex symmetric matrix.
-func NewZBuilder(n int) *ZBuilder {
-	b := &ZBuilder{n: n, cols: make([]map[int]complex128, n)}
-	for j := range b.cols {
-		b.cols[j] = make(map[int]complex128)
-	}
-	return b
-}
+func NewZBuilder(n int) *ZBuilder { return &ZBuilder{n: n} }
 
 // Add accumulates v into A[i][j] (= A[j][i]).
 func (b *ZBuilder) Add(i, j int, v complex128) {
@@ -166,34 +127,13 @@ func (b *ZBuilder) Add(i, j int, v complex128) {
 	if i < j {
 		i, j = j, i
 	}
-	b.cols[j][i] += v
+	b.ts = append(b.ts, triplet[complex128]{i, j, v})
 }
 
 // Build finalizes the matrix (explicit zero diagonals inserted).
 func (b *ZBuilder) Build() *ZSymMatrix {
-	a := &ZSymMatrix{N: b.n, ColPtr: make([]int, b.n+1)}
-	for j := 0; j < b.n; j++ {
-		if _, ok := b.cols[j][j]; !ok {
-			b.cols[j][j] = 0
-		}
-		a.ColPtr[j+1] = a.ColPtr[j] + len(b.cols[j])
-	}
-	a.RowIdx = make([]int, a.ColPtr[b.n])
-	a.Val = make([]complex128, a.ColPtr[b.n])
-	for j := 0; j < b.n; j++ {
-		rows := make([]int, 0, len(b.cols[j]))
-		for i := range b.cols[j] {
-			rows = append(rows, i)
-		}
-		sort.Ints(rows)
-		p := a.ColPtr[j]
-		for _, i := range rows {
-			a.RowIdx[p] = i
-			a.Val[p] = b.cols[j][i]
-			p++
-		}
-	}
-	return a
+	colPtr, rowIdx, val := assemble(b.n, b.ts)
+	return &ZSymMatrix{N: b.n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 }
 
 // ZResidual returns ‖Ax−b‖∞ / (‖b‖∞ + ‖x‖∞·maxcolsum) for a complex system.
