@@ -21,10 +21,10 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Tier-2: the whole suite under the race detector. The shared-memory
-# runtimes (FactorizeShared/FactorizeDynamic), the level-set solve engine and
-# the mpsim message runtime are concurrency-heavy; the stress tests are
-# written to be meaningful here.
+# Tier-2: the whole suite under the race detector. The shared-memory and
+# work-stealing factorization runtimes, the level-set solve engine and the
+# mpsim message runtime are concurrency-heavy; the stress tests are written
+# to be meaningful here.
 # -short keeps the stress loops at a size the detector finishes quickly;
 # drop it for the full soak.
 race:
@@ -63,8 +63,8 @@ DURACHAOS_PKGS := ./internal/gateway/chaos
 
 # Chaos soak: the fault-injection suites under the race detector — the
 # reliability layer in mpsim, the injector itself, the multi-seed
-# factor/solve soak (bit-identical to fault-free), and the public-API
-# chaos round trips.
+# factorization soak (every factor, and the level-set solve of it,
+# bit-identical to fault-free), and the public-API chaos round trips.
 chaos:
 	$(GO) test -race -timeout 300s -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 
@@ -88,10 +88,11 @@ dynstress:
 # the level-set engine suites (split chain cells, mid-chain cancellation and
 # the spinning step barrier among them), the packed panel kernels, the
 # cross-runtime solve conformance table (every generator × every
-# factorization runtime × static/dynamic/one-worker level dispatch × 1/32
-# RHS, bitwise), the public SolveOpts wrapper equivalence, and the serving
-# options and P=1 batch paths — all under the race detector, three times
-# over so the spin barrier's interleavings repeat.
+# factorization runtime × the level-set engine at four workers and at one ×
+# 1/32 RHS, bitwise), the public SolveOpts suites (every solve runtime
+# bitwise, wrapper equivalence), and the serving options and P=1 batch
+# paths — all under the race detector, three times over so the spin
+# barrier's interleavings repeat.
 solvestress:
 	$(GO) test -race -timeout 300s -run '$(SOLVEDAG_RUN)' $(SOLVEDAG_PKGS)
 	$(GO) test -race -timeout 300s -count=3 -run '$(SOLVESTRESS_RUN)' $(SOLVESTRESS_PKGS)

@@ -204,9 +204,10 @@ func BenchmarkSolveVariants(b *testing.B) {
 			_ = f.Solve(rhs)
 		}
 	})
+	pl := an.SolvePlan()
 	b.Run("Parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := solver.SolveParManyOpts(ctx, an.Sched, f, rhs, 1, solver.SolveOptions{}); err != nil {
+			if _, err := solver.SolveLevelCtx(ctx, pl, f, rhs, solver.LevelOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -29,10 +29,6 @@ const DefaultRefineTol = solver.DefaultRefineTol
 // off-diagonal blocks went low-rank.
 type CompressionStats = solver.CompressionStats
 
-// ErrCompressed reports that an operation requiring dense factor storage
-// (the message-passing solve runtime) was given a BLR-compressed factor.
-var ErrCompressed = solver.ErrCompressed
-
 // Compressed reports whether the factor is stored in block low-rank form.
 func (f *Factor) Compressed() bool {
 	return f != nil && f.inner != nil && f.inner.Compressed()
@@ -61,9 +57,7 @@ func (f *Factor) MemoryBytes() int64 {
 // (like a serving layer reusing one Analysis) that decide per factor. A
 // zero-Tol opts fails validation rather than silently doing nothing;
 // compressing an already-compressed factor returns the existing stats.
-// Compression must not race solves on the same factor, and a compressed
-// factor no longer solves on the message-passing runtime (analyses pinned
-// to RuntimeMPSim or running fault injection are rejected here).
+// Compression must not race solves on the same factor.
 func (f *Factor) Compress(opts BLROptions) (CompressionStats, error) {
 	if f == nil || f.inner == nil {
 		return CompressionStats{}, ErrFactorMismatch
@@ -73,9 +67,6 @@ func (f *Factor) Compress(opts BLROptions) (CompressionStats, error) {
 	}
 	if !opts.Enabled() {
 		return CompressionStats{}, fmt.Errorf("%w: BLR.Tol 0 disables compression", ErrBadOptions)
-	}
-	if f.blrConflict != "" {
-		return CompressionStats{}, fmt.Errorf("%w: %s", ErrBadOptions, f.blrConflict)
 	}
 	return f.inner.Compress(opts), nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/pastix-go/pastix/internal/gen"
-	"github.com/pastix-go/pastix/internal/solver"
 )
 
 // TestBLRDisabledBitwiseAcrossRuntimes is the zero-value guarantee: with
@@ -70,73 +69,94 @@ func TestBLRDisabledBitwiseAcrossRuntimes(t *testing.T) {
 	}
 }
 
-// TestBLROptionsValidation pins the Option-level rejections.
+// TestBLROptionsValidation pins the Option-level rejections, and that BLR
+// combines with every runtime and with fault injection.
 func TestBLROptionsValidation(t *testing.T) {
 	bad := []Options{
 		{BLR: BLROptions{Tol: -1e-8}},
 		{BLR: BLROptions{Tol: 1}},
 		{BLR: BLROptions{Tol: 1e-8, MinBlockSize: -1}},
-		{BLR: BLROptions{Tol: 1e-8}, Runtime: RuntimeMPSim},
-		{BLR: BLROptions{Tol: 1e-8}, Faults: &FaultPlan{Seed: 1, Drop: 0.5}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("case %d: Validate() = %v, want ErrBadOptions", i, err)
 		}
 	}
-	good := Options{BLR: BLROptions{Tol: 1e-8, MinBlockSize: 16}, Processors: 2}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid BLR options rejected: %v", err)
+	good := []Options{
+		{BLR: BLROptions{Tol: 1e-8, MinBlockSize: 16}, Processors: 2},
+		{BLR: BLROptions{Tol: 1e-8}, Runtime: RuntimeMPSim},
+		{BLR: BLROptions{Tol: 1e-8}, Faults: &FaultPlan{Seed: 1, Drop: 0.5}},
+	}
+	for i, o := range good {
+		if err := o.Validate(); err != nil {
+			t.Errorf("case %d: valid BLR options rejected: %v", i, err)
+		}
 	}
 }
 
 // TestBLRFactorizeSolveRefine is the end-to-end contract: analysis-level BLR
-// compresses every Factorize* product, solves run on all supported engines,
-// and refinement recovers the backward error.
+// compresses every Factorize* product — also on an mpsim-pinned analysis and
+// under fault injection — every solve engine returns the bits of the
+// RuntimeShared solve, and refinement recovers the backward error.
 func TestBLRFactorizeSolveRefine(t *testing.T) {
 	a := gen.Laplacian3D(10, 10, 10)
-	an, err := Analyze(a, Options{Processors: 4, BLR: BLROptions{Tol: 1e-8, MinBlockSize: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := an.Factorize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Compressed() {
-		t.Fatal("analysis-level BLR did not compress the factor")
-	}
-	st := f.CompressionStats()
-	if st == nil || st.BlocksCompressed == 0 || st.CompressedBytes >= st.DenseBytes {
-		t.Fatalf("compression stats %+v", st)
-	}
-	if f.MemoryBytes() != st.CompressedBytes {
-		t.Fatalf("MemoryBytes %d != CompressedBytes %d", f.MemoryBytes(), st.CompressedBytes)
-	}
 	x, b := gen.RHSForSolution(a)
-	for _, rt := range []Runtime{RuntimeSequential, RuntimeShared, RuntimeDynamic} {
-		res, err := an.SolveOpts(context.Background(), f, b, SolveOptions{Runtime: rt, Refine: &RefineOptions{}})
+	blr := BLROptions{Tol: 1e-8, MinBlockSize: 8}
+	for _, cfg := range []struct {
+		name string
+		opts Options
+	}{
+		{"auto", Options{Processors: 4, BLR: blr}},
+		{"mpsim", Options{Processors: 4, BLR: blr, Runtime: RuntimeMPSim}},
+		{"faults", Options{Processors: 4, BLR: blr, Faults: &FaultPlan{Seed: 3, Dup: 0.1, Delay: 0.1}}},
+	} {
+		an, err := Analyze(a, cfg.opts)
 		if err != nil {
-			t.Fatalf("runtime %v: %v", rt, err)
+			t.Fatalf("%s: %v", cfg.name, err)
 		}
-		if res.Refine.BackwardError > 1e-10 {
-			t.Errorf("runtime %v: refined backward error %g", rt, res.Refine.BackwardError)
+		f, err := an.Factorize()
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.name, err)
 		}
-		for i := range x {
-			if math.Abs(res.X[i]-x[i]) > 1e-6*(1+math.Abs(x[i])) {
-				t.Fatalf("runtime %v: x[%d] = %g, want %g", rt, i, res.X[i], x[i])
+		if !f.Compressed() {
+			t.Fatalf("%s: analysis-level BLR did not compress the factor", cfg.name)
+		}
+		st := f.CompressionStats()
+		if st == nil || st.BlocksCompressed == 0 || st.CompressedBytes >= st.DenseBytes {
+			t.Fatalf("%s: compression stats %+v", cfg.name, st)
+		}
+		if f.MemoryBytes() != st.CompressedBytes {
+			t.Fatalf("%s: MemoryBytes %d != CompressedBytes %d", cfg.name, f.MemoryBytes(), st.CompressedBytes)
+		}
+		shared, err := an.SolveOpts(context.Background(), f, b, SolveOptions{Runtime: RuntimeShared})
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.name, err)
+		}
+		for _, rt := range []Runtime{RuntimeAuto, RuntimeSequential, RuntimeShared, RuntimeDynamic, RuntimeMPSim} {
+			raw, err := an.SolveOpts(context.Background(), f, b, SolveOptions{Runtime: rt})
+			if err != nil {
+				t.Fatalf("%s runtime %v: %v", cfg.name, rt, err)
+			}
+			bitwiseSame(t, cfg.name+" "+rt.String(), raw.X, shared.X)
+			res, err := an.SolveOpts(context.Background(), f, b, SolveOptions{Runtime: rt, Refine: &RefineOptions{}})
+			if err != nil {
+				t.Fatalf("%s runtime %v: %v", cfg.name, rt, err)
+			}
+			if res.Refine.BackwardError > 1e-10 {
+				t.Errorf("%s runtime %v: refined backward error %g", cfg.name, rt, res.Refine.BackwardError)
+			}
+			for i := range x {
+				if math.Abs(res.X[i]-x[i]) > 1e-6*(1+math.Abs(x[i])) {
+					t.Fatalf("%s runtime %v: x[%d] = %g, want %g", cfg.name, rt, i, res.X[i], x[i])
+				}
 			}
 		}
-	}
-	// The message-passing sweep needs dense factors.
-	if _, err := an.SolveOpts(context.Background(), f, b, SolveOptions{Runtime: RuntimeMPSim}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("mpsim solve on compressed factor: err = %v, want ErrBadOptions", err)
 	}
 }
 
 // TestBLRExplicitCompress covers the per-factor path a serving layer uses:
-// factorize dense, compress explicitly, and verify validation plus the
-// conflict with mpsim-pinned analyses.
+// factorize dense, compress explicitly, and verify validation; an
+// mpsim-pinned analysis compresses too and solves to the RuntimeShared bits.
 func TestBLRExplicitCompress(t *testing.T) {
 	a := gen.Laplacian3D(8, 8, 8)
 	an, err := Analyze(a, Options{Processors: 2})
@@ -174,7 +194,8 @@ func TestBLRExplicitCompress(t *testing.T) {
 	if !fr.Compressed() {
 		t.Error("FactorizeRobust skipped the compression pass")
 	}
-	// An mpsim-pinned analysis refuses explicit compression.
+	// An mpsim-pinned analysis compresses explicitly, and its solve (the
+	// analysis runtime) returns the bits of the RuntimeShared solve.
 	anm, err := Analyze(a, Options{Processors: 2, Runtime: RuntimeMPSim})
 	if err != nil {
 		t.Fatal(err)
@@ -183,12 +204,17 @@ func TestBLRExplicitCompress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fm.Compress(BLROptions{Tol: 1e-8}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("mpsim-pinned compress: err = %v, want ErrBadOptions", err)
+	if _, err := fm.Compress(BLROptions{Tol: 1e-8}); err != nil {
+		t.Fatalf("mpsim-pinned compress: %v", err)
 	}
-	// The low-level guard also holds if a compressed factor reaches mpsim.
-	pb := make([]float64, a.N)
-	if _, err := solver.SolveParManyOpts(context.Background(), an.inner.Sched, f.inner, pb, 1, solver.SolveOptions{}); !errors.Is(err, ErrCompressed) {
-		t.Errorf("solver-level mpsim guard: err = %v, want ErrCompressed", err)
+	_, b := gen.RHSForSolution(a)
+	got, err := anm.SolveOpts(context.Background(), fm, b, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	want, err := anm.SolveOpts(context.Background(), fm, b, SolveOptions{Runtime: RuntimeShared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitwiseSame(t, "mpsim-pinned compressed solve", got.X, want.X)
 }

@@ -16,8 +16,9 @@ import (
 // TestServerBLRFactorize exercises the compressed-factor serving path end to
 // end: a factorize request carrying a blr block returns compression
 // accounting, solves against the compressed handle recover full accuracy
-// under refinement, the mpsim engine is refused, and the /metrics gauges
-// report the store's resident bytes and compression ratio.
+// under refinement, pinning the mpsim engine returns the level-set answer,
+// and the /metrics gauges report the store's resident bytes and compression
+// ratio.
 func TestServerBLRFactorize(t *testing.T) {
 	s, err := New(Config{
 		Solver:     pastix.Options{Processors: 3},
@@ -69,15 +70,25 @@ func TestServerBLRFactorize(t *testing.T) {
 		}
 	}
 
-	// The message-passing engine needs dense factors: pinning it against a
-	// compressed handle is a client error.
-	var er errorResponse
-	if st := postJSON(t, ts.URL+"/v1/solve", solveRequest{
-		Handle:  fr.Handle,
-		B:       b,
-		Options: &solveRequestOptions{Runtime: "mpsim"},
-	}, &er); st != http.StatusBadRequest {
-		t.Fatalf("mpsim solve on compressed handle: status %d, body %+v", st, er)
+	// Pinning the mpsim engine against a compressed handle solves on the
+	// level-set engine: the bits of a "shared" solve.
+	var sm, ss solveResponse
+	for rt, out := range map[string]*solveResponse{"mpsim": &sm, "shared": &ss} {
+		if st := postJSON(t, ts.URL+"/v1/solve", solveRequest{
+			Handle:  fr.Handle,
+			B:       b,
+			Options: &solveRequestOptions{Runtime: rt},
+		}, out); st != http.StatusOK {
+			t.Fatalf("%s solve on compressed handle: status %d", rt, st)
+		}
+	}
+	if len(sm.X) != len(b) || len(ss.X) != len(b) {
+		t.Fatalf("solution lengths %d and %d, want %d", len(sm.X), len(ss.X), len(b))
+	}
+	for i := range ss.X {
+		if sm.X[i] != ss.X[i] {
+			t.Fatalf("mpsim x[%d] = %x, shared %x", i, sm.X[i], ss.X[i])
+		}
 	}
 
 	// The metrics gauges sample the store: resident bytes equal the compressed
@@ -133,9 +144,8 @@ func TestServerBLRFactorize(t *testing.T) {
 }
 
 // TestServerBLRValidation pins the request-level rejections: a blr block with
-// a bad (or missing) tolerance is a 400, and a server whose solver options
-// conflict with compression refuses the request rather than corrupting the
-// handle's solve contract.
+// a bad (or missing) tolerance is a 400, while a server pinned to the
+// message-passing runtime compresses like any other.
 func TestServerBLRValidation(t *testing.T) {
 	s, err := New(Config{Solver: pastix.Options{Processors: 2}})
 	if err != nil {
@@ -158,8 +168,8 @@ func TestServerBLRValidation(t *testing.T) {
 		}
 	}
 
-	// A server pinned to the message-passing runtime cannot honor blr: its
-	// solves read dense factors.
+	// A server pinned to the message-passing runtime factorizes with it and
+	// compresses the result.
 	sm, err := New(Config{Solver: pastix.Options{Processors: 2, Runtime: pastix.RuntimeMPSim}})
 	if err != nil {
 		t.Fatal(err)
@@ -167,11 +177,14 @@ func TestServerBLRValidation(t *testing.T) {
 	defer sm.Close()
 	tsm := httptest.NewServer(sm.Handler())
 	defer tsm.Close()
-	var er errorResponse
+	var fr factorizeResponse
 	if st := postJSON(t, tsm.URL+"/v1/factorize", matrixRequest{
 		MatrixMarket: mm, BLR: &blrRequestOptions{Tol: 1e-8},
-	}, &er); st != http.StatusBadRequest {
-		t.Errorf("mpsim-pinned server accepted blr: status %d (%+v)", st, er)
+	}, &fr); st != http.StatusOK {
+		t.Fatalf("mpsim-pinned server refused blr: status %d", st)
+	}
+	if fr.Compression == nil {
+		t.Error("mpsim-pinned blr factorize response carries no compression stats")
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -19,8 +19,9 @@ import (
 // about their storage — Compressed(), CompressionStats(), MemoryBytes(),
 // the /v1/factorize, /v1/stat and /v1/replicate import replies — to fixed
 // values (each form counts the values it holds), on the factorizing node,
-// on a replica, and after a journal round trip. The message-passing solve takes the dense handle and
-// refuses the compressed one with ErrBadOptions.
+// on a replica, and after a journal round trip. A solve pinned to the
+// message-passing runtime takes either handle and returns the bits of the
+// RuntimeShared solve.
 func TestServerBLRCompressedHonest(t *testing.T) {
 	mm := mmString(t, gen.Laplacian3D(7, 7, 7))
 	for _, tc := range []struct {
@@ -46,9 +47,18 @@ func TestServerBLRCompressedHonest(t *testing.T) {
 						tc.comp != nil, tc.memoryBytes, tc.comp)
 				}
 				_, b := gen.RHSForSolution(gen.Laplacian3D(7, 7, 7))
-				_, err := e.an.SolveOpts(context.Background(), f, b, pastix.SolveOptions{Runtime: pastix.RuntimeMPSim})
-				if tc.comp == nil && err != nil || tc.comp != nil && !errors.Is(err, pastix.ErrBadOptions) {
+				xm, err := e.an.SolveOpts(context.Background(), f, b, pastix.SolveOptions{Runtime: pastix.RuntimeMPSim})
+				if err != nil {
 					t.Fatalf("%s: mpsim solve err = %v", where, err)
+				}
+				xs, err := e.an.SolveOpts(context.Background(), f, b, pastix.SolveOptions{Runtime: pastix.RuntimeShared})
+				if err != nil {
+					t.Fatalf("%s: shared solve err = %v", where, err)
+				}
+				for i := range xs.X {
+					if math.Float64bits(xm.X[i]) != math.Float64bits(xs.X[i]) {
+						t.Fatalf("%s: mpsim x[%d] = %x, shared %x", where, i, xm.X[i], xs.X[i])
+					}
 				}
 			}
 

@@ -238,7 +238,7 @@ type matrixRequest struct {
 	// behind the returned handle. Presence of the block means the client wants
 	// compression: Tol must be in (0,1) or the request fails with 400. Solves
 	// against a compressed handle are lossy at the Tol level unless they carry
-	// refinement options; the mpsim solve runtime is unavailable for them.
+	// refinement options.
 	BLR *blrRequestOptions `json:"blr,omitempty"`
 }
 
@@ -487,8 +487,7 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// A factor already compressed by a server-level Options.BLR passes
-	// through idempotently; conflicting server configuration (mpsim-pinned
-	// solver, fault injection) surfaces as a 400.
+	// through idempotently.
 	if req.BLR != nil {
 		if _, cerr := f.Compress(pastix.BLROptions{Tol: req.BLR.Tol, MinBlockSize: req.BLR.MinBlockSize}); cerr != nil {
 			s.writeErr(w, cerr)

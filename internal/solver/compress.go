@@ -15,8 +15,8 @@ import (
 // stored as U·Vᵀ; everything else is copied dense, and the strided cells are
 // released. Compression is lossy at the configured tolerance — solves on a
 // compressed factor approximate the dense solve to ~Tol and are paired with
-// iterative refinement to recover accuracy — and is a solve-only format: the
-// message-passing (mpsim) solve refuses compressed factors (ErrCompressed).
+// iterative refinement to recover accuracy — and is a solve-only format:
+// Factors.Solve and the level-set engine read it in place.
 
 // lrCell is one compressed column block: the packed w×w diagonal block, the
 // concatenated packed dense off-diagonal blocks, and per off-diagonal block

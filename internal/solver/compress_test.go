@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 
@@ -90,23 +89,21 @@ func TestCompressedSolveAccuracy(t *testing.T) {
 }
 
 // TestCompressedSolveConformance: the level-set engine on a compressed
-// factor (any workers, static and dynamic dispatch, single and multi RHS
-// columns) is bitwise-identical to the compressed sequential Solve.
+// factor (any workers, single and multi RHS columns) is bitwise-identical to
+// the compressed sequential Solve.
 func TestCompressedSolveConformance(t *testing.T) {
 	an, f, pb, _ := compressFixture(t, 4)
 	f.Compress(lowrank.Options{Tol: 1e-8, MinBlockSize: 8})
 	ref := f.Solve(pb)
 	for _, workers := range []int{1, 2, 4} {
 		pl := BuildSolvePlan(an.Sym, an.SolveDAG(), workers, 0)
-		for _, dyn := range []bool{false, true} {
-			x, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{Dynamic: dyn})
-			if err != nil {
-				t.Fatalf("workers=%d dyn=%v: %v", workers, dyn, err)
-			}
-			for i := range ref {
-				if x[i] != ref[i] {
-					t.Fatalf("workers=%d dyn=%v: x[%d] = %x, seq %x", workers, dyn, i, x[i], ref[i])
-				}
+		x, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range ref {
+			if x[i] != ref[i] {
+				t.Fatalf("workers=%d: x[%d] = %x, seq %x", workers, i, x[i], ref[i])
 			}
 		}
 	}
@@ -148,16 +145,6 @@ func TestCompressedRefineRecovers(t *testing.T) {
 	}
 	if be := sparse.Residual(pa, refined, pb); be > DefaultRefineTol {
 		t.Fatalf("recomputed backward error %g disagrees with stats", be)
-	}
-}
-
-// TestCompressedRejectsDenseOnlyRuntimes: the message-passing solve reads
-// the dense arrays and must refuse a compressed factor with ErrCompressed.
-func TestCompressedRejectsDenseOnlyRuntimes(t *testing.T) {
-	an, f, pb, _ := compressFixture(t, 2)
-	f.Compress(lowrank.Options{Tol: 1e-8, MinBlockSize: 8})
-	if _, err := SolveParManyOpts(context.Background(), an.Sched, f, pb, 1, SolveOptions{}); !errors.Is(err, ErrCompressed) {
-		t.Errorf("SolveParManyOpts err = %v, want ErrCompressed", err)
 	}
 }
 

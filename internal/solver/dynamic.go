@@ -25,25 +25,14 @@ import (
 // whichever worker got them, so divergence reports must be computed with
 // trace.CompareOptions.FreeMapping.
 
-// FactorizeDynamic runs the supernodal LDLᵀ factorization with data-driven
-// task activation and work stealing on sch.P workers over one shared factor
-// storage. The result is bitwise identical to FactorizeSeq.
-func FactorizeDynamic(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, error) {
-	return FactorizeDynamicCtx(context.Background(), a, sch, nil, StaticPivot{})
-}
-
-// FactorizeDynamicCtx is FactorizeDynamic under a context, an optional
-// execution-trace recorder (task events carry the WORKER index as the
-// processor — compare with FreeMapping) and an optional static-pivot
-// configuration. Cancelling ctx aborts the run between tasks; every worker
-// goroutine unwinds before the call returns.
-func FactorizeDynamicCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Schedule, rec *trace.Recorder, sp StaticPivot) (*Factors, error) {
-	f, _, err := FactorizeDynamicStatsCtx(ctx, a, sch, rec, sp)
-	return f, err
-}
-
-// FactorizeDynamicStatsCtx is FactorizeDynamicCtx also reporting the
-// executor's stats (steal and park counts) for benchmarks and stress tests.
+// FactorizeDynamicStatsCtx runs the supernodal LDLᵀ factorization with
+// data-driven task activation and work stealing on sch.P workers over one
+// shared factor storage, and reports the executor's stats (steal and park
+// counts) for benchmarks and stress tests. The result is bitwise identical
+// to FactorizeSeq. rec is an optional execution-trace recorder (task events
+// carry the WORKER index as the processor — compare with FreeMapping);
+// sp is the static-pivot configuration. Cancelling ctx aborts the run
+// between tasks; every worker goroutine unwinds before the call returns.
 func FactorizeDynamicStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Schedule, rec *trace.Recorder, sp StaticPivot) (*Factors, dynsched.Stats, error) {
 	tau, normMax := pivotThreshold(sp, a)
 	f, perts, st, err := factorizeDynamic(ctx, a, sch, rec, tau)

@@ -25,10 +25,6 @@ var (
 	// left a backward error that refinement could not pull under the target.
 	// The concrete error is a *PivotExhaustedError.
 	ErrPivotExhausted = errors.New("solver: static pivoting exhausted retries without an accurate factorization")
-	// ErrCompressed reports that an operation which needs every block dense
-	// (the message-passing solve runtime) was handed a BLR-compressed factor.
-	// Compressed factors solve through Factors.Solve and the level-set engine.
-	ErrCompressed = errors.New("solver: operation requires dense factors (factor is BLR-compressed)")
 	// ErrPayloadLayout reports a dense factor payload whose cell layout is
 	// missing or unknown. A strided and a packed cell hold the same number of
 	// values, so the layout is never inferred from lengths.

@@ -408,10 +408,6 @@ type LevelOptions struct {
 	// NRHS is the number of right-hand sides (<= 0 means 1); b is an
 	// n×NRHS column-major panel.
 	NRHS int
-	// Dynamic selects atomic-counter dispatch of parallel steps (workers
-	// fetch cells as they free up) instead of the static cost-balanced
-	// partition. Both are bitwise-identical to sequential.
-	Dynamic bool
 	// Trace records each worker's forward and backward sweep, and every
 	// wait in a step barrier, as phase events (nil disables tracing).
 	Trace *trace.Recorder
@@ -458,11 +454,9 @@ func SolveLevelInPlace(ctx context.Context, pl *SolvePlan, f *Factors, x []float
 	buf := sp.buffer(sp.bufLen(nrhs, pl.workers))
 	defer sp.release(buf)
 	r := &levelRun{
-		pl: pl, panels: f.panels(), nrhs: nrhs, dynamic: opts.Dynamic,
+		pl: pl, panels: f.panels(), nrhs: nrhs,
 		rec: opts.Trace, ctx: ctx,
 		x: x, n: sym.N, t: buf[:nt*nrhs], nt: nt, gbuf: buf[nt*nrhs:],
-		fcursors: make([]atomic.Int64, len(pl.steps)),
-		bcursors: make([]atomic.Int64, len(pl.steps)),
 		executed: make([]int64, pl.workers),
 		bar:      spinBarrier{n: int32(pl.workers)},
 	}
@@ -499,12 +493,11 @@ func SolveLevelInPlace(ctx context.Context, pl *SolvePlan, f *Factors, x []float
 
 // levelRun is the per-call state of one level-set solve.
 type levelRun struct {
-	pl      *SolvePlan
-	panels  panels[float64]
-	nrhs    int
-	dynamic bool
-	rec     *trace.Recorder
-	ctx     context.Context
+	pl     *SolvePlan
+	panels panels[float64]
+	nrhs   int
+	rec    *trace.Recorder
+	ctx    context.Context
 
 	// x is the caller's n×nrhs panel: the forward sweep leaves y in it, and
 	// the backward sweep overwrites each cell's segment with the solution
@@ -520,9 +513,7 @@ type levelRun struct {
 	nt   int
 	gbuf []float64
 
-	fcursors []atomic.Int64 // per-step dynamic fetch cursors, forward
-	bcursors []atomic.Int64 // and backward (separate: no reset races)
-	executed []int64        // per worker; each worker touches only its own slot
+	executed []int64 // per worker; each worker touches only its own slot
 
 	bar spinBarrier
 	// check is r.checkCtx, run by the last worker into each barrier (nil
@@ -594,21 +585,6 @@ func (r *levelRun) step(p, si int, fwd bool) bool {
 	st := &r.pl.steps[si]
 	if !st.Parallel {
 		return r.chain(p, st.Cells, fwd)
-	}
-	if r.dynamic {
-		cur := &r.fcursors[si]
-		if !fwd {
-			cur = &r.bcursors[si]
-		}
-		limit := int64(len(st.Cells))
-		for {
-			i := cur.Add(1) - 1
-			if i >= limit {
-				return true
-			}
-			r.cell(int(st.Cells[i]), fwd)
-			r.executed[p]++
-		}
 	}
 	for _, c := range r.pl.parts[si][p] {
 		r.cell(int(c), fwd)

@@ -35,24 +35,22 @@ func levelFixture(t *testing.T, P int) (*Analysis, *Factors, []float64) {
 }
 
 // TestSolveLevelBitwiseSeq is the core determinism property: the level-set
-// engine (static and dynamic dispatch, several worker counts and cutoffs) is
-// bitwise-identical to the sequential Factors.Solve.
+// engine (several worker counts and cutoffs) is bitwise-identical to the
+// sequential Factors.Solve.
 func TestSolveLevelBitwiseSeq(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
 	ref := f.Solve(pb)
 	for _, workers := range []int{1, 2, 4, 7} {
 		for _, cutoff := range []int{0, 1, 3, 64} {
 			pl := BuildSolvePlan(an.Sym, an.SolveDAG(), workers, cutoff)
-			for _, dyn := range []bool{false, true} {
-				x, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{Dynamic: dyn})
-				if err != nil {
-					t.Fatalf("workers=%d cutoff=%d dyn=%v: %v", workers, cutoff, dyn, err)
-				}
-				for i := range ref {
-					if x[i] != ref[i] {
-						t.Fatalf("workers=%d cutoff=%d dyn=%v: x[%d] = %x, seq %x",
-							workers, cutoff, dyn, i, x[i], ref[i])
-					}
+			x, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{})
+			if err != nil {
+				t.Fatalf("workers=%d cutoff=%d: %v", workers, cutoff, err)
+			}
+			for i := range ref {
+				if x[i] != ref[i] {
+					t.Fatalf("workers=%d cutoff=%d: x[%d] = %x, seq %x",
+						workers, cutoff, i, x[i], ref[i])
 				}
 			}
 		}
@@ -218,12 +216,12 @@ func TestSolveLevelShapeErrors(t *testing.T) {
 	}
 }
 
-// TestLevelStormDynamic is the steal/level-storm test: many more workers
-// than the widest level keeps busy, tiny cutoff so every level is a parallel
-// step, dynamic fetch — run repeatedly (under -race via make solvestress).
-// Results must stay bitwise-identical to sequential every round, all
-// parallel cells must be executed, and with contending workers more than one
-// worker must win cells overall.
+// TestLevelStormDynamic is the level-storm test: many more workers than the
+// widest level keeps busy, tiny cutoff so every level is a parallel step —
+// run repeatedly (under -race via make solvestress). Results must stay
+// bitwise-identical to sequential every round, all parallel cells must be
+// executed, and the cost-balanced partition must hand cells to more than one
+// worker.
 func TestLevelStormDynamic(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
 	ref := f.Solve(pb)
@@ -244,7 +242,7 @@ func TestLevelStormDynamic(t *testing.T) {
 	winners := map[int]bool{}
 	for r := 0; r < rounds; r++ {
 		var st LevelStats
-		x, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{Dynamic: true, Stats: &st})
+		x, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{Stats: &st})
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
@@ -266,7 +264,7 @@ func TestLevelStormDynamic(t *testing.T) {
 		}
 	}
 	if len(winners) < 2 {
-		t.Fatalf("storm degenerated: only %d worker(s) ever fetched cells", len(winners))
+		t.Fatalf("storm degenerated: only %d worker(s) ever ran cells", len(winners))
 	}
 }
 
@@ -321,8 +319,8 @@ func forceSplit(pl *SolvePlan) *SolvePlan {
 // TestSolveLevelSplitChain is the bitwise table of the split chain: every
 // chain cell run across 2, 3 and 4 workers (some narrower than the worker
 // count, so some row and column ranges are empty), one and three
-// right-hand sides, static and dynamic dispatch, dense and BLR-compressed
-// factors. Every column must equal the per-column Factors.Solve bit for bit.
+// right-hand sides, dense and BLR-compressed factors. Every column must
+// equal the per-column Factors.Solve bit for bit.
 func TestSolveLevelSplitChain(t *testing.T) {
 	an, dense, pb, _ := compressFixture(t, 4)
 	blr, err := an.FactorizeMatrixOptsCtx(context.Background(), an.A, ParOptions{Runtime: RuntimeShared})
@@ -355,18 +353,16 @@ func TestSolveLevelSplitChain(t *testing.T) {
 					t.Fatalf("workers=%d cutoff=%d: no chain cell to split", workers, cutoff)
 				}
 				for _, nrhs := range []int{1, maxRHS} {
-					for _, dyn := range []bool{false, true} {
-						x, err := SolveLevelCtx(context.Background(), pl, fc.f, panel[:n*nrhs],
-							LevelOptions{NRHS: nrhs, Dynamic: dyn})
-						if err != nil {
-							t.Fatal(err)
-						}
-						for c := 0; c < nrhs; c++ {
-							for i, want := range refs[c] {
-								if got := x[c*n+i]; got != want {
-									t.Fatalf("%s workers=%d cutoff=%d nrhs=%d dyn=%v: col %d x[%d] = %x, seq %x",
-										fc.name, workers, cutoff, nrhs, dyn, c, i, got, want)
-								}
+					x, err := SolveLevelCtx(context.Background(), pl, fc.f, panel[:n*nrhs],
+						LevelOptions{NRHS: nrhs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for c := 0; c < nrhs; c++ {
+						for i, want := range refs[c] {
+							if got := x[c*n+i]; got != want {
+								t.Fatalf("%s workers=%d cutoff=%d nrhs=%d: col %d x[%d] = %x, seq %x",
+									fc.name, workers, cutoff, nrhs, c, i, got, want)
 							}
 						}
 					}

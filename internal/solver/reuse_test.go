@@ -1,9 +1,13 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
+
+	"github.com/pastix-go/pastix/internal/gen"
+	"github.com/pastix-go/pastix/internal/sparse"
 )
 
 // One analysis, both arithmetic kinds: the pattern-level pre-processing is
@@ -101,5 +105,33 @@ func TestFactorsNNZAccounting(t *testing.T) {
 	lazy.EnsureCell(0)
 	if lazy.NNZ() == 0 || lazy.NNZ() >= full.NNZ() {
 		t.Fatal("partial allocation accounting wrong")
+	}
+}
+
+// FactorizeMatrixOptsCtx must let one analysis factorize a second matrix
+// sharing the pattern but with different values.
+func TestFactorizeMatrixReusesAnalysis(t *testing.T) {
+	a := laplacian2D(15, 17)
+	an := analyzeFor(t, a, 3)
+	// Same pattern, scaled values (still SPD).
+	a2 := &sparse.SymMatrix{N: a.N, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: make([]float64, len(a.Val))}
+	for i, v := range a.Val {
+		a2.Val[i] = 2.5 * v
+	}
+	pa2 := a2.Permute(an.Perm)
+	f2, err := an.FactorizeMatrixOptsCtx(context.Background(), pa2, ParOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, b := gen.RHSForSolution(a2)
+	pb := make([]float64, len(b))
+	for newI, old := range an.Perm {
+		pb[newI] = b[old]
+	}
+	px := f2.Solve(pb)
+	for newI, old := range an.Perm {
+		if math.Abs(px[newI]-x[old]) > 1e-8 {
+			t.Fatalf("x mismatch at %d: %g vs %g", old, px[newI], x[old])
+		}
 	}
 }

@@ -2,8 +2,6 @@ package solver
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"testing"
 
 	"github.com/pastix-go/pastix/internal/gen"
@@ -32,14 +30,12 @@ func solveConformanceCorpus() []solveConformanceCase {
 
 // TestSolveConformanceTable is the cross-runtime solve conformance table of
 // the solve-path engine: every generator family × factors from the
-// sequential, shared and dynamic runtimes × the level-set engine (static
-// and dynamic dispatch at 4 workers, and the one-worker sequential panel
-// path) vs the message-passing panel sweep × 1 and 32 right-hand sides.
+// sequential, shared, dynamic and message-passing runtimes × the level-set
+// engine (4 workers, and the one-worker sequential panel path) × 1 and 32
+// right-hand sides.
 //
-// The level-set legs assert BITWISE equality against the sequential
-// Factors.Solve of each column — the engine's core contract. The
-// message-passing sweep applies remote contributions in its own canonical
-// order, so it is only equal to rounding; its legs assert a tolerance.
+// Every leg asserts BITWISE equality against the sequential Factors.Solve of
+// each column of the same factor — the engine's core contract.
 func TestSolveConformanceTable(t *testing.T) {
 	const nrhsWide = 32
 	for _, tc := range solveConformanceCorpus() {
@@ -57,7 +53,7 @@ func TestSolveConformanceTable(t *testing.T) {
 					panel[i+r*n] = pb[i] * (1 + float64(r)/3)
 				}
 			}
-			for _, rt := range []Runtime{RuntimeSequential, RuntimeShared, RuntimeDynamic} {
+			for _, rt := range []Runtime{RuntimeSequential, RuntimeShared, RuntimeDynamic, RuntimeMPSim} {
 				f, err := an.FactorizeMatrixOptsCtx(context.Background(), an.A, ParOptions{Runtime: rt})
 				if err != nil {
 					t.Fatalf("%v factorize: %v", rt, err)
@@ -81,15 +77,13 @@ func TestSolveConformanceTable(t *testing.T) {
 					}
 				}
 
-				for _, dyn := range []bool{false, true} {
-					for _, nrhs := range []int{1, nrhsWide} {
-						x, err := SolveLevelCtx(context.Background(), pl, f, panel[:n*nrhs],
-							LevelOptions{NRHS: nrhs, Dynamic: dyn})
-						if err != nil {
-							t.Fatalf("%v level dyn=%v nrhs=%d: %v", rt, dyn, nrhs, err)
-						}
-						bitwiseCols(fmt.Sprintf("level dyn=%v", dyn), x, nrhs)
+				for _, nrhs := range []int{1, nrhsWide} {
+					x, err := SolveLevelCtx(context.Background(), pl, f, panel[:n*nrhs],
+						LevelOptions{NRHS: nrhs})
+					if err != nil {
+						t.Fatalf("%v level nrhs=%d: %v", rt, nrhs, err)
 					}
+					bitwiseCols("level", x, nrhs)
 				}
 
 				// Sequential panel: the one-worker engine SolveOpts runs for
@@ -100,35 +94,7 @@ func TestSolveConformanceTable(t *testing.T) {
 					t.Fatalf("%v sequential panel: %v", rt, err)
 				}
 				bitwiseCols("sequential panel", xq, nrhsWide)
-
-				// Message-passing panel sweep (mpsim data distribution) —
-				// rounding-level.
-				xm, err := SolveParManyOpts(context.Background(), an.Sched, f, panel, nrhsWide, SolveOptions{})
-				if err != nil {
-					t.Fatalf("%v mpsim panel: %v", rt, err)
-				}
-				for r := 0; r < nrhsWide; r++ {
-					roundingClose(t, tc.name+"/mpsim-panel", xm[r*n:(r+1)*n], refs[r])
-				}
 			}
 		})
-	}
-}
-
-func roundingClose(t *testing.T, name string, got, want []float64) {
-	t.Helper()
-	scale := 0.0
-	for _, v := range want {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	if scale == 0 {
-		scale = 1
-	}
-	for i := range want {
-		if d := math.Abs(got[i] - want[i]); d > 1e-9*scale {
-			t.Fatalf("%s: x[%d] off by %g (scale %g)", name, i, d, scale)
-		}
 	}
 }

@@ -137,7 +137,7 @@ func TestFactorizeCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestSolveCtxPreCancelled covers both parallel solve engines.
+// TestSolveCtxPreCancelled covers the parallel solve engine.
 func TestSolveCtxPreCancelled(t *testing.T) {
 	a := laplacian2D(15, 15)
 	an := analyzeFor(t, a, 4)
@@ -151,16 +151,13 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveParManyOpts(ctx, an.Sched, f, b, 1, SolveOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveParManyOpts: got %v, want context.Canceled", err)
-	}
 	if _, err := SolveLevelCtx(ctx, an.SolvePlanFor(4), f, b, LevelOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SolveLevelCtx: got %v, want context.Canceled", err)
 	}
 }
 
-// TestTracedSolvePhases checks the solves record forward/backward phase
-// events for every processor.
+// TestTracedSolvePhases checks the level-set solve records forward/backward
+// phase events for every worker.
 func TestTracedSolvePhases(t *testing.T) {
 	a := laplacian2D(15, 15)
 	an := analyzeFor(t, a, 4)
@@ -172,25 +169,17 @@ func TestTracedSolvePhases(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	for _, level := range []bool{false, true} {
-		rec := trace.New(4, 0)
-		var serr error
-		if level {
-			_, serr = SolveLevelCtx(context.Background(), an.SolvePlanFor(4), f, b, LevelOptions{Trace: rec})
-		} else {
-			_, serr = SolveParManyOpts(context.Background(), an.Sched, f, b, 1, SolveOptions{Trace: rec})
+	rec := trace.New(4, 0)
+	if _, err := SolveLevelCtx(context.Background(), an.SolvePlanFor(4), f, b, LevelOptions{Trace: rec}); err != nil {
+		t.Fatal(err)
+	}
+	var phases int
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindPhase && (e.Aux == trace.PhaseForward || e.Aux == trace.PhaseBackward) {
+			phases++
 		}
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		var phases int
-		for _, e := range rec.Events() {
-			if e.Kind == trace.KindPhase && (e.Aux == trace.PhaseForward || e.Aux == trace.PhaseBackward) {
-				phases++
-			}
-		}
-		if phases != 2*4 {
-			t.Fatalf("level=%v: got %d phase events, want %d (fwd+bwd per proc)", level, phases, 2*4)
-		}
+	}
+	if phases != 2*4 {
+		t.Fatalf("got %d phase events, want %d (fwd+bwd per worker)", phases, 2*4)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // msgName labels the runtime message taxonomy (the int8 kinds of
 // mpsim.Message as assigned by internal/solver: the factorization protocol
-// kinds 0–3 and the triangular-solve kinds 10–13; see docs/PROTOCOL.md).
+// kinds 0–3; see docs/PROTOCOL.md).
 func msgName(k int8) string {
 	switch k {
 	case 0:
@@ -22,14 +22,6 @@ func msgName(k int8) string {
 		return "diag"
 	case 3:
 		return "AUB-partial"
-	case 10:
-		return "y-seg"
-	case 11:
-		return "fwd-contrib"
-	case 12:
-		return "x-seg"
-	case 13:
-		return "bwd-contrib"
 	}
 	return fmt.Sprintf("msg%d", k)
 }

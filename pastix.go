@@ -92,17 +92,19 @@ const (
 // Runtime selects the engine executing the numerical factorization (and,
 // through SolveOptions.Runtime, the solve). All runtimes consume the same
 // analysis and static schedule. RuntimeSequential, RuntimeShared and
-// RuntimeDynamic produce BITWISE identical factors, solves and perturbation
-// reports (contributions are applied in the canonical sequential order);
+// RuntimeDynamic produce BITWISE identical factors and perturbation reports
+// (contributions are applied in the canonical sequential order);
 // RuntimeMPSim aggregates contributions into AUBs — the paper's central
-// mechanism — so it matches the others to rounding (~1e-11) and is
-// deterministic run to run, but not bit-equal.
+// mechanism — so its factor matches the others to rounding (~1e-11) and is
+// deterministic run to run, but not bit-equal. Every solve runtime returns
+// the sequential solve's bits on a given factor.
 type Runtime = solver.Runtime
 
 const (
 	// RuntimeAuto (the default) preserves the historical dispatch:
 	// sequential at Processors == 1 without tracing or faults,
-	// message-passing otherwise.
+	// message-passing otherwise; the solve runs sequentially at
+	// Processors == 1 without tracing and on the level-set engine otherwise.
 	RuntimeAuto = solver.RuntimeAuto
 	// RuntimeSequential is the right-looking sequential reference.
 	RuntimeSequential = solver.RuntimeSequential
@@ -158,15 +160,17 @@ type Options struct {
 	// when wall-clock parallel speed matters more than reproducibility.
 	CalibrateMachine bool
 	// Runtime selects the factorization engine: RuntimeAuto (default),
-	// RuntimeSequential, RuntimeMPSim, RuntimeShared or RuntimeDynamic. An
-	// active fault plan requires the message-passing runtime (RuntimeAuto or
+	// RuntimeSequential, RuntimeMPSim, RuntimeShared or RuntimeDynamic, and
+	// the default solve engine (see SolveOptions.Runtime). An active fault
+	// plan requires the message-passing factorization (RuntimeAuto or
 	// RuntimeMPSim); any other combination fails Validate with
 	// ErrBadOptions.
 	Runtime Runtime
 	// Faults injects deterministic message and worker faults into the
-	// message-passing runtime and arms its reliability layer (see FaultPlan).
-	// Nil or an inactive plan leaves the fault-free fast path untouched. An
-	// active plan requires the message-passing runtime (see Runtime).
+	// message-passing factorization and arms its reliability layer (see
+	// FaultPlan). Nil or an inactive plan leaves the fault-free fast path
+	// untouched. An active plan requires the message-passing runtime (see
+	// Runtime); solves ignore it.
 	Faults *FaultPlan
 	// StaticPivot enables static pivoting in the numerical factorization:
 	// a diagonal pivot with |d| < Epsilon·‖A‖_max is replaced by
@@ -187,9 +191,9 @@ type Options struct {
 	// BLR.Tol (see BLROptions), trading ~Tol solve accuracy — recoverable
 	// with SolveOptions.Refine — for factor memory. The zero value (Tol 0)
 	// disables compression and keeps every factor bitwise-identical to the
-	// dense path. Compressed factors solve on the sequential and level-set
-	// engines only, so enabling BLR conflicts with Runtime: RuntimeMPSim and
-	// with active fault injection (both fail Validate).
+	// dense path. Compression combines with every Runtime and with fault
+	// injection: it runs after factorization, and every solve engine reads
+	// compressed factors.
 	BLR BLROptions
 }
 
@@ -261,14 +265,6 @@ func (o Options) Validate() error {
 	if err := o.BLR.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadOptions, err)
 	}
-	if o.BLR.Enabled() {
-		if o.Runtime == RuntimeMPSim {
-			return fmt.Errorf("%w: BLR compression conflicts with Runtime RuntimeMPSim (the message-passing solve needs dense factors)", ErrBadOptions)
-		}
-		if o.Faults.Active() {
-			return fmt.Errorf("%w: BLR compression conflicts with fault injection (the message-passing solve needs dense factors)", ErrBadOptions)
-		}
-	}
 	return nil
 }
 
@@ -297,9 +293,6 @@ type Factor struct {
 	// an.A for Factorize, the request's values for FactorizeValues — so
 	// refinement always iterates against the right system.
 	pa *sparse.SymMatrix
-	// blrConflict, when non-empty, names the analysis configuration that
-	// forbids compressing this factor (Factor.Compress reports it).
-	blrConflict string
 }
 
 // newFactor wraps a freshly factorized solver.Factors, applying the
@@ -307,17 +300,10 @@ type Factor struct {
 // point funnels through here so compression is uniform across the plain,
 // traced, values and robust paths.
 func (an *Analysis) newFactor(f *solver.Factors, pa *sparse.SymMatrix) *Factor {
-	out := &Factor{inner: f, an: an.inner, pa: pa}
-	switch {
-	case an.faults.Active():
-		out.blrConflict = "fault injection needs dense factors (message-passing solve runtime)"
-	case an.runtime == RuntimeMPSim:
-		out.blrConflict = "analysis is pinned to RuntimeMPSim, whose solve needs dense factors"
-	}
 	if an.blr.Enabled() {
 		f.Compress(an.blr)
 	}
-	return out
+	return &Factor{inner: f, an: an.inner, pa: pa}
 }
 
 // Perturbations returns the static-pivoting report of this factorization:

@@ -77,12 +77,5 @@ func (an *Analysis) RestoreFactor(a *Matrix, p *FactorPayload) (*Factor, error) 
 	if err != nil {
 		return nil, err
 	}
-	out := &Factor{inner: inner, an: an.inner, pa: pa}
-	switch {
-	case an.faults.Active():
-		out.blrConflict = "fault injection needs dense factors (message-passing solve runtime)"
-	case an.runtime == RuntimeMPSim:
-		out.blrConflict = "analysis is pinned to RuntimeMPSim, whose solve needs dense factors"
-	}
-	return out, nil
+	return &Factor{inner: inner, an: an.inner, pa: pa}, nil
 }

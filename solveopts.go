@@ -31,22 +31,20 @@ type SolveOptions struct {
 	//   - RuntimeSequential: the reference kernel (Factors.Solve) for one
 	//     right-hand side; a panel (NRHS > 1) runs the level-set engine on
 	//     one worker.
-	//   - RuntimeShared: the level-set engine with the static cost-balanced
-	//     partition of each level.
-	//   - RuntimeDynamic: the level-set engine with dynamic (atomic-fetch)
-	//     cell dispatch inside each level.
-	//   - RuntimeMPSim: the paper-faithful message-passing panel sweep.
+	//   - RuntimeShared, RuntimeDynamic and RuntimeMPSim: the level-set
+	//     engine with the static cost-balanced partition of each level.
 	//
-	// Every engine but RuntimeMPSim returns, for each column of the panel,
-	// the bits the single-RHS sequential solve returns for that column
-	// (contributions are pulled in the canonical sequential order);
-	// RuntimeMPSim matches to rounding.
+	// The solve exchanges no messages, so an active FaultPlan does not act
+	// on it. Every engine returns, for each column of the panel, the bits the
+	// single-RHS sequential solve returns for that column (contributions are
+	// pulled in the canonical sequential order), on dense and BLR-compressed
+	// factors alike.
 	Runtime Runtime
 	// Refine, when non-nil, applies adaptive iterative refinement to every
 	// solution column and reports the aggregated RefineStats in the result.
 	Refine *RefineOptions
-	// Trace, when non-nil, records the solve's phase and message events into
-	// a fresh Trace returned in the result. A standalone solve trace holds no
+	// Trace, when non-nil, records the solve's phase events into a fresh
+	// Trace returned in the result. A standalone solve trace holds no
 	// factorization tasks, so it supports WriteChromeTrace but not the
 	// schedule-divergence Summary/WriteReport. Tracing needs a parallel
 	// engine: combining it with a (resolved) sequential runtime fails with
@@ -72,7 +70,7 @@ type SolveResult struct {
 	// Trace is the recorded execution when SolveOptions.Trace was set.
 	Trace *Trace
 	// Plan describes the level-set solve schedule when that engine ran
-	// (zero value for the sequential and message-passing engines).
+	// (zero value for the sequential engine).
 	Plan PlanStats
 }
 
@@ -125,28 +123,14 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 		rt = an.runtime
 	}
 	if rt == RuntimeAuto {
-		switch {
-		case an.faults.Active():
-			rt = RuntimeMPSim
-		case an.inner.Sched.P == 1 && !tracing:
+		if an.inner.Sched.P == 1 && !tracing {
 			rt = RuntimeSequential
-		default:
+		} else {
 			rt = RuntimeShared
 		}
 	}
 	if rt == RuntimeSequential && tracing {
 		return nil, fmt.Errorf("%w: tracing requires a parallel solve engine, not %v", ErrBadOptions, rt)
-	}
-	// Fault injection lives in the message-passing runtime. The sequential
-	// reference never armed it (Solve has always ignored the plan), so it
-	// stays permitted; the level-set engines would silently drop the plan.
-	if an.faults.Active() && rt != RuntimeMPSim && rt != RuntimeSequential {
-		return nil, fmt.Errorf("%w: fault injection requires the message-passing runtime, not %v", ErrBadOptions, rt)
-	}
-	// The message-passing sweep needs every block dense, which a BLR
-	// compression pass gave up.
-	if rt == RuntimeMPSim && f.inner.Compressed() {
-		return nil, fmt.Errorf("%w: the message-passing solve needs dense factors, and this factor is BLR-compressed", ErrBadOptions)
 	}
 
 	res := &SolveResult{}
@@ -157,7 +141,7 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 			cap = 4*len(sch.Tasks)/sch.P + 64
 		}
 		rec = trace.New(sch.P, cap)
-		res.Trace = &Trace{rec: rec, sch: sch, free: rt == RuntimeDynamic}
+		res.Trace = &Trace{rec: rec, sch: sch}
 	}
 
 	pb := make([]float64, len(b))
@@ -187,16 +171,11 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 			err = solver.SolveLevelInPlace(ctx, an.inner.SolvePlanFor(1), f.inner, px,
 				solver.LevelOptions{NRHS: nrhs})
 		}
-	case RuntimeMPSim:
-		px, err = solver.SolveParManyOpts(ctx, sch, f.inner, pb, nrhs,
-			solver.SolveOptions{Trace: rec, Faults: an.faults})
-	case RuntimeShared, RuntimeDynamic:
+	default:
 		pl := an.inner.SolvePlan()
 		err = solver.SolveLevelInPlace(ctx, pl, f.inner, px,
-			solver.LevelOptions{NRHS: nrhs, Dynamic: rt == RuntimeDynamic, Trace: rec})
+			solver.LevelOptions{NRHS: nrhs, Trace: rec})
 		res.Plan = pl.Stats()
-	default:
-		err = fmt.Errorf("%w: unknown runtime %d", ErrBadOptions, rt)
 	}
 	if err != nil {
 		return nil, err

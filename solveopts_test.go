@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/pastix-go/pastix/internal/gen"
 )
@@ -130,6 +132,96 @@ func TestSolveOptsEngineDeterminism(t *testing.T) {
 	}
 	if rs.Plan != (PlanStats{}) {
 		t.Fatalf("sequential solve reported a plan: %+v", rs.Plan)
+	}
+}
+
+// TestSolveOptsEveryRuntimeBitwise is the solve's bitwise contract across
+// the conformance corpus: on dense and BLR-compressed factors, with and
+// without an active FaultPlan on the analysis, every SolveOptions.Runtime at
+// 1 and 32 right-hand sides returns, column for column, the bits of
+// Factors.Solve of that column.
+func TestSolveOptsEveryRuntimeBitwise(t *testing.T) {
+	const nrhsWide = 32
+	corpus := []struct {
+		name string
+		a    *Matrix
+	}{
+		{"poisson2d-14x14", gen.Laplacian2D(14, 14)},
+		{"poisson3d-6", gen.Laplacian3D(6, 6, 6)},
+		{"shell-8x8x3", gen.Shell(8, 8, 3)},
+		{"solid-4x4x4x3", gen.Solid(4, 4, 4, 3)},
+		{"thickshell-6x6x2x3", gen.ThickShell(6, 6, 2, 3)},
+		{"graded", gen.GradedPivot(4, 8, 1e-2, 0.05, false)},
+		{"randspd-seed5", gen.RandomSPD(150, 4, 5)},
+	}
+	plans := []struct {
+		name   string
+		faults *FaultPlan
+	}{
+		{"fault-free", nil},
+		{"faults", &FaultPlan{Seed: 7, Dup: 0.1, Delay: 0.1, MaxDelay: 100 * time.Microsecond, CrashAtStep: map[int]int{1: 1}}},
+	}
+	ctx := context.Background()
+	lowRank := 0 // low-rank blocks across the BLR factors
+	for _, tc := range corpus {
+		n := tc.a.N
+		_, b := gen.RHSForSolution(tc.a)
+		panel := make([]float64, n*nrhsWide)
+		for r := 0; r < nrhsWide; r++ {
+			for i := 0; i < n; i++ {
+				panel[i+r*n] = b[i] * (1 + float64(r)/3)
+			}
+		}
+		for _, fp := range plans {
+			an, err := Analyze(tc.a, Options{Processors: 4, Faults: fp.faults})
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, fp.name, err)
+			}
+			for _, blr := range []bool{false, true} {
+				name := fmt.Sprintf("%s %s blr=%v", tc.name, fp.name, blr)
+				f, err := an.Factorize()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if blr {
+					// A loose tolerance, so blocks of these small matrices
+					// go low-rank.
+					st, err := f.Compress(BLROptions{Tol: 1e-4, MinBlockSize: 8})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					lowRank += st.BlocksCompressed
+				}
+				// Per-column references: Factors.Solve in the permuted system.
+				refs := make([][]float64, nrhsWide)
+				for r := range refs {
+					pb := make([]float64, n)
+					for newI, old := range an.inner.Perm {
+						pb[newI] = panel[old+r*n]
+					}
+					px := f.inner.Solve(pb)
+					refs[r] = make([]float64, n)
+					for newI, old := range an.inner.Perm {
+						refs[r][old] = px[newI]
+					}
+				}
+				for _, rt := range []Runtime{RuntimeAuto, RuntimeSequential, RuntimeMPSim, RuntimeShared, RuntimeDynamic} {
+					for _, nrhs := range []int{1, nrhsWide} {
+						res, err := an.SolveOpts(ctx, f, panel[:n*nrhs], SolveOptions{NRHS: nrhs, Runtime: rt})
+						if err != nil {
+							t.Fatalf("%s %v nrhs=%d: %v", name, rt, nrhs, err)
+						}
+						for r := 0; r < nrhs; r++ {
+							bitwiseSame(t, fmt.Sprintf("%s %v nrhs=%d col %d", name, rt, nrhs, r),
+								res.X[r*n:(r+1)*n], refs[r])
+						}
+					}
+				}
+			}
+		}
+	}
+	if lowRank == 0 {
+		t.Fatal("no BLR factor of the corpus holds a low-rank block")
 	}
 }
 

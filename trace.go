@@ -73,9 +73,10 @@ func (an *Analysis) factorizeTraced(ctx context.Context, pa *Matrix, topts Trace
 }
 
 // SolveParallelTraced is SolveOpts with default options recording the
-// solve's phase and message events into tr (typically the trace of the
-// factorization the factor came from), so one trace file can show the whole
-// run.
+// solve's phase events into tr (typically the trace of the factorization the
+// factor came from), so one trace file can show the whole run. The solve
+// sends no messages: its events are each worker's forward and backward sweep
+// and its barrier waits.
 func (an *Analysis) SolveParallelTraced(ctx context.Context, f *Factor, b []float64, tr *Trace) ([]float64, error) {
 	var rec *trace.Recorder
 	if tr != nil {
