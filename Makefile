@@ -42,8 +42,8 @@ CHAOS_RUN := Chaos|Fault|Reliab|Retry|Restart|Stall|Boundary
 CHAOS_PKGS := ./internal/mpsim ./internal/faults ./internal/solver .
 NUMSTRESS_RUN := NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine|Pivot
 NUMSTRESS_PKGS := ./internal/solver ./internal/blas .
-DYNSTRESS_RUN := RuntimeConformance|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors
-DYNSTRESS_PKGS := ./internal/solver
+DYNSTRESS_RUN := RuntimeConformance|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph
+DYNSTRESS_PKGS := ./internal/solver ./internal/dynsched
 SOLVEDAG_RUN := SolveDAG|HybridSteps
 SOLVEDAG_PKGS := ./internal/sched
 SOLVESTRESS_RUN := SolvePlan|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1
@@ -75,11 +75,12 @@ chaos:
 numstress:
 	$(GO) test -race -timeout 300s -run '$(NUMSTRESS_RUN)' $(NUMSTRESS_PKGS)
 
-# Dynamic-runtime stress soak: the work-stealing executor's unit and
-# steal-storm suites plus the cross-runtime conformance tests (every
-# generator × every runtime, dynamic bitwise-identical to shared across
-# seeds) under the race detector, repeated so rare steal interleavings get a
-# chance to fire.
+# Shared-memory executor stress soak, both placement policies: the
+# executor's unit, pinned and steal-storm suites, the pinned factorization
+# stress and error paths, mid-run cancellation, and the cross-runtime
+# conformance tests (every generator × every runtime, work stealing
+# bitwise-identical to pinned across seeds) under the race detector,
+# repeated so rare interleavings get a chance to fire.
 dynstress:
 	$(GO) test -race -timeout 300s -count=3 ./internal/dynsched
 	$(GO) test -race -timeout 300s -count=2 -run '$(DYNSTRESS_RUN)' $(DYNSTRESS_PKGS)

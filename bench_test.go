@@ -367,7 +367,7 @@ func BenchmarkSharedVsMpsim(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("Shared/P%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.FactorizeShared(an.A, an.Sched); err != nil {
+				if _, err := an.FactorizeOpts(solver.ParOptions{Runtime: solver.RuntimeShared}); err != nil {
 					b.Fatal(err)
 				}
 			}

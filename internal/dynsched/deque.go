@@ -1,9 +1,12 @@
-// Package dynsched executes a sched.DAG with data-driven task activation on
-// a pool of worker goroutines: no fixed task→processor mapping, per-worker
-// ready deques, atomic in-degree countdown, and lock-free work stealing. It
-// is the dynamic alternative to the paper's static K_p task vectors — the
-// schedule's cost model survives only as the priority used to order a
-// worker's own ready queue.
+// Package dynsched executes a sched.DAG on a pool of worker goroutines with
+// an atomic in-degree countdown per task: a task starts once its last
+// predecessor has completed. It is the one dependency-driven executor of the
+// shared-memory factorization, with two placement policies. Pinned runs the
+// paper's static schedule — each worker executes its fixed K_p task vector
+// in order, waiting on each task's countdown. Work stealing discards the
+// mapping — ready tasks land on per-worker deques, ordered by the
+// schedule's cost-model priority, and idle workers steal from their peers'
+// deques lock-free.
 package dynsched
 
 import "sync/atomic"

@@ -3,6 +3,7 @@ package dynsched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,7 +41,7 @@ func checkAllOnce(t *testing.T, counts []atomic.Int32) {
 
 func TestRunEmpty(t *testing.T) {
 	d := mustDAG(t, 0, nil)
-	st, err := Run(context.Background(), d, 4, func(w, task int) error { return nil })
+	st, err := Run(context.Background(), d, 4, nil, func(w, task int) error { return nil })
 	if err != nil || st.Executed != 0 {
 		t.Fatalf("empty run: %v %+v", err, st)
 	}
@@ -57,7 +58,7 @@ func TestRunChainRespectsOrder(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		var mu sync.Mutex
 		var order []int
-		st, err := Run(context.Background(), d, workers, func(w, task int) error {
+		st, err := Run(context.Background(), d, workers, nil, func(w, task int) error {
 			mu.Lock()
 			order = append(order, task)
 			mu.Unlock()
@@ -79,10 +80,10 @@ func TestRunChainRespectsOrder(t *testing.T) {
 
 func TestRunDiamondAndParallelEdges(t *testing.T) {
 	// Diamond with a doubled edge: 3's in-degree is 3, so the countdown must
-	// handle parallel edges exactly like sched.InDegrees counts them.
+	// handle parallel edges exactly like DAG.InDegrees counts them.
 	d := mustDAG(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {2, 3}})
 	exec, counts := countingExec(4)
-	st, err := Run(context.Background(), d, 3, exec)
+	st, err := Run(context.Background(), d, 3, nil, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestRunPriorityOrdersLocalPop(t *testing.T) {
 		d.Priority[i] = int64(i % 3) // ties inside each class → id ascending
 	}
 	var order []int
-	_, err := Run(context.Background(), d, 1, func(w, task int) error {
+	_, err := Run(context.Background(), d, 1, nil, func(w, task int) error {
 		order = append(order, task)
 		return nil
 	})
@@ -130,7 +131,7 @@ func TestRunAbortsOnError(t *testing.T) {
 	d := mustDAG(t, n, edges)
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	st, err := Run(context.Background(), d, 4, func(w, task int) error {
+	st, err := Run(context.Background(), d, 4, nil, func(w, task int) error {
 		ran.Add(1)
 		if task == 5 {
 			return boom
@@ -145,6 +146,8 @@ func TestRunAbortsOnError(t *testing.T) {
 	}
 }
 
+// TestRunHonorsContext cancels a run from inside a task, under both
+// placement policies: Run must return ctx.Err() and unwind every worker.
 func TestRunHonorsContext(t *testing.T) {
 	const n = 128
 	var edges [][2]int
@@ -152,21 +155,26 @@ func TestRunHonorsContext(t *testing.T) {
 		edges = append(edges, [2]int{i, i + 1})
 	}
 	d := mustDAG(t, n, edges)
-	ctx, cancel := context.WithCancel(context.Background())
-	_, err := Run(ctx, d, 2, func(w, task int) error {
-		if task == 3 {
-			cancel()
+	for _, pinned := range [][][]int{nil, dealTopo(d, 2)} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := Run(ctx, d, 2, pinned, func(w, task int) error {
+			if task == 3 {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("pinned=%v: err = %v, want context.Canceled", pinned != nil, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		waitGoroutines(t, before)
 	}
 }
 
 func TestRunRejectsBadWorkerCount(t *testing.T) {
 	d := mustDAG(t, 1, nil)
-	if _, err := Run(context.Background(), d, 0, func(w, task int) error { return nil }); err == nil {
+	if _, err := Run(context.Background(), d, 0, nil, func(w, task int) error { return nil }); err == nil {
 		t.Fatal("accepted 0 workers")
 	}
 }
@@ -177,20 +185,10 @@ func TestRunRejectsBadWorkerCount(t *testing.T) {
 // must be observed (with 32 workers racing for roots of a 4-wide graph,
 // stealing is how anyone but worker 0 eats).
 func TestStealStorm(t *testing.T) {
-	// Layered graph: L layers of width W, each task depending on every task
-	// of the previous layer (barrier-like waves that repeatedly go from
-	// "everything ready" to "nothing ready").
-	const layers, width = 8, 4
-	n := layers * width
-	var edges [][2]int
-	for l := 0; l+1 < layers; l++ {
-		for i := 0; i < width; i++ {
-			for j := 0; j < width; j++ {
-				edges = append(edges, [2]int{l*width + i, (l+1)*width + j})
-			}
-		}
-	}
-	d := mustDAG(t, n, edges)
+	// Layered graph: barrier-like waves that repeatedly go from "everything
+	// ready" to "nothing ready".
+	d := layered(t, 8, 4)
+	n := d.NTasks()
 
 	rounds := 200
 	if testing.Short() {
@@ -199,7 +197,7 @@ func TestStealStorm(t *testing.T) {
 	var totalSteals int64
 	for r := 0; r < rounds; r++ {
 		exec, counts := countingExec(n)
-		st, err := Run(context.Background(), d, 32, exec)
+		st, err := Run(context.Background(), d, 32, nil, exec)
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}

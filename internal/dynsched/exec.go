@@ -2,6 +2,7 @@ package dynsched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -9,6 +10,10 @@ import (
 
 	"github.com/pastix-go/pastix/internal/sched"
 )
+
+// errStuck reports a run in which every worker still in it waits for a task
+// no running task can release.
+var errStuck = errors.New("dynsched: tasks never became ready (cyclic graph or misordered pinned lists)")
 
 // ExecFunc runs one task on one worker. The worker index is stable for the
 // goroutine that calls it (0 ≤ worker < Workers), so implementations may use
@@ -25,41 +30,53 @@ type Stats struct {
 }
 
 // runner is the state of one Run: the activation counters, the per-worker
-// deques, and the parking lot idle workers sleep in.
+// deques (stealing policy only), and the parking lot idle workers sleep in.
 type runner struct {
 	dag       *sched.DAG
 	exec      ExecFunc
 	remaining []atomic.Int32 // in-degree countdown; task ready at zero
-	deques    []*deque
-	pending   atomic.Int64 // tasks not yet completed; 0 = run finished
+	deques    []*deque       // nil under the pinned policy
+	pending   atomic.Int64   // tasks not yet completed; 0 = run finished
 	steals    atomic.Int64
 	parks     atomic.Int64
 
-	// Parking: a worker that finds every deque empty sleeps on cond until a
-	// completion pushes new ready tasks (or the run ends). wakeSeq is bumped
-	// under mu before every broadcast; a would-be sleeper re-checks the
-	// deques after reading it and sleeps only if it is unchanged, so a wakeup
-	// between the check and the sleep cannot be missed.
-	mu      sync.Mutex
-	cond    *sync.Cond
-	wakeSeq uint64
+	// Parking: a worker with nothing runnable sleeps on cond until a
+	// completion makes a task ready (or the run ends). wakeSeq is bumped
+	// under mu before every broadcast; a would-be sleeper re-checks for work
+	// after reading it and sleeps only if it is unchanged, so a wakeup
+	// between the check and the sleep cannot be missed. idle counts the
+	// sleepers since the last broadcast and live the workers still in the
+	// run: when every live worker sleeps, no running task is left to wake
+	// anyone, so the remaining tasks can never become ready.
+	mu         sync.Mutex
+	cond       *sync.Cond
+	wakeSeq    uint64
+	idle, live int
 
 	aborted  atomic.Bool
 	abortMu  sync.Mutex
 	abortErr error
 }
 
-// Run executes every task of d exactly once on `workers` goroutines,
-// respecting the dependency edges: a task becomes ready when its last
-// incoming edge is satisfied, is pushed to the completing worker's deque
-// (batch sorted so the highest d.Priority is popped first), and idle workers
-// steal from the tail of their peers' deques. Cancelling ctx aborts between
-// tasks. The caller must pass a validated DAG (NewDAG or Schedule.DAG); a
-// cyclic graph would deadlock, which Validate exists to exclude.
-func Run(ctx context.Context, d *sched.DAG, workers int, exec ExecFunc) (Stats, error) {
+// Run executes every task of d exactly once on `workers` goroutines; a task
+// starts once its last incoming edge is satisfied. pinned selects the
+// placement policy. With nil (work stealing), a task that becomes ready is
+// pushed to the completing worker's deque (batch sorted so the highest
+// d.Priority is popped first), and idle workers steal from the tail of their
+// peers' deques. Otherwise worker w runs exactly pinned[w], in order; the
+// lists must partition the task ids over exactly `workers` lists, or Run
+// rejects them. Cancelling ctx aborts between tasks. A cyclic graph, or
+// pinned lists whose order contradicts an edge, leaves every worker waiting;
+// Run detects that and returns an error instead of hanging.
+func Run(ctx context.Context, d *sched.DAG, workers int, pinned [][]int, exec ExecFunc) (Stats, error) {
 	n := d.NTasks()
 	if workers < 1 {
 		return Stats{}, fmt.Errorf("dynsched: %d workers", workers)
+	}
+	if pinned != nil {
+		if err := checkPartition(pinned, workers, n); err != nil {
+			return Stats{}, err
+		}
 	}
 	if n == 0 {
 		return Stats{}, nil
@@ -68,13 +85,10 @@ func Run(ctx context.Context, d *sched.DAG, workers int, exec ExecFunc) (Stats, 
 		dag:       d,
 		exec:      exec,
 		remaining: make([]atomic.Int32, n),
-		deques:    make([]*deque, workers),
+		live:      workers,
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.pending.Store(int64(n))
-	for w := range r.deques {
-		r.deques[w] = newDeque(n)
-	}
 	var roots []int32
 	for i, deg := range d.InDegrees() {
 		r.remaining[i].Store(deg)
@@ -82,13 +96,16 @@ func Run(ctx context.Context, d *sched.DAG, workers int, exec ExecFunc) (Stats, 
 			roots = append(roots, int32(i))
 		}
 	}
-	if len(roots) == 0 {
-		return Stats{}, fmt.Errorf("dynsched: no root tasks (cyclic graph?)")
-	}
-	// Seed round-robin, best roots last so each worker pops its best first.
-	r.sortByPriority(roots)
-	for i := len(roots) - 1; i >= 0; i-- {
-		r.deques[i%workers].push(roots[i])
+	if pinned == nil {
+		// Seed round-robin, best roots last so each worker pops its best first.
+		r.deques = make([]*deque, workers)
+		for w := range r.deques {
+			r.deques[w] = newDeque(n)
+		}
+		r.sortByPriority(roots)
+		for i := len(roots) - 1; i >= 0; i-- {
+			r.deques[i%workers].push(roots[i])
+		}
 	}
 
 	watchDone := make(chan struct{})
@@ -106,7 +123,12 @@ func Run(ctx context.Context, d *sched.DAG, workers int, exec ExecFunc) (Stats, 
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r.work(w)
+			defer r.leave()
+			if pinned != nil {
+				r.workPinned(w, pinned[w])
+			} else {
+				r.work(w)
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -121,10 +143,30 @@ func Run(ctx context.Context, d *sched.DAG, workers int, exec ExecFunc) (Stats, 
 		// to act on before the last task finished still fails the run.
 		err = ctx.Err()
 	}
-	if err == nil && r.pending.Load() != 0 {
-		err = fmt.Errorf("dynsched: %d tasks never became ready", r.pending.Load())
-	}
 	return st, err
+}
+
+// checkPartition verifies that pinned holds `workers` lists that together
+// name every task id in [0,n) exactly once.
+func checkPartition(pinned [][]int, workers, n int) error {
+	if len(pinned) != workers {
+		return fmt.Errorf("dynsched: %d pinned lists for %d workers", len(pinned), workers)
+	}
+	seen := make([]bool, n)
+	count := 0
+	for _, list := range pinned {
+		for _, id := range list {
+			if id < 0 || id >= n || seen[id] {
+				return fmt.Errorf("dynsched: pinned task %d outside [0,%d) or pinned twice", id, n)
+			}
+			seen[id] = true
+		}
+		count += len(list)
+	}
+	if count != n {
+		return fmt.Errorf("dynsched: pinned lists hold %d of %d tasks", count, n)
+	}
+	return nil
 }
 
 // sortByPriority orders ids so that the best task — highest priority, then
@@ -150,31 +192,62 @@ func (r *runner) abort(err error) {
 	r.wake()
 }
 
-// wake bumps the wakeup sequence and rouses every parked worker.
+// wake bumps the wakeup sequence and rouses every parked worker. It
+// broadcasts under mu, so a worker that parks after the reset of idle is
+// never woken by this broadcast and rightly counts as idle.
 func (r *runner) wake() {
 	r.mu.Lock()
 	r.wakeSeq++
-	r.mu.Unlock()
+	r.idle = 0
 	r.cond.Broadcast()
+	r.mu.Unlock()
 }
 
-// work is one worker goroutine: pop local, else steal, else park.
+// leave takes a returning worker out of the run. If every worker still in
+// it is asleep, nothing can wake them any more.
+func (r *runner) leave() {
+	r.mu.Lock()
+	r.live--
+	stuck := r.live > 0 && r.idle == r.live
+	r.mu.Unlock()
+	if stuck {
+		r.abort(errStuck)
+	}
+}
+
+// finished reports whether the run is over: every task done, or aborted.
+func (r *runner) finished() bool { return r.aborted.Load() || r.pending.Load() == 0 }
+
+// work is one work-stealing worker: pop local, else steal, else park.
 func (r *runner) work(w int) {
-	for {
-		if r.aborted.Load() || r.pending.Load() == 0 {
-			return
-		}
+	for !r.finished() {
 		task := r.deques[w].pop()
 		if task < 0 {
 			task = r.trySteal(w)
 		}
 		if task < 0 {
-			if !r.park(w) {
+			if !r.park(-1) {
 				return
 			}
 			continue
 		}
 		r.run(w, task)
+	}
+}
+
+// workPinned is one pinned worker: its list in order, each task once its
+// countdown reaches zero.
+func (r *runner) workPinned(w int, list []int) {
+	for _, task := range list {
+		for !r.runnable(task) {
+			if !r.park(task) {
+				return
+			}
+		}
+		if r.aborted.Load() {
+			return
+		}
+		r.run(w, int32(task))
 	}
 }
 
@@ -191,36 +264,57 @@ func (r *runner) trySteal(w int) int32 {
 	return -1
 }
 
-// park sleeps until new work may exist. It returns false when the run is
-// over (all tasks done or aborted) and true when the worker should retry.
-func (r *runner) park(w int) bool {
+// runnable reports whether a worker may have something to run: pinned task
+// `task` has no unfinished predecessor, or, for a stealing worker (task <
+// 0), some deque holds a task.
+func (r *runner) runnable(task int) bool {
+	if task >= 0 {
+		return r.remaining[task].Load() == 0
+	}
+	for _, d := range r.deques {
+		if d.top.Load() < d.bottom.Load() {
+			return true
+		}
+	}
+	return false
+}
+
+// park sleeps until runnable(task) may have changed. It returns false when
+// the run is over (all tasks done or aborted) and true when the worker
+// should retry.
+func (r *runner) park(task int) bool {
 	r.mu.Lock()
 	seq := r.wakeSeq
 	r.mu.Unlock()
-	// Re-check after capturing seq: any push since bumps the sequence, so
-	// either we see the work here or the comparison below fails.
-	if r.aborted.Load() || r.pending.Load() == 0 {
+	// Re-check after capturing seq: any activation since bumps the sequence,
+	// so either we see it here or the comparison below fails.
+	if r.finished() {
 		return false
 	}
-	for i := 0; i < len(r.deques); i++ {
-		d := r.deques[i]
-		if d.top.Load() < d.bottom.Load() {
-			return true // work visible somewhere; retry without sleeping
-		}
+	if r.runnable(task) {
+		return true // retry without sleeping
 	}
 	r.mu.Lock()
 	if r.wakeSeq == seq {
+		r.idle++
+		if r.idle == r.live {
+			r.idle--
+			r.mu.Unlock()
+			r.abort(errStuck)
+			return false
+		}
 		r.parks.Add(1)
 		r.cond.Wait()
 	}
 	r.mu.Unlock()
-	return !r.aborted.Load() && r.pending.Load() != 0
+	return !r.finished()
 }
 
-// run executes one task and activates its successors: each out-edge
-// decrements the destination's countdown, and the batch that reached zero is
-// priority-sorted and pushed locally — the data-driven replacement for the
-// static schedule's fixed K_p order.
+// run executes one task and counts down its successors. Under work
+// stealing, the batch that reached zero is priority-sorted and pushed
+// locally — the data-driven replacement for the static schedule's fixed K_p
+// order; under the pinned policy the countdown alone releases the waiting
+// owner.
 func (r *runner) run(w int, task int32) {
 	if err := r.exec(w, int(task)); err != nil {
 		r.abort(err)
@@ -236,7 +330,7 @@ func (r *runner) run(w int, task int32) {
 			return
 		}
 	}
-	if len(ready) > 0 {
+	if r.deques != nil {
 		r.sortByPriority(ready)
 		for _, id := range ready {
 			r.deques[w].push(id)

@@ -10,11 +10,13 @@ import (
 
 // FuzzScheduleDAG decodes arbitrary bytes into a (task count, edge list)
 // pair, builds a DAG through the same constructor the solver uses, and runs
-// the work-stealing executor over it. sched.NewDAG must either reject the
-// graph (cycles, bad indices) or the executor must run every task exactly
-// once with in-degree counters never going negative — the executor aborts
+// the executor over it under both placement policies: work stealing, and
+// pinned to a topological order dealt round-robin over the workers.
+// sched.NewDAG must either reject the graph (cycles, bad indices) or the
+// executor must run every task exactly once (pinned: on its worker, in list
+// order) with in-degree counters never going negative — the executor aborts
 // with an error on a negative countdown, which would fail the invariant
-// check below.
+// checks below.
 //
 // Byte layout: data[0] (mod 64) + 1 is n; each following pair of bytes is an
 // edge (src, dst) taken mod n. This intentionally produces self-loops,
@@ -43,7 +45,7 @@ func FuzzScheduleDAG(f *testing.F) {
 		}
 		for _, workers := range []int{1, 4} {
 			counts := make([]atomic.Int32, n)
-			st, err := Run(context.Background(), d, workers, func(w, task int) error {
+			st, err := Run(context.Background(), d, workers, nil, func(w, task int) error {
 				counts[task].Add(1)
 				return nil
 			})
@@ -59,6 +61,7 @@ func FuzzScheduleDAG(f *testing.F) {
 					t.Fatalf("workers=%d: task %d executed %d times", workers, i, c)
 				}
 			}
+			checkPinnedRun(t, d, dealTopo(d, workers))
 		}
 	})
 }

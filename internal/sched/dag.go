@@ -3,12 +3,13 @@ package sched
 import "fmt"
 
 // DAG is the runtime-agnostic view of a task graph: successor lists and a
-// scheduling priority per task, nothing else. The static runtimes consume the
-// full Schedule (task→processor mapping, per-processor K_p vectors, modelled
-// times); a data-driven runtime needs only this — which task unblocks which,
-// and which ready task to prefer. Build one from a Schedule with
-// Schedule.DAG, or from raw edge lists with NewDAG (the fuzzing and unit-test
-// entry point).
+// scheduling priority per task, nothing else. The message-passing runtime
+// consumes the full Schedule (task→processor mapping, per-processor K_p
+// vectors, modelled times); the shared-memory executor (internal/dynsched)
+// needs only this — which task unblocks which, and which ready task to
+// prefer — plus, under its pinned policy, the K_p vectors as per-worker task
+// lists. Build one from a Schedule with Schedule.DAG, or from raw edge lists
+// with NewDAG (the fuzzing and unit-test entry point).
 type DAG struct {
 	// Outs[i] lists the tasks that depend on task i. A task may appear more
 	// than once (the schedule keeps parallel edges of different kinds); the
@@ -27,8 +28,8 @@ type DAG struct {
 // NTasks returns the number of tasks in the graph.
 func (d *DAG) NTasks() int { return len(d.Outs) }
 
-// InDegrees returns the per-task incoming-edge counts — the counters a
-// dependency-driven runtime initialises its activation gates with.
+// InDegrees returns the per-task incoming-edge counts — the countdowns a
+// dependency-driven runtime starts from.
 func (d *DAG) InDegrees() []int32 {
 	in := make([]int32, len(d.Outs))
 	for _, outs := range d.Outs {
@@ -102,8 +103,8 @@ func NewDAG(n int, edges [][2]int) (*DAG, error) {
 	return d, nil
 }
 
-// DAG extracts the runtime-agnostic task graph from the schedule: the same
-// edges InDegrees counts, plus a priority per task encoding the cost model's
+// DAG extracts the runtime-agnostic task graph from the schedule: the
+// tasks' Outs edges, plus a priority per task encoding the cost model's
 // preference — elimination-tree depth in the high bits (deeper supernodes
 // first, the greedy mapper's ready-heap key) and the modelled execution time
 // in microseconds in the low bits (longer tasks first on equal depth, so the

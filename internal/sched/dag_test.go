@@ -66,8 +66,13 @@ func TestScheduleDAG(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatalf("schedule DAG invalid: %v", err)
 	}
-	// Same in-degrees as the schedule's own counters.
-	want := sch.InDegrees()
+	// Same in-degrees as the schedule's own edge lists.
+	want := make([]int32, len(sch.Tasks))
+	for i := range sch.Tasks {
+		for _, e := range sch.Tasks[i].Outs {
+			want[e.Dst]++
+		}
+	}
 	got := d.InDegrees()
 	for i := range want {
 		if got[i] != want[i] {

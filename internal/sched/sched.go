@@ -138,23 +138,6 @@ func bmodIndex(nb, sIdx, tIdx int) int {
 	return tIdx*nb - tIdx*(tIdx-1)/2 + sIdx - tIdx
 }
 
-// InDegrees returns, for every task, the number of incoming dependency
-// edges (of any kind). These are the counters a dependency-driven runtime —
-// e.g. the shared-memory factorization — initialises its per-task gates
-// with: a task may start once its counter reaches zero, each predecessor
-// decrementing it on completion. The counts are recomputed from the edge
-// lists, so they are valid after mapping (which consumes its own internal
-// counters).
-func (s *Schedule) InDegrees() []int32 {
-	in := make([]int32, len(s.Tasks))
-	for i := range s.Tasks {
-		for _, e := range s.Tasks[i].Outs {
-			in[e.Dst]++
-		}
-	}
-	return in
-}
-
 // Options tunes the scheduler.
 type Options struct {
 	// FirstCandidate degrades the mapper for ablation studies: instead of

@@ -279,15 +279,15 @@ func TestReplayDeterministicAndMatchesSP2(t *testing.T) {
 	}
 }
 
-// InDegrees must agree with the edge lists and describe an executable DAG:
-// every positive-indegree task has all its predecessors at strictly lower
-// rank, and topologically releasing tasks by counter reaches every task (the
-// invariant the shared-memory runtime's dependency gates rely on).
+// The DAG projection's in-degrees must agree with the schedule's edge lists
+// and describe an executable DAG: topologically releasing tasks by counter
+// reaches every task (the invariant the shared-memory executor's countdowns
+// rely on).
 func TestInDegreesMatchEdges(t *testing.T) {
 	a := testMatrix(t, "QUER", 0.04)
 	for _, P := range []int{1, 3, 8} {
 		_, sch := buildSchedule(t, a, P, 24)
-		in := sch.InDegrees()
+		in := sch.DAG().InDegrees()
 		if len(in) != len(sch.Tasks) {
 			t.Fatalf("P=%d: %d indegrees for %d tasks", P, len(in), len(sch.Tasks))
 		}

@@ -289,10 +289,8 @@ func factorizeOn[T blas.Scalar](ctx context.Context, an *Analysis, a symMatrix[T
 			return nil, nil, err
 		}
 		return factorizeSeq(a, an.Sym, tau)
-	case RuntimeShared:
-		return factorizeShared(ctx, a, an.Sched, popts.Trace, tau)
-	case RuntimeDynamic:
-		f, perts, _, err := factorizeDynamic(ctx, a, an.Sched, popts.Trace, tau)
+	case RuntimeShared, RuntimeDynamic:
+		f, perts, _, err := factorizeShared(ctx, a, an.Sched, popts.Trace, tau, rt == RuntimeShared)
 		return f, perts, err
 	case RuntimeMPSim:
 		f, perts, _, err := factorizePar(ctx, a, an.Sched, popts, tau)

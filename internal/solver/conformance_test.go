@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/faults"
@@ -203,7 +204,7 @@ func TestDynamicStealStorm(t *testing.T) {
 		rounds = 5
 	}
 	for r := 0; r < rounds; r++ {
-		f, st, err := FactorizeDynamicStatsCtx(context.Background(), an.A, an.Sched, nil, StaticPivot{})
+		f, st, err := factorizeSharedOn(an, false)
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
@@ -262,15 +263,45 @@ func TestDynamicRejectsFaults(t *testing.T) {
 	}
 }
 
-// TestDynamicHonorsContext covers cancellation through the full solver
-// stack: a context cancelled mid-factorization must abort the dynamic run
-// with ctx.Err() and unwind every worker.
+// TestDynamicHonorsContext cancels factorizations while their workers run,
+// under both placement policies of the shared-memory executor: the run must
+// stop early and return ctx.Err(). The cancel fires on a timer; the trace
+// shows where it landed (some but not all tasks recorded means mid-run), and
+// the delay is bisected until it lands there.
 func TestDynamicHonorsContext(t *testing.T) {
-	a := gen.Laplacian2D(20, 20)
+	a := gen.Laplacian2D(40, 40)
 	an := analyzeFor(t, a, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := an.FactorizeMatrixOptsCtx(ctx, an.A, ParOptions{Runtime: RuntimeDynamic}); err == nil {
-		t.Fatal("cancelled context not observed")
+	n := len(an.Sched.Tasks)
+	for _, rt := range []Runtime{RuntimeShared, RuntimeDynamic} {
+		start := time.Now()
+		if _, err := an.FactorizeOpts(ParOptions{Runtime: rt, Trace: trace.New(an.Sched.P, 0)}); err != nil {
+			t.Fatalf("%v: %v", rt, err)
+		}
+		delay := time.Since(start) / 2
+		midRun := false
+		for try := 0; try < 50 && !midRun; try++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			timer := time.AfterFunc(delay, cancel)
+			rec := trace.New(an.Sched.P, 0)
+			_, err := an.FactorizeMatrixOptsCtx(ctx, an.A, ParOptions{Runtime: rt, Trace: rec})
+			timer.Stop()
+			cancel()
+			ran := len(rec.TaskEvents())
+			if ran == n {
+				delay /= 2 // the run finished first
+				continue
+			}
+			if err != context.Canceled {
+				t.Fatalf("%v: cancelled after %d of %d tasks: err = %v, want %v", rt, ran, n, err, context.Canceled)
+			}
+			if ran == 0 {
+				delay += delay / 2 // cancelled before the first task
+				continue
+			}
+			midRun = true
+		}
+		if !midRun {
+			t.Fatalf("%v: no cancellation landed mid-run in 50 tries", rt)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -71,32 +70,34 @@ func TestZeroPivotErrorMultifrontalStyle(t *testing.T) {
 	}
 }
 
-// The shared-memory runtime must also fail cleanly on a zero pivot: no
-// deadlock, no goroutine leak, and the typed root cause preserved through
-// the dependency-graph scheduler's shutdown.
+// The shared-memory runtime must also fail cleanly on a zero pivot, under
+// both placement policies: no deadlock, no goroutine leak, and the typed
+// root cause preserved through the executor's shutdown.
 func TestZeroPivotErrorSharedMemory(t *testing.T) {
 	a := singularMatrix(10, 10, 33)
 	an := analyzeFor(t, a, 4)
-	before := runtime.NumGoroutine()
-	_, err := FactorizeSharedCtx(context.Background(), an.A, an.Sched, nil, StaticPivot{})
-	if err == nil {
-		t.Fatal("expected zero-pivot error")
-	}
-	if !errors.Is(err, ErrNotSPD) {
-		t.Fatalf("root cause lost: %v", err)
-	}
-	var zpe *ZeroPivotError
-	if !errors.As(err, &zpe) {
-		t.Fatalf("no ZeroPivotError in chain: %v", err)
-	}
-	// All worker goroutines must have unwound; allow a grace period for the
-	// scheduler's teardown to complete.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d before, %d after", before, runtime.NumGoroutine())
+	for _, rt := range []Runtime{RuntimeShared, RuntimeDynamic} {
+		before := runtime.NumGoroutine()
+		_, err := an.FactorizeOpts(ParOptions{Runtime: rt})
+		if err == nil {
+			t.Fatalf("%v: expected zero-pivot error", rt)
 		}
-		time.Sleep(time.Millisecond)
+		if !errors.Is(err, ErrNotSPD) {
+			t.Fatalf("%v: root cause lost: %v", rt, err)
+		}
+		var zpe *ZeroPivotError
+		if !errors.As(err, &zpe) {
+			t.Fatalf("%v: no ZeroPivotError in chain: %v", rt, err)
+		}
+		// All worker goroutines must have unwound; allow a grace period for
+		// the executor's teardown to complete.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%v: goroutine leak: %d before, %d after", rt, before, runtime.NumGoroutine())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

@@ -43,7 +43,7 @@ func factorizeAllRuntimes(t *testing.T, a *sparse.SymMatrix, P int, sp StaticPiv
 	}
 	out["mpsim"] = fpar
 
-	fsh, err := FactorizeSharedCtx(context.Background(), anP.A, anP.Sched, nil, sp)
+	fsh, err := anP.FactorizeMatrixOptsCtx(context.Background(), anP.A, ParOptions{Runtime: RuntimeShared, Pivot: sp})
 	if err != nil {
 		t.Fatalf("shared: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestGradedPivotFailsUnpivoted(t *testing.T) {
 	if _, _, err := FactorizeParStatsCtx(context.Background(), an4.A, an4.Sched, ParOptions{}); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("mpsim: want ErrNotSPD, got %v", err)
 	}
-	if _, err := FactorizeSharedCtx(context.Background(), an4.A, an4.Sched, nil, StaticPivot{}); !errors.Is(err, ErrNotSPD) {
+	if _, err := an4.FactorizeOpts(ParOptions{Runtime: RuntimeShared}); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("shared: want ErrNotSPD, got %v", err)
 	}
 }

@@ -5,7 +5,9 @@ import "fmt"
 // Runtime selects which engine executes the numerical factorization. All
 // runtimes consume the same analysis (ordering, symbolic structure, static
 // schedule); they differ in how the task graph is driven and where the data
-// lives. The sequential, shared-memory and dynamic runtimes produce BITWISE
+// lives. RuntimeShared and RuntimeDynamic are one shared-memory executor
+// (internal/dynsched) under its two placement policies, pinned and work
+// stealing. The sequential, shared-memory and dynamic runtimes produce BITWISE
 // identical factors and perturbation reports (they execute contributions in
 // the canonical source order); the message-passing runtime aggregates
 // contributions into AUBs — the paper's central mechanism — which changes the
@@ -22,11 +24,13 @@ const (
 	// RuntimeMPSim is the paper-faithful message-passing fan-in/fan-both
 	// runtime: goroutine processors, explicit messages, AUB aggregation.
 	RuntimeMPSim
-	// RuntimeShared is the zero-copy shared-memory runtime: the static
-	// schedule's K_p vectors over one shared factor storage.
+	// RuntimeShared is the shared-memory executor with the pinned policy:
+	// each worker runs its processor's K_p vector of the static schedule, in
+	// order, over one shared factor storage.
 	RuntimeShared
-	// RuntimeDynamic is the work-stealing runtime: data-driven activation
-	// over the shared-memory layout, no fixed task→processor mapping.
+	// RuntimeDynamic is the same executor with the work-stealing policy: no
+	// fixed task→processor mapping, ready tasks ordered by the schedule's
+	// cost-model priority.
 	RuntimeDynamic
 )
 

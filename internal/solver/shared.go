@@ -2,24 +2,23 @@ package solver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/pastix-go/pastix/internal/blas"
+	"github.com/pastix-go/pastix/internal/dynsched"
 	"github.com/pastix-go/pastix/internal/sched"
-	"github.com/pastix-go/pastix/internal/sparse"
 	"github.com/pastix-go/pastix/internal/trace"
 )
 
-// This file implements the shared-memory execution of the static schedule:
-// the same per-processor K_p task vectors as FactorizePar, but over ONE
-// shared Factors storage instead of mpsim message copies. AUBs, solved
+// This file is the shared-memory factorization: the schedule's tasks over
+// ONE shared Factors storage instead of mpsim message copies. AUBs, solved
 // panels and diagonal blocks are never serialized or duplicated — a panel or
-// diagonal read is a slice of the shared array.
+// diagonal read is a slice of the shared array. internal/dynsched.Run drives
+// the tasks, pinned to the static schedule's K_p vectors (RuntimeShared) or
+// work stealing (RuntimeDynamic).
 //
 // Contributions are not applied by their producer. Each outer-product update
 // is enqueued as a (source cell, s, t) descriptor on its DESTINATION task,
@@ -27,30 +26,11 @@ import (
 // sequential right-looking order (source cell ascending, then t, then s).
 // Because the update kernels accumulate into the destination in place, the
 // floating-point result depends on application order; replaying the
-// sequential order makes the factor BITWISE identical to FactorizeSeq — and
-// to every other runtime that executes the same protocol, regardless of how
-// tasks interleave (see the dynamic work-stealing runtime in dynamic.go,
-// which reuses everything here except the driver loop). The price is that a
+// sequential order makes the factor BITWISE identical to FactorizeSeq under
+// both policies, regardless of how tasks interleave. The price is that a
 // region's updates execute on one processor instead of being spread over the
 // producers; the message-passing runtime pays the same shape of cost when it
 // adds received AUBs at the destination.
-//
-// Task ordering is enforced by per-task dependency counters
-// (sched.InDegrees) with close-only ready channels. The message-passing
-// runtime remains as the paper-faithful ablation baseline; see DESIGN.md for
-// the contrast.
-
-// errSharedAborted unblocks gate waiters after a peer failed; the peer's
-// root-cause error is reported in preference to it.
-var errSharedAborted = errors.New("solver: shared runtime aborted")
-
-// taskGate is the completion signal of one task: remaining counts the
-// incoming dependency edges not yet satisfied; ready is closed when the
-// count reaches zero.
-type taskGate struct {
-	remaining atomic.Int32
-	ready     chan struct{}
-}
 
 // contribRef identifies one deferred outer-product update: the (S,T) block
 // pair of source cell Cell. The actual operands are read from the shared
@@ -71,173 +51,86 @@ type pendList struct {
 	refs []contribRef
 }
 
-// sharedRun is the state shared by all goroutine processors of one
-// FactorizeShared (or work-stealing factorizeDynamic) execution.
+// sharedRun is the state shared by all workers of one factorizeShared run.
 type sharedRun[T blas.Scalar] struct {
-	sch   *sched.Schedule
-	f     *Storage[T]     // the one shared factor storage (fully allocated)
-	gates []taskGate      // per task (static driver only)
-	pend  []pendList      // per task: deferred contributions into its region
-	invd  [][]T           // per cell: 1/D, published by the FACTOR/COMP1D task
-	rec   *trace.Recorder // nil disables tracing
-	tau   float64         // static-pivot threshold; 0 disables pivoting
+	sch  *sched.Schedule
+	f    *Storage[T]     // the one shared factor storage (fully allocated)
+	pend []pendList      // per task: deferred contributions into its region
+	invd [][]T           // per cell: 1/D, published by the FACTOR/COMP1D task
+	rec  *trace.Recorder // nil disables tracing
+	tau  float64         // static-pivot threshold; 0 disables pivoting
 
 	// Static-pivot substitutions are rare events on the factorization's
 	// critical path of never, so a plain mutex-guarded log is fine; the
 	// report sorts by column, erasing the nondeterministic arrival order.
 	pivotMu sync.Mutex
 	perts   []Perturbation
-
-	ctx       context.Context
-	ctxDone   <-chan struct{} // ctx.Done(); nil when uncancellable
-	abort     chan struct{}   // closed on first error to unblock gate waiters
-	abortOnce sync.Once
 }
 
-func (sr *sharedRun[T]) fail() { sr.abortOnce.Do(func() { close(sr.abort) }) }
-
-// newSharedRun builds the run state common to the static shared-memory
-// driver and the dynamic work-stealing driver.
-func newSharedRun[T blas.Scalar](ctx context.Context, sch *sched.Schedule, rec *trace.Recorder, tau float64) *sharedRun[T] {
-	sym := sch.Sym()
-	return &sharedRun[T]{
-		sch:     sch,
-		f:       newStorage[T](sym, true),
-		pend:    make([]pendList, len(sch.Tasks)),
-		invd:    make([][]T, sym.NumCB()),
-		rec:     rec,
-		tau:     tau,
-		ctx:     ctx,
-		ctxDone: ctx.Done(),
-		abort:   make(chan struct{}),
-	}
-}
-
-// wait blocks until task id's gate opens (all dependencies satisfied), the
-// run aborts, or the context is cancelled. A nil ctxDone channel blocks
-// forever in select, so the uncancellable case costs nothing.
-func (sr *sharedRun[T]) wait(id int) error {
-	if sr.ctxDone != nil {
-		select {
-		case <-sr.ctxDone:
-			return sr.ctx.Err()
-		default:
-		}
-	}
-	select {
-	case <-sr.gates[id].ready:
-		return nil
-	default:
-	}
-	select {
-	case <-sr.gates[id].ready:
-		return nil
-	case <-sr.abort:
-		return errSharedAborted
-	case <-sr.ctxDone:
-		return sr.ctx.Err()
-	}
-}
-
-// done marks task id complete, decrementing every successor's gate. A
-// decrement to zero closes the successor's ready channel; together with the
-// sequentially consistent atomics this hands the successor a happens-before
-// edge over everything its predecessors wrote.
-func (sr *sharedRun[T]) done(id int) {
-	for _, e := range sr.sch.Tasks[id].Outs {
-		if sr.gates[e.Dst].remaining.Add(-1) == 0 {
-			close(sr.gates[e.Dst].ready)
-		}
-	}
-}
-
-// FactorizeShared runs the supernodal LDLᵀ factorization on sch.P goroutine
-// processors over ONE shared factor storage: the exact task vectors and
-// dependency structure of the static schedule, executed zero-copy. The
-// result is bitwise identical to FactorizeSeq and needs no gather step.
-func FactorizeShared(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, error) {
-	return FactorizeSharedCtx(context.Background(), a, sch, nil, StaticPivot{})
-}
-
-// FactorizeSharedCtx is FactorizeShared under a context, an optional
-// execution-trace recorder and an optional static-pivot configuration.
-// Cancelling ctx aborts the run: processors blocked on a task gate are woken
-// immediately, compute-bound processors observe the cancellation between
-// tasks, and ctx.Err() is returned once every worker goroutine has unwound
-// (none leak). A nil recorder disables tracing at the cost of one pointer
-// comparison per task; the zero StaticPivot disables pivoting.
-func FactorizeSharedCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Schedule, rec *trace.Recorder, sp StaticPivot) (*Factors, error) {
-	tau, normMax := pivotThreshold(sp, a)
-	f, perts, err := factorizeShared(ctx, a, sch, rec, tau)
-	if err != nil {
-		return nil, err
-	}
-	return realFactors(f, sp, normMax, perts), nil
-}
-
-// factorizeShared is the static shared-memory runtime for either scalar
-// type, with static-pivot threshold tau (0 disables pivoting).
-func factorizeShared[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched.Schedule, rec *trace.Recorder, tau float64) (*Storage[T], []Perturbation, error) {
+// factorizeShared runs the supernodal LDLᵀ factorization on sch.P workers
+// over one shared factor storage, for either scalar type, with static-pivot
+// threshold tau (0 disables pivoting). pinned selects the placement policy:
+// the static schedule's K_p vectors, or work stealing. The result is bitwise
+// identical to factorizeSeq. rec is an optional execution-trace recorder
+// (task events carry the worker index as the processor). Cancelling ctx
+// aborts the run between tasks; every worker goroutine unwinds before the
+// call returns.
+func factorizeShared[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched.Schedule, rec *trace.Recorder, tau float64, pinned bool) (*Storage[T], []Perturbation, dynsched.Stats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, dynsched.Stats{}, err
 	}
-	sr := newSharedRun[T](ctx, sch, rec, tau)
-	sr.gates = make([]taskGate, len(sch.Tasks))
-	for i, d := range sch.InDegrees() {
-		sr.gates[i].ready = make(chan struct{})
-		sr.gates[i].remaining.Store(d)
-		if d == 0 {
-			close(sr.gates[i].ready)
-		}
+	sym := sch.Sym()
+	sr := &sharedRun[T]{
+		sch:  sch,
+		f:    newStorage[T](sym, true),
+		pend: make([]pendList, len(sch.Tasks)),
+		invd: make([][]T, sym.NumCB()),
+		rec:  rec,
+		tau:  tau,
 	}
-
 	// Phase 1: every processor assembles the regions its tasks own (the same
-	// ownership as the distributed runtime). The phase barrier orders all
-	// assembly writes before any contribution.
+	// ownership as the distributed runtime; assembly is embarrassingly
+	// parallel, so there is nothing for stealing to improve). The phase
+	// barrier orders all assembly writes before any contribution.
 	if err := sr.runPhase(func(p int) error { return sr.assemble(a, p) }); err != nil {
-		return nil, nil, err
+		return nil, nil, dynsched.Stats{}, err
 	}
-	// Phase 2: execute the K_p task vectors.
-	if err := sr.runPhase(sr.execute); err != nil {
-		return nil, nil, err
+	// Phase 2: execute the task graph.
+	var order [][]int
+	if pinned {
+		order = sch.ByProc
+	}
+	st, err := dynsched.Run(ctx, sch.DAG(), sch.P, order, sr.execTask)
+	if err != nil {
+		return nil, nil, st, err
 	}
 	// Phase 3: deferred panel scaling (W = L·D until every deferred reader
 	// has finished; the phase barrier guarantees that).
 	if err := sr.runPhase(sr.scale); err != nil {
-		return nil, nil, err
+		return nil, nil, st, err
 	}
-	return sr.f, sr.perts, nil
+	return sr.f, sr.perts, st, nil
 }
 
 // runPhase runs fn on every processor and waits; the phase boundary is a
 // full barrier. The first error wins.
 func (sr *sharedRun[T]) runPhase(fn func(p int) error) error {
-	P := sr.sch.P
-	errs := make([]error, P)
+	errs := make([]error, sr.sch.P)
 	var wg sync.WaitGroup
-	for p := 0; p < P; p++ {
+	for p := range errs {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			if err := fn(p); err != nil {
-				errs[p] = err
-				sr.fail()
-			}
+			errs[p] = fn(p)
 		}(p)
 	}
 	wg.Wait()
-	var aborted error
 	for _, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			return err
 		}
-		if errors.Is(err, errSharedAborted) {
-			aborted = err
-			continue
-		}
-		return err
 	}
-	return aborted
+	return nil
 }
 
 func (sr *sharedRun[T]) assemble(a symMatrix[T], p int) error {
@@ -266,26 +159,9 @@ func (sr *sharedRun[T]) assemble(a symMatrix[T], p int) error {
 	return nil
 }
 
-// execute is the static driver: run this processor's K_p vector in schedule
-// order, waiting on each task's gate.
-func (sr *sharedRun[T]) execute(p int) error {
-	for _, id := range sr.sch.ByProc[p] {
-		if err := sr.wait(id); err != nil {
-			return err
-		}
-		if err := sr.execTask(p, id); err != nil {
-			return err
-		}
-		sr.done(id)
-	}
-	return nil
-}
-
-// execTask runs one schedule task on (virtual) processor p: apply the
-// deferred contributions targeting its region, then the task's own kernel
-// work. It is shared by the static shared-memory driver and the dynamic
-// work-stealing driver — the callers differ only in how they decide that the
-// task's dependencies are satisfied.
+// execTask runs one schedule task on worker p, once the executor has seen
+// its dependencies satisfied: apply the deferred contributions targeting its
+// region, then the task's own kernel work.
 func (sr *sharedRun[T]) execTask(p, id int) error {
 	t := &sr.sch.Tasks[id]
 	// Interval starts after the dependency wait so it measures execution

@@ -7,9 +7,22 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/pastix-go/pastix/internal/dynsched"
 	"github.com/pastix-go/pastix/internal/gen"
 	"github.com/pastix-go/pastix/internal/sparse"
 )
+
+// factorizeSharedOn runs the shared-memory executor directly on an's
+// schedule, without pivoting or tracing, under the pinned or the
+// work-stealing placement policy, and returns the executor's stats with the
+// factor.
+func factorizeSharedOn(an *Analysis, pinned bool) (*Factors, dynsched.Stats, error) {
+	f, perts, st, err := factorizeShared(context.Background(), an.A, an.Sched, nil, 0, pinned)
+	if err != nil {
+		return nil, st, err
+	}
+	return realFactors(f, StaticPivot{}, 0, perts), st, nil
+}
 
 // randomSPD builds a random sparse strictly diagonally dominant (hence SPD)
 // matrix: n vertices, about deg random neighbours each, seeded — the
@@ -81,7 +94,7 @@ func TestSharedMetamorphicEquality(t *testing.T) {
 				if err != nil {
 					t.Fatalf("P=%d par: %v", P, err)
 				}
-				sh, err := FactorizeShared(an.A, an.Sched)
+				sh, _, err := factorizeSharedOn(an, true)
 				if err != nil {
 					t.Fatalf("P=%d shared: %v", P, err)
 				}
@@ -143,7 +156,7 @@ func TestSharedViaParOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	factorsClose(t, ref, got, 1e-11)
-	direct, err := FactorizeShared(an.A, an.Sched)
+	direct, _, err := factorizeSharedOn(an, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +164,7 @@ func TestSharedViaParOptions(t *testing.T) {
 }
 
 // TestSharedExercises2DTasks makes sure the corpus is not dodging the 2D
-// code paths (FACTOR/BDIV/BMOD with cross-processor gates).
+// code paths (FACTOR/BDIV/BMOD with cross-processor dependencies).
 func TestSharedExercises2DTasks(t *testing.T) {
 	a := laplacian2D(24, 24)
 	an := analyzeFor(t, a, 8)
@@ -163,7 +176,7 @@ func TestSharedExercises2DTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FactorizeShared(an.A, an.Sched)
+	got, _, err := factorizeSharedOn(an, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +184,12 @@ func TestSharedExercises2DTasks(t *testing.T) {
 }
 
 // TestSharedFactorizationError propagates a numerical failure (zero pivot)
-// instead of deadlocking the gate graph.
+// instead of deadlocking the pinned workers.
 func TestSharedFactorizationError(t *testing.T) {
 	a := singularMatrix(10, 10, 33)
 	for _, P := range []int{1, 2, 4, 8} {
 		an := analyzeFor(t, a, P)
-		if _, err := FactorizeShared(an.A, an.Sched); err == nil {
+		if _, _, err := factorizeSharedOn(an, true); err == nil {
 			t.Fatalf("P=%d: expected pivot failure, got success", P)
 		}
 	}
@@ -215,7 +228,7 @@ func TestSharedStress(t *testing.T) {
 	}
 	for it := 0; it < iters; it++ {
 		pr := preps[it%len(preps)]
-		f, err := FactorizeShared(pr.an.A, pr.an.Sched)
+		f, _, err := factorizeSharedOn(pr.an, true)
 		if err != nil {
 			t.Fatalf("iter %d P=%d: %v", it, pr.an.Sched.P, err)
 		}

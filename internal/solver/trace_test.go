@@ -115,9 +115,9 @@ func TestFactorizeCtxPreCancelled(t *testing.T) {
 }
 
 // TestFactorizeCtxCancelMidRun cancels concurrently with the run: the call
-// must return (no deadlock with receivers blocked in Recv or gate waits) and
-// report context.Canceled unless it already finished, with all worker
-// goroutines unwound either way.
+// must return (no deadlock with receivers blocked in Recv or workers parked
+// on a dependency) and report context.Canceled unless it already finished,
+// with all worker goroutines unwound either way.
 func TestFactorizeCtxCancelMidRun(t *testing.T) {
 	a := gen.Laplacian3D(10, 10, 10)
 	for _, rt := range []Runtime{RuntimeMPSim, RuntimeShared} {

@@ -111,14 +111,16 @@ const (
 	// RuntimeMPSim is the paper-faithful message-passing fan-in/fan-both
 	// runtime (goroutine processors exchanging explicit messages).
 	RuntimeMPSim = solver.RuntimeMPSim
-	// RuntimeShared is the zero-copy shared-memory runtime driven by the
-	// static schedule's per-processor task vectors.
+	// RuntimeShared is the zero-copy shared-memory executor with the pinned
+	// placement policy: every task runs on its scheduled processor, in the
+	// static schedule's per-processor order, once its in-degree countdown
+	// reaches zero.
 	RuntimeShared = solver.RuntimeShared
-	// RuntimeDynamic is the work-stealing runtime: the shared-memory data
-	// layout with data-driven task activation instead of the fixed
-	// task→processor mapping — per-worker ready deques, atomic in-degree
-	// countdown, lock-free stealing. Best when the cost model misprices an
-	// irregular matrix or the host is contended.
+	// RuntimeDynamic is the same shared-memory executor with the
+	// work-stealing placement policy: no fixed task→processor mapping —
+	// per-worker ready deques ordered by the cost model's priority,
+	// lock-free stealing. Best when the cost model misprices an irregular
+	// matrix or the host is contended.
 	RuntimeDynamic = solver.RuntimeDynamic
 )
 

@@ -136,11 +136,7 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 	res := &SolveResult{}
 	sch := an.inner.Sched
 	if opts.Trace != nil {
-		cap := opts.Trace.Buffer
-		if cap <= 0 {
-			cap = 4*len(sch.Tasks)/sch.P + 64
-		}
-		rec = trace.New(sch.P, cap)
+		rec = trace.New(sch.P, opts.Trace.Buffer)
 		res.Trace = &Trace{rec: rec, sch: sch}
 	}
 

@@ -12,8 +12,10 @@ import (
 // TraceOptions configures execution tracing.
 type TraceOptions struct {
 	// Buffer is the per-processor event-buffer capacity hint (events, not
-	// bytes). Zero selects a size derived from the schedule so the common
-	// case never reallocates mid-run.
+	// bytes). Zero or less selects a default: a factorization trace derives
+	// it from the schedule so the common case never reallocates mid-run; a
+	// solve trace, which records only each worker's sweep and barrier
+	// events, takes the recorder's default of 1024 events.
 	Buffer int
 }
 
@@ -24,10 +26,12 @@ type TraceOptions struct {
 type Trace struct {
 	rec *trace.Recorder
 	sch *sched.Schedule
-	// free marks a trace from the dynamic work-stealing runtime: tasks ran
-	// on whichever worker won them, so divergence reports compare with
-	// trace.CompareOptions.FreeMapping instead of erroring on the
-	// task→processor mismatch.
+	// free marks a trace from the work-stealing policy of the shared-memory
+	// executor (RuntimeDynamic): tasks ran on whichever worker won them, so
+	// divergence reports compare with trace.CompareOptions.FreeMapping
+	// instead of erroring on the task→processor mismatch. The pinned policy
+	// (RuntimeShared) runs every task on its scheduled processor and is
+	// compared strictly.
 	free bool
 }
 
