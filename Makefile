@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress soak-selectors kernels fuzz serve-smoke ci
+.PHONY: all build test race race-full bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress soak-selectors kernels fuzz serve-smoke ci
 
 all: ci
 
@@ -38,11 +38,11 @@ bench:
 
 # The soaks' -run selectors and the packages each runs on, named once so a
 # soak and soak-selectors read the same values.
-CHAOS_RUN := Chaos|Fault|Reliab|Retry|Restart|Stall|Boundary
+CHAOS_RUN := Chaos|Fault|Reliab|Retry|Restart|Stall|Boundary|CommGolden
 CHAOS_PKGS := ./internal/mpsim ./internal/faults ./internal/solver .
 NUMSTRESS_RUN := NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine|Pivot
 NUMSTRESS_PKGS := ./internal/solver ./internal/blas .
-DYNSTRESS_RUN := RuntimeConformance|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph
+DYNSTRESS_RUN := RuntimeConformance|ScheduleRouting|FactorDAG|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph
 DYNSTRESS_PKGS := ./internal/solver ./internal/dynsched
 SOLVEDAG_RUN := SolveDAG|HybridSteps
 SOLVEDAG_PKGS := ./internal/sched
@@ -64,7 +64,8 @@ DURACHAOS_PKGS := ./internal/gateway/chaos
 # Chaos soak: the fault-injection suites under the race detector — the
 # reliability layer in mpsim, the injector itself, the multi-seed
 # factorization soak (every factor, and the level-set solve of it,
-# bit-identical to fault-free), and the public-API chaos round trips.
+# bit-identical to fault-free), the public-API chaos round trips, and the
+# golden table pinning mpsim's and fan-out's factor bits and CommStats.
 chaos:
 	$(GO) test -race -timeout 300s -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 
@@ -77,7 +78,9 @@ numstress:
 
 # Shared-memory executor stress soak, both placement policies: the
 # executor's unit, pinned and steal-storm suites, the pinned factorization
-# stress and error paths, mid-run cancellation, and the cross-runtime
+# stress and error paths, mid-run cancellation, the schedule's update
+# routing checked against its task graph, the once-per-analysis task
+# graph, and the cross-runtime
 # conformance tests (every generator × every runtime, work stealing
 # bitwise-identical to pinned across seeds) under the race detector,
 # repeated so rare interleavings get a chance to fire.

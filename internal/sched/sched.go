@@ -10,7 +10,6 @@ package sched
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/pastix-go/pastix/internal/cost"
 	"github.com/pastix-go/pastix/internal/part"
@@ -132,6 +131,39 @@ func (s *Schedule) BModOf(cell, sIdx, tIdx int) int {
 	return s.bmodBase[cell] + bmodIndex(nb, sIdx, tIdx)
 }
 
+// UpdateTask returns the task that receives the (S,T) update of column
+// block k — the paper's fan-in rule, written once for every runtime. The
+// update lands in the cell f that block T faces. When f is 1D, its COMP1D
+// task owns the whole cell. When f is 2D, FACTOR(f) owns it if block S's
+// rows lie in f's diagonal block, and otherwise the BDIV task of f's block
+// holding those rows. It returns -1 when no block of f holds them; Build
+// rejects such a symbol, so on a built schedule every update has a task.
+func (s *Schedule) UpdateTask(k, sIdx, tIdx int) int {
+	blocks := s.sym.CB[k].Blocks
+	f := blocks[tIdx].Facing
+	if id := s.Comp1DOf[f]; id >= 0 {
+		return id
+	}
+	sb := blocks[sIdx]
+	if sb.Facing == f {
+		return s.FactorOf[f]
+	}
+	b := s.sym.CB[f].BlockContaining(sb.FirstRow, sb.LastRow)
+	if b < 0 {
+		return -1
+	}
+	return s.BDivOf[f][b]
+}
+
+// DiagTask returns the task that factors cell k's diagonal block: its
+// COMP1D task when k is 1D, its FACTOR task when k is 2D.
+func (s *Schedule) DiagTask(k int) int {
+	if id := s.Comp1DOf[k]; id >= 0 {
+		return id
+	}
+	return s.FactorOf[k]
+}
+
 // bmodIndex is the position of BMOD(S,T) among a cell's nb(nb+1)/2 BMOD
 // tasks, created T-major: (0,0), (1,0), …, (nb-1,0), (1,1), ….
 func bmodIndex(nb, sIdx, tIdx int) int {
@@ -230,26 +262,16 @@ func Build(sym *symbolic.Symbol, mapping *part.Mapping, mach *cost.Machine, opts
 		edges = append(edges, srcEdge{src, Edge{Dst: dst, Kind: kind, Elems: elems}})
 		s.Tasks[dst].deps++
 	}
-	// contributionTarget returns the task receiving the (sBlk,tBlk)
-	// contribution of cell k.
+	// contributionTarget is UpdateTask with the coverage check every
+	// runtime relies on: once Build succeeds, every update has a task.
 	contributionTarget := func(k, sIdx, tIdx int) (int, error) {
-		blocks := sym.CB[k].Blocks
-		f := blocks[tIdx].Facing
-		if s.Comp1DOf[f] >= 0 {
-			return s.Comp1DOf[f], nil
-		}
-		sb := blocks[sIdx]
-		if sb.Facing == f {
-			return s.FactorOf[f], nil // rows land in f's diagonal block
-		}
-		// Find the block of f containing rows [sb.FirstRow, sb.LastRow).
-		fb := sym.CB[f].Blocks
-		idx := sort.Search(len(fb), func(i int) bool { return fb[i].LastRow > sb.FirstRow })
-		if idx >= len(fb) || fb[idx].FirstRow > sb.FirstRow || fb[idx].LastRow < sb.LastRow {
+		dst := s.UpdateTask(k, sIdx, tIdx)
+		if dst < 0 {
+			blocks := sym.CB[k].Blocks
 			return -1, fmt.Errorf("sched: contribution rows [%d,%d) of cb %d not covered by one block of cb %d",
-				sb.FirstRow, sb.LastRow, k, f)
+				blocks[sIdx].FirstRow, blocks[sIdx].LastRow, k, blocks[tIdx].Facing)
 		}
-		return s.BDivOf[f][idx], nil
+		return dst, nil
 	}
 	contribElems := func(k, sIdx, tIdx int) int {
 		blocks := sym.CB[k].Blocks

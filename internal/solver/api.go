@@ -77,6 +77,12 @@ type Analysis struct {
 	pullsOnce    sync.Once
 	pulls        *solvePulls
 	solvePlans   sync.Map // workers (int) -> *SolvePlan
+
+	// The factorization task graph the shared-memory executor runs, built
+	// on the first shared or dynamic factorization and reused by every
+	// later one.
+	dagOnce sync.Once
+	dag     *sched.DAG
 }
 
 // Analyze runs ordering, symbolic factorization, repartitioning, candidate
@@ -290,13 +296,20 @@ func factorizeOn[T blas.Scalar](ctx context.Context, an *Analysis, a symMatrix[T
 		}
 		return factorizeSeq(a, an.Sym, tau)
 	case RuntimeShared, RuntimeDynamic:
-		f, perts, _, err := factorizeShared(ctx, a, an.Sched, popts.Trace, tau, rt == RuntimeShared)
+		f, perts, _, err := factorizeShared(ctx, a, an.Sched, an.factorDAG(), popts.Trace, tau, rt == RuntimeShared)
 		return f, perts, err
 	case RuntimeMPSim:
 		f, perts, _, err := factorizePar(ctx, a, an.Sched, popts, tau)
 		return f, perts, err
 	}
 	return nil, nil, fmt.Errorf("solver: unknown runtime %v", popts.Runtime)
+}
+
+// factorDAG returns the schedule's task graph (sched.Schedule.DAG), built
+// once per analysis; safe for concurrent use.
+func (an *Analysis) factorDAG() *sched.DAG {
+	an.dagOnce.Do(func() { an.dag = an.Sched.DAG() })
+	return an.dag
 }
 
 // SolveOriginal solves A·x = b in the ORIGINAL ordering: b is permuted in,

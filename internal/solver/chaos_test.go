@@ -202,11 +202,11 @@ func TestChaosRejectsSharedMemory(t *testing.T) {
 func TestFaultFreeBitwiseDeterministic(t *testing.T) {
 	a := laplacian2D(12, 12)
 	an := analyzeFor(t, a, 4)
-	f1, err := FactorizePar(an.A, an.Sched)
+	f1, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := FactorizePar(an.A, an.Sched)
+	f2, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestZeroPivotErrorParallel(t *testing.T) {
 	a := singularMatrix(10, 10, 33)
 	for _, P := range []int{2, 4, 8} {
 		an := analyzeFor(t, a, P)
-		_, err := FactorizePar(an.A, an.Sched)
+		_, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 		if err == nil {
 			t.Fatalf("P=%d: expected error", P)
 		}
@@ -65,7 +65,7 @@ func TestZeroPivotErrorMultifrontalStyle(t *testing.T) {
 	// The fan-both path must fail cleanly too.
 	a := singularMatrix(9, 9, 40)
 	an := analyzeFor(t, a, 4)
-	if _, err := FactorizeParOpts(an.A, an.Sched, ParOptions{MaxAUBBytes: 64}); err == nil {
+	if _, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{MaxAUBBytes: 64}); err == nil {
 		t.Fatal("expected error in fan-both mode")
 	}
 }
@@ -119,7 +119,7 @@ func TestStressParallelEqualsSequential(t *testing.T) {
 		}
 		for _, P := range []int{3, 5, 7, 16} {
 			an := analyzeFor(t, p.A, P)
-			got, err := FactorizePar(an.A, an.Sched)
+			got, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", name, P, err)
 			}

@@ -12,12 +12,12 @@ import (
 func TestFanBothMatchesFanIn(t *testing.T) {
 	a := laplacian2D(20, 20)
 	an := analyzeFor(t, a, 4)
-	ref, err := FactorizePar(an.A, an.Sched)
+	ref, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, capBytes := range []int64{1, 1 << 10, 1 << 16} {
-		got, err := FactorizeParOpts(an.A, an.Sched, ParOptions{MaxAUBBytes: capBytes})
+		got, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{MaxAUBBytes: capBytes})
 		if err != nil {
 			t.Fatalf("cap=%d: %v", capBytes, err)
 		}
@@ -77,7 +77,7 @@ func TestFanBothSolvesCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 	an := analyzeFor(t, p.A, 8)
-	f, err := FactorizeParOpts(an.A, an.Sched, ParOptions{MaxAUBBytes: 256})
+	f, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{MaxAUBBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 
-	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/mpsim"
 	"github.com/pastix-go/pastix/internal/sched"
 	"github.com/pastix-go/pastix/internal/sparse"
@@ -33,11 +32,7 @@ func FactorizeFanOut(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, CommSt
 
 	owner := make([]int, ncb)
 	for k := 0; k < ncb; k++ {
-		if id := sch.Comp1DOf[k]; id >= 0 {
-			owner[k] = sch.Tasks[id].Proc
-		} else {
-			owner[k] = sch.Tasks[sch.FactorOf[k]].Proc
-		}
+		owner[k] = sch.Tasks[sch.DiagTask(k)].Proc
 	}
 	// sendSet[i]: distinct remote processors owning a cell that i updates.
 	// expected[k]: number of distinct remote updater panels cell k waits for.
@@ -92,23 +87,10 @@ func FactorizeFanOut(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, CommSt
 				if owner[fcell] != p {
 					continue
 				}
+				// C = L_s · D · L_tᵀ subtracted from the target.
 				for s := t; s < len(blocks); s++ {
-					_, off, err := targetOffset(f, i, s, t)
-					if err != nil {
+					if err := updateFromPanel(f, i, s, t, data, d); err != nil {
 						return err
-					}
-					f.EnsureCell(fcell)
-					dst := f.Data[fcell][off:]
-					ldf := f.LD[fcell]
-					rs := blocks[s].Rows()
-					rt := blocks[t].Rows()
-					ws := data[f.BlockOff[i][s]:]
-					wt := data[f.BlockOff[i][t]:]
-					// C = L_s · D · L_tᵀ subtracted from the target.
-					if s == t {
-						blas.SyrkLowerNDT(rs, w, ws, ldI, d, dst, ldf)
-					} else {
-						blas.GemmNDT(rs, rt, w, ws, ldI, d, wt, ldI, dst, ldf)
 					}
 				}
 				// Only REMOTE panels count toward a cell's expected arrivals;

@@ -80,23 +80,6 @@ type CommStats struct {
 	Restarts int64
 }
 
-// FactorizePar runs the supernodal fan-in LDLᵀ factorization on sch.P
-// goroutine processors, entirely driven by the static schedule: each
-// processor executes its K_p task vector in order, receives exactly the
-// messages the schedule predicts, aggregates non-local contributions into
-// AUBs and sends each AUB as soon as its last local contribution has been
-// added. The gathered factor equals the sequential one to rounding.
-func FactorizePar(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, error) {
-	f, _, err := FactorizeParStats(a, sch, ParOptions{})
-	return f, err
-}
-
-// FactorizeParOpts is FactorizePar with runtime options.
-func FactorizeParOpts(a *sparse.SymMatrix, sch *sched.Schedule, popts ParOptions) (*Factors, error) {
-	f, _, err := FactorizeParStats(a, sch, popts)
-	return f, err
-}
-
 // protoKey identifies an aggregation group: remote AUB contributions from
 // one source processor to one destination task.
 type protoKey struct{ sp, dt int }
@@ -161,7 +144,13 @@ func buildProtocol(sch *sched.Schedule) *protocol {
 	return pr
 }
 
-// FactorizeParStats is FactorizeParOpts returning communication statistics.
+// FactorizeParStats runs the supernodal fan-in LDLᵀ factorization on sch.P
+// goroutine processors, entirely driven by the static schedule, and returns
+// its communication statistics: each processor executes its K_p task vector
+// in order, receives exactly the messages the schedule predicts, aggregates
+// non-local contributions into AUBs and sends each AUB as soon as its last
+// local contribution has been added. The gathered factor equals the
+// sequential one to rounding.
 func FactorizeParStats(a *sparse.SymMatrix, sch *sched.Schedule, popts ParOptions) (*Factors, CommStats, error) {
 	return FactorizeParStatsCtx(context.Background(), a, sch, popts)
 }
@@ -193,6 +182,10 @@ func factorizePar[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched
 
 	stores := make([]*Storage[T], P)
 	states := make([]*procState[T], P)
+	// One substitution log for every processor. It outlives restarts, and a
+	// replay resumes past completed diagonal tasks, so nothing is logged
+	// twice.
+	log := &pivotLog{}
 	peaks := make([]int64, P)
 	comm := mpsim.NewComm(P)
 	if popts.Trace != nil {
@@ -242,6 +235,7 @@ func factorizePar[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched
 				rec:      popts.Trace,
 				inj:      inj,
 				tau:      tau,
+				log:      log,
 				aubBuf:   make(map[int]map[int][]T),
 				aubIn:    make(map[int][]aubContrib),
 				aubRem:   make(map[int]int),
@@ -302,35 +296,22 @@ func factorizePar[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched
 	for k := range sym.CB {
 		w := sym.CB[k].Width()
 		ld := g.LD[k]
-		if id := sch.Comp1DOf[k]; id >= 0 {
-			g.Data[k] = stores[sch.Tasks[id].Proc].Data[k]
-			continue
-		}
-		fp := sch.Tasks[sch.FactorOf[k]].Proc
+		fp := sch.Tasks[sch.DiagTask(k)].Proc
 		g.Data[k] = stores[fp].Data[k]
-		for b := range sym.CB[k].Blocks {
-			bp := sch.Tasks[sch.BDivOf[k][b]].Proc
-			if bp == fp {
+		for b, id := range sch.BDivOf[k] {
+			// A 1D cell has no BDIV tasks (id -1): its owner holds it all.
+			if id < 0 || sch.Tasks[id].Proc == fp {
 				continue
 			}
+			src := stores[sch.Tasks[id].Proc].Data[k]
 			lo := g.BlockOff[k][b]
 			hi := lo + sym.CB[k].Blocks[b].Rows()
 			for j := 0; j < w; j++ {
-				copy(g.Data[k][lo+j*ld:hi+j*ld], stores[bp].Data[k][lo+j*ld:hi+j*ld])
+				copy(g.Data[k][lo+j*ld:hi+j*ld], src[lo+j*ld:hi+j*ld])
 			}
 		}
 	}
-	// Each diagonal task ran on exactly one processor (replay after a crash
-	// resumes past completed tasks), so concatenating the per-proc
-	// perturbation logs loses nothing and duplicates nothing; buildReport
-	// sorts by column, erasing the processor interleaving.
-	var perts []Perturbation
-	for p := 0; p < P; p++ {
-		if states[p] != nil {
-			perts = append(perts, states[p].perts...)
-		}
-	}
-	return g, perts, stats, nil
+	return g, log.perts, stats, nil
 }
 
 // procState is one virtual processor of the factorization.
@@ -345,11 +326,7 @@ type procState[T blas.Scalar] struct {
 	rec  *trace.Recorder  // nil disables tracing
 	inj  *faults.Injector // nil disables fault injection
 	tau  float64          // static-pivot threshold; 0 disables pivoting
-
-	// perts logs this processor's static-pivot substitutions. It lives in the
-	// crash-surviving procState next to the completion log: replay skips
-	// completed diagonal tasks, so no substitution is ever recorded twice.
-	perts []Perturbation
+	log  *pivotLog        // the run's static-pivot substitutions
 
 	// Completion log for crash recovery: assembly ran, and the index into
 	// ByProc[p] of the next task to execute. A restarted worker replays from
@@ -400,30 +377,9 @@ func (st *procState[T]) cancelled() error {
 }
 
 func (st *procState[T]) run(a symMatrix[T]) error {
-	sym := st.sch.Sym()
 	if !st.assembled {
-		var asmStart time.Duration
-		if st.rec != nil {
-			asmStart = st.rec.Now()
-		}
-		// Assemble the regions this processor owns.
-		for _, id := range st.sch.ByProc[st.p] {
-			t := &st.sch.Tasks[id]
-			var err error
-			switch t.Type {
-			case sched.Comp1D:
-				err = st.f.AssembleCell(a, t.Cell)
-			case sched.Factor:
-				err = st.f.AssembleDiagRegion(a, t.Cell)
-			case sched.BDiv:
-				err = st.f.AssembleBlockRegion(a, t.Cell, t.S)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		if st.rec != nil {
-			st.rec.Phase(st.p, trace.PhaseAssemble, asmStart, st.rec.Now())
+		if err := assembleOwned(st.f, a, st.sch, st.p, st.rec); err != nil {
+			return err
 		}
 		st.assembled = true
 	}
@@ -473,26 +429,8 @@ func (st *procState[T]) run(a symMatrix[T]) error {
 		}
 	}
 
-	// Deferred panel scaling: owned 2D blocks still hold W = L·D.
-	var scaleStart time.Duration
-	if st.rec != nil {
-		scaleStart = st.rec.Now()
-	}
-	for _, id := range st.sch.ByProc[st.p] {
-		t := &st.sch.Tasks[id]
-		if t.Type != sched.BDiv {
-			continue
-		}
-		cb := &sym.CB[t.Cell]
-		w := cb.Width()
-		d := st.cellDiagVec(t.Cell)
-		blk := cb.Blocks[t.S]
-		off := st.f.BlockOff[t.Cell][t.S]
-		blas.ScaleColumns(blk.Rows(), w, st.f.Data[t.Cell][off:], st.f.LD[t.Cell], d)
-	}
-	if st.rec != nil {
-		st.rec.Phase(st.p, trace.PhaseScale, scaleStart, st.rec.Now())
-	}
+	// Deferred panel scaling: owned panels and 2D blocks still hold W = L·D.
+	scaleOwned(st.f, st.sch, st.p, st.cellDiagVec, st.rec)
 	return nil
 }
 
@@ -676,19 +614,14 @@ func (st *procState[T]) applyAUB(dt int, buf []float64) error {
 	return nil
 }
 
-// cellDiagVec returns D of cell k from the local diagonal region or the
-// received diagonal copy.
+// cellDiagVec returns D of cell k, read from its diagonal block (diagRef).
 func (st *procState[T]) cellDiagVec(k int) []T {
-	w := st.sch.Sym().CB[k].Width()
-	if fid := st.sch.FactorOf[k]; fid >= 0 && st.sch.Tasks[fid].Proc != st.p {
-		buf := st.diags[k]
-		d := make([]T, w)
-		for j := 0; j < w; j++ {
-			d[j] = buf[j+j*w]
-		}
-		return d
+	l, ld := st.diagRef(k)
+	d := make([]T, st.sch.Sym().CB[k].Width())
+	for j := range d {
+		d[j] = l[j+j*ld]
 	}
-	return st.f.Diag(k)
+	return d
 }
 
 func (st *procState[T]) cellInvD(k int) []T {
@@ -703,7 +636,7 @@ func (st *procState[T]) cellInvD(k int) []T {
 // diagRef returns the diagonal block (for TRSM) of cell k: local storage or
 // the received copy, with its leading dimension.
 func (st *procState[T]) diagRef(k int) ([]T, int) {
-	if fid := st.sch.FactorOf[k]; fid >= 0 && st.sch.Tasks[fid].Proc != st.p {
+	if st.sch.Tasks[st.sch.DiagTask(k)].Proc != st.p {
 		return st.diags[k], st.sch.Sym().CB[k].Width()
 	}
 	return st.f.Data[k], st.f.LD[k]
@@ -711,14 +644,12 @@ func (st *procState[T]) diagRef(k int) ([]T, int) {
 
 func (st *procState[T]) execComp1D(t *sched.Task) error {
 	k := t.Cell
-	if err := st.factorDiag(k); err != nil {
+	if err := factorDiag(st.f, k, st.tau, st.log, st.rec, st.p); err != nil {
 		return err
 	}
 	st.f.SolvePanel(k)
-	d := st.f.Diag(k)
-	invd := invert(d)
-	sym := st.sch.Sym()
-	cb := &sym.CB[k]
+	invd := invert(st.f.Diag(k))
+	cb := &st.sch.Sym().CB[k]
 	ld := st.f.LD[k]
 	touched := map[int]bool{}
 	for ti := range cb.Blocks {
@@ -735,30 +666,12 @@ func (st *procState[T]) execComp1D(t *sched.Task) error {
 		}
 	}
 	st.flushAUBs(touched)
-	st.f.ScalePanel(k, d)
-	return nil
-}
-
-// factorDiag runs the (possibly pivoted) diagonal factorization of cell k,
-// logging any substitutions into the processor's perturbation log and the
-// trace.
-func (st *procState[T]) factorDiag(k int) error {
-	ps, err := st.f.FactorDiagStatic(k, st.tau)
-	if err != nil {
-		return err
-	}
-	st.perts = append(st.perts, ps...)
-	if st.rec != nil {
-		for _, p := range ps {
-			st.rec.Pivot(st.p, p.Column)
-		}
-	}
 	return nil
 }
 
 func (st *procState[T]) execFactor(t *sched.Task) error {
 	k := t.Cell
-	if err := st.factorDiag(k); err != nil {
+	if err := factorDiag(st.f, k, st.tau, st.log, st.rec, st.p); err != nil {
 		return err
 	}
 	if dsts := st.sendTo[t.ID]; len(dsts) > 0 {
@@ -777,13 +690,12 @@ func (st *procState[T]) execFactor(t *sched.Task) error {
 
 func (st *procState[T]) execBDiv(t *sched.Task) error {
 	k := t.Cell
-	sym := st.sch.Sym()
-	cb := &sym.CB[k]
+	cb := &st.sch.Sym().CB[k]
 	w := cb.Width()
 	rb := cb.Blocks[t.S].Rows()
 	l, ldl := st.diagRef(k)
+	solveBlock(st.f, k, t.S, l, ldl)
 	off := st.f.BlockOff[k][t.S]
-	blas.KernelsOf[T]().TrsmRightLTransUnit(rb, w, l, ldl, st.f.Data[k][off:], st.f.LD[k])
 	if dsts := st.sendTo[t.ID]; len(dsts) > 0 {
 		buf := make([]T, rb*w)
 		for j := 0; j < w; j++ {
@@ -828,81 +740,41 @@ func (st *procState[T]) execBMod(t *sched.Task) error {
 // It returns the destination task id when the contribution was remote (so
 // the caller can decrement the AUB countdown), -1 otherwise.
 func (st *procState[T]) routePair(k, s, t int, ws []T, lda int, wt []T, ldb int, invd []T) (int, error) {
-	sym := st.sch.Sym()
-	cb := &sym.CB[k]
-	w := cb.Width()
-	bs := &cb.Blocks[s]
-	bt := &cb.Blocks[t]
-	rs := bs.Rows()
-	rt := bt.Rows()
-	fcell := bt.Facing
-	fcb := &sym.CB[fcell]
-
-	// Destination task.
-	var dt int
-	switch {
-	case st.sch.Comp1DOf[fcell] >= 0:
-		dt = st.sch.Comp1DOf[fcell]
-	case bs.Facing == fcell:
-		dt = st.sch.FactorOf[fcell]
-	default:
-		b := st.f.BlockContaining(fcell, bs.FirstRow, bs.LastRow)
-		if b < 0 {
-			return -1, fmt.Errorf("solver: rows [%d,%d) of cb %d not in cb %d", bs.FirstRow, bs.LastRow, k, fcell)
-		}
-		dt = st.sch.BDivOf[fcell][b]
+	dt := st.sch.UpdateTask(k, s, t)
+	if st.sch.Tasks[dt].Proc == st.p {
+		// Direct local subtraction into the owned region.
+		return -1, updateCell(st.f, k, s, t, ws, lda, invd, wt, ldb)
 	}
-	dtask := &st.sch.Tasks[dt]
-	lc := bt.FirstRow - fcb.Cols[0]
-
-	var dst []T
-	var ldc int
-	if dtask.Proc == st.p {
-		// Direct local subtraction into the owned region, cell coordinates.
-		st.f.EnsureCell(fcell)
-		lr := st.f.LocateRow(fcell, bs.FirstRow)
-		ldc = st.f.LD[fcell]
-		dst = st.f.Data[fcell][lr+lc*ldc:]
-	} else {
-		// Accumulate into the per-region AUB of the destination task: the
-		// region is the target cell's diagonal block (id 0) when the rows lie
-		// in its columns, otherwise the off-diagonal block covering them
-		// (id b+1) — the paper's AUB_jk granularity.
-		region, lr, rows := 0, bs.FirstRow-fcb.Cols[0], fcb.Width()
-		if bs.Facing != fcell {
-			b := st.f.BlockContaining(fcell, bs.FirstRow, bs.LastRow)
-			if b < 0 {
-				return -1, fmt.Errorf("solver: AUB rows [%d,%d) not in one block of cb %d", bs.FirstRow, bs.LastRow, fcell)
-			}
-			fb := &fcb.Blocks[b]
-			region, lr, rows = b+1, bs.FirstRow-fb.FirstRow, fb.Rows()
-		}
-		regions := st.aubBuf[dt]
-		if regions == nil {
-			regions = make(map[int][]T)
-			st.aubBuf[dt] = regions
-		}
-		buf := regions[region]
-		if buf == nil {
-			buf = make([]T, rows*fcb.Width())
-			regions[region] = buf
-			st.aubBytes += st.bytes(len(buf))
-			st.spill(dt)
-			if st.aubBytes > st.peakAUB {
-				st.peakAUB = st.aubBytes
-			}
-		}
-		ldc = rows
-		dst = buf[lr+lc*ldc:]
+	g, err := updateTarget(st.f, k, s, t)
+	if err != nil {
+		return -1, err
 	}
-	if kern := blas.KernelsOf[T](); s == t {
-		kern.SyrkLowerNDT(rs, w, ws, lda, invd, dst, ldc)
-	} else {
-		kern.GemmNDT(rs, rt, w, ws, lda, invd, wt, ldb, dst, ldc)
+	// Accumulate into the per-region AUB of the destination task: the region
+	// is the target cell's diagonal block (id 0) when the rows lie in its
+	// columns, otherwise the off-diagonal block covering them (id b+1) — the
+	// paper's AUB_jk granularity. A region buffer is the region alone, so
+	// its leading dimension is the region's row count.
+	fcb := &st.sch.Sym().CB[g.Cell]
+	region, row, rows := 0, g.Row, fcb.Width()
+	if g.Block >= 0 {
+		region, row, rows = g.Block+1, g.Row-st.f.BlockOff[g.Cell][g.Block], fcb.Blocks[g.Block].Rows()
 	}
-	if dtask.Proc == st.p {
-		return -1, nil
+	regions := st.aubBuf[dt]
+	if regions == nil {
+		regions = make(map[int][]T)
+		st.aubBuf[dt] = regions
 	}
+	buf := regions[region]
+	if buf == nil {
+		buf = make([]T, rows*fcb.Width())
+		regions[region] = buf
+		st.aubBytes += st.bytes(len(buf))
+		st.spill(dt)
+		if st.aubBytes > st.peakAUB {
+			st.peakAUB = st.aubBytes
+		}
+	}
+	update(&st.sch.Sym().CB[k], s, t, ws, lda, invd, wt, ldb, buf[row+g.Col*rows:], rows)
 	return dt, nil
 }
 

@@ -19,7 +19,7 @@ func TestAnalysisReuseAcrossArithmeticKinds(t *testing.T) {
 	an := analyzeFor(t, pat, 4)
 
 	// Real factorization of the pattern matrix itself.
-	fr, err := FactorizePar(an.A, an.Sched)
+	fr, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestParallelDiagonalMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := FactorizePar(an.A, an.Sched)
+	par, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

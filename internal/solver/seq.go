@@ -1,66 +1,20 @@
 package solver
 
 import (
-	"fmt"
-
 	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/sparse"
 	"github.com/pastix-go/pastix/internal/symbolic"
 )
 
-// targetOffset computes where the (s,t) contribution of cell k lands: the
-// destination cell, the linear offset of the region's top-left corner in
-// that cell's array, and whether the target is the (triangular) diagonal
-// region with s == t.
-func targetOffset[T blas.Scalar](f *Storage[T], k, s, t int) (cell, offset int, err error) {
-	cb := &f.Sym.CB[k]
-	bt := cb.Blocks[t]
-	bs := cb.Blocks[s]
-	fcell := bt.Facing
-	fcb := &f.Sym.CB[fcell]
-	lc := bt.FirstRow - fcb.Cols[0]
-	var lr int
-	if bs.Facing == fcell {
-		lr = bs.FirstRow - fcb.Cols[0]
-	} else {
-		b := f.BlockContaining(fcell, bs.FirstRow, bs.LastRow)
-		if b < 0 {
-			return 0, 0, fmt.Errorf("solver: contribution rows [%d,%d) of cb %d not in cb %d",
-				bs.FirstRow, bs.LastRow, k, fcell)
-		}
-		lr = f.BlockOff[fcell][b] + bs.FirstRow - f.Sym.CB[fcell].Blocks[b].FirstRow
-	}
-	return fcell, lr + lc*f.LD[fcell], nil
-}
-
-// applyCellUpdates computes all outer-product contributions of cell k
-// (whose panel currently holds W = L·D) and subtracts them from the target
-// cells' arrays in f. invd is 1/D of cell k.
+// applyCellUpdates applies every update of cell k, whose panel holds
+// W = L·D, to its target cells in f, in the canonical order: t ascending,
+// then s. invd is 1/D of cell k.
 func applyCellUpdates[T blas.Scalar](f *Storage[T], k int, invd []T) error {
-	kern := blas.KernelsOf[T]()
-	cb := &f.Sym.CB[k]
-	w := cb.Width()
-	ld := f.LD[k]
-	data := f.Data[k]
-	for t := range cb.Blocks {
-		bt := &cb.Blocks[t]
-		rt := bt.Rows()
-		wt := data[f.BlockOff[k][t]:]
-		for s := t; s < len(cb.Blocks); s++ {
-			bs := &cb.Blocks[s]
-			rs := bs.Rows()
-			fcell, off, err := targetOffset(f, k, s, t)
-			if err != nil {
+	nb := len(f.Sym.CB[k].Blocks)
+	for t := 0; t < nb; t++ {
+		for s := t; s < nb; s++ {
+			if err := updateFromPanel(f, k, s, t, f.Data[k], invd); err != nil {
 				return err
-			}
-			f.EnsureCell(fcell)
-			dst := f.Data[fcell][off:]
-			ldf := f.LD[fcell]
-			ws := data[f.BlockOff[k][s]:]
-			if s == t {
-				kern.SyrkLowerNDT(rs, w, ws, ld, invd, dst, ldf)
-			} else {
-				kern.GemmNDT(rs, rt, w, ws, ld, invd, wt, ld, dst, ldf)
 			}
 		}
 	}
@@ -96,13 +50,11 @@ func factorizeSeq[T blas.Scalar](a symMatrix[T], sym *symbolic.Symbol, tau float
 			return nil, nil, err
 		}
 	}
-	var perts []Perturbation
+	var log pivotLog
 	for k := range sym.CB {
-		ps, err := f.FactorDiagStatic(k, tau)
-		if err != nil {
+		if err := factorDiag(f, k, tau, &log, nil, 0); err != nil {
 			return nil, nil, err
 		}
-		perts = append(perts, ps...)
 		f.SolvePanel(k)
 		d := f.Diag(k)
 		if err := applyCellUpdates(f, k, invert(d)); err != nil {
@@ -110,7 +62,7 @@ func factorizeSeq[T blas.Scalar](a symMatrix[T], sym *symbolic.Symbol, tau float
 		}
 		f.ScalePanel(k, d)
 	}
-	return f, perts, nil
+	return f, log.perts, nil
 }
 
 // realFactors wraps a finished float64 factorization, attaching the

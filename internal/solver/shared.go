@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -59,23 +58,19 @@ type sharedRun[T blas.Scalar] struct {
 	invd [][]T           // per cell: 1/D, published by the FACTOR/COMP1D task
 	rec  *trace.Recorder // nil disables tracing
 	tau  float64         // static-pivot threshold; 0 disables pivoting
-
-	// Static-pivot substitutions are rare events on the factorization's
-	// critical path of never, so a plain mutex-guarded log is fine; the
-	// report sorts by column, erasing the nondeterministic arrival order.
-	pivotMu sync.Mutex
-	perts   []Perturbation
+	log  pivotLog        // static-pivot substitutions of every worker
 }
 
 // factorizeShared runs the supernodal LDLᵀ factorization on sch.P workers
 // over one shared factor storage, for either scalar type, with static-pivot
-// threshold tau (0 disables pivoting). pinned selects the placement policy:
-// the static schedule's K_p vectors, or work stealing. The result is bitwise
-// identical to factorizeSeq. rec is an optional execution-trace recorder
-// (task events carry the worker index as the processor). Cancelling ctx
-// aborts the run between tasks; every worker goroutine unwinds before the
-// call returns.
-func factorizeShared[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched.Schedule, rec *trace.Recorder, tau float64, pinned bool) (*Storage[T], []Perturbation, dynsched.Stats, error) {
+// threshold tau (0 disables pivoting). dag is sch's task graph
+// (Analysis.factorDAG builds it once per analysis). pinned selects the
+// placement policy: the static schedule's K_p vectors, or work stealing. The
+// result is bitwise identical to factorizeSeq. rec is an optional
+// execution-trace recorder (task events carry the worker index as the
+// processor). Cancelling ctx aborts the run between tasks; every worker
+// goroutine unwinds before the call returns.
+func factorizeShared[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched.Schedule, dag *sched.DAG, rec *trace.Recorder, tau float64, pinned bool) (*Storage[T], []Perturbation, dynsched.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, dynsched.Stats{}, err
 	}
@@ -92,7 +87,7 @@ func factorizeShared[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sc
 	// ownership as the distributed runtime; assembly is embarrassingly
 	// parallel, so there is nothing for stealing to improve). The phase
 	// barrier orders all assembly writes before any contribution.
-	if err := sr.runPhase(func(p int) error { return sr.assemble(a, p) }); err != nil {
+	if err := sr.runPhase(func(p int) error { return assembleOwned(sr.f, a, sch, p, rec) }); err != nil {
 		return nil, nil, dynsched.Stats{}, err
 	}
 	// Phase 2: execute the task graph.
@@ -100,16 +95,17 @@ func factorizeShared[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sc
 	if pinned {
 		order = sch.ByProc
 	}
-	st, err := dynsched.Run(ctx, sch.DAG(), sch.P, order, sr.execTask)
+	st, err := dynsched.Run(ctx, dag, sch.P, order, sr.execTask)
 	if err != nil {
 		return nil, nil, st, err
 	}
 	// Phase 3: deferred panel scaling (W = L·D until every deferred reader
 	// has finished; the phase barrier guarantees that).
-	if err := sr.runPhase(sr.scale); err != nil {
-		return nil, nil, st, err
-	}
-	return sr.f, sr.perts, st, nil
+	sr.runPhase(func(p int) error {
+		scaleOwned(sr.f, sch, p, sr.f.Diag, rec)
+		return nil
+	})
+	return sr.f, sr.log.perts, st, nil
 }
 
 // runPhase runs fn on every processor and waits; the phase boundary is a
@@ -129,32 +125,6 @@ func (sr *sharedRun[T]) runPhase(fn func(p int) error) error {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func (sr *sharedRun[T]) assemble(a symMatrix[T], p int) error {
-	var start time.Duration
-	if sr.rec != nil {
-		start = sr.rec.Now()
-	}
-	for _, id := range sr.sch.ByProc[p] {
-		t := &sr.sch.Tasks[id]
-		var err error
-		switch t.Type {
-		case sched.Comp1D:
-			err = sr.f.AssembleCell(a, t.Cell)
-		case sched.Factor:
-			err = sr.f.AssembleDiagRegion(a, t.Cell)
-		case sched.BDiv:
-			err = sr.f.AssembleBlockRegion(a, t.Cell, t.S)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if sr.rec != nil {
-		sr.rec.Phase(p, trace.PhaseAssemble, start, sr.rec.Now())
 	}
 	return nil
 }
@@ -180,9 +150,10 @@ func (sr *sharedRun[T]) execTask(p, id int) error {
 	case sched.Factor:
 		err = sr.execFactor(p, t)
 	case sched.BDiv:
-		err = sr.execBDiv(t)
+		// TRSM against the shared diagonal block, in place on the shared panel.
+		solveBlock(sr.f, t.Cell, t.S, sr.f.Data[t.Cell], sr.f.LD[t.Cell])
 	case sched.BMod:
-		err = sr.execBMod(t)
+		sr.enqueue(t.Cell, t.S, t.T)
 	}
 	if err != nil {
 		return err
@@ -193,68 +164,14 @@ func (sr *sharedRun[T]) execTask(p, id int) error {
 	return nil
 }
 
-// scale is phase 3: convert every panel from W = L·D to L. BDIV panels and
-// COMP1D panels alike are deferred here so that deferred contribution
-// readers always see W.
-func (sr *sharedRun[T]) scale(p int) error {
-	var start time.Duration
-	if sr.rec != nil {
-		start = sr.rec.Now()
-	}
-	sym := sr.sch.Sym()
-	for _, id := range sr.sch.ByProc[p] {
-		t := &sr.sch.Tasks[id]
-		switch t.Type {
-		case sched.Comp1D:
-			sr.f.ScalePanel(t.Cell, sr.f.Diag(t.Cell))
-		case sched.BDiv:
-			cb := &sym.CB[t.Cell]
-			blk := cb.Blocks[t.S]
-			off := sr.f.BlockOff[t.Cell][t.S]
-			blas.ScaleColumns(blk.Rows(), cb.Width(), sr.f.Data[t.Cell][off:], sr.f.LD[t.Cell], sr.f.Diag(t.Cell))
-		}
-	}
-	if sr.rec != nil {
-		sr.rec.Phase(p, trace.PhaseScale, start, sr.rec.Now())
-	}
-	return nil
-}
-
-// destTask returns the task whose region the (s,t) contribution of cell k
-// lands in — the task the contribution descriptor is enqueued on.
-func (sr *sharedRun[T]) destTask(k, s, t int) (int, error) {
-	sym := sr.sch.Sym()
-	cb := &sym.CB[k]
-	bs := &cb.Blocks[s]
-	bt := &cb.Blocks[t]
-	fcell := bt.Facing
-	switch {
-	case sr.sch.Comp1DOf[fcell] >= 0:
-		return sr.sch.Comp1DOf[fcell], nil
-	case bs.Facing == fcell:
-		return sr.sch.FactorOf[fcell], nil
-	default:
-		b := sr.f.BlockContaining(fcell, bs.FirstRow, bs.LastRow)
-		if b < 0 {
-			return 0, fmt.Errorf("solver: rows [%d,%d) of cb %d not in cb %d", bs.FirstRow, bs.LastRow, k, fcell)
-		}
-		return sr.sch.BDivOf[fcell][b], nil
-	}
-}
-
 // enqueue defers the (s,t) outer-product contribution of cell k onto its
 // destination task. The source panel and 1/D must already be published; the
 // destination reads them when it activates.
-func (sr *sharedRun[T]) enqueue(k, s, t int) error {
-	dt, err := sr.destTask(k, s, t)
-	if err != nil {
-		return err
-	}
-	pl := &sr.pend[dt]
+func (sr *sharedRun[T]) enqueue(k, s, t int) {
+	pl := &sr.pend[sr.sch.UpdateTask(k, s, t)]
 	pl.mu.Lock()
 	pl.refs = append(pl.refs, contribRef{Cell: int32(k), S: int32(s), T: int32(t)})
 	pl.mu.Unlock()
-	return nil
 }
 
 // applyPending applies every contribution enqueued on task id, in the
@@ -282,47 +199,10 @@ func (sr *sharedRun[T]) applyPending(id int) error {
 		}
 		return refs[i].S < refs[j].S
 	})
-	sym := sr.sch.Sym()
-	kern := blas.KernelsOf[T]()
 	for _, r := range refs {
-		k, s, t := int(r.Cell), int(r.S), int(r.T)
-		cb := &sym.CB[k]
-		w := cb.Width()
-		bs := &cb.Blocks[s]
-		bt := &cb.Blocks[t]
-		fcell, off, err := targetOffset(sr.f, k, s, t)
-		if err != nil {
+		k := int(r.Cell)
+		if err := updateFromPanel(sr.f, k, int(r.S), int(r.T), sr.f.Data[k], sr.invd[k]); err != nil {
 			return err
-		}
-		ld := sr.f.LD[k]
-		ws := sr.f.Data[k][sr.f.BlockOff[k][s]:]
-		wt := sr.f.Data[k][sr.f.BlockOff[k][t]:]
-		dst := sr.f.Data[fcell][off:]
-		ldc := sr.f.LD[fcell]
-		if s == t {
-			kern.SyrkLowerNDT(bs.Rows(), w, ws, ld, sr.invd[k], dst, ldc)
-		} else {
-			kern.GemmNDT(bs.Rows(), bt.Rows(), w, ws, ld, sr.invd[k], wt, ld, dst, ldc)
-		}
-	}
-	return nil
-}
-
-// factorDiag runs the (possibly pivoted) diagonal factorization of cell k on
-// processor p, logging substitutions into the shared pivot log and the trace.
-func (sr *sharedRun[T]) factorDiag(p, k int) error {
-	ps, err := sr.f.FactorDiagStatic(k, sr.tau)
-	if err != nil {
-		return err
-	}
-	if len(ps) > 0 {
-		sr.pivotMu.Lock()
-		sr.perts = append(sr.perts, ps...)
-		sr.pivotMu.Unlock()
-		if sr.rec != nil {
-			for _, pe := range ps {
-				sr.rec.Pivot(p, pe.Column)
-			}
 		}
 	}
 	return nil
@@ -332,7 +212,7 @@ func (sr *sharedRun[T]) execComp1D(p int, t *sched.Task) error {
 	k := t.Cell
 	// applyPending subtracted every contribution into this cell; it is ready
 	// to factor.
-	if err := sr.factorDiag(p, k); err != nil {
+	if err := factorDiag(sr.f, k, sr.tau, &sr.log, sr.rec, p); err != nil {
 		return err
 	}
 	sr.f.SolvePanel(k)
@@ -342,9 +222,7 @@ func (sr *sharedRun[T]) execComp1D(p int, t *sched.Task) error {
 	cb := &sr.sch.Sym().CB[k]
 	for ti := range cb.Blocks {
 		for si := ti; si < len(cb.Blocks); si++ {
-			if err := sr.enqueue(k, si, ti); err != nil {
-				return err
-			}
+			sr.enqueue(k, si, ti)
 		}
 	}
 	return nil
@@ -352,7 +230,7 @@ func (sr *sharedRun[T]) execComp1D(p int, t *sched.Task) error {
 
 func (sr *sharedRun[T]) execFactor(p int, t *sched.Task) error {
 	k := t.Cell
-	if err := sr.factorDiag(p, k); err != nil {
+	if err := factorDiag(sr.f, k, sr.tau, &sr.log, sr.rec, p); err != nil {
 		return err
 	}
 	// Publish 1/D for the BMOD tasks of this cell (they observe it through
@@ -360,18 +238,4 @@ func (sr *sharedRun[T]) execFactor(p int, t *sched.Task) error {
 	// is read in place by BDIV — no copy is ever taken.
 	sr.invd[k] = invert(sr.f.Diag(k))
 	return nil
-}
-
-func (sr *sharedRun[T]) execBDiv(t *sched.Task) error {
-	k := t.Cell
-	cb := &sr.sch.Sym().CB[k]
-	w := cb.Width()
-	off := sr.f.BlockOff[k][t.S]
-	// TRSM against the shared diagonal block, in place on the shared panel.
-	blas.KernelsOf[T]().TrsmRightLTransUnit(cb.Blocks[t.S].Rows(), w, sr.f.Data[k], sr.f.LD[k], sr.f.Data[k][off:], sr.f.LD[k])
-	return nil
-}
-
-func (sr *sharedRun[T]) execBMod(t *sched.Task) error {
-	return sr.enqueue(t.Cell, t.S, t.T)
 }

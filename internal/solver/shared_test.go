@@ -17,7 +17,7 @@ import (
 // work-stealing placement policy, and returns the executor's stats with the
 // factor.
 func factorizeSharedOn(an *Analysis, pinned bool) (*Factors, dynsched.Stats, error) {
-	f, perts, st, err := factorizeShared(context.Background(), an.A, an.Sched, nil, 0, pinned)
+	f, perts, st, err := factorizeShared(context.Background(), an.A, an.Sched, an.factorDAG(), nil, 0, pinned)
 	if err != nil {
 		return nil, st, err
 	}
@@ -90,7 +90,7 @@ func TestSharedMetamorphicEquality(t *testing.T) {
 			}
 			for _, P := range []int{1, 2, 4, 7} {
 				an := analyzeFor(t, tc.a, P)
-				par, err := FactorizePar(an.A, an.Sched)
+				par, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 				if err != nil {
 					t.Fatalf("P=%d par: %v", P, err)
 				}
@@ -161,6 +161,29 @@ func TestSharedViaParOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitwiseEqualFactors(t, direct, got, -1)
+}
+
+// TestFactorDAGBuiltOnce: the executor's task graph belongs to the analysis.
+// The first shared or dynamic factorization builds it, and later ones, under
+// either policy, run on the same *sched.DAG instead of rebuilding it.
+func TestFactorDAGBuiltOnce(t *testing.T) {
+	an := analyzeFor(t, laplacian2D(12, 12), 2)
+	if an.dag != nil {
+		t.Fatal("analysis built the factorization DAG before any factorization")
+	}
+	if _, err := an.FactorizeOpts(ParOptions{Runtime: RuntimeShared}); err != nil {
+		t.Fatal(err)
+	}
+	dag := an.dag
+	if dag == nil {
+		t.Fatal("shared factorization did not keep its DAG on the analysis")
+	}
+	if _, err := an.FactorizeOpts(ParOptions{Runtime: RuntimeDynamic}); err != nil {
+		t.Fatal(err)
+	}
+	if an.dag != dag || an.factorDAG() != dag {
+		t.Fatal("second factorization rebuilt the DAG")
+	}
 }
 
 // TestSharedExercises2DTasks makes sure the corpus is not dodging the 2D

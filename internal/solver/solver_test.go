@@ -142,7 +142,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, P := range []int{2, 3, 4, 8} {
 		an := analyzeFor(t, a, P)
 		// Same ordering/partition pipeline → same symbol as P=1.
-		got, err := FactorizePar(an.A, an.Sched)
+		got, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 		if err != nil {
 			t.Fatalf("P=%d: %v", P, err)
 		}
@@ -157,7 +157,7 @@ func TestParallelExercises2DTasks(t *testing.T) {
 	if st.NBMod == 0 || st.NBDiv == 0 || st.NFactor == 0 {
 		t.Fatalf("schedule has no 2D tasks (stats %+v); test would not cover the 2D path", st)
 	}
-	f, err := FactorizePar(an.A, an.Sched)
+	f, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +309,11 @@ func TestScheduleReuseAcrossValues(t *testing.T) {
 		a2.Val[a2.ColPtr[j]] += 1.5
 	}
 	an := analyzeFor(t, a1, 2)
-	f1, err := FactorizePar(a1.Permute(an.Perm), an.Sched)
+	f1, _, err := FactorizeParStats(a1.Permute(an.Perm), an.Sched, ParOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := FactorizePar(a2.Permute(an.Perm), an.Sched)
+	f2, _, err := FactorizeParStats(a2.Permute(an.Perm), an.Sched, ParOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ package solver
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/symbolic"
@@ -106,21 +105,8 @@ func (f *Storage[T]) LocateRow(k, row int) int {
 	if row >= cb.Cols[0] && row < cb.Cols[1] {
 		return row - cb.Cols[0]
 	}
-	blocks := cb.Blocks
-	i := sort.Search(len(blocks), func(b int) bool { return blocks[b].LastRow > row })
-	if i < len(blocks) && blocks[i].FirstRow <= row {
-		return f.BlockOff[k][i] + row - blocks[i].FirstRow
-	}
-	return -1
-}
-
-// BlockContaining returns the index of the off-diagonal block of cell k
-// containing rows [lo,hi), or -1.
-func (f *Storage[T]) BlockContaining(k, lo, hi int) int {
-	blocks := f.Sym.CB[k].Blocks
-	i := sort.Search(len(blocks), func(b int) bool { return blocks[b].LastRow > lo })
-	if i < len(blocks) && blocks[i].FirstRow <= lo && blocks[i].LastRow >= hi {
-		return i
+	if b := cb.BlockContaining(row, row+1); b >= 0 {
+		return f.BlockOff[k][b] + row - cb.Blocks[b].FirstRow
 	}
 	return -1
 }

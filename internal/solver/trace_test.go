@@ -141,7 +141,7 @@ func TestFactorizeCtxCancelMidRun(t *testing.T) {
 func TestSolveCtxPreCancelled(t *testing.T) {
 	a := laplacian2D(15, 15)
 	an := analyzeFor(t, a, 4)
-	f, err := FactorizePar(an.A, an.Sched)
+	f, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 func TestTracedSolvePhases(t *testing.T) {
 	a := laplacian2D(15, 15)
 	an := analyzeFor(t, a, 4)
-	f, err := FactorizePar(an.A, an.Sched)
+	f, _, err := FactorizeParStats(an.A, an.Sched, ParOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

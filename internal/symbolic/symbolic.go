@@ -54,6 +54,19 @@ func (cb *ColBlock) RowsBelow() int {
 	return r
 }
 
+// BlockContaining returns the index of the off-diagonal block holding every
+// row of [lo,hi), or -1 when no one block does. It is the one row lookup
+// over a column block's blocks: the schedule routes updates with it and the
+// factor storage locates rows with it.
+func (cb *ColBlock) BlockContaining(lo, hi int) int {
+	blocks := cb.Blocks
+	i := sort.Search(len(blocks), func(b int) bool { return blocks[b].LastRow > lo })
+	if i < len(blocks) && blocks[i].FirstRow <= lo && blocks[i].LastRow >= hi {
+		return i
+	}
+	return -1
+}
+
 // Symbol is the block structure of L.
 type Symbol struct {
 	N      int        // matrix order

@@ -214,6 +214,34 @@ func TestFacingsAndUpdatersAreInverse(t *testing.T) {
 	}
 }
 
+// TestBlockContaining: every block is found for its own rows and for each
+// single row inside it; a range that starts above a cell's first block or
+// runs past the end of the block holding its first row is in no one block.
+func TestBlockContaining(t *testing.T) {
+	_, _, sym := analyze(t, laplacian2D(10, 10), order.ScotchLike)
+	for k := range sym.CB {
+		cb := &sym.CB[k]
+		for b, blk := range cb.Blocks {
+			if got := cb.BlockContaining(blk.FirstRow, blk.LastRow); got != b {
+				t.Fatalf("cb %d: block %d rows [%d,%d) found in block %d", k, b, blk.FirstRow, blk.LastRow, got)
+			}
+			for r := blk.FirstRow; r < blk.LastRow; r++ {
+				if got := cb.BlockContaining(r, r+1); got != b {
+					t.Fatalf("cb %d: row %d of block %d found in block %d", k, r, b, got)
+				}
+			}
+			if got := cb.BlockContaining(blk.FirstRow, blk.LastRow+1); got != -1 {
+				t.Fatalf("cb %d: rows [%d,%d) overrun block %d but were found in %d", k, blk.FirstRow, blk.LastRow+1, b, got)
+			}
+		}
+		if len(cb.Blocks) > 0 {
+			if got := cb.BlockContaining(cb.Cols[0], cb.Cols[0]+1); got != -1 {
+				t.Fatalf("cb %d: diagonal row %d found in block %d", k, cb.Cols[0], got)
+			}
+		}
+	}
+}
+
 func TestSpanHelpers(t *testing.T) {
 	got := spansFromSorted([]int{1, 2, 2, 3, 7, 9, 10})
 	want := []Span{{1, 4}, {7, 8}, {9, 11}}
