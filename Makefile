@@ -42,7 +42,7 @@ CHAOS_RUN := Chaos|Fault|Reliab|Retry|Restart|Stall|Boundary|CommGolden
 CHAOS_PKGS := ./internal/mpsim ./internal/faults ./internal/solver .
 NUMSTRESS_RUN := NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine|Pivot
 NUMSTRESS_PKGS := ./internal/solver ./internal/blas .
-DYNSTRESS_RUN := RuntimeConformance|ScheduleRouting|FactorDAG|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph
+DYNSTRESS_RUN := RuntimeConformance|ScheduleRouting|FactorDAG|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph|FanOut|Schur
 DYNSTRESS_PKGS := ./internal/solver ./internal/dynsched
 SOLVEDAG_RUN := SolveDAG|HybridSteps
 SOLVEDAG_PKGS := ./internal/sched
@@ -65,7 +65,8 @@ DURACHAOS_PKGS := ./internal/gateway/chaos
 # reliability layer in mpsim, the injector itself, the multi-seed
 # factorization soak (every factor, and the level-set solve of it,
 # bit-identical to fault-free), the public-API chaos round trips, and the
-# golden table pinning mpsim's and fan-out's factor bits and CommStats.
+# golden table pinning mpsim's factor bits and both message drivers'
+# CommStats (fan-out's factor is checked bitwise against the sequential one).
 chaos:
 	$(GO) test -race -timeout 300s -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 
@@ -80,10 +81,11 @@ numstress:
 # executor's unit, pinned and steal-storm suites, the pinned factorization
 # stress and error paths, mid-run cancellation, the schedule's update
 # routing checked against its task graph, the once-per-analysis task
-# graph, and the cross-runtime
-# conformance tests (every generator × every runtime, work stealing
-# bitwise-identical to pinned across seeds) under the race detector,
-# repeated so rare interleavings get a chance to fire.
+# graph, the cross-runtime conformance tests (every generator × every
+# runtime, work stealing bitwise-identical to pinned across seeds), fan-out's
+# receive loop (bitwise the sequential factor at P = 2, 3, 4 and 8, run
+# after run) and the Schur complement's partial elimination, under the
+# race detector, repeated so rare interleavings get a chance to fire.
 dynstress:
 	$(GO) test -race -timeout 300s -count=3 ./internal/dynsched
 	$(GO) test -race -timeout 300s -count=2 -run '$(DYNSTRESS_RUN)' $(DYNSTRESS_PKGS)

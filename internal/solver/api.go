@@ -96,19 +96,29 @@ func Analyze(a *sparse.SymMatrix, opts Options) (*Analysis, error) {
 // (ordering → tree/supernodes → symbolic → mapping/scheduling) — ctx.Err()
 // is returned at the first boundary after cancellation.
 func AnalyzeCtx(ctx context.Context, a *sparse.SymMatrix, opts Options) (*Analysis, error) {
-	return analyze(ctx, a, opts, func(parent, cc []int) (*etree.Supernodes, error) {
+	return analyze(ctx, a, opts, computeOrdering(opts.Ordering), func(parent, cc []int) (*etree.Supernodes, error) {
 		sn := etree.Amalgamate(etree.Fundamental(parent, cc), cc, opts.Amalgamation)
 		return part.SplitRanges(sn, opts.Part), nil
 	})
+}
+
+// orderer computes the fill-reducing ordering of the matrix's adjacency
+// graph.
+type orderer func(g *graph.Graph) *order.Ordering
+
+// computeOrdering is the orderer of opts: order.Compute on the whole graph.
+func computeOrdering(opts order.Options) orderer {
+	return func(g *graph.Graph) *order.Ordering { return order.Compute(g, opts) }
 }
 
 // partitioner picks the column-block partition of the postordered matrix
 // from its elimination tree and scalar column counts.
 type partitioner func(parent, cc []int) (*etree.Supernodes, error)
 
-// analyze runs the analysis pipeline with the column-block partition
-// chosen by partition.
-func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, partition partitioner) (*Analysis, error) {
+// analyze runs the analysis pipeline with the ordering chosen by ord and
+// the column-block partition chosen by partition. It is the one place an
+// Analysis is built.
+func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, ord orderer, partition partitioner) (*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -127,7 +137,7 @@ func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, partition p
 	tStart := time.Now()
 	ptr, adj := a.AdjacencyCSR()
 	g := graph.FromCSR(a.N, ptr, adj)
-	o := order.Compute(g, opts.Ordering)
+	o := ord(g)
 	if err := o.Validate(a.N); err != nil {
 		return nil, err
 	}
@@ -294,7 +304,7 @@ func factorizeOn[T blas.Scalar](ctx context.Context, an *Analysis, a symMatrix[T
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		return factorizeSeq(a, an.Sym, tau)
+		return factorizeSeq(a, an.Sym, tau, an.Sym.NumCB())
 	case RuntimeShared, RuntimeDynamic:
 		f, perts, _, err := factorizeShared(ctx, a, an.Sched, an.factorDAG(), popts.Trace, tau, rt == RuntimeShared)
 		return f, perts, err

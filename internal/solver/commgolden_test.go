@@ -30,16 +30,16 @@ func (g commGolden) String() string {
 // commGoldenBound is the small fan-both AUB bound of the golden table.
 const commGoldenBound = 2048
 
-// TestCommGolden pins the bits of the two drivers whose factor follows their
-// communication pattern instead of the sequential order, so that nothing
-// else checks them exactly: mpsim (pure fan-in, and fan-both under a small
-// AUB bound) and fan-out, on every conformance matrix at P = 2 and 4, plus
-// one complex128 mpsim leg (fan-out's bits at P = 4 are timing-dependent,
-// so only its CommStats are pinned there). The conformance suite holds mpsim only to
-// itself run to run and to 1e-11 of the reference, so a change to how its
-// AUBs associate would pass there; it cannot pass here. The values were
-// recorded once; every dense-kernel build (default, purego, GOAMD64=v3)
-// reproduces them.
+// TestCommGolden pins the message-passing drivers on every conformance
+// matrix at P = 2 and 4, plus one complex128 mpsim leg: the factor bits and
+// CommStats of mpsim (pure fan-in, and fan-both under a small AUB bound),
+// whose factor follows its communication pattern instead of the sequential
+// order, and the CommStats of fan-out, whose factor is checked bit for bit
+// against the sequential reference instead of by hash. The conformance
+// suite holds mpsim only to itself run to run and to 1e-11 of the
+// reference, so a change to how its AUBs associate would pass there; it
+// cannot pass here. The values were recorded once; every dense-kernel build
+// (default, purego, GOAMD64=v3) reproduces them.
 func TestCommGolden(t *testing.T) {
 	got := map[string]commGolden{}
 	for _, tc := range conformanceCorpus() {
@@ -69,14 +69,13 @@ func TestCommGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s fan-out: %v", name, err)
 			}
-			g := goldenOf(f.Data, f.Pivots, st)
-			if P > 2 {
-				// Fan-out adds each received panel's updates on arrival.
-				// With two or more remote senders the arrival order, and so
-				// the factor's bits, vary from run to run; its messages do
-				// not.
-				g.data = ""
+			ref, err := FactorizeSeq(an.A, an.Sym)
+			if err != nil {
+				t.Fatalf("%s seq: %v", name, err)
 			}
+			bitwiseEqualData(t, ref.Data, f.Data, name+"/fanout")
+			g := goldenOf(f.Data, f.Pivots, st)
+			g.data = "" // checked bitwise against the reference above
 			got[name+"/fanout"] = g
 		}
 	}
@@ -153,31 +152,31 @@ var commGoldens = map[string]commGolden{
 	"graded-singular/P=2/mpsim-bound":   {"e4bb5b6eccde149c2d0cb62e4bef09946b9e4829581fa9e15b54d04ba53c1ec4", 0, 0, 0, 0},
 	"graded-singular/P=4/mpsim":         {"e4bb5b6eccde149c2d0cb62e4bef09946b9e4829581fa9e15b54d04ba53c1ec4", 0, 0, 0, 0},
 	"graded-singular/P=4/mpsim-bound":   {"e4bb5b6eccde149c2d0cb62e4bef09946b9e4829581fa9e15b54d04ba53c1ec4", 0, 0, 0, 0},
-	"graded/P=2/fanout":                 {"7eacad10348cedf8ee0be0f7015963174fe4c94d00fd08d33ff855748d188d31", 0, 0, 0, 0},
+	"graded/P=2/fanout":                 {"", 0, 0, 0, 0},
 	"graded/P=2/mpsim":                  {"7eacad10348cedf8ee0be0f7015963174fe4c94d00fd08d33ff855748d188d31", 0, 0, 0, 0},
 	"graded/P=2/mpsim-bound":            {"a6677a13c31f08a64050cefd41df40621a8b0dcd53d29b845601c4e214975c6c", 0, 0, 0, 0},
 	"graded/P=4/fanout":                 {"", 0, 0, 0, 0},
 	"graded/P=4/mpsim":                  {"7eacad10348cedf8ee0be0f7015963174fe4c94d00fd08d33ff855748d188d31", 0, 0, 0, 0},
 	"graded/P=4/mpsim-bound":            {"a6677a13c31f08a64050cefd41df40621a8b0dcd53d29b845601c4e214975c6c", 0, 0, 0, 0},
-	"poisson2d-16x16/P=2/fanout":        {"d13e21c2d491eeaa590dd8bbbf6e071d0b5946f518a74819a9010b1cd464ecc0", 9, 10704, 9, 0},
+	"poisson2d-16x16/P=2/fanout":        {"", 9, 10704, 9, 0},
 	"poisson2d-16x16/P=2/mpsim":         {"18917748cbe3d1345f6935f82bf46d7a20ae5bbd7b3070c2a3406b43a13dbf51", 8, 6208, 8, 3456},
 	"poisson2d-16x16/P=2/mpsim-bound":   {"11105489a959c8034ff0069788e7418f89ecc557c417cfe26c34399bc365614a", 17, 16792, 8, 1280},
 	"poisson2d-16x16/P=4/fanout":        {"", 24, 25448, 24, 0},
 	"poisson2d-16x16/P=4/mpsim":         {"3c69556014a976a25349521fe47b4bad027e5afcd0ee2167d353264cb3d33a29", 24, 16896, 24, 4224},
 	"poisson2d-16x16/P=4/mpsim-bound":   {"b56204dfdd865b6fcf8c059763ca36229e90bf36d4173fa9c76af94fb1021f89", 42, 37680, 24, 1920},
-	"poisson3d-7/P=2/fanout":            {"60f9782eb52b88404db2f706138d40cc2e6b215cb55b72bd0217abab607d85b8", 33, 62624, 33, 0},
+	"poisson3d-7/P=2/fanout":            {"", 33, 62624, 33, 0},
 	"poisson3d-7/P=2/mpsim":             {"aeeb08d45c23bc7f23f7f9eeea2894c1c9f0c8c5ab7ff8019559fa09bee3e886", 34, 19192, 34, 6752},
 	"poisson3d-7/P=2/mpsim-bound":       {"4f3124b2fa2f1a431123acf1ec1b10a1462735b19e1288ca672a212c54c26449", 154, 120096, 34, 2048},
 	"poisson3d-7/P=4/fanout":            {"", 101, 150016, 101, 0},
 	"poisson3d-7/P=4/mpsim":             {"6db390dbf9fee57cd26650f197fd6e4e3354e089a0ed69d5709a07d6c64f8a37", 152, 96368, 152, 18592},
 	"poisson3d-7/P=4/mpsim-bound":       {"ec7e75767bda3a0a4145b54abcdfe3b5cb5918a2f37d47be222552f5b7c257a1", 587, 443128, 152, 2048},
-	"randspd-seed1/P=2/fanout":          {"06ec1d25e1921ff5c405725429c28193085370a1dab4a3e66799de5da6d363f9", 20, 44352, 20, 0},
+	"randspd-seed1/P=2/fanout":          {"", 20, 44352, 20, 0},
 	"randspd-seed1/P=2/mpsim":           {"e3a74256299c6f89e4fa275e0cceb7e08563a01350caafbde15e681afeb8c806", 65, 57168, 65, 21704},
 	"randspd-seed1/P=2/mpsim-bound":     {"9834e9ee6cc360d13aea0b95d263569bdd56af6746561ca0a4391e04e3cbbca3", 444, 468704, 65, 2048},
 	"randspd-seed1/P=4/fanout":          {"", 53, 134480, 53, 0},
 	"randspd-seed1/P=4/mpsim":           {"7a415854620db32383d19fa1c78d0f7dcc724d9421db80cbd421dbaa618c0440", 231, 160896, 231, 27464},
 	"randspd-seed1/P=4/mpsim-bound":     {"33fa957fb40f543019b5781540445a63cb2423b7b522431eeb3161281f2d14fa", 881, 813744, 231, 2048},
-	"randspd-seed9/P=2/fanout":          {"cfcb20d0b826eab6750cd8dbcf86f96f9798a97243981ac60f79e16a657b6bb8", 23, 47744, 23, 0},
+	"randspd-seed9/P=2/fanout":          {"", 23, 47744, 23, 0},
 	"randspd-seed9/P=2/mpsim":           {"8363110fa2b884c8e2d749eed1ba9eb0d67e0cf7cb2e1ecdb1e7f2ee506a586a", 125, 87120, 125, 31968},
 	"randspd-seed9/P=2/mpsim-bound":     {"762e1163fcf62a39b062cf762bb68502930ebddbdd812064f6991f98c398f0f5", 695, 602856, 125, 2048},
 	"randspd-seed9/P=4/fanout":          {"", 68, 135816, 68, 0},

@@ -58,14 +58,16 @@ func factorizeRT(t *testing.T, an *Analysis, rt Runtime, sp StaticPivot, traced 
 
 // TestRuntimeConformance is the cross-runtime conformance suite of the
 // dynamic-runtime work: every generator family × all four runtimes ×
-// {pivot off, pivot on} × {untraced, traced}. The deterministic runtimes
-// (sequential, shared, dynamic) must agree BITWISE on factor data, publish
-// reflect.DeepEqual perturbation reports, and return bitwise-equal solve
-// vectors; the message-passing simulator must agree to aggregation rounding
-// (≤1e-11 entrywise on these scales) with an identical report, and must be
-// bitwise-reproducible against itself. The complex leg holds the same
-// contract on complex128 storage at P = 2 and 4, and a fault-injected
-// complex mpsim run must reproduce the fault-free bits.
+// {pivot off, pivot on} × {untraced, traced}, plus fan-out at P = 2, 3 and
+// 4 with pivoting off. The deterministic runtimes (sequential, shared,
+// dynamic) must agree BITWISE on factor data, publish reflect.DeepEqual
+// perturbation reports, and return bitwise-equal solve vectors; fan-out
+// must give the sequential factor bit for bit; the message-passing
+// simulator must agree to aggregation rounding (≤1e-11 entrywise on these
+// scales) with an identical report, and must be bitwise-reproducible
+// against itself. The complex leg holds the same contract on complex128
+// storage at P = 2 and 4, and a fault-injected complex mpsim run must
+// reproduce the fault-free bits.
 func TestRuntimeConformance(t *testing.T) {
 	for _, tc := range conformanceCorpus() {
 		for _, pivOn := range []bool{false, true} {
@@ -96,6 +98,19 @@ func TestRuntimeConformance(t *testing.T) {
 								t.Fatalf("%s: solve x[%d] = %x, seq %x (not bit-identical)", name, i, x[i], refX[i])
 							}
 						}
+					}
+				}
+
+				// fan-out (no pivoting): the reference bit for bit at every P
+				// (the partition, and so the reference, does not depend on P).
+				if !pivOn {
+					for _, P := range []int{2, 3, 4} {
+						anP := analyzeFor(t, tc.a, P)
+						f, _, err := FactorizeFanOut(anP.A, anP.Sched)
+						if err != nil {
+							t.Fatalf("fan-out P=%d: %v", P, err)
+						}
+						bitwiseEqualData(t, ref.Data, f.Data, fmt.Sprintf("fan-out P=%d", P))
 					}
 				}
 

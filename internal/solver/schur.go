@@ -1,17 +1,15 @@
 package solver
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"slices"
 
-	"github.com/pastix-go/pastix/internal/cost"
 	"github.com/pastix-go/pastix/internal/etree"
 	"github.com/pastix-go/pastix/internal/graph"
 	"github.com/pastix-go/pastix/internal/order"
 	"github.com/pastix-go/pastix/internal/part"
-	"github.com/pastix-go/pastix/internal/sched"
 	"github.com/pastix-go/pastix/internal/sparse"
-	"github.com/pastix-go/pastix/internal/symbolic"
 )
 
 // Schur complement support, in the tradition of PaStiX's Schur API consumed
@@ -29,12 +27,10 @@ type SchurAnalysis struct {
 	SchurVars []int
 }
 
-// AnalyzeSchur orders the matrix with the Schur unknowns constrained last,
-// then runs the usual pipeline. schurVars must be distinct valid indices.
+// AnalyzeSchur runs the analysis pipeline with the Schur unknowns ordered
+// last, as one terminal column block. schurVars must be distinct valid
+// indices forming a proper nonempty subset.
 func AnalyzeSchur(a *sparse.SymMatrix, schurVars []int, opts Options) (*SchurAnalysis, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
 	n := a.N
 	isSchur := make([]bool, n)
 	for _, v := range schurVars {
@@ -50,117 +46,64 @@ func AnalyzeSchur(a *sparse.SymMatrix, schurVars []int, opts Options) (*SchurAna
 	if ns == 0 || ns == n {
 		return nil, fmt.Errorf("solver: schur set must be a proper nonempty subset")
 	}
-	if opts.P <= 0 {
-		opts.P = 1
-	}
-	mach := opts.Machine
-	if mach == nil {
-		mach = cost.SP2()
-	}
+	cut := n - ns
 
-	// Order the interior subgraph only; the Schur unknowns go last (sorted,
-	// one terminal supernode).
-	ptr, adj := a.AdjacencyCSR()
-	g := graph.FromCSR(n, ptr, adj)
-	interior := make([]int, 0, n-ns)
-	for v := 0; v < n; v++ {
-		if !isSchur[v] {
-			interior = append(interior, v)
+	// Order the interior subgraph only; the Schur unknowns go last, sorted.
+	ord := func(g *graph.Graph) *order.Ordering {
+		interior := make([]int, 0, cut)
+		for v := 0; v < n; v++ {
+			if !isSchur[v] {
+				interior = append(interior, v)
+			}
 		}
-	}
-	sub, l2g := g.Subgraph(interior)
-	o := order.Compute(sub, opts.Ordering)
-	perm := make([]int, 0, n)
-	for _, lv := range o.Perm {
-		perm = append(perm, l2g[lv])
-	}
-	schurSorted := append([]int(nil), schurVars...)
-	sort.Ints(schurSorted)
-	perm = append(perm, schurSorted...)
-
-	iperm := make([]int, n)
-	for newI, old := range perm {
-		iperm[old] = newI
-	}
-	// The terminal Schur columns form a path at the top of the etree; the
-	// postorder keeps them last (they are ancestors of everything they
-	// touch).
-	pa, composed, iperm, parent, cc := postordered(a, ptr, adj, perm, iperm)
-	// Verify the Schur unknowns stayed last (they must: every interior
-	// column is eliminated before them or unrelated).
-	for r := n - ns; r < n; r++ {
-		if !isSchur[composed[r]] {
-			return nil, fmt.Errorf("solver: schur unknowns not terminal after postorder")
+		sub, l2g := g.Subgraph(interior)
+		o := order.Compute(sub, opts.Ordering)
+		perm := make([]int, 0, n)
+		for _, lv := range o.Perm {
+			perm = append(perm, l2g[lv])
 		}
-	}
-
-	sn := etree.Fundamental(parent, cc)
-	sn = etree.Amalgamate(sn, cc, opts.Amalgamation)
-	// Merge all supernodes inside the Schur range into one terminal block,
-	// then split only the interior ones.
-	sn = forceTerminalBlock(sn, n-ns)
-	interiorSn := &etree.Supernodes{}
-	var schurRange [2]int
-	for i, r := range sn.Ranges {
-		if r[0] >= n-ns {
-			schurRange = r
-			continue
+		perm = append(perm, schurVars...)
+		slices.Sort(perm[cut:])
+		iperm := make([]int, n)
+		for newI, old := range perm {
+			iperm[old] = newI
 		}
-		interiorSn.Ranges = append(interiorSn.Ranges, r)
-		interiorSn.Parent = append(interiorSn.Parent, sn.Parent[i])
+		return &order.Ordering{Perm: perm, IPerm: iperm, SupernodeSizes: append(o.SupernodeSizes, ns)}
 	}
-	split := part.SplitRanges(interiorSn, opts.Part)
-	final := &etree.Supernodes{Ranges: append(split.Ranges, schurRange), Parent: make([]int, len(split.Ranges)+1)}
-	for i := range final.Parent {
-		final.Parent[i] = -1 // recomputed from the block structure by symbolic.Factor
+	partition := func(parent, cc []int) (*etree.Supernodes, error) {
+		sn := etree.Amalgamate(etree.Fundamental(parent, cc), cc, opts.Amalgamation)
+		return forceTerminalBlock(sn, cut, opts.Part), nil
 	}
-	if err := final.Validate(n); err != nil {
-		return nil, err
-	}
-	sym := symbolic.Factor(pa, final)
-
-	mapping := part.Map(sym, mach, opts.P, opts.Part)
-	schedule, err := sched.Build(sym, mapping, mach, opts.Sched)
+	an, err := analyze(context.Background(), a, opts, ord, partition)
 	if err != nil {
 		return nil, err
 	}
-	an := &Analysis{
-		A: pa, Perm: composed, IPerm: iperm, Snodes: final, Sym: sym,
-		Mapping: mapping, Sched: schedule, Machine: mach,
-		ScalarNNZL: etree.NNZL(cc), ScalarOPC: etree.OPC(cc),
-		BlockNNZL: sym.NNZL(), BlockOPC: sym.OPC(),
+	// The Schur unknowns form a path at the top of the elimination tree
+	// when every interior unknown is eliminated before them or unrelated,
+	// and the postorder then keeps them last.
+	ordered := an.Perm[cut:]
+	for _, v := range ordered {
+		if !isSchur[v] {
+			return nil, fmt.Errorf("solver: schur unknowns not terminal after postorder")
+		}
 	}
-	ordered := make([]int, ns)
-	copy(ordered, composed[n-ns:])
-	return &SchurAnalysis{Analysis: an, SchurVars: ordered}, nil
+	return &SchurAnalysis{Analysis: an, SchurVars: slices.Clone(ordered)}, nil
 }
 
-// forceTerminalBlock merges every supernode whose range intersects [cut, n)
-// into one terminal supernode starting exactly at cut. Ranges never straddle
-// cut because the Schur set was ordered contiguously last, and fundamental
-// supernodes/amalgamation only merge adjacent ranges within the etree, but a
-// merge across the cut is possible (interior chain into the terminal block);
-// in that case the interior part is split back off.
-func forceTerminalBlock(sn *etree.Supernodes, cut int) *etree.Supernodes {
-	out := &etree.Supernodes{}
-	for i, r := range sn.Ranges {
-		switch {
-		case r[1] <= cut:
-			out.Ranges = append(out.Ranges, r)
-			out.Parent = append(out.Parent, sn.Parent[i])
-		case r[0] < cut:
-			out.Ranges = append(out.Ranges, [2]int{r[0], cut})
-			out.Parent = append(out.Parent, sn.Parent[i])
+// forceTerminalBlock is the Schur partition: the supernodes of sn below cut,
+// trimmed at cut (amalgamation may merge an interior chain into the Schur
+// range) and split by opts, then [cut, n) as one terminal column block.
+func forceTerminalBlock(sn *etree.Supernodes, cut int, opts part.Options) *etree.Supernodes {
+	interior := &etree.Supernodes{}
+	for _, r := range sn.Ranges {
+		if r[0] < cut {
+			interior.Ranges = append(interior.Ranges, [2]int{r[0], min(r[1], cut)})
+			interior.Parent = append(interior.Parent, -1)
 		}
 	}
-	n := sn.Ranges[len(sn.Ranges)-1][1]
-	out.Ranges = append(out.Ranges, [2]int{cut, n})
+	out := part.SplitRanges(interior, opts)
+	out.Ranges = append(out.Ranges, [2]int{cut, sn.Ranges[len(sn.Ranges)-1][1]})
 	out.Parent = append(out.Parent, -1)
-	for i := range out.Parent {
-		if i < len(out.Parent)-1 {
-			out.Parent[i] = -1 // parents recomputed by symbolic.Factor; unused here
-		}
-	}
 	return out
 }
 
@@ -171,22 +114,9 @@ func forceTerminalBlock(sn *etree.Supernodes, cut int) *etree.Supernodes {
 func (san *SchurAnalysis) FactorizeSchur() (*Storage[float64], []float64, error) {
 	sym := san.Sym
 	ncb := sym.NumCB()
-	f := newStorage[float64](sym, true)
-	for k := range sym.CB {
-		if err := f.AssembleCell(san.A, k); err != nil {
-			return nil, nil, err
-		}
-	}
-	for k := 0; k < ncb-1; k++ {
-		if err := f.FactorDiag(k); err != nil {
-			return nil, nil, err
-		}
-		f.SolvePanel(k)
-		d := f.Diag(k)
-		if err := applyCellUpdates(f, k, invert(d)); err != nil {
-			return nil, nil, err
-		}
-		f.ScalePanel(k, d)
+	f, _, err := factorizeSeq(san.A, sym, 0, ncb-1)
+	if err != nil {
+		return nil, nil, err
 	}
 	// The terminal cell's diagonal region now holds S (lower triangle).
 	last := ncb - 1

@@ -1,6 +1,9 @@
 package solver
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -126,6 +129,56 @@ func TestSchurVarsOrderMatchesMatrix(t *testing.T) {
 	for _, v := range schurVars {
 		if !seen[v] {
 			t.Fatalf("schur var %d missing from result order", v)
+		}
+	}
+}
+
+// TestSchurPinned pins the bits of S and the order of its unknowns on the
+// Schur test matrices: digests recorded before AnalyzeSchur went through
+// the common analysis pipeline and FactorizeSchur through the sequential
+// elimination loop.
+func TestSchurPinned(t *testing.T) {
+	middle := func(nx int) []int {
+		var v []int
+		for j := 0; j < nx; j++ {
+			v = append(v, nx/2+j*nx)
+		}
+		return v
+	}
+	for _, c := range []struct {
+		name   string
+		nx     int
+		vars   []int
+		opts   Options
+		digest string
+	}{
+		{"9x9-middle", 9, middle(9), Options{}, "e86aad01046ba94c5139951c2517a7a1b78a7ac865398e73e3272aaa4f6bd218"},
+		{"9x9-middle-leaf20-bs12", 9, middle(9), Options{
+			Ordering: order.Options{Method: order.ScotchLike, LeafSize: 20},
+			Part:     part.Options{BlockSize: 12},
+		}, "cbf0231ab6ccc5621c05e7c6d4d9930175f33c424c2cd1086d072023a0ec8e08"},
+		{"6x6-unsorted", 6, []int{35, 3, 17}, Options{}, "21ae54b33743167d1e035d8fc00c110949d82556e9527d86943b1ad646e7e60c"},
+	} {
+		san, err := AnalyzeSchur(laplacian2D(c.nx, c.nx), c.vars, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		_, s, err := san.FactorizeSchur()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, v := range s {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		for _, v := range san.SchurVars {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.digest {
+			t.Errorf("%s: S digest %s, want %s", c.name, got, c.digest)
 		}
 	}
 }

@@ -6,24 +6,9 @@ import (
 	"github.com/pastix-go/pastix/internal/symbolic"
 )
 
-// applyCellUpdates applies every update of cell k, whose panel holds
-// W = L·D, to its target cells in f, in the canonical order: t ascending,
-// then s. invd is 1/D of cell k.
-func applyCellUpdates[T blas.Scalar](f *Storage[T], k int, invd []T) error {
-	nb := len(f.Sym.CB[k].Blocks)
-	for t := 0; t < nb; t++ {
-		for s := t; s < nb; s++ {
-			if err := updateFromPanel(f, k, s, t, f.Data[k], invd); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // FactorizeSeq runs the right-looking sequential supernodal LDLᵀ
-// factorization — the reference the parallel solver must match bit-for-bit
-// in structure and to rounding in values.
+// factorization: the reference whose bits the shared, dynamic and fan-out
+// drivers reproduce, and which mpsim matches to aggregation rounding.
 func FactorizeSeq(a *sparse.SymMatrix, sym *symbolic.Symbol) (*Factors, error) {
 	return FactorizeSeqPivot(a, sym, StaticPivot{})
 }
@@ -34,7 +19,7 @@ func FactorizeSeq(a *sparse.SymMatrix, sym *symbolic.Symbol) (*Factors, error) {
 // StaticPivot reproduces FactorizeSeq bit for bit.
 func FactorizeSeqPivot(a *sparse.SymMatrix, sym *symbolic.Symbol, sp StaticPivot) (*Factors, error) {
 	tau, normMax := pivotThreshold(sp, a)
-	f, perts, err := factorizeSeq(a, sym, tau)
+	f, perts, err := factorizeSeq(a, sym, tau, sym.NumCB())
 	if err != nil {
 		return nil, err
 	}
@@ -42,8 +27,11 @@ func FactorizeSeqPivot(a *sparse.SymMatrix, sym *symbolic.Symbol, sp StaticPivot
 }
 
 // factorizeSeq is the sequential reference for either scalar type, with
-// static-pivot threshold tau (0 disables pivoting).
-func factorizeSeq[T blas.Scalar](a symMatrix[T], sym *symbolic.Symbol, tau float64) (*Storage[T], []Perturbation, error) {
+// static-pivot threshold tau (0 disables pivoting). It eliminates the first
+// cells column blocks, right-looking: each one's updates go to their
+// targets in the canonical order as soon as it is factored. The cells left
+// hold the assembled matrix with every update of the eliminated ones.
+func factorizeSeq[T blas.Scalar](a symMatrix[T], sym *symbolic.Symbol, tau float64, cells int) (*Storage[T], []Perturbation, error) {
 	f := newStorage[T](sym, true)
 	for k := range sym.CB {
 		if err := f.AssembleCell(a, k); err != nil {
@@ -51,13 +39,13 @@ func factorizeSeq[T blas.Scalar](a symMatrix[T], sym *symbolic.Symbol, tau float
 		}
 	}
 	var log pivotLog
-	for k := range sym.CB {
+	for k := range cells {
 		if err := factorDiag(f, k, tau, &log, nil, 0); err != nil {
 			return nil, nil, err
 		}
 		f.SolvePanel(k)
 		d := f.Diag(k)
-		if err := applyCellUpdates(f, k, invert(d)); err != nil {
+		if err := applyUpdates(f, k, 0, len(sym.CB[k].Blocks), f.Data[k], invert(d)); err != nil {
 			return nil, nil, err
 		}
 		f.ScalePanel(k, d)

@@ -259,18 +259,12 @@ func (f *Factors) NNZ() int64 {
 	return t
 }
 
-// FactorDiag factors cell k's diagonal block in place (dense LDLᵀ). A pivot
-// breakdown is reported as a *ZeroPivotError (matching ErrNotSPD) with the
-// global column.
-func (f *Storage[T]) FactorDiag(k int) error {
-	_, err := f.FactorDiagStatic(k, 0)
-	return err
-}
-
-// FactorDiagStatic is FactorDiag with a static-pivot threshold: pivots with
-// |d| < tau are substituted by sign(d)·tau and returned as Perturbations
-// carrying global (permuted-system) column indices. tau <= 0 reproduces
-// FactorDiag exactly.
+// FactorDiagStatic factors cell k's diagonal block in place (dense LDLᵀ)
+// with a static-pivot threshold: pivots with |d| < tau are substituted by
+// sign(d)·tau and returned as Perturbations carrying global
+// (permuted-system) column indices; tau <= 0 disables the substitution. A
+// pivot breakdown is reported as a *ZeroPivotError (matching ErrNotSPD)
+// with the global column.
 func (f *Storage[T]) FactorDiagStatic(k int, tau float64) ([]Perturbation, error) {
 	cb := &f.Sym.CB[k]
 	ps, err := blas.KernelsOf[T]().LDLT(cb.Width(), f.Data[k], f.LD[k], tau)

@@ -81,6 +81,22 @@ func updateFromPanel[T blas.Scalar](f *Storage[T], k, s, t int, panel, scale []T
 	return updateCell(f, k, s, t, panel[f.BlockOff[k][s]:], ld, scale, panel[f.BlockOff[k][t]:], ld)
 }
 
+// applyUpdates applies the updates of column block k whose block t lies in
+// [t0, t1) to their target cells in f, in the canonical order: t ascending,
+// then s. panel holds k's W = L·D in the layout of k's cell, and invd is
+// 1/D of k.
+func applyUpdates[T blas.Scalar](f *Storage[T], k, t0, t1 int, panel, invd []T) error {
+	nb := len(f.Sym.CB[k].Blocks)
+	for t := t0; t < t1; t++ {
+		for s := t; s < nb; s++ {
+			if err := updateFromPanel(f, k, s, t, panel, invd); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // assembleOwned is processor p's assembly phase: it scatters the entries of
 // a into every region p's tasks own — the whole cell of a COMP1D task, the
 // diagonal block of a FACTOR, block S of a BDIV — and records the phase.

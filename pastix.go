@@ -333,14 +333,31 @@ func AnalyzeContext(ctx context.Context, a *Matrix, opts Options) (*Analysis, er
 	})
 }
 
-// analyzeWith validates opts, maps them to the solver's options and wraps
-// the analysis run builds from them.
+// analyzeWith wraps the analysis run builds from opts' solver options.
 func analyzeWith(a *Matrix, opts Options, run func(solver.Options) (*solver.Analysis, error)) (*Analysis, error) {
+	sopts, err := solverOptions(a, opts)
+	if err != nil {
+		return nil, err
+	}
+	inner, err := run(sopts)
+	if err != nil {
+		return nil, err
+	}
+	an := &Analysis{inner: inner, runtime: opts.Runtime, pivot: opts.StaticPivot, refineTol: opts.RefineTol, blr: opts.BLR}
+	if opts.Faults.Active() {
+		an.faults = opts.Faults
+	}
+	return an, nil
+}
+
+// solverOptions checks a and opts (Validate) and maps opts to the solver's
+// analysis options: the one mapping every analysis entry point uses.
+func solverOptions(a *Matrix, opts Options) (solver.Options, error) {
 	if a == nil {
-		return nil, fmt.Errorf("pastix: nil matrix")
+		return solver.Options{}, fmt.Errorf("pastix: nil matrix")
 	}
 	if err := opts.Validate(); err != nil {
-		return nil, err
+		return solver.Options{}, err
 	}
 	var m order.Method
 	switch opts.Ordering {
@@ -358,10 +375,10 @@ func analyzeWith(a *Matrix, opts Options, run func(solver.Options) (*solver.Anal
 		var err error
 		mach, err = cost.CalibrateLocal(false)
 		if err != nil {
-			return nil, err
+			return solver.Options{}, err
 		}
 	}
-	inner, err := run(solver.Options{
+	return solver.Options{
 		P: opts.Processors,
 		Ordering: order.Options{
 			Method:     m,
@@ -372,15 +389,7 @@ func analyzeWith(a *Matrix, opts Options, run func(solver.Options) (*solver.Anal
 		Amalgamation: etree.AmalgamateOptions{Disable: opts.NoAmalgamation},
 		Part:         part.Options{BlockSize: opts.BlockSize, Ratio2D: opts.Ratio2D},
 		Machine:      mach,
-	})
-	if err != nil {
-		return nil, err
-	}
-	an := &Analysis{inner: inner, runtime: opts.Runtime, pivot: opts.StaticPivot, refineTol: opts.RefineTol, blr: opts.BLR}
-	if opts.Faults.Active() {
-		an.faults = opts.Faults
-	}
-	return an, nil
+	}, nil
 }
 
 // SchurComplement eliminates every unknown outside schurVars and returns the
@@ -388,12 +397,13 @@ func analyzeWith(a *Matrix, opts Options, run func(solver.Options) (*solver.Anal
 // full symmetric storage) together with the order of its rows/columns in
 // terms of the original indices. This is the building block hybrid
 // direct/iterative methods consume (the PaStiX-family Schur API).
+//
+// opts is validated and shapes the analysis as it does for Analyze. The
+// elimination is sequential and unpivoted and S is returned dense, so
+// Processors, Runtime, Faults, StaticPivot, BLR and RefineTol do not change
+// the result.
 func SchurComplement(a *Matrix, schurVars []int, opts Options) ([]float64, []int, error) {
-	san, err := solver.AnalyzeSchur(a, schurVars, solver.Options{
-		P:        1,
-		Ordering: order.Options{LeafSize: opts.LeafSize, Compress: opts.CompressGraph, Multilevel: opts.MultilevelND},
-		Part:     part.Options{BlockSize: opts.BlockSize},
-	})
+	san, err := analyzeSchur(a, schurVars, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -402,6 +412,16 @@ func SchurComplement(a *Matrix, schurVars []int, opts Options) ([]float64, []int
 		return nil, nil, err
 	}
 	return s, san.SchurVars, nil
+}
+
+// analyzeSchur is SchurComplement's analysis, on opts checked and mapped as
+// for Analyze.
+func analyzeSchur(a *Matrix, schurVars []int, opts Options) (*solver.SchurAnalysis, error) {
+	sopts, err := solverOptions(a, opts)
+	if err != nil {
+		return nil, err
+	}
+	return solver.AnalyzeSchur(a, schurVars, sopts)
 }
 
 // Factorize computes the numerical LDLᵀ factorization on the engine

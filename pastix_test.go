@@ -3,13 +3,19 @@ package pastix
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/pastix-go/pastix/internal/gen"
+	"github.com/pastix-go/pastix/internal/order"
+	"github.com/pastix-go/pastix/internal/solver"
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
@@ -487,6 +493,11 @@ func TestSchurComplementPublic(t *testing.T) {
 	if len(s) != ns*ns || len(vars) != ns {
 		t.Fatalf("shapes: %d, %d", len(s), len(vars))
 	}
+	// The bits of S and the order of its unknowns, recorded before the
+	// Schur analysis ran through the common analysis pipeline.
+	if got, want := schurDigest(s, vars), "77427b00a9ac79486d73cdc52c36aa393d913c482d5dd4e4e4618d0630c34388"; got != want {
+		t.Fatalf("S digest %s, want %s", got, want)
+	}
 	// Symmetric, diagonally positive.
 	for i := 0; i < ns; i++ {
 		if s[i+i*ns] <= 0 {
@@ -497,6 +508,62 @@ func TestSchurComplementPublic(t *testing.T) {
 				t.Fatal("S not symmetric")
 			}
 		}
+	}
+}
+
+// schurDigest is the sha256 of S's bits followed by its unknowns.
+func schurDigest(s []float64, vars []int) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range s {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	for _, v := range vars {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// SchurComplement checks its Options as Analyze does, and the fields that
+// shape an analysis reach the Schur analysis.
+func TestSchurComplementOptions(t *testing.T) {
+	a := gen.Laplacian2D(8, 8)
+	var iface []int
+	for j := 0; j < 8; j++ {
+		iface = append(iface, 4+j*8)
+	}
+	if _, _, err := SchurComplement(nil, iface, Options{}); err == nil {
+		t.Fatal("SchurComplement(nil) returned no error")
+	}
+	for _, o := range []Options{{BlockSize: -1}, {LeafSize: -1}, {Ordering: OrderingMethod(99)}} {
+		if _, _, err := SchurComplement(a, iface, o); !errors.Is(err, ErrBadOptions) {
+			t.Fatalf("SchurComplement(%+v) = %v, want ErrBadOptions", o, err)
+		}
+	}
+
+	def, err := analyzeSchur(a, iface, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noAmalg, err := analyzeSchur(a, iface, Options{NoAmalgamation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if noAmalg.Sym.NumCB() <= def.Sym.NumCB() {
+		t.Fatalf("NoAmalgamation: %d column blocks, default %d", noAmalg.Sym.NumCB(), def.Sym.NumCB())
+	}
+	nat, err := analyzeSchur(a, iface, Options{Ordering: OrderNatural})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := solver.AnalyzeSchur(a, iface, solver.Options{Ordering: order.Options{Method: order.Natural}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(nat.Perm, ref.Perm) || slices.Equal(nat.Perm, def.Perm) {
+		t.Fatal("OrderNatural did not reach the Schur analysis")
 	}
 }
 
