@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-full bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress soak-selectors kernels fuzz serve-smoke ci
+.PHONY: all build test race race-full bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress soak-selectors kernels fuzz examples serve-smoke ci
 
 all: ci
 
@@ -168,8 +168,9 @@ kernels:
 	GOAMD64=v3 $(GO) test ./internal/blas ./internal/solver .
 	GOAMD64=v3 $(GO) test -run '$(KERNELS_SERVICE_RUN)' ./internal/service
 
-# Short coverage-guided fuzz pass over the sparse-matrix invariants, the
-# triplet Builder and the Halo-AMD ordering against their map-based
+# Short coverage-guided fuzz pass over the sparse-matrix invariants (real
+# and complex), the Matrix Market and Harwell-Boeing readers, the triplet
+# Builder and the Halo-AMD ordering against their map-based
 # references (same bits, same pivots), the task-DAG executor, the low-rank compressor's
 # accuracy/admission contract, the durable store's recovery path
 # (arbitrary journal bytes must never panic or resurrect corrupt records),
@@ -179,6 +180,8 @@ kernels:
 # bounded; raise -fuzztime for a real hunt).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCSR -fuzztime 10s ./internal/sparse
+	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime 10s ./internal/sparse
+	$(GO) test -run '^$$' -fuzz FuzzReadHB -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzBuilder -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzHaloAMD -fuzztime 10s ./internal/order
 	$(GO) test -run '^$$' -fuzz FuzzScheduleDAG -fuzztime 10s ./internal/dynsched
@@ -189,6 +192,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolveRequestDecode -fuzztime 10s ./internal/service
 
 check: build vet test race
+
+# Example programs: run every program under examples/ once. Each checks its
+# own answer and exits non-zero (log.Fatal) on a wrong one; helmholtz is the
+# one caller of the public complex API.
+EXAMPLES := $(sort $(dir $(wildcard examples/*/main.go)))
+
+examples:
+	@for e in $(EXAMPLES); do echo "run ./$$e"; $(GO) run ./$$e > /dev/null || exit 1; done
 
 # Serving smoke test: boot pastix-serve on a random loopback port and drive
 # analyze → analyze (asserting a cache hit) → factorize → coalesced batched
@@ -202,6 +213,6 @@ serve-smoke:
 # The CI entry point (and default target): build, vet+gofmt, tests, race,
 # the soak selector check, the chaos, numerical-stress, dynamic-runtime,
 # solve-path, HA-serving, block-low-rank and durability soaks, both
-# dense-kernel paths, a short fuzz pass, then the serving smoke test (which
-# ends with a persist → restart → solve round trip).
-ci: build vet test race soak-selectors chaos numstress dynstress solvestress hastress blrstress durastress kernels fuzz serve-smoke
+# dense-kernel paths, a short fuzz pass, the example programs, then the
+# serving smoke test (which ends with a persist → restart → solve round trip).
+ci: build vet test race soak-selectors chaos numstress dynstress solvestress hastress blrstress durastress kernels fuzz examples serve-smoke

@@ -96,7 +96,7 @@ func Analyze(a *sparse.SymMatrix, opts Options) (*Analysis, error) {
 // (ordering → tree/supernodes → symbolic → mapping/scheduling) — ctx.Err()
 // is returned at the first boundary after cancellation.
 func AnalyzeCtx(ctx context.Context, a *sparse.SymMatrix, opts Options) (*Analysis, error) {
-	return analyze(ctx, a, opts, computeOrdering(opts.Ordering), func(parent, cc []int) (*etree.Supernodes, error) {
+	return analyze(ctx, a, opts, computeOrdering(opts.Ordering), 0, func(parent, cc []int) (*etree.Supernodes, error) {
 		sn := etree.Amalgamate(etree.Fundamental(parent, cc), cc, opts.Amalgamation)
 		return part.SplitRanges(sn, opts.Part), nil
 	})
@@ -116,9 +116,11 @@ func computeOrdering(opts order.Options) orderer {
 type partitioner func(parent, cc []int) (*etree.Supernodes, error)
 
 // analyze runs the analysis pipeline with the ordering chosen by ord and
-// the column-block partition chosen by partition. It is the one place an
-// Analysis is built.
-func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, ord orderer, partition partitioner) (*Analysis, error) {
+// the column-block partition chosen by partition. The last terminal
+// positions of the ordering stay last through the postorder (see
+// postordered); a terminal analysis is not solved with, so it gets no
+// solve structure. It is the one place an Analysis is built.
+func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, ord orderer, terminal int, partition partitioner) (*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -149,7 +151,7 @@ func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, ord orderer
 
 	// Elimination tree, postorder (composed into the permutation), column
 	// counts, and the column-block partition.
-	pa, perm, iperm, parent, cc := postordered(a, ptr, adj, o.Perm, o.IPerm)
+	pa, perm, iperm, parent, cc := postordered(a, ptr, adj, o.Perm, o.IPerm, terminal)
 	sn, err := partition(parent, cc)
 	if err != nil {
 		return nil, err
@@ -199,8 +201,10 @@ func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, ord orderer
 	}
 	// The solve structure every plan shares is part of the analysis, not
 	// of preparing a factor for solves.
-	an.SolveDAG()
-	an.solvePulls()
+	if terminal == 0 {
+		an.SolveDAG()
+		an.solvePulls()
+	}
 	return an, nil
 }
 
@@ -211,8 +215,17 @@ func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, ord orderer
 // an equivalent ordering, with the same tree and the same counts. The
 // matrix is permuted once, into the composed ordering; the tree and counts
 // are returned in its labels.
-func postordered(a *sparse.SymMatrix, ptr, adj, perm, iperm []int) (pa *sparse.SymMatrix, composed, icomposed, parent, cc []int) {
+//
+// The last terminal positions of perm are first chained in the tree, each
+// the parent of the one before. Their true parents lie among them, so every
+// ancestor stays an ancestor and the interior column counts do not move;
+// and since the postorder visits children in ascending order, it keeps
+// them last and in order even when they sit in separate subtrees.
+func postordered(a *sparse.SymMatrix, ptr, adj, perm, iperm []int, terminal int) (pa *sparse.SymMatrix, composed, icomposed, parent, cc []int) {
 	parent = etree.BuildPermuted(ptr, adj, perm, iperm)
+	for k := a.N - terminal; k < a.N-1; k++ {
+		parent[k] = k + 1
+	}
 	post := etree.Postorder(parent)
 	cc = etree.ColCountsPermuted(ptr, adj, perm, iperm, parent, post)
 	parent, cc = etree.ApplyPostorder(parent, cc, post)
@@ -280,7 +293,7 @@ func (an *Analysis) FactorizeComplexCtx(ctx context.Context, paz *sparse.ZSymMat
 
 // factorizeOn runs the runtime popts selects for either scalar type, with
 // static-pivot threshold tau (0 disables pivoting).
-func factorizeOn[T blas.Scalar](ctx context.Context, an *Analysis, a symMatrix[T], popts ParOptions, tau float64) (*Storage[T], []Perturbation, error) {
+func factorizeOn[T blas.Scalar](ctx context.Context, an *Analysis, a *sparse.Sym[T], popts ParOptions, tau float64) (*Storage[T], []Perturbation, error) {
 	rt := popts.Runtime
 	if rt == RuntimeAuto {
 		switch {

@@ -171,7 +171,7 @@ func FactorizeParStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.S
 // factorizePar is the message-passing runtime for either scalar type, with
 // static-pivot threshold tau (0 disables pivoting). It returns the gathered
 // factor and the substitutions of every processor.
-func factorizePar[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched.Schedule, popts ParOptions, tau float64) (*Storage[T], []Perturbation, CommStats, error) {
+func factorizePar[T blas.Scalar](ctx context.Context, a *sparse.Sym[T], sch *sched.Schedule, popts ParOptions, tau float64) (*Storage[T], []Perturbation, CommStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, CommStats{}, err
 	}
@@ -376,7 +376,7 @@ func (st *procState[T]) cancelled() error {
 	}
 }
 
-func (st *procState[T]) run(a symMatrix[T]) error {
+func (st *procState[T]) run(a *sparse.Sym[T]) error {
 	if !st.assembled {
 		if err := assembleOwned(st.f, a, st.sch, st.p, st.rec); err != nil {
 			return err

@@ -18,7 +18,7 @@ import (
 // those payloads were factored under, split by opts.Part as before.
 func AnalyzeRestoreCtx(ctx context.Context, a *sparse.SymMatrix, opts Options, bounds []int) (*Analysis, error) {
 	if bounds == nil {
-		return analyze(ctx, a, opts, computeOrdering(opts.Ordering), func(parent, cc []int) (*etree.Supernodes, error) {
+		return analyze(ctx, a, opts, computeOrdering(opts.Ordering), 0, func(parent, cc []int) (*etree.Supernodes, error) {
 			sn := etree.Fundamental(parent, cc)
 			if !opts.Amalgamation.Disable {
 				sn = legacyAmalgamate(sn, cc)
@@ -26,7 +26,7 @@ func AnalyzeRestoreCtx(ctx context.Context, a *sparse.SymMatrix, opts Options, b
 			return part.SplitRanges(sn, opts.Part), nil
 		})
 	}
-	return analyze(ctx, a, opts, computeOrdering(opts.Ordering), func(parent, cc []int) (*etree.Supernodes, error) {
+	return analyze(ctx, a, opts, computeOrdering(opts.Ordering), 0, func(parent, cc []int) (*etree.Supernodes, error) {
 		n := len(parent)
 		if len(bounds) < 2 || bounds[0] != 0 || bounds[len(bounds)-1] != n {
 			return nil, fmt.Errorf("solver: recorded partition does not span the %d columns", n)

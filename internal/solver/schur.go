@@ -29,8 +29,11 @@ type SchurAnalysis struct {
 
 // AnalyzeSchur runs the analysis pipeline with the Schur unknowns ordered
 // last, as one terminal column block. schurVars must be distinct valid
-// indices forming a proper nonempty subset.
+// indices forming a proper nonempty subset. FactorizeSchur eliminates
+// sequentially and never reads the schedule, so it is built for one
+// processor whatever opts.P says.
 func AnalyzeSchur(a *sparse.SymMatrix, schurVars []int, opts Options) (*SchurAnalysis, error) {
+	opts.P = 1
 	n := a.N
 	isSchur := make([]bool, n)
 	for _, v := range schurVars {
@@ -74,20 +77,11 @@ func AnalyzeSchur(a *sparse.SymMatrix, schurVars []int, opts Options) (*SchurAna
 		sn := etree.Amalgamate(etree.Fundamental(parent, cc), cc, opts.Amalgamation)
 		return forceTerminalBlock(sn, cut, opts.Part), nil
 	}
-	an, err := analyze(context.Background(), a, opts, ord, partition)
+	an, err := analyze(context.Background(), a, opts, ord, ns, partition)
 	if err != nil {
 		return nil, err
 	}
-	// The Schur unknowns form a path at the top of the elimination tree
-	// when every interior unknown is eliminated before them or unrelated,
-	// and the postorder then keeps them last.
-	ordered := an.Perm[cut:]
-	for _, v := range ordered {
-		if !isSchur[v] {
-			return nil, fmt.Errorf("solver: schur unknowns not terminal after postorder")
-		}
-	}
-	return &SchurAnalysis{Analysis: an, SchurVars: slices.Clone(ordered)}, nil
+	return &SchurAnalysis{Analysis: an, SchurVars: slices.Clone(an.Perm[cut:])}, nil
 }
 
 // forceTerminalBlock is the Schur partition: the supernodes of sn below cut,

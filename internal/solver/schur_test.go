@@ -10,6 +10,7 @@ import (
 	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/order"
 	"github.com/pastix-go/pastix/internal/part"
+	"github.com/pastix-go/pastix/internal/sparse"
 )
 
 // denseSchur computes S = A_ss − A_si·A_ii⁻¹·A_is by dense elimination of
@@ -179,6 +180,47 @@ func TestSchurPinned(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.digest {
 			t.Errorf("%s: S digest %s, want %s", c.name, got, c.digest)
+		}
+	}
+}
+
+// Schur unknowns in separate subtrees of the elimination tree stay last
+// through the postorder: on two disconnected 4-vertex chains, every Schur
+// set (one unknown in each chain among them) gives the dense oracle's S.
+func TestSchurSeparateSubtrees(t *testing.T) {
+	b := sparse.NewBuilder(8)
+	for c := 0; c < 2; c++ {
+		for i := 0; i < 4; i++ {
+			v := 4*c + i
+			b.Add(v, v, 4+float64(v)/8)
+			if i > 0 {
+				b.Add(v, v-1, -1-float64(v)/16)
+			}
+		}
+	}
+	a := b.Build()
+	dense := make([][]float64, a.N)
+	flat := a.Dense()
+	for i := range dense {
+		dense[i] = flat[i*a.N : (i+1)*a.N]
+	}
+	for _, vars := range [][]int{{1, 5}, {1, 2}, {0, 7}, {6, 1, 4}, {3, 4}} {
+		san, err := AnalyzeSchur(a, vars, Options{})
+		if err != nil {
+			t.Fatalf("%v: %v", vars, err)
+		}
+		_, s, err := san.FactorizeSchur()
+		if err != nil {
+			t.Fatalf("%v: %v", vars, err)
+		}
+		want := denseSchur(t, dense, san.SchurVars)
+		if len(s) != len(want) {
+			t.Fatalf("%v: S has %d entries, want %d", vars, len(s), len(want))
+		}
+		for i := range s {
+			if math.Abs(s[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
+				t.Fatalf("%v: S[%d] = %g, want %g", vars, i, s[i], want[i])
+			}
 		}
 	}
 }

@@ -31,7 +31,7 @@ func FactorizeSeqPivot(a *sparse.SymMatrix, sym *symbolic.Symbol, sp StaticPivot
 // cells column blocks, right-looking: each one's updates go to their
 // targets in the canonical order as soon as it is factored. The cells left
 // hold the assembled matrix with every update of the eliminated ones.
-func factorizeSeq[T blas.Scalar](a symMatrix[T], sym *symbolic.Symbol, tau float64, cells int) (*Storage[T], []Perturbation, error) {
+func factorizeSeq[T blas.Scalar](a *sparse.Sym[T], sym *symbolic.Symbol, tau float64, cells int) (*Storage[T], []Perturbation, error) {
 	f := newStorage[T](sym, true)
 	for k := range sym.CB {
 		if err := f.AssembleCell(a, k); err != nil {

@@ -9,6 +9,7 @@ import (
 	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/dynsched"
 	"github.com/pastix-go/pastix/internal/sched"
+	"github.com/pastix-go/pastix/internal/sparse"
 	"github.com/pastix-go/pastix/internal/trace"
 )
 
@@ -70,7 +71,7 @@ type sharedRun[T blas.Scalar] struct {
 // execution-trace recorder (task events carry the worker index as the
 // processor). Cancelling ctx aborts the run between tasks; every worker
 // goroutine unwinds before the call returns.
-func factorizeShared[T blas.Scalar](ctx context.Context, a symMatrix[T], sch *sched.Schedule, dag *sched.DAG, rec *trace.Recorder, tau float64, pinned bool) (*Storage[T], []Perturbation, dynsched.Stats, error) {
+func factorizeShared[T blas.Scalar](ctx context.Context, a *sparse.Sym[T], sch *sched.Schedule, dag *sched.DAG, rec *trace.Recorder, tau float64, pinned bool) (*Storage[T], []Perturbation, dynsched.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, dynsched.Stats{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"github.com/pastix-go/pastix/internal/blas"
+	"github.com/pastix-go/pastix/internal/sparse"
 	"github.com/pastix-go/pastix/internal/symbolic"
 )
 
@@ -45,12 +46,6 @@ type Factors struct {
 // ZFactors is the complex symmetric factor (unit-lower complex L, complex
 // diagonal D) in the same block layout.
 type ZFactors = Storage[complex128]
-
-// symMatrix is the sparse symmetric input of a factorization:
-// *sparse.SymMatrix or *sparse.ZSymMatrix.
-type symMatrix[T blas.Scalar] interface {
-	CSC() (colPtr, rowIdx []int, val []T)
-}
 
 // NewFactors allocates zeroed storage for every column block of sym.
 func NewFactors(sym *symbolic.Symbol) *Factors {
@@ -114,9 +109,9 @@ func (f *Storage[T]) LocateRow(k, row int) int {
 // AssembleCell scatters the entries of the permuted matrix a belonging to
 // cell k into the cell's array. Rows outside the symbolic structure are an
 // error (the structure must cover the matrix).
-func (f *Storage[T]) AssembleCell(a symMatrix[T], k int) error {
+func (f *Storage[T]) AssembleCell(a *sparse.Sym[T], k int) error {
 	f.EnsureCell(k)
-	colPtr, rowIdx, val := a.CSC()
+	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
 	cb := &f.Sym.CB[k]
 	ld := f.LD[k]
 	data := f.Data[k]
@@ -136,9 +131,9 @@ func (f *Storage[T]) AssembleCell(a symMatrix[T], k int) error {
 
 // AssembleDiagRegion scatters only the diagonal-block entries of cell k
 // (used by the processor owning FACTOR(k) in 2D distribution).
-func (f *Storage[T]) AssembleDiagRegion(a symMatrix[T], k int) error {
+func (f *Storage[T]) AssembleDiagRegion(a *sparse.Sym[T], k int) error {
 	f.EnsureCell(k)
-	colPtr, rowIdx, val := a.CSC()
+	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
 	cb := &f.Sym.CB[k]
 	ld := f.LD[k]
 	data := f.Data[k]
@@ -157,9 +152,9 @@ func (f *Storage[T]) AssembleDiagRegion(a symMatrix[T], k int) error {
 
 // AssembleBlockRegion scatters only block b's entries of cell k (used by the
 // processor owning BDIV(b,k)).
-func (f *Storage[T]) AssembleBlockRegion(a symMatrix[T], k, b int) error {
+func (f *Storage[T]) AssembleBlockRegion(a *sparse.Sym[T], k, b int) error {
 	f.EnsureCell(k)
-	colPtr, rowIdx, val := a.CSC()
+	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
 	cb := &f.Sym.CB[k]
 	blk := cb.Blocks[b]
 	ld := f.LD[k]

@@ -7,6 +7,7 @@ import (
 
 	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/sched"
+	"github.com/pastix-go/pastix/internal/sparse"
 	"github.com/pastix-go/pastix/internal/symbolic"
 	"github.com/pastix-go/pastix/internal/trace"
 )
@@ -100,7 +101,7 @@ func applyUpdates[T blas.Scalar](f *Storage[T], k, t0, t1 int, panel, invd []T) 
 // assembleOwned is processor p's assembly phase: it scatters the entries of
 // a into every region p's tasks own — the whole cell of a COMP1D task, the
 // diagonal block of a FACTOR, block S of a BDIV — and records the phase.
-func assembleOwned[T blas.Scalar](f *Storage[T], a symMatrix[T], sch *sched.Schedule, p int, rec *trace.Recorder) error {
+func assembleOwned[T blas.Scalar](f *Storage[T], a *sparse.Sym[T], sch *sched.Schedule, p int, rec *trace.Recorder) error {
 	var start time.Duration
 	if rec != nil {
 		start = rec.Now()

@@ -98,7 +98,7 @@ func TestZSeqFactorSolve(t *testing.T) {
 			t.Fatalf("x[%d]=%v want %v", i, got[i], x[i])
 		}
 	}
-	if r := sparse.ZResidual(paz, got, b); r > 1e-12 {
+	if r := sparse.Residual(paz, got, b); r > 1e-12 {
 		t.Fatalf("residual %g", r)
 	}
 }

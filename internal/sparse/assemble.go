@@ -1,11 +1,11 @@
 package sparse
 
-// Assembly and permutation of lower-triangle CSC arrays, shared by the real
-// and complex matrices. Both run as counting sorts over flat arrays: no
+// Assembly and permutation of the lower-triangle CSC arrays of Sym[T], for
+// either scalar type. Both run as counting sorts over flat arrays: no
 // per-column map, no comparison sort.
 
 // triplet is one Add call, folded into the lower triangle (i >= j).
-type triplet[T float64 | complex128] struct {
+type triplet[T Scalar] struct {
 	i, j int
 	v    T
 }
@@ -49,7 +49,7 @@ func stableOrder(n, m int, major, minor func(k int) int) (order, end []int) {
 // column has none. The triplets are ordered by (column, row) with
 // stableOrder, so each column's rows come out sorted and equal rows keep
 // their insertion order.
-func assemble[T float64 | complex128](n int, ts []triplet[T]) (colPtr, rowIdx []int, val []T) {
+func assemble[T Scalar](n int, ts []triplet[T]) (colPtr, rowIdx []int, val []T) {
 	byCol, end := stableOrder(n, len(ts),
 		func(k int) int { return ts[k].j }, func(k int) int { return ts[k].i })
 	// Count the distinct rows (plus a missing diagonal) per column.
@@ -97,7 +97,7 @@ func assemble[T float64 | complex128](n int, ts []triplet[T]) (colPtr, rowIdx []
 // by a two-pass counting transpose: entries are first bucketed by their new
 // row, then the rows are walked in ascending order and scattered into their
 // new columns, so every column comes out with its rows sorted.
-func permute[T float64 | complex128](n int, colPtr, rowIdx []int, val []T, perm []int) (newPtr, newIdx []int, newVal []T) {
+func permute[T Scalar](n int, colPtr, rowIdx []int, val []T, perm []int) (newPtr, newIdx []int, newVal []T) {
 	if len(perm) != n {
 		panic("sparse: permutation length mismatch")
 	}

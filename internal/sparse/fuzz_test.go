@@ -11,19 +11,32 @@ import (
 // Fuzz targets for the two file parsers: arbitrary input must never panic,
 // and anything that parses must satisfy the matrix invariants.
 
+// FuzzReadMatrixMarket runs the reader for both value types on each input:
+// at most one accepts it (the header names one), and what it accepts is
+// valid.
 func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 2.0\n2 2 2.0\n2 1 -1.0\n")
 	f.Add("%%MatrixMarket matrix coordinate pattern symmetric\n1 1 1\n1 1\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n")
+	f.Add("%%MatrixMarket matrix coordinate complex symmetric\n2 2 3\n1 1 2 1\n2 2 2 -1\n2 1 -1 0.5\n")
+	f.Add("%%MatrixMarket matrix coordinate complex general\n2 2 2\n2 1 1 1\n1 2 1 1\n")
 	f.Add("garbage")
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n-1 -1 -1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		a, err := ReadMatrixMarket(strings.NewReader(in))
-		if err != nil {
-			return
+		if err == nil {
+			if err := a.Validate(); err != nil {
+				t.Fatalf("parsed matrix violates invariants: %v", err)
+			}
 		}
-		if err := a.Validate(); err != nil {
-			t.Fatalf("parsed matrix violates invariants: %v", err)
+		z, zerr := ReadMatrixMarketComplex(strings.NewReader(in))
+		if zerr == nil {
+			if err == nil {
+				t.Fatal("both value types accepted one header")
+			}
+			if err := z.Validate(); err != nil {
+				t.Fatalf("parsed complex matrix violates invariants: %v", err)
+			}
 		}
 	})
 }
@@ -51,13 +64,15 @@ func FuzzReadHB(f *testing.F) {
 }
 
 // FuzzCSR feeds raw bytes decoded as a CSC skeleton straight into the matrix
-// invariants and the pattern-level helpers: Validate must reject (never
-// panic on) arbitrary structure, and anything it accepts must survive
-// fingerprinting, adjacency extraction, the norms and a mat-vec.
+// invariants and the pattern-level helpers, for both value types: Validate
+// must reject (never panic on) arbitrary structure, and anything it accepts
+// must survive fingerprinting, adjacency extraction, the norms and a
+// mat-vec.
 func FuzzCSR(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 3, 0, 1, 1, 10, 20, 30})
 	f.Add([]byte{1, 0, 1, 0, 5})
 	f.Add([]byte{3, 0, 2, 1, 9})
+	f.Add([]byte{3, 0, 4, 3, 3, 0, 1, 1, 1, 2, 1}) // column 0 runs past the entries
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -83,30 +98,38 @@ func FuzzCSR(f *testing.F) {
 		}
 		a.RowIdx = make([]int, nnz)
 		a.Val = make([]float64, nnz)
+		z := &ZSymMatrix{N: n, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: make([]complex128, nnz)}
 		for i := 0; i < nnz; i++ {
 			a.RowIdx[i] = next()
 			a.Val[i] = float64(next())
+			z.Val[i] = complex(a.Val[i], -a.Val[i]/2)
 		}
-		if err := a.Validate(); err != nil {
-			return
-		}
-		if a.PatternFingerprint() == "" {
-			t.Fatal("empty fingerprint for a valid matrix")
-		}
-		ptr, adj := a.AdjacencyCSR()
-		if len(ptr) != n+1 || len(adj) != ptr[n] {
-			t.Fatalf("adjacency inconsistent: %d ptrs, %d adj", len(ptr), len(adj))
-		}
-		if n1, mx := a.Norm1(), a.NormMax(); n1 < mx {
-			t.Fatalf("‖A‖₁ = %g < ‖A‖_max = %g", n1, mx)
-		}
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = 1
-		}
-		a.MatVec(x, y)
+		checkCSR(t, a)
+		checkCSR(t, z)
 	})
+}
+
+// checkCSR runs FuzzCSR's checks on one matrix.
+func checkCSR[T Scalar](t *testing.T, a *Sym[T]) {
+	if err := a.Validate(); err != nil {
+		return
+	}
+	if a.PatternFingerprint() == "" {
+		t.Fatal("empty fingerprint for a valid matrix")
+	}
+	ptr, adj := a.AdjacencyCSR()
+	if len(ptr) != a.N+1 || len(adj) != ptr[a.N] {
+		t.Fatalf("adjacency inconsistent: %d ptrs, %d adj", len(ptr), len(adj))
+	}
+	if n1, mx := a.Norm1(), a.NormMax(); n1 < mx {
+		t.Fatalf("‖A‖₁ = %g < ‖A‖_max = %g", n1, mx)
+	}
+	x := make([]T, a.N)
+	y := make([]T, a.N)
+	for i := range x {
+		x[i] = 1
+	}
+	a.MatVec(x, y)
 }
 
 // FuzzBuilder checks the counting-sort Builder against the map-based

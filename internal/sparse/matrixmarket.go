@@ -2,14 +2,15 @@ package sparse
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
 
-// Matrix Market exchange format (coordinate, real/integer/pattern,
-// symmetric). This is the format most modern sparse collections (SuiteSparse)
+// Matrix Market exchange format (coordinate; real, integer, pattern or
+// complex; symmetric). This is the format most modern sparse collections (SuiteSparse)
 // distribute, complementing the Harwell-Boeing RSA reader the paper's
 // problems used.
 
@@ -165,11 +166,22 @@ func (r *mmReader) size() (n, nnz int, err error) {
 // entries: the declared count, up to a bound a bogus header cannot exceed.
 func reserve(nnz int) int { return min(nnz, 1<<20) }
 
-// ReadMatrixMarket parses a symmetric coordinate Matrix Market stream.
-// General (non-symmetric header) inputs are accepted only if they are
-// numerically symmetric; pattern matrices get unit diagonals and -1/deg
-// off-diagonals to stay SPD-friendly.
-func ReadMatrixMarket(r io.Reader) (*SymMatrix, error) {
+// ReadMatrixMarket parses a real symmetric coordinate Matrix Market stream
+// (see readMatrixMarket).
+func ReadMatrixMarket(r io.Reader) (*SymMatrix, error) { return readMatrixMarket[float64](r) }
+
+// ReadMatrixMarketComplex parses a complex symmetric coordinate Matrix
+// Market stream (entries: i j re im; see readMatrixMarket).
+func ReadMatrixMarketComplex(r io.Reader) (*ZSymMatrix, error) {
+	return readMatrixMarket[complex128](r)
+}
+
+// readMatrixMarket parses a coordinate Matrix Market stream whose header
+// names T's values: real, integer or pattern for float64, complex for
+// complex128. General (non-symmetric header) inputs are accepted only if
+// they are numerically symmetric; pattern matrices get the SPD-safe values
+// of spdValues.
+func readMatrixMarket[T Scalar](r io.Reader) (*Sym[T], error) {
 	mr := newMMReader(r)
 	fields, header, err := mr.header()
 	if err != nil {
@@ -182,9 +194,17 @@ func ReadMatrixMarket(r io.Reader) (*SymMatrix, error) {
 	if format != "coordinate" {
 		return nil, fmt.Errorf("sparse: only coordinate format supported, got %q", format)
 	}
+	// nv is the number of value fields per entry.
+	nv := -1
 	switch valtype {
-	case "real", "integer", "pattern":
-	default:
+	case "pattern":
+		nv = 0
+	case "real", "integer":
+		nv = 1
+	case "complex":
+		nv = 2
+	}
+	if nv < 0 || (nv == 2) != isComplex[T]() {
 		return nil, fmt.Errorf("sparse: unsupported value type %q", valtype)
 	}
 	switch symmetry {
@@ -198,14 +218,14 @@ func ReadMatrixMarket(r io.Reader) (*SymMatrix, error) {
 	}
 
 	// Entries in file order, 0-based.
-	ts := make([]triplet[float64], 0, reserve(nnz))
+	ts := make([]triplet[T], 0, reserve(nnz))
 	for len(ts) < nnz {
 		trimmed, err := mr.next()
 		if err != nil {
 			return nil, fmt.Errorf("sparse: mm data truncated after %d of %d entries", len(ts), nnz)
 		}
 		f := mr.split(trimmed)
-		if (valtype == "pattern" && len(f) < 2) || (valtype != "pattern" && len(f) < 3) {
+		if len(f) < 2+nv {
 			return nil, fmt.Errorf("sparse: bad mm entry %q", trimmed)
 		}
 		i, err1 := atoi(f[0])
@@ -213,17 +233,13 @@ func ReadMatrixMarket(r io.Reader) (*SymMatrix, error) {
 		if err1 != nil || err2 != nil || i < 1 || j < 1 || i > nrow || j > nrow {
 			return nil, fmt.Errorf("sparse: bad mm indices %q", trimmed)
 		}
-		v := 1.0
-		if valtype != "pattern" {
-			v, err = parseFloat(f[2])
-			if err != nil {
-				return nil, fmt.Errorf("sparse: bad mm value %q", trimmed)
-			}
+		v, err := parseValue[T](f[2 : 2+nv])
+		if err != nil {
+			return nil, fmt.Errorf("sparse: bad mm value %q", trimmed)
 		}
-		ts = append(ts, triplet[float64]{i - 1, j - 1, v})
+		ts = append(ts, triplet[T]{i - 1, j - 1, v})
 	}
 
-	b := &Builder{n: nrow, ts: ts}
 	if symmetry == "general" {
 		// Must be numerically symmetric; verify pairs, then keep the lower
 		// triangle only (the upper is the mirror).
@@ -236,7 +252,7 @@ func ReadMatrixMarket(r io.Reader) (*SymMatrix, error) {
 				lower = append(lower, e)
 			}
 		}
-		b.ts = lower
+		ts = lower
 	} else {
 		for k, e := range ts {
 			if e.i < e.j {
@@ -244,35 +260,36 @@ func ReadMatrixMarket(r io.Reader) (*SymMatrix, error) {
 			}
 		}
 	}
-	a := b.Build()
-	if valtype == "pattern" {
-		// Pattern-only: synthesize a diagonally dominant SPD matrix on the
-		// given structure so the result is factorizable.
-		deg := make([]float64, a.N)
-		for j := 0; j < a.N; j++ {
-			for p := a.ColPtr[j] + 1; p < a.ColPtr[j+1]; p++ {
-				deg[a.RowIdx[p]]++
-				deg[j]++
-			}
-		}
-		for j := 0; j < a.N; j++ {
-			for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-				if a.RowIdx[p] == j {
-					a.Val[p] = deg[j] + 1
-				} else {
-					a.Val[p] = -1
-				}
-			}
-		}
+	a := (&SymBuilder[T]{n: nrow, ts: ts}).Build()
+	if nv == 0 {
+		// Pattern-only: synthesize values that make the result factorizable.
+		spdValues(any(a).(*SymMatrix))
 	}
 	return a, nil
+}
+
+// parseValue parses the value fields of one entry: none (a pattern entry,
+// read as 1), one real, or the real and imaginary parts of a complex one.
+func parseValue[T Scalar](f [][]byte) (v T, err error) {
+	switch p := any(&v).(type) {
+	case *float64:
+		*p = 1
+		if len(f) == 1 {
+			*p, err = parseFloat(f[0])
+		}
+	case *complex128:
+		re, err1 := parseFloat(f[0])
+		im, err2 := parseFloat(f[1])
+		*p, err = complex(re, im), errors.Join(err1, err2)
+	}
+	return v, err
 }
 
 // checkSymmetric verifies that every off-diagonal entry (i,j,v) of a
 // general file has a mirror (j,i) whose value — the last one given for
 // that position — equals v. It reports the first failing entry in file
 // order.
-func checkSymmetric(n int, ts []triplet[float64]) error {
+func checkSymmetric[T Scalar](n int, ts []triplet[T]) error {
 	// Entries ordered by (row, column), ties in file order.
 	order, end := stableOrder(n, len(ts),
 		func(k int) int { return ts[k].i }, func(k int) int { return ts[k].j })
@@ -302,24 +319,27 @@ func checkSymmetric(n int, ts []triplet[float64]) error {
 	return nil
 }
 
-// appendEntry appends "i j" (1-based) and the formatted values of one entry.
-func appendEntry(buf []byte, i, j int, vals ...float64) []byte {
-	buf = strconv.AppendInt(buf, int64(i+1), 10)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, int64(j+1), 10)
-	for _, v := range vals {
-		buf = append(buf, ' ')
-		buf = strconv.AppendFloat(buf, v, 'g', 17, 64)
-	}
-	return append(buf, '\n')
+// WriteMatrixMarket writes the matrix in real symmetric coordinate format.
+func WriteMatrixMarket(w io.Writer, a *SymMatrix, comment string) error {
+	return writeMatrixMarket(w, a, comment)
 }
 
-// writeMM writes the banner, the comment lines and the size line, then one
-// line per stored entry from entry(buf, p).
-func writeMM(w io.Writer, banner, comment string, n, nnz int, colPtr, rowIdx []int, entry func(buf []byte, i, j, p int) []byte) error {
+// WriteMatrixMarketComplex writes the matrix in complex symmetric coordinate
+// format.
+func WriteMatrixMarketComplex(w io.Writer, a *ZSymMatrix, comment string) error {
+	return writeMatrixMarket(w, a, comment)
+}
+
+// writeMatrixMarket writes the banner for T, the comment lines and the size
+// line, then one line per stored entry: "i j" (1-based) and the value, as
+// re im when complex.
+func writeMatrixMarket[T Scalar](w io.Writer, a *Sym[T], comment string) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
-	bw.WriteString(banner)
-	bw.WriteByte('\n')
+	if isComplex[T]() {
+		bw.WriteString("%%MatrixMarket matrix coordinate complex symmetric\n")
+	} else {
+		bw.WriteString("%%MatrixMarket matrix coordinate real symmetric\n")
+	}
 	if comment != "" {
 		for _, line := range strings.Split(comment, "\n") {
 			bw.WriteString("% ")
@@ -328,72 +348,31 @@ func writeMM(w io.Writer, banner, comment string, n, nnz int, colPtr, rowIdx []i
 		}
 	}
 	buf := make([]byte, 0, 128)
-	buf = strconv.AppendInt(buf, int64(n), 10)
+	buf = strconv.AppendInt(buf, int64(a.N), 10)
 	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, int64(n), 10)
+	buf = strconv.AppendInt(buf, int64(a.N), 10)
 	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, int64(nnz), 10)
+	buf = strconv.AppendInt(buf, int64(a.NNZ()), 10)
 	buf = append(buf, '\n')
 	bw.Write(buf)
-	for j := 0; j < n; j++ {
-		for p := colPtr[j]; p < colPtr[j+1]; p++ {
-			buf = entry(buf[:0], rowIdx[p], j, p)
-			bw.Write(buf)
+	for j := 0; j < a.N; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			buf = strconv.AppendInt(buf[:0], int64(a.RowIdx[p]+1), 10)
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(j+1), 10)
+			switch v := any(a.Val[p]).(type) {
+			case float64:
+				buf = appendFloat(buf, v)
+			case complex128:
+				buf = appendFloat(appendFloat(buf, real(v)), imag(v))
+			}
+			bw.Write(append(buf, '\n'))
 		}
 	}
 	return bw.Flush()
 }
 
-// WriteMatrixMarket writes the matrix in symmetric coordinate format.
-func WriteMatrixMarket(w io.Writer, a *SymMatrix, comment string) error {
-	return writeMM(w, "%%MatrixMarket matrix coordinate real symmetric", comment, a.N, a.NNZ(), a.ColPtr, a.RowIdx,
-		func(buf []byte, i, j, p int) []byte { return appendEntry(buf, i, j, a.Val[p]) })
-}
-
-// ReadMatrixMarketComplex parses a complex symmetric coordinate Matrix
-// Market stream (entries: i j re im).
-func ReadMatrixMarketComplex(r io.Reader) (*ZSymMatrix, error) {
-	mr := newMMReader(r)
-	fields, header, err := mr.header()
-	if err != nil {
-		return nil, err
-	}
-	if len(fields) < 5 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" ||
-		fields[2] != "coordinate" || fields[3] != "complex" || fields[4] != "symmetric" {
-		return nil, fmt.Errorf("sparse: want complex symmetric coordinate MatrixMarket, got %q",
-			strings.TrimSpace(header))
-	}
-	nrow, nnz, err := mr.size()
-	if err != nil {
-		return nil, err
-	}
-	b := NewZBuilder(nrow)
-	b.ts = make([]triplet[complex128], 0, reserve(nnz))
-	for read := 0; read < nnz; read++ {
-		trimmed, err := mr.next()
-		if err != nil {
-			return nil, fmt.Errorf("sparse: mm data truncated after %d of %d entries", read, nnz)
-		}
-		f := mr.split(trimmed)
-		if len(f) < 4 {
-			return nil, fmt.Errorf("sparse: bad complex mm entry %q", trimmed)
-		}
-		i, err1 := atoi(f[0])
-		j, err2 := atoi(f[1])
-		re, err3 := parseFloat(f[2])
-		im, err4 := parseFloat(f[3])
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil ||
-			i < 1 || j < 1 || i > nrow || j > nrow {
-			return nil, fmt.Errorf("sparse: bad complex mm entry %q", trimmed)
-		}
-		b.Add(i-1, j-1, complex(re, im))
-	}
-	return b.Build(), nil
-}
-
-// WriteMatrixMarketComplex writes the matrix in complex symmetric coordinate
-// format.
-func WriteMatrixMarketComplex(w io.Writer, a *ZSymMatrix, comment string) error {
-	return writeMM(w, "%%MatrixMarket matrix coordinate complex symmetric", comment, a.N, a.NNZ(), a.ColPtr, a.RowIdx,
-		func(buf []byte, i, j, p int) []byte { return appendEntry(buf, i, j, real(a.Val[p]), imag(a.Val[p])) })
+// appendFloat appends a space and v, exactly (17 significant digits).
+func appendFloat(buf []byte, v float64) []byte {
+	return strconv.AppendFloat(append(buf, ' '), v, 'g', 17, 64)
 }

@@ -1,43 +1,72 @@
 // Package sparse provides symmetric sparse matrices in compressed sparse
 // column (CSC) form, triplet assembly, permutation, basic linear-algebra
-// operations, and Harwell-Boeing (RSA) file I/O.
+// operations, and Matrix Market and Harwell-Boeing (RSA) file I/O.
 //
-// Symmetric matrices store the LOWER triangular part only, including the
-// diagonal, with row indices sorted within each column. This matches the
-// storage convention of the RSA format used by the paper's test problems.
+// One matrix type, Sym[T], serves both scalar types: SymMatrix (float64)
+// and ZSymMatrix (complex128, complex symmetric) are its two
+// instantiations, as Builder and ZBuilder are of SymBuilder[T]. Symmetric
+// matrices store the LOWER triangular part only, including the diagonal,
+// with row indices sorted within each column. This matches the storage
+// convention of the RSA format used by the paper's test problems.
 package sparse
 
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
+	"slices"
 	"sort"
 )
 
-// SymMatrix is a symmetric sparse matrix of order N holding its lower
-// triangle (diagonal included) in CSC format: column j's entries are
+// Scalar is the value type of a matrix: real, or complex symmetric
+// (A = Aᵀ, generally A ≠ Aᴴ) — the paper's target class, "sparse systems
+// with complex coefficients".
+type Scalar interface{ float64 | complex128 }
+
+// Sym is a symmetric sparse matrix of order N holding its lower triangle
+// (diagonal included) in CSC format: column j's entries are
 // RowIdx[ColPtr[j]:ColPtr[j+1]] / Val[ColPtr[j]:ColPtr[j+1]], with row
 // indices strictly increasing and RowIdx[ColPtr[j]] == j (an explicit
 // diagonal entry is required).
-type SymMatrix struct {
+type Sym[T Scalar] struct {
 	N      int
 	ColPtr []int
 	RowIdx []int
-	Val    []float64
+	Val    []T
+}
+
+// SymMatrix is the real symmetric matrix.
+type SymMatrix = Sym[float64]
+
+// ZSymMatrix is the complex symmetric matrix (no conjugation anywhere).
+type ZSymMatrix = Sym[complex128]
+
+// abs returns |v|.
+func abs[T Scalar](v T) float64 {
+	if c, ok := any(v).(complex128); ok {
+		return cmplx.Abs(c)
+	}
+	return math.Abs(any(v).(float64))
+}
+
+// isComplex reports whether T is complex128.
+func isComplex[T Scalar]() bool {
+	_, ok := any(*new(T)).(complex128)
+	return ok
 }
 
 // NNZ returns the number of stored entries (lower triangle incl. diagonal).
-func (a *SymMatrix) NNZ() int { return len(a.RowIdx) }
-
-// CSC returns the compressed-column arrays of the lower triangle, shared
-// with a.
-func (a *SymMatrix) CSC() (colPtr, rowIdx []int, val []float64) { return a.ColPtr, a.RowIdx, a.Val }
+func (a *Sym[T]) NNZ() int { return len(a.RowIdx) }
 
 // NNZOffDiag returns the number of stored strictly-lower entries, i.e. the
 // NNZ_A metric of the paper (off-diagonal terms of the triangular part).
-func (a *SymMatrix) NNZOffDiag() int { return len(a.RowIdx) - a.N }
+func (a *Sym[T]) NNZOffDiag() int { return len(a.RowIdx) - a.N }
 
 // Validate checks the structural invariants.
-func (a *SymMatrix) Validate() error {
+func (a *Sym[T]) Validate() error {
+	if a.N < 0 {
+		return fmt.Errorf("sparse: negative order %d", a.N)
+	}
 	if len(a.ColPtr) != a.N+1 {
 		return fmt.Errorf("sparse: colptr length %d != n+1", len(a.ColPtr))
 	}
@@ -73,7 +102,7 @@ func (a *SymMatrix) Validate() error {
 // the same fingerprint; distinct patterns collide with probability ~2⁻¹²⁸
 // (two independent FNV-1a streams — strong enough to key an analysis cache,
 // not cryptographic). The fingerprint is stable across runs and platforms.
-func (a *SymMatrix) PatternFingerprint() string {
+func (a *Sym[T]) PatternFingerprint() string {
 	const prime = 0x100000001b3
 	h1 := uint64(0xcbf29ce484222325) // FNV-1a offset basis
 	h2 := uint64(0x6c62272e07bb0142) // second independent stream
@@ -94,27 +123,45 @@ func (a *SymMatrix) PatternFingerprint() string {
 	return fmt.Sprintf("%016x%016x", h1, h2)
 }
 
-// SamePattern reports whether b has exactly the sparsity pattern of a.
-func (a *SymMatrix) SamePattern(b *SymMatrix) bool {
-	if a.N != b.N || len(a.RowIdx) != len(b.RowIdx) {
-		return false
-	}
-	for j, p := range a.ColPtr {
-		if b.ColPtr[j] != p {
-			return false
+// SamePattern reports whether a and b have exactly the same sparsity
+// pattern, whatever their value types.
+func SamePattern[T, U Scalar](a *Sym[T], b *Sym[U]) bool {
+	return a.N == b.N && slices.Equal(a.ColPtr, b.ColPtr) && slices.Equal(a.RowIdx, b.RowIdx)
+}
+
+// Pattern returns a real matrix with a's sparsity and the values of
+// spdValues. The ordering and symbolic phases run on it; the numerics of
+// either scalar type follow the resulting structure.
+func (a *Sym[T]) Pattern() *SymMatrix {
+	p := &SymMatrix{N: a.N, ColPtr: slices.Clone(a.ColPtr), RowIdx: slices.Clone(a.RowIdx), Val: make([]float64, len(a.RowIdx))}
+	spdValues(p)
+	return p
+}
+
+// spdValues overwrites the values of a with a diagonally dominant SPD
+// matrix on its pattern: −1 off the diagonal, degree + 1 on it.
+func spdValues(a *SymMatrix) {
+	deg := make([]float64, a.N)
+	for j := 0; j < a.N; j++ {
+		for p := a.ColPtr[j] + 1; p < a.ColPtr[j+1]; p++ {
+			deg[a.RowIdx[p]]++
+			deg[j]++
 		}
 	}
-	for i, r := range a.RowIdx {
-		if b.RowIdx[i] != r {
-			return false
+	for j := 0; j < a.N; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			if a.RowIdx[p] == j {
+				a.Val[p] = deg[j] + 1
+			} else {
+				a.Val[p] = -1
+			}
 		}
 	}
-	return true
 }
 
 // Diag returns a copy of the diagonal.
-func (a *SymMatrix) Diag() []float64 {
-	d := make([]float64, a.N)
+func (a *Sym[T]) Diag() []T {
+	d := make([]T, a.N)
 	for j := 0; j < a.N; j++ {
 		d[j] = a.Val[a.ColPtr[j]]
 	}
@@ -122,7 +169,7 @@ func (a *SymMatrix) Diag() []float64 {
 }
 
 // At returns A[i][j] (either triangle).
-func (a *SymMatrix) At(i, j int) float64 {
+func (a *Sym[T]) At(i, j int) T {
 	if i < j {
 		i, j = j, i
 	}
@@ -134,8 +181,8 @@ func (a *SymMatrix) At(i, j int) float64 {
 	return 0
 }
 
-// MatVec computes y = A x, expanding symmetry.
-func (a *SymMatrix) MatVec(x, y []float64) {
+// MatVec computes y = A x, expanding symmetry (no conjugation).
+func (a *Sym[T]) MatVec(x, y []T) {
 	if len(x) != a.N || len(y) != a.N {
 		panic("sparse: dimension mismatch in MatVec")
 	}
@@ -156,12 +203,12 @@ func (a *SymMatrix) MatVec(x, y []float64) {
 }
 
 // Norm1 returns the 1-norm (max column absolute sum) of the full matrix.
-func (a *SymMatrix) Norm1() float64 {
+func (a *Sym[T]) Norm1() float64 {
 	sums := make([]float64, a.N)
 	for j := 0; j < a.N; j++ {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
 			i := a.RowIdx[p]
-			v := math.Abs(a.Val[p])
+			v := abs(a.Val[p])
 			sums[j] += v
 			if i != j {
 				sums[i] += v
@@ -181,10 +228,10 @@ func (a *SymMatrix) Norm1() float64 {
 // It is invariant under symmetric permutation, which makes it the natural
 // scale for the static-pivoting threshold τ = ε_piv·‖A‖_max: the same τ is
 // obtained whether computed from the original or the permuted matrix.
-func (a *SymMatrix) NormMax() float64 {
+func (a *Sym[T]) NormMax() float64 {
 	mx := 0.0
 	for _, v := range a.Val {
-		if av := math.Abs(v); av > mx {
+		if av := abs(v); av > mx {
 			mx = av
 		}
 	}
@@ -192,8 +239,8 @@ func (a *SymMatrix) NormMax() float64 {
 }
 
 // Dense expands the matrix to a dense row-major n×n array (testing helper).
-func (a *SymMatrix) Dense() []float64 {
-	d := make([]float64, a.N*a.N)
+func (a *Sym[T]) Dense() []T {
+	d := make([]T, a.N*a.N)
 	for j := 0; j < a.N; j++ {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
 			i := a.RowIdx[p]
@@ -206,7 +253,7 @@ func (a *SymMatrix) Dense() []float64 {
 
 // AdjacencyCSR returns the adjacency structure of A (pattern of the full
 // matrix minus the diagonal) as CSR arrays suitable for graph.FromCSR.
-func (a *SymMatrix) AdjacencyCSR() (ptr, adj []int) {
+func (a *Sym[T]) AdjacencyCSR() (ptr, adj []int) {
 	ptr = make([]int, a.N+1)
 	for j := 0; j < a.N; j++ {
 		for p := a.ColPtr[j] + 1; p < a.ColPtr[j+1]; p++ {
@@ -238,54 +285,63 @@ func (a *SymMatrix) AdjacencyCSR() (ptr, adj []int) {
 
 // Permute returns P A Pᵀ where perm is the new ordering: perm[new] = old
 // (i.e. row/column `old` of A becomes row/column `new` of the result).
-func (a *SymMatrix) Permute(perm []int) *SymMatrix {
+func (a *Sym[T]) Permute(perm []int) *Sym[T] {
 	colPtr, rowIdx, val := permute(a.N, a.ColPtr, a.RowIdx, a.Val, perm)
-	return &SymMatrix{N: a.N, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+	return &Sym[T]{N: a.N, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 }
 
-// Builder assembles a symmetric matrix from (i,j,v) triplets. Duplicate
+// SymBuilder assembles a symmetric matrix from (i,j,v) triplets. Duplicate
 // entries are summed in the order they were added; entries may be given in
 // either triangle.
-type Builder struct {
+type SymBuilder[T Scalar] struct {
 	n  int
-	ts []triplet[float64]
+	ts []triplet[T]
 }
+
+// Builder assembles a SymMatrix.
+type Builder = SymBuilder[float64]
+
+// ZBuilder assembles a ZSymMatrix.
+type ZBuilder = SymBuilder[complex128]
 
 // NewBuilder creates a Builder for an n×n symmetric matrix.
 func NewBuilder(n int) *Builder { return &Builder{n: n} }
 
+// NewZBuilder creates a builder for an n×n complex symmetric matrix.
+func NewZBuilder(n int) *ZBuilder { return &ZBuilder{n: n} }
+
 // Add accumulates v into A[i][j] (and by symmetry A[j][i]).
-func (b *Builder) Add(i, j int, v float64) {
+func (b *SymBuilder[T]) Add(i, j int, v T) {
 	if i < 0 || j < 0 || i >= b.n || j >= b.n {
 		panic(fmt.Sprintf("sparse: triplet (%d,%d) out of range n=%d", i, j, b.n))
 	}
 	if i < j {
 		i, j = j, i
 	}
-	b.ts = append(b.ts, triplet[float64]{i, j, v})
+	b.ts = append(b.ts, triplet[T]{i, j, v})
 }
 
 // Build finalizes the matrix, inserting explicit zero diagonal entries where
 // missing so the Validate invariant holds.
-func (b *Builder) Build() *SymMatrix {
+func (b *SymBuilder[T]) Build() *Sym[T] {
 	colPtr, rowIdx, val := assemble(b.n, b.ts)
-	return &SymMatrix{N: b.n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+	return &Sym[T]{N: b.n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 }
 
 // Residual returns ‖Ax − b‖∞ / (‖A‖₁‖x‖∞ + ‖b‖∞), the standard scaled
 // backward-error style residual used by the solver tests.
-func Residual(a *SymMatrix, x, b []float64) float64 {
-	r := make([]float64, a.N)
+func Residual[T Scalar](a *Sym[T], x, b []T) float64 {
+	r := make([]T, a.N)
 	a.MatVec(x, r)
 	num, xmax, bmax := 0.0, 0.0, 0.0
 	for i := range r {
-		if d := math.Abs(r[i] - b[i]); d > num {
+		if d := abs(r[i] - b[i]); d > num {
 			num = d
 		}
-		if v := math.Abs(x[i]); v > xmax {
+		if v := abs(x[i]); v > xmax {
 			xmax = v
 		}
-		if v := math.Abs(b[i]); v > bmax {
+		if v := abs(b[i]); v > bmax {
 			bmax = v
 		}
 	}

@@ -127,12 +127,12 @@ func TestZResidualZeroForExact(t *testing.T) {
 	}
 	b := make([]complex128, a.N)
 	a.MatVec(x, b)
-	if r := ZResidual(a, x, b); r > 1e-15 {
+	if r := Residual(a, x, b); r > 1e-15 {
 		t.Fatalf("residual %g", r)
 	}
 	// Perturbed solution has a visible residual.
 	x[0] += 1
-	if r := ZResidual(a, x, b); r <= 1e-15 {
+	if r := Residual(a, x, b); r <= 1e-15 {
 		t.Fatalf("perturbation invisible: %g", r)
 	}
 }
@@ -163,5 +163,17 @@ func TestDiagCopy(t *testing.T) {
 	d[0] = 12345
 	if a.At(0, 0) == 12345 {
 		t.Fatal("Diag must return a copy")
+	}
+}
+
+// A column pointer past the stored entries is an error from the complex
+// Validate as from the real one, not an index panic.
+func TestZValidateColPtrOutOfRange(t *testing.T) {
+	a := &ZSymMatrix{N: 3, ColPtr: []int{0, 4, 3, 3}, RowIdx: []int{0, 1, 2}, Val: make([]complex128, 3)}
+	if err := a.Validate(); err == nil {
+		t.Fatal("out-of-range column pointer accepted")
+	}
+	if err := (&ZSymMatrix{N: -1}).Validate(); err == nil {
+		t.Fatal("negative order accepted")
 	}
 }

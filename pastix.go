@@ -473,7 +473,7 @@ func PatternFingerprint(a *Matrix) string {
 // analysis/factorization split exists for. The pattern is verified (in the
 // analysis ordering) and ErrPatternMismatch reported on any difference.
 func (an *Analysis) FactorizeValues(ctx context.Context, a *Matrix) (*Factor, error) {
-	pa, err := an.permuteSamePattern(a)
+	pa, err := permuteSamePattern(an, a)
 	if err != nil {
 		return nil, err
 	}
@@ -484,21 +484,46 @@ func (an *Analysis) FactorizeValues(ctx context.Context, a *Matrix) (*Factor, er
 	return an.newFactor(f, pa), nil
 }
 
-// permuteSamePattern permutes a into the analysis ordering after verifying
-// it carries exactly the analysed sparsity pattern.
-func (an *Analysis) permuteSamePattern(a *Matrix) (*sparse.SymMatrix, error) {
+// permuteSamePattern permutes a, real or complex, into the analysis
+// ordering after verifying it is well formed and carries exactly the
+// analysed sparsity pattern.
+func permuteSamePattern[T sparse.Scalar](an *Analysis, a *sparse.Sym[T]) (*sparse.Sym[T], error) {
 	if a == nil {
 		return nil, fmt.Errorf("pastix: nil matrix")
+	}
+	if err := a.Validate(); err != nil {
+		return nil, fmt.Errorf("pastix: invalid matrix: %w", err)
 	}
 	if a.N != an.inner.A.N || a.NNZ() != an.inner.A.NNZ() {
 		return nil, fmt.Errorf("pastix: order %d nnz %d vs analysed %d/%d: %w",
 			a.N, a.NNZ(), an.inner.A.N, an.inner.A.NNZ(), ErrPatternMismatch)
 	}
 	pa := a.Permute(an.inner.Perm)
-	if !pa.SamePattern(an.inner.A) {
+	if !sparse.SamePattern(pa, an.inner.A) {
 		return nil, ErrPatternMismatch
 	}
 	return pa, nil
+}
+
+// permuteVec returns the columns of v, each len(perm) long (len(v) is a
+// multiple of it), moved into the analysis ordering perm (perm[new] = old),
+// or back out of it when inverse is set.
+func permuteVec[T sparse.Scalar](perm []int, v []T, inverse bool) []T {
+	n := len(perm)
+	w := make([]T, len(v))
+	for c := 0; c < len(v); c += n {
+		dst, src := w[c:c+n], v[c:c+n]
+		if inverse {
+			for newI, old := range perm {
+				dst[old] = src[newI]
+			}
+		} else {
+			for newI, old := range perm {
+				dst[newI] = src[old]
+			}
+		}
+	}
+	return w
 }
 
 // RefineSolution applies adaptive iterative refinement to an existing
@@ -525,18 +550,10 @@ func (an *Analysis) refineOriginal(f *Factor, b, x []float64, maxIter int) ([]fl
 	if pa == nil {
 		pa = an.inner.A
 	}
-	pb := make([]float64, len(b))
-	px := make([]float64, len(x))
-	for newI, old := range an.inner.Perm {
-		pb[newI] = b[old]
-		px[newI] = x[old]
-	}
+	pb := permuteVec(an.inner.Perm, b, false)
+	px := permuteVec(an.inner.Perm, x, false)
 	px, stats := f.inner.RefineAdaptive(pa, pb, px, an.refineTol, maxIter)
-	out := make([]float64, len(x))
-	for newI, old := range an.inner.Perm {
-		out[old] = px[newI]
-	}
-	return out, stats, nil
+	return permuteVec(an.inner.Perm, px, true), stats, nil
 }
 
 // FactorizeRobust is Factorize with escalating static pivoting: the first
@@ -558,7 +575,7 @@ func (an *Analysis) FactorizeRobust(ctx context.Context) (*Factor, RobustStats, 
 // sparsity pattern (see FactorizeValues): the escalation runs against the
 // request's values, not the analysed ones.
 func (an *Analysis) FactorizeValuesRobust(ctx context.Context, a *Matrix) (*Factor, RobustStats, error) {
-	pa, err := an.permuteSamePattern(a)
+	pa, err := permuteSamePattern(an, a)
 	if err != nil {
 		return nil, RobustStats{}, err
 	}
@@ -653,23 +670,25 @@ func AnalyzeComplex(az *ZMatrix, opts Options) (*Analysis, error) {
 }
 
 // FactorizeComplex computes the complex symmetric LDLᵀ factorization of az,
-// whose pattern must match the analysed matrix, on the engine
+// whose pattern must match the analysed matrix (ErrPatternMismatch
+// otherwise, as for FactorizeValues), on the engine
 // Options.Runtime selects with the same dispatch as Factorize: by default
 // sequentially on one processor and with the message-passing fan-in runtime
 // otherwise. Options.Faults applies as for Factorize. Static pivoting and
 // BLR compression have no complex path: an analysis configured with either
 // fails with ErrBadOptions.
 func (an *Analysis) FactorizeComplex(az *ZMatrix) (*ZFactor, error) {
-	if az == nil || az.N != an.inner.A.N {
-		return nil, fmt.Errorf("pastix: complex matrix shape mismatch: %w", ErrShape)
-	}
 	if an.pivot.Enabled() {
 		return nil, fmt.Errorf("%w: static pivoting has no complex path", ErrBadOptions)
 	}
 	if an.blr.Enabled() {
 		return nil, fmt.Errorf("%w: BLR compression has no complex path", ErrBadOptions)
 	}
-	zf, err := an.inner.FactorizeComplexCtx(context.Background(), az.Permute(an.inner.Perm), an.parOpts())
+	paz, err := permuteSamePattern(an, az)
+	if err != nil {
+		return nil, err
+	}
+	zf, err := an.inner.FactorizeComplexCtx(context.Background(), paz, an.parOpts())
 	if err != nil {
 		return nil, err
 	}
@@ -684,16 +703,8 @@ func (an *Analysis) SolveComplex(f *ZFactor, b []complex128) ([]complex128, erro
 	if len(b) != an.inner.A.N {
 		return nil, fmt.Errorf("pastix: rhs length %d, matrix order %d: %w", len(b), an.inner.A.N, ErrShape)
 	}
-	pb := make([]complex128, len(b))
-	for newI, old := range an.inner.Perm {
-		pb[newI] = b[old]
-	}
-	px := f.inner.Solve(pb)
-	x := make([]complex128, len(b))
-	for newI, old := range an.inner.Perm {
-		x[old] = px[newI]
-	}
-	return x, nil
+	px := f.inner.Solve(permuteVec(an.inner.Perm, b, false))
+	return permuteVec(an.inner.Perm, px, true), nil
 }
 
 // ReadMatrixMarketComplex parses a complex symmetric coordinate Matrix
@@ -709,7 +720,7 @@ func WriteMatrixMarketComplex(w io.Writer, a *ZMatrix, comment string) error {
 }
 
 // ZResidual returns the scaled residual of a complex system.
-func ZResidual(a *ZMatrix, x, b []complex128) float64 { return sparse.ZResidual(a, x, b) }
+func ZResidual(a *ZMatrix, x, b []complex128) float64 { return sparse.Residual(a, x, b) }
 
 // WriteScheduleGantt renders a textual Gantt chart of the static schedule
 // (one row per processor, time binned into width columns).

@@ -342,6 +342,53 @@ func TestComplexPublicAPI(t *testing.T) {
 	}
 }
 
+// A malformed complex matrix is an error from AnalyzeComplex, as a real one
+// is from Analyze.
+func TestAnalyzeComplexMalformed(t *testing.T) {
+	bad := &ZMatrix{N: 3, ColPtr: []int{0, 4, 3, 3}, RowIdx: []int{0, 1, 2}, Val: make([]complex128, 3)}
+	if _, err := AnalyzeComplex(bad, Options{}); err == nil {
+		t.Fatal("AnalyzeComplex accepted an out-of-range column pointer")
+	}
+}
+
+// A malformed matrix of the analysed order and entry count is an error
+// from FactorizeValues, not an index panic in the permutation.
+func TestFactorizeValuesMalformed(t *testing.T) {
+	a := gen.Laplacian2D(4, 4)
+	an, err := Analyze(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &Matrix{N: a.N, ColPtr: slices.Clone(a.ColPtr), RowIdx: slices.Clone(a.RowIdx), Val: slices.Clone(a.Val)}
+	b.RowIdx[1] = 99
+	if _, err := an.FactorizeValues(context.Background(), b); err == nil {
+		t.Fatal("FactorizeValues accepted a row index out of range")
+	}
+}
+
+// FactorizeComplex rejects a matrix of the analysed order with another
+// pattern as FactorizeValues does.
+func TestFactorizeComplexPatternMismatch(t *testing.T) {
+	az := complexLaplacian(6)
+	an, err := AnalyzeComplex(az, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same order and entry count, one off-diagonal entry moved.
+	other := &ZMatrix{N: az.N, ColPtr: slices.Clone(az.ColPtr), RowIdx: slices.Clone(az.RowIdx), Val: slices.Clone(az.Val)}
+	last := other.ColPtr[1] - 1
+	other.RowIdx[last] = az.N - 1
+	if err := other.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := an.FactorizeComplex(other); !errors.Is(err, ErrPatternMismatch) {
+		t.Fatalf("FactorizeComplex of another pattern: %v, want ErrPatternMismatch", err)
+	}
+	if _, err := an.FactorizeComplex(complexLaplacian(5)); !errors.Is(err, ErrPatternMismatch) {
+		t.Fatalf("FactorizeComplex of another order: %v, want ErrPatternMismatch", err)
+	}
+}
+
 // A complex pivot with NaN in one part and ±Inf in the other is a NaN pivot
 // (cmplx.IsNaN reports false for it): the factorization must fail with the
 // typed zero-pivot error at the global column, on the sequential and the
@@ -507,6 +554,36 @@ func TestSchurComplementPublic(t *testing.T) {
 			if math.Abs(s[i+j*ns]-s[j+i*ns]) > 1e-12 {
 				t.Fatal("S not symmetric")
 			}
+		}
+	}
+}
+
+// The Schur analysis is scheduled for one processor: S does not depend on
+// Options.Processors, and the analysis carries a one-processor schedule.
+func TestSchurComplementProcessors(t *testing.T) {
+	a := gen.Laplacian2D(10, 10)
+	var iface []int
+	for j := 0; j < 10; j++ {
+		iface = append(iface, 5+j*10)
+	}
+	var ref string
+	for _, p := range []int{1, 2, 4} {
+		s, vars, err := SchurComplement(a, iface, Options{Processors: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := schurDigest(s, vars)
+		if p == 1 {
+			ref = d
+		} else if d != ref {
+			t.Fatalf("Processors %d: S digest %s, Processors 1 %s", p, d, ref)
+		}
+		san, err := analyzeSchur(a, iface, Options{Processors: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if san.Sched.P != 1 {
+			t.Fatalf("Processors %d: Schur schedule for %d processors", p, san.Sched.P)
 		}
 	}
 }

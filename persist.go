@@ -69,7 +69,7 @@ func (an *Analysis) RestoreFactor(a *Matrix, p *FactorPayload) (*Factor, error) 
 	if p == nil {
 		return nil, fmt.Errorf("pastix: restore from nil payload")
 	}
-	pa, err := an.permuteSamePattern(a)
+	pa, err := permuteSamePattern(an, a)
 	if err != nil {
 		return nil, err
 	}

@@ -140,12 +140,7 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 		res.Trace = &Trace{rec: rec, sch: sch}
 	}
 
-	pb := make([]float64, len(b))
-	for r := 0; r < nrhs; r++ {
-		for newI, old := range an.inner.Perm {
-			pb[newI+r*n] = b[old+r*n]
-		}
-	}
+	pb := permuteVec(an.inner.Perm, b, false)
 
 	// The level-set engine solves in place; refinement needs pb kept as the
 	// right-hand side.
@@ -204,13 +199,7 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 		res.Refine = &agg
 	}
 
-	x := make([]float64, len(b))
-	for r := 0; r < nrhs; r++ {
-		for newI, old := range an.inner.Perm {
-			x[old+r*n] = px[newI+r*n]
-		}
-	}
-	res.X = x
+	res.X = permuteVec(an.inner.Perm, px, true)
 	return res, nil
 }
 

@@ -51,7 +51,7 @@ func (an *Analysis) FactorizeTraced(ctx context.Context, topts TraceOptions) (*F
 // serving layer reusing one analysis across many factorizations can feed
 // each run's Trace.Summary into its metrics.
 func (an *Analysis) FactorizeValuesTraced(ctx context.Context, a *Matrix, topts TraceOptions) (*Factor, *Trace, error) {
-	pa, err := an.permuteSamePattern(a)
+	pa, err := permuteSamePattern(an, a)
 	if err != nil {
 		return nil, nil, err
 	}
