@@ -44,9 +44,9 @@ NUMSTRESS_RUN := NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine
 NUMSTRESS_PKGS := ./internal/solver ./internal/blas .
 DYNSTRESS_RUN := RuntimeConformance|ScheduleRouting|FactorDAG|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph|FanOut|Schur
 DYNSTRESS_PKGS := ./internal/solver ./internal/dynsched
-SOLVEDAG_RUN := SolveDAG|HybridSteps
+SOLVEDAG_RUN := SolveDAG
 SOLVEDAG_PKGS := ./internal/sched
-SOLVESTRESS_RUN := SolvePlan|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1
+SOLVESTRESS_RUN := SolvePlan|SolveMapping|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1
 SOLVESTRESS_PKGS := ./internal/solver ./internal/blas ./internal/service .
 HASERVICE_RUN := Readyz|BodyLimit|Idempotent|Drain
 HASERVICE_PKGS := ./internal/service
@@ -90,9 +90,10 @@ dynstress:
 	$(GO) test -race -timeout 300s -count=3 ./internal/dynsched
 	$(GO) test -race -timeout 300s -count=2 -run '$(DYNSTRESS_RUN)' $(DYNSTRESS_PKGS)
 
-# Solve-path stress soak: the solve DAG projection and hybrid-step suites,
-# the level-set engine suites (split chain cells, mid-chain cancellation and
-# the spinning step barrier among them), the packed panel kernels, the
+# Solve-path stress soak: the solve DAG projection suites, the solve
+# engine suites (the subtree mapping over the conformance corpus at one to
+# eight workers, split shared cells, mid-chain cancellation and the spinning
+# barrier among them), the packed panel kernels, the
 # cross-runtime solve conformance table (every generator × every
 # factorization runtime × the level-set engine at four workers and at one ×
 # 1/32 RHS, bitwise), the public SolveOpts suites (every solve runtime

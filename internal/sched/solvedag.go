@@ -13,20 +13,16 @@ import (
 // much flatter, schedule rather than reusing the factorization's proc
 // mapping (the per-phase static specialization the paper argues for).
 //
-// Level[k] is the longest-path depth of cell k (sources at level 0);
-// Levels[l] lists the cells of level l in ascending index order. Within a
-// level no two cells depend on each other, so a level can run in any order —
-// and because every consumer applies its incoming contributions in the
-// canonical (source, block) order, any within-level execution produces
-// bitwise-identical results.
+// Level[k] is the longest-path depth of cell k (sources at level 0). Within
+// a level no two cells depend on each other.
 type SolveDAG struct {
-	Level  []int32   // per cell: level-set index (0 = no in-edges)
-	Levels [][]int32 // cells by level, ascending index within each level
+	Level []int32 // per cell: level-set index (0 = no in-edges)
 
 	// Edges counts the forward dependencies (off-diagonal blocks); MaxWidth
 	// is the widest level in cells.
 	Edges    int
 	MaxWidth int
+	depth    int
 }
 
 // BuildSolveDAG computes the level sets of the solve DAG in one ascending
@@ -35,91 +31,22 @@ type SolveDAG struct {
 func BuildSolveDAG(sym *symbolic.Symbol) *SolveDAG {
 	ncb := sym.NumCB()
 	d := &SolveDAG{Level: make([]int32, ncb)}
-	depth := int32(0)
 	for k := 0; k < ncb; k++ {
 		lk := d.Level[k] + 1
-		if lk > depth {
-			depth = lk
-		}
+		d.depth = max(d.depth, int(lk))
 		for _, blk := range sym.CB[k].Blocks {
 			d.Edges++
-			if d.Level[blk.Facing] < lk {
-				d.Level[blk.Facing] = lk
-			}
+			d.Level[blk.Facing] = max(d.Level[blk.Facing], lk)
 		}
 	}
-	if ncb == 0 {
-		return d
-	}
-	d.Levels = make([][]int32, depth)
-	width := make([]int, depth)
-	for k := 0; k < ncb; k++ {
-		width[d.Level[k]]++
-	}
-	for l, w := range width {
-		d.Levels[l] = make([]int32, 0, w)
-		if w > d.MaxWidth {
-			d.MaxWidth = w
-		}
-	}
-	for k := 0; k < ncb; k++ {
-		l := d.Level[k]
-		d.Levels[l] = append(d.Levels[l], int32(k))
+	width := make([]int, d.depth)
+	for _, l := range d.Level {
+		width[l]++
+		d.MaxWidth = max(d.MaxWidth, width[l])
 	}
 	return d
 }
 
 // Depth returns the number of level sets (the solve DAG's critical path in
 // cells).
-func (d *SolveDAG) Depth() int { return len(d.Levels) }
-
-// SolveStep is one synchronization step of a hybrid solve schedule: either a
-// wide level executed in parallel across workers (one barrier afterwards),
-// or a run of consecutive narrow levels collapsed into a single sequential
-// chain so the tail of the elimination tree does not pay one barrier per
-// level. Cells are in level order, ascending index within a level — a
-// topological order for the forward sweep; the backward sweep walks the
-// steps and the cells inside each step in reverse.
-type SolveStep struct {
-	Cells    []int32
-	Parallel bool
-	// Levels is the number of level sets merged into this step (1 for
-	// parallel steps).
-	Levels int
-}
-
-// DefaultSolveCutoff is the hybrid width threshold for w workers: a level
-// narrower than 2·w cells cannot keep the workers busy past the barrier it
-// costs, so it is chained.
-func DefaultSolveCutoff(workers int) int { return 2 * workers }
-
-// HybridSteps folds the level sets into a hybrid schedule: levels at least
-// cutoff cells wide become parallel steps, narrower levels merge with their
-// neighbours into sequential chains. cutoff <= 0 selects
-// DefaultSolveCutoff(workers); workers <= 1 collapses everything into one
-// chain (a pure sequential sweep with no barriers).
-func (d *SolveDAG) HybridSteps(workers, cutoff int) []SolveStep {
-	if cutoff <= 0 {
-		cutoff = DefaultSolveCutoff(workers)
-	}
-	var steps []SolveStep
-	var chain []int32
-	chainLevels := 0
-	flush := func() {
-		if len(chain) > 0 {
-			steps = append(steps, SolveStep{Cells: chain, Levels: chainLevels})
-			chain, chainLevels = nil, 0
-		}
-	}
-	for _, cells := range d.Levels {
-		if workers > 1 && len(cells) >= cutoff {
-			flush()
-			steps = append(steps, SolveStep{Cells: cells, Parallel: true, Levels: 1})
-			continue
-		}
-		chain = append(chain, cells...)
-		chainLevels++
-	}
-	flush()
-	return steps
-}
+func (d *SolveDAG) Depth() int { return d.depth }

@@ -54,105 +54,25 @@ func TestSolveDAGLevelsTopological(t *testing.T) {
 	}
 }
 
-// TestSolveDAGLevelsPartition checks Levels is a partition of the cells in
-// ascending order per level, consistent with Level, and that MaxWidth and
-// Depth match it.
+// TestSolveDAGLevelsPartition checks the levels partition the cells into
+// Depth non-empty level sets, the widest of which has MaxWidth cells.
 func TestSolveDAGLevelsPartition(t *testing.T) {
 	sym, d := buildSolveDAG(t, 16, 4)
-	seen := make([]bool, sym.NumCB())
+	width := make([]int, d.Depth())
+	for c, l := range d.Level {
+		if l < 0 || int(l) >= d.Depth() {
+			t.Fatalf("cell %d at level %d, depth %d", c, l, d.Depth())
+		}
+		width[l]++
+	}
 	maxW := 0
-	for l, cells := range d.Levels {
-		if len(cells) == 0 {
+	for l, w := range width {
+		if w == 0 {
 			t.Fatalf("level %d empty", l)
 		}
-		if len(cells) > maxW {
-			maxW = len(cells)
-		}
-		for i, c := range cells {
-			if seen[c] {
-				t.Fatalf("cell %d in two levels", c)
-			}
-			seen[c] = true
-			if d.Level[c] != int32(l) {
-				t.Fatalf("cell %d listed at level %d but Level says %d", c, l, d.Level[c])
-			}
-			if i > 0 && cells[i-1] >= c {
-				t.Fatalf("level %d not ascending at %d", l, i)
-			}
-		}
+		maxW = max(maxW, w)
 	}
-	for c, ok := range seen {
-		if !ok {
-			t.Fatalf("cell %d missing from Levels", c)
-		}
-	}
-	if maxW != d.MaxWidth {
-		t.Fatalf("MaxWidth = %d, want %d", d.MaxWidth, maxW)
-	}
-	if d.Depth() != len(d.Levels) {
-		t.Fatalf("Depth = %d, want %d", d.Depth(), len(d.Levels))
-	}
-}
-
-// TestHybridStepsCoverAndOrder checks a hybrid schedule is a permutation of
-// the cells in level order (so executing steps in sequence is topological),
-// that parallel steps are exactly the wide levels, and that chains never
-// contain a level at or above the cutoff.
-func TestHybridStepsCoverAndOrder(t *testing.T) {
-	sym, d := buildSolveDAG(t, 18, 4)
-	for _, cutoff := range []int{0, 1, 4, 1 << 30} {
-		steps := d.HybridSteps(4, cutoff)
-		eff := cutoff
-		if eff <= 0 {
-			eff = DefaultSolveCutoff(4)
-		}
-		total := 0
-		lastLevel := int32(-1)
-		for _, st := range steps {
-			if len(st.Cells) == 0 {
-				t.Fatalf("cutoff %d: empty step", cutoff)
-			}
-			total += len(st.Cells)
-			for _, c := range st.Cells {
-				if d.Level[c] < lastLevel {
-					t.Fatalf("cutoff %d: cell %d at level %d after level %d", cutoff, c, d.Level[c], lastLevel)
-				}
-				lastLevel = d.Level[c]
-			}
-			if st.Parallel {
-				if st.Levels != 1 {
-					t.Fatalf("parallel step spans %d levels", st.Levels)
-				}
-				if len(st.Cells) < eff {
-					t.Fatalf("cutoff %d: parallel step of width %d below cutoff %d", cutoff, len(st.Cells), eff)
-				}
-			} else if st.Levels < 1 {
-				t.Fatalf("chain step with Levels %d", st.Levels)
-			}
-		}
-		if total != sym.NumCB() {
-			t.Fatalf("cutoff %d: steps cover %d cells, want %d", cutoff, total, sym.NumCB())
-		}
-	}
-}
-
-// TestHybridStepsSingleWorker pins the degenerate schedules: one worker (or
-// an empty DAG) must produce at most one step, a chain over everything — a
-// plain sequential sweep with no barriers.
-func TestHybridStepsSingleWorker(t *testing.T) {
-	sym, d := buildSolveDAG(t, 14, 2)
-	steps := d.HybridSteps(1, 0)
-	if len(steps) != 1 || steps[0].Parallel {
-		t.Fatalf("1 worker: got %d steps (parallel=%v), want one chain", len(steps), len(steps) > 0 && steps[0].Parallel)
-	}
-	if len(steps[0].Cells) != sym.NumCB() {
-		t.Fatalf("1 worker: chain has %d cells, want %d", len(steps[0].Cells), sym.NumCB())
-	}
-	if steps[0].Levels != d.Depth() {
-		t.Fatalf("1 worker: chain spans %d levels, want %d", steps[0].Levels, d.Depth())
-	}
-	empty := &SolveDAG{}
-	if got := empty.HybridSteps(4, 0); len(got) != 0 {
-		t.Fatalf("empty DAG: %d steps", len(got))
+	if len(d.Level) != sym.NumCB() || maxW != d.MaxWidth {
+		t.Fatalf("%d cells, MaxWidth = %d; want %d cells, MaxWidth %d", len(d.Level), d.MaxWidth, sym.NumCB(), maxW)
 	}
 }

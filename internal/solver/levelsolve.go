@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -16,30 +17,32 @@ import (
 )
 
 // This file implements the level-set solve engine: triangular solves
-// scheduled by the solve DAG's level sets (sched.SolveDAG) instead of the
-// factorization's proc mapping, over the factor's panel form (panels). Each
-// column block streams its off-diagonal panel once per sweep: forward, one
-// product t_k = −P_k·y_k into the cell's slot of a per-solve contribution
-// buffer; backward, one product x_k −= P_kᵀ·g over the facing x gathered
-// into that same slot. The engine is bitwise-identical to the sequential
-// Factors.Solve for ANY worker count, any hybrid cutoff and either dispatch
-// mode, because of a consumer-pull determinism argument:
+// scheduled by a subtree mapping of the elimination tree (SolvePlan) instead
+// of the factorization's proc mapping, over the factor's panel form
+// (panels). Each column block streams its off-diagonal panel once per sweep:
+// forward, one product t_k = −P_k·y_k into the cell's slot of a per-solve
+// contribution buffer; backward, one product x_k −= P_kᵀ·g over the facing x
+// gathered into that same slot. The engine is bitwise-identical to the
+// sequential Factors.Solve for ANY worker count and any shared set, because
+// of a consumer-pull determinism argument:
 //
 // The sequential solve adds each source cell's t into the segments it faces
 // right after computing it, so each element of a destination segment takes
 // its contributions in ascending source order (a source's blocks cover
 // disjoint rows). Here every destination cell pulls its own incoming
 // contributions in that same canonical (source, block) order into its
-// b-initialized segment; level sets guarantee every source's t is final
-// before any consumer in a later level reads it, and no two cells write the
-// same segment or slot. So neither the within-level execution order nor the
-// cell→worker assignment can change a single bit. The backward sweep is
-// symmetric: each cell gathers the already-final facing segments and folds
-// them in with its own panel product. No kernel's per-element operation
-// order depends on the leading dimension, so reading the strided cells in
-// place perturbs nothing either.
+// b-initialized segment. A cell's sources all lie in its elimination
+// subtree, so an owned cell's sources ran before it on its own worker, and a
+// shared cell's ran before the barrier ahead of the shared cells; no two
+// cells write the same segment or slot. So neither the execution order nor
+// the cell→worker assignment can change a single bit. The backward sweep is
+// symmetric: each cell gathers the already-final facing segments (its
+// ancestors: its own worker's, or shared and final after the barrier) and
+// folds them in with its own panel product. No kernel's per-element
+// operation order depends on the leading dimension, so reading the strided
+// cells in place perturbs nothing either.
 //
-// A split chain cell keeps the argument per element: GemvN gives each panel
+// A split shared cell keeps the argument per element: GemvN gives each panel
 // row its updates in ascending column order, and GemvT sums each column over
 // the panel rows in ascending order, whatever row or column range they are
 // called on. So dividing a cell's panel rows (forward) or columns (backward)
@@ -64,14 +67,13 @@ type solvePulls struct {
 	// gather buffer.
 	rbMax int
 	cost  []int64 // triangular solves + both panel products + pulls + gather
-	// total is the summed cost: the one-worker plan runs every cell in a
-	// single chain step, so its makespan is total plus one barrier.
+	sub   []int64 // the summed cost of the elimination subtree rooted at each cell
+	// total is the summed cost: the one-worker plan owns every cell, so its
+	// makespan is total plus one barrier.
 	total int64
 	// bufs holds the idle contribution buffers of every plan of the
-	// structure, at most one per processor: more solves than processors
-	// never all run at once. Unlike a sync.Pool it keeps them across
-	// garbage collections, so a stream of solves allocates none.
-	bufs chan []float64
+	// structure, rhs the idle permuted right-hand sides of its callers.
+	bufs, rhs bufPool
 }
 
 // newSolvePulls builds the pull lists, slots and costs of sym, and the
@@ -80,8 +82,8 @@ type solvePulls struct {
 func newSolvePulls(sym *symbolic.Symbol, workers int) *solvePulls {
 	ncb := sym.NumCB()
 	sp := &solvePulls{
-		ptr: make([]int32, ncb+1), tOff: make([]int32, ncb+1), cost: make([]int64, ncb),
-		bufs: make(chan []float64, runtime.GOMAXPROCS(0)),
+		ptr: make([]int32, ncb+1), tOff: make([]int32, ncb+1), cost: make([]int64, ncb), sub: make([]int64, ncb),
+		bufs: make(bufPool, runtime.GOMAXPROCS(0)), rhs: make(bufPool, runtime.GOMAXPROCS(0)),
 	}
 	for k := range sym.CB {
 		w, rb := sym.CB[k].Width(), sym.CB[k].RowsBelow()
@@ -96,6 +98,12 @@ func newSolvePulls(sym *symbolic.Symbol, workers int) *solvePulls {
 	for k := 0; k < ncb; k++ {
 		sp.ptr[k+1] += sp.ptr[k]
 		sp.total += sp.cost[k]
+		// Children have smaller indices than their parent, so sub[k] is
+		// complete here.
+		sp.sub[k] += sp.cost[k]
+		if par := sym.Parent[k]; par >= 0 {
+			sp.sub[par] += sp.sub[k]
+		}
 	}
 	sp.ins = make([]solveIn, sp.ptr[ncb])
 	next := slices.Clone(sp.ptr[:ncb]) // per-cell fill cursors
@@ -107,13 +115,13 @@ func newSolvePulls(sym *symbolic.Symbol, workers int) *solvePulls {
 			t += int32(blk.Rows())
 		}
 	}
-	sp.bufs <- make([]float64, sp.bufLen(1, workers))
+	sp.bufs.put(make([]float64, sp.bufLen(1, workers)))
 	return sp
 }
 
 // bufLen is the length of the contribution buffer of a solve of nrhs
 // right-hand sides on the given workers: every cell's slot per right-hand
-// side, then one private gather buffer per worker for the split chain
+// side, then one private gather buffer per worker for the split shared
 // cells.
 func (sp *solvePulls) bufLen(nrhs, workers int) int {
 	n := int(sp.tOff[len(sp.tOff)-1]) * nrhs
@@ -123,11 +131,15 @@ func (sp *solvePulls) bufLen(nrhs, workers int) int {
 	return n
 }
 
-// buffer takes an idle contribution buffer of at least n entries, or makes
-// one.
-func (sp *solvePulls) buffer(n int) []float64 {
+// bufPool holds idle buffers, at most one per processor: more solves than
+// processors never all run at once. Unlike a sync.Pool it keeps them across
+// garbage collections, so a stream of solves allocates none.
+type bufPool chan []float64
+
+// get takes an idle buffer of at least n entries, or makes one.
+func (bp bufPool) get(n int) []float64 {
 	select {
-	case b := <-sp.bufs:
+	case b := <-bp:
 		if cap(b) >= n {
 			return b[:n]
 		}
@@ -136,11 +148,11 @@ func (sp *solvePulls) buffer(n int) []float64 {
 	return make([]float64, n)
 }
 
-// release returns a buffer for the next solve to take, unless enough are
-// idle already.
-func (sp *solvePulls) release(b []float64) {
+// put returns a buffer for the next solve to take, unless enough are idle
+// already.
+func (bp bufPool) put(b []float64) {
 	select {
-	case sp.bufs <- b:
+	case bp <- b:
 	default:
 	}
 }
@@ -149,35 +161,37 @@ func (sp *solvePulls) release(b []float64) {
 func (sp *solvePulls) in(k int) []solveIn { return sp.ins[sp.ptr[k]:sp.ptr[k+1]] }
 
 // SolvePlan is a reusable schedule for the level-set solve engine on a fixed
-// worker count: the hybrid steps, a cost-balanced contiguous partition of
-// each parallel step, and the chain cells whose panel rows (forward) and
-// columns (backward) are split across the workers. Plans are immutable and cached
-// per (Analysis, workers) — see Analysis.SolvePlanFor.
+// worker count: a subtree mapping of the elimination tree, as the paper's
+// proportional mapping gives whole subtrees to one processor and shares only
+// the uppermost supernodes. Each worker owns whole subtrees and runs their
+// cells with no synchronization; the cells above them are shared and run
+// after one barrier, those the cost model says pay split across the workers
+// (panel rows forward, columns backward). Plans are immutable and cached per
+// (Analysis, workers) — see Analysis.SolvePlanFor.
 type SolvePlan struct {
 	sym     *symbolic.Symbol
 	dag     *sched.SolveDAG
 	pulls   *solvePulls
-	steps   []sched.SolveStep
-	parts   [][][]int32 // per parallel step: worker -> contiguous cell run
 	workers int
-	cutoff  int
 
-	// split is nil when no chain cell is split, else it marks the chain
-	// cells every worker takes part in.
-	split      []bool
+	owned  [][]int32 // per worker: the cells of its subtrees, ascending
+	shared []int32   // the cells above every owned subtree, ascending
+
+	split      []bool // per cell: a shared cell every worker takes part in
 	splitCells int
 	// makespan is the plan's predicted time in cost units, barriers and
 	// worker start-up included.
 	makespan int64
 }
 
-// splits reports whether every worker takes part in chain cell k.
-func (pl *SolvePlan) splits(k int) bool { return pl.split != nil && pl.split[k] }
-
 // PlanStats summarizes a SolvePlan for reporting (the service returns it
 // from /v1/factorize and /v1/solve). Workers is the number of workers the
-// engine runs the plan on; SplitCells counts the chain cells every worker
-// takes part in.
+// engine runs the plan on; Cells and Levels are the solve DAG's cells and
+// level sets, MaxLevelWidth its widest level. ParallelSteps is 1 on several
+// workers (they run their owned subtrees at once), else 0; ChainSteps is 1
+// when the plan has shared cells, else 0; ChainCells counts the shared
+// cells and SplitCells those every worker takes part in. Cutoff reads 0:
+// no level-width cutoff is left.
 type PlanStats struct {
 	Workers       int `json:"workers"`
 	Cells         int `json:"cells"`
@@ -196,23 +210,18 @@ func (pl *SolvePlan) Stats() PlanStats {
 		Workers:       pl.workers,
 		Cells:         pl.sym.NumCB(),
 		Levels:        pl.dag.Depth(),
+		ChainCells:    len(pl.shared),
 		SplitCells:    pl.splitCells,
 		MaxLevelWidth: pl.dag.MaxWidth,
-		Cutoff:        pl.cutoff,
 	}
-	for _, s := range pl.steps {
-		if s.Parallel {
-			st.ParallelSteps++
-		} else {
-			st.ChainSteps++
-			st.ChainCells += len(s.Cells)
-		}
+	if pl.workers > 1 {
+		st.ParallelSteps = 1
+	}
+	if len(pl.shared) > 0 {
+		st.ChainSteps = 1
 	}
 	return st
 }
-
-// Workers returns the worker count the plan runs on.
-func (pl *SolvePlan) Workers() int { return pl.workers }
 
 // Cost model charges, in the units of the per-cell cost proxy (one unit
 // takes about 0.4–0.9 ns on the 2-core x86-64 host the charges were measured
@@ -232,114 +241,192 @@ const (
 	spawnCharge = 160000
 )
 
-// BuildSolvePlan builds a level-set solve plan: hybrid steps from the DAG
-// (cutoff <= 0 selects sched.DefaultSolveCutoff), per-cell pull lists in
-// canonical order, a cost-balanced contiguous partition of every parallel
-// step across the workers, and the split of every chain cell that the cost
+// BuildSolvePlan builds a solve plan for the given workers: the shared top
+// of the elimination tree with the lowest predicted makespan, its subtrees
+// assigned to the workers, and the split of every shared cell that the cost
 // model predicts runs faster across the workers than on one.
-func BuildSolvePlan(sym *symbolic.Symbol, dag *sched.SolveDAG, workers, cutoff int) *SolvePlan {
-	return planOn(sym, dag, newSolvePulls(sym, workers), workers, cutoff)
+func BuildSolvePlan(sym *symbolic.Symbol, dag *sched.SolveDAG, workers int) *SolvePlan {
+	return planOn(sym, dag, newSolvePulls(sym, workers), workers)
 }
 
 // planOn is BuildSolvePlan on pull lists already built for sym.
-func planOn(sym *symbolic.Symbol, dag *sched.SolveDAG, pulls *solvePulls, workers, cutoff int) *SolvePlan {
-	if workers < 1 {
-		workers = 1
-	}
-	if cutoff <= 0 {
-		cutoff = sched.DefaultSolveCutoff(workers)
-	}
-	steps := dag.HybridSteps(workers, cutoff)
-	cost := pulls.cost
-	pl := &SolvePlan{
-		sym: sym, dag: dag, pulls: pulls, steps: steps,
-		workers: workers, cutoff: cutoff,
-		parts: make([][][]int32, len(steps)),
-	}
-	// The predicted makespan: every step ends in a barrier per sweep (the
-	// last backward one is the join), every split cell adds two per sweep.
-	span := int64(2*len(steps)-1) * barrierCharge
-	for si, st := range steps {
-		if st.Parallel {
-			pl.parts[si] = splitByCost(st.Cells, cost, workers)
-			var worst int64
-			for _, part := range pl.parts[si] {
-				var c int64
-				for _, k := range part {
-					c += cost[k]
-				}
-				worst = max(worst, c)
-			}
-			span += worst
-			continue
-		}
-		for _, k := range st.Cells {
-			span += pl.splitChainCell(int(k))
-		}
-	}
-	if workers > 1 {
-		span += int64(workers-1) * spawnCharge
-	}
-	pl.makespan = span
+func planOn(sym *symbolic.Symbol, dag *sched.SolveDAG, pulls *solvePulls, workers int) *SolvePlan {
+	pl := &SolvePlan{sym: sym, dag: dag, pulls: pulls, workers: max(workers, 1)}
+	pl.mapSubtrees(pl.searchShared())
 	return pl
 }
 
-// splitChainCell decides whether chain cell k runs across the workers and
-// returns its predicted time. Split, worker 0 alone pulls and runs both
-// triangular solves; the forward panel product divides by panel row and the
-// backward one by column, every worker gathering the whole panel's x for
-// its columns; two barriers per sweep.
-func (pl *SolvePlan) splitChainCell(k int) int64 {
+// searchShared picks the shared top of the elimination tree. Starting from
+// the roots as candidate subtrees, it repeatedly makes the heaviest
+// candidate's root shared and its children candidates, assigns the
+// candidates to the workers by longest processing time first after every
+// step, and returns the shared set of the step with the lowest predicted
+// makespan. It stops once no further step can beat that: the shared cells'
+// time only grows, and the owned subtrees take at least their summed cost
+// over the workers.
+func (pl *SolvePlan) searchShared() []bool {
+	sp, parent := pl.pulls, pl.sym.Parent
+	ncb := len(parent)
+	kidPtr := make([]int32, ncb+1) // cell k's children are kids[kidPtr[k]:kidPtr[k+1]]
+	for _, par := range parent {
+		if par >= 0 {
+			kidPtr[par+1]++
+		}
+	}
+	for k := range ncb {
+		kidPtr[k+1] += kidPtr[k]
+	}
+	kids, next := make([]int32, kidPtr[ncb]), slices.Clone(kidPtr[:ncb])
+	var cands []int32
+	for k, par := range parent {
+		if par < 0 {
+			cands = append(cands, int32(k))
+		} else {
+			kids[next[par]] = int32(k)
+			next[par]++
+		}
+	}
+	heavier := heavierFirst(sp.sub)
+	slices.SortFunc(cands, heavier)
+	loads := make([]int64, pl.workers)
+	var expanded []int32
+	var sharedSpan int64
+	ownedCost := sp.total
+	best, bestN := pl.span(lpt(cands, sp.sub, loads, nil), 0, false), 0
+	for len(cands) > 0 {
+		k := cands[0]
+		cands = slices.Delete(cands, 0, 1)
+		expanded = append(expanded, k)
+		c, _ := pl.sharedCost(int(k))
+		sharedSpan += c
+		ownedCost -= sp.cost[k]
+		for _, ch := range kids[kidPtr[k]:kidPtr[k+1]] {
+			i, _ := slices.BinarySearchFunc(cands, ch, heavier)
+			cands = slices.Insert(cands, i, ch)
+		}
+		if pl.span(ownedCost/int64(pl.workers), sharedSpan, true) >= best {
+			break
+		}
+		if s := pl.span(lpt(cands, sp.sub, loads, nil), sharedSpan, true); s < best {
+			best, bestN = s, len(expanded)
+		}
+	}
+	shared := make([]bool, ncb)
+	for _, k := range expanded[:bestN] {
+		shared[k] = true
+	}
+	return shared
+}
+
+// span is the predicted makespan of a plan whose busiest worker owns load
+// and whose shared cells take sharedSpan: one barrier between the sweeps,
+// two more around the shared cells when there are any, and the start-up of
+// every worker beyond the first.
+func (pl *SolvePlan) span(load, sharedSpan int64, anyShared bool) int64 {
+	s := load + sharedSpan + barrierCharge + int64(pl.workers-1)*spawnCharge
+	if anyShared {
+		s += 2 * barrierCharge
+	}
+	return s
+}
+
+// heavierFirst orders subtree roots by descending subtree cost, then by
+// ascending index.
+func heavierFirst(sub []int64) func(a, b int32) int {
+	return func(a, b int32) int {
+		if c := cmp.Compare(sub[b], sub[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// lpt assigns the subtrees rooted at cands, heaviest first, each to the
+// least loaded worker (the lowest index on a tie), and returns the largest
+// load. loads is scratch of one entry per worker; owner, when non-nil,
+// receives each root's worker.
+func lpt(cands []int32, sub, loads []int64, owner []int32) int64 {
+	clear(loads)
+	for _, c := range cands {
+		p := 0
+		for q := range loads {
+			if loads[q] < loads[p] {
+				p = q
+			}
+		}
+		loads[p] += sub[c]
+		if owner != nil {
+			owner[c] = int32(p)
+		}
+	}
+	return slices.Max(loads)
+}
+
+// mapSubtrees fills the plan for the given shared set, which must hold the
+// ancestors of each of its cells: the subtrees below it go to the workers by
+// longest processing time first, every shared cell is split or not by the
+// cost model, and the makespan is predicted.
+func (pl *SolvePlan) mapSubtrees(shared []bool) {
+	sp, parent := pl.pulls, pl.sym.Parent
+	ncb := len(parent)
+	var cands []int32
+	for k, par := range parent {
+		if !shared[k] && (par < 0 || shared[par]) {
+			cands = append(cands, int32(k))
+		}
+	}
+	slices.SortFunc(cands, heavierFirst(sp.sub))
+	owner := make([]int32, ncb)
+	load := lpt(cands, sp.sub, make([]int64, pl.workers), owner)
+	// Parents have larger indices, so a descending pass sees every parent's
+	// owner before its children.
+	for k := ncb - 1; k >= 0; k-- {
+		if par := parent[k]; shared[k] {
+			owner[k] = -1
+		} else if par >= 0 && !shared[par] {
+			owner[k] = owner[par]
+		}
+	}
+	pl.owned = make([][]int32, pl.workers)
+	pl.shared, pl.split, pl.splitCells = nil, make([]bool, ncb), 0
+	var sharedSpan int64
+	for k, p := range owner {
+		if p >= 0 {
+			pl.owned[p] = append(pl.owned[p], int32(k))
+			continue
+		}
+		pl.shared = append(pl.shared, int32(k))
+		c, split := pl.sharedCost(k)
+		sharedSpan += c
+		if split {
+			pl.split[k] = true
+			pl.splitCells++
+		}
+	}
+	pl.makespan = pl.span(load, sharedSpan, len(pl.shared) > 0)
+}
+
+// sharedCost returns the predicted time of shared cell k and whether it runs
+// across the workers. Split, worker 0 alone pulls and runs both triangular
+// solves; the forward panel product divides by panel row and the backward
+// one by column, every worker gathering the whole panel's x for its
+// columns; two barriers per sweep.
+func (pl *SolvePlan) sharedCost(k int) (int64, bool) {
 	cost := pl.pulls.cost[k]
 	if pl.workers == 1 {
-		return cost
+		return cost, false
 	}
 	nw := int64(pl.workers)
 	w, rb := int64(pl.sym.CB[k].Width()), int64(pl.rows(k))
 	split := cost - 2*rb*w + (rb+nw-1)/nw*w + (w+nw-1)/nw*rb + 4*barrierCharge
 	if split >= cost {
-		return cost
+		return cost, false
 	}
-	if pl.split == nil {
-		pl.split = make([]bool, pl.sym.NumCB())
-	}
-	pl.split[k] = true
-	pl.splitCells++
-	return split
+	return split, true
 }
 
 // rows returns the length of cell k's panel.
 func (pl *SolvePlan) rows(k int) int { return int(pl.pulls.tOff[k+1] - pl.pulls.tOff[k]) }
-
-// splitByCost partitions cells into at most `workers` contiguous runs of
-// near-equal total cost (contiguity keeps each worker on neighbouring cells
-// and right-hand-side segments).
-func splitByCost(cells []int32, cost []int64, workers int) [][]int32 {
-	parts := make([][]int32, workers)
-	var total int64
-	for _, c := range cells {
-		total += cost[c]
-	}
-	i := 0
-	rem := total
-	for p := 0; p < workers && i < len(cells); p++ {
-		if workers-p == 1 {
-			parts[p] = cells[i:]
-			i = len(cells)
-			break
-		}
-		target := (rem + int64(workers-p) - 1) / int64(workers-p)
-		start := i
-		var acc int64
-		for i < len(cells) && acc < target {
-			acc += cost[cells[i]]
-			i++
-		}
-		parts[p] = cells[start:i]
-		rem -= acc
-	}
-	return parts
-}
 
 // SolveDAG returns the analysis's solve DAG, built on first use (internally
 // synchronized; safe for concurrent callers).
@@ -359,6 +446,14 @@ func (an *Analysis) solvePulls() *solvePulls {
 	return an.pulls
 }
 
+// RHSBuffer takes an idle buffer of n entries for a caller's permuted
+// right-hand side, or makes one; ReleaseRHS hands it back once the solve is
+// done with it, so a stream of solves allocates only their solutions.
+func (an *Analysis) RHSBuffer(n int) []float64 { return an.solvePulls().rhs.get(n) }
+
+// ReleaseRHS returns a buffer RHSBuffer handed out.
+func (an *Analysis) ReleaseRHS(b []float64) { an.solvePulls().rhs.put(b) }
+
 // SolvePlanFor returns the cached level-set solve plan for exactly the given
 // worker count, building it on first request. Plans are immutable; the cache
 // is a sync.Map keyed by worker count.
@@ -369,7 +464,7 @@ func (an *Analysis) SolvePlanFor(workers int) *SolvePlan {
 	if v, ok := an.solvePlans.Load(workers); ok {
 		return v.(*SolvePlan)
 	}
-	pl := planOn(an.Sym, an.SolveDAG(), an.solvePulls(), workers, 0)
+	pl := planOn(an.Sym, an.SolveDAG(), an.solvePulls(), workers)
 	v, _ := an.solvePlans.LoadOrStore(workers, pl)
 	return v.(*SolvePlan)
 }
@@ -377,8 +472,8 @@ func (an *Analysis) SolvePlanFor(workers int) *SolvePlan {
 // SolvePlan returns the plan solves of this analysis run: the plan for the
 // schedule's processor count when its predicted makespan beats one worker's,
 // else the one-worker plan (small problems, where the barriers and the extra
-// goroutines cost more than the parallel cells save). One worker runs every
-// cell in a single chain step, so its makespan is known without its plan.
+// goroutines cost more than the parallel cells save). One worker owns every
+// cell, so its makespan is known without its plan.
 func (an *Analysis) SolvePlan() *SolvePlan {
 	if an.Sched.P > 1 {
 		if pl := an.SolvePlanFor(an.Sched.P); pl.makespan < an.solvePulls().total+barrierCharge {
@@ -396,28 +491,20 @@ func (an *Analysis) PrepareSolve(*Factors) PlanStats {
 	return an.SolvePlan().Stats()
 }
 
-// LevelStats carries per-worker observability of one level-set solve:
-// Executed[p] counts the parallel-step cells worker p ran. Chain cells are
-// not counted, split ones included.
-type LevelStats struct {
-	Executed []int64
-}
-
 // LevelOptions configures one level-set solve.
 type LevelOptions struct {
 	// NRHS is the number of right-hand sides (<= 0 means 1); b is an
 	// n×NRHS column-major panel.
 	NRHS int
 	// Trace records each worker's forward and backward sweep, and every
-	// wait in a step barrier, as phase events (nil disables tracing).
+	// wait in a barrier, as phase events (nil disables tracing).
 	Trace *trace.Recorder
-	// Stats, when non-nil, receives per-worker execution counts.
-	Stats *LevelStats
 }
 
 // SolveLevelCtx runs the level-set solve engine on the plan: forward sweep,
 // diagonal scaling and backward sweep over the factor's panels, with one
-// barrier per hybrid step and two per split chain cell. Worker 0 runs on the
+// barrier between the owned and the shared cells of each sweep, one between
+// the sweeps and two per split shared cell. Worker 0 runs on the
 // calling goroutine. Each column of the result is bitwise-identical to the
 // sequential Factors.Solve of that column: every column keeps the single-RHS
 // division semantics, however wide the panel. b is not modified.
@@ -451,14 +538,13 @@ func SolveLevelInPlace(ctx context.Context, pl *SolvePlan, f *Factors, x []float
 	}
 	sp := pl.pulls
 	nt := int(sp.tOff[len(sp.tOff)-1])
-	buf := sp.buffer(sp.bufLen(nrhs, pl.workers))
-	defer sp.release(buf)
+	buf := sp.bufs.get(sp.bufLen(nrhs, pl.workers))
+	defer sp.bufs.put(buf)
 	r := &levelRun{
 		pl: pl, panels: f.panels(), nrhs: nrhs,
 		rec: opts.Trace, ctx: ctx,
 		x: x, n: sym.N, t: buf[:nt*nrhs], nt: nt, gbuf: buf[nt*nrhs:],
-		executed: make([]int64, pl.workers),
-		bar:      spinBarrier{n: int32(pl.workers)},
+		bar: spinBarrier{n: int32(pl.workers)},
 	}
 	if ctx.Done() != nil {
 		r.check = r.checkCtx
@@ -482,13 +568,7 @@ func SolveLevelInPlace(ctx context.Context, pl *SolvePlan, f *Factors, x []float
 	if r.err != nil {
 		return r.err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if opts.Stats != nil {
-		opts.Stats.Executed = append([]int64(nil), r.executed...)
-	}
-	return nil
+	return ctx.Err()
 }
 
 // levelRun is the per-call state of one level-set solve.
@@ -508,12 +588,10 @@ type levelRun struct {
 	// t is the contribution buffer, nt×nrhs: cell k's slot holds t_k =
 	// −P_k·y_k after its forward sweep, and the gathered facing x of its
 	// backward sweep. gbuf is one private gather buffer of pulls.rbMax
-	// entries per worker, for the split chain cells.
+	// entries per worker, for the split shared cells.
 	t    []float64
 	nt   int
 	gbuf []float64
-
-	executed []int64 // per worker; each worker touches only its own slot
 
 	bar spinBarrier
 	// check is r.checkCtx, run by the last worker into each barrier (nil
@@ -550,47 +628,38 @@ func (r *levelRun) sync(p int) bool {
 	return !r.stop.Load()
 }
 
-// worker runs both sweeps in lockstep with the other workers: one barrier
-// per hybrid step, the backward sweep walking steps (and chain cells) in
-// reverse. The last backward step needs no barrier: the caller joins the
-// workers instead.
+// worker runs both sweeps. Forward: its owned cells in ascending order,
+// with no synchronization (a cell's sources all lie in its own subtree), a
+// barrier, then the shared cells and a barrier. Backward, the mirror image:
+// the shared cells in descending order, a barrier, then its owned cells in
+// descending order (the cells they face are its own or shared). The last
+// owned cell needs no barrier: the caller joins the workers instead. Without
+// shared cells one barrier between the sweeps is all.
 func (r *levelRun) worker(p int) {
 	var start time.Duration
 	if r.rec != nil {
 		start = r.rec.Now()
 	}
-	steps := r.pl.steps
-	for si := range steps {
-		if !r.step(p, si, true) || !r.sync(p) {
-			return
-		}
+	owned, shared := r.pl.owned[p], len(r.pl.shared) > 0
+	for _, k := range owned {
+		r.cell(int(k), true)
+	}
+	if !r.sync(p) || shared && (!r.chain(p, true) || !r.sync(p)) {
+		return
 	}
 	if r.rec != nil {
 		r.rec.Phase(p, trace.PhaseForward, start, r.rec.Now())
 		start = r.rec.Now()
 	}
-	for si := len(steps) - 1; si >= 0; si-- {
-		if !r.step(p, si, false) || (si > 0 && !r.sync(p)) {
-			return
-		}
+	if shared && (!r.chain(p, false) || !r.sync(p)) {
+		return
+	}
+	for i := len(owned) - 1; i >= 0; i-- {
+		r.cell(int(owned[i]), false)
 	}
 	if r.rec != nil {
 		r.rec.Phase(p, trace.PhaseBackward, start, r.rec.Now())
 	}
-}
-
-// step runs worker p's share of step si and reports whether the run goes on
-// (a chain step holds barriers of its own).
-func (r *levelRun) step(p, si int, fwd bool) bool {
-	st := &r.pl.steps[si]
-	if !st.Parallel {
-		return r.chain(p, st.Cells, fwd)
-	}
-	for _, c := range r.pl.parts[si][p] {
-		r.cell(int(c), fwd)
-		r.executed[p]++
-	}
-	return true
 }
 
 // cell runs one whole cell of a sweep on the calling worker.
@@ -604,24 +673,24 @@ func (r *levelRun) cell(k int, fwd bool) {
 	}
 }
 
-// chain runs a chain step: the collapsed narrow levels in order (reverse
-// order backward). Worker 0 runs the unsplit cells alone. A split cell
-// takes every worker. Forward: worker 0 pulls and solves, a barrier, each
-// worker's rows of the panel product, then a barrier so worker 0 can read
-// t_k (the step barrier when the cell is the step's last). Backward: a
-// barrier so worker 0's earlier cells are visible (none is needed for the
-// first cell, which follows the step barrier), each worker's columns, a
+// chain runs the shared cells in ascending order (descending backward).
+// Worker 0 runs the unsplit cells alone. A split cell takes every worker.
+// Forward: worker 0 pulls and solves, a barrier, each worker's rows of the
+// panel product, then a barrier so worker 0 can read t_k (the closing
+// barrier of the sweep when the cell is the last). Backward: a barrier so
+// worker 0's earlier cells are visible (none is needed for the first cell,
+// which follows the barrier between the sweeps), each worker's columns, a
 // barrier, then worker 0's triangular solve — which the next split cell's
-// first barrier, or the step barrier, publishes.
-func (r *levelRun) chain(p int, cells []int32, fwd bool) bool {
-	nw := r.pl.workers
+// first barrier, or the closing barrier, publishes.
+func (r *levelRun) chain(p int, fwd bool) bool {
+	cells, nw := r.pl.shared, r.pl.workers
 	last := len(cells) - 1
 	for i := range cells {
 		k := int(cells[i])
 		if !fwd {
 			k = int(cells[last-i])
 		}
-		if !r.pl.splits(k) {
+		if !r.pl.split[k] {
 			if p == 0 {
 				r.cell(k, fwd)
 			}

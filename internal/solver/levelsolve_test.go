@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,24 +35,139 @@ func levelFixture(t *testing.T, P int) (*Analysis, *Factors, []float64) {
 	return an, f, pb
 }
 
+// sharedPlan is a plan on the given workers with exactly the cells shared
+// holds shared (an ancestor-closed set), its subtrees mapped as the engine
+// maps them.
+func sharedPlan(an *Analysis, workers int, shared []bool) *SolvePlan {
+	pl := &SolvePlan{sym: an.Sym, dag: an.SolveDAG(), pulls: an.solvePulls(), workers: workers}
+	pl.mapSubtrees(shared)
+	return pl
+}
+
+// namedPlan is one schedule of a bitwise table.
+type namedPlan struct {
+	name string
+	pl   *SolvePlan
+}
+
+// sharedSets returns the schedules the bitwise tables run on the given
+// workers: nothing shared (each tree owned whole by one worker), everything
+// shared (worker 0 alone, or every worker on a split cell), and the planned
+// shared set.
+func sharedSets(an *Analysis, workers int) []namedPlan {
+	all := make([]bool, an.Sym.NumCB())
+	for k := range all {
+		all[k] = true
+	}
+	return []namedPlan{
+		{"none-shared", sharedPlan(an, workers, make([]bool, len(all)))},
+		{"all-shared", sharedPlan(an, workers, all)},
+		{"planned", BuildSolvePlan(an.Sym, an.SolveDAG(), workers)},
+	}
+}
+
 // TestSolveLevelBitwiseSeq is the core determinism property: the level-set
-// engine (several worker counts and cutoffs) is bitwise-identical to the
-// sequential Factors.Solve.
+// engine (several worker counts and shared sets, split or not) is
+// bitwise-identical to the sequential Factors.Solve.
 func TestSolveLevelBitwiseSeq(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
 	ref := f.Solve(pb)
 	for _, workers := range []int{1, 2, 4, 7} {
-		for _, cutoff := range []int{0, 1, 3, 64} {
-			pl := BuildSolvePlan(an.Sym, an.SolveDAG(), workers, cutoff)
-			x, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{})
-			if err != nil {
-				t.Fatalf("workers=%d cutoff=%d: %v", workers, cutoff, err)
-			}
-			for i := range ref {
-				if x[i] != ref[i] {
-					t.Fatalf("workers=%d cutoff=%d: x[%d] = %x, seq %x",
-						workers, cutoff, i, x[i], ref[i])
+		for _, sp := range sharedSets(an, workers) {
+			for _, pl := range []*SolvePlan{sp.pl, forceSplit(sp.pl)} {
+				x, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{})
+				if err != nil {
+					t.Fatalf("workers=%d %s: %v", workers, sp.name, err)
 				}
+				for i := range ref {
+					if x[i] != ref[i] {
+						t.Fatalf("workers=%d %s split=%d: x[%d] = %x, seq %x",
+							workers, sp.name, pl.splitCells, i, x[i], ref[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSolveMapping checks the subtree mapping over the conformance corpus
+// at one to eight workers, for the planned shared set and for a deep one
+// (every cell whose subtree holds more than a quarter of a worker's share
+// of the cost, so many subtrees spread over the workers): every cell is
+// owned by exactly one worker or shared, the parent of a shared cell is
+// shared, an owned cell's forward sources have its owner, the cells it
+// faces have its owner or are shared, and every list is ascending. Each
+// plan's solve is bitwise the sequential one.
+func TestSolveMapping(t *testing.T) {
+	for _, tc := range solveConformanceCorpus() {
+		an := analyzeFor(t, tc.a, 4)
+		f, err := an.Factorize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, b := gen.RHSForSolution(tc.a)
+		pb := make([]float64, len(b))
+		for newI, old := range an.Perm {
+			pb[newI] = b[old]
+		}
+		ref := f.Solve(pb)
+		sp := an.solvePulls()
+		for workers := 1; workers <= 8; workers++ {
+			deep := make([]bool, len(sp.sub))
+			for k, c := range sp.sub {
+				deep[k] = c > sp.total/int64(4*workers)
+			}
+			for _, np := range []namedPlan{{"planned", an.SolvePlanFor(workers)}, {"deep", sharedPlan(an, workers, deep)}} {
+				name := fmt.Sprintf("%s workers=%d %s", tc.name, workers, np.name)
+				checkMapping(t, name, an, np.pl)
+				x, err := SolveLevelCtx(context.Background(), np.pl, f, pb, LevelOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range ref {
+					if x[i] != ref[i] {
+						t.Fatalf("%s: x[%d] = %x, seq %x", name, i, x[i], ref[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkMapping checks the invariants of pl's subtree mapping TestSolveMapping
+// names.
+func checkMapping(t *testing.T, name string, an *Analysis, pl *SolvePlan) {
+	t.Helper()
+	const unset, shared = -2, -1
+	owner := make([]int, an.Sym.NumCB())
+	for k := range owner {
+		owner[k] = unset
+	}
+	for p, cells := range append(slices.Clone(pl.owned), pl.shared) {
+		if p == pl.workers {
+			p = shared
+		}
+		for i, k := range cells {
+			if owner[k] != unset {
+				t.Fatalf("%s: cell %d in two lists", name, k)
+			}
+			owner[k] = p
+			if i > 0 && cells[i-1] >= k {
+				t.Fatalf("%s: list %d not ascending at %d", name, p, i)
+			}
+		}
+	}
+	for k, p := range owner {
+		if p == unset {
+			t.Fatalf("%s: cell %d neither owned nor shared", name, k)
+		}
+		if par := an.Sym.Parent[k]; p == shared && par >= 0 && owner[par] != shared {
+			t.Fatalf("%s: shared cell %d has unshared parent %d", name, k, par)
+		}
+		for _, blk := range an.Sym.CB[k].Blocks {
+			// k is a forward source of blk.Facing, and faces it.
+			if g := owner[blk.Facing]; g != shared && g != p {
+				t.Fatalf("%s: cell %d (owner %d) is a source of cell %d of worker %d", name, k, p, blk.Facing, g)
 			}
 		}
 	}
@@ -116,8 +232,8 @@ func TestSolvePlanCached(t *testing.T) {
 	if st.Workers != 3 || st.Cells != an.Sym.NumCB() || st.Levels != an.SolveDAG().Depth() {
 		t.Fatalf("PlanStats inconsistent: %+v", st)
 	}
-	if st.ParallelSteps+st.ChainSteps == 0 {
-		t.Fatal("plan has no steps")
+	if st.ChainCells != len(plans[0].shared) || st.Cutoff != 0 {
+		t.Fatalf("PlanStats do not describe the subtree mapping: %+v", st)
 	}
 }
 
@@ -167,7 +283,7 @@ func TestSolveLevelCancelled(t *testing.T) {
 
 // TestSolveLevelTraced checks the engine records one forward and one
 // backward phase per worker into an attached recorder, plus its waits in
-// the step barriers.
+// the barriers.
 func TestSolveLevelTraced(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
 	pl := an.SolvePlanFor(4)
@@ -216,55 +332,44 @@ func TestSolveLevelShapeErrors(t *testing.T) {
 	}
 }
 
-// TestLevelStormDynamic is the level-storm test: many more workers than the
-// widest level keeps busy, tiny cutoff so every level is a parallel step —
-// run repeatedly (under -race via make solvestress). Results must stay
-// bitwise-identical to sequential every round, all parallel cells must be
-// executed, and the cost-balanced partition must hand cells to more than one
-// worker.
+// TestLevelStormDynamic is the level-storm test: eight workers on a small
+// problem, with every cell shared whose subtree holds more than 1/32 of the
+// cost, so the many small subtrees below spread over the workers — run
+// repeatedly (under -race via make solvestress). Results must stay
+// bitwise-identical to sequential every round, and the mapping must hand
+// cells to more than one worker.
 func TestLevelStormDynamic(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
 	ref := f.Solve(pb)
-	pl := BuildSolvePlan(an.Sym, an.SolveDAG(), 8, 1)
-	var parCells int64
-	for _, s := range pl.steps {
-		if s.Parallel {
-			parCells += int64(len(s.Cells))
+	sp := an.solvePulls()
+	shared := make([]bool, len(sp.sub))
+	for k, c := range sp.sub {
+		shared[k] = c > sp.total/32
+	}
+	pl := sharedPlan(an, 8, shared)
+	busy := 0
+	for _, cells := range pl.owned {
+		if len(cells) > 0 {
+			busy++
 		}
 	}
-	if parCells == 0 {
-		t.Fatal("storm plan has no parallel cells")
+	if busy < 2 || len(pl.shared) == 0 {
+		t.Fatalf("storm degenerated: %d worker(s) own cells, %d shared", busy, len(pl.shared))
 	}
 	rounds := 20
 	if testing.Short() {
 		rounds = 5
 	}
-	winners := map[int]bool{}
 	for r := 0; r < rounds; r++ {
-		var st LevelStats
-		x, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{Stats: &st})
+		x, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{})
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
-		}
-		var got int64
-		for p, c := range st.Executed {
-			got += c
-			if c > 0 {
-				winners[p] = true
-			}
-		}
-		// Forward and backward both traverse the parallel cells.
-		if got != 2*parCells {
-			t.Fatalf("round %d: executed %d parallel cells, want %d", r, got, 2*parCells)
 		}
 		for i := range ref {
 			if x[i] != ref[i] {
 				t.Fatalf("round %d: x[%d] = %x, seq %x (storm broke determinism)", r, i, x[i], ref[i])
 			}
 		}
-	}
-	if len(winners) < 2 {
-		t.Fatalf("storm degenerated: only %d worker(s) ever ran cells", len(winners))
 	}
 }
 
@@ -298,26 +403,20 @@ func TestSolveLevelAllRuntimeFactors(t *testing.T) {
 	}
 }
 
-// forceSplit returns a copy of pl with every chain cell split across the
+// forceSplit returns a copy of pl with every shared cell split across the
 // workers, so the split path runs whatever the cost model would choose.
 func forceSplit(pl *SolvePlan) *SolvePlan {
 	cp := *pl
 	cp.split = make([]bool, pl.sym.NumCB())
-	cp.splitCells = 0
-	for _, st := range cp.steps {
-		if st.Parallel {
-			continue
-		}
-		for _, k := range st.Cells {
-			cp.split[k] = true
-			cp.splitCells++
-		}
+	for _, k := range cp.shared {
+		cp.split[k] = true
 	}
+	cp.splitCells = len(cp.shared)
 	return &cp
 }
 
-// TestSolveLevelSplitChain is the bitwise table of the split chain: every
-// chain cell run across 2, 3 and 4 workers (some narrower than the worker
+// TestSolveLevelSplitChain is the bitwise table of the split shared cells:
+// every shared cell run across 2, 3 and 4 workers (some narrower than the worker
 // count, so some row and column ranges are empty), one and three
 // right-hand sides, dense and BLR-compressed factors. Every column must
 // equal the per-column Factors.Solve bit for bit.
@@ -345,12 +444,12 @@ func TestSolveLevelSplitChain(t *testing.T) {
 			refs[c] = fc.f.Solve(append([]float64(nil), panel[c*n:(c+1)*n]...))
 		}
 		for _, workers := range []int{2, 3, 4} {
-			// The default cutoff mixes parallel steps and a chain; a huge one
-			// chains every level, narrow leaves included.
-			for _, cutoff := range []int{0, 1 << 20} {
-				pl := forceSplit(BuildSolvePlan(an.Sym, an.SolveDAG(), workers, cutoff))
+			// The planned set mixes owned subtrees and shared cells; sharing
+			// everything splits every cell, narrow leaves included.
+			for _, sp := range sharedSets(an, workers)[1:] {
+				pl := forceSplit(sp.pl)
 				if pl.Stats().SplitCells == 0 {
-					t.Fatalf("workers=%d cutoff=%d: no chain cell to split", workers, cutoff)
+					t.Fatalf("workers=%d %s: no shared cell to split", workers, sp.name)
 				}
 				for _, nrhs := range []int{1, maxRHS} {
 					x, err := SolveLevelCtx(context.Background(), pl, fc.f, panel[:n*nrhs],
@@ -361,8 +460,8 @@ func TestSolveLevelSplitChain(t *testing.T) {
 					for c := 0; c < nrhs; c++ {
 						for i, want := range refs[c] {
 							if got := x[c*n+i]; got != want {
-								t.Fatalf("%s workers=%d cutoff=%d nrhs=%d: col %d x[%d] = %x, seq %x",
-									fc.name, workers, cutoff, nrhs, c, i, got, want)
+								t.Fatalf("%s workers=%d %s nrhs=%d: col %d x[%d] = %x, seq %x",
+									fc.name, workers, sp.name, nrhs, c, i, got, want)
 							}
 						}
 					}
@@ -374,7 +473,7 @@ func TestSolveLevelSplitChain(t *testing.T) {
 	// four workers, and a split cell the BLR factor touches through a
 	// low-rank block.
 	narrow, lowRank := false, false
-	pl := forceSplit(BuildSolvePlan(an.Sym, an.SolveDAG(), 4, 1<<20))
+	pl := forceSplit(sharedSets(an, 4)[1].pl)
 	for k, split := range pl.split {
 		if !split {
 			continue
@@ -408,45 +507,45 @@ func (c *flipCtx) Err() error {
 }
 
 // TestSolveLevelCancelMidChain cancels at every barrier of solves whose
-// chain cells are split, so most cancellations land inside a chain step
-// between a cell's two barriers. Every call must return context.Canceled
-// promptly: a worker that stopped early would leave the others spinning in a
-// barrier forever.
+// shared cells are split, so most cancellations land among the shared
+// cells between a cell's two barriers. Every call must return
+// context.Canceled promptly: a worker that stopped early would leave the
+// others spinning in a barrier forever.
 func TestSolveLevelCancelMidChain(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
 	for _, workers := range []int{2, 3, 4} {
-		pl := forceSplit(BuildSolvePlan(an.Sym, an.SolveDAG(), workers, 1<<20))
-		// One check before the workers start, one per barrier and one after
-		// they join. A step ends in a barrier per sweep (bar the last); in
-		// each sweep a split chain cell adds two, except that the last cell
-		// of a step needs none after its forward product and the first none
-		// before its backward one.
-		barriers := 2*len(pl.steps) - 1
-		for _, st := range pl.steps {
-			if !st.Parallel {
-				barriers += 2 * (2*len(st.Cells) - 1)
+		for _, sp := range sharedSets(an, workers) {
+			pl := forceSplit(sp.pl)
+			// One check before the workers start, one per barrier and one
+			// after they join. One barrier parts the sweeps; with shared
+			// cells two more fence them, and each split shared cell adds two
+			// per sweep, except that the last needs none after its forward
+			// product and the first none before its backward one.
+			barriers := 1
+			if n := len(pl.shared); n > 0 {
+				barriers += 2 + 2*(2*n-1)
 			}
-		}
-		for after := int64(1); after <= int64(barriers)+1; after++ {
-			ctx := &flipCtx{Context: context.Background(), after: after, done: make(chan struct{})}
-			done := make(chan error, 1)
-			go func() {
-				_, err := SolveLevelCtx(ctx, pl, f, pb, LevelOptions{})
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err != context.Canceled {
-					t.Fatalf("workers=%d cancel after %d checks: err = %v", workers, after, err)
+			for after := int64(1); after <= int64(barriers)+1; after++ {
+				ctx := &flipCtx{Context: context.Background(), after: after, done: make(chan struct{})}
+				done := make(chan error, 1)
+				go func() {
+					_, err := SolveLevelCtx(ctx, pl, f, pb, LevelOptions{})
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err != context.Canceled {
+						t.Fatalf("workers=%d %s cancel after %d checks: err = %v", workers, sp.name, after, err)
+					}
+				case <-time.After(20 * time.Second):
+					t.Fatalf("workers=%d %s cancel after %d checks: solve hung", workers, sp.name, after)
 				}
-			case <-time.After(20 * time.Second):
-				t.Fatalf("workers=%d cancel after %d checks: solve hung", workers, after)
 			}
 		}
 	}
 }
 
-// TestSolveLevelSpinBarrier checks the step barrier on its own: a lone
+// TestSolveLevelSpinBarrier checks the barrier on its own: a lone
 // worker passes straight through, and four workers on two threads go
 // through many generations in a row without one of them running ahead and
 // without livelock; the last arrival's hook runs once per generation,
@@ -499,23 +598,51 @@ func TestSolveLevelSpinBarrier(t *testing.T) {
 
 // TestSolvePlanChoosesWorkers pins the worker-count choice on the two
 // benchmark problems at two processors: the 24³ Poisson plan runs on both
-// workers with its chain split, the 12³ one on a single worker.
+// workers with shared cells split, the 12³ one on a single worker. A traced
+// 24³ solve passes at most 40 barriers per worker (the level-set steps it
+// replaced passed 79).
 func TestSolvePlanChoosesWorkers(t *testing.T) {
 	for _, c := range []struct{ n, workers int }{{12, 1}, {24, 2}} {
-		an, err := Analyze(gen.Laplacian3D(c.n, c.n, c.n), Options{P: 2})
+		a := gen.Laplacian3D(c.n, c.n, c.n)
+		an, err := Analyze(a, Options{P: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := an.SolvePlan().Stats()
+		pl := an.SolvePlan()
+		st := pl.Stats()
 		if st.Workers != c.workers {
 			t.Fatalf("Poisson %d³: plan on %d workers, want %d (%+v)", c.n, st.Workers, c.workers, st)
 		}
-		if c.workers > 1 && st.SplitCells == 0 {
-			t.Fatalf("Poisson %d³: no chain cell split (%+v)", c.n, st)
+		if c.workers == 1 {
+			if st.ParallelSteps+st.SplitCells != 0 {
+				t.Fatalf("Poisson %d³: one-worker plan has parallel work (%+v)", c.n, st)
+			}
+			continue
 		}
-		if c.workers == 1 && st.ParallelSteps+st.SplitCells != 0 {
-			t.Fatalf("Poisson %d³: one-worker plan has parallel work (%+v)", c.n, st)
+		if st.SplitCells == 0 {
+			t.Fatalf("Poisson %d³: no shared cell split (%+v)", c.n, st)
 		}
+		f, err := an.Factorize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, b := gen.RHSForSolution(a)
+		rec := trace.New(c.workers, 0)
+		if _, err := SolveLevelCtx(context.Background(), pl, f, b, LevelOptions{Trace: rec}); err != nil {
+			t.Fatal(err)
+		}
+		barriers := make([]int, c.workers)
+		for _, e := range rec.Events() {
+			if e.Kind == trace.KindPhase && e.Aux == trace.PhaseBarrier {
+				barriers[e.Proc]++
+			}
+		}
+		for p, n := range barriers {
+			if n == 0 || n > 40 {
+				t.Fatalf("Poisson %d³: worker %d passed %d barriers, want 1–40", c.n, p, n)
+			}
+		}
+		t.Logf("Poisson %d³: %d barriers per worker, %+v", c.n, barriers[0], st)
 	}
 }
 

@@ -507,10 +507,13 @@ func permuteSamePattern[T sparse.Scalar](an *Analysis, a *sparse.Sym[T]) (*spars
 
 // permuteVec returns the columns of v, each len(perm) long (len(v) is a
 // multiple of it), moved into the analysis ordering perm (perm[new] = old),
-// or back out of it when inverse is set.
-func permuteVec[T sparse.Scalar](perm []int, v []T, inverse bool) []T {
+// or back out of it when inverse is set. They are written into w, which
+// must be as long as v, or into a new slice when w is nil.
+func permuteVec[T sparse.Scalar](perm []int, w, v []T, inverse bool) []T {
 	n := len(perm)
-	w := make([]T, len(v))
+	if w == nil {
+		w = make([]T, len(v))
+	}
 	for c := 0; c < len(v); c += n {
 		dst, src := w[c:c+n], v[c:c+n]
 		if inverse {
@@ -550,10 +553,10 @@ func (an *Analysis) refineOriginal(f *Factor, b, x []float64, maxIter int) ([]fl
 	if pa == nil {
 		pa = an.inner.A
 	}
-	pb := permuteVec(an.inner.Perm, b, false)
-	px := permuteVec(an.inner.Perm, x, false)
+	pb := permuteVec(an.inner.Perm, nil, b, false)
+	px := permuteVec(an.inner.Perm, nil, x, false)
 	px, stats := f.inner.RefineAdaptive(pa, pb, px, an.refineTol, maxIter)
-	return permuteVec(an.inner.Perm, px, true), stats, nil
+	return permuteVec(an.inner.Perm, nil, px, true), stats, nil
 }
 
 // FactorizeRobust is Factorize with escalating static pivoting: the first
@@ -637,7 +640,9 @@ func (an *Analysis) Stats() Stats {
 	}
 }
 
-// Residual returns the scaled residual ‖Ax−b‖∞/(‖A‖₁‖x‖∞+‖b‖∞).
+// Residual returns the scaled residual ‖Ax−b‖∞/(‖A‖₁‖x‖∞+‖b‖∞). When x or
+// b is not of the matrix order it returns +Inf, so every residual > tol check
+// fails.
 func Residual(a *Matrix, x, b []float64) float64 { return sparse.Residual(a, x, b) }
 
 // --- Complex symmetric systems (the paper's motivating class) ---
@@ -703,8 +708,8 @@ func (an *Analysis) SolveComplex(f *ZFactor, b []complex128) ([]complex128, erro
 	if len(b) != an.inner.A.N {
 		return nil, fmt.Errorf("pastix: rhs length %d, matrix order %d: %w", len(b), an.inner.A.N, ErrShape)
 	}
-	px := f.inner.Solve(permuteVec(an.inner.Perm, b, false))
-	return permuteVec(an.inner.Perm, px, true), nil
+	px := f.inner.Solve(permuteVec(an.inner.Perm, nil, b, false))
+	return permuteVec(an.inner.Perm, nil, px, true), nil
 }
 
 // ReadMatrixMarketComplex parses a complex symmetric coordinate Matrix
@@ -719,7 +724,9 @@ func WriteMatrixMarketComplex(w io.Writer, a *ZMatrix, comment string) error {
 	return sparse.WriteMatrixMarketComplex(w, a, comment)
 }
 
-// ZResidual returns the scaled residual of a complex system.
+// ZResidual returns the scaled residual ‖Ax−b‖∞/(‖A‖₁‖x‖∞+‖b‖∞) of a
+// complex system. When x or b is not of the matrix order it returns +Inf, so
+// every residual > tol check fails.
 func ZResidual(a *ZMatrix, x, b []complex128) float64 { return sparse.Residual(a, x, b) }
 
 // WriteScheduleGantt renders a textual Gantt chart of the static schedule

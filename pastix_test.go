@@ -711,3 +711,34 @@ func TestPublicMiscCoverage(t *testing.T) {
 		t.Fatal("foreign complex factor must error")
 	}
 }
+
+// TestResidualLengthMismatch checks Residual and ZResidual return +Inf, not a
+// panic, when x or b is not of the matrix order, so a residual > tol check
+// rejects the pair.
+func TestResidualLengthMismatch(t *testing.T) {
+	rb, zb := NewBuilder(3), NewZBuilder(3)
+	for i := 0; i < 3; i++ {
+		rb.Add(i, i, 4)
+		zb.Add(i, i, complex(4, 1))
+		if i > 0 {
+			rb.Add(i, i-1, -1)
+			zb.Add(i, i-1, complex(-1, 0.5))
+		}
+	}
+	ra, za := rb.Build(), zb.Build()
+	for _, c := range []struct {
+		name   string
+		nx, nb int
+	}{{"short x", 2, 3}, {"short b", 3, 1}, {"long b", 3, 4}, {"matching", 3, 3}} {
+		want := math.Inf(1)
+		if c.nx == 3 && c.nb == 3 {
+			want = 0 // x = 0 solves A·x = 0
+		}
+		if got := Residual(ra, make([]float64, c.nx), make([]float64, c.nb)); got != want {
+			t.Errorf("float64 %s: residual %g, want %g", c.name, got, want)
+		}
+		if got := ZResidual(za, make([]complex128, c.nx), make([]complex128, c.nb)); got != want {
+			t.Errorf("complex128 %s: residual %g, want %g", c.name, got, want)
+		}
+	}
+}

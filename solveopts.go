@@ -32,7 +32,8 @@ type SolveOptions struct {
 	//     right-hand side; a panel (NRHS > 1) runs the level-set engine on
 	//     one worker.
 	//   - RuntimeShared, RuntimeDynamic and RuntimeMPSim: the level-set
-	//     engine with the static cost-balanced partition of each level.
+	//     engine, each worker owning whole elimination subtrees below the
+	//     shared top cells.
 	//
 	// The solve exchanges no messages, so an active FaultPlan does not act
 	// on it. Every engine returns, for each column of the panel, the bits the
@@ -52,11 +53,13 @@ type SolveOptions struct {
 	Trace *TraceOptions
 }
 
-// PlanStats summarises the solve schedule the level-set engine ran: the
-// workers it ran on (one when the cost model predicts the others do not pay),
-// cell and level counts, how many levels ran as parallel steps vs were
-// collapsed into chains by the hybrid cutoff, how many chain cells were
-// split across the workers, and the widest level.
+// PlanStats summarises the solve schedule the level-set engine ran: Workers
+// it ran on (one when the cost model predicts the others do not pay); the
+// solve DAG's Cells, Levels and MaxLevelWidth; ParallelSteps 1 when several
+// workers ran their owned elimination subtrees at once, else 0; ChainSteps 1
+// when the plan shares the top cells, else 0; ChainCells the shared cells
+// and SplitCells those split across the workers. Cutoff reads 0: no
+// level-width cutoff is left.
 type PlanStats = solver.PlanStats
 
 // SolveResult is the outcome of SolveOpts.
@@ -140,7 +143,11 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 		res.Trace = &Trace{rec: rec, sch: sch}
 	}
 
-	pb := permuteVec(an.inner.Perm, b, false)
+	// The permuted right-hand side lives only until res.X is built, so it
+	// is a buffer of the analysis: a solve allocates just the solution it
+	// returns.
+	pb := permuteVec(an.inner.Perm, an.inner.RHSBuffer(len(b)), b, false)
+	defer an.inner.ReleaseRHS(pb)
 
 	// The level-set engine solves in place; refinement needs pb kept as the
 	// right-hand side.
@@ -199,7 +206,7 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 		res.Refine = &agg
 	}
 
-	res.X = permuteVec(an.inner.Perm, px, true)
+	res.X = permuteVec(an.inner.Perm, nil, px, true)
 	return res, nil
 }
 

@@ -398,4 +398,21 @@ func TestPrepareSolveAllocatesNoFactorCopy(t *testing.T) {
 			grew, limit, f.MemoryBytes())
 	}
 	t.Logf("allocated %d bytes against a %d-byte factor", grew, f.MemoryBytes())
+
+	// Warm, a default single-RHS solve allocates the solution it returns and
+	// little else: the permuted right-hand side comes from a pool.
+	const solves = 20
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < solves; i++ {
+		if _, err := an.SolveOpts(context.Background(), f, b, SolveOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perSolve := int64(after.TotalAlloc-before.TotalAlloc) / solves
+	if vec := int64(8 * a.N); perSolve > vec+vec/4 {
+		t.Fatalf("a warm solve allocated %d bytes, want about one %d-byte n-vector", perSolve, vec)
+	}
+	t.Logf("a warm solve allocated %d bytes (one n-vector is %d)", perSolve, 8*a.N)
 }
