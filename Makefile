@@ -42,11 +42,9 @@ CHAOS_RUN := Chaos|Fault|Reliab|Retry|Restart|Stall|Boundary|CommGolden
 CHAOS_PKGS := ./internal/mpsim ./internal/faults ./internal/solver .
 NUMSTRESS_RUN := NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine|Pivot
 NUMSTRESS_PKGS := ./internal/solver ./internal/blas .
-DYNSTRESS_RUN := RuntimeConformance|ScheduleRouting|FactorDAG|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph|FanOut|Schur
+DYNSTRESS_RUN := RuntimeConformance|ScheduleRouting|SchedulePulls|SharedAllocates|FactorDAG|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph|FanOut|Schur
 DYNSTRESS_PKGS := ./internal/solver ./internal/dynsched
-SOLVEDAG_RUN := SolveDAG
-SOLVEDAG_PKGS := ./internal/sched
-SOLVESTRESS_RUN := SolvePlan|SolveMapping|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1
+SOLVESTRESS_RUN := SolvePlan|PlanStatsLevels|SolveMapping|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1
 SOLVESTRESS_PKGS := ./internal/solver ./internal/blas ./internal/service .
 HASERVICE_RUN := Readyz|BodyLimit|Idempotent|Drain
 HASERVICE_PKGS := ./internal/service
@@ -80,8 +78,9 @@ numstress:
 # Shared-memory executor stress soak, both placement policies: the
 # executor's unit, pinned and steal-storm suites, the pinned factorization
 # stress and error paths, mid-run cancellation, the schedule's update
-# routing checked against its task graph, the once-per-analysis task
-# graph, the cross-runtime conformance tests (every generator × every
+# routing and the static per-task update lists checked against its task
+# graph, the once-per-analysis task graph and lists, the warm executor's
+# allocation against the sequential loop's, the cross-runtime conformance tests (every generator × every
 # runtime, work stealing bitwise-identical to pinned across seeds), fan-out's
 # receive loop (bitwise the sequential factor at P = 2, 3, 4 and 8, run
 # after run) and the Schur complement's partial elimination, under the
@@ -90,10 +89,10 @@ dynstress:
 	$(GO) test -race -timeout 300s -count=3 ./internal/dynsched
 	$(GO) test -race -timeout 300s -count=2 -run '$(DYNSTRESS_RUN)' $(DYNSTRESS_PKGS)
 
-# Solve-path stress soak: the solve DAG projection suites, the solve
-# engine suites (the subtree mapping over the conformance corpus at one to
-# eight workers, split shared cells, mid-chain cancellation and the spinning
-# barrier among them), the packed panel kernels, the
+# Solve-path stress soak: the solve engine suites (the subtree mapping over
+# the conformance corpus at one to eight workers, the plan's level counts
+# against longest paths, split shared cells, mid-chain cancellation and the
+# spinning barrier among them), the packed panel kernels, the
 # cross-runtime solve conformance table (every generator × every
 # factorization runtime × the level-set engine at four workers and at one ×
 # 1/32 RHS, bitwise), the public SolveOpts suites (every solve runtime
@@ -101,7 +100,6 @@ dynstress:
 # paths — all under the race detector, three times over so the spin
 # barrier's interleavings repeat.
 solvestress:
-	$(GO) test -race -timeout 300s -run '$(SOLVEDAG_RUN)' $(SOLVEDAG_PKGS)
 	$(GO) test -race -timeout 300s -count=3 -run '$(SOLVESTRESS_RUN)' $(SOLVESTRESS_PKGS)
 
 # HA-serving stress soak: the sharded gateway suites under the race
@@ -144,7 +142,6 @@ soak-selectors:
 	@GO=$(GO) ./scripts/soak-selectors.sh chaos '$(CHAOS_RUN)' $(CHAOS_PKGS)
 	@GO=$(GO) ./scripts/soak-selectors.sh numstress '$(NUMSTRESS_RUN)' $(NUMSTRESS_PKGS)
 	@GO=$(GO) ./scripts/soak-selectors.sh dynstress '$(DYNSTRESS_RUN)' $(DYNSTRESS_PKGS)
-	@GO=$(GO) ./scripts/soak-selectors.sh solvestress '$(SOLVEDAG_RUN)' $(SOLVEDAG_PKGS)
 	@GO=$(GO) ./scripts/soak-selectors.sh solvestress '$(SOLVESTRESS_RUN)' $(SOLVESTRESS_PKGS)
 	@GO=$(GO) ./scripts/soak-selectors.sh hastress '$(HASERVICE_RUN)' $(HASERVICE_PKGS)
 	@GO=$(GO) ./scripts/soak-selectors.sh blrstress '$(BLRKERNELS_RUN)' $(BLRKERNELS_PKGS)

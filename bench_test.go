@@ -253,7 +253,7 @@ func BenchmarkFanInVsFanOut(b *testing.B) {
 	b.Run("FanOut", func(b *testing.B) {
 		var st solver.CommStats
 		for i := 0; i < b.N; i++ {
-			_, st, err = solver.FactorizeFanOut(an.A, an.Sched)
+			_, st, err = an.FactorizeFanOut()
 			if err != nil {
 				b.Fatal(err)
 			}

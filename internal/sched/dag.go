@@ -133,3 +133,47 @@ func (s *Schedule) DAG() *DAG {
 	}
 	return d
 }
+
+// Pull is a run of block updates one task receives from column block Src:
+// the (S, T) updates with S in [S0, S1), each routed to that task.
+type Pull struct{ Src, T, S0, S1 int32 }
+
+// Pulls lists every task's incoming block updates, fixed by the schedule
+// as the fan-in rule fixes them: a task pulls these when it activates, so
+// no producer has to deliver anything. Each task's runs are in the
+// canonical order, source ascending, then T, then S: the order in which
+// the sequential right-looking loop applies them.
+type Pulls struct {
+	ptr  []int32 // task i's runs are runs[ptr[i]:ptr[i+1]]
+	runs []Pull
+}
+
+// Of returns the runs task id receives, in canonical order.
+func (p *Pulls) Of(id int) []Pull { return p.runs[p.ptr[id]:p.ptr[id+1]] }
+
+// Pulls builds the incoming updates of every task. It walks the updates in
+// canonical order, routes each through UpdateTask and merges consecutive S
+// that land in the same task, so every list is canonical by construction.
+func (s *Schedule) Pulls() *Pulls {
+	lists := make([][]Pull, len(s.Tasks))
+	for k := range s.sym.CB {
+		src, nb := int32(k), len(s.sym.CB[k].Blocks)
+		for t := 0; t < nb; t++ {
+			for sb := t; sb < nb; sb++ {
+				dst := s.UpdateTask(k, sb, t)
+				l := lists[dst]
+				if n := len(l); n > 0 && l[n-1].Src == src && l[n-1].T == int32(t) && l[n-1].S1 == int32(sb) {
+					l[n-1].S1++
+				} else {
+					lists[dst] = append(l, Pull{src, int32(t), int32(sb), int32(sb + 1)})
+				}
+			}
+		}
+	}
+	p := &Pulls{ptr: make([]int32, len(lists)+1)}
+	for i, l := range lists {
+		p.runs = append(p.runs, l...)
+		p.ptr[i+1] = int32(len(p.runs))
+	}
+	return p
+}

@@ -11,8 +11,8 @@ import (
 
 // BenchmarkAnalyze times the whole analysis (ordering, elimination tree and
 // partition, block symbolic factorization, mapping and scheduling, and the
-// solve DAG) at P=2, and breaks each op down by phase. Compare two trees
-// with
+// solve pull lists) at P=2, and breaks each op down by phase. Compare two
+// trees with
 //
 //	go test -run '^$' -bench Analyze -benchmem -count 6 ./internal/solver
 func BenchmarkAnalyze(b *testing.B) {

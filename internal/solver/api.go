@@ -67,22 +67,22 @@ type Analysis struct {
 	// supernode work, block symbolic factorization, mapping + scheduling).
 	OrderTime, TreeTime, SymbolicTime, SchedTime time.Duration
 
-	// Solve-scheduling caches (levelsolve.go): the solve DAG and the
-	// worker-independent pull lists are built once per analysis (eagerly
-	// by Analyze) and one SolvePlan is cached per worker count. All are
-	// internally synchronized, so the Analysis remains safe for concurrent
-	// use.
-	solveDAGOnce sync.Once
-	solveDAG     *sched.SolveDAG
-	pullsOnce    sync.Once
-	pulls        *solvePulls
-	solvePlans   sync.Map // workers (int) -> *SolvePlan
+	// Solve-scheduling caches (levelsolve.go): the worker-independent pull
+	// lists are built once per analysis (eagerly by Analyze) and one
+	// SolvePlan is cached per worker count. Both are internally
+	// synchronized, so the Analysis remains safe for concurrent use.
+	pullsOnce  sync.Once
+	pulls      *solvePulls
+	solvePlans sync.Map // workers (int) -> *SolvePlan
 
-	// The factorization task graph the shared-memory executor runs, built
-	// on the first shared or dynamic factorization and reused by every
-	// later one.
-	dagOnce sync.Once
-	dag     *sched.DAG
+	// The factorization task graph the shared-memory executor runs, and
+	// every task's incoming updates, which it and fan-out pull: each built
+	// on the first factorization that needs it and reused by every later
+	// one.
+	dagOnce     sync.Once
+	dag         *sched.DAG
+	updatesOnce sync.Once
+	updates     *sched.Pulls
 }
 
 // Analyze runs ordering, symbolic factorization, repartitioning, candidate
@@ -202,7 +202,6 @@ func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, ord orderer
 	// The solve structure every plan shares is part of the analysis, not
 	// of preparing a factor for solves.
 	if terminal == 0 {
-		an.SolveDAG()
 		an.solvePulls()
 	}
 	return an, nil
@@ -319,7 +318,7 @@ func factorizeOn[T blas.Scalar](ctx context.Context, an *Analysis, a *sparse.Sym
 		}
 		return factorizeSeq(a, an.Sym, tau, an.Sym.NumCB())
 	case RuntimeShared, RuntimeDynamic:
-		f, perts, _, err := factorizeShared(ctx, a, an.Sched, an.factorDAG(), popts.Trace, tau, rt == RuntimeShared)
+		f, perts, _, err := factorizeShared(ctx, a, an, popts.Trace, tau, rt == RuntimeShared)
 		return f, perts, err
 	case RuntimeMPSim:
 		f, perts, _, err := factorizePar(ctx, a, an.Sched, popts, tau)
@@ -333,6 +332,13 @@ func factorizeOn[T blas.Scalar](ctx context.Context, an *Analysis, a *sparse.Sym
 func (an *Analysis) factorDAG() *sched.DAG {
 	an.dagOnce.Do(func() { an.dag = an.Sched.DAG() })
 	return an.dag
+}
+
+// taskPulls returns every schedule task's incoming updates
+// (sched.Schedule.Pulls), built once per analysis; safe for concurrent use.
+func (an *Analysis) taskPulls() *sched.Pulls {
+	an.updatesOnce.Do(func() { an.updates = an.Sched.Pulls() })
+	return an.updates
 }
 
 // SolveOriginal solves A·x = b in the ORIGINAL ordering: b is permuted in,

@@ -65,7 +65,7 @@ func TestCommGolden(t *testing.T) {
 			if tc.needsPivot {
 				continue // fan-out has no pivoting
 			}
-			f, st, err = FactorizeFanOut(an.A, an.Sched)
+			f, st, err = an.FactorizeFanOut()
 			if err != nil {
 				t.Fatalf("%s fan-out: %v", name, err)
 			}

@@ -106,7 +106,7 @@ func TestRuntimeConformance(t *testing.T) {
 				if !pivOn {
 					for _, P := range []int{2, 3, 4} {
 						anP := analyzeFor(t, tc.a, P)
-						f, _, err := FactorizeFanOut(anP.A, anP.Sched)
+						f, _, err := anP.FactorizeFanOut()
 						if err != nil {
 							t.Fatalf("fan-out P=%d: %v", P, err)
 						}

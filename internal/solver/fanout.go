@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"github.com/pastix-go/pastix/internal/mpsim"
-	"github.com/pastix-go/pastix/internal/sched"
-	"github.com/pastix-go/pastix/internal/sparse"
 )
 
 // Fan-out factorization: the classical column-based alternative the paper's
@@ -20,47 +18,45 @@ import (
 //
 // Column blocks are wholly owned by their diagonal-task processor (use a
 // 1D-only schedule for a faithful comparison). Each processor is
-// left-looking over its own cells: before factoring cell k it applies the
-// update of every source cell facing k, in ascending source order, through
-// the kernel layer (applyUpdates, W = L·D with 1/D). That is the order in
-// which the sequential reference adds them, so the factor is FactorizeSeq's
-// bit for bit at every P, whatever order the panels arrive in.
+// left-looking over its own cells: before factoring cell k it pulls the
+// updates into k from the schedule's static lists (sched.Schedule.Pulls),
+// those of its COMP1D task, or of its FACTOR and then each BDIV, through the
+// kernel layer (W = L·D with 1/D). Each list is in the sequential
+// reference's order and the regions are disjoint, so every element takes
+// its updates in that order, and the factor is FactorizeSeq's bit for bit
+// at every P, whatever order the panels arrive in.
 
 const msgPanel int8 = 20 // factored panel of a cell: Tag = cell
 
-// inUpdate is one source cell's update into a target cell: the blocks
-// [T0, T1) of cell Src face the target.
-type inUpdate struct{ Src, T0, T1 int }
-
-// FactorizeFanOut runs the fan-out LDLᵀ factorization on sch.P goroutine
-// processors and reports its communication statistics (compare with
-// FactorizeParStats for the fan-in volume).
-func FactorizeFanOut(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, CommStats, error) {
-	sym := sch.Sym()
+// FactorizeFanOut runs the fan-out LDLᵀ factorization of the analysed
+// matrix on its schedule's goroutine processors and reports its
+// communication statistics (compare with FactorizeParStats for the fan-in
+// volume).
+func (an *Analysis) FactorizeFanOut() (*Factors, CommStats, error) {
+	a, sch, sym, pulls := an.A, an.Sched, an.Sym, an.taskPulls()
 	P := sch.P
 	ncb := sym.NumCB()
 
+	// into[k]: the tasks whose regions tile cell k, in the order their
+	// updates are applied. owner[k]: the processor factoring k.
+	// sendSet[i]: the distinct remote processors owning a cell that i
+	// updates.
+	into := make([][]int, ncb)
 	owner := make([]int, ncb)
-	for k := range owner {
-		owner[k] = sch.Tasks[sch.DiagTask(k)].Proc
-	}
-	// in[k]: the updates into cell k, by ascending source. sendSet[i]: the
-	// distinct remote processors owning a cell that i updates.
-	in := make([][]inUpdate, ncb)
 	sendSet := make([][]int, ncb)
-	for i := range sym.CB {
-		blocks := sym.CB[i].Blocks
-		for t0 := 0; t0 < len(blocks); {
-			c := blocks[t0].Facing
-			t1 := t0 + 1
-			for t1 < len(blocks) && blocks[t1].Facing == c {
-				t1++
+	for k := range into {
+		if sch.Comp1DOf[k] >= 0 {
+			into[k] = sch.Comp1DOf[k : k+1]
+		} else {
+			into[k] = append([]int{sch.FactorOf[k]}, sch.BDivOf[k]...)
+		}
+		owner[k] = sch.Tasks[into[k][0]].Proc
+		for _, id := range into[k] {
+			for _, r := range pulls.Of(id) { // sources precede k: owned already
+				if q := owner[k]; q != owner[r.Src] && !slices.Contains(sendSet[r.Src], q) {
+					sendSet[r.Src] = append(sendSet[r.Src], q)
+				}
 			}
-			in[c] = append(in[c], inUpdate{i, t0, t1})
-			if q := owner[c]; q != owner[i] && !slices.Contains(sendSet[i], q) {
-				sendSet[i] = append(sendSet[i], q)
-			}
-			t0 = t1
 		}
 	}
 
@@ -70,8 +66,8 @@ func FactorizeFanOut(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, CommSt
 		f := newStorage[float64](sym, false)
 		stores[p] = f
 		// A remote source's received W sits in its cell slot of f until
-		// uses, its count of p's cells still to update, reaches 0. invd[i]
-		// is 1/D of source i while its W is here.
+		// uses, its count of runs into p's cells still to apply, reaches 0.
+		// invd[i] is 1/D of source i while its W is here.
 		uses := make([]int, ncb)
 		invd := make([][]float64, ncb)
 		for k := range owner {
@@ -81,9 +77,11 @@ func FactorizeFanOut(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, CommSt
 			if err := f.AssembleCell(a, k); err != nil {
 				return err
 			}
-			for _, u := range in[k] {
-				if owner[u.Src] != p {
-					uses[u.Src]++
+			for _, id := range into[k] {
+				for _, r := range pulls.Of(id) {
+					if owner[r.Src] != p {
+						uses[r.Src]++
+					}
 				}
 			}
 		}
@@ -91,27 +89,29 @@ func FactorizeFanOut(a *sparse.SymMatrix, sch *sched.Schedule) (*Factors, CommSt
 			if owner[k] != p {
 				continue
 			}
-			for _, u := range in[k] {
-				i := u.Src
-				for f.Data[i] == nil {
-					m, err := comm.Recv(p)
-					if err != nil {
+			for _, id := range into[k] {
+				for _, r := range pulls.Of(id) {
+					i := r.Src
+					for f.Data[i] == nil {
+						m, err := comm.Recv(p)
+						if err != nil {
+							return err
+						}
+						if m.Kind != msgPanel {
+							return fmt.Errorf("solver: fan-out got message kind %d", m.Kind)
+						}
+						f.Data[m.Tag] = m.Data
+					}
+					if invd[i] == nil {
+						invd[i] = invert(f.Diag(int(i)))
+					}
+					if err := applyRun(f, r, f.Data[i], invd[i]); err != nil {
 						return err
 					}
-					if m.Kind != msgPanel {
-						return fmt.Errorf("solver: fan-out got message kind %d", m.Kind)
-					}
-					f.Data[m.Tag] = m.Data
-				}
-				if invd[i] == nil {
-					invd[i] = invert(f.Diag(i))
-				}
-				if err := applyUpdates(f, i, u.T0, u.T1, f.Data[i], invd[i]); err != nil {
-					return err
-				}
-				if owner[i] != p {
-					if uses[i]--; uses[i] == 0 {
-						f.Data[i], invd[i] = nil, nil
+					if owner[i] != p {
+						if uses[i]--; uses[i] == 0 {
+							f.Data[i], invd[i] = nil, nil
+						}
 					}
 				}
 			}

@@ -36,7 +36,7 @@ func TestFanOutMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for run := 0; run < 8; run++ {
-			got, st, err := FactorizeFanOut(an.A, an.Sched)
+			got, st, err := an.FactorizeFanOut()
 			if err != nil {
 				t.Fatalf("P=%d: %v", P, err)
 			}
@@ -73,7 +73,7 @@ func TestFanInVsFanOutTradeoffs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fanOut, err := FactorizeFanOut(an.A, an.Sched)
+	_, fanOut, err := an.FactorizeFanOut()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFanOutSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	an := analyze1D(t, prob.A, 4)
-	f, _, err := FactorizeFanOut(an.A, an.Sched)
+	f, _, err := an.FactorizeFanOut()
 	if err != nil {
 		t.Fatal(err)
 	}

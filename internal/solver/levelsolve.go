@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/pastix-go/pastix/internal/blas"
-	"github.com/pastix-go/pastix/internal/sched"
 	"github.com/pastix-go/pastix/internal/symbolic"
 	"github.com/pastix-go/pastix/internal/trace"
 )
@@ -58,7 +57,7 @@ type solveIn struct {
 // solvePulls is the worker-independent part of every solve plan of one
 // symbolic structure, built once per analysis and shared by its plans:
 // each cell's incoming forward contributions, its slot in the contribution
-// buffer, and the per-cell cost the plans balance on.
+// buffer, the per-cell cost the plans balance on, and the tree's shape.
 type solvePulls struct {
 	ptr  []int32   // cell k's contributions are ins[ptr[k]:ptr[k+1]]
 	ins  []solveIn // in canonical order per destination cell
@@ -71,6 +70,10 @@ type solvePulls struct {
 	// total is the summed cost: the one-worker plan owns every cell, so its
 	// makespan is total plus one barrier.
 	total int64
+	// levels and maxWidth count the level sets of the solve's dependencies
+	// and the cells of the widest: a cell's level is its subtree's height,
+	// since every cell it faces is an ancestor and its parent the first.
+	levels, maxWidth int
 	// bufs holds the idle contribution buffers of every plan of the
 	// structure, rhs the idle permuted right-hand sides of its callers.
 	bufs, rhs bufPool
@@ -95,15 +98,23 @@ func newSolvePulls(sym *symbolic.Symbol, workers int) *solvePulls {
 			sp.cost[blk.Facing] += int64(blk.Rows())
 		}
 	}
+	height := make([]int32, ncb)
 	for k := 0; k < ncb; k++ {
 		sp.ptr[k+1] += sp.ptr[k]
 		sp.total += sp.cost[k]
-		// Children have smaller indices than their parent, so sub[k] is
-		// complete here.
+		// Children have smaller indices than their parent, so sub[k] and
+		// height[k] are complete here.
 		sp.sub[k] += sp.cost[k]
+		sp.levels = max(sp.levels, int(height[k])+1)
 		if par := sym.Parent[k]; par >= 0 {
 			sp.sub[par] += sp.sub[k]
+			height[par] = max(height[par], height[k]+1)
 		}
+	}
+	width := make([]int, sp.levels)
+	for _, h := range height {
+		width[h]++
+		sp.maxWidth = max(sp.maxWidth, width[h])
 	}
 	sp.ins = make([]solveIn, sp.ptr[ncb])
 	next := slices.Clone(sp.ptr[:ncb]) // per-cell fill cursors
@@ -170,7 +181,6 @@ func (sp *solvePulls) in(k int) []solveIn { return sp.ins[sp.ptr[k]:sp.ptr[k+1]]
 // (Analysis, workers) — see Analysis.SolvePlanFor.
 type SolvePlan struct {
 	sym     *symbolic.Symbol
-	dag     *sched.SolveDAG
 	pulls   *solvePulls
 	workers int
 
@@ -186,12 +196,14 @@ type SolvePlan struct {
 
 // PlanStats summarizes a SolvePlan for reporting (the service returns it
 // from /v1/factorize and /v1/solve). Workers is the number of workers the
-// engine runs the plan on; Cells and Levels are the solve DAG's cells and
-// level sets, MaxLevelWidth its widest level. ParallelSteps is 1 on several
-// workers (they run their owned subtrees at once), else 0; ChainSteps is 1
-// when the plan has shared cells, else 0; ChainCells counts the shared
-// cells and SplitCells those every worker takes part in. Cutoff reads 0:
-// no level-width cutoff is left.
+// engine runs the plan on; Cells counts the column blocks, Levels the level
+// sets of the solve's dependency graph (the cells on the longest
+// leaf-to-root path of the elimination tree) and MaxLevelWidth the cells of
+// the widest. ParallelSteps is 1 on several workers (they run their owned
+// subtrees at once), else 0; ChainSteps is 1 when the plan has shared
+// cells, else 0; ChainCells counts the shared cells and SplitCells those
+// every worker takes part in. Cutoff reads 0: no level-width cutoff is
+// left.
 type PlanStats struct {
 	Workers       int `json:"workers"`
 	Cells         int `json:"cells"`
@@ -209,10 +221,10 @@ func (pl *SolvePlan) Stats() PlanStats {
 	st := PlanStats{
 		Workers:       pl.workers,
 		Cells:         pl.sym.NumCB(),
-		Levels:        pl.dag.Depth(),
+		Levels:        pl.pulls.levels,
 		ChainCells:    len(pl.shared),
 		SplitCells:    pl.splitCells,
-		MaxLevelWidth: pl.dag.MaxWidth,
+		MaxLevelWidth: pl.pulls.maxWidth,
 	}
 	if pl.workers > 1 {
 		st.ParallelSteps = 1
@@ -245,13 +257,13 @@ const (
 // of the elimination tree with the lowest predicted makespan, its subtrees
 // assigned to the workers, and the split of every shared cell that the cost
 // model predicts runs faster across the workers than on one.
-func BuildSolvePlan(sym *symbolic.Symbol, dag *sched.SolveDAG, workers int) *SolvePlan {
-	return planOn(sym, dag, newSolvePulls(sym, workers), workers)
+func BuildSolvePlan(sym *symbolic.Symbol, workers int) *SolvePlan {
+	return planOn(sym, newSolvePulls(sym, workers), workers)
 }
 
 // planOn is BuildSolvePlan on pull lists already built for sym.
-func planOn(sym *symbolic.Symbol, dag *sched.SolveDAG, pulls *solvePulls, workers int) *SolvePlan {
-	pl := &SolvePlan{sym: sym, dag: dag, pulls: pulls, workers: max(workers, 1)}
+func planOn(sym *symbolic.Symbol, pulls *solvePulls, workers int) *SolvePlan {
+	pl := &SolvePlan{sym: sym, pulls: pulls, workers: max(workers, 1)}
 	pl.mapSubtrees(pl.searchShared())
 	return pl
 }
@@ -428,15 +440,6 @@ func (pl *SolvePlan) sharedCost(k int) (int64, bool) {
 // rows returns the length of cell k's panel.
 func (pl *SolvePlan) rows(k int) int { return int(pl.pulls.tOff[k+1] - pl.pulls.tOff[k]) }
 
-// SolveDAG returns the analysis's solve DAG, built on first use (internally
-// synchronized; safe for concurrent callers).
-func (an *Analysis) SolveDAG() *sched.SolveDAG {
-	an.solveDAGOnce.Do(func() {
-		an.solveDAG = sched.BuildSolveDAG(an.Sym)
-	})
-	return an.solveDAG
-}
-
 // solvePulls returns the pull lists and costs every solve plan of the
 // analysis shares, built on first use.
 func (an *Analysis) solvePulls() *solvePulls {
@@ -464,7 +467,7 @@ func (an *Analysis) SolvePlanFor(workers int) *SolvePlan {
 	if v, ok := an.solvePlans.Load(workers); ok {
 		return v.(*SolvePlan)
 	}
-	pl := planOn(an.Sym, an.SolveDAG(), an.solvePulls(), workers)
+	pl := planOn(an.Sym, an.solvePulls(), workers)
 	v, _ := an.solvePlans.LoadOrStore(workers, pl)
 	return v.(*SolvePlan)
 }

@@ -13,6 +13,7 @@ import (
 
 	"github.com/pastix-go/pastix/internal/gen"
 	"github.com/pastix-go/pastix/internal/lowrank"
+	"github.com/pastix-go/pastix/internal/symbolic"
 	"github.com/pastix-go/pastix/internal/trace"
 )
 
@@ -39,7 +40,7 @@ func levelFixture(t *testing.T, P int) (*Analysis, *Factors, []float64) {
 // holds shared (an ancestor-closed set), its subtrees mapped as the engine
 // maps them.
 func sharedPlan(an *Analysis, workers int, shared []bool) *SolvePlan {
-	pl := &SolvePlan{sym: an.Sym, dag: an.SolveDAG(), pulls: an.solvePulls(), workers: workers}
+	pl := &SolvePlan{sym: an.Sym, pulls: an.solvePulls(), workers: workers}
 	pl.mapSubtrees(shared)
 	return pl
 }
@@ -62,7 +63,7 @@ func sharedSets(an *Analysis, workers int) []namedPlan {
 	return []namedPlan{
 		{"none-shared", sharedPlan(an, workers, make([]bool, len(all)))},
 		{"all-shared", sharedPlan(an, workers, all)},
-		{"planned", BuildSolvePlan(an.Sym, an.SolveDAG(), workers)},
+		{"planned", BuildSolvePlan(an.Sym, workers)},
 	}
 }
 
@@ -229,11 +230,54 @@ func TestSolvePlanCached(t *testing.T) {
 		t.Fatal("different worker counts share a plan")
 	}
 	st := plans[0].Stats()
-	if st.Workers != 3 || st.Cells != an.Sym.NumCB() || st.Levels != an.SolveDAG().Depth() {
+	if levels, _ := longestPathLevels(t, an.Sym); st.Workers != 3 || st.Cells != an.Sym.NumCB() || st.Levels != levels {
 		t.Fatalf("PlanStats inconsistent: %+v", st)
 	}
 	if st.ChainCells != len(plans[0].shared) || st.Cutoff != 0 {
 		t.Fatalf("PlanStats do not describe the subtree mapping: %+v", st)
+	}
+}
+
+// longestPathLevels computes the level sets of the solve's dependency graph
+// from the blocks alone: an edge k → f for every block of cell k facing f,
+// and each cell one level above its deepest predecessor. It returns the
+// number of levels and the widest level's cell count.
+func longestPathLevels(t *testing.T, sym *symbolic.Symbol) (levels, maxWidth int) {
+	t.Helper()
+	level := make([]int, sym.NumCB())
+	for k := range sym.CB {
+		for _, blk := range sym.CB[k].Blocks {
+			if blk.Facing <= k {
+				t.Fatalf("cell %d has a block facing cell %d", k, blk.Facing)
+			}
+			level[blk.Facing] = max(level[blk.Facing], level[k]+1)
+		}
+		// Every predecessor has a smaller index, so level[k] is final.
+		levels = max(levels, level[k]+1)
+	}
+	width := make([]int, levels)
+	for _, l := range level {
+		width[l]++
+		maxWidth = max(maxWidth, width[l])
+	}
+	return levels, maxWidth
+}
+
+// TestPlanStatsLevels checks PlanStats' Levels and MaxLevelWidth, which the
+// plan reads off the heights of the elimination tree, against the
+// longest-path levels computed from the blocks, on the conformance corpus
+// at 1, 2 and 4 workers.
+func TestPlanStatsLevels(t *testing.T) {
+	for _, tc := range conformanceCorpus() {
+		for _, P := range []int{1, 2, 4} {
+			an := analyzeFor(t, tc.a, P)
+			levels, width := longestPathLevels(t, an.Sym)
+			st := an.SolvePlanFor(P).Stats()
+			if st.Levels != levels || st.MaxLevelWidth != width {
+				t.Fatalf("%s/P=%d: Levels %d, MaxLevelWidth %d; longest paths give %d and %d",
+					tc.name, P, st.Levels, st.MaxLevelWidth, levels, width)
+			}
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func factorizeSeq[T blas.Scalar](a *sparse.Sym[T], sym *symbolic.Symbol, tau flo
 		}
 		f.SolvePanel(k)
 		d := f.Diag(k)
-		if err := applyUpdates(f, k, 0, len(sym.CB[k].Blocks), f.Data[k], invert(d)); err != nil {
+		if err := applyUpdates(f, k, f.Data[k], invert(d)); err != nil {
 			return nil, nil, err
 		}
 		f.ScalePanel(k, d)

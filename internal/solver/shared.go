@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -20,69 +19,52 @@ import (
 // the tasks, pinned to the static schedule's K_p vectors (RuntimeShared) or
 // work stealing (RuntimeDynamic).
 //
-// Contributions are not applied by their producer. Each outer-product update
-// is enqueued as a (source cell, s, t) descriptor on its DESTINATION task,
-// and the destination applies all of them at activation, sorted into the
-// sequential right-looking order (source cell ascending, then t, then s).
-// Because the update kernels accumulate into the destination in place, the
-// floating-point result depends on application order; replaying the
-// sequential order makes the factor BITWISE identical to FactorizeSeq under
-// both policies, regardless of how tasks interleave. The price is that a
-// region's updates execute on one processor instead of being spread over the
-// producers; the message-passing runtime pays the same shape of cost when it
-// adds received AUBs at the destination.
-
-// contribRef identifies one deferred outer-product update: the (S,T) block
-// pair of source cell Cell. The actual operands are read from the shared
-// storage when the destination applies the update — by then the source panel
-// holds exactly W = L·D (panel scaling is deferred to the scale phase) and
-// sr.invd[Cell] is published, so the kernel computes bit for bit what the
-// sequential code computes.
-type contribRef struct {
-	Cell, S, T int32
-}
-
-// pendList collects the contributions enqueued on one destination task. The
-// mutex both serializes concurrent producers and hands the consumer a
-// happens-before edge over everything each producer wrote before enqueueing
-// (its solved panel, its published 1/D).
-type pendList struct {
-	mu   sync.Mutex
-	refs []contribRef
-}
+// No producer applies its contributions. Each task, when it activates,
+// pulls the updates into its region from its static list
+// (sched.Schedule.Pulls), in the sequential right-looking order: source
+// cell ascending, then t, then s. The update kernels accumulate in place,
+// so replaying that order makes the factor BITWISE identical to
+// FactorizeSeq under both policies, however the tasks interleave. Every
+// producer (the source's COMP1D, or its BMOD) is a predecessor of the
+// puller, so the activation countdown orders the source's solved panel and
+// 1/D before the pull; a BMOD task computes nothing and stays in the graph
+// for its edges. The price is that a region's updates execute on one
+// processor, as the message-passing runtime adds received AUBs at the
+// destination.
 
 // sharedRun is the state shared by all workers of one factorizeShared run.
 type sharedRun[T blas.Scalar] struct {
-	sch  *sched.Schedule
-	f    *Storage[T]     // the one shared factor storage (fully allocated)
-	pend []pendList      // per task: deferred contributions into its region
-	invd [][]T           // per cell: 1/D, published by the FACTOR/COMP1D task
-	rec  *trace.Recorder // nil disables tracing
-	tau  float64         // static-pivot threshold; 0 disables pivoting
-	log  pivotLog        // static-pivot substitutions of every worker
+	sch   *sched.Schedule
+	pulls *sched.Pulls    // per task: the updates into its region
+	f     *Storage[T]     // the one shared factor storage (fully allocated)
+	invd  [][]T           // per cell: 1/D, published by the FACTOR/COMP1D task
+	rec   *trace.Recorder // nil disables tracing
+	tau   float64         // static-pivot threshold; 0 disables pivoting
+	log   pivotLog        // static-pivot substitutions of every worker
 }
 
-// factorizeShared runs the supernodal LDLᵀ factorization on sch.P workers
-// over one shared factor storage, for either scalar type, with static-pivot
-// threshold tau (0 disables pivoting). dag is sch's task graph
-// (Analysis.factorDAG builds it once per analysis). pinned selects the
+// factorizeShared runs the supernodal LDLᵀ factorization of a, on the
+// analysis's schedule with one worker per processor, over one shared factor
+// storage, for either scalar type, with static-pivot threshold tau (0
+// disables pivoting). The task graph and the tasks' incoming updates are
+// the analysis's, built once (factorDAG, taskPulls). pinned selects the
 // placement policy: the static schedule's K_p vectors, or work stealing. The
 // result is bitwise identical to factorizeSeq. rec is an optional
 // execution-trace recorder (task events carry the worker index as the
 // processor). Cancelling ctx aborts the run between tasks; every worker
 // goroutine unwinds before the call returns.
-func factorizeShared[T blas.Scalar](ctx context.Context, a *sparse.Sym[T], sch *sched.Schedule, dag *sched.DAG, rec *trace.Recorder, tau float64, pinned bool) (*Storage[T], []Perturbation, dynsched.Stats, error) {
+func factorizeShared[T blas.Scalar](ctx context.Context, a *sparse.Sym[T], an *Analysis, rec *trace.Recorder, tau float64, pinned bool) (*Storage[T], []Perturbation, dynsched.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, dynsched.Stats{}, err
 	}
-	sym := sch.Sym()
+	sch, sym := an.Sched, an.Sym
 	sr := &sharedRun[T]{
-		sch:  sch,
-		f:    newStorage[T](sym, true),
-		pend: make([]pendList, len(sch.Tasks)),
-		invd: make([][]T, sym.NumCB()),
-		rec:  rec,
-		tau:  tau,
+		sch:   sch,
+		pulls: an.taskPulls(),
+		f:     newStorage[T](sym, true),
+		invd:  make([][]T, sym.NumCB()),
+		rec:   rec,
+		tau:   tau,
 	}
 	// Phase 1: every processor assembles the regions its tasks own (the same
 	// ownership as the distributed runtime; assembly is embarrassingly
@@ -96,7 +78,7 @@ func factorizeShared[T blas.Scalar](ctx context.Context, a *sparse.Sym[T], sch *
 	if pinned {
 		order = sch.ByProc
 	}
-	st, err := dynsched.Run(ctx, dag, sch.P, order, sr.execTask)
+	st, err := dynsched.Run(ctx, an.factorDAG(), sch.P, order, sr.execTask)
 	if err != nil {
 		return nil, nil, st, err
 	}
@@ -131,8 +113,8 @@ func (sr *sharedRun[T]) runPhase(fn func(p int) error) error {
 }
 
 // execTask runs one schedule task on worker p, once the executor has seen
-// its dependencies satisfied: apply the deferred contributions targeting its
-// region, then the task's own kernel work.
+// its dependencies satisfied: pull the updates into its region, then the
+// task's own kernel work.
 func (sr *sharedRun[T]) execTask(p, id int) error {
 	t := &sr.sch.Tasks[id]
 	// Interval starts after the dependency wait so it measures execution
@@ -141,102 +123,34 @@ func (sr *sharedRun[T]) execTask(p, id int) error {
 	if sr.rec != nil {
 		start = sr.rec.Now()
 	}
-	if err := sr.applyPending(id); err != nil {
-		return err
+	// Every producer has completed, so each source panel holds exactly
+	// W = L·D (panel scaling is deferred to the scale phase) and its 1/D is
+	// published; the region is this task's alone, so no lock is held.
+	for _, r := range sr.pulls.Of(id) {
+		if err := applyRun(sr.f, r, sr.f.Data[r.Src], sr.invd[r.Src]); err != nil {
+			return err
+		}
 	}
-	var err error
+	k := t.Cell
 	switch t.Type {
-	case sched.Comp1D:
-		err = sr.execComp1D(p, t)
-	case sched.Factor:
-		err = sr.execFactor(p, t)
+	case sched.Comp1D, sched.Factor:
+		if err := factorDiag(sr.f, k, sr.tau, &sr.log, sr.rec, p); err != nil {
+			return err
+		}
+		if t.Type == sched.Comp1D {
+			sr.f.SolvePanel(k)
+		}
+		// Publish 1/D for the tasks that pull this cell's updates (of a 2D
+		// cell, through the FACTOR → BDIV → BMOD chain; BDIV reads the
+		// diagonal block in place). The panel stays W = L·D until the scale
+		// phase.
+		sr.invd[k] = invert(sr.f.Diag(k))
 	case sched.BDiv:
 		// TRSM against the shared diagonal block, in place on the shared panel.
-		solveBlock(sr.f, t.Cell, t.S, sr.f.Data[t.Cell], sr.f.LD[t.Cell])
-	case sched.BMod:
-		sr.enqueue(t.Cell, t.S, t.T)
-	}
-	if err != nil {
-		return err
+		solveBlock(sr.f, k, t.S, sr.f.Data[k], sr.f.LD[k])
 	}
 	if sr.rec != nil {
 		sr.rec.Task(p, id, t.Type, t.Cell, t.S, t.T, start, sr.rec.Now())
 	}
-	return nil
-}
-
-// enqueue defers the (s,t) outer-product contribution of cell k onto its
-// destination task. The source panel and 1/D must already be published; the
-// destination reads them when it activates.
-func (sr *sharedRun[T]) enqueue(k, s, t int) {
-	pl := &sr.pend[sr.sch.UpdateTask(k, s, t)]
-	pl.mu.Lock()
-	pl.refs = append(pl.refs, contribRef{Cell: int32(k), S: int32(s), T: int32(t)})
-	pl.mu.Unlock()
-}
-
-// applyPending applies every contribution enqueued on task id, in the
-// CANONICAL order — source cell ascending, then t, then s: exactly the order
-// the sequential right-looking loop produces them in. Each kernel runs
-// straight into the destination region of the shared storage, so the
-// accumulated bits equal the sequential ones. By the activation protocol all
-// producers have completed, so the list is final and the region is owned
-// exclusively by this task — no locks are held during the kernels.
-func (sr *sharedRun[T]) applyPending(id int) error {
-	pl := &sr.pend[id]
-	pl.mu.Lock()
-	refs := pl.refs
-	pl.refs = nil
-	pl.mu.Unlock()
-	if len(refs) == 0 {
-		return nil
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Cell != refs[j].Cell {
-			return refs[i].Cell < refs[j].Cell
-		}
-		if refs[i].T != refs[j].T {
-			return refs[i].T < refs[j].T
-		}
-		return refs[i].S < refs[j].S
-	})
-	for _, r := range refs {
-		k := int(r.Cell)
-		if err := updateFromPanel(sr.f, k, int(r.S), int(r.T), sr.f.Data[k], sr.invd[k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (sr *sharedRun[T]) execComp1D(p int, t *sched.Task) error {
-	k := t.Cell
-	// applyPending subtracted every contribution into this cell; it is ready
-	// to factor.
-	if err := factorDiag(sr.f, k, sr.tau, &sr.log, sr.rec, p); err != nil {
-		return err
-	}
-	sr.f.SolvePanel(k)
-	// Publish 1/D: the destinations of this cell's contributions read it when
-	// they activate. The panel stays W = L·D until the scale phase.
-	sr.invd[k] = invert(sr.f.Diag(k))
-	cb := &sr.sch.Sym().CB[k]
-	for ti := range cb.Blocks {
-		for si := ti; si < len(cb.Blocks); si++ {
-			sr.enqueue(k, si, ti)
-		}
-	}
-	return nil
-}
-
-func (sr *sharedRun[T]) execFactor(p int, t *sched.Task) error {
-	k := t.Cell
-	if err := factorDiag(sr.f, k, sr.tau, &sr.log, sr.rec, p); err != nil {
-		return err
-	}
-	// Publish 1/D for the BMOD tasks of this cell (they observe it through
-	// the FACTOR → BDIV → BMOD activation chain). The diagonal block itself
-	// is read in place by BDIV — no copy is ever taken.
-	sr.invd[k] = invert(sr.f.Diag(k))
 	return nil
 }

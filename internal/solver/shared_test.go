@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/pastix-go/pastix/internal/dynsched"
@@ -17,7 +18,7 @@ import (
 // work-stealing placement policy, and returns the executor's stats with the
 // factor.
 func factorizeSharedOn(an *Analysis, pinned bool) (*Factors, dynsched.Stats, error) {
-	f, perts, st, err := factorizeShared(context.Background(), an.A, an.Sched, an.factorDAG(), nil, 0, pinned)
+	f, perts, st, err := factorizeShared(context.Background(), an.A, an, nil, 0, pinned)
 	if err != nil {
 		return nil, st, err
 	}
@@ -163,27 +164,59 @@ func TestSharedViaParOptions(t *testing.T) {
 	bitwiseEqualFactors(t, direct, got, -1)
 }
 
-// TestFactorDAGBuiltOnce: the executor's task graph belongs to the analysis.
-// The first shared or dynamic factorization builds it, and later ones, under
-// either policy, run on the same *sched.DAG instead of rebuilding it.
+// TestFactorDAGBuiltOnce: the executor's task graph and the tasks' update
+// lists belong to the analysis. The first shared or dynamic factorization
+// builds them, and later ones, under either policy or fan-out, run on the
+// same *sched.DAG and *sched.Pulls instead of rebuilding them.
 func TestFactorDAGBuiltOnce(t *testing.T) {
 	an := analyzeFor(t, laplacian2D(12, 12), 2)
-	if an.dag != nil {
-		t.Fatal("analysis built the factorization DAG before any factorization")
+	if an.dag != nil || an.updates != nil {
+		t.Fatal("analysis built the factorization DAG or update lists before any factorization")
 	}
 	if _, err := an.FactorizeOpts(ParOptions{Runtime: RuntimeShared}); err != nil {
 		t.Fatal(err)
 	}
-	dag := an.dag
-	if dag == nil {
-		t.Fatal("shared factorization did not keep its DAG on the analysis")
+	dag, updates := an.dag, an.updates
+	if dag == nil || updates == nil {
+		t.Fatal("shared factorization did not keep its DAG and update lists on the analysis")
 	}
 	if _, err := an.FactorizeOpts(ParOptions{Runtime: RuntimeDynamic}); err != nil {
 		t.Fatal(err)
 	}
-	if an.dag != dag || an.factorDAG() != dag {
-		t.Fatal("second factorization rebuilt the DAG")
+	if _, _, err := an.FactorizeFanOut(); err != nil {
+		t.Fatal(err)
 	}
+	if an.dag != dag || an.factorDAG() != dag || an.updates != updates || an.taskPulls() != updates {
+		t.Fatal("a later factorization rebuilt the DAG or the update lists")
+	}
+}
+
+// TestSharedAllocatesAsSeq: every task pulls its updates from the
+// analysis's static lists, so a warm shared factorization allocates about
+// what the sequential loop does (the factor and 1/D per cell), plus the
+// executor's per-task countdowns, and nothing per block update. Poisson 16³
+// at P = 2 has about 40,000 block updates.
+func TestSharedAllocatesAsSeq(t *testing.T) {
+	an, err := Analyze(gen.Laplacian3D(16, 16, 16), Options{P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(rt Runtime) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := an.FactorizeOpts(ParOptions{Runtime: rt}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	allocated(RuntimeShared) // builds the task graph and the lists
+	seq, shared := allocated(RuntimeSequential), allocated(RuntimeShared)
+	if shared > seq+seq/10 {
+		t.Fatalf("a warm shared factorization allocated %d bytes, the sequential loop %d: want at most 10%% more", shared, seq)
+	}
+	t.Logf("warm factorization allocated %d bytes shared, %d sequential", shared, seq)
 }
 
 // TestSharedExercises2DTasks makes sure the corpus is not dodging the 2D

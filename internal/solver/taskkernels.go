@@ -82,13 +82,24 @@ func updateFromPanel[T blas.Scalar](f *Storage[T], k, s, t int, panel, scale []T
 	return updateCell(f, k, s, t, panel[f.BlockOff[k][s]:], ld, scale, panel[f.BlockOff[k][t]:], ld)
 }
 
-// applyUpdates applies the updates of column block k whose block t lies in
-// [t0, t1) to their target cells in f, in the canonical order: t ascending,
-// then s. panel holds k's W = L·D in the layout of k's cell, and invd is
-// 1/D of k.
-func applyUpdates[T blas.Scalar](f *Storage[T], k, t0, t1 int, panel, invd []T) error {
+// applyRun applies the updates of run r in place, in the canonical order
+// (S ascending). panel holds r.Src's W = L·D in the layout of its cell, and
+// invd is 1/D of r.Src.
+func applyRun[T blas.Scalar](f *Storage[T], r sched.Pull, panel, invd []T) error {
+	for s := r.S0; s < r.S1; s++ {
+		if err := updateFromPanel(f, int(r.Src), int(s), int(r.T), panel, invd); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyUpdates applies every update of column block k to its target cell
+// in f, in the canonical order: t ascending, then s. panel holds k's
+// W = L·D in the layout of k's cell, and invd is 1/D of k.
+func applyUpdates[T blas.Scalar](f *Storage[T], k int, panel, invd []T) error {
 	nb := len(f.Sym.CB[k].Blocks)
-	for t := t0; t < t1; t++ {
+	for t := 0; t < nb; t++ {
 		for s := t; s < nb; s++ {
 			if err := updateFromPanel(f, k, s, t, panel, invd); err != nil {
 				return err

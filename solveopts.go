@@ -54,12 +54,14 @@ type SolveOptions struct {
 }
 
 // PlanStats summarises the solve schedule the level-set engine ran: Workers
-// it ran on (one when the cost model predicts the others do not pay); the
-// solve DAG's Cells, Levels and MaxLevelWidth; ParallelSteps 1 when several
-// workers ran their owned elimination subtrees at once, else 0; ChainSteps 1
-// when the plan shares the top cells, else 0; ChainCells the shared cells
-// and SplitCells those split across the workers. Cutoff reads 0: no
-// level-width cutoff is left.
+// it ran on (one when the cost model predicts the others do not pay); Cells,
+// the column blocks; Levels, the cells on the longest leaf-to-root path of
+// the elimination tree, and MaxLevelWidth, the most cells of one height
+// (the level sets of the solve's dependencies); ParallelSteps 1 when
+// several workers ran their owned elimination subtrees at once, else 0;
+// ChainSteps 1 when the plan shares the top cells, else 0; ChainCells the
+// shared cells and SplitCells those split across the workers. Cutoff reads
+// 0: no level-width cutoff is left.
 type PlanStats = solver.PlanStats
 
 // SolveResult is the outcome of SolveOpts.
@@ -210,10 +212,10 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 	return res, nil
 }
 
-// PrepareSolve warms the solve-path caches of the analysis for factor f: the
-// solve DAG and the level-set plan for the schedule's processor count. Both
-// are built lazily on first use anyway; a serving layer calls this right
-// after factorization so the first request does not pay the one-time cost.
+// PrepareSolve warms the solve-path cache of the analysis for factor f: the
+// level-set plan for the schedule's processor count. It is built lazily on
+// first use anyway; a serving layer calls this right after factorization
+// so the first request does not pay the one-time cost.
 // The factor itself needs nothing: every solve engine reads the cells
 // factorization wrote. Safe concurrently with solves.
 func (an *Analysis) PrepareSolve(f *Factor) (PlanStats, error) {
