@@ -424,3 +424,65 @@ func TestIdemStoreTTL(t *testing.T) {
 		t.Fatal("live entry swept")
 	}
 }
+
+// TestDurableAppendFailureUnputs: when the journal append fails, factorize
+// and replicate import answer with a server error and leave no live handle
+// behind, and the failed request's idempotency key is not remembered — so a
+// handle is never acknowledged "durable" without being journaled.
+func TestDurableAppendFailureUnputs(t *testing.T) {
+	src, err := New(Config{Solver: pastix.Options{Processors: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	s, err := New(durableConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	waitReady(t, s)
+	tsSrc := httptest.NewServer(src.Handler())
+	defer tsSrc.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	a := gen.Laplacian2D(8, 8)
+	mm := mmString(t, a)
+	var fr factorizeResponse
+	if st := postJSON(t, tsSrc.URL+"/v1/factorize", matrixRequest{MatrixMarket: mm}, &fr); st != http.StatusOK {
+		t.Fatalf("source factorize status %d", st)
+	}
+	buf, _ := json.Marshal(replicateRequest{Handle: fr.Handle})
+	resp, err := http.Post(tsSrc.URL+"/v1/replicate", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	transfer, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("export status %d err %v", resp.StatusCode, err)
+	}
+
+	s.journal.Close()
+	for try := 0; try < 2; try++ {
+		var er errorResponse
+		if st := postJSON(t, ts.URL+"/v1/factorize", matrixRequest{MatrixMarket: mm, IdempotencyKey: "append-fails"}, &er); st < 500 {
+			t.Fatalf("factorize try %d with a closed journal: status %d (%+v), want 5xx", try, st, er)
+		}
+		resp, err := http.Post(ts.URL+"/v1/replicate", "application/octet-stream", bytes.NewReader(transfer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode < 500 {
+			t.Fatalf("import try %d with a closed journal: status %d (%s), want 5xx", try, resp.StatusCode, body)
+		}
+		if n := s.store.Len(); n != 0 {
+			t.Fatalf("try %d: %d live handles after failed appends, want 0", try, n)
+		}
+		if n := s.idem.len(); n != 0 {
+			t.Fatalf("try %d: %d idempotency entries remembered for failed requests", try, n)
+		}
+	}
+}

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"github.com/pastix-go/pastix"
@@ -145,4 +147,143 @@ func TestServerSolveOptionsErrors(t *testing.T) {
 	}, &er); st != http.StatusBadRequest {
 		t.Fatalf("negative tolerance: status %d (%+v)", st, er)
 	}
+}
+
+// An options-bearing panel solve against a perturbed factor gets the same
+// degraded-success repair as option-free solves: with no refine block, every
+// column comes back bit for bit as the option-free solve of that column, and
+// the reply aggregates the per-column refinement as SolveOpts does (worst
+// iteration count, worst backward error).
+func TestServerDegradedOptionsSolve(t *testing.T) {
+	s, err := New(Config{Solver: pastix.Options{
+		Processors:  2,
+		StaticPivot: pastix.StaticPivotOptions{Epsilon: 1e-12},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	a := gen.GradedPivot(3, 8, 1e-2, 0.05, true)
+	var fr factorizeResponse
+	if st := postJSON(t, ts.URL+"/v1/factorize", matrixRequest{MatrixMarket: mmString(t, a)}, &fr); st != http.StatusOK {
+		t.Fatalf("factorize status %d", st)
+	}
+	if len(fr.PerturbedColumns) == 0 {
+		t.Fatalf("factor not perturbed: %+v", fr)
+	}
+	n := a.N
+	const nrhs = 3
+	// Consistent right-hand sides b = A·x of distinct solutions, so each
+	// column's refinement has real work to do.
+	panel := make([]float64, n*nrhs)
+	x := make([]float64, n)
+	for r := 0; r < nrhs; r++ {
+		for i := range x {
+			x[i] = 1 + math.Sin(float64(1+i*(r+2)))
+		}
+		a.MatVec(x, panel[r*n:(r+1)*n])
+	}
+
+	var wantIters int
+	var wantBE float64
+	solo := make([]solveResponse, nrhs)
+	for r := range solo {
+		if st := postJSON(t, ts.URL+"/v1/solve", solveRequest{Handle: fr.Handle, B: panel[r*n : (r+1)*n]}, &solo[r]); st != http.StatusOK {
+			t.Fatalf("solo solve %d status %d", r, st)
+		}
+		if !solo[r].Degraded {
+			t.Fatalf("solo solve %d not degraded: %+v", r, solo[r])
+		}
+		wantIters = max(wantIters, solo[r].RefineIters)
+		wantBE = max(wantBE, solo[r].BackwardError)
+	}
+
+	var sr solveResponse
+	if st := postJSON(t, ts.URL+"/v1/solve", solveRequest{
+		Handle:  fr.Handle,
+		B:       panel,
+		Options: &solveRequestOptions{NRHS: nrhs},
+	}, &sr); st != http.StatusOK {
+		t.Fatalf("panel solve status %d", st)
+	}
+	if sr.NRHS != nrhs || len(sr.X) != n*nrhs || sr.Batched != 0 {
+		t.Fatalf("panel reply nrhs=%d len(x)=%d batched=%d", sr.NRHS, len(sr.X), sr.Batched)
+	}
+	for r := range solo {
+		for i, want := range solo[r].X {
+			if got := sr.X[r*n+i]; got != want {
+				t.Fatalf("column %d: x[%d] = %x, option-free solve %x", r, i, got, want)
+			}
+		}
+	}
+	if !sr.Degraded || !reflect.DeepEqual(sr.PerturbedColumns, fr.PerturbedColumns) {
+		t.Fatalf("panel reply degraded=%v perturbed=%v, want true and %v", sr.Degraded, sr.PerturbedColumns, fr.PerturbedColumns)
+	}
+	if sr.BackwardError > 1e-10 || sr.BackwardError != wantBE {
+		t.Fatalf("backward error %g, want %g (worst column) and ≤ 1e-10", sr.BackwardError, wantBE)
+	}
+	if sr.RefineIters != wantIters {
+		t.Fatalf("refine iterations %d, want %d (worst column)", sr.RefineIters, wantIters)
+	}
+}
+
+// TestServerSolveMetrics pins the solve counters the serving benchmark reads:
+// each engine call observes the solve latency once, a coalesced batch of k
+// adds one batch and k right-hand sides, and an options-bearing solve is not
+// a coalesced batch.
+func TestServerSolveMetrics(t *testing.T) {
+	s, err := New(Config{
+		Solver:     pastix.Options{Processors: 2},
+		MaxBatch:   8,
+		Workers:    1,
+		QueueDepth: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	a := gen.Laplacian2D(10, 10)
+	var fr factorizeResponse
+	if st := postJSON(t, ts.URL+"/v1/factorize", matrixRequest{MatrixMarket: mmString(t, a)}, &fr); st != http.StatusOK {
+		t.Fatalf("factorize status %d", st)
+	}
+	_, b := gen.RHSForSolution(a)
+	m := s.Metrics()
+	type sample struct{ batches, rhs, sizes, solves int64 }
+	read := func() sample {
+		return sample{m.Batches.Value(), m.BatchedRHS.Value(), m.BatchSize.Count(), m.SolveSeconds.Count()}
+	}
+	step := func(what string, do func(), want sample) {
+		t.Helper()
+		before := read()
+		do()
+		after := read()
+		got := sample{after.batches - before.batches, after.rhs - before.rhs, after.sizes - before.sizes, after.solves - before.solves}
+		if got != want {
+			t.Fatalf("%s: counter deltas %+v, want %+v", what, got, want)
+		}
+	}
+
+	step("options panel", func() {
+		panel := append(append([]float64(nil), b...), b...)
+		var sr solveResponse
+		if st := postJSON(t, ts.URL+"/v1/solve", solveRequest{Handle: fr.Handle, B: panel, Options: &solveRequestOptions{NRHS: 2}}, &sr); st != http.StatusOK {
+			t.Fatalf("options solve status %d", st)
+		}
+	}, sample{solves: 1})
+	step("option-free solve", func() {
+		var sr solveResponse
+		if st := postJSON(t, ts.URL+"/v1/solve", solveRequest{Handle: fr.Handle, B: b}, &sr); st != http.StatusOK {
+			t.Fatalf("solve status %d", st)
+		}
+	}, sample{batches: 1, rhs: 1, sizes: 1, solves: 1})
+	// Four parked solves run as a batch of one and a coalesced batch of three.
+	step("parked solves", func() {
+		solveParked(t, s, ts.URL, fr.Handle, [][]float64{b, b, b, b})
+	}, sample{batches: 2, rhs: 4, sizes: 2, solves: 2})
 }
