@@ -44,7 +44,7 @@ NUMSTRESS_RUN := NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine
 NUMSTRESS_PKGS := ./internal/solver ./internal/blas .
 DYNSTRESS_RUN := RuntimeConformance|ScheduleRouting|SchedulePulls|SharedAllocates|FactorDAG|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph|FanOut|Schur
 DYNSTRESS_PKGS := ./internal/solver ./internal/dynsched
-SOLVESTRESS_RUN := SolvePlan|PlanStatsLevels|SolveMapping|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1
+SOLVESTRESS_RUN := SolvePlan|PlanStatsLevels|SolveMapping|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1|ServerDegradedOptions|ServerSolveMetrics
 SOLVESTRESS_PKGS := ./internal/solver ./internal/blas ./internal/service .
 HASERVICE_RUN := Readyz|BodyLimit|Idempotent|Drain
 HASERVICE_PKGS := ./internal/service
@@ -96,9 +96,10 @@ dynstress:
 # cross-runtime solve conformance table (every generator × every
 # factorization runtime × the level-set engine at four workers and at one ×
 # 1/32 RHS, bitwise), the public SolveOpts suites (every solve runtime
-# bitwise, wrapper equivalence), and the serving options and P=1 batch
-# paths — all under the race detector, three times over so the spin
-# barrier's interleavings repeat.
+# bitwise, wrapper equivalence), and the served solves (options panels,
+# plain and on a perturbed factor, the P=1 batch, the solve counters) — all
+# under the race detector, three times over so the spin barrier's
+# interleavings repeat.
 solvestress:
 	$(GO) test -race -timeout 300s -count=3 -run '$(SOLVESTRESS_RUN)' $(SOLVESTRESS_PKGS)
 
@@ -125,8 +126,9 @@ blrstress:
 # Durability stress soak: the WAL/snapshot store under the race detector —
 # codec round trips, torn-tail and bit-flip corruption recovery, the
 # crash-at-write-k injector sweep — plus the service's journaled durable-ack
-# and replicate paths, the gateway anti-entropy repair suites, and the
-# durable kill→restart→recover chaos soak (-short trims the seed count).
+# and replicate paths (a failed append among them), the gateway anti-entropy
+# repair suites, and the durable kill→restart→recover chaos soak (-short
+# trims the seed count).
 durastress:
 	$(GO) test -race -timeout 300s ./internal/store
 	$(GO) test -race -timeout 300s -run '$(DURASERVICE_RUN)' $(DURASERVICE_PKGS)

@@ -36,11 +36,16 @@ type smokeFactorizeResp struct {
 	Durable        bool   `json:"durable"`
 }
 type smokeSolveReq struct {
-	Handle string    `json:"handle"`
-	B      []float64 `json:"b"`
+	Handle  string            `json:"handle"`
+	B       []float64         `json:"b"`
+	Options *smokeSolveOption `json:"options,omitempty"`
+}
+type smokeSolveOption struct {
+	NRHS int `json:"nrhs"`
 }
 type smokeSolveResp struct {
 	X       []float64 `json:"x"`
+	NRHS    int       `json:"nrhs"`
 	Batched int       `json:"batched"`
 }
 
@@ -158,6 +163,27 @@ func runSmoke(cfg service.Config) error {
 		}
 	}
 	fmt.Println("serve-smoke: every concurrent answer bit-identical to its solo solve")
+	// The same right-hand sides as one options-bearing panel: it runs alone,
+	// and each column must again be the solo solve's bits.
+	panel := make([]float64, 0, k*n)
+	for _, bi := range bs {
+		panel = append(panel, bi...)
+	}
+	var pr smokeSolveResp
+	if err := smokePost(base+"/v1/solve", smokeSolveReq{Handle: fr.Handle, B: panel, Options: &smokeSolveOption{NRHS: k}}, &pr); err != nil {
+		return fmt.Errorf("panel solve: %w", err)
+	}
+	if pr.NRHS != k || len(pr.X) != k*n {
+		return fmt.Errorf("panel solve: nrhs %d with %d values, want %d with %d", pr.NRHS, len(pr.X), k, k*n)
+	}
+	for i := range xs {
+		for j, want := range xs[i] {
+			if got := pr.X[i*n+j]; got != want {
+				return fmt.Errorf("panel column %d: x[%d] = %x, %x alone — not bit-identical", i, j, got, want)
+			}
+		}
+	}
+	fmt.Printf("serve-smoke: NRHS %d options panel bit-identical to the solo solves, column by column\n", k)
 	if err := smokeDecodePaths(base, fr.Handle, bs[0]); err != nil {
 		return err
 	}

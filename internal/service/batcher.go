@@ -34,26 +34,21 @@ type batcher struct {
 	inFlight bool
 }
 
-// solveReq is one client right-hand side waiting to ride a batch.
+// solveReq is one client solve: a right-hand side riding a coalesced batch,
+// or, with opts set, a request carrying its own SolveOptions that runBatch
+// runs alone (a panel or a pinned engine is never coalesced with strangers).
 type solveReq struct {
-	ctx context.Context
-	b   []float64
-	res chan solveRes
+	ctx  context.Context
+	b    []float64
+	opts *pastix.SolveOptions
+	res  chan solveRes
 }
 
-// solveRes is the demultiplexed result of one batched column.
+// solveRes is one rider's share of a runBatch result: its reply, less the
+// timing and panel width the handler fills in, or the error.
 type solveRes struct {
-	x       []float64
-	batched int // size of the batch this request rode in
-	plan    pastix.PlanStats
-	err     error
-
-	// Degraded-success diagnostics, set when the factor was perturbed by
-	// static pivoting and the column went through adaptive refinement.
-	degraded      bool
-	perturbedCols []int
-	backwardErr   float64
-	refineIters   int
+	solveResponse
+	err error
 }
 
 func newBatcher(maxBatch int, run func([]*solveReq)) *batcher {

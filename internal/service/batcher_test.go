@@ -48,7 +48,7 @@ func blockingBatcher(maxBatch int) (b *batcher, calls chan heldBatch) {
 		calls <- h
 		<-h.release
 		for _, r := range reqs {
-			r.res <- solveRes{batched: len(reqs)}
+			r.res <- solveRes{solveResponse: solveResponse{Batched: len(reqs)}}
 		}
 	})
 	return b, calls
@@ -81,8 +81,8 @@ func submitN(b *batcher, n int) ([]*solveReq, []<-chan solveRes) {
 func wantBatched(t *testing.T, chs []<-chan solveRes, size int) {
 	t.Helper()
 	for i, ch := range chs {
-		if res := <-ch; res.batched != size {
-			t.Fatalf("rider %d rode a batch of %d, want %d", i, res.batched, size)
+		if res := <-ch; res.Batched != size {
+			t.Fatalf("rider %d rode a batch of %d, want %d", i, res.Batched, size)
 		}
 	}
 }
@@ -167,7 +167,7 @@ func TestBatcherAtMostOnePartialBatch(t *testing.T) {
 			running.Add(-1)
 		}
 		for _, r := range reqs {
-			r.res <- solveRes{batched: len(reqs)}
+			r.res <- solveRes{solveResponse: solveResponse{Batched: len(reqs)}}
 		}
 	})
 	var wg sync.WaitGroup
@@ -176,8 +176,8 @@ func TestBatcherAtMostOnePartialBatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSubmitter; i++ {
-				if res := <-b.submit(&solveReq{}); res.batched < 1 || res.batched > maxBatch {
-					t.Errorf("batch of %d, want 1..%d", res.batched, maxBatch)
+				if res := <-b.submit(&solveReq{}); res.Batched < 1 || res.Batched > maxBatch {
+					t.Errorf("batch of %d, want 1..%d", res.Batched, maxBatch)
 				}
 				answered.Add(1)
 			}

@@ -5,11 +5,14 @@
 //     deduplication, so concurrent requests for one sparsity pattern trigger
 //     exactly one ordering/symbolic/scheduling pass and later requests reuse
 //     it (the amortization PaStiX's analysis/factorization split exists for);
-//   - a factor handle store, so clients factorize once and solve many times;
+//   - a factor handle store, so clients factorize once and solve many times
+//     (factorize, replicate import and journal replay all register handles
+//     through one function);
 //   - a work-conserving multi-RHS batcher: a solve against an idle factor
 //     runs at once, and solves arriving while it runs coalesce into the next
 //     blocked panel solve (BLAS-3 shape), whose bit-identical per-column
-//     results are demultiplexed;
+//     results are demultiplexed. Its batch runner is the only way a solve
+//     reaches the engine: a request carrying options runs alone through it;
 //   - admission control: a bounded queue ahead of a worker pool, 429-style
 //     shedding on overflow, and per-request deadlines flowing into the
 //     context-aware pastix API.

@@ -45,6 +45,11 @@ var errRecovering = errors.New("service: journal replay in progress")
 // rather than serving from a store it knows is incomplete.
 var errRecoveryFailed = errors.New("service: journal recovery failed")
 
+// errBadRecord reports a factor record (a /v1/replicate transfer, or a
+// journal record on replay) that does not describe a factor of its matrix
+// (HTTP 400, code "bad_transfer").
+var errBadRecord = errors.New("service: bad factor record")
+
 // newInstanceID returns the random per-process identity exposed on /readyz.
 // The gateway uses it to detect restarts: same address, new instance means
 // the in-memory state (and any non-durable handles) is gone.
@@ -91,7 +96,15 @@ func (s *Server) replay(rec *store.Recovered) {
 	}
 	if err == nil {
 		for _, fr := range rec.Factors {
-			if ferr := s.restoreFactorRecord(fr); ferr != nil {
+			e, _, _, ferr := s.restore(s.baseCtx, fr)
+			if ferr == nil {
+				resp := new(factorizeResponse)
+				if json.Unmarshal(fr.Response, resp) != nil {
+					resp = nil
+				}
+				ferr = s.register(e, resp, fr.Handle)
+			}
+			if ferr != nil {
 				err = fmt.Errorf("replaying factor %q: %w", fr.Handle, ferr)
 				break
 			}
@@ -157,56 +170,46 @@ func restoreKey(fp string, bounds []int) string {
 	return fmt.Sprintf("%s/%016x", fp, h.Sum64())
 }
 
-// restoreFactorRecord rebuilds one live handle from its journal record. The
-// analysis is recomputed from the journaled matrix on the payload's
+// restore rebuilds the live entry of a persisted factor record, a journal
+// record on replay or a transfer on import: the matrix must have the
+// recorded fingerprint, the analysis is recomputed from it on the payload's
 // partition (restoreAnalysis), the factor payload is adopted verbatim, and
-// the solve path is prewarmed exactly as the original factorize did.
-func (s *Server) restoreFactorRecord(fr *store.FactorRecord) error {
-	a := fr.Matrix
-	if fp := pastix.PatternFingerprint(a); fp != fr.Fingerprint {
-		return fmt.Errorf("journaled fingerprint %q does not match matrix (%q)", fr.Fingerprint, fp)
+// the solve path is prewarmed exactly as the original factorize did. It
+// returns the entry, which register makes live, with the prewarmed plan and
+// whether the analysis was cached.
+func (s *Server) restore(ctx context.Context, rec *store.FactorRecord) (e *factorEntry, plan pastix.PlanStats, hit bool, err error) {
+	a := rec.Matrix
+	if fp := pastix.PatternFingerprint(a); fp != rec.Fingerprint {
+		return nil, plan, false, fmt.Errorf("%w: fingerprint %q does not match matrix (%q)", errBadRecord, rec.Fingerprint, fp)
 	}
-	an, _, err := s.restoreAnalysis(s.baseCtx, fr.Fingerprint, a, fr.Payload)
+	an, hit, err := s.restoreAnalysis(ctx, rec.Fingerprint, a, rec.Payload)
 	if err != nil {
-		return err
+		return nil, plan, false, err
 	}
-	f, err := an.RestoreFactor(a, fr.Payload)
+	f, err := an.RestoreFactor(a, rec.Payload)
 	if err != nil {
-		return err
+		return nil, plan, false, fmt.Errorf("%w: %w", errBadRecord, err)
 	}
-	if _, err := an.PrepareSolve(f); err != nil {
-		return err
+	if plan, err = an.PrepareSolve(f); err != nil {
+		return nil, plan, false, err
 	}
-	e := &factorEntry{fingerprint: fr.Fingerprint, n: a.N, an: an, f: f, src: a, idemKey: fr.IdemKey, durable: true}
-	e.batch = newBatcher(s.cfg.MaxBatch, func(reqs []*solveReq) { s.runBatch(e, reqs) })
-	if err := s.store.PutRestored(e, fr.Handle); err != nil {
-		return err
-	}
-	if fr.IdemKey != "" && len(fr.Response) > 0 {
-		var resp factorizeResponse
-		if json.Unmarshal(fr.Response, &resp) == nil {
-			s.idem.put(fr.IdemKey, fr.Handle, resp)
-		}
-	}
-	return nil
+	return &factorEntry{fingerprint: rec.Fingerprint, n: a.N, an: an, f: f, src: a, idemKey: rec.IdemKey}, plan, hit, nil
 }
 
-// journalFactor persists one acknowledged factorization. Called between
-// store.Put and the response write: an append error un-puts the handle and
-// fails the request, so "durable": true is never a lie.
-func (s *Server) journalFactor(handle, fingerprint, idemKey string, a *pastix.Matrix, f *pastix.Factor, respJSON []byte) error {
-	p, err := f.ExportPayload()
+// record is e's persisted form: the source matrix, the factor payload and
+// the idempotency key under its handle.
+func (e *factorEntry) record() (*store.FactorRecord, error) {
+	p, err := e.f.ExportPayload()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return s.journal.AppendFactor(&store.FactorRecord{
-		Handle:      handle,
-		Fingerprint: fingerprint,
-		IdemKey:     idemKey,
-		Matrix:      a,
+	return &store.FactorRecord{
+		Handle:      e.handle,
+		Fingerprint: e.fingerprint,
+		IdemKey:     e.idemKey,
+		Matrix:      e.src,
 		Payload:     p,
-		Response:    respJSON,
-	})
+	}, nil
 }
 
 // --- backend-to-backend transfer: /v1/replicate, /v1/stat ---
@@ -300,19 +303,13 @@ func (s *Server) handleReplicateExport(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, fmt.Errorf("%w: %q has no source matrix recorded", ErrUnknownHandle, req.Handle))
 		return
 	}
-	p, err := e.f.ExportPayload()
+	rec, err := e.record()
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
 	s.metrics.ReplicateExports.Inc()
-	b := store.MarshalFactorRecord(&store.FactorRecord{
-		Handle:      e.handle,
-		Fingerprint: e.fingerprint,
-		IdemKey:     e.idemKey,
-		Matrix:      e.src,
-		Payload:     p,
-	})
+	b := store.MarshalFactorRecord(rec)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
@@ -321,38 +318,21 @@ func (s *Server) handleReplicateExport(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReplicateImport(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
-				Error: fmt.Sprintf("transfer exceeds %d bytes", mbe.Limit),
-				Code:  "body_too_large",
-			})
-		} else {
-			s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "reading transfer: " + err.Error()})
-		}
-		s.metrics.RequestErrors.Inc()
+		s.writeBodyErr(w, err)
 		return
 	}
 	rec, err := store.UnmarshalFactorRecord(body)
 	if err != nil {
-		s.metrics.RequestErrors.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "transfer record: " + err.Error(), Code: "bad_transfer"})
-		return
-	}
-	a := rec.Matrix
-	if fp := pastix.PatternFingerprint(a); fp != rec.Fingerprint {
-		s.metrics.RequestErrors.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "transfer fingerprint does not match matrix", Code: "bad_transfer"})
+		s.writeErr(w, fmt.Errorf("%w: %w", errBadRecord, err))
 		return
 	}
 	// An import retried by the repair loop must not mint a second copy: the
 	// transfer's idempotency key (the gateway derives one from the source
 	// replica) replays the first import's response.
-	idemKey := rec.IdemKey
-	if idemKey == "" {
-		idemKey = "replicate-" + rec.Fingerprint + "-" + rec.Handle
+	if rec.IdemKey == "" {
+		rec.IdemKey = "replicate-" + rec.Fingerprint + "-" + rec.Handle
 	}
-	prev, replay, err := s.idem.claim(r.Context(), idemKey)
+	prev, replay, err := s.idem.claim(r.Context(), rec.IdemKey)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -362,7 +342,7 @@ func (s *Server) handleReplicateImport(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, prev)
 		return
 	}
-	defer s.idem.unclaim(idemKey)
+	defer s.idem.unclaim(rec.IdemKey)
 	ctx, cancel := s.reqContext(r, 0)
 	defer cancel()
 	release, err := s.admit(ctx)
@@ -372,55 +352,22 @@ func (s *Server) handleReplicateImport(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	t0 := time.Now()
-	an, hit, err := s.restoreAnalysis(ctx, rec.Fingerprint, a, rec.Payload)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	f, err := an.RestoreFactor(a, rec.Payload)
-	if err != nil {
-		s.metrics.RequestErrors.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "restoring transfer: " + err.Error(), Code: "bad_transfer"})
-		return
-	}
-	plan, err := an.PrepareSolve(f)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	e := &factorEntry{fingerprint: rec.Fingerprint, n: a.N, an: an, f: f, src: a, idemKey: idemKey}
-	e.batch = newBatcher(s.cfg.MaxBatch, func(reqs []*solveReq) { s.runBatch(e, reqs) })
-	handle, err := s.store.Put(e)
+	e, plan, hit, err := s.restore(ctx, rec)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
 	resp := factorizeResponse{
-		Handle:         handle,
-		Fingerprint:    rec.Fingerprint,
 		AnalysisCached: hit,
 		FactorizeMS:    float64(time.Since(t0)) / float64(time.Millisecond),
 		SolvePlan:      &plan,
 		Imported:       true,
-		Compression:    f.CompressionStats(),
 	}
-	if rep := f.Perturbations(); rep != nil && len(rep.Perturbed) > 0 {
-		resp.PerturbedColumns = rep.Columns()
-		resp.PivotEpsilon = rep.Epsilon
-		resp.PivotGrowth = rep.PivotGrowth
-	}
-	if s.journal != nil {
-		respJSON, _ := json.Marshal(resp)
-		if err := s.journalFactor(handle, rec.Fingerprint, idemKey, a, f, respJSON); err != nil {
-			_ = s.store.Release(handle)
-			s.writeErr(w, err)
-			return
-		}
-		e.durable = true
-		resp.Durable = true
+	if err := s.register(e, &resp, ""); err != nil {
+		s.writeErr(w, err)
+		return
 	}
 	s.metrics.ReplicateImports.Inc()
-	s.idem.put(idemKey, handle, resp)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 

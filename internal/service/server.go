@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -165,26 +166,33 @@ func (s *Server) Handler() http.Handler {
 
 // admit reserves a queue slot (shedding with errShed when QueueDepth is
 // exceeded), then waits for a worker slot. The returned release frees both.
-// Used by analyze and factorize, whose compute runs on the request's own
-// goroutine.
+// Used by analyze, factorize and replicate import, whose compute runs on
+// the request's own goroutine.
 func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	unqueue, err := s.admitQueue()
 	if err != nil {
 		return nil, err
 	}
-	select {
-	case s.active <- struct{}{}:
-	case <-ctx.Done():
+	if err := s.worker(ctx); err != nil {
 		unqueue()
-		return nil, ctx.Err()
-	case <-s.baseCtx.Done():
-		unqueue()
-		return nil, s.baseCtx.Err()
+		return nil, err
 	}
 	return func() {
 		<-s.active
 		unqueue()
 	}, nil
+}
+
+// worker waits for a worker slot; the caller frees it with <-s.active.
+func (s *Server) worker(ctx context.Context) error {
+	select {
+	case s.active <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.baseCtx.Done():
+		return s.baseCtx.Err()
+	}
 }
 
 // admitQueue reserves only a bounded-queue slot, no worker slot. Solve
@@ -304,9 +312,10 @@ type solveRequest struct {
 	DeadlineMS int64     `json:"deadline_ms,omitempty"`
 	// Options mirrors pastix.SolveOptions (the unified Solve API). Requests
 	// without it keep the historical contract: one right-hand side, the
-	// default engine, eligible for batch coalescing. Requests carrying
-	// options run directly (a panel or a pinned engine must not be coalesced
-	// with strangers) on their own worker slot.
+	// default engine, eligible for batch coalescing. A request carrying
+	// options runs alone through the same batch runner (a panel or a pinned
+	// engine must not be coalesced with strangers), taking the same worker
+	// slot and repair step, and is not counted as a batch.
 	Options *solveRequestOptions `json:"options,omitempty"`
 }
 
@@ -503,53 +512,66 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	e := &factorEntry{fingerprint: fp, n: a.N, an: an, f: f, src: a, idemKey: req.IdempotencyKey}
-	e.batch = newBatcher(s.cfg.MaxBatch, func(reqs []*solveReq) { s.runBatch(e, reqs) })
-	handle, err := s.store.Put(e)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
 	resp := factorizeResponse{
-		Handle:         handle,
-		Fingerprint:    fp,
 		AnalysisCached: hit,
 		FactorizeMS:    float64(wall) / float64(time.Millisecond),
 		SolvePlan:      &plan,
-	}
-	if rep := f.Perturbations(); rep != nil && len(rep.Perturbed) > 0 {
-		resp.PerturbedColumns = rep.Columns()
-		resp.PivotEpsilon = rep.Epsilon
-		resp.PivotGrowth = rep.PivotGrowth
-		s.metrics.PivotPerturbations.Add(int64(len(rep.Perturbed)))
 	}
 	if robust != nil {
 		resp.PivotAttempts = robust.Attempts
 		resp.BackwardError = robust.BackwardError
 		resp.RefineIters = robust.RefineIterations
 	}
-	resp.Compression = f.CompressionStats()
-	if s.journal != nil {
-		// Persist before acknowledging: the journal append (fsync'd WAL
-		// write) must commit before the client — or a gateway counting this
-		// node as a replica — learns the handle. A failed append un-puts the
-		// handle and fails the request; "durable": true is never a lie.
-		resp.Durable = true
-		respJSON, merr := json.Marshal(resp)
-		if merr == nil {
-			merr = s.journalFactor(handle, fp, req.IdempotencyKey, a, f, respJSON)
-		}
-		if merr != nil {
-			_ = s.store.Release(handle)
-			s.writeErr(w, fmt.Errorf("journaling factor: %w", merr))
-			return
-		}
-		e.durable = true
+	e := &factorEntry{fingerprint: fp, n: a.N, an: an, f: f, src: a, idemKey: req.IdempotencyKey}
+	if err := s.register(e, &resp, ""); err != nil {
+		s.writeErr(w, err)
+		return
 	}
-	if req.IdempotencyKey != "" {
-		s.idem.put(req.IdempotencyKey, handle, resp)
-	}
+	s.metrics.PivotPerturbations.Add(int64(len(resp.PerturbedColumns)))
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// register makes e a live handle: it gives e its batcher and puts it in the
+// store. On journal replay, restored is the handle the record was issued
+// under and resp the response journaled with it (nil if none). Otherwise e
+// gets a fresh handle, resp gets the handle's fields, and a durable server
+// journals the record before the handle is acknowledged: a failed append
+// un-puts the handle, so "durable": true is never a lie. Either way resp is
+// remembered under e's idempotency key.
+func (s *Server) register(e *factorEntry, resp *factorizeResponse, restored string) error {
+	e.batch = newBatcher(s.cfg.MaxBatch, func(reqs []*solveReq) { s.runBatch(e, reqs) })
+	e.durable = s.journal != nil
+	if err := s.store.Put(e, restored); err != nil {
+		return err
+	}
+	if restored == "" {
+		resp.Handle = e.handle
+		resp.Fingerprint = e.fingerprint
+		resp.Compression = e.f.CompressionStats()
+		if rep := e.f.Perturbations(); rep != nil && len(rep.Perturbed) > 0 {
+			resp.PerturbedColumns = rep.Columns()
+			resp.PivotEpsilon = rep.Epsilon
+			resp.PivotGrowth = rep.PivotGrowth
+		}
+		resp.Durable = e.durable
+		if e.durable {
+			rec, err := e.record()
+			if err == nil {
+				rec.Response, err = json.Marshal(resp)
+			}
+			if err == nil {
+				err = s.journal.AppendFactor(rec)
+			}
+			if err != nil {
+				_ = s.store.Release(e.handle) // fails only if already released
+				return fmt.Errorf("journaling factor: %w", err)
+			}
+		}
+	}
+	if e.idemKey != "" && resp != nil {
+		s.idem.put(e.idemKey, e.handle, *resp)
+	}
+	return nil
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -571,121 +593,65 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.SolveRequests.Inc()
-	if req.Options != nil {
-		s.solveDirect(w, ctx, e, &req)
-		return
-	}
-	if len(req.B) != e.n {
-		s.writeErr(w, fmt.Errorf("rhs length %d, matrix order %d: %w", len(req.B), e.n, pastix.ErrShape))
-		return
-	}
-	t0 := time.Now()
-	ch := e.batch.submit(&solveReq{ctx: ctx, b: req.B})
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			s.writeErr(w, res.err)
-			return
-		}
-		resp := solveResponse{
-			X:                res.x,
-			Batched:          res.batched,
-			SolveMS:          float64(time.Since(t0)) / float64(time.Millisecond),
-			Degraded:         res.degraded,
-			PerturbedColumns: res.perturbedCols,
-			BackwardError:    res.backwardErr,
-			RefineIters:      res.refineIters,
-		}
-		if res.plan != (pastix.PlanStats{}) {
-			plan := res.plan
-			resp.Plan = &plan
-		}
-		s.writeSolve(w, &resp)
-	case <-ctx.Done():
-		s.writeErr(w, ctx.Err())
-	}
-}
-
-// solveDirect executes one options-bearing solve request through the unified
-// SolveOpts entry point, bypassing the batcher: a panel is already its own
-// batch, and a request pinning an engine or refinement must not be coalesced
-// with requests that did not ask for them. It takes its own worker slot (the
-// caller holds only a queue slot).
-func (s *Server) solveDirect(w http.ResponseWriter, ctx context.Context, e *factorEntry, req *solveRequest) {
-	opts := pastix.SolveOptions{NRHS: req.Options.NRHS}
-	if req.Options.Runtime != "" {
-		rt, err := pastix.ParseRuntime(req.Options.Runtime)
+	rider := &solveReq{ctx: ctx, b: req.B}
+	nrhs := 1
+	if o := req.Options; o != nil {
+		rt, err := pastix.ParseRuntime(o.Runtime)
 		if err != nil {
 			s.writeErr(w, err)
 			return
 		}
-		opts.Runtime = rt
-	}
-	if req.Options.Refine != nil {
-		opts.Refine = &pastix.RefineOptions{Tol: req.Options.Refine.Tol, MaxIter: req.Options.Refine.MaxIter}
-	}
-	nrhs := opts.NRHS
-	if nrhs == 0 {
-		nrhs = 1
+		rider.opts = &pastix.SolveOptions{NRHS: o.NRHS, Runtime: rt}
+		if o.Refine != nil {
+			rider.opts.Refine = &pastix.RefineOptions{Tol: o.Refine.Tol, MaxIter: o.Refine.MaxIter}
+		}
+		nrhs = cmp.Or(o.NRHS, 1)
 	}
 	if nrhs < 0 || len(req.B) != e.n*nrhs {
-		s.writeErr(w, fmt.Errorf("rhs panel length %d, want n×nrhs = %d×%d: %w", len(req.B), e.n, nrhs, pastix.ErrShape))
-		return
-	}
-	// A perturbed factor gets the same degraded-success repair the batched
-	// path applies: refine every column and report the quality achieved.
-	rep := e.f.Perturbations()
-	degraded := rep != nil && len(rep.Perturbed) > 0
-	if degraded && opts.Refine == nil {
-		opts.Refine = &pastix.RefineOptions{}
-	}
-	select {
-	case s.active <- struct{}{}:
-		defer func() { <-s.active }()
-	case <-ctx.Done():
-		s.writeErr(w, ctx.Err())
-		return
-	case <-s.baseCtx.Done():
-		s.writeErr(w, s.baseCtx.Err())
+		s.writeErr(w, fmt.Errorf("rhs length %d, want n×nrhs = %d×%d: %w", len(req.B), e.n, nrhs, pastix.ErrShape))
 		return
 	}
 	t0 := time.Now()
-	res, err := e.an.SolveOpts(ctx, e.f, req.B, opts)
-	s.metrics.SolveSeconds.Observe(time.Since(t0).Seconds())
-	if err != nil {
-		s.writeErr(w, err)
+	var res solveRes
+	if rider.opts == nil {
+		select {
+		case res = <-e.batch.submit(rider):
+		case <-ctx.Done():
+			s.writeErr(w, ctx.Err())
+			return
+		}
+	} else {
+		rider.res = make(chan solveRes, 1)
+		s.runBatch(e, []*solveReq{rider})
+		res = <-rider.res
+	}
+	if res.err != nil {
+		s.writeErr(w, res.err)
 		return
 	}
-	resp := solveResponse{
-		X:       res.X,
-		NRHS:    nrhs,
-		SolveMS: float64(time.Since(t0)) / float64(time.Millisecond),
+	res.SolveMS = float64(time.Since(t0)) / float64(time.Millisecond)
+	if rider.opts != nil {
+		res.NRHS = nrhs
 	}
-	if res.Plan != (pastix.PlanStats{}) {
-		plan := res.Plan
-		resp.Plan = &plan
-	}
-	if res.Refine != nil {
-		resp.BackwardError = res.Refine.BackwardError
-		resp.RefineIters = res.Refine.Iterations
-		if degraded {
-			resp.Degraded = true
-			resp.PerturbedColumns = rep.Columns()
-			s.metrics.DegradedSolves.Inc()
-			s.metrics.RefineIterations.Add(int64(res.Refine.Iterations))
-		}
-	}
-	s.writeSolve(w, &resp)
+	s.writeSolve(w, &res.solveResponse)
 }
 
-// runBatch executes one coalesced panel solve and demultiplexes the columns.
+// runBatch executes one panel solve through SolveOpts and hands each rider
+// its reply. reqs is either a batch of option-free riders coalesced by the
+// handle's batcher or one rider carrying its own options, run alone on its
+// request goroutine; only the former counts as a batch in the metrics.
 func (s *Server) runBatch(e *factorEntry, reqs []*solveReq) {
 	k := len(reqs)
-	s.metrics.Batches.Inc()
-	s.metrics.BatchedRHS.Add(int64(k))
-	s.metrics.BatchSize.Observe(float64(k))
+	opts, batched := pastix.SolveOptions{NRHS: k}, k
+	if reqs[0].opts != nil {
+		opts, batched = *reqs[0].opts, 0
+	} else {
+		s.metrics.Batches.Inc()
+		s.metrics.BatchedRHS.Add(int64(k))
+		s.metrics.BatchSize.Observe(float64(k))
+	}
 	n := e.n
-	// A batch of one solves its rider's own vector: SolveOpts only reads b.
+	// A batch of one solves its rider's own b: SolveOpts only reads it.
 	panel := reqs[0].b
 	if k > 1 {
 		panel = make([]float64, n*k)
@@ -710,50 +676,72 @@ func (s *Server) runBatch(e *factorEntry, reqs []*solveReq) {
 	defer cancel()
 	// The panel solve is the batch's unit of compute: it takes a worker slot
 	// here (solve waiters hold only queue slots, see admitQueue).
-	select {
-	case s.active <- struct{}{}:
+	var pres *pastix.SolveResult
+	err := s.worker(ctx)
+	if err == nil {
 		defer func() { <-s.active }()
-	case <-ctx.Done():
+		t0 := time.Now()
+		pres, err = e.an.SolveOpts(ctx, e.f, panel, opts)
+		s.metrics.SolveSeconds.Observe(time.Since(t0).Seconds())
+	}
+	if err != nil {
 		for _, r := range reqs {
-			r.res <- solveRes{err: ctx.Err()}
+			r.res <- solveRes{err: err}
 		}
 		return
 	}
-	t0 := time.Now()
-	pres, err := e.an.SolveOpts(ctx, e.f, panel, pastix.SolveOptions{NRHS: k})
-	s.metrics.SolveSeconds.Observe(time.Since(t0).Seconds())
-	var xs []float64
-	var plan pastix.PlanStats
-	if err == nil {
-		xs, plan = pres.X, pres.Plan
+	var plan *pastix.PlanStats
+	if pres.Plan != (pastix.PlanStats{}) {
+		plan = &pres.Plan
 	}
 	rep := e.f.Perturbations()
 	degraded := rep != nil && len(rep.Perturbed) > 0
+	cols := len(pres.X) / k
 	for i, r := range reqs {
-		if err != nil {
-			r.res <- solveRes{err: err}
-			continue
-		}
-		// Each rider owns its column of the fresh result panel (all of it at
-		// k == 1); the capacity cap keeps neighbouring columns apart.
-		x := xs[i*n : (i+1)*n : (i+1)*n]
-		res := solveRes{x: x, batched: k, plan: plan}
-		if degraded {
+		// Each rider owns its columns of the fresh result panel (all of it for
+		// a batch of one); the capacity cap keeps neighbouring riders apart.
+		x := pres.X[i*cols : (i+1)*cols : (i+1)*cols]
+		st := pres.Refine
+		if degraded && st == nil {
 			// The factor was perturbed by static pivoting: repair each column
-			// with adaptive refinement and report the quality achieved, so the
-			// client gets a degraded success instead of an error.
-			if rx, rs, rerr := e.an.RefineSolution(e.f, r.b, x); rerr == nil {
-				res.x = rx
-				res.degraded = true
-				res.perturbedCols = rep.Columns()
-				res.backwardErr = rs.BackwardError
-				res.refineIters = rs.Iterations
-				s.metrics.DegradedSolves.Inc()
-				s.metrics.RefineIterations.Add(int64(rs.Iterations))
+			// with adaptive refinement, so the client gets a degraded success
+			// reporting the quality achieved instead of an error.
+			if st, err = e.refineColumns(r.b, x); err != nil {
+				r.res <- solveRes{err: err}
+				continue
 			}
+		}
+		res := solveRes{solveResponse: solveResponse{X: x, Batched: batched, Plan: plan}}
+		if st != nil {
+			res.BackwardError = st.BackwardError
+			res.RefineIters = st.Iterations
+		}
+		if degraded {
+			res.Degraded = true
+			res.PerturbedColumns = rep.Columns()
+			s.metrics.DegradedSolves.Inc()
+			s.metrics.RefineIterations.Add(int64(st.Iterations))
 		}
 		r.res <- res
 	}
+}
+
+// refineColumns refines each n-column of the solution panel x of b in place
+// against e's factor and aggregates the stats as SolveOpts does: the worst
+// iteration count and backward error, converged only if every column is.
+func (e *factorEntry) refineColumns(b, x []float64) (*pastix.RefineStats, error) {
+	agg := pastix.RefineStats{Converged: true}
+	for c := 0; c < len(x); c += e.n {
+		rx, st, err := e.an.RefineSolution(e.f, b[c:c+e.n], x[c:c+e.n])
+		if err != nil {
+			return nil, err
+		}
+		copy(x[c:], rx)
+		agg.Iterations = max(agg.Iterations, st.Iterations)
+		agg.BackwardError = max(agg.BackwardError, st.BackwardError)
+		agg.Converged = agg.Converged && st.Converged
+	}
+	return &agg, nil
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -891,19 +879,25 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, into any) bo
 		err = unmarshalBody(wb.b, into)
 	}
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
-				Error: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-				Code:  "body_too_large",
-			})
-		} else {
-			s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		}
-		s.metrics.RequestErrors.Inc()
+		s.writeBodyErr(w, err)
 		return false
 	}
 	return true
+}
+
+// writeBodyErr answers a request whose body could not be read or decoded:
+// 413 past the body cap, 400 otherwise.
+func (s *Server) writeBodyErr(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		s.writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+			Error: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
+			Code:  "body_too_large",
+		})
+	} else {
+		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	}
+	s.metrics.RequestErrors.Inc()
 }
 
 func (s *Server) decodeMatrix(w http.ResponseWriter, r *http.Request, req *matrixRequest) (*pastix.Matrix, bool) {
@@ -942,6 +936,9 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	var zp *pastix.ZeroPivotError
 	var px *pastix.PivotExhaustedError
 	switch {
+	case errors.Is(err, errBadRecord):
+		status = http.StatusBadRequest
+		resp.Code = "bad_transfer"
 	case errors.Is(err, errShed):
 		status = http.StatusTooManyRequests
 	case errors.Is(err, errDraining):

@@ -60,15 +60,33 @@ func newFactorStore(max int) *factorStore {
 	return &factorStore{max: max, m: make(map[string]*factorEntry)}
 }
 
-// Put registers a factorization and returns its handle.
-func (s *factorStore) Put(e *factorEntry) (string, error) {
+// Put makes e live under a fresh handle, or under restored when replaying
+// a journal record, and freezes its byte accounting. A restored handle
+// advances the sequence counter past it so fresh handles never collide with
+// recovered ones, and is exempt from the MaxFactors bound: every recovered
+// handle was acknowledged durable in a past life, and refusing to recover
+// it would silently lose accepted work just because the bound was lowered
+// between runs.
+func (s *factorStore) Put(e *factorEntry, restored string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.m) >= s.max {
-		return "", fmt.Errorf("%w: %d live handles", ErrStoreFull, len(s.m))
+	if restored == "" {
+		if len(s.m) >= s.max {
+			return fmt.Errorf("%w: %d live handles", ErrStoreFull, len(s.m))
+		}
+		s.seq++
+		e.handle = fmt.Sprintf("f-%06d-%.8s", s.seq, e.fingerprint)
+	} else {
+		if _, exists := s.m[restored]; exists {
+			return fmt.Errorf("service: restored handle %q already live", restored)
+		}
+		var seq uint64
+		if _, err := fmt.Sscanf(restored, "f-%06d-", &seq); err != nil {
+			return fmt.Errorf("service: restored handle %q is malformed: %w", restored, err)
+		}
+		s.seq = max(s.seq, seq)
+		e.handle = restored
 	}
-	s.seq++
-	e.handle = fmt.Sprintf("f-%06d-%.8s", s.seq, e.fingerprint)
 	if e.f != nil {
 		e.bytes = e.f.MemoryBytes()
 		e.denseBytes = e.bytes
@@ -77,37 +95,6 @@ func (s *factorStore) Put(e *factorEntry) (string, error) {
 		}
 	}
 	s.m[e.handle] = e
-	return e.handle, nil
-}
-
-// PutRestored registers a replayed factorization under the handle it was
-// originally issued, advancing the sequence counter past it so fresh handles
-// never collide with recovered ones. Recovery is exempt from the MaxFactors
-// bound: every recovered handle was acknowledged durable in a past life, and
-// refusing to recover it would silently lose accepted work just because the
-// bound was lowered between runs.
-func (s *factorStore) PutRestored(e *factorEntry, handle string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.m[handle]; exists {
-		return fmt.Errorf("service: restored handle %q already live", handle)
-	}
-	var seq uint64
-	if _, err := fmt.Sscanf(handle, "f-%06d-", &seq); err != nil {
-		return fmt.Errorf("service: restored handle %q is malformed: %w", handle, err)
-	}
-	if seq > s.seq {
-		s.seq = seq
-	}
-	e.handle = handle
-	if e.f != nil {
-		e.bytes = e.f.MemoryBytes()
-		e.denseBytes = e.bytes
-		if st := e.f.CompressionStats(); st != nil {
-			e.denseBytes = st.DenseBytes
-		}
-	}
-	s.m[handle] = e
 	return nil
 }
 
