@@ -153,19 +153,21 @@ soak-selectors:
 	@GO=$(GO) ./scripts/soak-selectors.sh durastress '$(DURACHAOS_RUN)' $(DURACHAOS_PKGS)
 	@GO=$(GO) ./scripts/soak-selectors.sh kernels '$(KERNELS_SERVICE_RUN)' ./internal/service
 
-# Dense-kernel paths: the blas, solver and root suites (with the bitwise
-# conformance tables and the P=1 served batch) once on the scalar Go kernels
-# (purego tag) and once built for GOAMD64=v3, plus the version-1 journal
-# fixture, whose recorded answers every build must reproduce bit for bit.
-# The AVX2 kernels match the scalar ones bit for bit only while the compiler
-# keeps the scalar multiply and add separate; at v3 it may use FMA, so the
-# v3 run guards that the in-binary SIMD-vs-scalar checks still hold there.
+# Dense-kernel paths: the blas, solver, float-text (numtext) and root suites
+# (with the bitwise conformance tables and the P=1 served batch) once on the
+# scalar Go kernels (purego tag) and once built for GOAMD64=v3, plus the
+# version-1 journal fixture, whose recorded answers every build must
+# reproduce bit for bit. The AVX2 kernels match the scalar ones bit for bit
+# only while the compiler keeps the scalar multiply and add separate; at v3
+# it may use FMA, so the v3 run guards that the in-binary SIMD-vs-scalar
+# checks, and numtext's strconv and encoding/json differential tests, still
+# hold there.
 KERNELS_SERVICE_RUN := ServerBatchP1BitIdentical|DurableJournalV1Fixture
 
 kernels:
-	$(GO) test -tags purego ./internal/blas ./internal/solver .
+	$(GO) test -tags purego ./internal/blas ./internal/solver ./internal/numtext .
 	$(GO) test -tags purego -run '$(KERNELS_SERVICE_RUN)' ./internal/service
-	GOAMD64=v3 $(GO) test ./internal/blas ./internal/solver .
+	GOAMD64=v3 $(GO) test ./internal/blas ./internal/solver ./internal/numtext .
 	GOAMD64=v3 $(GO) test -run '$(KERNELS_SERVICE_RUN)' ./internal/service
 
 # Short coverage-guided fuzz pass over the sparse-matrix invariants (real
@@ -175,9 +177,12 @@ kernels:
 # accuracy/admission contract, the durable store's recovery path
 # (arbitrary journal bytes must never panic or resurrect corrupt records),
 # the AVX2 dense kernels against their scalar references (bitwise on
-# arbitrary shapes, signed zeros, infinities and NaN), and the solve request
-# decoder against encoding/json (same verdict, same b bits; 10s each keeps CI
-# bounded; raise -fuzztime for a real hunt).
+# arbitrary shapes, signed zeros, infinities and NaN), the float-text
+# parser against the JSON number grammar and strconv.ParseFloat (same
+# verdict, same bits) and its formatter against json.Marshal (same bytes for
+# every finite float64), and the solve request decoder against encoding/json
+# (same verdict, same b bits; 10s each keeps CI bounded; raise -fuzztime for
+# a real hunt).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCSR -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime 10s ./internal/sparse
@@ -189,6 +194,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzStoreRecover$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz 'FuzzStoreRecoverSnapshot$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDenseKernels -fuzztime 10s ./internal/blas
+	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 10s ./internal/numtext
+	$(GO) test -run '^$$' -fuzz FuzzAppendJSON -fuzztime 10s ./internal/numtext
 	$(GO) test -run '^$$' -fuzz FuzzSolveRequestDecode -fuzztime 10s ./internal/service
 
 check: build vet test race

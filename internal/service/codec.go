@@ -10,14 +10,19 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"github.com/pastix-go/pastix/internal/numtext"
 )
 
 // The solve wire codec. A single-RHS solve carries n floats in and n floats
-// out, and at moderate n encoding/json's reflective scanner and encoder cost
-// more than the solve itself. Solve requests in the canonical shape are parsed
-// in one pass and solve responses are appended directly into a pooled buffer.
-// Every float goes through the strconv call encoding/json makes, so the bits
-// on the wire do not change; any other request shape falls back to
+// out, and at moderate n encoding/json's reflective scanner and encoder, and
+// even strconv's general float routines, cost more than the solve itself.
+// Solve requests in the canonical shape are parsed in one pass, each number
+// scanned and converted by numtext.ParseNumber, and solve responses are
+// appended directly into a pooled buffer by numtext.AppendJSON. Both are
+// exact: ParseNumber returns strconv.ParseFloat's bits (Eisel–Lemire decides
+// or declines to strconv) and AppendJSON writes encoding/json's bytes, so the
+// bits on the wire do not change. Any other request shape falls back to
 // json.Unmarshal, which stays the reference and the source of every error
 // message.
 
@@ -104,8 +109,9 @@ func parseSolveRequest(data []byte, req *solveRequest) bool {
 				return false
 			}
 		case "deadline_ms":
-			j := jsonNumberEnd(data, i)
-			if j < 0 {
+			// The number's end, then json.Unmarshal's int64 rule.
+			_, j, ok := numtext.ParseNumber(data, i)
+			if !ok {
 				return false
 			}
 			v, err := strconv.ParseInt(string(data[i:j]), 10, 64)
@@ -150,14 +156,10 @@ func parseFloatArray(data []byte, i int, dst []float64) ([]float64, int, bool) {
 		return dst, i + 1, true
 	}
 	for {
-		j := jsonNumberEnd(data, i)
-		if j < 0 {
-			return nil, 0, false
-		}
 		// Out-of-range literals fail here and take the fallback, which
 		// reports them exactly as encoding/json does.
-		f, err := strconv.ParseFloat(string(data[i:j]), 64)
-		if err != nil || j >= len(data) {
+		f, j, ok := numtext.ParseNumber(data, i)
+		if !ok || j >= len(data) {
 			return nil, 0, false
 		}
 		dst = append(dst, f)
@@ -190,48 +192,6 @@ func plainString(data []byte, i int) ([]byte, int, bool) {
 	return nil, 0, false
 }
 
-// jsonNumberEnd returns the end of the JSON number token starting at data[i]
-// (RFC 8259 §6: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?), or -1 when
-// none starts there.
-func jsonNumberEnd(data []byte, i int) int {
-	digits := func(i int) int {
-		for i < len(data) && '0' <= data[i] && data[i] <= '9' {
-			i++
-		}
-		return i
-	}
-	if i < len(data) && data[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(data) && data[i] == '0':
-		i++
-	case i < len(data) && '1' <= data[i] && data[i] <= '9':
-		i = digits(i + 1)
-	default:
-		return -1
-	}
-	if i < len(data) && data[i] == '.' {
-		if j := digits(i + 1); j > i+1 {
-			i = j
-		} else {
-			return -1
-		}
-	}
-	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		i++
-		if i < len(data) && (data[i] == '+' || data[i] == '-') {
-			i++
-		}
-		if j := digits(i); j > i {
-			i = j
-		} else {
-			return -1
-		}
-	}
-	return i
-}
-
 // errNonFinite reports a solution holding ±Inf or NaN, which JSON cannot
 // carry; it is answered with a 422.
 var errNonFinite = errors.New("solution is not finite: JSON cannot carry ±Inf or NaN")
@@ -253,7 +213,7 @@ func appendSolveResponse(b []byte, resp *solveResponse) ([]byte, error) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONFloat(b, v)
+			b = numtext.AppendJSON(b, v)
 		}
 		b = append(b, ']')
 	}
@@ -264,7 +224,7 @@ func appendSolveResponse(b []byte, resp *solveResponse) ([]byte, error) {
 	if !finite(resp.SolveMS) {
 		return b, fmt.Errorf("encoding solve_ms: unsupported value %v", resp.SolveMS)
 	}
-	b = appendJSONFloat(append(b, `,"solve_ms":`...), resp.SolveMS)
+	b = numtext.AppendJSON(append(b, `,"solve_ms":`...), resp.SolveMS)
 	if p := resp.Plan; p != nil {
 		b = appendJSONInt(append(b, `,"plan":{"workers":`...), p.Workers)
 		b = appendJSONInt(append(b, `,"cells":`...), p.Cells)
@@ -294,7 +254,7 @@ func appendSolveResponse(b []byte, resp *solveResponse) ([]byte, error) {
 		if !finite(resp.BackwardError) {
 			return b, fmt.Errorf("encoding backward_error: unsupported value %v", resp.BackwardError)
 		}
-		b = appendJSONFloat(append(b, `,"backward_error":`...), resp.BackwardError)
+		b = numtext.AppendJSON(append(b, `,"backward_error":`...), resp.BackwardError)
 	}
 	if resp.RefineIters != 0 {
 		b = appendJSONInt(append(b, `,"refine_iters":`...), resp.RefineIters)
@@ -305,25 +265,6 @@ func appendSolveResponse(b []byte, resp *solveResponse) ([]byte, error) {
 func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
 func appendJSONInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
-
-// appendJSONFloat appends a finite f exactly as encoding/json encodes a
-// float64: shortest round-trip digits, 'f' notation for magnitudes in
-// [1e-6, 1e21) and 'e' outside it, with a two-digit negative exponent
-// shortened (1e-07 becomes 1e-7).
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
 
 // writeBody sends a complete JSON body with its Content-Length in one Write.
 func writeBody(w http.ResponseWriter, status int, body []byte) {

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"github.com/pastix-go/pastix"
+	"github.com/pastix-go/pastix/internal/numtext"
 )
 
 // jsonEncode is the reference the hand-written encoder must match: what
@@ -45,8 +46,8 @@ func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
-				t.Errorf("%b: appendJSONFloat %s, encoding/json %s", f, got, want)
+			if got := numtext.AppendJSON(nil, f); !bytes.Equal(got, want) {
+				t.Errorf("%b: numtext.AppendJSON %s, encoding/json %s", f, got, want)
 			}
 		}
 	}
@@ -199,6 +200,55 @@ func TestReadBody(t *testing.T) {
 		got, err := readBody(strings.NewReader(src), nil, hint)
 		if err != nil || string(got) != src {
 			t.Fatalf("hint %d: read %d bytes (err %v), want %d", hint, len(got), err, len(src))
+		}
+	}
+}
+
+// wireVector is a served solve's vector: 12³ = 1,728 values uniform in
+// (-1, 1), most of them 16 or 17 significant digits on the wire.
+func wireVector() []float64 {
+	rng := rand.New(rand.NewSource(3))
+	v := make([]float64, 1728)
+	for i := range v {
+		v[i] = 2*rng.Float64() - 1
+	}
+	return v
+}
+
+var sinkRequest solveRequest
+
+// BenchmarkSolveWireDecode decodes a canonical 1,728-float solve body on
+// the single-pass path, as the solve handler does.
+func BenchmarkSolveWireDecode(b *testing.B) {
+	body, err := json.Marshal(solveRequest{Handle: "f-1a2b3c4d", B: wireVector(), DeadlineMS: 250})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkRequest = solveRequest{}
+		if !parseSolveRequest(body, &sinkRequest) {
+			b.Fatal("canonical body left the single-pass path")
+		}
+	}
+}
+
+// BenchmarkSolveWireEncode encodes a 1,728-float solve reply into a reused
+// buffer, as writeSolve does.
+func BenchmarkSolveWireEncode(b *testing.B) {
+	resp := solveResponse{X: wireVector(), Batched: 1, SolveMS: 0.2815}
+	buf, err := appendSolveResponse(nil, &resp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = appendSolveResponse(buf[:0], &resp); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

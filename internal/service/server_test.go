@@ -189,15 +189,12 @@ func TestServerFactorStoreBytesDense(t *testing.T) {
 	if st := postJSON(t, ts.URL+"/v1/analyze", matrixRequest{MatrixMarket: mm}, nil); st != http.StatusOK {
 		t.Fatalf("analyze status %d", st)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := liveHeap()
 	var fr factorizeResponse
 	if st := postJSON(t, ts.URL+"/v1/factorize", matrixRequest{MatrixMarket: mm}, &fr); st != http.StatusOK {
 		t.Fatalf("factorize status %d", st)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	after := liveHeap()
 	e, err := s.store.Get(fr.Handle)
 	if err != nil {
 		t.Fatal(err)
@@ -219,9 +216,24 @@ func TestServerFactorStoreBytesDense(t *testing.T) {
 	if held == 0 || !strings.Contains(text, fmt.Sprintf("pastix_factor_store_bytes %d\n", held)) {
 		t.Fatalf("pastix_factor_store_bytes is not the %d bytes of factor values the handle holds", held)
 	}
-	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > held+held/4 {
+	if grew := int64(after) - int64(before); grew > held+held/4 {
 		t.Fatalf("the handle added %d live bytes for %d bytes of factor values", grew, held)
 	}
+}
+
+// liveHeap returns the bytes of reachable heap objects. One GC is not enough:
+// a sync.Pool keeps what it held before a GC in its victim cache until the
+// next one, and the request-body pool (wireBufs) holds buffers of up to
+// 1 MiB. Which buffer a Get returns depends on the P it runs on, so a
+// factorize body may be freshly allocated inside a measured window and still
+// pooled at its end, adding its size (about 0.5 MB for a 16³ Laplacian) to
+// the window. A second GC empties every pool's victim cache as well.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // At Processors 1 a coalesced batch runs on the sequential engine. Each

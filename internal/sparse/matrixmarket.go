@@ -7,6 +7,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"github.com/pastix-go/pastix/internal/numtext"
 )
 
 // Matrix Market exchange format (coordinate; real, integer, pattern or
@@ -105,10 +107,20 @@ func (r *mmReader) split(line []byte) [][]byte {
 	return f
 }
 
-// atoi and parseFloat run strconv on a field; the short string conversion
-// stays on the stack.
-func atoi(b []byte) (int, error)           { return strconv.Atoi(string(b)) }
-func parseFloat(b []byte) (float64, error) { return strconv.ParseFloat(string(b), 64) }
+// atoi runs strconv on a field; the short string conversion stays on the
+// stack.
+func atoi(b []byte) (int, error) { return strconv.Atoi(string(b)) }
+
+// parseFloat parses a value field. A field that is one JSON number, the form
+// writers emit, takes numtext's exact single-pass parser, which returns
+// strconv's bits; every other field (+1, 1., .5, inf, hex, out of range) goes
+// to strconv.ParseFloat, which decides what is accepted and words the error.
+func parseFloat(b []byte) (float64, error) {
+	if f, n, ok := numtext.ParseNumber(b, 0); ok && n == len(b) {
+		return f, nil
+	}
+	return strconv.ParseFloat(string(b), 64)
+}
 
 // header reads the banner line and returns its lower-cased fields and the
 // line itself.
