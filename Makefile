@@ -44,11 +44,11 @@ NUMSTRESS_RUN := NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine
 NUMSTRESS_PKGS := ./internal/solver ./internal/blas .
 DYNSTRESS_RUN := RuntimeConformance|ScheduleRouting|SchedulePulls|SharedAllocates|FactorDAG|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph|FanOut|Schur
 DYNSTRESS_PKGS := ./internal/solver ./internal/dynsched
-SOLVESTRESS_RUN := SolvePlan|PlanStatsLevels|SolveMapping|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions|ServerBatchP1|ServerDegradedOptions|ServerSolveMetrics
+SOLVESTRESS_RUN := SolvePlan|PlanStatsLevels|SolveMapping|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|SolveEngineIgnoresAnalysisRuntime|PrepareSolve|ServerSolveOptions|ServerBatchP1|ServerDegradedOptions|ServerSolveMetrics
 SOLVESTRESS_PKGS := ./internal/solver ./internal/blas ./internal/service .
 HASERVICE_RUN := Readyz|BodyLimit|Idempotent|Drain
 HASERVICE_PKGS := ./internal/service
-BLRKERNELS_RUN := LRGemv|GemmLR|GemmDenseLR|TrsmRightLTransUnitLR|LRKernels
+BLRKERNELS_RUN := LRGemv|LRKernels
 BLRKERNELS_PKGS := ./internal/blas
 BLRSTRESS_RUN := TestCompress|TestBLR|ServerBLR
 BLRSTRESS_PKGS := ./internal/solver ./internal/service .
@@ -96,7 +96,8 @@ dynstress:
 # cross-runtime solve conformance table (every generator × every
 # factorization runtime × the level-set engine at four workers and at one ×
 # 1/32 RHS, bitwise), the public SolveOpts suites (every solve runtime
-# bitwise, wrapper equivalence), and the served solves (options panels,
+# bitwise, wrapper equivalence, the analysis runtime leaving the solve
+# engine alone), and the served solves (options panels,
 # plain and on a perturbed factor, the P=1 batch, the solve counters) — all
 # under the race detector, three times over so the spin barrier's
 # interleavings repeat.
@@ -114,7 +115,7 @@ hastress:
 	$(GO) test -race -timeout 300s -run '$(HASERVICE_RUN)' $(HASERVICE_PKGS)
 
 # Block low-rank stress soak: the compression kernels and admission logic,
-# the low-rank BLAS panel kernels, the compressed-factor solve conformance
+# the low-rank BLAS solve kernels, the compressed-factor solve conformance
 # and refinement-recovery suites, the public BLR API (including the
 # BLR-disabled bitwise table test across runtimes), and the compressed
 # serving path — all under the race detector.

@@ -85,12 +85,6 @@ func KernelPath() string {
 // dimension ld. Intended for tests and debugging.
 func At(a []float64, ld, i, j int) float64 { return a[i+j*ld] }
 
-// GemmNT computes C -= A·Bᵀ, with A m×k (lda), B n×k (ldb), C m×n (ldc),
-// all column-major: the LLᵀ form of GemmNDT.
-func GemmNT(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	gemmNDTGo(m, n, k, a, lda, nil, b, ldb, c, ldc)
-}
-
 // GemmNDT computes C -= A·diag(d)·Bᵀ, with A m×k (lda), d length k,
 // B n×k (ldb), C m×n (ldc). This is the LDLᵀ fan-in contribution kernel
 // (the extra diag(d) pass is what makes LDLᵀ slower than LLᵀ, as in the
@@ -112,7 +106,6 @@ func GemmNDTAuto(m, n, k int, a []float64, lda int, d []float64, b []float64, ld
 }
 
 // gemmNDTGo is the scalar GemmNDT, the reference the AVX2 kernel matches.
-// A nil d stands for the identity.
 func gemmNDTGo[T Scalar](m, n, k int, a []T, lda int, d []T, b []T, ldb int, c []T, ldc int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
@@ -120,10 +113,7 @@ func gemmNDTGo[T Scalar](m, n, k int, a []T, lda int, d []T, b []T, ldb int, c [
 	for j := 0; j < n; j++ {
 		cj := c[j*ldc : j*ldc+m]
 		for l := 0; l < k; l++ {
-			s := b[j+l*ldb]
-			if d != nil {
-				s = d[l] * s
-			}
+			s := d[l] * b[j+l*ldb]
 			if s == 0 {
 				continue
 			}

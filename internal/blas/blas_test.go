@@ -41,31 +41,6 @@ func maxDiff(a, b []float64) float64 {
 	return d
 }
 
-func TestGemmNTAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 20; trial++ {
-		m, n, k := 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12)
-		lda, ldb, ldc := m+rng.Intn(3), n+rng.Intn(3), m+rng.Intn(3)
-		a := randMat(rng, m, k, lda)
-		b := randMat(rng, n, k, ldb)
-		c := randMat(rng, m, n, ldc)
-		want := append([]float64(nil), c...)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				s := 0.0
-				for l := 0; l < k; l++ {
-					s += a[i+l*lda] * b[j+l*ldb]
-				}
-				want[i+j*ldc] -= s
-			}
-		}
-		GemmNT(m, n, k, a, lda, b, ldb, c, ldc)
-		if d := maxDiff(c, want); d > 1e-12 {
-			t.Fatalf("trial %d: diff %g", trial, d)
-		}
-	}
-}
-
 func TestGemmNDTAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 20; trial++ {
@@ -428,86 +403,5 @@ func TestQuickLDLTSolve(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGemmNNAndTN(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	m, n, k := 6, 5, 4
-	a := randMat(rng, m, k, m)
-	bm := randMat(rng, k, n, k)
-	c := randMat(rng, m, n, m)
-	want := append([]float64(nil), c...)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for l := 0; l < k; l++ {
-				s += a[i+l*m] * bm[l+j*k]
-			}
-			want[i+j*m] -= s
-		}
-	}
-	GemmNN(m, n, k, a, m, bm, k, c, m)
-	if d := maxDiff(c, want); d > 1e-12 {
-		t.Fatalf("GemmNN diff %g", d)
-	}
-	// GemmTN: C (k' x n) -= Aᵀ B with A m'(=rows) x k'(=cols).
-	at := randMat(rng, k, m, k) // k rows, m cols
-	c2 := randMat(rng, m, n, m)
-	want2 := append([]float64(nil), c2...)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for l := 0; l < k; l++ {
-				s += at[l+i*k] * bm[l+j*k]
-			}
-			want2[i+j*m] -= s
-		}
-	}
-	GemmTN(m, n, k, at, k, bm, k, c2, m)
-	if d := maxDiff(c2, want2); d > 1e-12 {
-		t.Fatalf("GemmTN diff %g", d)
-	}
-}
-
-func TestTrsmLeftVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	n, nrhs := 7, 3
-	l := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		l[j+j*n] = 1
-		for i := j + 1; i < n; i++ {
-			l[i+j*n] = rng.NormFloat64() * 0.4
-		}
-	}
-	x := randMat(rng, n, nrhs, n)
-	// B = L X.
-	b := make([]float64, n*nrhs)
-	for r := 0; r < nrhs; r++ {
-		for i := 0; i < n; i++ {
-			s := x[i+r*n]
-			for j := 0; j < i; j++ {
-				s += l[i+j*n] * x[j+r*n]
-			}
-			b[i+r*n] = s
-		}
-	}
-	TrsmLeftLowerUnit(n, nrhs, l, n, b, n)
-	if d := maxDiff(b, x); d > 1e-10 {
-		t.Fatalf("TrsmLeftLowerUnit diff %g", d)
-	}
-	// B = Lᵀ X.
-	for r := 0; r < nrhs; r++ {
-		for i := 0; i < n; i++ {
-			s := x[i+r*n]
-			for j := i + 1; j < n; j++ {
-				s += l[j+i*n] * x[j+r*n]
-			}
-			b[i+r*n] = s
-		}
-	}
-	TrsmLeftLTransUnit(n, nrhs, l, n, b, n)
-	if d := maxDiff(b, x); d > 1e-10 {
-		t.Fatalf("TrsmLeftLTransUnit diff %g", d)
 	}
 }

@@ -78,81 +78,6 @@ func TestLRGemv(t *testing.T) {
 	}
 }
 
-// TestGemmLRDense checks C -= (U·Vᵀ)·B against materialise-then-GemmNN.
-func TestGemmLRDense(t *testing.T) {
-	m, n, k, r := 22, 17, 30, 6
-	ldb, ldc := k+1, m+4
-	s := uint64(37)
-	u, v := lrFill(m*r, &s), lrFill(k*r, &s)
-	dense := lrDense(m, k, r, u, v)
-
-	b := lrFill(ldb*n, &s)
-	c0 := lrFill(ldc*n, &s)
-	cLR := append([]float64(nil), c0...)
-	cRef := append([]float64(nil), c0...)
-	GemmLRDense(m, n, k, r, u, v, b, ldb, cLR, ldc)
-	GemmNN(m, n, k, dense, m, b, ldb, cRef, ldc)
-	if d := lrMaxDiff(cLR, cRef); d > 1e-12 {
-		t.Errorf("GemmLRDense vs dense: max diff %g", d)
-	}
-}
-
-// TestGemmDenseLR checks C -= A·(U·Vᵀ) against materialise-then-GemmNN.
-func TestGemmDenseLR(t *testing.T) {
-	m, n, k, r := 19, 25, 21, 5
-	lda, ldc := m+2, m+3
-	s := uint64(41)
-	u, v := lrFill(k*r, &s), lrFill(n*r, &s)
-	dense := lrDense(k, n, r, u, v)
-
-	a := lrFill(lda*k, &s)
-	c0 := lrFill(ldc*n, &s)
-	cLR := append([]float64(nil), c0...)
-	cRef := append([]float64(nil), c0...)
-	GemmDenseLR(m, n, k, r, a, lda, u, v, cLR, ldc)
-	GemmNN(m, n, k, a, lda, dense, k, cRef, ldc)
-	if d := lrMaxDiff(cLR, cRef); d > 1e-12 {
-		t.Errorf("GemmDenseLR vs dense: max diff %g", d)
-	}
-}
-
-// TestTrsmRightLTransUnitLR: solving X·Lᵀ = U·Vᵀ on the compressed form
-// must match the dense TRSM on the materialised block.
-func TestTrsmRightLTransUnitLR(t *testing.T) {
-	m, n, r := 24, 18, 4
-	ldl := n + 2
-	s := uint64(53)
-	u, v := lrFill(m*r, &s), lrFill(n*r, &s)
-	dense := lrDense(m, n, r, u, v)
-
-	l := make([]float64, ldl*n)
-	for j := 0; j < n; j++ {
-		l[j+j*ldl] = 1
-		for i := j + 1; i < n; i++ {
-			l[i+j*ldl] = 0.3 * lrUnit(&s)
-		}
-	}
-
-	// Dense reference: row i of X solves L·xᵢ = (row i of U·Vᵀ).
-	xRef := make([]float64, m*n)
-	row := make([]float64, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			row[j] = dense[i+j*m]
-		}
-		TrsvLowerUnit(n, l, ldl, row)
-		for j := 0; j < n; j++ {
-			xRef[i+j*m] = row[j]
-		}
-	}
-
-	TrsmRightLTransUnitLR(n, r, l, ldl, v)
-	xLR := lrDense(m, n, r, u, v)
-	if d := lrMaxDiff(xLR, xRef); d > 1e-12 {
-		t.Errorf("compressed TRSM vs dense: max diff %g", d)
-	}
-}
-
 // TestLRKernelsRankZero: rank-0 blocks are no-ops everywhere.
 func TestLRKernelsRankZero(t *testing.T) {
 	m, n := 9, 7
@@ -161,7 +86,6 @@ func TestLRKernelsRankZero(t *testing.T) {
 	want := append([]float64(nil), y...)
 	LRGemvN(m, n, 0, nil, nil, make([]float64, n), y)
 	LRGemvT(n, m, 0, nil, nil, make([]float64, n), y)
-	GemmLRDense(m, 3, n, 0, nil, nil, make([]float64, n*3), n, y, m)
 	for i := range y {
 		if y[i] != want[i] {
 			t.Fatalf("rank-0 kernel modified output at %d", i)

@@ -1,7 +1,6 @@
 package blas
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -134,7 +133,7 @@ func TestPackedKernelsBitwise(t *testing.T) {
 
 // TestPackedTriangularBitwise checks the triangular solves give a packed
 // unit-lower operand (ld == n, as a compressed factor stores its diagonal
-// blocks) the bits of a strided one, single and multi-RHS.
+// blocks) the bits of a strided one.
 func TestPackedTriangularBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 5, 16, 33} {
@@ -154,31 +153,5 @@ func TestPackedTriangularBitwise(t *testing.T) {
 		TrsvLowerTransUnit(n, l, ld, x1)
 		TrsvLowerTransUnit(n, pl, n, x2)
 		bitwiseEqual(t, "TrsvLowerTransUnit packed", x2, x1)
-
-		// A panel: the level-set engine solves it one column at a time, the
-		// message-passing solve whole; both must match the strided panel.
-		nrhs := 5
-		for _, trans := range []bool{false, true} {
-			b1 := randPanel(rng, n, nrhs, n) // packed RHS layout: ldb == n
-			b2 := append([]float64(nil), b1...)
-			b3 := append([]float64(nil), b1...)
-			if trans {
-				TrsmLeftLTransUnit(n, nrhs, l, ld, b1, n)
-				TrsmLeftLTransUnit(n, nrhs, pl, n, b2, n)
-			} else {
-				TrsmLeftLowerUnit(n, nrhs, l, ld, b1, n)
-				TrsmLeftLowerUnit(n, nrhs, pl, n, b2, n)
-			}
-			for r := 0; r < nrhs; r++ {
-				if trans {
-					TrsvLowerTransUnit(n, pl, n, b3[r*n:r*n+n])
-				} else {
-					TrsvLowerUnit(n, pl, n, b3[r*n:r*n+n])
-				}
-			}
-			name := fmt.Sprintf("panel trans=%v", trans)
-			bitwiseEqual(t, name+" Trsm packed", b2, b1)
-			bitwiseEqual(t, name+" Trsv packed columns", b3, b1)
-		}
 	}
 }

@@ -438,12 +438,19 @@ func (g *Gateway) anyAllowed(key string) []*backendHealth {
 	return out
 }
 
-// forwardFailover tries cands in order with jittered backoff between
+// target pairs a backend with the request body to send it (a solve
+// carries each replica's own factor handle).
+type target struct {
+	b    *backendHealth
+	body []byte
+}
+
+// forwardFailover tries targets in order with jittered backoff between
 // attempts, returning the first non-failover result (or the last result).
-func (g *Gateway) forwardFailover(ctx context.Context, cands []*backendHealth, path string, body []byte) *attemptResult {
+func (g *Gateway) forwardFailover(ctx context.Context, targets []target, path string) *attemptResult {
 	key := client.Key(path)
 	var last *attemptResult
-	for i, b := range cands {
+	for i, tg := range targets {
 		if i > 0 {
 			g.retries.Add(1)
 			t := time.NewTimer(g.cfg.Retry.Delay(key, i))
@@ -454,7 +461,7 @@ func (g *Gateway) forwardFailover(ctx context.Context, cands []*backendHealth, p
 				return &attemptResult{err: ctx.Err()}
 			}
 		}
-		last = g.attemptOnce(ctx, b, path, body)
+		last = g.attemptOnce(ctx, tg.b, path, tg.body)
 		if !last.failover() {
 			if i > 0 {
 				g.failovers.Add(1)
@@ -508,7 +515,11 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		g.writeErr(w, http.StatusServiceUnavailable, "no_backend", "no live backend for shard "+fp[:8])
 		return
 	}
-	res := g.forwardFailover(r.Context(), cands, "/v1/analyze", body)
+	targets := make([]target, len(cands))
+	for i, b := range cands {
+		targets[i] = target{b: b, body: body}
+	}
+	res := g.forwardFailover(r.Context(), targets, "/v1/analyze")
 	if res.err != nil || res.failover() {
 		g.writeErr(w, http.StatusServiceUnavailable, "shard_unavailable",
 			fmt.Sprintf("analyze failed on all %d candidates for shard %s", len(cands), fp[:8]))
@@ -697,12 +708,12 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		tb, _ := json.Marshal(raw)
 		return tb
 	}
-	var targets []solveTarget
+	var targets []target
 	for pass := 0; pass < 2 && len(targets) == 0; pass++ {
 		for _, rep := range gh.replicas {
 			b := g.backends[rep.Backend]
 			if (pass == 0 && b.routable(now)) || (pass == 1 && b.allow(now)) {
-				targets = append(targets, solveTarget{b: b, body: mkBody(rep)})
+				targets = append(targets, target{b: b, body: mkBody(rep)})
 			}
 		}
 	}
@@ -737,44 +748,13 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	relay(w, res.status, res.body)
 }
 
-// solveTarget pairs a replica's backend with the request body carrying that
-// replica's own factor handle.
-type solveTarget struct {
-	b    *backendHealth
-	body []byte
-}
-
 // solveAcross runs the failover walk for a solve, with optional hedging: if
 // the leading attempt has not answered within HedgeDelay, the next replica
 // gets a duplicate and the first acceptable answer wins. Solves are
 // idempotent reads of an immutable factor, so duplicates are harmless.
-func (g *Gateway) solveAcross(ctx context.Context, targets []solveTarget) *attemptResult {
+func (g *Gateway) solveAcross(ctx context.Context, targets []target) *attemptResult {
 	if g.cfg.HedgeDelay <= 0 || len(targets) < 2 {
-		var last *attemptResult
-		key := client.Key("/v1/solve")
-		for i, tg := range targets {
-			if i > 0 {
-				g.retries.Add(1)
-				t := time.NewTimer(g.cfg.Retry.Delay(key, i))
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return &attemptResult{err: ctx.Err()}
-				}
-			}
-			last = g.attemptOnce(ctx, tg.b, "/v1/solve", tg.body)
-			if !last.failover() {
-				if i > 0 {
-					g.failovers.Add(1)
-				}
-				return last
-			}
-			if last.status == http.StatusNotFound {
-				g.staleRoutes.Add(1)
-			}
-		}
-		return last
+		return g.forwardFailover(ctx, targets, "/v1/solve")
 	}
 
 	// Hedged: launch sequentially on a delay, first acceptable result wins.

@@ -230,11 +230,9 @@ func appendSolveResponse(b []byte, resp *solveResponse) ([]byte, error) {
 		b = appendJSONInt(append(b, `,"cells":`...), p.Cells)
 		b = appendJSONInt(append(b, `,"levels":`...), p.Levels)
 		b = appendJSONInt(append(b, `,"parallel_steps":`...), p.ParallelSteps)
-		b = appendJSONInt(append(b, `,"chain_steps":`...), p.ChainSteps)
 		b = appendJSONInt(append(b, `,"chain_cells":`...), p.ChainCells)
 		b = appendJSONInt(append(b, `,"split_cells":`...), p.SplitCells)
 		b = appendJSONInt(append(b, `,"max_level_width":`...), p.MaxLevelWidth)
-		b = appendJSONInt(append(b, `,"cutoff":`...), p.Cutoff)
 		b = append(b, '}')
 	}
 	if resp.Degraded {

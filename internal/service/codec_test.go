@@ -59,8 +59,8 @@ func TestAppendSolveResponseMatchesEncodingJSON(t *testing.T) {
 		NRHS:    3,
 		Batched: 2,
 		SolveMS: 0.125,
-		Plan: &pastix.PlanStats{Workers: 2, Cells: 40, Levels: 8, ParallelSteps: 4, ChainSteps: 3,
-			ChainCells: 5, SplitCells: 2, MaxLevelWidth: 9, Cutoff: 64},
+		Plan: &pastix.PlanStats{Workers: 2, Cells: 40, Levels: 8, ParallelSteps: 4,
+			ChainCells: 5, SplitCells: 2, MaxLevelWidth: 9},
 		Degraded:         true,
 		PerturbedColumns: []int{0, 17},
 		BackwardError:    2.5e-17,

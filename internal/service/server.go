@@ -323,8 +323,10 @@ type solveRequest struct {
 type solveRequestOptions struct {
 	// NRHS makes b an n×NRHS column-major panel; 0 means 1.
 	NRHS int `json:"nrhs,omitempty"`
-	// Runtime pins the solve engine ("auto", "seq", "mpsim", "shared",
-	// "dynamic"); empty means auto.
+	// Runtime picks the solve engine: "seq" runs the single-RHS reference
+	// (a panel runs the level-set engine on one worker); empty, "auto",
+	// "mpsim", "shared" and "dynamic" run the level-set engine. The
+	// factorization runtime behind the handle has no say in it.
 	Runtime string `json:"runtime,omitempty"`
 	// Refine requests adaptive iterative refinement of every column.
 	Refine *refineRequestOptions `json:"refine,omitempty"`

@@ -74,7 +74,7 @@ func (an *Analysis) FactorizeFanOut() (*Factors, CommStats, error) {
 			if owner[k] != p {
 				continue
 			}
-			if err := f.AssembleCell(a, k); err != nil {
+			if err := f.AssembleCell(a, k, 0, a.N); err != nil {
 				return err
 			}
 			for _, id := range into[k] {

@@ -200,20 +200,16 @@ type SolvePlan struct {
 // sets of the solve's dependency graph (the cells on the longest
 // leaf-to-root path of the elimination tree) and MaxLevelWidth the cells of
 // the widest. ParallelSteps is 1 on several workers (they run their owned
-// subtrees at once), else 0; ChainSteps is 1 when the plan has shared
-// cells, else 0; ChainCells counts the shared cells and SplitCells those
-// every worker takes part in. Cutoff reads 0: no level-width cutoff is
-// left.
+// subtrees at once), else 0; ChainCells counts the shared cells and
+// SplitCells those every worker takes part in.
 type PlanStats struct {
 	Workers       int `json:"workers"`
 	Cells         int `json:"cells"`
 	Levels        int `json:"levels"`
 	ParallelSteps int `json:"parallel_steps"`
-	ChainSteps    int `json:"chain_steps"`
 	ChainCells    int `json:"chain_cells"`
 	SplitCells    int `json:"split_cells"`
 	MaxLevelWidth int `json:"max_level_width"`
-	Cutoff        int `json:"cutoff"`
 }
 
 // Stats reports the plan's shape.
@@ -228,9 +224,6 @@ func (pl *SolvePlan) Stats() PlanStats {
 	}
 	if pl.workers > 1 {
 		st.ParallelSteps = 1
-	}
-	if len(pl.shared) > 0 {
-		st.ChainSteps = 1
 	}
 	return st
 }

@@ -34,7 +34,7 @@ func FactorizeSeqPivot(a *sparse.SymMatrix, sym *symbolic.Symbol, sp StaticPivot
 func factorizeSeq[T blas.Scalar](a *sparse.Sym[T], sym *symbolic.Symbol, tau float64, cells int) (*Storage[T], []Perturbation, error) {
 	f := newStorage[T](sym, true)
 	for k := range sym.CB {
-		if err := f.AssembleCell(a, k); err != nil {
+		if err := f.AssembleCell(a, k, 0, a.N); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -250,7 +250,7 @@ func TestAssembleRejectsOutOfStructure(t *testing.T) {
 	for i := 1; i < 6; i++ {
 		bad.Add(i, i, 1)
 	}
-	if err := f.AssembleCell(bad.Build(), 0); err == nil {
+	if err := f.AssembleCell(bad.Build(), 0, 0, 6); err == nil {
 		t.Fatal("expected out-of-structure error")
 	}
 }

@@ -106,71 +106,28 @@ func (f *Storage[T]) LocateRow(k, row int) int {
 	return -1
 }
 
-// AssembleCell scatters the entries of the permuted matrix a belonging to
-// cell k into the cell's array. Rows outside the symbolic structure are an
-// error (the structure must cover the matrix).
-func (f *Storage[T]) AssembleCell(a *sparse.Sym[T], k int) error {
+// AssembleCell scatters into cell k's array the entries of the permuted
+// matrix a in k's columns whose row lies in [lo, hi): [0, a.N) for the whole
+// cell, [Cols[0], Cols[1]) for its diagonal block (the FACTOR(k) owner's
+// region in a 2D distribution), a block's [FirstRow, LastRow) for that
+// block (the BDIV owner's). A row in the range but outside the symbolic
+// structure is an error (the structure must cover the matrix).
+func (f *Storage[T]) AssembleCell(a *sparse.Sym[T], k, lo, hi int) error {
 	f.EnsureCell(k)
-	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
 	cb := &f.Sym.CB[k]
-	ld := f.LD[k]
-	data := f.Data[k]
+	ld, data := f.LD[k], f.Data[k]
 	for j := cb.Cols[0]; j < cb.Cols[1]; j++ {
 		lc := j - cb.Cols[0]
-		for p := colPtr[j]; p < colPtr[j+1]; p++ {
-			i := rowIdx[p]
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			i := a.RowIdx[p]
+			if i < lo || i >= hi {
+				continue
+			}
 			lr := f.LocateRow(k, i)
 			if lr < 0 {
 				return fmt.Errorf("solver: entry (%d,%d) outside symbolic structure of cb %d", i, j, k)
 			}
-			data[lr+lc*ld] = val[p]
-		}
-	}
-	return nil
-}
-
-// AssembleDiagRegion scatters only the diagonal-block entries of cell k
-// (used by the processor owning FACTOR(k) in 2D distribution).
-func (f *Storage[T]) AssembleDiagRegion(a *sparse.Sym[T], k int) error {
-	f.EnsureCell(k)
-	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
-	cb := &f.Sym.CB[k]
-	ld := f.LD[k]
-	data := f.Data[k]
-	for j := cb.Cols[0]; j < cb.Cols[1]; j++ {
-		lc := j - cb.Cols[0]
-		for p := colPtr[j]; p < colPtr[j+1]; p++ {
-			i := rowIdx[p]
-			if i >= cb.Cols[1] {
-				break
-			}
-			data[(i-cb.Cols[0])+lc*ld] = val[p]
-		}
-	}
-	return nil
-}
-
-// AssembleBlockRegion scatters only block b's entries of cell k (used by the
-// processor owning BDIV(b,k)).
-func (f *Storage[T]) AssembleBlockRegion(a *sparse.Sym[T], k, b int) error {
-	f.EnsureCell(k)
-	colPtr, rowIdx, val := a.ColPtr, a.RowIdx, a.Val
-	cb := &f.Sym.CB[k]
-	blk := cb.Blocks[b]
-	ld := f.LD[k]
-	data := f.Data[k]
-	off := f.BlockOff[k][b]
-	for j := cb.Cols[0]; j < cb.Cols[1]; j++ {
-		lc := j - cb.Cols[0]
-		for p := colPtr[j]; p < colPtr[j+1]; p++ {
-			i := rowIdx[p]
-			if i < blk.FirstRow {
-				continue
-			}
-			if i >= blk.LastRow {
-				break
-			}
-			data[off+(i-blk.FirstRow)+lc*ld] = val[p]
+			data[lr+lc*ld] = a.Val[p]
 		}
 	}
 	return nil

@@ -119,14 +119,15 @@ func assembleOwned[T blas.Scalar](f *Storage[T], a *sparse.Sym[T], sch *sched.Sc
 	}
 	for _, id := range sch.ByProc[p] {
 		t := &sch.Tasks[id]
+		cb := &f.Sym.CB[t.Cell]
 		var err error
 		switch t.Type {
 		case sched.Comp1D:
-			err = f.AssembleCell(a, t.Cell)
+			err = f.AssembleCell(a, t.Cell, 0, a.N)
 		case sched.Factor:
-			err = f.AssembleDiagRegion(a, t.Cell)
+			err = f.AssembleCell(a, t.Cell, cb.Cols[0], cb.Cols[1])
 		case sched.BDiv:
-			err = f.AssembleBlockRegion(a, t.Cell, t.S)
+			err = f.AssembleCell(a, t.Cell, cb.Blocks[t.S].FirstRow, cb.Blocks[t.S].LastRow)
 		}
 		if err != nil {
 			return err

@@ -1,9 +1,8 @@
 package trace
 
-// Lock-free observability primitives and the divergence-report → metrics
-// adapter. The serving layer (internal/service) exposes these in the
-// Prometheus text exposition format on GET /metrics; they are kept here, next
-// to the tracing machinery, because the interesting runtime metrics — phase
+// Lock-free observability primitives. The serving layer (internal/service)
+// exposes these in the Prometheus text exposition format on GET /metrics;
+// they are kept here, next to the tracing machinery, because the interesting runtime metrics — phase
 // latencies, message traffic, model error — are exactly what the trace
 // recorder and divergence report already measure.
 
@@ -129,30 +128,4 @@ func PromValue(w io.Writer, name string, v int64) error {
 func PromFloat(w io.Writer, name string, v float64) error {
 	_, err := fmt.Fprintf(w, "%s %g\n", name, v)
 	return err
-}
-
-// RunMetrics accumulates observations of traced executions: the adapter from
-// the divergence Report (or, one layer up, a pastix.TraceSummary) to the
-// metrics a serving layer exports.
-type RunMetrics struct {
-	Makespan   *Hist // measured makespan, wall seconds
-	ModelError *Hist // duration-weighted mean |model error| per run
-	Messages   Counter
-	Bytes      Counter
-}
-
-// NewRunMetrics returns a RunMetrics with the default bucket ladders.
-func NewRunMetrics() *RunMetrics {
-	return &RunMetrics{
-		Makespan:   NewHist(LatencyBuckets()...),
-		ModelError: NewHist(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5),
-	}
-}
-
-// ObserveReport feeds one divergence report into the metrics.
-func (m *RunMetrics) ObserveReport(rp *Report) {
-	m.Makespan.Observe(rp.MeasuredMakespan)
-	m.ModelError.Observe(rp.MeanAbsNormError)
-	m.Messages.Add(rp.MsgsSent)
-	m.Bytes.Add(rp.BytesSent)
 }

@@ -103,8 +103,8 @@ type Runtime = solver.Runtime
 const (
 	// RuntimeAuto (the default) preserves the historical dispatch:
 	// sequential at Processors == 1 without tracing or faults,
-	// message-passing otherwise; the solve runs sequentially at
-	// Processors == 1 without tracing and on the level-set engine otherwise.
+	// message-passing otherwise; as a SolveOptions.Runtime it runs the
+	// level-set engine.
 	RuntimeAuto = solver.RuntimeAuto
 	// RuntimeSequential is the right-looking sequential reference.
 	RuntimeSequential = solver.RuntimeSequential
@@ -161,12 +161,11 @@ type Options struct {
 	// cost model instead of using the deterministic SP2-like profile. Use it
 	// when wall-clock parallel speed matters more than reproducibility.
 	CalibrateMachine bool
-	// Runtime selects the factorization engine: RuntimeAuto (default),
-	// RuntimeSequential, RuntimeMPSim, RuntimeShared or RuntimeDynamic, and
-	// the default solve engine (see SolveOptions.Runtime). An active fault
-	// plan requires the message-passing factorization (RuntimeAuto or
-	// RuntimeMPSim); any other combination fails Validate with
-	// ErrBadOptions.
+	// Runtime selects the factorization engine only: RuntimeAuto (default),
+	// RuntimeSequential, RuntimeMPSim, RuntimeShared or RuntimeDynamic (the
+	// solve engine is SolveOptions.Runtime's). An active fault plan requires
+	// the message-passing factorization (RuntimeAuto or RuntimeMPSim); any
+	// other combination fails Validate with ErrBadOptions.
 	Runtime Runtime
 	// Faults injects deterministic message and worker faults into the
 	// message-passing factorization and arms its reliability layer (see

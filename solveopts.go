@@ -24,16 +24,16 @@ type SolveOptions struct {
 	// NRHS is the number of right-hand sides: b is an n×NRHS column-major
 	// panel in the original ordering. 0 means 1.
 	NRHS int
-	// Runtime selects the solve engine. RuntimeAuto (the default) takes the
-	// analysis runtime, and when that is also Auto picks sequential on one
-	// processor (untraced) and the level-set engine otherwise.
+	// Runtime selects the solve engine; Options.Runtime, which picks the
+	// factorization engine, has no say in it.
 	//
 	//   - RuntimeSequential: the reference kernel (Factors.Solve) for one
 	//     right-hand side; a panel (NRHS > 1) runs the level-set engine on
 	//     one worker.
-	//   - RuntimeShared, RuntimeDynamic and RuntimeMPSim: the level-set
-	//     engine, each worker owning whole elimination subtrees below the
-	//     shared top cells.
+	//   - every other value, RuntimeAuto included: the level-set engine on
+	//     the worker count its cost model picks (one when the schedule has
+	//     one processor), each worker owning whole elimination subtrees
+	//     below the shared top cells.
 	//
 	// The solve exchanges no messages, so an active FaultPlan does not act
 	// on it. Every engine returns, for each column of the panel, the bits the
@@ -48,8 +48,7 @@ type SolveOptions struct {
 	// Trace returned in the result. A standalone solve trace holds no
 	// factorization tasks, so it supports WriteChromeTrace but not the
 	// schedule-divergence Summary/WriteReport. Tracing needs a parallel
-	// engine: combining it with a (resolved) sequential runtime fails with
-	// ErrBadOptions.
+	// engine: combining it with RuntimeSequential fails with ErrBadOptions.
 	Trace *TraceOptions
 }
 
@@ -59,9 +58,8 @@ type SolveOptions struct {
 // the elimination tree, and MaxLevelWidth, the most cells of one height
 // (the level sets of the solve's dependencies); ParallelSteps 1 when
 // several workers ran their owned elimination subtrees at once, else 0;
-// ChainSteps 1 when the plan shares the top cells, else 0; ChainCells the
-// shared cells and SplitCells those split across the workers. Cutoff reads
-// 0: no level-width cutoff is left.
+// ChainCells the shared top cells and SplitCells those split across the
+// workers.
 type PlanStats = solver.PlanStats
 
 // SolveResult is the outcome of SolveOpts.
@@ -119,23 +117,8 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 	if opts.Trace != nil && rec != nil {
 		return nil, fmt.Errorf("%w: SolveOptions.Trace inside an already-traced solve", ErrBadOptions)
 	}
-	tracing := opts.Trace != nil || rec != nil
-
-	// Resolve the engine: an explicit request wins, then the analysis
-	// runtime, then the historical heuristic.
-	rt := opts.Runtime
-	if rt == RuntimeAuto {
-		rt = an.runtime
-	}
-	if rt == RuntimeAuto {
-		if an.inner.Sched.P == 1 && !tracing {
-			rt = RuntimeSequential
-		} else {
-			rt = RuntimeShared
-		}
-	}
-	if rt == RuntimeSequential && tracing {
-		return nil, fmt.Errorf("%w: tracing requires a parallel solve engine, not %v", ErrBadOptions, rt)
+	if opts.Runtime == RuntimeSequential && (opts.Trace != nil || rec != nil) {
+		return nil, fmt.Errorf("%w: tracing requires a parallel solve engine, not %v", ErrBadOptions, opts.Runtime)
 	}
 
 	res := &SolveResult{}
@@ -158,7 +141,7 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 		px = append([]float64(nil), pb...)
 	}
 	var err error
-	switch rt {
+	switch opts.Runtime {
 	case RuntimeSequential:
 		if err := ctx.Err(); err != nil {
 			return nil, err

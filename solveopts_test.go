@@ -135,6 +135,36 @@ func TestSolveOptsEngineDeterminism(t *testing.T) {
 	}
 }
 
+// TestSolveEngineIgnoresAnalysisRuntime pins that Options.Runtime picks the
+// factorization engine only: whatever runtime the analysis names, at one
+// processor and at two, a solve with zero options runs the level-set plan
+// PrepareSolve reports and returns the reference Analysis.Solve's bits.
+func TestSolveEngineIgnoresAnalysisRuntime(t *testing.T) {
+	ctx := context.Background()
+	for _, rt := range []Runtime{RuntimeAuto, RuntimeSequential, RuntimeMPSim, RuntimeShared, RuntimeDynamic} {
+		for _, p := range []int{1, 2} {
+			name := fmt.Sprintf("%v p=%d", rt, p)
+			an, f, b := solveOptsFixture(t, Options{Processors: p, Runtime: rt})
+			st, err := an.PrepareSolve(f)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ref, err := an.Solve(f, b)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			res, err := an.SolveOpts(ctx, f, b, SolveOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.Plan != st || st.Cells == 0 {
+				t.Fatalf("%s: solve reported plan %+v, PrepareSolve %+v", name, res.Plan, st)
+			}
+			bitwiseSame(t, name, res.X, ref)
+		}
+	}
+}
+
 // TestSolveOptsEveryRuntimeBitwise is the solve's bitwise contract across
 // the conformance corpus: on dense and BLR-compressed factors, with and
 // without an active FaultPlan on the analysis, every SolveOptions.Runtime at
