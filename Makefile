@@ -209,14 +209,17 @@ EXAMPLES := $(sort $(dir $(wildcard examples/*/main.go)))
 examples:
 	@for e in $(EXAMPLES); do echo "run ./$$e"; $(GO) run ./$$e > /dev/null || exit 1; done
 
-# Serving smoke test: boot pastix-serve on a random loopback port and drive
-# analyze → analyze (asserting a cache hit) → factorize → coalesced batched
-# solves against a generated Poisson problem end to end, send one solve body
-# through each request decode path (compact, and re-encoded with whitespace
-# and E exponents) asserting bit-identical answers, then scrape /metrics.
-# Self-contained (no curl); exits non-zero on any failure.
+# Serving smoke test, once per factorization runtime, so a runtime the
+# service cannot drive fails CI: boot pastix-serve on a random loopback port
+# and drive analyze → analyze (asserting a cache hit) → factorize → coalesced
+# batched solves against a generated Poisson problem end to end, send one
+# solve body through each request decode path (compact, and re-encoded with
+# whitespace and E exponents) asserting bit-identical answers, then scrape
+# /metrics. Self-contained (no curl); exits non-zero on any failure.
+SERVE_RUNTIMES := auto seq mpsim shared dynamic
+
 serve-smoke:
-	$(GO) run ./cmd/pastix-serve -smoke
+	@for rt in $(SERVE_RUNTIMES); do echo "serve-smoke -runtime $$rt"; $(GO) run ./cmd/pastix-serve -smoke -runtime $$rt || exit 1; done
 
 # The CI entry point (and default target): build, vet+gofmt, tests, race,
 # the soak selector check, the chaos, numerical-stress, dynamic-runtime,

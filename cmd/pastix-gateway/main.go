@@ -2,7 +2,7 @@
 // pastix-serve nodes (internal/gateway): consistent-hash routing of the
 // pattern fingerprint with bounded loads, R-way replication of factorize
 // requests, per-backend circuit breakers fed by active /readyz probes,
-// retry/failover with capped jittered backoff, and graceful degradation
+// failover with capped jittered backoff, and graceful degradation
 // when a shard loses every replica.
 //
 //	pastix-serve -addr :8417 &
@@ -42,9 +42,8 @@ func main() {
 		probeIv  = flag.Duration("probe-interval", 0, "active /readyz probe cadence (0 = default 250ms)")
 		attemptT = flag.Duration("attempt-timeout", 0, "per-backend attempt timeout (0 = default 15s)")
 		hedge    = flag.Duration("hedge", 0, "solve hedging delay; 0 disables hedged duplicates")
-		retries  = flag.Int("retries", 0, "retry attempts per request key (0 = default 3)")
 		baseBack = flag.Duration("backoff", 0, "base retry backoff, full-jitter doubling (0 = default 25ms)")
-		maxBack  = flag.Duration("max-backoff", 0, "backoff and Retry-After cap (0 = default 1s)")
+		maxBack  = flag.Duration("max-backoff", 0, "backoff cap (0 = default 1s)")
 		queueD   = flag.Int("queue-depth", 0, "factorize requests parked while a shard has no live replica (0 = default 16)")
 		queueW   = flag.Duration("queue-wait", 0, "how long a parked factorize waits for the shard (0 = default 2s)")
 		repairIv = flag.Duration("repair-interval", 0, "anti-entropy repair cadence re-replicating under-replicated factors (0 = default 250ms, negative disables)")
@@ -72,10 +71,9 @@ func main() {
 		AttemptTimeout: *attemptT,
 		HedgeDelay:     *hedge,
 		Retry: client.Policy{
-			MaxAttempts: *retries,
-			BaseDelay:   *baseBack,
-			MaxDelay:    *maxBack,
-			Seed:        *seed,
+			BaseDelay: *baseBack,
+			MaxDelay:  *maxBack,
+			Seed:      *seed,
 		},
 		QueueDepth:     *queueD,
 		QueueWait:      *queueW,

@@ -81,10 +81,6 @@ func KernelPath() string {
 	return "scalar"
 }
 
-// At returns the (i,j) element of the column-major matrix a with leading
-// dimension ld. Intended for tests and debugging.
-func At(a []float64, ld, i, j int) float64 { return a[i+j*ld] }
-
 // GemmNDT computes C -= A·diag(d)·Bᵀ, with A m×k (lda), d length k,
 // B n×k (ldb), C m×n (ldc). This is the LDLᵀ fan-in contribution kernel
 // (the extra diag(d) pass is what makes LDLᵀ slower than LLᵀ, as in the

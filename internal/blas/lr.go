@@ -10,14 +10,11 @@ package blas
 // lossy to begin with, and the accuracy contract lives at the compression
 // tolerance, not the kernel.
 
-// LRGemvN computes y -= (U·Vᵀ)·x: the forward-solve application of a
-// compressed block. U is m×r packed, V is n×r packed, x length n, y length
-// m. The temporary t = Vᵀ·x is formed first, then y -= U·t.
-func LRGemvN(m, n, r int, u, v, x, y []float64) { LRGemvNRows(m, n, r, 0, m, u, v, x, y) }
-
-// LRGemvNRows is LRGemvN restricted to rows [lo, hi) of y (y still has
-// length m). Every t_k is formed over the whole of x, so each updated row
-// gets exactly the bits LRGemvN gives it.
+// LRGemvNRows computes rows [lo, hi) of y -= (U·Vᵀ)·x: the forward-solve
+// application of a compressed block. U is m×r packed, V is n×r packed, x
+// length n, y length m. The temporary t = Vᵀ·x is formed first, then
+// y -= U·t. Every t_k is formed over the whole of x, so each updated row gets
+// the same bits whatever range it falls in.
 func LRGemvNRows(m, n, r, lo, hi int, u, v, x, y []float64) {
 	if r == 0 || lo >= hi {
 		return
@@ -36,12 +33,9 @@ func LRGemvNRows(m, n, r, lo, hi int, u, v, x, y []float64) {
 	}
 }
 
-// LRGemvT computes y -= (U·Vᵀ)ᵀ·x = V·(Uᵀ·x): the backward-solve
-// application. x length m, y length n.
-func LRGemvT(m, n, r int, u, v, x, y []float64) { LRGemvTCols(m, n, r, 0, n, u, v, x, y) }
-
-// LRGemvTCols is LRGemvT restricted to entries [lo, hi) of y (y still has
-// length n), with the same per-entry bits.
+// LRGemvTCols computes entries [lo, hi) of y -= (U·Vᵀ)ᵀ·x = V·(Uᵀ·x): the
+// backward-solve application. x length m, y length n, with the same
+// per-entry bits whatever range an entry falls in.
 func LRGemvTCols(m, n, r, lo, hi int, u, v, x, y []float64) {
 	if r == 0 || lo >= hi {
 		return

@@ -51,8 +51,8 @@ func lrMaxDiff(a, b []float64) float64 {
 	return d
 }
 
-// TestLRGemv checks both solve-application directions against the dense
-// GemvN/GemvT on the materialised block.
+// TestLRGemv checks both solve-application directions, over the whole
+// output range, against the dense GemvN/GemvT on the materialised block.
 func TestLRGemv(t *testing.T) {
 	m, n, r := 37, 29, 5
 	s := uint64(11)
@@ -62,19 +62,19 @@ func TestLRGemv(t *testing.T) {
 	x := lrFill(n, &s)
 	yLR := lrFill(m, &s)
 	yRef := append([]float64(nil), yLR...)
-	LRGemvN(m, n, r, u, v, x, yLR)
+	LRGemvNRows(m, n, r, 0, m, u, v, x, yLR)
 	GemvN(m, n, dense, m, x, yRef)
 	if d := lrMaxDiff(yLR, yRef); d > 1e-13 {
-		t.Errorf("LRGemvN vs dense: max diff %g", d)
+		t.Errorf("LRGemvNRows vs dense: max diff %g", d)
 	}
 
 	xt := lrFill(m, &s)
 	ytLR := lrFill(n, &s)
 	ytRef := append([]float64(nil), ytLR...)
-	LRGemvT(m, n, r, u, v, xt, ytLR)
+	LRGemvTCols(m, n, r, 0, n, u, v, xt, ytLR)
 	GemvT(m, n, dense, m, xt, ytRef)
 	if d := lrMaxDiff(ytLR, ytRef); d > 1e-13 {
-		t.Errorf("LRGemvT vs dense: max diff %g", d)
+		t.Errorf("LRGemvTCols vs dense: max diff %g", d)
 	}
 }
 
@@ -84,8 +84,8 @@ func TestLRKernelsRankZero(t *testing.T) {
 	s := uint64(61)
 	y := lrFill(m, &s)
 	want := append([]float64(nil), y...)
-	LRGemvN(m, n, 0, nil, nil, make([]float64, n), y)
-	LRGemvT(n, m, 0, nil, nil, make([]float64, n), y)
+	LRGemvNRows(m, n, 0, 0, m, nil, nil, make([]float64, n), y)
+	LRGemvTCols(n, m, 0, 0, m, nil, nil, make([]float64, n), y)
 	for i := range y {
 		if y[i] != want[i] {
 			t.Fatalf("rank-0 kernel modified output at %d", i)
@@ -95,7 +95,7 @@ func TestLRKernelsRankZero(t *testing.T) {
 
 // TestLRGemvRanges checks the row- and column-range forms: over every split
 // of the output into two ranges, the updated entries are bit-identical to
-// the whole-range kernel and the entries outside the range are untouched.
+// the kernel over the whole range and the entries outside the range are untouched.
 func TestLRGemvRanges(t *testing.T) {
 	m, n, r := 13, 9, 3
 	s := uint64(31)
@@ -103,9 +103,9 @@ func TestLRGemvRanges(t *testing.T) {
 	xn, xt := lrFill(n, &s), lrFill(m, &s)
 	y0, yt0 := lrFill(m, &s), lrFill(n, &s)
 	whole := append([]float64(nil), y0...)
-	LRGemvN(m, n, r, u, v, xn, whole)
+	LRGemvNRows(m, n, r, 0, m, u, v, xn, whole)
 	wholeT := append([]float64(nil), yt0...)
-	LRGemvT(m, n, r, u, v, xt, wholeT)
+	LRGemvTCols(m, n, r, 0, n, u, v, xt, wholeT)
 	check := func(name string, lo, hi int, got, ref, orig []float64) {
 		t.Helper()
 		for i := range got {

@@ -3,11 +3,9 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"time"
 
-	"github.com/pastix-go/pastix/internal/gateway/client"
 	"github.com/pastix-go/pastix/internal/trace"
 )
 
@@ -182,10 +180,7 @@ const (
 
 // statReplica asks one backend whether it still holds handle.
 func (g *Gateway) statReplica(ctx context.Context, b *backendHealth, handle string) statVerdict {
-	body, _ := json.Marshal(struct {
-		Handle string `json:"handle"`
-	}{handle})
-	res := g.attemptOnce(ctx, b, "/v1/stat", body)
+	res := g.attemptOnce(ctx, b, "/v1/stat", jsonType, handleJSON(handle))
 	switch {
 	case res.err != nil:
 		return statUnknown
@@ -223,26 +218,21 @@ func (g *Gateway) replicateTo(ctx context.Context, e handleEntry, sources []repl
 	if len(e.body) == 0 {
 		return replicaRef{}, false
 	}
-	res := g.attemptOnce(ctx, dst, "/v1/factorize", e.body)
+	res := g.attemptOnce(ctx, dst, "/v1/factorize", jsonType, e.body)
 	if res.err != nil || res.status != http.StatusOK {
 		return replicaRef{}, false
 	}
-	var fr struct {
-		Handle string `json:"handle"`
-	}
-	if json.Unmarshal(res.body, &fr) != nil || fr.Handle == "" {
+	handle, ok := handleOf(res.body)
+	if !ok {
 		return replicaRef{}, false
 	}
 	g.refactorizes.Add(1)
-	return replicaRef{Backend: dst.id, Handle: fr.Handle, Inst: dst.instanceNow()}, true
+	return replicaRef{Backend: dst.id, Handle: handle, Inst: dst.instanceNow()}, true
 }
 
 // exportFrom pulls the serialized factor record for handle from src.
 func (g *Gateway) exportFrom(ctx context.Context, src *backendHealth, handle string) ([]byte, bool) {
-	body, _ := json.Marshal(struct {
-		Handle string `json:"handle"`
-	}{handle})
-	res := g.attemptOnce(ctx, src, "/v1/replicate", body)
+	res := g.attemptOnce(ctx, src, "/v1/replicate", jsonType, handleJSON(handle))
 	if res.err != nil || res.status != http.StatusOK || len(res.body) == 0 {
 		return nil, false
 	}
@@ -252,29 +242,11 @@ func (g *Gateway) exportFrom(ctx context.Context, src *backendHealth, handle str
 // importTo pushes an exported factor blob to dst and returns dst's new
 // local handle.
 func (g *Gateway) importTo(ctx context.Context, dst *backendHealth, blob []byte) (string, bool) {
-	actx, cancel := context.WithTimeout(ctx, g.cfg.AttemptTimeout)
-	defer cancel()
-	dst.inflight.Add(1)
-	defer dst.inflight.Add(-1)
-	one := &client.Client{HTTP: g.hc.HTTP, Policy: client.Policy{MaxAttempts: 1, Seed: g.cfg.Retry.Seed}}
-	resp, err := one.Do(actx, dst.url+"/v1/replicate", "application/octet-stream", blob)
-	now := time.Now()
-	if err != nil {
-		dst.onFailure(err.Error(), g.cfg.BreakerThreshold, g.cfg.BreakerCooldown, now)
+	res := g.attemptOnce(ctx, dst, "/v1/replicate", "application/octet-stream", blob)
+	if res.err != nil || res.status != http.StatusOK {
 		return "", false
 	}
-	rb, rerr := client.ReadBody(resp, g.cfg.MaxBodyBytes)
-	if rerr != nil || resp.StatusCode != http.StatusOK {
-		return "", false
-	}
-	dst.onSuccess(0)
-	var fr struct {
-		Handle string `json:"handle"`
-	}
-	if json.Unmarshal(rb, &fr) != nil || fr.Handle == "" {
-		return "", false
-	}
-	return fr.Handle, true
+	return handleOf(res.body)
 }
 
 // handleMetrics exposes the gateway's counters and the fleet replication

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -191,6 +192,61 @@ func TestAntiEntropyDurableRestartKeepsReplica(t *testing.T) {
 		t.Fatalf("solve after durable restart status %d: %v", st, sr)
 	}
 	bitIdentical(t, field[[]float64](t, sr, "x"), want, "solve served by replayed replica")
+}
+
+// A factor import answered 500 counts against the destination's breaker
+// like any other attempt: repair passes whose import fails open it at the
+// threshold. The destination also refuses the re-factorize fallback with a
+// 429, which leaves the breaker alone, so only the imports charge it.
+func TestAntiEntropyImportFailureChargesBreaker(t *testing.T) {
+	nodes := []*node{startNode(t, svcConfig()), startNode(t, svcConfig()), startNode(t, svcConfig())}
+	g, ts := startGateway(t, nodes, func(c *Config) {
+		c.Replicas = 3
+		c.ProbeInterval = time.Hour // no probe success resets the breaker
+		c.RepairInterval = -1       // the test runs the repair passes
+	})
+	dst := nodes[2]
+	dst.intercept.Store(func(w http.ResponseWriter, r *http.Request, h http.Handler) bool {
+		switch {
+		case r.URL.Path == "/v1/factorize":
+			w.WriteHeader(http.StatusTooManyRequests)
+		case r.URL.Path == "/v1/replicate" && r.Header.Get("Content-Type") == "application/octet-stream":
+			w.WriteHeader(http.StatusInternalServerError)
+		default:
+			return false
+		}
+		return true
+	})
+
+	_, mm := testMatrix(t)
+	st, fr := postJSON(t, ts.URL+"/v1/factorize", map[string]any{"matrix_market": mm})
+	if st != http.StatusOK {
+		t.Fatalf("factorize status %d: %v", st, fr)
+	}
+	if r := field[int](t, fr, "replicas"); r != 2 {
+		t.Fatalf("factorize reached %d replicas, want 2 (the destination refused)", r)
+	}
+
+	b := g.backends[2]
+	fails := func() int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.fails
+	}
+	for pass := 1; pass < g.cfg.BreakerThreshold; pass++ {
+		g.repairOnce(context.Background())
+		if n := fails(); n != pass {
+			t.Fatalf("after repair pass %d the destination has %d consecutive failures, want %d", pass, n, pass)
+		}
+	}
+	g.repairOnce(context.Background())
+	if st := b.status(time.Now()); st.Breaker != "open" {
+		t.Fatalf("destination breaker %s after %d failed imports, want open (last error %q)",
+			st.Breaker, g.cfg.BreakerThreshold, st.LastError)
+	}
+	if s := g.Stats(); s.Repairs != 0 || s.Refactorizes != 0 {
+		t.Fatalf("a refused repair was counted: %+v", s)
+	}
 }
 
 // A factorize parked for a dead shard wakes promptly when a backend flips

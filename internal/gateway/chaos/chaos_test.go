@@ -151,7 +151,7 @@ func TestChaosNodeKillSoak(t *testing.T) {
 				Backends:      cl.URLs(),
 				Replicas:      2,
 				ProbeInterval: 15 * time.Millisecond,
-				Retry:         client.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: seed},
+				Retry:         client.Policy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: seed},
 				Seed:          seed,
 			})
 			if err != nil {
@@ -334,7 +334,7 @@ func TestChaosDurableNodeKillSoak(t *testing.T) {
 				Replicas:       2,
 				ProbeInterval:  15 * time.Millisecond,
 				RepairInterval: 20 * time.Millisecond,
-				Retry:          client.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: seed},
+				Retry:          client.Policy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: seed},
 				Seed:           seed,
 			})
 			if err != nil {

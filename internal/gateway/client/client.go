@@ -1,31 +1,27 @@
-// Package client is a retrying HTTP client for the gateway tier: capped
-// exponential backoff with full jitter, Retry-After honoring, and replayable
-// request bodies. The jitter is drawn from a seeded splitmix64 counter hash —
-// the same discipline internal/faults uses — so a backoff schedule is a pure
-// function of (Seed, request key, attempt) and unit tests can assert it
-// deterministically.
+// Package client holds the gateway tier's backoff schedule — capped
+// exponential backoff with full jitter between the steps of the failover
+// walk — and the capped response-body reader. The jitter is drawn from a
+// seeded splitmix64 counter hash — the same discipline internal/faults uses —
+// so a backoff schedule is a pure function of (Seed, request key, attempt)
+// and unit tests can assert it deterministically.
 package client
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 )
 
-// Policy configures retries. The zero value selects the defaults.
+// Policy configures the backoff schedule. The zero value selects the
+// defaults.
 type Policy struct {
-	// MaxAttempts is the total number of tries, first included (default 3).
-	MaxAttempts int
 	// BaseDelay is the backoff ceiling after the first failure; the ceiling
 	// doubles each further failure (default 25ms).
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff ceiling — and any server-sent Retry-After —
-	// so one slow shard cannot park a request forever (default 1s).
+	// MaxDelay caps the backoff ceiling so one slow shard cannot park a
+	// request forever (default 1s).
 	MaxDelay time.Duration
 	// Seed feeds the jitter hash. Same seed + same request key → same
 	// schedule, replayable like a fault plan.
@@ -33,9 +29,6 @@ type Policy struct {
 }
 
 func (p Policy) withDefaults() Policy {
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 3
-	}
 	if p.BaseDelay == 0 {
 		p.BaseDelay = 25 * time.Millisecond
 	}
@@ -47,9 +40,6 @@ func (p Policy) withDefaults() Policy {
 
 // Validate rejects nonsensical policies.
 func (p Policy) Validate() error {
-	if p.MaxAttempts < 0 {
-		return fmt.Errorf("client: MaxAttempts %d is negative", p.MaxAttempts)
-	}
 	if p.BaseDelay < 0 || p.MaxDelay < 0 {
 		return fmt.Errorf("client: negative delay (base %v, max %v)", p.BaseDelay, p.MaxDelay)
 	}
@@ -97,113 +87,6 @@ func (p Policy) Delay(key uint64, attempt int) time.Duration {
 	h = mix64(h ^ uint64(attempt))
 	u := float64(h>>11) / (1 << 53)
 	return time.Duration(u * float64(ceil))
-}
-
-// Client retries POSTs against transient failures: transport errors and
-// 429/502/503/504 responses. Other statuses — including request-level 4xx and
-// numerical 422s — are returned to the caller untouched after the first try.
-type Client struct {
-	// HTTP is the underlying client (default http.DefaultClient). Per-attempt
-	// deadlines come from the caller's context.
-	HTTP *http.Client
-	// Policy is the retry schedule.
-	Policy Policy
-}
-
-// retryable reports whether a response status is worth another attempt.
-func retryable(status int) bool {
-	switch status {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
-// retryAfter extracts a server-sent Retry-After delay (seconds form) from a
-// response, if any.
-func retryAfter(resp *http.Response) (time.Duration, bool) {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0, false
-	}
-	if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-		return time.Duration(secs) * time.Second, true
-	}
-	if t, err := http.ParseTime(v); err == nil {
-		if d := time.Until(t); d > 0 {
-			return d, true
-		}
-		return 0, true
-	}
-	return 0, false
-}
-
-// Do POSTs body to url, replaying it on each retry, and returns the final
-// response with its body open (the caller closes it). A response the policy
-// exhausted retries on is still returned — the caller sees the last status.
-// Server-sent Retry-After delays are honored, capped at the policy's
-// MaxDelay.
-func (c *Client) Do(ctx context.Context, url, contentType string, body []byte) (*http.Response, error) {
-	pol := c.Policy.withDefaults()
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	key := Key(url)
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", contentType)
-		resp, err := hc.Do(req)
-		if err == nil && !retryable(resp.StatusCode) {
-			return resp, nil
-		}
-		wait := pol.Delay(key, attempt)
-		if err != nil {
-			lastErr = err
-		} else {
-			if ra, ok := retryAfter(resp); ok {
-				wait = ra
-				if wait > pol.MaxDelay {
-					wait = pol.MaxDelay
-				}
-			}
-			if attempt >= pol.MaxAttempts {
-				return resp, nil // last word: the retryable status itself
-			}
-			// Drain so the connection can be reused, then retry.
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("client: %s returned %d", url, resp.StatusCode)
-		}
-		if err != nil && attempt >= pol.MaxAttempts {
-			return nil, fmt.Errorf("client: %d attempts exhausted: %w", attempt, lastErr)
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// Get issues a plain GET with no retries (probes bring their own cadence).
-func (c *Client) Get(ctx context.Context, url string) (*http.Response, error) {
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	return hc.Do(req)
 }
 
 // ReadBody fully reads and closes a response body, capped at limit bytes.

@@ -1,10 +1,6 @@
 package client
 
 import (
-	"context"
-	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -12,7 +8,7 @@ import (
 // The backoff schedule is a pure function of (Seed, key, attempt): full
 // jitter inside a doubling, capped ceiling.
 func TestPolicyDelayDeterministic(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: 400 * time.Millisecond, Seed: 42}
+	p := Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: 400 * time.Millisecond, Seed: 42}
 	key := Key("http://node-0/v1/solve")
 
 	var first []time.Duration
@@ -43,90 +39,5 @@ func TestPolicyDelayDeterministic(t *testing.T) {
 	}
 	if same == 5 {
 		t.Fatal("changing the seed left the whole schedule unchanged")
-	}
-}
-
-// Transient statuses are retried until success; the handler's Retry-After is
-// honored.
-func TestClientRetriesTransient(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) < 3 {
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte(`{"ok":true}`))
-	}))
-	defer ts.Close()
-
-	c := &Client{Policy: Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 7}}
-	resp, err := c.Do(context.Background(), ts.URL, "application/json", []byte(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d after retries, want 200", resp.StatusCode)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("%d calls, want 3 (two 503s then success)", got)
-	}
-}
-
-// Non-retryable statuses come back on the first try; exhausted retryable
-// statuses come back as the final response.
-func TestClientTerminalStatuses(t *testing.T) {
-	var calls atomic.Int64
-	status := atomic.Int64{}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(int(status.Load()))
-	}))
-	defer ts.Close()
-	c := &Client{Policy: Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}}
-
-	status.Store(http.StatusUnprocessableEntity)
-	resp, err := c.Do(context.Background(), ts.URL, "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity || calls.Load() != 1 {
-		t.Fatalf("422: status %d after %d calls, want 422 after 1", resp.StatusCode, calls.Load())
-	}
-
-	calls.Store(0)
-	status.Store(http.StatusServiceUnavailable)
-	resp, err = c.Do(context.Background(), ts.URL, "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("exhausted retries returned status %d, want the last 503", resp.StatusCode)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("%d calls, want MaxAttempts=3", calls.Load())
-	}
-}
-
-// A cancelled context aborts the backoff sleep promptly.
-func TestClientContextCancel(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-	c := &Client{Policy: Policy{MaxAttempts: 10, BaseDelay: time.Hour, MaxDelay: time.Hour}}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	t0 := time.Now()
-	_, err := c.Do(ctx, ts.URL, "application/json", nil)
-	if err == nil {
-		t.Fatal("expected context error")
-	}
-	if time.Since(t0) > 5*time.Second {
-		t.Fatalf("cancellation took %v", time.Since(t0))
 	}
 }

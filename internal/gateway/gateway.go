@@ -19,6 +19,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -61,8 +62,7 @@ type Config struct {
 	// the primary has not answered within it; the first answer wins
 	// (default 0 = disabled).
 	HedgeDelay time.Duration
-	// Retry is the backoff policy for per-backend retries and the
-	// cross-replica failover delays.
+	// Retry is the backoff schedule between the steps of the failover walk.
 	Retry client.Policy
 	// BreakerThreshold consecutive failures open a backend's breaker
 	// (default 3).
@@ -191,7 +191,7 @@ type Gateway struct {
 	cfg      Config
 	ring     *ring
 	backends []*backendHealth
-	hc       *client.Client
+	hc       *http.Client
 	handles  *handleTable
 
 	queueSlots chan struct{}
@@ -220,7 +220,7 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:        cfg,
 		ring:       newRing(len(cfg.Backends), cfg.VNodes, cfg.Seed),
-		hc:         &client.Client{Policy: cfg.Retry},
+		hc:         http.DefaultClient,
 		handles:    newHandleTable(),
 		queueSlots: make(chan struct{}, cfg.QueueDepth),
 		start:      time.Now(),
@@ -357,16 +357,40 @@ func (a *attemptResult) failover() bool {
 	return false
 }
 
-// attemptOnce forwards body to one backend with a single try (no client-level
-// retries) and folds the outcome into the health model.
-func (g *Gateway) attemptOnce(ctx context.Context, b *backendHealth, path string, body []byte) *attemptResult {
+// jsonType is the content type of every backend request but a factor import.
+const jsonType = "application/json"
+
+// handleJSON is the {"handle": h} body of a stat, export or release request.
+func handleJSON(h string) []byte {
+	b, _ := json.Marshal(struct {
+		Handle string `json:"handle"`
+	}{h})
+	return b
+}
+
+// handleOf decodes the backend handle a factorize or factor import answered
+// with.
+func handleOf(body []byte) (string, bool) {
+	var r struct {
+		Handle string `json:"handle"`
+	}
+	return r.Handle, json.Unmarshal(body, &r) == nil && r.Handle != ""
+}
+
+// attemptOnce POSTs body to one backend with a single try and folds the
+// outcome into the health model. It is the gateway's only backend POST.
+func (g *Gateway) attemptOnce(ctx context.Context, b *backendHealth, path, contentType string, body []byte) *attemptResult {
 	actx, cancel := context.WithTimeout(ctx, g.cfg.AttemptTimeout)
 	defer cancel()
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	t0 := time.Now()
-	one := &client.Client{HTTP: g.hc.HTTP, Policy: client.Policy{MaxAttempts: 1, Seed: g.cfg.Retry.Seed}}
-	resp, err := one.Do(actx, b.url+path, "application/json", body)
+	req, err := http.NewRequestWithContext(actx, http.MethodPost, b.url+path, bytes.NewReader(body))
+	var resp *http.Response
+	if err == nil {
+		req.Header.Set("Content-Type", contentType)
+		resp, err = g.hc.Do(req)
+	}
 	now := time.Now()
 	if err != nil {
 		b.onFailure(err.Error(), g.cfg.BreakerThreshold, g.cfg.BreakerCooldown, now)
@@ -445,31 +469,63 @@ type target struct {
 	body []byte
 }
 
-// forwardFailover tries targets in order with jittered backoff between
-// attempts, returning the first non-failover result (or the last result).
-func (g *Gateway) forwardFailover(ctx context.Context, targets []target, path string) *attemptResult {
+// forwardFailover is the gateway's one walk over replicas: it tries targets
+// in order, each attempt on its own goroutine, and returns the first result
+// that is not a failover (or the last result when every target failed).
+// After a definite failure the next target starts once the jittered backoff
+// has passed. With hedge > 0 a timer also starts the next target if no
+// answer has come within hedge — at most once per walk, dropping a pending
+// backoff start — and the first acceptable answer wins, so callers hedge
+// only idempotent reads. Losing attempts are cancelled when the walk returns.
+func (g *Gateway) forwardFailover(ctx context.Context, targets []target, path string, hedge time.Duration) *attemptResult {
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	results := make(chan *attemptResult, len(targets))
+	launched := 0
+	launch := func() {
+		tg := targets[launched]
+		launched++
+		go func() { results <- g.attemptOnce(wctx, tg.b, path, jsonType, tg.body) }()
+	}
+	launch()
+	var hedgeC, backoffC <-chan time.Time
+	if hedge > 0 && len(targets) > 1 {
+		t := time.NewTimer(hedge)
+		defer t.Stop()
+		hedgeC = t.C
+	}
 	key := client.Key(path)
 	var last *attemptResult
-	for i, tg := range targets {
-		if i > 0 {
+	for done := 0; done < launched || backoffC != nil; {
+		select {
+		case res := <-results:
+			done++
+			last = res
+			if !res.failover() {
+				if res.backend != targets[0].b {
+					g.failovers.Add(1)
+				}
+				return res
+			}
+			if res.status == http.StatusNotFound {
+				g.staleRoutes.Add(1)
+			}
+			if launched < len(targets) && backoffC == nil {
+				backoffC = time.After(g.cfg.Retry.Delay(key, launched))
+			}
+		case <-backoffC:
+			backoffC = nil
 			g.retries.Add(1)
-			t := time.NewTimer(g.cfg.Retry.Delay(key, i))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return &attemptResult{err: ctx.Err()}
+			launch()
+		case <-hedgeC:
+			hedgeC = nil
+			if launched < len(targets) {
+				backoffC = nil // the hedge starts the next target now
+				g.hedges.Add(1)
+				launch()
 			}
-		}
-		last = g.attemptOnce(ctx, tg.b, path, tg.body)
-		if !last.failover() {
-			if i > 0 {
-				g.failovers.Add(1)
-			}
-			return last
-		}
-		if last.status == http.StatusNotFound {
-			g.staleRoutes.Add(1)
+		case <-ctx.Done():
+			return &attemptResult{err: ctx.Err()}
 		}
 	}
 	return last
@@ -519,7 +575,7 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	for i, b := range cands {
 		targets[i] = target{b: b, body: body}
 	}
-	res := g.forwardFailover(r.Context(), targets, "/v1/analyze")
+	res := g.forwardFailover(r.Context(), targets, "/v1/analyze", 0)
 	if res.err != nil || res.failover() {
 		g.writeErr(w, http.StatusServiceUnavailable, "shard_unavailable",
 			fmt.Sprintf("analyze failed on all %d candidates for shard %s", len(cands), fp[:8]))
@@ -583,7 +639,7 @@ func (g *Gateway) handleFactorize(w http.ResponseWriter, r *http.Request) {
 		if len(reps) >= g.cfg.Replicas {
 			break
 		}
-		res := g.attemptOnce(r.Context(), b, "/v1/factorize", body)
+		res := g.attemptOnce(r.Context(), b, "/v1/factorize", jsonType, body)
 		if res.failover() {
 			g.retries.Add(1)
 			if len(reps) == 0 && len(cands) > 1 {
@@ -601,13 +657,11 @@ func (g *Gateway) handleFactorize(w http.ResponseWriter, r *http.Request) {
 			}
 			break
 		}
-		var fr struct {
-			Handle string `json:"handle"`
-		}
-		if err := json.Unmarshal(res.body, &fr); err != nil || fr.Handle == "" {
+		h, ok := handleOf(res.body)
+		if !ok {
 			continue
 		}
-		reps = append(reps, replicaRef{Backend: b.id, Handle: fr.Handle, Inst: b.instanceNow()})
+		reps = append(reps, replicaRef{Backend: b.id, Handle: h, Inst: b.instanceNow()})
 		if primary == nil {
 			primary = res
 		}
@@ -723,7 +777,9 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res := g.solveAcross(r.Context(), targets)
+	// Solves are idempotent reads of an immutable factor, so a hedged
+	// duplicate is harmless.
+	res := g.forwardFailover(r.Context(), targets, "/v1/solve", g.cfg.HedgeDelay)
 	if res == nil || res.err != nil || res.failover() {
 		status, code := http.StatusServiceUnavailable, "shard_unavailable"
 		msg := fmt.Sprintf("solve failed on all %d replicas of %s", len(targets), handle)
@@ -748,61 +804,6 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	relay(w, res.status, res.body)
 }
 
-// solveAcross runs the failover walk for a solve, with optional hedging: if
-// the leading attempt has not answered within HedgeDelay, the next replica
-// gets a duplicate and the first acceptable answer wins. Solves are
-// idempotent reads of an immutable factor, so duplicates are harmless.
-func (g *Gateway) solveAcross(ctx context.Context, targets []target) *attemptResult {
-	if g.cfg.HedgeDelay <= 0 || len(targets) < 2 {
-		return g.forwardFailover(ctx, targets, "/v1/solve")
-	}
-
-	// Hedged: launch sequentially on a delay, first acceptable result wins.
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan *attemptResult, len(targets))
-	launched := 0
-	launch := func(i int) {
-		launched++
-		tg := targets[i]
-		go func() { results <- g.attemptOnce(hctx, tg.b, "/v1/solve", tg.body) }()
-	}
-	launch(0)
-	hedge := time.NewTimer(g.cfg.HedgeDelay)
-	defer hedge.Stop()
-	var last *attemptResult
-	done := 0
-	for done < launched || launched < len(targets) {
-		select {
-		case res := <-results:
-			done++
-			last = res
-			if !res.failover() {
-				if res.backend != targets[0].b {
-					g.failovers.Add(1)
-				}
-				return res
-			}
-			if res.status == http.StatusNotFound {
-				g.staleRoutes.Add(1)
-			}
-			if launched < len(targets) {
-				// A definite failure promotes the next replica immediately.
-				g.retries.Add(1)
-				launch(launched)
-			}
-		case <-hedge.C:
-			if launched < len(targets) {
-				g.hedges.Add(1)
-				launch(launched)
-			}
-		case <-hctx.Done():
-			return &attemptResult{err: hctx.Err()}
-		}
-	}
-	return last
-}
-
 func (g *Gateway) handleRelease(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	body, ok := g.readBody(w, r)
@@ -825,10 +826,7 @@ func (g *Gateway) handleRelease(w http.ResponseWriter, r *http.Request) {
 	// with it; the gateway mapping is already gone either way.
 	released := 0
 	for _, rep := range gh.replicas {
-		rb, _ := json.Marshal(struct {
-			Handle string `json:"handle"`
-		}{rep.Handle})
-		res := g.attemptOnce(r.Context(), g.backends[rep.Backend], "/v1/release", rb)
+		res := g.attemptOnce(r.Context(), g.backends[rep.Backend], "/v1/release", jsonType, handleJSON(rep.Handle))
 		if res.err == nil && res.status == http.StatusOK {
 			released++
 		}

@@ -368,6 +368,53 @@ func TestGatewayHedgedSolve(t *testing.T) {
 	}
 }
 
+// A hedged solve whose primary answers a definite failure (a stale 404)
+// before HedgeDelay moves on after the backoff, not the hedge timer: the
+// replica serves, one retry is counted and no hedge.
+func TestGatewayHedgedSolveDefiniteFailure(t *testing.T) {
+	nodes := []*node{startNode(t, svcConfig()), startNode(t, svcConfig())}
+	const hedge = 2 * time.Second
+	g, ts := startGateway(t, nodes, func(c *Config) {
+		c.HedgeDelay = hedge
+		c.RepairInterval = -1 // keep the stale replica in the handle table
+	})
+
+	a, mm := testMatrix(t)
+	_, b := gen.RHSForSolution(a)
+	want := referenceSolve(t, a, b)
+
+	st, fr := postJSON(t, ts.URL+"/v1/factorize", map[string]any{"matrix_market": mm})
+	if st != http.StatusOK {
+		t.Fatalf("factorize status %d: %v", st, fr)
+	}
+	handle := field[string](t, fr, "handle")
+	pb := field[int](t, fr, "primary_backend")
+	nodes[pb].restart()
+	waitRoutable(t, g, 2)
+
+	before := g.Stats()
+	t0 := time.Now()
+	st, sr := postJSON(t, ts.URL+"/v1/solve", map[string]any{"handle": handle, "b": b})
+	elapsed := time.Since(t0)
+	if st != http.StatusOK {
+		t.Fatalf("solve after primary restart: status %d %v", st, sr)
+	}
+	if elapsed >= hedge {
+		t.Fatalf("solve took %v, not before the %v hedge delay", elapsed, hedge)
+	}
+	if sb := field[int](t, sr, "served_by"); sb != 1-pb {
+		t.Fatalf("served_by %d, want replica %d", sb, 1-pb)
+	}
+	bitIdentical(t, field[[]float64](t, sr, "x"), want, "hedged solve after a stale 404")
+	after := g.Stats()
+	if r, h := after.Retries-before.Retries, after.Hedges-before.Hedges; r != 1 || h != 0 {
+		t.Fatalf("solve counted %d retries and %d hedges, want 1 and 0", r, h)
+	}
+	if after.StaleRoutes-before.StaleRoutes != 1 {
+		t.Fatalf("stale route not counted: %+v", after)
+	}
+}
+
 // Satellite: draining the primary mid-batch must not lose or duplicate the
 // parked riders, and new traffic re-routes to the replica.
 func TestGatewayDrainVsBatchTwoNodes(t *testing.T) {

@@ -252,5 +252,5 @@ func bitIdentical(t *testing.T, got, want []float64, what string) {
 }
 
 func clientPolicyFast() client.Policy {
-	return client.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 7}
+	return client.Policy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 7}
 }

@@ -185,7 +185,11 @@ func (b *backendHealth) status(now time.Time) BackendStatus {
 func (g *Gateway) probe(ctx context.Context, b *backendHealth) {
 	pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
 	defer cancel()
-	resp, err := g.hc.Get(pctx, b.url+"/readyz")
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.url+"/readyz", nil)
+	var resp *http.Response
+	if err == nil {
+		resp, err = g.hc.Do(req)
+	}
 	now := time.Now()
 	if err != nil {
 		b.mu.Lock()

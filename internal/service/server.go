@@ -467,11 +467,20 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	// FactorizeValuesTraced re-verifies the pattern against the (possibly
-	// cached) analysis — a fingerprint collision surfaces here as
-	// ErrPatternMismatch instead of a silently wrong factorization — and the
-	// execution trace feeds the runtime metrics.
-	f, tr, err := an.FactorizeValuesTraced(ctx, a, pastix.TraceOptions{})
+	// Factorizing re-verifies the pattern against the (possibly cached)
+	// analysis — a fingerprint collision surfaces here as ErrPatternMismatch
+	// instead of a silently wrong factorization. The execution trace of a
+	// parallel runtime feeds the runtime metrics; the sequential runtime
+	// records none.
+	var (
+		f  *pastix.Factor
+		tr *pastix.Trace
+	)
+	if s.cfg.Solver.Runtime == pastix.RuntimeSequential {
+		f, err = an.FactorizeValues(ctx, a)
+	} else {
+		f, tr, err = an.FactorizeValuesTraced(ctx, a, pastix.TraceOptions{})
+	}
 	var robust *pastix.RobustStats
 	if err != nil && errors.Is(err, pastix.ErrNotSPD) && s.cfg.Solver.StaticPivot.MaxRetries > 0 {
 		// Numerical breakdown with escalation configured: retry with
