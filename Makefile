@@ -44,7 +44,7 @@ NUMSTRESS_RUN := NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine
 NUMSTRESS_PKGS := ./internal/solver ./internal/blas .
 DYNSTRESS_RUN := RuntimeConformance|ScheduleRouting|SchedulePulls|SharedAllocates|FactorDAG|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph|FanOut|Schur
 DYNSTRESS_PKGS := ./internal/solver ./internal/dynsched
-SOLVESTRESS_RUN := SolvePlan|PlanStatsLevels|SolveMapping|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|SolveEngineIgnoresAnalysisRuntime|PrepareSolve|ServerSolveOptions|ServerBatchP1|ServerDegradedOptions|ServerSolveMetrics
+SOLVESTRESS_RUN := SolvePlan|PlanStatsLevels|SolveMapping|LevelStorm|SolveLevel|Packed|SolveConformance|SolveGolden|DenseKernels|SolveOpts|SolveEngineIgnoresAnalysisRuntime|PrepareSolve|ServerSolveOptions|ServerBatchP1|ServerDegradedOptions|ServerSolveMetrics
 SOLVESTRESS_PKGS := ./internal/solver ./internal/blas ./internal/service .
 HASERVICE_RUN := Readyz|BodyLimit|Idempotent|Drain
 HASERVICE_PKGS := ./internal/service
@@ -152,6 +152,7 @@ soak-selectors:
 	@GO=$(GO) ./scripts/soak-selectors.sh durastress '$(DURASERVICE_RUN)' $(DURASERVICE_PKGS)
 	@GO=$(GO) ./scripts/soak-selectors.sh durastress '$(DURAGATEWAY_RUN)' $(DURAGATEWAY_PKGS)
 	@GO=$(GO) ./scripts/soak-selectors.sh durastress '$(DURACHAOS_RUN)' $(DURACHAOS_PKGS)
+	@GO=$(GO) ./scripts/soak-selectors.sh kernels '$(KERNELS_SOLVE_RUN)' $(KERNELS_SOLVE_PKGS)
 	@GO=$(GO) ./scripts/soak-selectors.sh kernels '$(KERNELS_SERVICE_RUN)' ./internal/service
 
 # Dense-kernel paths: the blas, solver, float-text (numtext) and root suites
@@ -163,9 +164,15 @@ soak-selectors:
 # it may use FMA, so the v3 run guards that the in-binary SIMD-vs-scalar
 # checks, and numtext's strconv and encoding/json differential tests, still
 # hold there.
+# The pinned solution digests and the kernel-vs-scalar checks (the cell
+# kernels included) run first under each build, so a moved bit fails fast.
+KERNELS_SOLVE_RUN := SolveGolden|DenseKernels
+KERNELS_SOLVE_PKGS := ./internal/solver ./internal/blas
 KERNELS_SERVICE_RUN := ServerBatchP1BitIdentical|DurableJournalV1Fixture
 
 kernels:
+	$(GO) test -tags purego -run '$(KERNELS_SOLVE_RUN)' $(KERNELS_SOLVE_PKGS)
+	GOAMD64=v3 $(GO) test -run '$(KERNELS_SOLVE_RUN)' $(KERNELS_SOLVE_PKGS)
 	$(GO) test -tags purego ./internal/blas ./internal/solver ./internal/numtext .
 	$(GO) test -tags purego -run '$(KERNELS_SERVICE_RUN)' ./internal/service
 	GOAMD64=v3 $(GO) test ./internal/blas ./internal/solver ./internal/numtext .

@@ -93,10 +93,10 @@ tile16: \
 	CMPQ  AX, $128; \
 	JLT   tail; \
 	LEAQ  (R11)(CX*1), AX; \
-	VMOVUPD (AX), Y0; \
-	VMOVUPD 32(AX), Y1; \
-	VMOVUPD 64(AX), Y2; \
-	VMOVUPD 96(AX), Y3; \
+	LOADY(0, Y0); \
+	LOADY(32, Y1); \
+	LOADY(64, Y2); \
+	LOADY(96, Y3); \
 	LEAQ  (R8)(CX*1), R12; \
 	MOVQ  R10, R13; \
 	MOVQ  DX, BX; \
@@ -141,10 +141,10 @@ tail: \
 	CMPQ  AX, $64; \
 	JLE   tail8; \
 	LEAQ  (R11)(CX*1), AX; \
-	VMASKMOVPD (AX), Y6, Y0; \
-	VMASKMOVPD 32(AX), Y7, Y1; \
-	VMASKMOVPD 64(AX), Y8, Y2; \
-	VMASKMOVPD 96(AX), Y9, Y3; \
+	LOADYM(0, Y6, Y0); \
+	LOADYM(32, Y7, Y1); \
+	LOADYM(64, Y8, Y2); \
+	LOADYM(96, Y9, Y3); \
 t16mcol: \
 	COLTEST(t16mdo, t16mnext); \
 t16mdo: \
@@ -170,8 +170,8 @@ t16mnext: \
 	JMP   done; \
 tail8: \
 	LEAQ  (R11)(CX*1), AX; \
-	VMASKMOVPD (AX), Y6, Y0; \
-	VMASKMOVPD 32(AX), Y7, Y1; \
+	LOADYM(0, Y6, Y0); \
+	LOADYM(32, Y7, Y1); \
 t8mcol: \
 	COLTEST(t8mdo, t8mnext); \
 t8mdo: \
@@ -191,7 +191,7 @@ t8mnext: \
 	JMP   done; \
 tail4: \
 	LEAQ  (R11)(CX*1), AX; \
-	VMASKMOVPD (AX), Y6, Y0; \
+	LOADYM(0, Y6, Y0); \
 t4mcol: \
 	COLTEST(t4mdo, t4mnext); \
 t4mdo: \
@@ -293,10 +293,26 @@ skip: \
 // TrsmRightLTransUnit. Requires m >= 1 and n >= 1.
 #define NEGATE VXORPD Y14, Y5, Y5
 #define UPD(acc) VMULPD Y5, Y4, Y4; VADDPD acc, Y4, acc
+#define LOADY(off, r) VMOVUPD off(AX), r
+#define LOADYM(off, mask, r) VMASKMOVPD off(AX), mask, r
 TEXT ·gemvNegAddKernel(SB), NOSPLIT, $0-56
+	GEMVN_BODY
+#undef LOADY
+#undef LOADYM
+
+// func gemvNegSetKernel(m, n int, a *float64, lda int, x *float64, incx int, y *float64)
+//
+// gemvNegAddKernel on a y that starts at +0, which it never reads: the
+// panel product of CellForward, y[i] = (a[i+j*lda] · (−x[j*incx])) + y[i]
+// from y[i] = +0. Requires m >= 1 and n >= 1.
+#define LOADY(off, r) VXORPD r, r, r
+#define LOADYM(off, mask, r) VXORPD r, r, r
+TEXT ·gemvNegSetKernel(SB), NOSPLIT, $0-56
 	GEMVN_BODY
 #undef NEGATE
 #undef UPD
+#undef LOADY
+#undef LOADYM
 
 // func gemvSubKernel(m, n int, a *float64, lda int, x *float64, incx int, y *float64)
 //
@@ -304,10 +320,14 @@ TEXT ·gemvNegAddKernel(SB), NOSPLIT, $0-56
 // Requires m >= 1 and n >= 1.
 #define NEGATE
 #define UPD(acc) VMULPD Y5, Y4, Y4; VSUBPD Y4, acc, acc
+#define LOADY(off, r) VMOVUPD off(AX), r
+#define LOADYM(off, mask, r) VMASKMOVPD off(AX), mask, r
 TEXT ·gemvSubKernel(SB), NOSPLIT, $0-56
 	GEMVN_BODY
 #undef NEGATE
 #undef UPD
+#undef LOADY
+#undef LOADYM
 
 // ---------------------------------------------------------------------------
 // func gemvTKernel(m, n int, a *float64, lda int, x, y *float64)
@@ -758,3 +778,246 @@ loaded:
 stored:
 TEXT ·gemmNDT4x4Kernel(SB), NOSPLIT, $0-80
 	GEMM_BODY
+// ---------------------------------------------------------------------------
+// func trsvTileKernel(n int, l *float64, ld int, x *float64)
+//
+// The unit-lower triangle of one tile of TrsvLowerUnit, 1 <= n <= 16 rows:
+// x[i] = x[i] − (l[i+j*ld] · x[j]) for j ascending and i > j, skipping
+// every column whose x[j] == 0. The tile stays in Y0..Y3 (rows 0-3, 4-7,
+// 8-11, 12-15), each loaded and stored under its row mask (Y6..Y9), and
+// column j is unrolled: its x[j] is broadcast from its lane, the rows of
+// its own group below it take the update through a blend, the groups
+// below take it whole, and groups past the last row are left alone.
+//
+// Registers: SI n, R9 ld in bytes, R12 column j of l, DI x, R13 mask
+// base. Y4 column of l / product, Y5 x[j], Y15 zero.
+
+// TBCAST broadcasts lane imm of group g into Y5 and jumps to skip when it
+// is zero; NaN is not a zero.
+#define TBCAST(imm, g, do, skip) \
+	VPERMPD  $imm, g, Y5; \
+	VUCOMISD X15, X5; \
+	JNE      do; \
+	JPS      do; \
+	JMP      skip
+
+// TPART updates the lanes of group g that blend selects (the rows below
+// row j in its own group); TFULL updates every lane of group g.
+#define TPART(blend, g, mask, off) \
+	VMASKMOVPD off(R12), mask, Y4; \
+	VMULPD     Y5, Y4, Y4; \
+	VSUBPD     Y4, g, Y4; \
+	VBLENDPD   $blend, Y4, g, g
+
+#define TFULL(g, mask, off) \
+	VMASKMOVPD off(R12), mask, Y4; \
+	VMULPD     Y5, Y4, Y4; \
+	VSUBPD     Y4, g, g
+
+TEXT ·trsvTileKernel(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), SI
+	MOVQ l+8(FP), R12
+	MOVQ ld+16(FP), R9
+	SHLQ $3, R9
+	MOVQ x+24(FP), DI
+	VXORPD Y15, Y15, Y15
+	MOVQ SI, AX
+	SHLQ $3, AX
+	LEAQ lanemask<>+128(SB), R13
+	SUBQ AX, R13
+	VMOVUPD (R13), Y6
+	VMOVUPD 32(R13), Y7
+	VMOVUPD 64(R13), Y8
+	VMOVUPD 96(R13), Y9
+	VMASKMOVPD (DI), Y6, Y0
+	VMASKMOVPD 32(DI), Y7, Y1
+	VMASKMOVPD 64(DI), Y8, Y2
+	VMASKMOVPD 96(DI), Y9, Y3
+	CMPQ SI, $1
+	JLE  tdone
+
+	TBCAST(0x00, Y0, tdo0, tnext0)
+tdo0:
+	TPART(14, Y0, Y6, 0)
+	CMPQ SI, $4
+	JLE  tnext0
+	TFULL(Y1, Y7, 32)
+	CMPQ SI, $8
+	JLE  tnext0
+	TFULL(Y2, Y8, 64)
+	CMPQ SI, $12
+	JLE  tnext0
+	TFULL(Y3, Y9, 96)
+tnext0:
+	ADDQ R9, R12
+	CMPQ SI, $2
+	JLE  tdone
+	TBCAST(0x55, Y0, tdo1, tnext1)
+tdo1:
+	TPART(12, Y0, Y6, 0)
+	CMPQ SI, $4
+	JLE  tnext1
+	TFULL(Y1, Y7, 32)
+	CMPQ SI, $8
+	JLE  tnext1
+	TFULL(Y2, Y8, 64)
+	CMPQ SI, $12
+	JLE  tnext1
+	TFULL(Y3, Y9, 96)
+tnext1:
+	ADDQ R9, R12
+	CMPQ SI, $3
+	JLE  tdone
+	TBCAST(0xaa, Y0, tdo2, tnext2)
+tdo2:
+	TPART(8, Y0, Y6, 0)
+	CMPQ SI, $4
+	JLE  tnext2
+	TFULL(Y1, Y7, 32)
+	CMPQ SI, $8
+	JLE  tnext2
+	TFULL(Y2, Y8, 64)
+	CMPQ SI, $12
+	JLE  tnext2
+	TFULL(Y3, Y9, 96)
+tnext2:
+	ADDQ R9, R12
+	CMPQ SI, $4
+	JLE  tdone
+	TBCAST(0xff, Y0, tdo3, tnext3)
+tdo3:
+	CMPQ SI, $4
+	JLE  tnext3
+	TFULL(Y1, Y7, 32)
+	CMPQ SI, $8
+	JLE  tnext3
+	TFULL(Y2, Y8, 64)
+	CMPQ SI, $12
+	JLE  tnext3
+	TFULL(Y3, Y9, 96)
+tnext3:
+	ADDQ R9, R12
+	CMPQ SI, $5
+	JLE  tdone
+	TBCAST(0x00, Y1, tdo4, tnext4)
+tdo4:
+	TPART(14, Y1, Y7, 32)
+	CMPQ SI, $8
+	JLE  tnext4
+	TFULL(Y2, Y8, 64)
+	CMPQ SI, $12
+	JLE  tnext4
+	TFULL(Y3, Y9, 96)
+tnext4:
+	ADDQ R9, R12
+	CMPQ SI, $6
+	JLE  tdone
+	TBCAST(0x55, Y1, tdo5, tnext5)
+tdo5:
+	TPART(12, Y1, Y7, 32)
+	CMPQ SI, $8
+	JLE  tnext5
+	TFULL(Y2, Y8, 64)
+	CMPQ SI, $12
+	JLE  tnext5
+	TFULL(Y3, Y9, 96)
+tnext5:
+	ADDQ R9, R12
+	CMPQ SI, $7
+	JLE  tdone
+	TBCAST(0xaa, Y1, tdo6, tnext6)
+tdo6:
+	TPART(8, Y1, Y7, 32)
+	CMPQ SI, $8
+	JLE  tnext6
+	TFULL(Y2, Y8, 64)
+	CMPQ SI, $12
+	JLE  tnext6
+	TFULL(Y3, Y9, 96)
+tnext6:
+	ADDQ R9, R12
+	CMPQ SI, $8
+	JLE  tdone
+	TBCAST(0xff, Y1, tdo7, tnext7)
+tdo7:
+	CMPQ SI, $8
+	JLE  tnext7
+	TFULL(Y2, Y8, 64)
+	CMPQ SI, $12
+	JLE  tnext7
+	TFULL(Y3, Y9, 96)
+tnext7:
+	ADDQ R9, R12
+	CMPQ SI, $9
+	JLE  tdone
+	TBCAST(0x00, Y2, tdo8, tnext8)
+tdo8:
+	TPART(14, Y2, Y8, 64)
+	CMPQ SI, $12
+	JLE  tnext8
+	TFULL(Y3, Y9, 96)
+tnext8:
+	ADDQ R9, R12
+	CMPQ SI, $10
+	JLE  tdone
+	TBCAST(0x55, Y2, tdo9, tnext9)
+tdo9:
+	TPART(12, Y2, Y8, 64)
+	CMPQ SI, $12
+	JLE  tnext9
+	TFULL(Y3, Y9, 96)
+tnext9:
+	ADDQ R9, R12
+	CMPQ SI, $11
+	JLE  tdone
+	TBCAST(0xaa, Y2, tdo10, tnext10)
+tdo10:
+	TPART(8, Y2, Y8, 64)
+	CMPQ SI, $12
+	JLE  tnext10
+	TFULL(Y3, Y9, 96)
+tnext10:
+	ADDQ R9, R12
+	CMPQ SI, $12
+	JLE  tdone
+	TBCAST(0xff, Y2, tdo11, tnext11)
+tdo11:
+	CMPQ SI, $12
+	JLE  tnext11
+	TFULL(Y3, Y9, 96)
+tnext11:
+	ADDQ R9, R12
+	CMPQ SI, $13
+	JLE  tdone
+	TBCAST(0x00, Y3, tdo12, tnext12)
+tdo12:
+	TPART(14, Y3, Y9, 96)
+tnext12:
+	ADDQ R9, R12
+	CMPQ SI, $14
+	JLE  tdone
+	TBCAST(0x55, Y3, tdo13, tnext13)
+tdo13:
+	TPART(12, Y3, Y9, 96)
+tnext13:
+	ADDQ R9, R12
+	CMPQ SI, $15
+	JLE  tdone
+	TBCAST(0xaa, Y3, tdo14, tnext14)
+tdo14:
+	TPART(8, Y3, Y9, 96)
+tnext14:
+	ADDQ R9, R12
+	CMPQ SI, $16
+	JLE  tdone
+tdone:
+	VMASKMOVPD Y0, Y6, (DI)
+	VMASKMOVPD Y1, Y7, 32(DI)
+	VMASKMOVPD Y2, Y8, 64(DI)
+	VMASKMOVPD Y3, Y9, 96(DI)
+	VZEROUPPER
+	RET
+
+#undef TBCAST
+#undef TPART
+#undef TFULL

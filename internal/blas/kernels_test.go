@@ -90,9 +90,66 @@ func checkDenseKernels(t *testing.T, m, n, k int, rng *rand.Rand, every int) {
 	bitwiseEqual(t, name("SyrkLowerNDT"), c2, c1)
 }
 
+// checkCellKernels runs the cell kernels against their scalar references
+// on one column block of width w with rb panel rows, stored with padding
+// rows below the panel: whole, on a random row range (forward) or column
+// range (backward), and split the way the engine splits a shared cell.
+// Every split must give the bits of the whole call.
+func checkCellKernels(t *testing.T, w, rb int, rng *rand.Rand, every int) {
+	t.Helper()
+	name := func(kernel string, lo, hi int, tri bool) string {
+		return fmt.Sprintf("%s w=%d rb=%d [%d,%d) tri=%v", kernel, w, rb, lo, hi, tri)
+	}
+	lda := w + rb + rng.Intn(3)
+	a := fuzzFill(rng, lda*w+2, every)
+	x := fuzzFill(rng, w+2, every)
+	x[rng.Intn(w)] = 0 // an exact zero the column sweeps must skip
+	t0 := fuzzFill(rng, rb+2, every)
+	g := fuzzFill(rng, rb+2, every)
+	lo := rng.Intn(rb + 1)
+	hi := lo + rng.Intn(rb-lo+1)
+	for _, c := range []struct {
+		lo, hi int
+		tri    bool
+	}{{0, rb, true}, {lo, hi, false}, {lo, hi, true}, {0, 0, true}} {
+		x1, x2, t1, t2 := clone(x), clone(x), clone(t0), clone(t0)
+		cellForwardGo(w, c.lo, c.hi, c.tri, a, lda, x1, t1)
+		CellForward(w, c.lo, c.hi, c.tri, a, lda, x2, t2)
+		bitwiseEqual(t, name("CellForward x", c.lo, c.hi, c.tri), x2, x1)
+		bitwiseEqual(t, name("CellForward t", c.lo, c.hi, c.tri), t2, t1)
+	}
+	clo := rng.Intn(w + 1)
+	chi := clo + rng.Intn(w-clo+1)
+	for _, c := range []struct {
+		lo, hi int
+		tri    bool
+	}{{0, w, true}, {clo, chi, false}, {clo, chi, true}, {0, 0, true}} {
+		x1, x2 := clone(x), clone(x)
+		cellBackwardGo(w, rb, c.lo, c.hi, c.tri, a, lda, g, x1)
+		CellBackward(w, rb, c.lo, c.hi, c.tri, a, lda, g, x2)
+		bitwiseEqual(t, name("CellBackward", c.lo, c.hi, c.tri), x2, x1)
+	}
+
+	// A split shared cell: the triangle, then the panel rows in two ranges
+	// forward; two column ranges, then the triangle backward.
+	xw, xs, tw, ts := clone(x), clone(x), clone(t0), clone(t0)
+	CellForward(w, 0, rb, true, a, lda, xw, tw)
+	CellForward(w, 0, 0, true, a, lda, xs, ts)
+	CellForward(w, 0, lo, false, a, lda, xs, ts)
+	CellForward(w, lo, rb, false, a, lda, xs, ts)
+	bitwiseEqual(t, name("CellForward split x", 0, rb, true), xs, xw)
+	bitwiseEqual(t, name("CellForward split t", 0, rb, true), ts, tw)
+	xw, xs = clone(x), clone(x)
+	CellBackward(w, rb, 0, w, true, a, lda, g, xw)
+	CellBackward(w, rb, 0, clo, false, a, lda, g, xs)
+	CellBackward(w, rb, clo, w, false, a, lda, g, xs)
+	CellBackward(w, rb, 0, 0, true, a, lda, g, xs)
+	bitwiseEqual(t, name("CellBackward split", 0, w, true), xs, xw)
+}
+
 // TestDenseKernelsMatchScalar sweeps every small shape (all ragged row and
 // column tails of the 16-row, 8×4 and 4-column tiles), without and with
-// special values.
+// special values, and the cell kernels on widths 1–37 over ragged panels.
 func TestDenseKernelsMatchScalar(t *testing.T) {
 	t.Logf("dense kernels: %s", KernelPath())
 	rng := rand.New(rand.NewSource(5))
@@ -100,6 +157,10 @@ func TestDenseKernelsMatchScalar(t *testing.T) {
 		for n := 0; n <= 13; n++ {
 			checkDenseKernels(t, m, n, 1+(m+n)%7, rng, 0)
 			checkDenseKernels(t, m, n, (m*n)%9, rng, 3)
+			if m > 0 {
+				checkCellKernels(t, m, 3*n+m%3, rng, 0)
+				checkCellKernels(t, m, 3*n+m%3, rng, 3)
+			}
 		}
 	}
 }
@@ -145,8 +206,9 @@ func TestGemmNDTAutoDispatch(t *testing.T) {
 	}
 }
 
-// FuzzDenseKernels checks every vectorised kernel against its scalar
-// reference bit for bit on arbitrary shapes and operands, one entry in
+// FuzzDenseKernels checks every vectorised kernel, the cell kernels
+// included, against its scalar reference bit for bit on arbitrary shapes
+// and operands, one entry in
 // `every` on average replaced by a signed zero, an infinity, NaN or ±1.
 func FuzzDenseKernels(f *testing.F) {
 	f.Add(uint8(17), uint8(5), uint8(3), int64(1), uint8(0))
@@ -156,6 +218,7 @@ func FuzzDenseKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, m, n, k uint8, seed int64, every uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		checkDenseKernels(t, int(m%70), int(n%30), int(k%40), rng, int(every%9))
+		checkCellKernels(t, 1+int(n%40), int(m%70), rng, int(every%9))
 	})
 }
 

@@ -190,7 +190,7 @@ func TestQuickZSolveRoundTrip(t *testing.T) {
 		if err := LDLT(n, a, n); err != nil {
 			return false
 		}
-		zk.TrsvLowerUnit(n, a, n, b)
+		trsvLowerUnitGo(n, a, n, b)
 		for i := 0; i < n; i++ {
 			b[i] /= a[i+i*n]
 		}
@@ -226,7 +226,7 @@ func TestZGemv(t *testing.T) {
 			want[i] -= a[i+j*m] * x[j]
 		}
 	}
-	zk.GemvN(m, n, a, m, x, y)
+	gemvNGo(m, n, a, m, x, y)
 	if d := zMaxDiff(y, want); d > 1e-12 {
 		t.Fatalf("ZGemvN diff %g", d)
 	}
@@ -239,7 +239,7 @@ func TestZGemv(t *testing.T) {
 		}
 		wantN[j] -= s
 	}
-	zk.GemvT(m, n, a, m, xm, yn)
+	gemvTGo(m, n, a, m, xm, yn)
 	if d := zMaxDiff(yn, wantN); d > 1e-12 {
 		t.Fatalf("ZGemvT diff %g", d)
 	}

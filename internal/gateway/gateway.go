@@ -631,20 +631,24 @@ func (g *Gateway) handleFactorize(w http.ResponseWriter, r *http.Request) {
 	// Replicate: walk the candidates until R have committed the factor (the
 	// first success is the primary whose response the client sees). Failed
 	// candidates are skipped — failover and replication are one walk.
+	// A retry is counted when an attempt starts after a failed one, a
+	// failover when a candidate after the first becomes the primary.
 	var (
 		reps    []replicaRef
 		primary *attemptResult
+		failed  bool
 	)
-	for _, b := range cands {
+	for i, b := range cands {
 		if len(reps) >= g.cfg.Replicas {
 			break
 		}
+		if failed {
+			g.retries.Add(1)
+			failed = false
+		}
 		res := g.attemptOnce(r.Context(), b, "/v1/factorize", jsonType, body)
 		if res.failover() {
-			g.retries.Add(1)
-			if len(reps) == 0 && len(cands) > 1 {
-				g.failovers.Add(1)
-			}
+			failed = true
 			continue
 		}
 		if res.status != http.StatusOK {
@@ -664,6 +668,9 @@ func (g *Gateway) handleFactorize(w http.ResponseWriter, r *http.Request) {
 		reps = append(reps, replicaRef{Backend: b.id, Handle: h, Inst: b.instanceNow()})
 		if primary == nil {
 			primary = res
+			if i > 0 {
+				g.failovers.Add(1)
+			}
 		}
 	}
 	if primary == nil {

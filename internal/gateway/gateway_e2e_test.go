@@ -594,3 +594,46 @@ func TestGatewayErrorShapes(t *testing.T) {
 		t.Fatalf("gateway healthz with dead fleet: %d, want 503", resp.StatusCode)
 	}
 }
+
+// A factorize's replication walk counts a retry only when a further attempt
+// starts after a failed one, and a failover only when a candidate after the
+// first becomes the primary: both replicas answering 502 is one retry and
+// no failover; a 502 then a 200 is one retry and one failover.
+func TestGatewayFactorizeCounters(t *testing.T) {
+	for _, c := range []struct {
+		name               string
+		fail               int64 // factorize attempts answered 502, in arrival order
+		status             int
+		retries, failovers int64
+	}{
+		{"both-502", 2, http.StatusServiceUnavailable, 1, 0},
+		{"502-then-200", 1, http.StatusOK, 1, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			nodes := []*node{startNode(t, svcConfig()), startNode(t, svcConfig())}
+			var attempts atomic.Int64
+			for _, n := range nodes {
+				n.intercept.Store(func(w http.ResponseWriter, r *http.Request, _ http.Handler) bool {
+					if r.URL.Path != "/v1/factorize" || attempts.Add(1) > c.fail {
+						return false
+					}
+					w.WriteHeader(http.StatusBadGateway)
+					return true
+				})
+			}
+			g, ts := startGateway(t, nodes, func(cfg *Config) { cfg.ProbeInterval = time.Hour })
+			_, mm := testMatrix(t)
+			before := g.Stats()
+			st, fr := postJSON(t, ts.URL+"/v1/factorize", map[string]any{"matrix_market": mm})
+			if st != c.status {
+				t.Fatalf("factorize status %d %v, want %d", st, fr, c.status)
+			}
+			after := g.Stats()
+			r, f := after.Retries-before.Retries, after.Failovers-before.Failovers
+			if r != c.retries || f != c.failovers {
+				t.Fatalf("factorize counted Retries:%d Failovers:%d, want Retries:%d Failovers:%d",
+					r, f, c.retries, c.failovers)
+			}
+		})
+	}
+}

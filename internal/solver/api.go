@@ -341,22 +341,6 @@ func (an *Analysis) taskPulls() *sched.Pulls {
 	return an.updates
 }
 
-// SolveOriginal solves A·x = b in the ORIGINAL ordering: b is permuted in,
-// the block triangular solves run on the factor, and the solution is
-// permuted back.
-func (an *Analysis) SolveOriginal(f *Factors, b []float64) []float64 {
-	pb := make([]float64, len(b))
-	for newI, old := range an.Perm {
-		pb[newI] = b[old]
-	}
-	px := f.Solve(pb)
-	x := make([]float64, len(b))
-	for newI, old := range an.Perm {
-		x[old] = px[newI]
-	}
-	return x
-}
-
 // PredictedTime returns the modelled parallel factorization time (the static
 // schedule's replayed makespan) in seconds on the analysis machine profile.
 func (an *Analysis) PredictedTime() float64 { return an.Sched.Replay() }

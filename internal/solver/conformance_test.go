@@ -82,7 +82,7 @@ func TestRuntimeConformance(t *testing.T) {
 				an := analyzeFor(t, tc.a, 4)
 				ref, _ := factorizeRT(t, an, RuntimeSequential, sp, false)
 				_, b := gen.RHSForSolution(tc.a)
-				refX := an.SolveOriginal(ref, b)
+				refX := solveOriginal(an, ref, b)
 
 				for _, rt := range []Runtime{RuntimeShared, RuntimeDynamic} {
 					for _, traced := range []bool{false, true} {
@@ -92,7 +92,7 @@ func TestRuntimeConformance(t *testing.T) {
 						if !reflect.DeepEqual(ref.Pivots, f.Pivots) {
 							t.Fatalf("%s: perturbation report differs:\nseq: %+v\ngot: %+v", name, ref.Pivots, f.Pivots)
 						}
-						x := an.SolveOriginal(f, b)
+						x := solveOriginal(an, f, b)
 						for i := range refX {
 							if x[i] != refX[i] {
 								t.Fatalf("%s: solve x[%d] = %x, seq %x (not bit-identical)", name, i, x[i], refX[i])
@@ -125,7 +125,7 @@ func TestRuntimeConformance(t *testing.T) {
 					if !reflect.DeepEqual(ref.Pivots, f1.Pivots) {
 						t.Fatalf("%s: perturbation report differs from seq", name)
 					}
-					x := an.SolveOriginal(f1, b)
+					x := solveOriginal(an, f1, b)
 					for i := range refX {
 						if d := math.Abs(x[i] - refX[i]); d > 1e-9 {
 							t.Fatalf("%s: solve x[%d] off by %g", name, i, d)

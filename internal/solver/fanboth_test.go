@@ -82,7 +82,7 @@ func TestFanBothSolvesCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, b := gen.RHSForSolution(p.A)
-	got := an.SolveOriginal(f, b)
+	got := solveOriginal(an, f, b)
 	for i := range x {
 		if math.Abs(got[i]-x[i]) > 1e-8 {
 			t.Fatalf("x[%d]=%g want %g", i, got[i], x[i])

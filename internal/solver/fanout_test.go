@@ -98,7 +98,7 @@ func TestFanOutSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, b := gen.RHSForSolution(prob.A)
-	got := an.SolveOriginal(f, b)
+	got := solveOriginal(an, f, b)
 	for i := range x {
 		if d := got[i] - x[i]; d > 1e-8 || d < -1e-8 {
 			t.Fatalf("x[%d]=%g want %g", i, got[i], x[i])

@@ -148,36 +148,73 @@ func (f *Storage[T]) Diag(k int) []T {
 // a time (the paper's COMP1D unit): its w×w diagonal block (unit-lower L
 // and D) and the panel P_k of its RowsBelow off-diagonal rows, in block
 // order. A dense factor serves both in place from its strided cells; a
-// compressed one block by block (blrPanels).
+// compressed one block by block (blrPanels). Both sweeps of every solve
+// engine run each cell through these two routines, so a split shared cell
+// takes its row or column range and its triangle in separate calls.
 type panels[T blas.Scalar] interface {
-	// cellDiag returns cell k's diagonal block and its leading dimension.
-	cellDiag(k int) ([]T, int)
-	// panelN computes t[i] -= (P_k·y)_i for the panel rows i in [lo, hi).
-	panelN(k, lo, hi int, y, t []T)
-	// panelT computes x[j] -= (P_kᵀ·g)_j for the columns j in [lo, hi).
-	panelT(k, lo, hi int, g, x []T)
+	// forward runs cell k's forward solve on its segment xk, which holds
+	// b_k plus every incoming contribution: with tri, the unit-lower
+	// triangle L_kk·y_k = xk in place; then t[i] = −(P_k·y_k)_i, summed from
+	// +0, for the panel rows i in [lo, hi).
+	forward(k int, tri bool, lo, hi int, xk, t []T)
+	// backward runs cell k's backward solve on the solution x: for the
+	// columns j in [lo, hi), x_j/d_j − (P_kᵀ·x_R)_j, with x_R the entries
+	// the panel rows face (rows holds their indices, g is scratch of as
+	// many entries); then with tri the transposed unit triangle
+	// L_kkᵀ·x_k = x_k in place.
+	backward(k int, tri bool, lo, hi int, x, g []T, rows []int32)
 }
 
-func (f *Storage[T]) cellDiag(k int) ([]T, int) { return f.Data[k], f.LD[k] }
-
-// panelN is one GemvN over panel rows [lo, hi) of the strided cell.
-func (f *Storage[T]) panelN(k, lo, hi int, y, t []T) {
-	if lo >= hi {
+// forward is one column sweep of the strided cell: one-column cells
+// inline, wider ones one CellForward.
+func (f *Storage[T]) forward(k int, tri bool, lo, hi int, xk, t []T) {
+	a, w := f.Data[k], len(xk)
+	if w > 1 {
+		blas.KernelsOf[T]().CellForward(w, lo, hi, tri, a, f.LD[k], xk, t)
 		return
 	}
-	w := f.Sym.CB[k].Width()
-	blas.KernelsOf[T]().GemvN(hi-lo, w, f.Data[k][w+lo:], f.LD[k], y, t[lo:hi])
+	// CellForward's sequence on one column: t_i = (p_i·(−x_0)) + 0, none
+	// of it when x_0 == 0.
+	t = t[lo:hi]
+	if xj := xk[0]; xj == 0 {
+		clear(t)
+	} else {
+		p, nx := a[1+lo:1+hi], -xj
+		for i := range t {
+			t[i] = T(p[i]*nx) + 0
+		}
+	}
 }
 
-// panelT is one GemvT over columns [lo, hi) of the strided panel: one sum
-// per column over every panel row.
-func (f *Storage[T]) panelT(k, lo, hi int, g, x []T) {
-	ld := f.LD[k]
-	w := f.Sym.CB[k].Width()
-	if lo >= hi || ld == w {
+// backward reads the facing x through rows: one-column cells inline, wider
+// ones gather it into g for one CellBackward.
+func (f *Storage[T]) backward(k int, tri bool, lo, hi int, x, g []T, rows []int32) {
+	a := f.Data[k]
+	c0, w := f.Sym.CB[k].Cols[0], f.Sym.CB[k].Width()
+	if w > 1 {
+		if lo < hi {
+			g = g[:len(rows)]
+			for r, i := range rows {
+				g[r] = x[i]
+			}
+		}
+		blas.KernelsOf[T]().CellBackward(w, len(rows), lo, hi, tri, a, f.LD[k], g, x[c0:c0+w])
 		return
 	}
-	blas.KernelsOf[T]().GemvT(ld-w, hi-lo, f.Data[k][w+lo*ld:], ld, g, x[lo:hi])
+	// CellBackward's sequence on one column: the division, then one sum
+	// from +0 in ascending panel row order, subtracted once.
+	if lo < hi {
+		xj := x[c0] / a[0]
+		if len(rows) > 0 {
+			var s T
+			p := a[1 : 1+len(rows)]
+			for r, i := range rows {
+				s += T(p[r] * x[i])
+			}
+			xj -= s
+		}
+		x[c0] = xj
+	}
 }
 
 // panels returns the factor's panel form: the strided cells, or the
