@@ -15,6 +15,7 @@ package symbolic
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/pastix-go/pastix/internal/etree"
 	"github.com/pastix-go/pastix/internal/sparse"
@@ -78,6 +79,33 @@ type Symbol struct {
 	// Updaters[k] lists the column blocks i<k having a block facing k, i.e.
 	// the set BStruct(L_{k·}) of the paper (the column blocks that update k).
 	Updaters [][]int
+
+	panelRowsOnce sync.Once
+	panelRows     []int32 // see PanelRows
+}
+
+// PanelRows returns the panel row index, built on first use: for every
+// column block in turn, the row each of its off-diagonal rows lies in, in
+// block order (RowsBelow entries per column block). The triangular solves
+// read the solution entries a panel faces through it. Safe for concurrent
+// use; callers must not modify it.
+func (s *Symbol) PanelRows() []int32 {
+	s.panelRowsOnce.Do(func() {
+		n := 0
+		for k := range s.CB {
+			n += s.CB[k].RowsBelow()
+		}
+		rows := make([]int32, 0, n)
+		for k := range s.CB {
+			for _, blk := range s.CB[k].Blocks {
+				for i := blk.FirstRow; i < blk.LastRow; i++ {
+					rows = append(rows, int32(i))
+				}
+			}
+		}
+		s.panelRows = rows
+	})
+	return s.panelRows
 }
 
 // NumCB returns the number of column blocks.

@@ -301,6 +301,45 @@ func TestParentIsFirstFacing(t *testing.T) {
 	}
 }
 
+// TestPanelRows checks the panel row index against the blocks: each column
+// block's RowsBelow entries in turn, block by block, every row of a block
+// once, and one shared slice however many callers ask at once.
+func TestPanelRows(t *testing.T) {
+	a := laplacian2D(9, 9)
+	_, _, sym := analyze(t, a, order.MetisLike)
+	got := make([][]int32, 4)
+	done := make(chan int)
+	for g := range got {
+		go func() {
+			got[g] = sym.PanelRows()
+			done <- g
+		}()
+	}
+	for range got {
+		<-done
+	}
+	rows := got[0]
+	for g := range got {
+		if &got[g][0] != &rows[0] {
+			t.Fatalf("caller %d got its own index", g)
+		}
+	}
+	off := 0
+	for k := range sym.CB {
+		for _, blk := range sym.CB[k].Blocks {
+			for i := blk.FirstRow; i < blk.LastRow; i++ {
+				if rows[off] != int32(i) {
+					t.Fatalf("cb %d: panel row %d faces row %d, want %d", k, off, rows[off], i)
+				}
+				off++
+			}
+		}
+	}
+	if off != len(rows) {
+		t.Fatalf("index has %d entries, the panels %d", len(rows), off)
+	}
+}
+
 // Property (testing/quick): on random matrices with random contiguous
 // partitions, the block symbolic structure is internally valid and its
 // NNZL/OPC are monotone under partition refinement (a finer partition never
