@@ -44,7 +44,7 @@ NUMSTRESS_RUN := NumStress|GradedPivot|PerturbationReport|FactorizeRobust|Refine
 NUMSTRESS_PKGS := ./internal/solver ./internal/blas .
 DYNSTRESS_RUN := RuntimeConformance|ScheduleRouting|SchedulePulls|SharedAllocates|FactorDAG|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors|SharedStress|SharedMetamorphic|ZeroPivotErrorShared|Pinned|StuckGraph|FanOut|Schur
 DYNSTRESS_PKGS := ./internal/solver ./internal/dynsched
-SOLVESTRESS_RUN := SolvePlan|PlanStatsLevels|SolveMapping|LevelStorm|SolveLevel|Packed|SolveConformance|SolveGolden|DenseKernels|SolveOpts|SolveEngineIgnoresAnalysisRuntime|PrepareSolve|ServerSolveOptions|ServerBatchP1|ServerDegradedOptions|ServerSolveMetrics
+SOLVESTRESS_RUN := SolvePlan|PlanStatsLevels|SolveMapping|SolvePushSuffix|LevelStorm|SolveLevel|Packed|SolveConformance|SolveGolden|DenseKernels|SolveOpts|SolveAllocs|SolveEngineIgnoresAnalysisRuntime|PrepareSolve|ServerSolveOptions|ServerBatchP1|ServerDegradedOptions|ServerSolveMetrics
 SOLVESTRESS_PKGS := ./internal/solver ./internal/blas ./internal/service .
 HASERVICE_RUN := Readyz|BodyLimit|Idempotent|Drain
 HASERVICE_PKGS := ./internal/service
@@ -91,13 +91,14 @@ dynstress:
 
 # Solve-path stress soak: the solve engine suites (the subtree mapping over
 # the conformance corpus at one to eight workers, the plan's level counts
-# against longest paths, split shared cells, mid-chain cancellation and the
-# spinning barrier among them), the packed panel kernels, the
+# against longest paths, the contribution buffer's shared-facing suffix,
+# split shared cells, mid-chain cancellation and the spinning barrier among
+# them), the packed panel kernels, the
 # cross-runtime solve conformance table (every generator × every
 # factorization runtime × the level-set engine at four workers and at one ×
 # 1/32 RHS, bitwise), the public SolveOpts suites (every solve runtime
 # bitwise, wrapper equivalence, the analysis runtime leaving the solve
-# engine alone), and the served solves (options panels,
+# engine alone, the allocations of a warm solve), and the served solves (options panels,
 # plain and on a perturbed factor, the P=1 batch, the solve counters) — all
 # under the race detector, three times over so the spin barrier's
 # interleavings repeat.

@@ -637,3 +637,54 @@ func TestGatewayFactorizeCounters(t *testing.T) {
 		})
 	}
 }
+
+// A node that answers /readyz but fails every request keeps its breaker out
+// of closed through its cooldown: a good probe ends the cooldown early at
+// most into half-open, and only a request the node serves closes it.
+func TestGatewayProbeKeepsBreakerOpen(t *testing.T) {
+	n := startNode(t, svcConfig())
+	var failing atomic.Bool
+	failing.Store(true)
+	n.intercept.Store(func(w http.ResponseWriter, r *http.Request, _ http.Handler) bool {
+		if r.URL.Path != "/v1/analyze" || !failing.Load() {
+			return false
+		}
+		w.WriteHeader(http.StatusInternalServerError)
+		return true
+	})
+	const cooldown = 500 * time.Millisecond
+	g, ts := startGateway(t, []*node{n}, func(cfg *Config) {
+		cfg.BreakerCooldown = cooldown
+		cfg.ProbeInterval = 20 * time.Millisecond
+		cfg.RepairInterval = -1 // no background request reaches the node
+	})
+	_, mm := testMatrix(t)
+	analyze := map[string]any{"matrix_market": mm}
+	breaker := func() string { return g.backends[0].status(time.Now()).Breaker }
+
+	// A probe between two failures resets the streak, so post until the
+	// breaker opens.
+	deadline := time.Now().Add(5 * time.Second)
+	for breaker() != "open" {
+		if time.Now().After(deadline) {
+			t.Fatalf("breaker %s after 5 s of failing requests, want open", breaker())
+		}
+		postJSON(t, ts.URL+"/v1/analyze", analyze)
+	}
+	opened := time.Now()
+	for time.Since(opened) < cooldown+100*time.Millisecond {
+		if s := breaker(); s == "closed" {
+			t.Fatalf("breaker closed %v after it opened (cooldown %v) with no request served",
+				time.Since(opened).Round(time.Millisecond), cooldown)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	failing.Store(false)
+	if st, ar := postJSON(t, ts.URL+"/v1/analyze", analyze); st != http.StatusOK {
+		t.Fatalf("trial analyze status %d %v, want 200", st, ar)
+	}
+	if s := breaker(); s != "closed" {
+		t.Fatalf("breaker %s after a served trial request, want closed", s)
+	}
+}

@@ -20,8 +20,9 @@ const (
 	// breakerOpen: the backend is presumed down; no traffic until the
 	// cooldown expires.
 	breakerOpen
-	// breakerHalfOpen: the cooldown expired; one trial request probes the
-	// backend. Success closes the breaker, failure re-opens it.
+	// breakerHalfOpen: the cooldown expired, or a probe found the node
+	// answering; one trial request probes the backend. Success closes the
+	// breaker, failure re-opens it.
 	breakerHalfOpen
 )
 
@@ -90,8 +91,8 @@ func (b *backendHealth) allow(now time.Time) bool {
 	}
 }
 
-// onSuccess records a request (or probe) that reached the node: resets the
-// failure streak and closes a half-open breaker.
+// onSuccess records a request the node served: resets the failure streak
+// and closes the breaker. Only a request closes it, never a probe.
 func (b *backendHealth) onSuccess(latency time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -99,13 +100,28 @@ func (b *backendHealth) onSuccess(latency time.Duration) {
 	b.trial = false
 	b.state = breakerClosed
 	b.lastErr = ""
-	if latency > 0 {
-		ms := float64(latency) / float64(time.Millisecond)
-		if b.ewmaMS == 0 {
-			b.ewmaMS = ms
-		} else {
-			b.ewmaMS = 0.7*b.ewmaMS + 0.3*ms
-		}
+	ms := float64(latency) / float64(time.Millisecond)
+	if b.ewmaMS == 0 {
+		b.ewmaMS = ms
+	} else {
+		b.ewmaMS = 0.7*b.ewmaMS + 0.3*ms
+	}
+}
+
+// onProbeOK records a probe the node answered. On a closed breaker it
+// resets the failure streak; an open one it moves to half-open, ending the
+// cooldown early, so that one trial request decides; a half-open one it
+// leaves alone.
+func (b *backendHealth) onProbeOK() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch b.state {
+	case breakerClosed:
+		b.fails = 0
+		b.lastErr = ""
+	case breakerOpen:
+		b.state = breakerHalfOpen
+		b.trial = false
 	}
 }
 
@@ -212,7 +228,7 @@ func (g *Gateway) probe(ctx context.Context, b *backendHealth) {
 		}
 		b.queueDepth = st.QueueDepth
 		b.mu.Unlock()
-		b.onSuccess(0)
+		b.onProbeOK()
 	case resp.StatusCode == http.StatusServiceUnavailable && decodeErr == nil && st.Recovering:
 		// The process is up but replaying its journal: alive, not routable.
 		// Not a fault — recovery ends on its own.
@@ -225,7 +241,7 @@ func (g *Gateway) probe(ctx context.Context, b *backendHealth) {
 		}
 		b.queueDepth = st.QueueDepth
 		b.mu.Unlock()
-		b.onSuccess(0)
+		b.onProbeOK()
 	case resp.StatusCode == http.StatusServiceUnavailable && decodeErr == nil && st.Draining:
 		b.mu.Lock()
 		b.probeOK = true
@@ -236,7 +252,7 @@ func (g *Gateway) probe(ctx context.Context, b *backendHealth) {
 		}
 		b.queueDepth = st.QueueDepth
 		b.mu.Unlock()
-		b.onSuccess(0) // the process answered; draining is not a fault
+		b.onProbeOK() // the process answered; draining is not a fault
 	default:
 		b.mu.Lock()
 		b.probeOK = false

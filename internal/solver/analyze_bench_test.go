@@ -11,7 +11,7 @@ import (
 
 // BenchmarkAnalyze times the whole analysis (ordering, elimination tree and
 // partition, block symbolic factorization, mapping and scheduling, and the
-// solve pull lists) at P=2, and breaks each op down by phase. Compare two
+// solve plan) at P=2, and breaks each op down by phase. Compare two
 // trees with
 //
 //	go test -run '^$' -bench Analyze -benchmem -count 6 ./internal/solver

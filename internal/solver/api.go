@@ -67,12 +67,12 @@ type Analysis struct {
 	// supernode work, block symbolic factorization, mapping + scheduling).
 	OrderTime, TreeTime, SymbolicTime, SchedTime time.Duration
 
-	// Solve-scheduling caches (levelsolve.go): the worker-independent pull
-	// lists are built once per analysis (eagerly by Analyze) and one
-	// SolvePlan is cached per worker count. Both are internally
+	// Solve-scheduling caches (levelsolve.go): the worker-independent row
+	// index is built once per analysis and one SolvePlan is cached per
+	// worker count (Analyze builds both eagerly). Both are internally
 	// synchronized, so the Analysis remains safe for concurrent use.
-	pullsOnce  sync.Once
-	pulls      *solvePulls
+	indexOnce  sync.Once
+	index      *solveIndex
 	solvePlans sync.Map // workers (int) -> *SolvePlan
 
 	// The factorization task graph the shared-memory executor runs, and
@@ -199,10 +199,10 @@ func analyze(ctx context.Context, a *sparse.SymMatrix, opts Options, ord orderer
 		BlockOPC:   sym.OPC(),
 		OrderTime:  tOrder, TreeTime: tTree, SymbolicTime: tSymbolic, SchedTime: tSched,
 	}
-	// The solve structure every plan shares is part of the analysis, not
+	// The solve plan, and its first buffer, are part of the analysis, not
 	// of preparing a factor for solves.
 	if terminal == 0 {
-		an.solvePulls()
+		an.SolvePlan()
 	}
 	return an, nil
 }

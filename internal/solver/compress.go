@@ -55,6 +55,13 @@ func (b blrPanels) forward(k int, tri bool, lo, hi int, xk, t []float64) {
 	}
 }
 
+// push is forward into t, then pushRows.
+func (b blrPanels) push(k int, x []float64, rows []int32, t, out []float64) {
+	cb := &b.f.Sym.CB[k]
+	b.forward(k, true, 0, len(rows)+len(out), x[cb.Cols[0]:cb.Cols[1]], t)
+	pushRows(x, rows, t, out)
+}
+
 // backward reads each block's facing x in place: a block's rows are
 // contiguous in x, so it needs neither the row index nor a gather.
 func (b blrPanels) backward(k int, tri bool, lo, hi int, x, _ []float64, _ []int32) {

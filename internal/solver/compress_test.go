@@ -96,7 +96,7 @@ func TestCompressedSolveConformance(t *testing.T) {
 	f.Compress(lowrank.Options{Tol: 1e-8, MinBlockSize: 8})
 	ref := f.Solve(pb)
 	for _, workers := range []int{1, 2, 4} {
-		pl := BuildSolvePlan(an.Sym, workers)
+		pl := an.SolvePlanFor(workers)
 		x, err := SolveLevelCtx(context.Background(), pl, f, pb, LevelOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -116,7 +116,7 @@ func TestCompressedSolveConformance(t *testing.T) {
 			panel[c*n+i] = pb[i] * float64(c+1)
 		}
 	}
-	pl := BuildSolvePlan(an.Sym, 4)
+	pl := an.SolvePlanFor(4)
 	xp, err := SolveLevelCtx(context.Background(), pl, f, panel, LevelOptions{NRHS: nrhs})
 	if err != nil {
 		t.Fatal(err)

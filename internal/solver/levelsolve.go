@@ -18,28 +18,27 @@ import (
 // scheduled by a subtree mapping of the elimination tree (SolvePlan) instead
 // of the factorization's proc mapping, over the factor's panel form
 // (panels). Each column block streams its off-diagonal panel once per sweep:
-// forward, one product t_k = −P_k·y_k into the cell's slot of a per-solve
-// contribution buffer; backward, one product x_k −= P_kᵀ·g over the facing x
-// g, read through the panel row index (into that same slot, for a cell
-// wider than one column). The engine is bitwise-identical to the
-// sequential Factors.Solve for ANY worker count and any shared set, because
-// of a consumer-pull determinism argument:
+// forward, one product t_k = −P_k·y_k; backward, one product x_k −= P_kᵀ·g
+// over the facing x g, read through the panel row index. The engine is
+// bitwise-identical to the sequential Factors.Solve for ANY worker count and
+// any shared set, because it pushes below the shared top and pulls at it:
 //
-// The sequential solve adds each source cell's t into the segments it faces
-// right after computing it, so each element of a destination segment takes
-// its contributions in ascending source order (a source's blocks cover
-// disjoint rows). Here every destination cell pulls its own incoming
-// contributions in that same canonical (source, block) order into its
-// b-initialized segment. A cell's sources all lie in its elimination
-// subtree, so an owned cell's sources ran before it on its own worker, and a
-// shared cell's ran before the barrier ahead of the shared cells; no two
-// cells write the same segment or slot. So neither the execution order nor
-// the cell→worker assignment can change a single bit. The backward sweep is
-// symmetric: each cell reads the already-final facing entries (its
-// ancestors: its own worker's, or shared and final after the barrier)
-// through the panel's row index and folds them in with its own panel
-// product. No kernel's per-element operation order depends on the leading
-// dimension, so reading the strided cells in place perturbs nothing either.
+// The sequential solve adds each source cell's t into the entries it faces
+// right after computing it, so every element takes its contributions in
+// ascending source order. A cell's sources lie in its elimination subtree,
+// so an owned cell's sources run before it on its own worker, ascending:
+// owned cells run the reference's cell routine (cellSweep), adding their
+// product straight into x. Only the rows that face shared cells — a suffix
+// of the panel, as the shared set is ancestor-closed and blocks ascend —
+// and a shared cell's whole product go to slots of a contribution buffer,
+// which each shared cell pulls after the barrier in that same canonical
+// (source, block) order into its segment, holding b alone. No two cells
+// write the same slot or segment, so neither the execution order nor the
+// cell→worker assignment can change a single bit. Backward, each cell reads
+// the already-final facing entries (its own worker's, or shared and final
+// after the barrier) through the row index. No kernel's per-element
+// operation order depends on the leading dimension, so reading the strided
+// cells in place perturbs nothing either.
 //
 // A split shared cell keeps the argument per element: the forward cell
 // routine gives each panel row its updates in ascending column order, and
@@ -48,28 +47,21 @@ import (
 // panel rows (forward) or columns (backward) among workers leaves every
 // element's operation sequence as it was.
 
-// solveIn is one incoming forward contribution of a destination cell: rows
-// entries of a column of the contribution buffer from t on, added to the
-// solution from row on. Lists are built in canonical (source, block) order.
-type solveIn struct {
-	t, row, rows int32
-}
+// solveIn is one incoming contribution of a shared cell: rows entries of a
+// column of the contribution buffer from t on, added to x from row on.
+type solveIn struct{ t, row, rows int32 }
 
-// solvePulls is the worker-independent part of every solve plan of one
-// symbolic structure, built once per analysis and shared by its plans:
-// each cell's incoming forward contributions, its slot in the contribution
-// buffer, the per-cell cost the plans balance on, and the tree's shape.
-type solvePulls struct {
-	ptr  []int32   // cell k's contributions are ins[ptr[k]:ptr[k+1]]
-	ins  []solveIn // in canonical order per destination cell
-	tOff []int32   // cell k's slot is rows [tOff[k], tOff[k+1]) of each column
-	// rows is the panel row index (Symbol.PanelRows): rows[tOff[k]+r] is
-	// the entry of x that panel row r of cell k faces.
-	rows []int32
-	// rbMax is the longest panel: the size of a split cell's private
-	// gather buffer.
+// solveIndex is the worker-independent part of every solve plan of one
+// symbolic structure, built once per analysis and shared by its plans: the
+// panel row index, the per-cell cost the plans balance on, and the tree's
+// shape.
+type solveIndex struct {
+	// rows is the panel row index (Symbol.PanelRows), cell k's panel facing
+	// x at rows[tOff[k]:tOff[k+1]].
+	rows, tOff []int32
+	// rbMax is the longest panel: the size of a worker's scratch.
 	rbMax int
-	cost  []int64 // triangular solves + both panel products + pulls + panel rows read
+	cost  []int64 // triangular solves + both panel products + pushes + panel rows read
 	sub   []int64 // the summed cost of the elimination subtree rooted at each cell
 	// total is the summed cost: the one-worker plan owns every cell, so its
 	// makespan is total plus one barrier.
@@ -83,68 +75,34 @@ type solvePulls struct {
 	bufs, rhs bufPool
 }
 
-// newSolvePulls builds the pull lists, slots and costs of sym, and the
-// first contribution buffer, sized for one right-hand side on up to
-// workers workers.
-func newSolvePulls(sym *symbolic.Symbol, workers int) *solvePulls {
+// newSolveIndex builds the row index and costs of sym.
+func newSolveIndex(sym *symbolic.Symbol) *solveIndex {
 	ncb := sym.NumCB()
-	sp := &solvePulls{
-		ptr: make([]int32, ncb+1), tOff: make([]int32, ncb+1), cost: make([]int64, ncb), sub: make([]int64, ncb),
+	ix := &solveIndex{
+		rows: sym.PanelRows(), cost: make([]int64, ncb), sub: make([]int64, ncb),
 		bufs: make(bufPool, runtime.GOMAXPROCS(0)), rhs: make(bufPool, runtime.GOMAXPROCS(0)),
 	}
+	ix.tOff, ix.rbMax = panelOffsets(sym)
+	height := make([]int32, ncb)
 	for k := range sym.CB {
 		w, rb := sym.CB[k].Width(), sym.CB[k].RowsBelow()
-		sp.tOff[k+1] = sp.tOff[k] + int32(rb)
-		sp.rbMax = max(sp.rbMax, rb)
-		sp.cost[k] += int64(w*w + 2*rb*w + rb)
-		for _, blk := range sym.CB[k].Blocks {
-			sp.ptr[blk.Facing+1]++
-			sp.cost[blk.Facing] += int64(blk.Rows())
-		}
-	}
-	height := make([]int32, ncb)
-	for k := 0; k < ncb; k++ {
-		sp.ptr[k+1] += sp.ptr[k]
-		sp.total += sp.cost[k]
+		ix.cost[k] = int64(w*w + 2*rb*w + 2*rb)
+		ix.total += ix.cost[k]
 		// Children have smaller indices than their parent, so sub[k] and
 		// height[k] are complete here.
-		sp.sub[k] += sp.cost[k]
-		sp.levels = max(sp.levels, int(height[k])+1)
+		ix.sub[k] += ix.cost[k]
+		ix.levels = max(ix.levels, int(height[k])+1)
 		if par := sym.Parent[k]; par >= 0 {
-			sp.sub[par] += sp.sub[k]
+			ix.sub[par] += ix.sub[k]
 			height[par] = max(height[par], height[k]+1)
 		}
 	}
-	width := make([]int, sp.levels)
+	width := make([]int, ix.levels)
 	for _, h := range height {
 		width[h]++
-		sp.maxWidth = max(sp.maxWidth, width[h])
+		ix.maxWidth = max(ix.maxWidth, width[h])
 	}
-	sp.ins = make([]solveIn, sp.ptr[ncb])
-	next := slices.Clone(sp.ptr[:ncb]) // per-cell fill cursors
-	for k := range sym.CB {
-		t := sp.tOff[k]
-		for _, blk := range sym.CB[k].Blocks {
-			sp.ins[next[blk.Facing]] = solveIn{t: t, row: int32(blk.FirstRow), rows: int32(blk.Rows())}
-			next[blk.Facing]++
-			t += int32(blk.Rows())
-		}
-	}
-	sp.rows = sym.PanelRows()
-	sp.bufs.put(make([]float64, sp.bufLen(1, workers)))
-	return sp
-}
-
-// bufLen is the length of the contribution buffer of a solve of nrhs
-// right-hand sides on the given workers: every cell's slot per right-hand
-// side, then one private gather buffer per worker for the split shared
-// cells.
-func (sp *solvePulls) bufLen(nrhs, workers int) int {
-	n := int(sp.tOff[len(sp.tOff)-1]) * nrhs
-	if workers > 1 {
-		n += workers * sp.rbMax
-	}
-	return n
+	return ix
 }
 
 // bufPool holds idle buffers, at most one per processor: more solves than
@@ -173,9 +131,6 @@ func (bp bufPool) put(b []float64) {
 	}
 }
 
-// in returns cell k's incoming contributions.
-func (sp *solvePulls) in(k int) []solveIn { return sp.ins[sp.ptr[k]:sp.ptr[k+1]] }
-
 // SolvePlan is a reusable schedule for the level-set solve engine on a fixed
 // worker count: a subtree mapping of the elimination tree, as the paper's
 // proportional mapping gives whole subtrees to one processor and shares only
@@ -186,11 +141,18 @@ func (sp *solvePulls) in(k int) []solveIn { return sp.ins[sp.ptr[k]:sp.ptr[k+1]]
 // (Analysis, workers) — see Analysis.SolvePlanFor.
 type SolvePlan struct {
 	sym     *symbolic.Symbol
-	pulls   *solvePulls
+	ix      *solveIndex
 	workers int
 
 	owned  [][]int32 // per worker: the cells of its subtrees, ascending
 	shared []int32   // the cells above every owned subtree, ascending
+
+	// slot lays out the contribution buffer: cell k's slot holds the last
+	// slot[k+1]−slot[k] rows of its panel product, those that face shared
+	// cells (every row of a shared cell's), in rows [slot[k], slot[k+1]) of
+	// each column. ins[k] lists shared cell k's incoming contributions.
+	slot []int32
+	ins  [][]solveIn
 
 	split      []bool // per cell: a shared cell every worker takes part in
 	splitCells int
@@ -222,10 +184,10 @@ func (pl *SolvePlan) Stats() PlanStats {
 	st := PlanStats{
 		Workers:       pl.workers,
 		Cells:         pl.sym.NumCB(),
-		Levels:        pl.pulls.levels,
+		Levels:        pl.ix.levels,
 		ChainCells:    len(pl.shared),
 		SplitCells:    pl.splitCells,
-		MaxLevelWidth: pl.pulls.maxWidth,
+		MaxLevelWidth: pl.ix.maxWidth,
 	}
 	if pl.workers > 1 {
 		st.ParallelSteps = 1
@@ -251,18 +213,15 @@ const (
 	spawnCharge = 160000
 )
 
-// BuildSolvePlan builds a solve plan for the given workers: the shared top
+// planOn builds a solve plan of sym for the given workers: the shared top
 // of the elimination tree with the lowest predicted makespan, its subtrees
 // assigned to the workers, and the split of every shared cell that the cost
-// model predicts runs faster across the workers than on one.
-func BuildSolvePlan(sym *symbolic.Symbol, workers int) *SolvePlan {
-	return planOn(sym, newSolvePulls(sym, workers), workers)
-}
-
-// planOn is BuildSolvePlan on pull lists already built for sym.
-func planOn(sym *symbolic.Symbol, pulls *solvePulls, workers int) *SolvePlan {
-	pl := &SolvePlan{sym: sym, pulls: pulls, workers: max(workers, 1)}
+// model predicts runs faster across the workers than on one. It leaves the
+// buffer of a one-RHS solve in the index's pool.
+func planOn(sym *symbolic.Symbol, ix *solveIndex, workers int) *SolvePlan {
+	pl := &SolvePlan{sym: sym, ix: ix, workers: max(workers, 1)}
 	pl.mapSubtrees(pl.searchShared())
+	ix.bufs.put(make([]float64, pl.bufLen(1)))
 	return pl
 }
 
@@ -275,7 +234,7 @@ func planOn(sym *symbolic.Symbol, pulls *solvePulls, workers int) *SolvePlan {
 // time only grows, and the owned subtrees take at least their summed cost
 // over the workers.
 func (pl *SolvePlan) searchShared() []bool {
-	sp, parent := pl.pulls, pl.sym.Parent
+	ix, parent := pl.ix, pl.sym.Parent
 	ncb := len(parent)
 	kidPtr := make([]int32, ncb+1) // cell k's children are kids[kidPtr[k]:kidPtr[k+1]]
 	for _, par := range parent {
@@ -296,20 +255,20 @@ func (pl *SolvePlan) searchShared() []bool {
 			next[par]++
 		}
 	}
-	heavier := heavierFirst(sp.sub)
+	heavier := heavierFirst(ix.sub)
 	slices.SortFunc(cands, heavier)
 	loads := make([]int64, pl.workers)
 	var expanded []int32
 	var sharedSpan int64
-	ownedCost := sp.total
-	best, bestN := pl.span(lpt(cands, sp.sub, loads, nil), 0, false), 0
+	ownedCost := ix.total
+	best, bestN := pl.span(lpt(cands, ix.sub, loads, nil), 0, false), 0
 	for len(cands) > 0 {
 		k := cands[0]
 		cands = slices.Delete(cands, 0, 1)
 		expanded = append(expanded, k)
 		c, _ := pl.sharedCost(int(k))
 		sharedSpan += c
-		ownedCost -= sp.cost[k]
+		ownedCost -= ix.cost[k]
 		for _, ch := range kids[kidPtr[k]:kidPtr[k+1]] {
 			i, _ := slices.BinarySearchFunc(cands, ch, heavier)
 			cands = slices.Insert(cands, i, ch)
@@ -317,7 +276,7 @@ func (pl *SolvePlan) searchShared() []bool {
 		if pl.span(ownedCost/int64(pl.workers), sharedSpan, true) >= best {
 			break
 		}
-		if s := pl.span(lpt(cands, sp.sub, loads, nil), sharedSpan, true); s < best {
+		if s := pl.span(lpt(cands, ix.sub, loads, nil), sharedSpan, true); s < best {
 			best, bestN = s, len(expanded)
 		}
 	}
@@ -375,9 +334,10 @@ func lpt(cands []int32, sub, loads []int64, owner []int32) int64 {
 // mapSubtrees fills the plan for the given shared set, which must hold the
 // ancestors of each of its cells: the subtrees below it go to the workers by
 // longest processing time first, every shared cell is split or not by the
-// cost model, and the makespan is predicted.
+// cost model, the makespan is predicted and the contribution buffer laid
+// out.
 func (pl *SolvePlan) mapSubtrees(shared []bool) {
-	sp, parent := pl.pulls, pl.sym.Parent
+	ix, parent := pl.ix, pl.sym.Parent
 	ncb := len(parent)
 	var cands []int32
 	for k, par := range parent {
@@ -385,9 +345,9 @@ func (pl *SolvePlan) mapSubtrees(shared []bool) {
 			cands = append(cands, int32(k))
 		}
 	}
-	slices.SortFunc(cands, heavierFirst(sp.sub))
+	slices.SortFunc(cands, heavierFirst(ix.sub))
 	owner := make([]int32, ncb)
-	load := lpt(cands, sp.sub, make([]int64, pl.workers), owner)
+	load := lpt(cands, ix.sub, make([]int64, pl.workers), owner)
 	// Parents have larger indices, so a descending pass sees every parent's
 	// owner before its children.
 	for k := ncb - 1; k >= 0; k-- {
@@ -414,6 +374,30 @@ func (pl *SolvePlan) mapSubtrees(shared []bool) {
 		}
 	}
 	pl.makespan = pl.span(load, sharedSpan, len(pl.shared) > 0)
+	pl.layOutSlots(shared)
+}
+
+// layOutSlots gives every panel row that faces a shared cell a slot in the
+// contribution buffer, a suffix of its panel, and lists each shared cell's
+// incoming slots in canonical order.
+func (pl *SolvePlan) layOutSlots(shared []bool) {
+	pl.slot, pl.ins = make([]int32, pl.sym.NumCB()+1), make([][]solveIn, pl.sym.NumCB())
+	for k := range pl.sym.CB {
+		t := pl.slot[k]
+		for _, blk := range pl.sym.CB[k].Blocks {
+			if shared[blk.Facing] {
+				pl.ins[blk.Facing] = append(pl.ins[blk.Facing], solveIn{t: t, row: int32(blk.FirstRow), rows: int32(blk.Rows())})
+				t += int32(blk.Rows())
+			}
+		}
+		pl.slot[k+1] = t
+	}
+}
+
+// bufLen is the buffer a solve of nrhs right-hand sides on the plan takes:
+// its slots per right-hand side, then each worker's scratch.
+func (pl *SolvePlan) bufLen(nrhs int) int {
+	return int(pl.slot[len(pl.slot)-1])*nrhs + pl.workers*pl.ix.rbMax
 }
 
 // sharedCost returns the predicted time of shared cell k and whether it runs
@@ -422,12 +406,12 @@ func (pl *SolvePlan) mapSubtrees(shared []bool) {
 // one by column, every worker gathering the whole panel's x for its
 // columns; two barriers per sweep.
 func (pl *SolvePlan) sharedCost(k int) (int64, bool) {
-	cost := pl.pulls.cost[k]
+	cost := pl.ix.cost[k]
 	if pl.workers == 1 {
 		return cost, false
 	}
 	nw := int64(pl.workers)
-	w, rb := int64(pl.sym.CB[k].Width()), int64(pl.rows(k))
+	w, rb := int64(pl.sym.CB[k].Width()), int64(pl.sym.CB[k].RowsBelow())
 	split := cost - 2*rb*w + (rb+nw-1)/nw*w + (w+nw-1)/nw*rb + 4*barrierCharge
 	if split >= cost {
 		return cost, false
@@ -435,25 +419,22 @@ func (pl *SolvePlan) sharedCost(k int) (int64, bool) {
 	return split, true
 }
 
-// rows returns the length of cell k's panel.
-func (pl *SolvePlan) rows(k int) int { return int(pl.pulls.tOff[k+1] - pl.pulls.tOff[k]) }
-
-// solvePulls returns the pull lists and costs every solve plan of the
+// solveIndex returns the row index and costs every solve plan of the
 // analysis shares, built on first use.
-func (an *Analysis) solvePulls() *solvePulls {
-	an.pullsOnce.Do(func() {
-		an.pulls = newSolvePulls(an.Sym, an.Sched.P)
+func (an *Analysis) solveIndex() *solveIndex {
+	an.indexOnce.Do(func() {
+		an.index = newSolveIndex(an.Sym)
 	})
-	return an.pulls
+	return an.index
 }
 
 // RHSBuffer takes an idle buffer of n entries for a caller's permuted
 // right-hand side, or makes one; ReleaseRHS hands it back once the solve is
 // done with it, so a stream of solves allocates only their solutions.
-func (an *Analysis) RHSBuffer(n int) []float64 { return an.solvePulls().rhs.get(n) }
+func (an *Analysis) RHSBuffer(n int) []float64 { return an.solveIndex().rhs.get(n) }
 
 // ReleaseRHS returns a buffer RHSBuffer handed out.
-func (an *Analysis) ReleaseRHS(b []float64) { an.solvePulls().rhs.put(b) }
+func (an *Analysis) ReleaseRHS(b []float64) { an.solveIndex().rhs.put(b) }
 
 // SolvePlanFor returns the cached level-set solve plan for exactly the given
 // worker count, building it on first request. Plans are immutable; the cache
@@ -465,7 +446,7 @@ func (an *Analysis) SolvePlanFor(workers int) *SolvePlan {
 	if v, ok := an.solvePlans.Load(workers); ok {
 		return v.(*SolvePlan)
 	}
-	pl := planOn(an.Sym, an.solvePulls(), workers)
+	pl := planOn(an.Sym, an.solveIndex(), workers)
 	v, _ := an.solvePlans.LoadOrStore(workers, pl)
 	return v.(*SolvePlan)
 }
@@ -477,17 +458,17 @@ func (an *Analysis) SolvePlanFor(workers int) *SolvePlan {
 // cell, so its makespan is known without its plan.
 func (an *Analysis) SolvePlan() *SolvePlan {
 	if an.Sched.P > 1 {
-		if pl := an.SolvePlanFor(an.Sched.P); pl.makespan < an.solvePulls().total+barrierCharge {
+		if pl := an.SolvePlanFor(an.Sched.P); pl.makespan < an.solveIndex().total+barrierCharge {
 			return pl
 		}
 	}
 	return an.SolvePlanFor(1)
 }
 
-// PrepareSolve eagerly builds the solve plan, so a serving layer can pay the
-// whole solve-planning cost at factorize time instead of on the first
-// request. The factor needs no preparation: every solve engine reads the
-// cells the factorization wrote.
+// PrepareSolve returns the stats of the solve plan, building it if the
+// analysis has not (Analyze does), so a serving layer pays the whole
+// solve-planning cost before the first request. The factor needs no
+// preparation: every solve engine reads the cells the factorization wrote.
 func (an *Analysis) PrepareSolve(*Factors) PlanStats {
 	return an.SolvePlan().Stats()
 }
@@ -537,15 +518,17 @@ func SolveLevelInPlace(ctx context.Context, pl *SolvePlan, f *Factors, x []float
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	sp := pl.pulls
-	nt := int(sp.tOff[len(sp.tOff)-1])
-	buf := sp.bufs.get(sp.bufLen(nrhs, pl.workers))
-	defer sp.bufs.put(buf)
+	nt := int(pl.slot[len(pl.slot)-1])
+	buf := pl.ix.bufs.get(pl.bufLen(nrhs))
+	defer pl.ix.bufs.put(buf)
 	r := &levelRun{
-		pl: pl, panels: f.panels(), nrhs: nrhs,
-		rec: opts.Trace, ctx: ctx,
-		x: x, n: sym.N, t: buf[:nt*nrhs], nt: nt, gbuf: buf[nt*nrhs:],
-		bar: spinBarrier{n: int32(pl.workers)},
+		pl: pl, rec: opts.Trace, ctx: ctx,
+		sweep: cellSweep[float64]{
+			p: f.panels(), rows: pl.ix.rows, tOff: pl.ix.tOff, slot: pl.slot,
+			x: x, out: buf[:nt*nrhs], n: sym.N, nt: nt, nrhs: nrhs,
+		},
+		scratch: buf[nt*nrhs:],
+		bar:     spinBarrier{n: int32(pl.workers)},
 	}
 	if ctx.Done() != nil {
 		r.check = r.checkCtx
@@ -574,26 +557,17 @@ func SolveLevelInPlace(ctx context.Context, pl *SolvePlan, f *Factors, x []float
 
 // levelRun is the per-call state of one level-set solve.
 type levelRun struct {
-	pl     *SolvePlan
-	panels panels[float64]
-	nrhs   int
-	rec    *trace.Recorder
-	ctx    context.Context
+	pl  *SolvePlan
+	rec *trace.Recorder
+	ctx context.Context
 
-	// x is the caller's n×nrhs panel: the forward sweep leaves y in it, and
-	// the backward sweep overwrites each cell's segment with the solution
-	// in place — a cell reads its own y before writing its x, and otherwise
-	// only the x of the final cells it faces.
-	x []float64
-	n int
-	// t is the contribution buffer, nt×nrhs: cell k's slot holds t_k =
-	// −P_k·y_k after its forward sweep, and the facing x of its backward
-	// sweep, gathered through the panel row index when the cell is wider
-	// than one column. gbuf is one private gather buffer of pulls.rbMax
-	// entries per worker, for the split shared cells.
-	t    []float64
-	nt   int
-	gbuf []float64
+	// sweep runs the cells on the caller's panel x, out the contribution
+	// buffer: the forward sweep leaves y in x, and the backward sweep
+	// overwrites each cell's segment with the solution in place — a cell
+	// reads its own y before writing its x, and otherwise only the x of the
+	// final cells it faces. Each worker runs a copy with its own scratch.
+	sweep   cellSweep[float64]
+	scratch []float64
 
 	bar spinBarrier
 	// check is r.checkCtx, run by the last worker into each barrier (nil
@@ -642,47 +616,42 @@ func (r *levelRun) worker(p int) {
 	if r.rec != nil {
 		start = r.rec.Now()
 	}
+	sw, rb := r.sweep, r.pl.ix.rbMax
+	sw.t = r.scratch[p*rb : (p+1)*rb]
 	owned, shared := r.pl.owned[p], len(r.pl.shared) > 0
 	for _, k := range owned {
-		r.cell(int(k), true)
+		sw.forward(int(k))
 	}
-	if !r.sync(p) || shared && (!r.chain(p, true) || !r.sync(p)) {
+	if !r.sync(p) || shared && (!r.chain(p, true, &sw) || !r.sync(p)) {
 		return
 	}
 	if r.rec != nil {
 		r.rec.Phase(p, trace.PhaseForward, start, r.rec.Now())
 		start = r.rec.Now()
 	}
-	if shared && (!r.chain(p, false) || !r.sync(p)) {
+	if shared && (!r.chain(p, false, &sw) || !r.sync(p)) {
 		return
 	}
 	for i := len(owned) - 1; i >= 0; i-- {
-		r.cell(int(owned[i]), false)
+		k := int(owned[i])
+		sw.backward(k, true, 0, r.pl.sym.CB[k].Width())
 	}
 	if r.rec != nil {
 		r.rec.Phase(p, trace.PhaseBackward, start, r.rec.Now())
 	}
 }
 
-// cell runs one whole cell of a sweep on the calling worker.
-func (r *levelRun) cell(k int, fwd bool) {
-	if fwd {
-		r.forward(k, true, 0, r.pl.rows(k))
-	} else {
-		r.backward(k, true, 0, r.pl.sym.CB[k].Width(), nil)
-	}
-}
-
-// chain runs the shared cells in ascending order (descending backward).
-// Worker 0 runs the unsplit cells alone. A split cell takes every worker.
-// Forward: worker 0 pulls and solves, a barrier, each worker's rows of the
-// panel product, then a barrier so worker 0 can read t_k (the closing
-// barrier of the sweep when the cell is the last). Backward: a barrier so
-// worker 0's earlier cells are visible (none is needed for the first cell,
-// which follows the barrier between the sweeps), each worker's columns, a
-// barrier, then worker 0's triangular solve — which the next split cell's
-// first barrier, or the closing barrier, publishes.
-func (r *levelRun) chain(p int, fwd bool) bool {
+// chain runs the shared cells in ascending order (descending backward) on
+// worker p, whose cell sweep is sw. Worker 0 runs the unsplit cells alone.
+// A split cell takes every worker. Forward: worker 0 pulls and solves, a
+// barrier, each worker's rows of the panel product, then a barrier so
+// worker 0 can read t_k (the closing barrier of the sweep when the cell is
+// the last). Backward: a barrier so worker 0's earlier cells are visible
+// (none is needed for the first cell, which follows the barrier between the
+// sweeps), each worker's columns, a barrier, then worker 0's triangular
+// solve — which the next split cell's first barrier, or the closing
+// barrier, publishes.
+func (r *levelRun) chain(p int, fwd bool, sw *cellSweep[float64]) bool {
 	cells, nw := r.pl.shared, r.pl.workers
 	last := len(cells) - 1
 	for i := range cells {
@@ -690,9 +659,12 @@ func (r *levelRun) chain(p int, fwd bool) bool {
 		if !fwd {
 			k = int(cells[last-i])
 		}
+		w := r.pl.sym.CB[k].Width()
 		if !r.pl.split[k] {
-			if p == 0 {
-				r.cell(k, fwd)
+			if p == 0 && fwd {
+				r.forward(k, true, 0, r.pl.sym.CB[k].RowsBelow())
+			} else if p == 0 {
+				sw.backward(k, true, 0, w)
 			}
 			continue
 		}
@@ -703,7 +675,7 @@ func (r *levelRun) chain(p int, fwd bool) bool {
 			if !r.sync(p) {
 				return false
 			}
-			rb := r.pl.rows(k)
+			rb := r.pl.sym.CB[k].RowsBelow()
 			r.forward(k, false, p*rb/nw, (p+1)*rb/nw)
 			if i < last && !r.sync(p) {
 				return false
@@ -713,51 +685,34 @@ func (r *levelRun) chain(p int, fwd bool) bool {
 		if i > 0 && !r.sync(p) {
 			return false
 		}
-		w, g := r.pl.sym.CB[k].Width(), r.pl.pulls.rbMax
-		r.backward(k, false, p*w/nw, (p+1)*w/nw, r.gbuf[p*g:(p+1)*g])
+		sw.backward(k, false, p*w/nw, (p+1)*w/nw)
 		if !r.sync(p) {
 			return false
 		}
 		if p == 0 {
-			r.backward(k, true, 0, 0, nil)
+			sw.backward(k, true, 0, 0)
 		}
 	}
 	return true
 }
 
-// forward runs cell k's forward solve, one right-hand side at a time: with
-// tri, its incoming contributions in canonical (source, block) order and
-// the unit-lower triangle; then rows [lo, hi) of the panel product t_k =
-// −P_k·y_k into its slot.
+// forward runs shared cell k's forward solve, one right-hand side at a
+// time: with tri, its incoming contributions in canonical (source, block)
+// order and the unit-lower triangle; then rows [lo, hi) of the panel
+// product t_k = −P_k·y_k into its slot.
 func (r *levelRun) forward(k int, tri bool, lo, hi int) {
-	cb := &r.pl.sym.CB[k]
-	ins := r.pl.pulls.in(k)
-	t0, t1 := int(r.pl.pulls.tOff[k]), int(r.pl.pulls.tOff[k+1])
-	for c := 0; c < r.nrhs; c++ {
-		x, t := r.x[c*r.n:(c+1)*r.n], r.t[c*r.nt:(c+1)*r.nt]
+	cb, s := &r.pl.sym.CB[k], &r.sweep
+	t0, t1 := int(r.pl.slot[k]), int(r.pl.slot[k+1])
+	for c := 0; c < s.nrhs; c++ {
+		x, t := s.x[c*s.n:(c+1)*s.n], s.out[c*s.nt:(c+1)*s.nt]
 		if tri {
-			for _, in := range ins {
-				addTo(x[in.row:in.row+in.rows], t[in.t:])
+			for _, in := range r.pl.ins[k] {
+				for i, ti := range t[in.t : in.t+in.rows] {
+					x[int(in.row)+i] += ti
+				}
 			}
 		}
-		r.panels.forward(k, tri, lo, hi, x[cb.Cols[0]:cb.Cols[1]], t[t0:t1])
-	}
-}
-
-// backward runs columns [lo, hi) of cell k's backward solve, one
-// right-hand side at a time: the diagonal division (the sequential
-// single-RHS semantics, per column) and the panel product over the facing
-// x, gathered into g (nil: the cell's own slot of t); then with tri the
-// transposed unit triangle.
-func (r *levelRun) backward(k int, tri bool, lo, hi int, g []float64) {
-	t0, t1 := int(r.pl.pulls.tOff[k]), int(r.pl.pulls.tOff[k+1])
-	rows := r.pl.pulls.rows[t0:t1]
-	for c := 0; c < r.nrhs; c++ {
-		gc := g
-		if gc == nil {
-			gc = r.t[c*r.nt+t0 : c*r.nt+t1]
-		}
-		r.panels.backward(k, tri, lo, hi, r.x[c*r.n:(c+1)*r.n], gc, rows)
+		s.p.forward(k, tri, lo, hi, x[cb.Cols[0]:cb.Cols[1]], t[t0:t1])
 	}
 }
 

@@ -40,7 +40,7 @@ func levelFixture(t *testing.T, P int) (*Analysis, *Factors, []float64) {
 // holds shared (an ancestor-closed set), its subtrees mapped as the engine
 // maps them.
 func sharedPlan(an *Analysis, workers int, shared []bool) *SolvePlan {
-	pl := &SolvePlan{sym: an.Sym, pulls: an.solvePulls(), workers: workers}
+	pl := &SolvePlan{sym: an.Sym, ix: an.solveIndex(), workers: workers}
 	pl.mapSubtrees(shared)
 	return pl
 }
@@ -63,7 +63,7 @@ func sharedSets(an *Analysis, workers int) []namedPlan {
 	return []namedPlan{
 		{"none-shared", sharedPlan(an, workers, make([]bool, len(all)))},
 		{"all-shared", sharedPlan(an, workers, all)},
-		{"planned", BuildSolvePlan(an.Sym, workers)},
+		{"planned", an.SolvePlanFor(workers)},
 	}
 }
 
@@ -112,7 +112,7 @@ func TestSolveMapping(t *testing.T) {
 			pb[newI] = b[old]
 		}
 		ref := f.Solve(pb)
-		sp := an.solvePulls()
+		sp := an.solveIndex()
 		for workers := 1; workers <= 8; workers++ {
 			deep := make([]bool, len(sp.sub))
 			for k, c := range sp.sub {
@@ -385,7 +385,7 @@ func TestSolveLevelShapeErrors(t *testing.T) {
 func TestLevelStormDynamic(t *testing.T) {
 	an, f, pb := levelFixture(t, 4)
 	ref := f.Solve(pb)
-	sp := an.solvePulls()
+	sp := an.solveIndex()
 	shared := make([]bool, len(sp.sub))
 	for k, c := range sp.sub {
 		shared[k] = c > sp.total/32
@@ -798,5 +798,75 @@ func BenchmarkSolveEngine(b *testing.B) {
 			f.Solve(pb)
 			return nil
 		})
+	}
+}
+
+// TestSolvePushSuffix checks the contribution buffer's layout over the
+// conformance corpus and Poisson 12³, for the planned and a deep shared set
+// at one to four workers: the panel rows of an owned cell that face shared
+// cells, the only ones with a slot, form a suffix of its panel; every row
+// of a shared cell has one; the planned one-worker plan has none; and the
+// buffer a plan asks for holds those rows once per right-hand side plus
+// one scratch of the longest panel per worker.
+func TestSolvePushSuffix(t *testing.T) {
+	cases := solveConformanceCorpus()
+	cases = append(cases, solveConformanceCase{"poisson3d-12", gen.Laplacian3D(12, 12, 12)})
+	suffixes := 0 // owned cells with a non-empty suffix, over every plan
+	for _, tc := range cases {
+		an := analyzeFor(t, tc.a, 4)
+		sym, ix := an.Sym, an.solveIndex()
+		rbMax := 0
+		for k := range sym.CB {
+			rbMax = max(rbMax, sym.CB[k].RowsBelow())
+		}
+		for workers := 1; workers <= 4; workers++ {
+			deep := make([]bool, len(ix.sub))
+			for k, c := range ix.sub {
+				deep[k] = c > ix.total/int64(4*workers)
+			}
+			for _, np := range []namedPlan{{"planned", an.SolvePlanFor(workers)}, {"deep", sharedPlan(an, workers, deep)}} {
+				name := fmt.Sprintf("%s workers=%d %s", tc.name, workers, np.name)
+				pl := np.pl
+				shared := make([]bool, sym.NumCB())
+				for _, k := range pl.shared {
+					shared[k] = true
+				}
+				facing := 0 // panel rows that face shared cells, over every cell
+				for k := range sym.CB {
+					cb := &sym.CB[k]
+					n, inSuffix := 0, false
+					for _, blk := range cb.Blocks {
+						if shared[blk.Facing] {
+							inSuffix = true
+							n += blk.Rows()
+						} else if inSuffix {
+							t.Fatalf("%s: cell %d faces owned cell %d after a shared one", name, k, blk.Facing)
+						}
+					}
+					if shared[k] && n != cb.RowsBelow() {
+						t.Fatalf("%s: shared cell %d faces shared cells with %d of its %d panel rows", name, k, n, cb.RowsBelow())
+					}
+					if got := int(pl.slot[k+1] - pl.slot[k]); got != n {
+						t.Fatalf("%s: cell %d has a slot of %d rows, want %d", name, k, got, n)
+					}
+					if !shared[k] && n > 0 {
+						suffixes++
+					}
+					facing += n
+				}
+				if workers == 1 && np.name == "planned" && facing != 0 {
+					t.Fatalf("%s: %d panel rows face shared cells, want none", name, facing)
+				}
+				for _, nrhs := range []int{1, 3} {
+					if got, want := pl.bufLen(nrhs), facing*nrhs+workers*rbMax; got != want {
+						t.Fatalf("%s nrhs=%d: buffer of %d entries, want %d×%d + %d×%d",
+							name, nrhs, got, facing, nrhs, workers, rbMax)
+					}
+				}
+			}
+		}
+	}
+	if suffixes == 0 {
+		t.Fatal("no owned cell faced a shared one: the suffix was never checked")
 	}
 }

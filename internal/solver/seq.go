@@ -83,43 +83,64 @@ func (f *Storage[T]) Solve(b []T) []T {
 }
 
 // solvePanels overwrites x, holding b, with the solution of A·x = b, one
-// column block k at a time through the cell routines of panels. Forward:
-// L_kk y_k = x_k, then one product of the whole off-diagonal panel, t =
-// −P_k·y_k, whose rows are added to the entries they face (x_i + t_i).
-// Diagonal and backward: x_k = D_k⁻¹ y_k, one product x_k −= P_kᵀ·x_R over
-// the entries the panel rows face, then L_kkᵀ x_k = x_k. Every element thus
-// takes its contributions one source cell at a time in ascending order, and
-// each backward column one sum over its whole panel: the sequence the
-// level-set engine repeats, whatever the schedule.
+// column block at a time through cellSweep: forward in ascending order,
+// then diagonal and backward in descending order. Every element thus takes
+// its contributions one source cell at a time in ascending order, and each
+// backward column one sum over its whole panel: the sequence the level-set
+// engine repeats, whatever the schedule.
 func solvePanels[T blas.Scalar](sym *symbolic.Symbol, p panels[T], x []T) {
-	rows := sym.PanelRows()
-	rbMax := 0
+	tOff, rbMax := panelOffsets(sym)
+	s := cellSweep[T]{p: p, rows: sym.PanelRows(), tOff: tOff, slot: make([]int32, len(tOff)),
+		x: x, t: make([]T, rbMax), n: len(x), nrhs: 1}
 	for k := range sym.CB {
-		rbMax = max(rbMax, sym.CB[k].RowsBelow())
-	}
-	t := make([]T, rbMax)
-	off := 0
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		rb := cb.RowsBelow()
-		p.forward(k, true, 0, rb, x[cb.Cols[0]:cb.Cols[1]], t)
-		for r, i := range rows[off : off+rb] {
-			x[i] += t[r]
-		}
-		off += rb
+		s.forward(k)
 	}
 	for k := len(sym.CB) - 1; k >= 0; k-- {
-		cb := &sym.CB[k]
-		off -= cb.RowsBelow()
-		p.backward(k, true, 0, cb.Width(), x, t, rows[off:off+cb.RowsBelow()])
+		s.backward(k, true, 0, sym.CB[k].Width())
 	}
 }
 
-// addTo adds the first len(y) entries of t into y: y_i + t_i.
-func addTo[T blas.Scalar](y, t []T) {
-	t = t[:len(y)]
-	for i := range y {
-		y[i] += t[i]
+// panelOffsets returns where each cell's rows start in the panel row index
+// and the longest panel.
+func panelOffsets(sym *symbolic.Symbol) (tOff []int32, rbMax int) {
+	tOff = make([]int32, sym.NumCB()+1)
+	for k := range sym.CB {
+		rb := sym.CB[k].RowsBelow()
+		tOff[k+1] = tOff[k] + int32(rb)
+		rbMax = max(rbMax, rb)
+	}
+	return tOff, rbMax
+}
+
+// cellSweep runs cells on one worker, on each column of the n×nrhs panel x:
+// every cell of the reference, and each level-set worker's owned cells and
+// part of the shared cells' backward sweep. Cell k's panel faces x at
+// rows[tOff[k]:tOff[k+1]]; the last slot[k+1]−slot[k] of them go to rows
+// [slot[k], slot[k+1]) of each nt-row column of the contribution buffer
+// out. t is scratch of the longest panel.
+type cellSweep[T blas.Scalar] struct {
+	p                panels[T]
+	rows, tOff, slot []int32
+	x, out, t        []T
+	n, nt, nrhs      int
+}
+
+// forward runs cell k's whole forward solve on each column of x, pushing
+// its product t = −P_k·y_k straight into x, but for the rows with a slot.
+func (s *cellSweep[T]) forward(k int) {
+	o0, o1 := int(s.slot[k]), int(s.slot[k+1])
+	push := s.rows[s.tOff[k] : int(s.tOff[k+1])-(o1-o0)]
+	for c := 0; c < s.nrhs; c++ {
+		s.p.push(k, s.x[c*s.n:(c+1)*s.n], push, s.t, s.out[c*s.nt+o0:c*s.nt+o1])
+	}
+}
+
+// backward runs columns [lo, hi) of cell k's backward solve on each column
+// of x, then with tri its transposed triangle.
+func (s *cellSweep[T]) backward(k int, tri bool, lo, hi int) {
+	rows := s.rows[s.tOff[k]:s.tOff[k+1]]
+	for c := 0; c < s.nrhs; c++ {
+		s.p.backward(k, tri, lo, hi, s.x[c*s.n:(c+1)*s.n], s.t, rows)
 	}
 }
 

@@ -149,7 +149,7 @@ func (f *Storage[T]) Diag(k int) []T {
 // and D) and the panel P_k of its RowsBelow off-diagonal rows, in block
 // order. A dense factor serves both in place from its strided cells; a
 // compressed one block by block (blrPanels). Both sweeps of every solve
-// engine run each cell through these two routines, so a split shared cell
+// engine run each cell through these routines, so a split shared cell
 // takes its row or column range and its triangle in separate calls.
 type panels[T blas.Scalar] interface {
 	// forward runs cell k's forward solve on its segment xk, which holds
@@ -157,6 +157,10 @@ type panels[T blas.Scalar] interface {
 	// triangle L_kk·y_k = xk in place; then t[i] = −(P_k·y_k)_i, summed from
 	// +0, for the panel rows i in [lo, hi).
 	forward(k int, tri bool, lo, hi int, xk, t []T)
+	// push runs cell k's whole forward solve on x and adds the first
+	// len(rows) rows of t = −P_k·y_k straight into x at rows, x_i + t_r, the
+	// others to out. t is scratch of the panel's length.
+	push(k int, x []T, rows []int32, t, out []T)
 	// backward runs cell k's backward solve on the solution x: for the
 	// columns j in [lo, hi), x_j/d_j − (P_kᵀ·x_R)_j, with x_R the entries
 	// the panel rows face (rows holds their indices, g is scratch of as
@@ -165,25 +169,38 @@ type panels[T blas.Scalar] interface {
 	backward(k int, tri bool, lo, hi int, x, g []T, rows []int32)
 }
 
-// forward is one column sweep of the strided cell: one-column cells
-// inline, wider ones one CellForward.
+// forward is one CellForward.
 func (f *Storage[T]) forward(k int, tri bool, lo, hi int, xk, t []T) {
-	a, w := f.Data[k], len(xk)
-	if w > 1 {
-		blas.KernelsOf[T]().CellForward(w, lo, hi, tri, a, f.LD[k], xk, t)
-		return
-	}
-	// CellForward's sequence on one column: t_i = (p_i·(−x_0)) + 0, none
-	// of it when x_0 == 0.
-	t = t[lo:hi]
-	if xj := xk[0]; xj == 0 {
-		clear(t)
+	blas.KernelsOf[T]().CellForward(len(xk), lo, hi, tri, f.Data[k], f.LD[k], xk, t)
+}
+
+// push is forward into t, then pushRows. A one-column cell without a slot
+// fuses the two in CellForward's sequence: x_i + ((p_r·(−x_0)) + 0), and
+// x_i + 0 when x_0 == 0.
+func (f *Storage[T]) push(k int, x []T, rows []int32, t, out []T) {
+	c0, w := f.Sym.CB[k].Cols[0], f.Sym.CB[k].Width()
+	if w > 1 || len(out) > 0 {
+		f.forward(k, true, 0, len(rows)+len(out), x[c0:c0+w], t)
+		pushRows(x, rows, t, out)
+	} else if nx := -x[c0]; nx == 0 {
+		for _, i := range rows {
+			x[i] += 0
+		}
 	} else {
-		p, nx := a[1+lo:1+hi], -xj
-		for i := range t {
-			t[i] = T(p[i]*nx) + 0
+		p := f.Data[k][1 : 1+len(rows)]
+		for r, i := range rows {
+			x[i] += T(p[r]*nx) + 0
 		}
 	}
+}
+
+// pushRows adds the first len(rows) entries of t into the entries of x
+// that rows names, x_i + t_r, and copies the next len(out) into out.
+func pushRows[T blas.Scalar](x []T, rows []int32, t, out []T) {
+	for r, i := range rows {
+		x[i] += t[r]
+	}
+	copy(out, t[len(rows):])
 }
 
 // backward reads the facing x through rows: one-column cells inline, wider

@@ -37,9 +37,9 @@ type SolveOptions struct {
 	//
 	// The solve exchanges no messages, so an active FaultPlan does not act
 	// on it. Every engine returns, for each column of the panel, the bits the
-	// single-RHS sequential solve returns for that column (contributions are
-	// pulled in the canonical sequential order), on dense and BLR-compressed
-	// factors alike.
+	// single-RHS sequential solve returns for that column (every entry takes
+	// its contributions in the canonical sequential order), on dense and
+	// BLR-compressed factors alike.
 	Runtime Runtime
 	// Refine, when non-nil, applies adaptive iterative refinement to every
 	// solution column and reports the aggregated RefineStats in the result.
@@ -196,9 +196,9 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 }
 
 // PrepareSolve warms the solve-path cache of the analysis for factor f: the
-// level-set plan for the schedule's processor count. It is built lazily on
-// first use anyway; a serving layer calls this right after factorization
-// so the first request does not pay the one-time cost.
+// level-set plan for the schedule's processor count. Analyze builds it, and
+// it is built lazily on first use anyway; a serving layer calls this right
+// after factorization so the first request never pays the one-time cost.
 // The factor itself needs nothing: every solve engine reads the cells
 // factorization wrote. Safe concurrently with solves.
 func (an *Analysis) PrepareSolve(f *Factor) (PlanStats, error) {

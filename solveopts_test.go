@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/pastix-go/pastix/internal/gen"
+	"github.com/pastix-go/pastix/internal/solver"
 )
 
 func solveOptsFixture(t *testing.T, opts Options) (*Analysis, *Factor, []float64) {
@@ -445,4 +446,69 @@ func TestPrepareSolveAllocatesNoFactorCopy(t *testing.T) {
 		t.Fatalf("a warm solve allocated %d bytes, want about one %d-byte n-vector", perSolve, vec)
 	}
 	t.Logf("a warm solve allocated %d bytes (one n-vector is %d)", perSolve, 8*a.N)
+}
+
+// solveAllocsMax is what one warm solve of Poisson 12³ may allocate per
+// case of TestSolveAllocs: the counts measured when the engine still parked
+// every forward contribution in its buffer.
+var solveAllocsMax = map[string]float64{
+	"SolveOpts/1w":         4,
+	"SolveOpts/nrhs3":      4,
+	"SolveLevelInPlace/2w": 4,
+}
+
+// TestSolveAllocs holds a stream of warm solves of Poisson 12³ to the
+// allocations of solveAllocsMax: SolveOpts on one worker (the plan the cost
+// model picks there) for one right-hand side and a 3-column panel, and the
+// engine on the two-worker plan. The contribution buffer and the permuted
+// right-hand side come from the analysis' pools whatever their shape, so a
+// solve allocates only its result and the per-run state.
+func TestSolveAllocs(t *testing.T) {
+	a := gen.Laplacian3D(12, 12, 12)
+	an, err := Analyze(a, Options{Processors: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := an.Factorize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b := gen.RHSForSolution(a)
+	n := len(b)
+	panel := make([]float64, 3*n)
+	for c := range 3 {
+		copy(panel[c*n:], b)
+	}
+	ctx := context.Background()
+	x := make([]float64, n)
+	pl2 := an.inner.SolvePlanFor(2)
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"SolveOpts/1w", func() {
+			if res, err := an.SolveOpts(ctx, f, b, SolveOptions{}); err != nil || res.Plan.Workers != 1 {
+				t.Fatalf("SolveOpts: %v, plan %+v", err, res.Plan)
+			}
+		}},
+		{"SolveOpts/nrhs3", func() {
+			if _, err := an.SolveOpts(ctx, f, panel, SolveOptions{NRHS: 3}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"SolveLevelInPlace/2w", func() {
+			copy(x, b)
+			if err := solver.SolveLevelInPlace(ctx, pl2, f.inner, x, solver.LevelOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		c.run() // warm: plans, pools and the panel row index
+		got := testing.AllocsPerRun(50, c.run)
+		t.Logf("%s: %.1f allocs per solve", c.name, got)
+		if want := solveAllocsMax[c.name]; got > want {
+			t.Errorf("%s: %.1f allocs per solve, want at most %.0f", c.name, got, want)
+		}
+	}
 }
