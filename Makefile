@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-full bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress soak-selectors kernels fuzz examples serve-smoke ci
+.PHONY: all build test race race-full bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress soak-selectors kernels fuzz examples serve-smoke perfbench ci
 
 all: ci
 
@@ -229,9 +229,16 @@ SERVE_RUNTIMES := auto seq mpsim shared dynamic
 serve-smoke:
 	@for rt in $(SERVE_RUNTIMES); do echo "serve-smoke -runtime $$rt"; $(GO) run ./cmd/pastix-serve -smoke -runtime $$rt || exit 1; done
 
+# The benchmark harness is a module of its own, so ./... above never builds
+# it; vet and test it here so a change to the packages it imports cannot
+# break it unseen.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The CI entry point (and default target): build, vet+gofmt, tests, race,
 # the soak selector check, the chaos, numerical-stress, dynamic-runtime,
 # solve-path, HA-serving, block-low-rank and durability soaks, both
-# dense-kernel paths, a short fuzz pass, the example programs, then the
-# serving smoke test (which ends with a persist → restart → solve round trip).
-ci: build vet test race soak-selectors chaos numstress dynstress solvestress hastress blrstress durastress kernels fuzz examples serve-smoke
+# dense-kernel paths, a short fuzz pass, the example programs, the serving
+# smoke test (which ends with a persist → restart → solve round trip), then
+# the benchmark module's vet and tests.
+ci: build vet test race soak-selectors chaos numstress dynstress solvestress hastress blrstress durastress kernels fuzz examples serve-smoke perfbench

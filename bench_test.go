@@ -26,7 +26,6 @@ import (
 	"github.com/pastix-go/pastix/internal/cost"
 	"github.com/pastix-go/pastix/internal/gen"
 	"github.com/pastix-go/pastix/internal/multifrontal"
-	"github.com/pastix-go/pastix/internal/part"
 	"github.com/pastix-go/pastix/internal/solver"
 	"github.com/pastix-go/pastix/internal/sparse"
 )
@@ -229,40 +228,6 @@ func BenchmarkSolveVariants(b *testing.B) {
 	})
 }
 
-func BenchmarkFanInVsFanOut(b *testing.B) {
-	skipIfShort(b)
-	prob, err := gen.Generate("BMWCRA1", benchScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	an, err := solver.Analyze(prob.A, solver.Options{P: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("FanIn", func(b *testing.B) {
-		var st solver.CommStats
-		for i := 0; i < b.N; i++ {
-			_, st, err = solver.FactorizeParStats(an.A, an.Sched, solver.ParOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(st.Messages), "msgs")
-		b.ReportMetric(float64(st.Bytes), "bytes")
-	})
-	b.Run("FanOut", func(b *testing.B) {
-		var st solver.CommStats
-		for i := 0; i < b.N; i++ {
-			_, st, err = an.FactorizeFanOut()
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(st.Messages), "msgs")
-		b.ReportMetric(float64(st.Bytes), "bytes")
-	})
-}
-
 // BenchmarkFactorizeComplex times the complex symmetric factorization: the
 // sequential reference against the real one on the same THREAD analysis
 // (complex LDLᵀ costs ≈4× the real flops per entry), then the public
@@ -293,7 +258,7 @@ func BenchmarkFactorizeComplex(b *testing.B) {
 	paz := zb.Build().Permute(an.Perm)
 	b.Run("Real", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := solver.FactorizeSeq(an.A, an.Sym); err != nil {
+			if _, err := an.FactorizeOpts(solver.ParOptions{Runtime: solver.RuntimeSequential}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -338,39 +303,4 @@ func complexLaplacian(n int) *ZMatrix {
 		}
 	}
 	return zb.Build()
-}
-
-// BenchmarkSharedVsMpsim times the executed factorization of a 3D Poisson
-// problem under the two runtimes at each processor count: the mpsim
-// message-passing runtime pays for packing, copying and the final gather;
-// the shared-memory runtime aggregates in place. Message volume is attached
-// to the mpsim rows as custom metrics.
-func BenchmarkSharedVsMpsim(b *testing.B) {
-	a := gen.Laplacian3D(12, 12, 12)
-	for _, p := range []int{1, 2, 4, 8} {
-		an, err := solver.Analyze(a, solver.Options{
-			P:    p,
-			Part: part.Options{BlockSize: 16, Ratio2D: 2, MinWidth2D: 8},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("Mpsim/P%d", p), func(b *testing.B) {
-			var st solver.CommStats
-			for i := 0; i < b.N; i++ {
-				if _, st, err = solver.FactorizeParStats(an.A, an.Sched, solver.ParOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.Messages), "msgs")
-			b.ReportMetric(float64(st.Bytes), "bytes")
-		})
-		b.Run(fmt.Sprintf("Shared/P%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := an.FactorizeOpts(solver.ParOptions{Runtime: solver.RuntimeShared}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -9,7 +9,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -27,9 +26,6 @@ import (
 // paper's degrees of freedom per problem (see internal/gen); the default
 // keeps the full Table 2 sweep under a few minutes of analysis time.
 const DefaultScale = 0.25
-
-// DefaultProcs is the paper's processor axis.
-var DefaultProcs = []int{1, 2, 4, 8, 16, 32, 64}
 
 // PastixAnalysis runs the paper's PaStiX configuration (Scotch-like
 // ordering, blocking 64, mixed 1D/2D) for the named problem.
@@ -302,44 +298,6 @@ func Ablate(name string, scale float64, p int) (AblationRow, error) {
 	}
 	row.FirstCand = firstCand.Sched.Replay()
 	return row, nil
-}
-
-// SortedNames returns the benchmark problem names sorted (Table order).
-func SortedNames() []string {
-	n := gen.Names()
-	sort.Strings(n)
-	return n
-}
-
-// SMPAblate quantifies topology-aware scheduling on an SMP cluster (the
-// paper's stated next step): both schedules are evaluated on the same SMP
-// machine (nodes of nodeSize processors with shared-memory-like intra-node
-// links); "aware" was built knowing the topology, "flat" was built with the
-// flat network model.
-func SMPAblate(name string, scale float64, p, nodeSize int) (aware, flat float64, err error) {
-	prob, err := gen.Generate(name, scale)
-	if err != nil {
-		return 0, 0, err
-	}
-	smp := cost.SP2().WithSMPNodes(nodeSize)
-	awareAn, err := solver.Analyze(prob.A, solver.Options{
-		P:        p,
-		Ordering: order.Options{Method: order.ScotchLike},
-		Part:     part.Options{BlockSize: 64, Ratio2D: 4},
-		Machine:  smp,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	flatAn, err := solver.Analyze(prob.A, solver.Options{
-		P:        p,
-		Ordering: order.Options{Method: order.ScotchLike},
-		Part:     part.Options{BlockSize: 64, Ratio2D: 4},
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return awareAn.Sched.Replay(), flatAn.Sched.ReplayOn(smp), nil
 }
 
 // FormatSpeedupPlot renders Table 2 as an ASCII figure: one speedup curve

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"sort"
 	"strings"
 	"testing"
+
+	"github.com/pastix-go/pastix/internal/gen"
 )
 
 // The experiment harness runs at a tiny scale in unit tests; the real tables
@@ -117,6 +120,13 @@ func TestAblationMixedBeats1DAndGreedyBeatsFirstCandidate(t *testing.T) {
 	if row.Mixed1D2D > row.FirstCand {
 		t.Fatalf("greedy mapping (%g) slower than first-candidate (%g)", row.Mixed1D2D, row.FirstCand)
 	}
+}
+
+// SortedNames returns the benchmark problem names sorted (Table order).
+func SortedNames() []string {
+	n := gen.Names()
+	sort.Strings(n)
+	return n
 }
 
 func TestSortedNames(t *testing.T) {

@@ -132,12 +132,6 @@ func axpy[T Scalar](alpha T, x, y []T) {
 	}
 }
 
-// SyrkLowerNT computes the lower triangle of C -= A·Aᵀ, with A m×k (lda) and
-// C m×m (ldc); only C's lower triangle (including diagonal) is referenced.
-func SyrkLowerNT(m, k int, a []float64, lda int, c []float64, ldc int) {
-	syrkLowerNDTGo(m, k, a, lda, nil, c, ldc)
-}
-
 // SyrkLowerNDT computes the lower triangle of C -= A·diag(d)·Aᵀ, with the
 // per-element operation order of GemmNDT.
 func SyrkLowerNDT(m, k int, a []float64, lda int, d []float64, c []float64, ldc int) {
@@ -288,25 +282,6 @@ func trsmRightLTransUnitGo[T Scalar](m, n int, l []T, ldl int, b []T, ldb int) {
 				continue
 			}
 			axpy(-ljk, b[k*ldb:k*ldb+m], bj)
-		}
-	}
-}
-
-// TrsmRightLTrans solves X · Lᵀ = B in place, where L is n×n lower
-// triangular with explicit diagonal (the LLᵀ case).
-func TrsmRightLTrans(m, n int, l []float64, ldl int, b []float64, ldb int) {
-	for j := 0; j < n; j++ {
-		bj := b[j*ldb : j*ldb+m]
-		for k := 0; k < j; k++ {
-			ljk := l[j+k*ldl]
-			if ljk == 0 {
-				continue
-			}
-			axpy(-ljk, b[k*ldb:k*ldb+m], bj)
-		}
-		inv := 1 / l[j+j*ldl]
-		for i := range bj {
-			bj[i] *= inv
 		}
 	}
 }

@@ -69,31 +69,6 @@ func TestGemmNDTAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestSyrkLowerNT(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	m, k := 8, 5
-	a := randMat(rng, m, k, m)
-	c := randMat(rng, m, m, m)
-	want := append([]float64(nil), c...)
-	for i := 0; i < m; i++ {
-		for j := 0; j <= i; j++ {
-			s := 0.0
-			for l := 0; l < k; l++ {
-				s += a[i+l*m] * a[j+l*m]
-			}
-			want[i+j*m] -= s
-		}
-	}
-	SyrkLowerNT(m, k, a, m, c, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j <= i; j++ {
-			if math.Abs(c[i+j*m]-want[i+j*m]) > 1e-12 {
-				t.Fatalf("(%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestSyrkLowerNDT(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	m, k := 7, 4
@@ -217,33 +192,6 @@ func TestTrsmRightLTransUnit(t *testing.T) {
 		}
 	}
 	TrsmRightLTransUnit(m, n, l, n, b, m)
-	if d := maxDiff(b, x); d > 1e-10 {
-		t.Fatalf("diff %g", d)
-	}
-}
-
-func TestTrsmRightLTrans(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	m, n := 4, 6
-	l := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		l[j+j*n] = 2 + rng.Float64()
-		for i := j + 1; i < n; i++ {
-			l[i+j*n] = rng.NormFloat64() * 0.5
-		}
-	}
-	x := randMat(rng, m, n, m)
-	b := make([]float64, m*n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for k := 0; k <= j; k++ {
-				s += x[i+k*m] * l[j+k*n]
-			}
-			b[i+j*m] = s
-		}
-	}
-	TrsmRightLTrans(m, n, l, n, b, m)
 	if d := maxDiff(b, x); d > 1e-10 {
 		t.Fatalf("diff %g", d)
 	}

@@ -171,17 +171,6 @@ func SP2() *Machine {
 	return m
 }
 
-// Flops helpers (multiply+add counted as 2 ops).
-
-// GemmFlops returns the operation count of an m×n×k block update.
-func GemmFlops(m, n, k int) float64 { return 2 * float64(m) * float64(n) * float64(k) }
-
-// TrsmFlops returns the operation count of an r-row panel solve.
-func TrsmFlops(r, w int) float64 { return float64(r) * float64(w) * float64(w) }
-
-// FactorFlops returns the operation count of a w×w dense LDLᵀ.
-func FactorFlops(w int) float64 { f := float64(w); return f * f * f / 3 }
-
 // FitLS solves the least-squares problem min ‖X·c − y‖₂ by normal equations
 // with a Cholesky solve (adding a tiny ridge for rank safety). rows of x are
 // basis evaluations.

@@ -111,18 +111,6 @@ func TestSP2ProfileShape(t *testing.T) {
 	}
 }
 
-func TestFlopsHelpers(t *testing.T) {
-	if GemmFlops(2, 3, 4) != 48 {
-		t.Fatal("GemmFlops")
-	}
-	if TrsmFlops(3, 2) != 12 {
-		t.Fatal("TrsmFlops")
-	}
-	if FactorFlops(3) != 9 {
-		t.Fatal("FactorFlops")
-	}
-}
-
 func TestCalibrateLocalQuick(t *testing.T) {
 	m, err := CalibrateLocal(true)
 	if err != nil {

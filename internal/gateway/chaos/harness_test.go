@@ -11,6 +11,8 @@
 // via 404 failover; with one (Config.DataDir set, split per node by
 // NewCluster) the new process replays its journal and accepted handles
 // survive the kill.
+//
+// The harness is test code: this package's soaks are its only callers.
 package chaos
 
 import (

@@ -79,27 +79,12 @@ func (g *Graph) Degree(v int) int { return g.Ptr[v+1] - g.Ptr[v] }
 // graph storage and must not be modified.
 func (g *Graph) Neighbors(v int) []int { return g.Adj[g.Ptr[v]:g.Ptr[v+1]] }
 
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.Adj) / 2 }
-
 // Weight returns the weight of vertex v (1 if the graph is unweighted).
 func (g *Graph) Weight(v int) int {
 	if g.VWgt == nil {
 		return 1
 	}
 	return g.VWgt[v]
-}
-
-// TotalWeight returns the sum of all vertex weights.
-func (g *Graph) TotalWeight() int {
-	if g.VWgt == nil {
-		return g.N
-	}
-	t := 0
-	for _, w := range g.VWgt {
-		t += w
-	}
-	return t
 }
 
 // Validate checks structural invariants (symmetry, sortedness, no loops).

@@ -312,3 +312,18 @@ func TestPseudoPeripheralOnGrid(t *testing.T) {
 		t.Fatalf("height %d want 12 (found v=%d)", h, v)
 	}
 }
+
+// NumEdges returns the number of undirected edges.
+func (g *Graph) NumEdges() int { return len(g.Adj) / 2 }
+
+// TotalWeight returns the sum of all vertex weights.
+func (g *Graph) TotalWeight() int {
+	if g.VWgt == nil {
+		return g.N
+	}
+	t := 0
+	for _, w := range g.VWgt {
+		t += w
+	}
+	return t
+}

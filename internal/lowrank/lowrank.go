@@ -47,27 +47,6 @@ type LRBlock struct {
 // Values returns the number of float64 values the compressed form stores.
 func (b *LRBlock) Values() int { return b.Rank * (b.Rows + b.Cols) }
 
-// Decompress materializes B = U·Vᵀ into dst, an m×n column-major panel with
-// leading dimension ld (dst is overwritten, not accumulated into).
-func (b *LRBlock) Decompress(dst []float64, ld int) {
-	for j := 0; j < b.Cols; j++ {
-		col := dst[j*ld : j*ld+b.Rows]
-		for i := range col {
-			col[i] = 0
-		}
-		for k := 0; k < b.Rank; k++ {
-			vjk := b.V[j+k*b.Cols]
-			if vjk == 0 {
-				continue
-			}
-			uk := b.U[k*b.Rows : (k+1)*b.Rows]
-			for i := range col {
-				col[i] += vjk * uk[i]
-			}
-		}
-	}
-}
-
 // Options configures compression.
 type Options struct {
 	// Tol is the relative Frobenius tolerance of each compressed block:
@@ -334,29 +313,4 @@ func argmaxAbs(x []float64) int {
 		}
 	}
 	return bi
-}
-
-// FrobNorm returns the Frobenius norm of the m×n column-major block a (lda).
-func FrobNorm(m, n int, a []float64, lda int) float64 {
-	var s float64
-	for j := 0; j < n; j++ {
-		for _, v := range a[j*lda : j*lda+m] {
-			s += v * v
-		}
-	}
-	return math.Sqrt(s)
-}
-
-// FrobDiff returns ‖A − B‖_F for two m×n column-major blocks.
-func FrobDiff(m, n int, a []float64, lda int, b []float64, ldb int) float64 {
-	var s float64
-	for j := 0; j < n; j++ {
-		ca := a[j*lda : j*lda+m]
-		cb := b[j*ldb : j*ldb+m]
-		for i := range ca {
-			d := ca[i] - cb[i]
-			s += d * d
-		}
-	}
-	return math.Sqrt(s)
 }

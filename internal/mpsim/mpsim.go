@@ -412,24 +412,6 @@ func (c *Comm) Recv(p int) (Message, error) {
 	return m, nil
 }
 
-// TryRecv returns a pending message without blocking; ok is false when the
-// mailbox is empty.
-func (c *Comm) TryRecv(p int) (Message, bool) {
-	b := &c.boxes[p]
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.queue) == 0 {
-		return Message{}, false
-	}
-	m := b.queue[0]
-	b.queue = b.queue[1:]
-	c.inFlight.Add(-1)
-	if c.rec != nil {
-		c.rec.Comm(p, trace.KindRecv, m.Kind, m.Tag, int64(len(m.Data))*8)
-	}
-	return m, true
-}
-
 // Close closes every mailbox, waking blocked receivers with an error.
 // Call it after all processors have finished to catch protocol leaks.
 func (c *Comm) Close() {

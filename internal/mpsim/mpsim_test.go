@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"github.com/pastix-go/pastix/internal/trace"
 )
 
 func TestPingPong(t *testing.T) {
@@ -139,4 +141,22 @@ func TestSendAfterCloseIsDropped(t *testing.T) {
 	if _, ok := c.TryRecv(1); ok {
 		t.Fatal("dropped message delivered")
 	}
+}
+
+// TryRecv returns a pending message without blocking; ok is false when the
+// mailbox is empty.
+func (c *Comm) TryRecv(p int) (Message, bool) {
+	b := &c.boxes[p]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.queue) == 0 {
+		return Message{}, false
+	}
+	m := b.queue[0]
+	b.queue = b.queue[1:]
+	c.inFlight.Add(-1)
+	if c.rec != nil {
+		c.rec.Comm(p, trace.KindRecv, m.Kind, m.Tag, int64(len(m.Data))*8)
+	}
+	return m, true
 }

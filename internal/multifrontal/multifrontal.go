@@ -1,326 +1,22 @@
-// Package multifrontal implements the PSPASES-like baseline the paper
-// compares against (Joshi, Karypis, Kumar, Gupta & Gustavson): a parallel
+// Package multifrontal models the PSPASES baseline the paper compares
+// against (Joshi, Karypis, Kumar, Gupta & Gustavson): a parallel
 // multifrontal Cholesky (LLᵀ) factorization with subtree-to-subcube
 // proportional mapping.
 //
-// Three entry points matter:
-//
-//   - FactorizeSeq: sequential multifrontal LLᵀ (reference numerics).
-//   - FactorizePar: executed parallel multifrontal on goroutine processors —
-//     subtrees run concurrently, each front is factored by one processor,
-//     and child update matrices travel by message to the parent's owner.
-//   - SimulateTime: the modelled parallel time used in Table 2, where a
-//     multi-candidate front is gang-scheduled on its processor subcube with
-//     a Gupta–Karypis-style parallel dense-kernel model. This is what makes
-//     the baseline competitive at scale, as real PSPASES 2D fronts are.
-//
-// The baseline reuses the same analysis pipeline as PaStiX (with the
-// MeTiS-like ordering, PSPASES's default) and stores L in the same block
-// layout, with explicit diagonal instead of the unit-diagonal/D convention.
+// SimulateTime is the modelled parallel time of Table 2's PSPASES column,
+// where a multi-candidate front is gang-scheduled on its processor subcube
+// with a Gupta–Karypis-style parallel dense-kernel model. This is what
+// makes the baseline competitive at scale, as real PSPASES 2D fronts are.
+// The baseline is modelled, not executed: it reuses the same analysis
+// pipeline as PaStiX (with the MeTiS-like ordering, PSPASES's default).
 package multifrontal
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
-	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/cost"
-	"github.com/pastix-go/pastix/internal/mpsim"
 	"github.com/pastix-go/pastix/internal/solver"
 )
-
-// front is the dense frontal matrix of one supernode: rows/cols indexed by
-// the global row list (supernode columns first, then the off-diagonal rows).
-type front struct {
-	rows []int     // global indices, ascending
-	data []float64 // n×n column-major, lower triangle meaningful
-}
-
-func (f *front) n() int { return len(f.rows) }
-
-func (f *front) loc(row int) int {
-	i := sort.SearchInts(f.rows, row)
-	if i >= len(f.rows) || f.rows[i] != row {
-		return -1
-	}
-	return i
-}
-
-// frontRows builds the global row list of cell k from the symbol.
-func frontRows(an *solver.Analysis, k int) []int {
-	cb := &an.Sym.CB[k]
-	rows := make([]int, 0, cb.Width()+cb.RowsBelow())
-	for j := cb.Cols[0]; j < cb.Cols[1]; j++ {
-		rows = append(rows, j)
-	}
-	for _, b := range cb.Blocks {
-		for r := b.FirstRow; r < b.LastRow; r++ {
-			rows = append(rows, r)
-		}
-	}
-	return rows
-}
-
-// assembleFront scatters A's entries of cell k into a fresh front.
-func assembleFront(an *solver.Analysis, k int) (*front, error) {
-	f := &front{rows: frontRows(an, k)}
-	n := f.n()
-	f.data = make([]float64, n*n)
-	a := an.A
-	cb := &an.Sym.CB[k]
-	for j := cb.Cols[0]; j < cb.Cols[1]; j++ {
-		lc := j - cb.Cols[0]
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			lr := f.loc(a.RowIdx[p])
-			if lr < 0 {
-				return nil, fmt.Errorf("multifrontal: entry (%d,%d) outside front %d", a.RowIdx[p], j, k)
-			}
-			f.data[lr+lc*n] += a.Val[p]
-		}
-	}
-	return f, nil
-}
-
-// extendAdd adds the child's update matrix (rows urows, dense lower n×n
-// column-major starting at the update's own indexing) into parent front pf.
-func extendAdd(pf *front, urows []int, u []float64) error {
-	n := len(urows)
-	pn := pf.n()
-	locs := make([]int, n)
-	for i, r := range urows {
-		locs[i] = pf.loc(r)
-		if locs[i] < 0 {
-			return fmt.Errorf("multifrontal: update row %d not in parent front", r)
-		}
-	}
-	for j := 0; j < n; j++ {
-		pj := locs[j]
-		for i := j; i < n; i++ {
-			pf.data[locs[i]+pj*pn] += u[i+j*n]
-		}
-	}
-	return nil
-}
-
-// factorFront runs the dense partial LLᵀ on the first w columns and returns
-// the Schur update (rows[w:], dense lower, column-major r×r).
-func factorFront(f *front, w int) ([]float64, error) {
-	n := f.n()
-	if err := blas.Cholesky(w, f.data, n); err != nil {
-		return nil, err
-	}
-	r := n - w
-	if r == 0 {
-		return nil, nil
-	}
-	// Panel solve: rows [w,n) of the first w columns.
-	blas.TrsmRightLTrans(r, w, f.data, n, f.data[w:], n)
-	// Schur complement U = F₂₂ − L₂₁·L₂₁ᵀ. F₂₂ carries the contributions of
-	// the descendants accumulated by extend-add; dropping it would lose every
-	// update that skips a tree level.
-	u := make([]float64, r*r)
-	for j := 0; j < r; j++ {
-		src := f.data[(w+j)*n+w:]
-		for i := j; i < r; i++ {
-			u[i+j*r] = src[i]
-		}
-	}
-	blas.SyrkLowerNT(r, w, f.data[w:], n, u, r)
-	return u, nil
-}
-
-// storeFront copies the factored columns of the front into the shared block
-// layout (explicit diagonal: L with real diagonal entries).
-func storeFront(fs *solver.Factors, k int, f *front) {
-	w := fs.Sym.CB[k].Width()
-	ld := fs.LD[k]
-	n := f.n()
-	fs.EnsureCell(k)
-	for j := 0; j < w; j++ {
-		copy(fs.Data[k][j+j*ld:(j+1)*ld], f.data[j+j*n:j*n+n])
-	}
-}
-
-// FactorizeSeq runs the sequential multifrontal LLᵀ factorization over the
-// analysis (built with any ordering; PSPASES defaults to the MeTiS-like
-// configuration).
-func FactorizeSeq(an *solver.Analysis) (*solver.Factors, error) {
-	sym := an.Sym
-	fs := solver.NewFactorsLazy(sym)
-	ncb := sym.NumCB()
-	pending := make(map[int][]childUpdate, ncb)
-	for k := 0; k < ncb; k++ {
-		f, err := assembleFront(an, k)
-		if err != nil {
-			return nil, err
-		}
-		for _, cu := range pending[k] {
-			if err := extendAdd(f, cu.rows, cu.u); err != nil {
-				return nil, err
-			}
-		}
-		delete(pending, k)
-		w := sym.CB[k].Width()
-		u, err := factorFront(f, w)
-		if err != nil {
-			return nil, fmt.Errorf("multifrontal: front %d: %w", k, err)
-		}
-		storeFront(fs, k, f)
-		if u != nil {
-			p := sym.Parent[k]
-			pending[p] = append(pending[p], childUpdate{rows: f.rows[w:], u: u})
-		}
-	}
-	return fs, nil
-}
-
-type childUpdate struct {
-	rows []int
-	u    []float64
-}
-
-// SolveChol solves A·x = b with the explicit-diagonal LLᵀ factor in the
-// block layout (forward then backward substitution). b is in the PERMUTED
-// ordering.
-func SolveChol(fs *solver.Factors, b []float64) []float64 {
-	sym := fs.Sym
-	x := append([]float64(nil), b...)
-	for k := range sym.CB {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		ld := fs.LD[k]
-		xk := x[cb.Cols[0]:cb.Cols[1]]
-		blas.TrsvLower(w, fs.Data[k], ld, xk)
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			blas.GemvN(blk.Rows(), w, fs.Data[k][fs.BlockOff[k][bi]:], ld,
-				xk, x[blk.FirstRow:blk.LastRow])
-		}
-	}
-	for k := len(sym.CB) - 1; k >= 0; k-- {
-		cb := &sym.CB[k]
-		w := cb.Width()
-		ld := fs.LD[k]
-		xk := x[cb.Cols[0]:cb.Cols[1]]
-		for bi := range cb.Blocks {
-			blk := &cb.Blocks[bi]
-			blas.GemvT(blk.Rows(), w, fs.Data[k][fs.BlockOff[k][bi]:], ld,
-				x[blk.FirstRow:blk.LastRow], xk)
-		}
-		blas.TrsvLowerTrans(w, fs.Data[k], ld, xk)
-	}
-	return x
-}
-
-// ownerOf maps each front to one processor: the first candidate of its
-// subtree interval (subtree-to-subcube: a subtree's fronts cluster on its
-// subcube; the top fronts land on the subcube leader).
-func ownerOf(an *solver.Analysis) []int {
-	ncb := an.Sym.NumCB()
-	owner := make([]int, ncb)
-	for k := 0; k < ncb; k++ {
-		owner[k] = an.Mapping.CandLo[k]
-	}
-	return owner
-}
-
-// FactorizePar runs the executed parallel multifrontal factorization on
-// an.Mapping.P goroutine processors. Each front is factored by its owner;
-// child update matrices are sent to the parent's owner.
-func FactorizePar(an *solver.Analysis) (*solver.Factors, error) {
-	sym := an.Sym
-	P := an.Mapping.P
-	if P == 1 {
-		return FactorizeSeq(an)
-	}
-	owner := ownerOf(an)
-	ncb := sym.NumCB()
-	// Remote children per front (to know how many update messages to await).
-	nRemote := make([]int, ncb)
-	for k := 0; k < ncb; k++ {
-		if p := sym.Parent[k]; p != -1 && owner[p] != owner[k] && sym.CB[k].RowsBelow() > 0 {
-			nRemote[p]++
-		}
-	}
-	stores := make([]*solver.Factors, P)
-	comm := mpsim.NewComm(P)
-	err := comm.Run(func(p int) error {
-		fs := solver.NewFactorsLazy(sym)
-		stores[p] = fs
-		pending := make(map[int][]childUpdate)
-		got := make(map[int]int)
-		for k := 0; k < ncb; k++ {
-			if owner[k] != p {
-				continue
-			}
-			f, err := assembleFront(an, k)
-			if err != nil {
-				return err
-			}
-			for _, cu := range pending[k] {
-				if err := extendAdd(f, cu.rows, cu.u); err != nil {
-					return err
-				}
-			}
-			delete(pending, k)
-			for got[k] < nRemote[k] {
-				m, err := comm.Recv(p)
-				if err != nil {
-					return err
-				}
-				// Message data: [nrows | rows... | dense r×r update].
-				nr := int(m.Data[0])
-				rows := make([]int, nr)
-				for i := 0; i < nr; i++ {
-					rows[i] = int(m.Data[1+i])
-				}
-				u := m.Data[1+nr:]
-				if m.Tag == k {
-					if err := extendAdd(f, rows, u); err != nil {
-						return err
-					}
-				} else {
-					pending[m.Tag] = append(pending[m.Tag], childUpdate{rows: rows, u: u})
-				}
-				got[m.Tag]++
-			}
-			w := sym.CB[k].Width()
-			u, err := factorFront(f, w)
-			if err != nil {
-				return err
-			}
-			storeFront(fs, k, f)
-			if u == nil {
-				continue
-			}
-			par := sym.Parent[k]
-			urows := f.rows[w:]
-			if owner[par] == p {
-				pending[par] = append(pending[par], childUpdate{rows: urows, u: u})
-				continue
-			}
-			msg := make([]float64, 1+len(urows)+len(u))
-			msg[0] = float64(len(urows))
-			for i, r := range urows {
-				msg[1+i] = float64(r)
-			}
-			copy(msg[1+len(urows):], u)
-			comm.Send(mpsim.Message{Kind: 1, Src: p, Dst: owner[par], Tag: par, Data: msg})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Gather.
-	out := solver.NewFactors(sym)
-	for k := 0; k < ncb; k++ {
-		src := stores[owner[k]].Data[k]
-		copy(out.Data[k], src)
-	}
-	return out, nil
-}
 
 // SimulateTime models the parallel multifrontal factorization time on the
 // machine profile: subtree-to-subcube gang scheduling where a front with q

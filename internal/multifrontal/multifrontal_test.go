@@ -1,7 +1,6 @@
 package multifrontal
 
 import (
-	"math"
 	"testing"
 
 	"github.com/pastix-go/pastix/internal/cost"
@@ -28,95 +27,6 @@ func analyzeMF(t *testing.T, a *sparse.SymMatrix, P int) *solver.Analysis {
 	return an
 }
 
-func TestSeqCholeskyFactorSolve(t *testing.T) {
-	p, err := gen.Generate("THREAD", 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := p.A
-	an := analyzeMF(t, a, 1)
-	fs, err := FactorizeSeq(an)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, b := gen.RHSForSolution(a)
-	pb := make([]float64, len(b))
-	for newI, old := range an.Perm {
-		pb[newI] = b[old]
-	}
-	px := SolveChol(fs, pb)
-	maxErr := 0.0
-	for newI, old := range an.Perm {
-		if e := math.Abs(px[newI] - x[old]); e > maxErr {
-			maxErr = e
-		}
-	}
-	if maxErr > 1e-8 {
-		t.Fatalf("max error %g", maxErr)
-	}
-}
-
-func TestCholeskyDiagonalPositive(t *testing.T) {
-	a := gen.Laplacian2D(12, 12)
-	an := analyzeMF(t, a, 1)
-	fs, err := FactorizeSeq(an)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range an.Sym.CB {
-		for _, d := range fs.Diag(k) {
-			if d <= 0 {
-				t.Fatalf("non-positive Cholesky diagonal %g in cb %d", d, k)
-			}
-		}
-	}
-}
-
-func TestParallelMatchesSequentialMF(t *testing.T) {
-	a := gen.Laplacian2D(18, 18)
-	ref, err := FactorizeSeq(analyzeMF(t, a, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, P := range []int{2, 4, 8} {
-		an := analyzeMF(t, a, P)
-		got, err := FactorizePar(an)
-		if err != nil {
-			t.Fatalf("P=%d: %v", P, err)
-		}
-		for k := range ref.Data {
-			for i := range ref.Data[k] {
-				if math.Abs(ref.Data[k][i]-got.Data[k][i]) > 1e-10*(1+math.Abs(ref.Data[k][i])) {
-					t.Fatalf("P=%d cell %d elem %d: %g vs %g", P, k, i, ref.Data[k][i], got.Data[k][i])
-				}
-			}
-		}
-	}
-}
-
-func TestParallelMFOnGeneratedProblem(t *testing.T) {
-	p, err := gen.Generate("SHIP001", 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := analyzeMF(t, p.A, 4)
-	fs, err := FactorizePar(an)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, b := gen.RHSForSolution(p.A)
-	pb := make([]float64, len(b))
-	for newI, old := range an.Perm {
-		pb[newI] = b[old]
-	}
-	px := SolveChol(fs, pb)
-	for newI, old := range an.Perm {
-		if math.Abs(px[newI]-x[old]) > 1e-8 {
-			t.Fatalf("x mismatch at %d", old)
-		}
-	}
-}
-
 func TestSimulateTimeScales(t *testing.T) {
 	// Needs a realistically sized problem: on the SP2 profile, tiny problems
 	// legitimately do not speed up (latency dominates), exactly as on the
@@ -140,22 +50,5 @@ func TestSimulateTimeScales(t *testing.T) {
 	}
 	if t1/t16 > 16 {
 		t.Fatalf("superlinear baseline speedup %g", t1/t16)
-	}
-}
-
-func TestFrontRowsMatchStorageLayout(t *testing.T) {
-	a := gen.Laplacian2D(10, 10)
-	an := analyzeMF(t, a, 1)
-	fs := solver.NewFactorsLazy(an.Sym)
-	for k := range an.Sym.CB {
-		rows := frontRows(an, k)
-		if len(rows) != fs.LD[k] {
-			t.Fatalf("front %d has %d rows, storage ld %d", k, len(rows), fs.LD[k])
-		}
-		for i, r := range rows {
-			if lr := fs.LocateRow(k, r); lr != i {
-				t.Fatalf("front %d row %d at %d, storage locates %d", k, r, i, lr)
-			}
-		}
 	}
 }

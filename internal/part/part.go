@@ -101,15 +101,6 @@ type Mapping struct {
 	NodeCost []float64
 }
 
-// Candidates returns the candidate processors of column block k.
-func (m *Mapping) Candidates(k int) []int {
-	out := make([]int, 0, m.CandHi[k]-m.CandLo[k])
-	for p := m.CandLo[k]; p < m.CandHi[k]; p++ {
-		out = append(out, p)
-	}
-	return out
-}
-
 // Validate checks mapping invariants.
 func (m *Mapping) Validate(ncb int) error {
 	if len(m.CandLo) != ncb || len(m.CandHi) != ncb || len(m.Is2D) != ncb {

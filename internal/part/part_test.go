@@ -227,3 +227,12 @@ func TestMappingValidateErrors(t *testing.T) {
 		t.Fatal("short arrays accepted")
 	}
 }
+
+// Candidates returns the candidate processors of column block k.
+func (m *Mapping) Candidates(k int) []int {
+	out := make([]int, 0, m.CandHi[k]-m.CandLo[k])
+	for p := m.CandLo[k]; p < m.CandHi[k]; p++ {
+		out = append(out, p)
+	}
+	return out
+}

@@ -119,18 +119,6 @@ type Schedule struct {
 // Sym returns the symbol this schedule was built for.
 func (s *Schedule) Sym() *symbolic.Symbol { return s.sym }
 
-// BModOf returns the BMOD task id for (cell, s, t), or -1.
-func (s *Schedule) BModOf(cell, sIdx, tIdx int) int {
-	if cell < 0 || cell >= len(s.bmodBase) || s.bmodBase[cell] < 0 {
-		return -1
-	}
-	nb := len(s.BDivOf[cell])
-	if tIdx < 0 || sIdx < tIdx || sIdx >= nb {
-		return -1
-	}
-	return s.bmodBase[cell] + bmodIndex(nb, sIdx, tIdx)
-}
-
 // UpdateTask returns the task that receives the (S,T) update of column
 // block k — the paper's fan-in rule, written once for every runtime. The
 // update lands in the cell f that block T faces. When f is 1D, its COMP1D

@@ -332,3 +332,15 @@ func TestInDegreesMatchEdges(t *testing.T) {
 		}
 	}
 }
+
+// BModOf returns the BMOD task id for (cell, s, t), or -1.
+func (s *Schedule) BModOf(cell, sIdx, tIdx int) int {
+	if cell < 0 || cell >= len(s.bmodBase) || s.bmodBase[cell] < 0 {
+		return -1
+	}
+	nb := len(s.BDivOf[cell])
+	if tIdx < 0 || sIdx < tIdx || sIdx >= nb {
+		return -1
+	}
+	return s.bmodBase[cell] + bmodIndex(nb, sIdx, tIdx)
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,17 +16,17 @@ func (t *batcher) state() (pending int, inFlight bool) {
 }
 
 // waitParked blocks until b has a partial batch in flight with exactly
-// pending requests queued behind it.
-func waitParked(t *testing.T, b *batcher, pending int) {
-	t.Helper()
+// pending requests queued behind it, or returns an error after 10 s so the
+// caller can release what it holds before failing.
+func waitParked(b *batcher, pending int) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		p, busy := b.state()
 		if busy && p == pending {
-			return
+			return nil
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("want %d riders parked behind an in-flight batch, have pending %d, in flight %v", pending, p, busy)
+			return fmt.Errorf("want %d riders parked behind an in-flight batch, have pending %d, in flight %v", pending, p, busy)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -127,14 +127,3 @@ func (c *analysisCache) Len() int {
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
-
-// Keys returns the resident fingerprints, most recently used first.
-func (c *analysisCache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, c.order.Len())
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		keys = append(keys, e.Value.(*cacheEntry).key)
-	}
-	return keys
-}

@@ -180,3 +180,14 @@ func TestCacheRealErrorNotCached(t *testing.T) {
 		t.Fatalf("retry after failure: hit=%v err=%v", hit, err)
 	}
 }
+
+// Keys returns the resident fingerprints, most recently used first.
+func (c *analysisCache) Keys() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	keys := make([]string, 0, c.order.Len())
+	for e := c.order.Front(); e != nil; e = e.Next() {
+		keys = append(keys, e.Value.(*cacheEntry).key)
+	}
+	return keys
+}

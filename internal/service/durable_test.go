@@ -486,3 +486,17 @@ func TestDurableAppendFailureUnputs(t *testing.T) {
 		}
 	}
 }
+
+// get returns the remembered response for key, if any and not expired.
+func (s *idemStore) get(key string) (factorizeResponse, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.getLocked(key)
+}
+
+// len reports the live (unexpired-at-last-touch) entry count.
+func (s *idemStore) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.m)
+}

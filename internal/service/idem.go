@@ -51,13 +51,6 @@ func newIdemStore(max int, ttl time.Duration) *idemStore {
 	}
 }
 
-// get returns the remembered response for key, if any and not expired.
-func (s *idemStore) get(key string) (factorizeResponse, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.getLocked(key)
-}
-
 // claim returns the remembered response for key (replay true) when there is
 // one. Otherwise it makes the caller the key's only in-flight request,
 // first waiting for any request that holds the key, and the caller must
@@ -154,13 +147,6 @@ func (s *idemStore) dropKeyLocked(key string, e idemEntry) {
 	if s.byHandle[e.resp.Handle] == key {
 		delete(s.byHandle, e.resp.Handle)
 	}
-}
-
-// len reports the live (unexpired-at-last-touch) entry count.
-func (s *idemStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
 }
 
 // dropHandle forgets the entry that issued handle (called on release, so a

@@ -203,7 +203,9 @@ func TestServerDrain(t *testing.T) {
 		defer wg.Done()
 		status = postJSON(t, ts.URL+"/v1/solve", solveRequest{Handle: fr.Handle, B: b}, &sr)
 	}()
-	waitParked(t, e.batch, 0)
+	if err := waitParked(e.batch, 0); err != nil {
+		t.Fatal(err)
+	}
 	s.BeginDrain()
 
 	resp, err := http.Get(ts.URL + "/readyz")

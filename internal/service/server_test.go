@@ -30,21 +30,31 @@ func mmString(t *testing.T, a *pastix.Matrix) string {
 
 func postJSON(t *testing.T, url string, body, into any) (status int) {
 	t.Helper()
-	buf, err := json.Marshal(body)
+	status, err := post(url, body, into)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return status
+}
+
+// post is postJSON for goroutines other than the test's: it returns its
+// error instead of failing the test.
+func post(url string, body, into any) (status int, err error) {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return 0, err
+	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if into != nil {
 		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-			t.Fatalf("decode %s response: %v", url, err)
+			return 0, fmt.Errorf("decode %s response: %v", url, err)
 		}
 	}
-	return resp.StatusCode
+	return resp.StatusCode, nil
 }
 
 // End-to-end over real HTTP: analyze twice (second is a cache hit),
@@ -303,6 +313,7 @@ func solveParked(t *testing.T, s *Server, url, handle string, bs [][]float64) []
 	k := len(bs)
 	xs := make([][]float64, k)
 	batched := make([]int, k)
+	errs := make([]error, k)
 	var wg sync.WaitGroup
 	s.active <- struct{}{}
 	for i := 0; i < k; i++ {
@@ -310,17 +321,26 @@ func solveParked(t *testing.T, s *Server, url, handle string, bs [][]float64) []
 		go func(i int) {
 			defer wg.Done()
 			var sr solveResponse
-			if st := postJSON(t, url+"/v1/solve", solveRequest{Handle: handle, B: bs[i]}, &sr); st != http.StatusOK {
-				t.Errorf("solve %d status %d", i, st)
-				return
+			st, err := post(url+"/v1/solve", solveRequest{Handle: handle, B: bs[i]}, &sr)
+			if err == nil && st != http.StatusOK {
+				err = fmt.Errorf("solve %d status %d", i, st)
 			}
-			xs[i] = sr.X
-			batched[i] = sr.Batched
+			xs[i], batched[i], errs[i] = sr.X, sr.Batched, err
 		}(i)
 	}
-	waitParked(t, e.batch, k-1)
+	// Free the worker slot and wait for every solve before failing, so no
+	// request outlives the test.
+	parkErr := waitParked(e.batch, k-1)
 	<-s.active
 	wg.Wait()
+	if parkErr != nil {
+		t.Fatal(parkErr)
+	}
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	sort.Ints(batched)
 	want := []int{1}

@@ -76,9 +76,9 @@ type Analysis struct {
 	solvePlans sync.Map // workers (int) -> *SolvePlan
 
 	// The factorization task graph the shared-memory executor runs, and
-	// every task's incoming updates, which it and fan-out pull: each built
-	// on the first factorization that needs it and reused by every later
-	// one.
+	// every task's incoming updates, which it and the test-side fan-out
+	// driver pull: each built on the first factorization that needs it and
+	// reused by every later one.
 	dagOnce     sync.Once
 	dag         *sched.DAG
 	updatesOnce sync.Once
@@ -297,8 +297,9 @@ func factorizeOn[T blas.Scalar](ctx context.Context, an *Analysis, a *sparse.Sym
 	if rt == RuntimeAuto {
 		switch {
 		// Fault injection forces the message-passing runtime even at P == 1
-		// so crash/stall schedules have a worker to act on; tracing forces it
-		// so every schedule task gets an event.
+		// so crash/stall schedules have a worker to act on. Tracing picks it
+		// only because the historical dispatch did (the shared executor
+		// traces every task too); ROADMAP item 4 revisits this choice.
 		case an.Sched.P == 1 && popts.Trace == nil && !popts.Faults.Active():
 			rt = RuntimeSequential
 		default:

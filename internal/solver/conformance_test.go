@@ -209,7 +209,7 @@ func TestDynamicStealStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := FactorizeSeqPivot(an.A, an.Sym, StaticPivot{})
+	ref, err := FactorizeSeq(an.A, an.Sym)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestDynamicHonorsContext(t *testing.T) {
 			_, err := an.FactorizeMatrixOptsCtx(ctx, an.A, ParOptions{Runtime: rt, Trace: rec})
 			timer.Stop()
 			cancel()
-			ran := len(rec.TaskEvents())
+			ran := len(taskEvents(rec))
 			if ran == n {
 				delay /= 2 // the run finished first
 				continue

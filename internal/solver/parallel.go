@@ -144,30 +144,6 @@ func buildProtocol(sch *sched.Schedule) *protocol {
 	return pr
 }
 
-// FactorizeParStats runs the supernodal fan-in LDLᵀ factorization on sch.P
-// goroutine processors, entirely driven by the static schedule, and returns
-// its communication statistics: each processor executes its K_p task vector
-// in order, receives exactly the messages the schedule predicts, aggregates
-// non-local contributions into AUBs and sends each AUB as soon as its last
-// local contribution has been added. The gathered factor equals the
-// sequential one to rounding.
-func FactorizeParStats(a *sparse.SymMatrix, sch *sched.Schedule, popts ParOptions) (*Factors, CommStats, error) {
-	return FactorizeParStatsCtx(context.Background(), a, sch, popts)
-}
-
-// FactorizeParStatsCtx is FactorizeParStats under a context: cancelling ctx
-// aborts the run — processors blocked on messages are woken by closing the
-// communicator, compute-bound processors observe the cancellation between
-// tasks — and ctx.Err() is returned once every worker has unwound.
-func FactorizeParStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Schedule, popts ParOptions) (*Factors, CommStats, error) {
-	tau, normMax := pivotThreshold(popts.Pivot, a)
-	f, perts, stats, err := factorizePar(ctx, a, sch, popts, tau)
-	if err != nil {
-		return nil, stats, err
-	}
-	return realFactors(f, popts.Pivot, normMax, perts), stats, nil
-}
-
 // factorizePar is the message-passing runtime for either scalar type, with
 // static-pivot threshold tau (0 disables pivoting). It returns the gathered
 // factor and the substitutions of every processor.

@@ -31,13 +31,13 @@ func factorizeAllRuntimes(t *testing.T, a *sparse.SymMatrix, P int, sp StaticPiv
 	anP := analyzeDefault(t, a, P)
 	out := make(map[string]*Factors)
 
-	fseq, err := FactorizeSeqPivot(an1.A, an1.Sym, sp)
+	fseq, err := an1.FactorizeOpts(ParOptions{Runtime: RuntimeSequential, Pivot: sp})
 	if err != nil {
 		t.Fatalf("seq: %v", err)
 	}
 	out["seq"] = fseq
 
-	fpar, _, err := FactorizeParStatsCtx(context.Background(), anP.A, anP.Sched, ParOptions{Pivot: sp})
+	fpar, _, err := FactorizeParStats(anP.A, anP.Sched, ParOptions{Pivot: sp})
 	if err != nil {
 		t.Fatalf("mpsim: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestGradedPivotFailsUnpivoted(t *testing.T) {
 	if _, err := FactorizeSeq(an1.A, an1.Sym); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("seq: want ErrNotSPD, got %v", err)
 	}
-	if _, _, err := FactorizeParStatsCtx(context.Background(), an4.A, an4.Sched, ParOptions{}); !errors.Is(err, ErrNotSPD) {
+	if _, _, err := FactorizeParStats(an4.A, an4.Sched, ParOptions{}); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("mpsim: want ErrNotSPD, got %v", err)
 	}
 	if _, err := an4.FactorizeOpts(ParOptions{Runtime: RuntimeShared}); !errors.Is(err, ErrNotSPD) {

@@ -89,7 +89,7 @@ func TestParallelDiagonalMatches(t *testing.T) {
 func TestFactorsNNZAccounting(t *testing.T) {
 	a := laplacian2D(8, 8)
 	an := analyzeFor(t, a, 1)
-	full := NewFactors(an.Sym)
+	full := &Factors{Storage: *newStorage[float64](an.Sym, true)}
 	lazy := NewFactorsLazy(an.Sym)
 	if lazy.NNZ() != 0 {
 		t.Fatal("lazy factors should start empty")

@@ -22,6 +22,7 @@ func TestScheduleRouting(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/P=%d", tc.name, P), func(t *testing.T) {
 				an := analyzeFor(t, tc.a, P)
 				sch, sym := an.Sched, an.Sym
+				bmod := bmodOf(sch)
 				routed := map[int]int{} // destination -> elements, per COMP1D source
 				for k := range sym.CB {
 					blocks := sym.CB[k].Blocks
@@ -45,7 +46,7 @@ func TestScheduleRouting(t *testing.T) {
 								}
 								continue
 							}
-							bm := sch.BModOf(k, si, ti)
+							bm := bmod(k, si, ti)
 							aubs := aubEdges(&sch.Tasks[bm])
 							if len(aubs) != 1 || aubs[0].Dst != dst {
 								t.Fatalf("BMOD(%d,%d) of cb %d: routed to %d, AUB edges %+v", si, ti, k, dst, aubs)
@@ -88,6 +89,7 @@ func TestSchedulePulls(t *testing.T) {
 				an := analyzeFor(t, tc.a, P)
 				sch, sym := an.Sched, an.Sym
 				pulls, dag := an.taskPulls(), sch.DAG()
+				bmod := bmodOf(sch)
 				seen := map[[3]int]int{} // (k, S, T) -> runs holding it
 				for id := range sch.Tasks {
 					last := [3]int{-1, -1, -1} // (k, T, S) of the previous update
@@ -108,7 +110,7 @@ func TestSchedulePulls(t *testing.T) {
 							}
 							prod := sch.Comp1DOf[k]
 							if prod < 0 {
-								prod = sch.BModOf(k, si, ti)
+								prod = bmod(k, si, ti)
 							}
 							if !slices.Contains(dag.Outs[prod], int32(id)) {
 								t.Fatalf("cb %d (%d,%d): producer %d has no edge to task %d", k, si, ti, prod, id)
@@ -164,4 +166,21 @@ func aubEdges(task *sched.Task) []sched.Edge {
 		}
 	}
 	return out
+}
+
+// bmodOf returns a lookup of sch's BMOD task ids by (cell, S, T), -1 when
+// there is none.
+func bmodOf(sch *sched.Schedule) func(cell, s, t int) int {
+	ids := map[[3]int]int{}
+	for _, task := range sch.Tasks {
+		if task.Type == sched.BMod {
+			ids[[3]int{task.Cell, task.S, task.T}] = task.ID
+		}
+	}
+	return func(cell, s, t int) int {
+		if id, ok := ids[[3]int{cell, s, t}]; ok {
+			return id
+		}
+		return -1
+	}
 }

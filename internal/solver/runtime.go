@@ -19,7 +19,7 @@ const (
 	// RuntimeAuto preserves the historical dispatch: plain sequential at
 	// P == 1 without tracing or faults, message-passing otherwise.
 	RuntimeAuto Runtime = iota
-	// RuntimeSequential is the right-looking reference (FactorizeSeq).
+	// RuntimeSequential is the right-looking reference (factorizeSeq).
 	RuntimeSequential
 	// RuntimeMPSim is the paper-faithful message-passing fan-in/fan-both
 	// runtime: goroutine processors, explicit messages, AUB aggregation.

@@ -6,31 +6,14 @@ import (
 	"github.com/pastix-go/pastix/internal/symbolic"
 )
 
-// FactorizeSeq runs the right-looking sequential supernodal LDLᵀ
-// factorization: the reference whose bits the shared, dynamic and fan-out
-// drivers reproduce, and which mpsim matches to aggregation rounding.
-func FactorizeSeq(a *sparse.SymMatrix, sym *symbolic.Symbol) (*Factors, error) {
-	return FactorizeSeqPivot(a, sym, StaticPivot{})
-}
-
-// FactorizeSeqPivot is FactorizeSeq with static pivoting: pivots below
-// τ = sp.Epsilon·‖A‖_max are substituted instead of aborting, and the
-// resulting report is attached to the factor (Factors.Pivots). The zero
-// StaticPivot reproduces FactorizeSeq bit for bit.
-func FactorizeSeqPivot(a *sparse.SymMatrix, sym *symbolic.Symbol, sp StaticPivot) (*Factors, error) {
-	tau, normMax := pivotThreshold(sp, a)
-	f, perts, err := factorizeSeq(a, sym, tau, sym.NumCB())
-	if err != nil {
-		return nil, err
-	}
-	return realFactors(f, sp, normMax, perts), nil
-}
-
-// factorizeSeq is the sequential reference for either scalar type, with
-// static-pivot threshold tau (0 disables pivoting). It eliminates the first
-// cells column blocks, right-looking: each one's updates go to their
-// targets in the canonical order as soon as it is factored. The cells left
-// hold the assembled matrix with every update of the eliminated ones.
+// factorizeSeq is the right-looking sequential supernodal LDLᵀ
+// factorization (RuntimeSequential): the reference whose bits the shared
+// and dynamic drivers reproduce, and which mpsim matches to aggregation
+// rounding. It runs for either scalar type, with static-pivot threshold tau
+// (0 disables pivoting), and eliminates the first cells column blocks: each
+// one's updates go to their targets in the canonical order as soon as it is
+// factored. The cells left hold the assembled matrix with every update of
+// the eliminated ones.
 func factorizeSeq[T blas.Scalar](a *sparse.Sym[T], sym *symbolic.Symbol, tau float64, cells int) (*Storage[T], []Perturbation, error) {
 	f := newStorage[T](sym, true)
 	for k := range sym.CB {

@@ -24,7 +24,7 @@ import (
 // (sched.Schedule.Pulls), in the sequential right-looking order: source
 // cell ascending, then t, then s. The update kernels accumulate in place,
 // so replaying that order makes the factor BITWISE identical to
-// FactorizeSeq under both policies, however the tasks interleave. Every
+// factorizeSeq under both policies, however the tasks interleave. Every
 // producer (the source's COMP1D, or its BMOD) is a predecessor of the
 // puller, so the activation countdown orders the source's solved panel and
 // 1/D before the pull; a BMOD task computes nothing and stays in the graph

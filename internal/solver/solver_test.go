@@ -258,7 +258,7 @@ func TestAssembleRejectsOutOfStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFactors(an.Sym)
+	f := &Factors{Storage: *newStorage[float64](an.Sym, true)}
 	bad := sparse.NewBuilder(6)
 	bad.Add(0, 0, 1)
 	bad.Add(5, 0, 7) // fill of a tridiagonal natural factor never reaches (5,0)
@@ -273,7 +273,7 @@ func TestAssembleRejectsOutOfStructure(t *testing.T) {
 func TestLocateRow(t *testing.T) {
 	a := laplacian2D(8, 8)
 	an := analyzeFor(t, a, 1)
-	f := NewFactors(an.Sym)
+	f := &Factors{Storage: *newStorage[float64](an.Sym, true)}
 	for k := range an.Sym.CB {
 		cb := &an.Sym.CB[k]
 		// Diagonal rows.

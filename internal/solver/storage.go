@@ -47,11 +47,6 @@ type Factors struct {
 // diagonal D) in the same block layout.
 type ZFactors = Storage[complex128]
 
-// NewFactors allocates zeroed storage for every column block of sym.
-func NewFactors(sym *symbolic.Symbol) *Factors {
-	return &Factors{Storage: *newStorage[float64](sym, true)}
-}
-
 // NewFactorsLazy prepares the shape tables without allocating cell data;
 // parallel processors allocate only the cells they own parts of.
 func NewFactorsLazy(sym *symbolic.Symbol) *Factors {

@@ -14,10 +14,11 @@ import (
 
 // This file is the per-task kernel layer under every factorization driver:
 // the sequential reference, the shared-memory executor (pinned and work
-// stealing), the message-passing runtime and fan-out. A driver decides when
-// a task runs, on which processor, where its operands come from and which
-// task receives each block update (sched.Schedule.UpdateTask); the kernels
-// here do the arithmetic, each in one operation order. So the drivers can
+// stealing), the message-passing runtime and the test-side fan-out driver.
+// A driver decides when a task runs, on which processor, where its operands
+// come from and which task receives each block update
+// (sched.Schedule.UpdateTask); the kernels here do the arithmetic, each in
+// one operation order. So the drivers can
 // differ in where an update is added, never in what it computes.
 
 // target is where the (s,t) update of a column block lands: cell Cell, the

@@ -28,11 +28,11 @@ func TestTraceCoversSchedule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tasks := rec.TaskEvents()
+			tasks := taskEvents(rec)
 			if len(tasks) != len(an.Sched.Tasks) {
 				t.Fatalf("traced %d tasks, schedule has %d", len(tasks), len(an.Sched.Tasks))
 			}
-			rp, err := trace.Compare(an.Sched, rec)
+			rp, err := trace.CompareOpts(an.Sched, rec, trace.CompareOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,12 +66,12 @@ func TestTraceSpillEvents(t *testing.T) {
 	a := gen.Laplacian3D(8, 8, 8)
 	an := analyzeFor(t, a, 4)
 	rec := trace.New(4, 0)
-	_, stats, err := FactorizeParStatsCtx(context.Background(), an.A, an.Sched,
+	_, stats, err := FactorizeParStats(an.A, an.Sched,
 		ParOptions{MaxAUBBytes: 1, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := trace.Compare(an.Sched, rec)
+	rp, err := trace.CompareOpts(an.Sched, rec, trace.CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,4 +182,15 @@ func TestTracedSolvePhases(t *testing.T) {
 	if phases != 2*4 {
 		t.Fatalf("got %d phase events, want %d (fwd+bwd per worker)", phases, 2*4)
 	}
+}
+
+// taskEvents returns rec's KindTask events.
+func taskEvents(rec *trace.Recorder) []trace.Event {
+	var out []trace.Event
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindTask {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -82,7 +82,7 @@ type Report struct {
 	SpillBytes int64
 }
 
-// CompareOptions tunes Compare.
+// CompareOptions tunes CompareOpts.
 type CompareOptions struct {
 	// FreeMapping accepts traces from runtimes that do not honor the
 	// schedule's task→processor mapping — the dynamic work-stealing runtime,
@@ -94,15 +94,10 @@ type CompareOptions struct {
 	FreeMapping bool
 }
 
-// Compare joins the recorder's task events against the static schedule that
-// drove the run and returns the divergence report. Every KindTask event must
-// reference a task of sch; tasks never traced (schedule not fully executed)
-// are an error.
-func Compare(sch *sched.Schedule, rec *Recorder) (*Report, error) {
-	return CompareOpts(sch, rec, CompareOptions{})
-}
-
-// CompareOpts is Compare with options (see CompareOptions).
+// CompareOpts joins the recorder's task events against the static schedule
+// that drove the run and returns the divergence report. Every KindTask event
+// must reference a task of sch; tasks never traced (schedule not fully
+// executed) are an error. opts tunes the join (see CompareOptions).
 func CompareOpts(sch *sched.Schedule, rec *Recorder, opts CompareOptions) (*Report, error) {
 	n := len(sch.Tasks)
 	type meas struct {

@@ -13,7 +13,7 @@
 //
 // Two consumers are provided: WriteChromeTrace emits the Chrome trace-event
 // JSON format (load chrome://tracing or https://ui.perfetto.dev), and
-// Compare joins the events against a sched.Schedule into a
+// CompareOpts joins the events against a sched.Schedule into a
 // predicted-vs-actual divergence Report.
 package trace
 
@@ -116,7 +116,7 @@ type procBuf struct {
 
 // Recorder collects events from P virtual processors. Each processor must
 // append only to its own index; with that contract all methods except the
-// read-side (Events, WriteChromeTrace, Compare) are safe for concurrent use.
+// read-side (Events, WriteChromeTrace, CompareOpts) are safe for concurrent use.
 // A nil *Recorder is a valid "tracing off" value: callers guard every record
 // with a nil check.
 type Recorder struct {
@@ -272,18 +272,5 @@ func (r *Recorder) Events() []Event {
 		}
 		return out[i].Proc < out[j].Proc
 	})
-	return out
-}
-
-// TaskEvents returns only the KindTask events, unsorted.
-func (r *Recorder) TaskEvents() []Event {
-	var out []Event
-	for _, b := range r.procs {
-		for _, e := range b.ev {
-			if e.Kind == KindTask {
-				out = append(out, e)
-			}
-		}
-	}
 	return out
 }

@@ -88,3 +88,16 @@ func TestWriteChromeTraceWellFormed(t *testing.T) {
 		t.Fatalf("got %d complete / %d instant events, want 3 / 1", complete, instant)
 	}
 }
+
+// TaskEvents returns only the KindTask events, unsorted.
+func (r *Recorder) TaskEvents() []Event {
+	var out []Event
+	for _, b := range r.procs {
+		for _, e := range b.ev {
+			if e.Kind == KindTask {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
